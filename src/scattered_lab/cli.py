@@ -17,7 +17,7 @@ import sys
 
 from . import families as fam
 from . import mrd, plane, selftest
-from .errors import ParseError, RefusedPrecondition, ScatteredLabError
+from .errors import NotInS, ParseError, RefusedPrecondition, ScatteredLabError
 from .field_tower import field_from_json
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, is_scattered_naive, linear_set
@@ -173,7 +173,11 @@ def cmd_analyze(args):
         elif t == "stabilizer":
             report["tasks"]["stabilizer"] = _stabilizer_doc(T, f)
         elif t == "standard-form":
-            report["tasks"]["standard-form"] = to_standard_form(f).to_json()
+            try:
+                report["tasks"]["standard-form"] = to_standard_form(f).to_json()
+            except NotInS as exc:
+                # |G_f| = q - 1: no standard form exists, which is an answer
+                report["tasks"]["standard-form"] = {"error": exc.code}
         elif t == "mrd":
             report["tasks"]["mrd"] = _task_mrd(T, f, args)
         elif t == "plane":

@@ -83,14 +83,6 @@ class NotInS(ScatteredLabError):
     code = "NotInS"
 
 
-class MixedClass(ScatteredLabError):
-    code = "MixedClass"
-
-
-class OutOfScope(ScatteredLabError):
-    code = "OutOfScope"
-
-
 # mrd
 class TooLarge(RefusedPrecondition):
     code = "TooLarge"
@@ -116,10 +108,6 @@ class SmallQ(RefusedPrecondition):
 
 class HallCase(RefusedPrecondition):
     code = "HallCase"
-
-
-class NotInSPlane(ScatteredLabError):
-    code = "NotInS"
 
 
 # cli

@@ -506,6 +506,20 @@ class FieldTower:
         self._check_divisor(t)
         return self.pow_code(self.gen_code, (self.q**self.n - 1) // (self.q**t - 1))
 
+    def log_q(self, m):
+        """The exponent k with q^k = m, in exact integer arithmetic.
+
+        Raises InternalError when m is not a power of q: callers pass sizes
+        of F_q-subspaces, so any other value is a broken invariant.
+        """
+        k, power = 0, 1
+        while power < m:
+            power *= self.q
+            k += 1
+        if power != m:
+            raise InternalError(f"{m} is not a power of q={self.q}")
+        return k
+
     def order_of(self, a):
         if a == 0:
             raise ZeroDivisionError("order of zero")

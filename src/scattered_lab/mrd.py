@@ -1,9 +1,11 @@
 """The rank-distance code spanned by x and f(x), and its idealizers.
 
 Codewords are the q-polynomials a x + b f(x); the minimum distance is the
-minimum rank over nonzero codewords.  Since rank is invariant under scalar
-multiples, one representative per projective class (a : b) suffices, which
-cuts q^(2n) rank computations down to q^n + 1.  Idealizers are computed as
+minimum rank over nonzero codewords.  Rank is invariant under scalar
+multiples, so one word per projective class (a : b) suffices, and the rank
+of each class is a fiber size of the slope census of f (the kernel form of
+the scattered <=> MRD correspondence): the exact distance is one reduction
+over the census counts, with no rank computation.  Idealizers are computed as
 kernels of exact F_p-linear systems: membership in the code is the
 annihilator condition of its coefficient-vector span, and composition by a
 fixed q-polynomial is an F_p-linear operator on coefficient vectors.
@@ -20,6 +22,7 @@ from .errors import Mismatch, NotAField, TooLarge
 from ._linalg import kernel_mod, rank_mod
 from .field_tower import FieldTower, _digits, _pack
 from .linearized import LinearizedPoly
+from .scatter import slope_census
 from .stabilizer import compute_stabilizer
 
 EXACT_CLASS_BOUND = 1 << 20
@@ -75,31 +78,33 @@ def min_distance(C: RdCode, mode="exact", sample_size=2000, seed=0,
                  class_bound=EXACT_CLASS_BOUND) -> int:
     """Minimum rank over nonzero codewords.
 
-    Exact mode enumerates the q^n + 1 projective classes (1, b) and (0, 1);
-    sample mode draws seeded random classes and yields an upper bound only.
+    Exact mode reads the distance off the slope census of f, with no rank
+    computation.  The word x + b f (b != 0) vanishes exactly on 0 and the
+    fiber of f(x)/x at -1/b, and f vanishes on its kernel, so every class
+    has rank n - log_q(fiber + 1); the class (1, 0) has rank n.  Hence
+    d = n - k for the largest fiber dimension k < n, with k = 0 when every
+    fiber is trivial (dimension n is the zero word, when f is c x or 0).
+    Sample mode ranks seeded random classes (1, b) and the class (0, 1) and
+    yields an upper bound only; it is meant for fields too large for the
+    census.
     """
     T = C.tower
     n_classes = T.size + 1
-    if mode == "exact" and n_classes > class_bound:
-        raise TooLarge(f"{n_classes} projective classes exceed the exact-mode bound; "
-                       "request sampling mode")
+    if mode == "exact":
+        if n_classes > class_bound:
+            raise TooLarge(f"{n_classes} projective classes exceed the exact-mode bound; "
+                           "request sampling mode")
+        census = slope_census(C.f)
+        dims = {T.log_q(c + 1) for c in set(census.counts) | {census.kernel_count}}
+        return T.n - max(k for k in dims | {0} if k < T.n)
     p, e = T.p, T.e
     Mf = C.f.fp_matrix()
     eye = np.eye(T.en, dtype=np.int64)
     best = T.n + 1
-
-    def class_rank(bcode):
-        M = (eye + T.mul_matrix(bcode) @ Mf) % p
-        r = rank_mod(M, p)
-        return r // e
-
-    if mode == "exact":
-        bs = range(T.size)
-    else:
-        rng = T.rng(("min_distance", seed))
-        bs = (rng.randrange(T.size) for _ in range(sample_size))
-    for b in bs:
-        r = class_rank(b)
+    rng = T.rng(("min_distance", seed))
+    for _ in range(sample_size):
+        M = (eye + T.mul_matrix(rng.randrange(T.size)) @ Mf) % p
+        r = rank_mod(M, p) // e
         if 0 < r < best:
             best = r
     r_inf = rank_mod(Mf, p) // e  # the class (0, 1)

@@ -6,9 +6,11 @@ latter are stored by coset representative (h modulo F_q^*), so components
 have O(1) membership tests and the plane is never materialized pointwise
 except in the small-field verification helpers.
 
-Collineation classification walks H_f = F_{q^n}^* G_f modulo the kernel
-homologies; the eigenvalue data of the diagonalized stabilizer makes the
-fixed-structure of every class an integer computation on discrete logs.
+Collineation classification and the collineation-group check are closed
+forms over discrete logs, not walks over H_f = F_{q^n}^* G_f or over the
+components: the eigenvalue logs of the diagonalized stabilizer locate the
+homologies of each stabilizer class directly, and the generators of H_f are
+checked by one exact polynomial identity and one vectorized map on slopes.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from .errors import (
     NotInS,
     NotScattered,
     SmallQ,
+    TooLarge,
 )
 from ._linalg import kernel_mod, solve_mod
 from .field_tower import FieldTower, _digits, _pack
-from .linearized import LinearizedPoly
+from .linearized import LinearizedPoly, add_code_arrays
 from .scatter import is_scattered, linear_set, slope_census
 from .stabilizer import Mat2, compute_stabilizer, diagonalize, normalize_point
-from .standard_form import image_polynomial
+from .standard_form import image_polynomial, maps_onto
 
 import numpy as np
 
@@ -213,11 +216,19 @@ def linear_collineations(f: LinearizedPoly) -> dict:
 
     The group is F_{q^n}^* G_f; each element factors uniquely as a scalar
     kernel homology times diag(1, alpha^(q^s - 1)) in diagonalized
-    coordinates, giving order (q^n - 1)(q^t - 1)/(q - 1).  Generators are
-    verified to permute the spread component-by-component.
+    coordinates, giving order (q^n - 1)(q^t - 1)/(q - 1).  Both generators
+    are shown to permute the spread without walking its points.  The scalar
+    generator g I fixes every F_{q^n}-line and sends g^j U_f to g^(j+1) U_f,
+    a permutation of the translate indices modulo (q^n - 1)/(q - 1).  For the
+    generator M of G_f, one exact check U_f M = U_f gives h U_f M = h U_f for
+    every h, and M permutes the lines by the Moebius map
+    m -> (b + m d)/(a + m c) on slopes, which must be a bijection of
+    PG(1, q^n) that preserves the slopes of L_f.  Needs exp/log tables.
     """
-    _plane_preconditions(f)
     T = f.tower
+    if not T.has_tables:
+        raise TooLarge("the collineation check needs exp/log tables")
+    _plane_preconditions(f)
     spread = build_spread(f)
     Mf = compute_stabilizer(f)
     t = Mf.t
@@ -234,13 +245,12 @@ def linear_collineations(f: LinearizedPoly) -> dict:
             raise InternalError("homology factor has unexpected order")
     else:
         kappa_order = 1
-    generators = [Mat2.scalar(T, T.gen_code)]
     if Mf.generator is not None:
-        generators.append(Mf.generator)
-    for gen_m in generators:
-        for comp in spread.components():
-            if _component_image(spread, comp, gen_m) is None:
-                raise InternalError("a generator fails to permute the spread")
+        M = Mf.generator
+        if not maps_onto(f, M, f):
+            raise InternalError("the stabilizer generator does not fix U_f")
+        if not _moebius_preserves_lines(spread, M):
+            raise InternalError("the stabilizer generator fails to permute the lines")
     return {
         "order": order,
         "t": t,
@@ -248,6 +258,37 @@ def linear_collineations(f: LinearizedPoly) -> dict:
         "cyclic_factor_order": kappa_order,
         "generators_permute_spread": True,
     }
+
+
+def _moebius_preserves_lines(spread: Spread, M: Mat2) -> bool:
+    """Does M permute the lines through the origin and fix the slope set of L_f?
+
+    The line of slope m (direction (1, m)) goes to the direction
+    (a + m c, b + m d); the vertical line (0, 1) goes to (c, d).  Slopes are
+    element codes, with the code q^n standing for the vertical direction.
+    """
+    T = spread.tower
+    M_order, size = T.mult_order, T.size
+    exp, log = T.exp_table, T.log_table
+
+    def mul(codes, k):
+        if k == 0:
+            return np.zeros_like(codes)
+        lk = int(log[k])
+        return np.where(codes == 0, 0, exp[(log[codes] + lk) % M_order])
+
+    m = np.arange(size + 1, dtype=np.int64)
+    m[size] = 0                                   # placeholder for the vertical line
+    den = add_code_arrays(T, np.full(size + 1, M.a, dtype=np.int64), mul(m, M.c))
+    num = add_code_arrays(T, np.full(size + 1, M.b, dtype=np.int64), mul(m, M.d))
+    den[size], num[size] = M.c, M.d
+    image = np.where(den == 0, size,
+                     np.where(num == 0, 0, exp[(log[num] - log[den]) % M_order]))
+    if np.unique(image).size != size + 1:
+        return False
+    on_L = np.zeros(size + 1, dtype=bool)
+    on_L[list(spread.lf_slopes)] = True
+    return bool(on_L[image[on_L]].all())
 
 
 @dataclass
@@ -289,12 +330,17 @@ class HomologyReport:
 def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     """Affine central collineations of the plane with axis through the origin.
 
-    Scans all of H_f modulo kernel homologies.  Each class is d M with d in
+    Covers all of H_f modulo kernel homologies.  Each class is d M with d in
     a transversal of F_{q^n}^*/F_q^* and M in a transversal of G_f/F_q^*;
     in diagonalized coordinates its eigenvalues are (d x, d x^(q^s)), so the
     class contains a homology exactly when one eigenvalue can be scaled to 1
-    by a kernel homology while the other stays different from 1.  Elations
-    would show up as defective classes, which cannot occur in a
+    by a kernel homology while the other stays different from 1.  That
+    happens only for log d = -log x or -log y modulo (q^n - 1)/(q - 1), so
+    each stabilizer class visits at most two d and the work is
+    O((q^t - 1)/(q - 1)); central_classes_scanned still counts every class
+    d M covered.  For t = 1, H_f is the scalar group and d I - I is
+    invertible for every d != 1, so there is no central collineation.
+    Elations would show up as defective classes, which cannot occur in a
     simultaneously diagonalizable family; the count is still computed.
     """
     _plane_preconditions(f)
@@ -307,19 +353,11 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     step = M_order // (q - 1)
     hf_order = (q**T.n - 1) * (q**t - 1) // (q - 1)
     if t == 1:
-        # H_f consists of the scalar maps; no nonidentity element fixes a
-        # nonzero point, so there is no affine central collineation at all.
-        scanned = 0
-        for dd in range(step):
-            d = T.pow_code(T.gen_code, dd)
-            lam = Mat2.scalar(T, d)
-            if not lam.is_identity():
-                ker = _eigenvalue_one_space(T, lam)
-                if ker is not None:
-                    raise InternalError("scalar class fixes a direction pointwise")
-            scanned += 1
+        # H_f consists of the scalar maps d I; for d != 1 the map d I - I is
+        # invertible, so no nonidentity element fixes a nonzero point and
+        # there is no affine central collineation at all.
         return HomologyReport("i", 1, None, None, 1, [], [], True, True, 0,
-                              scanned, hf_order, True)
+                              step, hf_order, True)
     diag = diagonalize(Mf)
     s = diag.s
     v1 = (diag.P.a, diag.P.b)
@@ -342,14 +380,13 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
         raise InternalError("unexpected number of stabilizer classes")
     group_X, group_Y = [], []
     elations = 0
-    scanned = 0
     for m in classes.values():
         x, y = pair_of[m.entries()]
         lx, ly = T.dlog(x), T.dlog(y)
         if lx == ly and not m.is_scalar():
             elations += 1  # defective class; cannot occur in a diagonalizable family
-        for dd in range(step):
-            scanned += 1
+        # a class d m holds a homology only when d x or d y lies in F_q^*
+        for dd in sorted({-lx % step, -ly % step}):
             ex = (dd + lx) % step == 0   # d*x lands in F_q^*
             ey = (dd + ly) % step == 0
             if ex and ey and (lx - ly) % M_order == 0:
@@ -385,25 +422,8 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
             cyclic_ok = False
     decomposition_ok = _decomposition_audit(T, Mf, diag, t)
     return HomologyReport("ii", t, X, Y, expected, group_X + [idm], group_Y + [idm],
-                          cyclic_ok, exchange_ok, elations, scanned, hf_order,
-                          decomposition_ok)
-
-
-def _eigenvalue_one_space(T, lam: Mat2):
-    """A nonzero fixed vector of lam, or None."""
-    delta = lam - Mat2.identity(T)
-    # row vector v with v (lam - I) = 0
-    if delta.is_zero():
-        return (1, 0)
-    if delta.a != 0 or delta.c != 0:
-        v = (delta.c, T.neg_code(delta.a))
-    else:
-        v = (delta.d, T.neg_code(delta.b))
-    if v == (0, 0):
-        return None
-    check = (T.add_code(T.mul_code(v[0], delta.a), T.mul_code(v[1], delta.c)),
-             T.add_code(T.mul_code(v[0], delta.b), T.mul_code(v[1], delta.d)))
-    return v if check == (0, 0) else None
+                          cyclic_ok, exchange_ok, elations, len(classes) * step,
+                          hf_order, decomposition_ok)
 
 
 def _is_cyclic_group(T, elements) -> bool:

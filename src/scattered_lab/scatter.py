@@ -226,7 +226,7 @@ def line_intersection_dim(f: LinearizedPoly, point) -> int:
         count = 0
         if s in census.slope_logs:
             count = census.counts[census.slope_logs.index(s)]
-    return round(math.log(count + 1, T.q))
+    return T.log_q(count + 1)
 
 
 def is_r_partially_scattered(g: LinearizedPoly, t: int, s: int) -> bool:

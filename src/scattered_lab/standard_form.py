@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError, NotInS, NotScattered, NotStandard
+from .errors import InternalError, NotBijective, NotInS, NotScattered, NotStandard
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
@@ -104,7 +104,7 @@ def _canonicalize_witness(h: LinearizedPoly):
     try:
         hinv = h.invert()
         candidates.append((_ab_min(hinv), "inverse"))
-    except Exception:
+    except NotBijective:
         pass
     best = min(candidates, key=lambda c: _vector_key(T, c[0][0].coeffs))
     (poly, a, b), branch = best
@@ -140,7 +140,7 @@ def maps_onto(f: LinearizedPoly, W: Mat2, g: LinearizedPoly) -> bool:
     u, v = _uv_from(f, W)
     try:
         u.invert()
-    except Exception:
+    except NotBijective:
         return False
     return v == g.compose(u)
 
@@ -166,7 +166,7 @@ def to_standard_form(f: LinearizedPoly, verify_stabilizer=True) -> StandardFormR
     u, v = _uv_from(f, P.inverse())
     try:
         uinv = u.invert()
-    except Exception as exc:
+    except NotBijective as exc:
         raise InternalError(
             "first-coordinate map is singular, contradicting scatteredness") from exc
     h0 = v.compose(uinv)
@@ -217,7 +217,7 @@ def _branches(r: LinearizedPoly):
     out = [(r, False)]
     try:
         out.append((r.invert(), True))
-    except Exception:
+    except NotBijective:
         pass
     return out
 

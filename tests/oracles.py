@@ -3,9 +3,19 @@
 Nothing here shares a code path with the implementations under test; each
 oracle computes from first principles (trial division, repeated
 multiplication, dictionary fiber counts) so that agreement is meaningful.
+The last three are the enumerations that closed forms replaced in the
+library (a rank per codeword class, a scan over every class of H_f, a walk
+of every spread component); they reuse the library's stabilizer,
+diagonalization and spread lookup, but none of the replaced logic.
 """
 
 import itertools
+
+import numpy as np
+
+from scattered_lab._linalg import rank_mod
+from scattered_lab.plane import _component_image, build_spread
+from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
 
 
 def poly_divides(d, a, p):
@@ -115,3 +125,91 @@ def rank_by_row_reduction(T, f):
         rank += 1
     assert rank % T.e == 0
     return rank // T.e
+
+
+def min_distance_by_ranks(C):
+    """Minimum distance of C_f from one rank computation per projective class.
+
+    The classes are (1, b) for every b and (0, 1); rank-0 classes are the
+    zero word (f = c x or f = 0) and are skipped.
+    """
+    T = C.tower
+    p, e = T.p, T.e
+    Mf = C.f.fp_matrix()
+    eye = np.eye(T.en, dtype=np.int64)
+    ranks = [rank_mod((eye + T.mul_matrix(b) @ Mf) % p, p) // e for b in range(T.size)]
+    ranks.append(rank_mod(Mf, p) // e)
+    return min((r for r in ranks if r > 0), default=T.n + 1)
+
+
+def _fixed_vector(T, lam):
+    """A nonzero row vector v with v lam = v, or None."""
+    delta = lam - Mat2.identity(T)
+    if delta.is_zero():
+        return (1, 0)
+    if delta.a != 0 or delta.c != 0:
+        v = (delta.c, T.neg_code(delta.a))
+    else:
+        v = (delta.d, T.neg_code(delta.b))
+    if v == (0, 0):
+        return None
+    check = (T.add_code(T.mul_code(v[0], delta.a), T.mul_code(v[1], delta.c)),
+             T.add_code(T.mul_code(v[0], delta.b), T.mul_code(v[1], delta.d)))
+    return v if check == (0, 0) else None
+
+
+def central_classes_by_scan(f):
+    """(group_X, group_Y, elations, scanned) by visiting every class d M of H_f.
+
+    group_X and group_Y hold the homologies found, identity excluded, in
+    the order of the scan; for t = 1 every scalar class is checked to fix no
+    nonzero vector and both groups are empty.
+    """
+    T = f.tower
+    Mf = compute_stabilizer(f)
+    step = T.mult_order // (T.q - 1)
+    if Mf.t == 1:
+        for dd in range(step):
+            lam = Mat2.scalar(T, T.pow_code(T.gen_code, dd))
+            if not lam.is_identity() and _fixed_vector(T, lam) is not None:
+                raise AssertionError("a scalar class fixes a direction pointwise")
+        return [], [], 0, step
+    diag = diagonalize(Mf)
+    pair_of = {m.entries(): pr for m, pr in zip(Mf.elements, diag.diag_pairs)}
+    classes = {}
+    for m in Mf.nonzero():
+        classes.setdefault(T.dlog(pair_of[m.entries()][0]) % step, m)
+    group_X, group_Y = [], []
+    elations = scanned = 0
+    for m in classes.values():
+        x, y = pair_of[m.entries()]
+        lx, ly = T.dlog(x), T.dlog(y)
+        if lx == ly and not m.is_scalar():
+            elations += 1
+        for dd in range(step):
+            scanned += 1
+            ex = (dd + lx) % step == 0
+            ey = (dd + ly) % step == 0
+            if not (ex or ey) or (ex and ey and (lx - ly) % T.mult_order == 0):
+                continue
+            d = T.pow_code(T.gen_code, dd)
+            lam = m.scale(d)
+            if ex:
+                group_X.append(lam.scale(T.inv_code(T.mul_code(d, x))))
+            if ey:
+                group_Y.append(lam.scale(T.inv_code(T.mul_code(d, y))))
+    group_X = [m for m in group_X if not m.is_identity()]
+    group_Y = [m for m in group_Y if not m.is_identity()]
+    return group_X, group_Y, elations, scanned
+
+
+def spread_walk(f, M):
+    """(lines_ok, translates_ok): does M send every line component, and every
+    translate h U_f, point by point onto a component of the spread?"""
+    spread = build_spread(f)
+    ok = {True: True, False: True}
+    for comp in spread.components():
+        is_line = comp[0] != "U"
+        if ok[is_line] and _component_image(spread, comp, M) is None:
+            ok[is_line] = False
+    return ok[True], ok[False]

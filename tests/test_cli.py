@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +171,43 @@ def test_stabilizer_hashes_exposed(specs):
     doc = json.loads(out)["tasks"]["stabilizer"]
     assert len(doc["poly_hash"]) == 16
     assert len(doc["linear_set_hash"]) == 16
+
+
+def test_standard_form_task_reports_not_in_s(tmp_path):
+    # LP x^q + delta x^(q^4) at (5,5) has |G_f| = q - 1: no standard form
+    field = tmp_path / "f5n5.json"
+    field.write_text(json.dumps({"p": 5, "e": 1, "n": 5, "seed": 0}))
+    poly = tmp_path / "lp.json"
+    poly.write_text(json.dumps({"coeffs": ["0", "1", "0", "0", "g^1"]}))
+    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                            "--tasks", "scatter,stabilizer,standard-form"])
+    assert code == 0
+    tasks = json.loads(out)["tasks"]
+    assert tasks["scatter"]["scattered"] is True
+    assert tasks["stabilizer"]["t"] == 1
+    assert tasks["standard-form"] == {"error": "NotInS"}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = {
+    "pseudoregulus_5_4": ((5, 4), ["0", "1", "0", "0"]),
+    "lp_5_4": ((5, 4), ["0", "g^0", "0", "g^1"]),
+    "lp_7_4": ((7, 4), ["0", "g^0", "0", "g^1"]),
+    "psi_5_6": ((5, 6), ["0", "g^0", "g^0", "0", "g^372", "g^9424"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_analyze_matches_golden_report(name, tmp_path, monkeypatch):
+    # golden files hold the five-task report of an earlier, enumerative
+    # implementation of the mrd and plane tasks; the output must not move
+    monkeypatch.delenv("SCATTERED_LAB_THREADS", raising=False)
+    (p, n), coeffs = GOLDEN_CASES[name]
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"coeffs": coeffs}))
+    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                            "--tasks", "scatter,stabilizer,standard-form,mrd,plane"])
+    assert code == 0
+    assert out == (GOLDEN / f"analyze_{name}.json").read_text()

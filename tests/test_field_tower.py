@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scattered_lab.errors import BadElement, DegreeTooLarge, NonPrime, NotADivisor
+from scattered_lab.errors import (
+    BadElement,
+    DegreeTooLarge,
+    InternalError,
+    NonPrime,
+    NotADivisor,
+)
 from scattered_lab.field_tower import FieldSpec, field_from_json, make_field
 
 from oracles import (
@@ -230,3 +236,15 @@ def test_spec_dataclass_roundtrip():
     spec = FieldSpec(5, 1, 4, (2, 0, 0, 0, 1), 6, 0)
     doc = spec.to_json()
     assert doc["p"] == 5 and doc["modulus"] == [2, 0, 0, 0, 1]
+
+
+def test_log_q_exact(tower):
+    T = tower(5, 1, 4)
+    assert [T.log_q(5**k) for k in range(6)] == list(range(6))
+    for m in (0, 2, 6, 24, 26, 124, 5**4 + 1):
+        with pytest.raises(InternalError):
+            T.log_q(m)
+    T2 = tower(2, 2, 4)  # q = 4: powers of p that are not powers of q are refused
+    assert T2.log_q(64) == 3
+    with pytest.raises(InternalError):
+        T2.log_q(8)

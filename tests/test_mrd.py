@@ -1,6 +1,7 @@
 import pytest
 
 from scattered_lab.errors import TooLarge
+from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import catalog, find_lp_delta, make_lp
 from scattered_lab.mrd import (
@@ -14,6 +15,8 @@ from scattered_lab.mrd import (
     verify_idealizer_field,
 )
 from scattered_lab.stabilizer import compute_stabilizer
+
+from oracles import min_distance_by_ranks
 
 
 def test_codeword_generators(tower):
@@ -174,3 +177,47 @@ def test_contains_solver(tower):
         assert got == (a, b)
     outside = LinearizedPoly(T, [0, 0, 1, 0])
     assert C.contains(outside) is None
+
+
+@pytest.mark.parametrize("key", [(5, 1, 4), (7, 1, 4), (5, 1, 5)])
+def test_min_distance_matches_rank_oracle_catalog(tower, key):
+    T = tower(*key)
+    for inst in catalog(T):
+        C = code_of(inst.poly)
+        assert min_distance(C) == min_distance_by_ranks(C) == T.n - 1
+
+
+@pytest.mark.parametrize("key", [(2, 1, 4), (3, 1, 3), (3, 1, 4), (5, 1, 3)])
+def test_min_distance_matches_rank_oracle_random(tower, key):
+    T = tower(*key)
+    rng = T.rng("mrd-differential")
+    polys = [LinearizedPoly.zero(T), LinearizedPoly.identity(T),
+             LinearizedPoly.monomial(T, 0, T.gen_code),
+             LinearizedPoly.monomial(T, 1), LinearizedPoly.monomial(T, T.n - 1)]
+    # sparse draws hit kernels and large fibers more often than dense ones
+    for density in (1, 2, T.n):
+        for _ in range(8):
+            coeffs = [0] * T.n
+            for i in rng.sample(range(T.n), density):
+                coeffs[i] = rng.randrange(T.size)
+            polys.append(LinearizedPoly(T, coeffs))
+    distances = set()
+    for f in polys:
+        C = code_of(f)
+        d = min_distance(C)
+        assert d == min_distance_by_ranks(C), f
+        distances.add(d)
+    assert len(distances) > 1
+
+
+def test_min_distance_no_table_tower():
+    T = make_field(3, 1, 4, table_bound=0)
+    assert not T.has_tables
+    rng = T.rng("mrd-no-table")
+    polys = [LinearizedPoly.monomial(T, 1), LinearizedPoly.monomial(T, 2),
+             LinearizedPoly.identity(T)]
+    polys += [LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])
+              for _ in range(6)]
+    for f in polys:
+        C = code_of(f)
+        assert min_distance(C) == min_distance_by_ranks(C)

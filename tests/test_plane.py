@@ -1,9 +1,16 @@
 import pytest
 
-from scattered_lab.errors import HallCase, NotInS, NotScattered, SmallQ
+from scattered_lab.errors import HallCase, NotInS, NotScattered, SmallQ, TooLarge
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
-from scattered_lab.families import find_lp_delta, find_psi_h, make_lp, make_psi, psi_theta
+from scattered_lab.families import (
+    catalog,
+    find_lp_delta,
+    find_psi_h,
+    make_lp,
+    make_psi,
+    psi_theta,
+)
 from scattered_lab.plane import (
     PseudoregulusCase,
     ReducibilityWitness,
@@ -16,10 +23,30 @@ from scattered_lab.plane import (
     verify_spread_axioms,
     _pointwise_fix_system,
     _component_basis,
+    _moebius_preserves_lines,
 )
-from scattered_lab.scatter import linear_set
-from scattered_lab.stabilizer import Mat2
+from scattered_lab.scatter import is_scattered, linear_set
+from scattered_lab.stabilizer import Mat2, compute_stabilizer
+from scattered_lab.standard_form import maps_onto
 from scattered_lab._linalg import solve_mod
+
+from oracles import central_classes_by_scan, spread_walk
+
+
+def _differential_instances(tower):
+    """Every catalog instance at (5,4), (7,4) and (5,5), plus seeded random
+    scattered polynomials at (5,3)."""
+    polys = [inst.poly for key in ((5, 1, 4), (7, 1, 4), (5, 1, 5))
+             for inst in catalog(tower(*key))]
+    T = tower(5, 1, 3)
+    rng = T.rng("plane-differential")
+    found = 0
+    while found < 3:
+        f = LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])
+        if is_scattered(f):
+            polys.append(f)
+            found += 1
+    return polys
 
 
 def test_build_spread_counts(tower):
@@ -240,3 +267,47 @@ def test_pseudoregulus_twist_cases(tower):
             cand = Mat2(T, _pack(list(v[0:en]), T.p), _pack(list(v[en:2 * en]), T.p),
                         _pack(list(v[2 * en:3 * en]), T.p), _pack(list(v[3 * en:]), T.p))
             assert cand.det() == 0, "nonsingular semilinear fixer should not exist"
+
+
+def test_classification_matches_scan_oracle(tower):
+    ts = set()
+    for f in _differential_instances(tower):
+        hr = classify_central_collineations(f)
+        group_X, group_Y, elations, scanned = central_classes_by_scan(f)
+        if hr.t > 1:
+            assert [m.entries() for m in hr.group_X[:-1]] == [m.entries() for m in group_X]
+            assert [m.entries() for m in hr.group_Y[:-1]] == [m.entries() for m in group_Y]
+        else:
+            assert hr.group_X == hr.group_Y == group_X == group_Y == []
+        assert hr.elations == elations
+        assert hr.central_classes_scanned == scanned
+        ts.add(hr.t)
+    assert {1, 2, 4} <= ts
+
+
+def test_collineation_checks_match_spread_walk(tower):
+    for f in _differential_instances(tower):
+        T = f.tower
+        linear_collineations(f)  # raises when a generator fails its check
+        spread = build_spread(f)
+        G = compute_stabilizer(f).nonzero()
+        rng = T.rng("collineation-differential")
+        in_H = [compute_stabilizer(f).generator, Mat2.scalar(T, T.gen_code),
+                G[rng.randrange(len(G))].scale(rng.randrange(1, T.size))]
+        outside = []
+        while len(outside) < 2:
+            M = Mat2(T, *(rng.randrange(T.size) for _ in range(4)))
+            if M.det():
+                outside.append(M)
+        for M in in_H + outside:
+            lines_ok, translates_ok = spread_walk(f, M)
+            assert (lines_ok and translates_ok) == (M in in_H)
+            assert _moebius_preserves_lines(spread, M) == lines_ok
+            if maps_onto(f, M, f):
+                assert translates_ok
+
+
+def test_linear_collineations_needs_tables():
+    T = make_field(5, 1, 4, table_bound=0)
+    with pytest.raises(TooLarge):
+        linear_collineations(LinearizedPoly.monomial(T, 1))

@@ -1,6 +1,6 @@
 import pytest
 
-from scattered_lab.errors import NotInS, NotScattered, NotStandard
+from scattered_lab.errors import InternalError, NotInS, NotScattered, NotStandard
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
@@ -12,6 +12,7 @@ from scattered_lab.families import (
 )
 from scattered_lab.scatter import is_scattered, linear_set
 from scattered_lab.standard_form import (
+    _branches,
     canonicalize,
     gammal_equivalent,
     gl_equivalent,
@@ -231,3 +232,26 @@ def test_no_table_canonicalize_agrees():
     c1 = canonicalize(LinearizedPoly(T1, coeffs))
     c0 = canonicalize(LinearizedPoly(T0, coeffs))
     assert c1.coeffs == c0.coeffs
+
+
+def test_invert_internal_error_propagates(monkeypatch):
+    # only NotBijective means "not invertible"; any other failure of invert()
+    # is a bug and must surface instead of steering the answer
+    T0 = make_field(5, 1, 4)
+    h = to_standard_form(make_lp(T0, 1, find_lp_delta(T0)).poly).h
+    T = make_field(5, 1, 4)  # fresh tower: no inverse or canonical form cached
+    f = LinearizedPoly.monomial(T, 1)
+    gen = compute_stabilizer(f).generator
+
+    def broken(self):
+        raise InternalError("broken inversion")
+
+    monkeypatch.setattr(LinearizedPoly, "invert", broken)
+    with pytest.raises(InternalError):
+        maps_onto(f, gen, f)
+    with pytest.raises(InternalError):
+        _branches(f)
+    with pytest.raises(InternalError):
+        canonicalize(LinearizedPoly(T, h.coeffs))
+    with pytest.raises(InternalError, match="broken inversion"):
+        to_standard_form(make_lp(T, 1, find_lp_delta(T)).poly)
