@@ -13,13 +13,13 @@ fixed q-polynomial is an F_p-linear operator on coefficient vectors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Mismatch, NotAField, TooLarge
-from ._linalg import kernel_mod, rank_mod
+from ._certify import certify_field
+from .errors import Mismatch, TooLarge
+from ._linalg import kernel_mod, rank_mod, span_codes
 from .field_tower import FieldTower, _digits, _pack
 from .linearized import LinearizedPoly
 from .scatter import slope_census
@@ -203,16 +203,7 @@ def _enumerate_polys(T: FieldTower, basis_vecs):
     dim = len(basis_vecs)
     if T.p**dim > 1 << 22:
         raise TooLarge(f"idealizer of size {T.p}^{dim} exceeds the enumeration guard")
-    n, en = T.n, T.en
-    out = []
-    if dim == 0:
-        return [LinearizedPoly.zero(T)]
-    combos = np.array(list(itertools.product(range(T.p), repeat=dim)), dtype=np.int64)
-    digit_mat = (combos @ np.vstack(basis_vecs)) % T.p
-    for r in range(digit_mat.shape[0]):
-        coeffs = [_pack(list(digit_mat[r, j * en:(j + 1) * en]), T.p) for j in range(n)]
-        out.append(LinearizedPoly(T, coeffs))
-    return out
+    return [LinearizedPoly(T, row) for row in span_codes(basis_vecs, T.p, T.en, T.n).tolist()]
 
 
 def right_idealizer(C: RdCode) -> Idealizer:
@@ -241,60 +232,22 @@ def left_idealizer(C: RdCode) -> Idealizer:
     return Idealizer("left", tuple(elems), tuple(map(tuple, basis)))
 
 
-def verify_idealizer_field(I: Idealizer, tower: FieldTower, exhaustive_bound=200):
-    """Closure, commutativity, invertibility and cyclic generator checks."""
-    elements = I.elements
-    order = len(elements)
-    q = tower.q
-    t = 0
-    while q**t < order:
-        t += 1
-    if q**t != order:
-        raise NotAField(f"idealizer order {order} is not a power of q")
-    eset = I.element_set()
-    x = LinearizedPoly.identity(tower)
-    if x.coeffs not in eset:
-        raise NotAField("identity map missing from idealizer")
-    for w in elements:
-        if not w.is_zero() and w.rank() != tower.n:
-            raise NotAField("singular nonzero idealizer element", element=w.coeffs)
-    group_order = order - 1
-    from .field_tower import _factorint
+def verify_idealizer_field(I: Idealizer, tower: FieldTower):
+    """Certify that the idealizer is a field of order q^t, t | n; returns (t, alpha).
 
-    factors = list(_factorint(group_order)) if group_order > 1 else []
-
-    def poly_pow(w, k):
-        acc = x
-        base = w
-        while k:
-            if k & 1:
-                acc = base.compose(acc)
-            base = base.compose(base)
-            k >>= 1
-        return acc
-
-    generator = None
-    for w in elements:
-        if w.is_zero() or (w == x and group_order > 1):
-            continue
-        if all(poly_pow(w, group_order // ell) != x for ell in factors):
-            generator = w
-            break
-    if generator is None:
-        raise NotAField("no idealizer element of full multiplicative order")
-    walk = set()
-    cur = x
-    for _ in range(group_order):
-        cur = cur.compose(generator)
-        walk.add(cur.coeffs)
-    if cur != x or len(walk) != group_order or not walk <= eset:
-        raise NotAField("generator powers do not enumerate the nonzero idealizer")
-    pairs = [(a, b) for i, a in enumerate(elements[:exhaustive_bound])
-             for b in elements[i:exhaustive_bound]]
-    for a, b in pairs:
-        if (a + b).coeffs not in eset:
-            raise NotAField("idealizer not closed under addition")
-    return t, generator
+    The same certificate as the stabilizer field (`_certify.certify_field`),
+    with composition as the product: |I| = q^t, x in I, the elements are
+    distinct and exactly the F_p-span of I.basis, the first element alpha of
+    full multiplicative order satisfies alpha^(q^t - 1) = x, and alpha o b
+    lies in I for every basis polynomial b.  No rank is computed: the powers
+    of alpha are the whole nonzero part, so each of them is invertible.
+    """
+    n, en, p = tower.n, tower.en, tower.p
+    basis = [LinearizedPoly(tower, [_pack(v[j * en:(j + 1) * en], p) for j in range(n)])
+             for v in I.basis]
+    return certify_field(tower, I.elements, I.element_set(), basis,
+                         lambda w: w.coeffs, LinearizedPoly.identity(tower),
+                         LinearizedPoly.compose)
 
 
 def stabilizer_to_right_idealizer(M, f: LinearizedPoly) -> LinearizedPoly:
@@ -317,14 +270,14 @@ def check_idealizer_matches_stabilizer(f: LinearizedPoly) -> dict:
     t, _ = verify_idealizer_field(IR, T)
     if t != Mf.t:
         raise Mismatch("field degrees disagree")
+    # M -> a x + c f is F_p-linear: basis images inside I_R and F_p-independent
+    # give an injection of G_f into I_R, onto since the orders agree
     iset = IR.element_set()
-    images = set()
-    for M in Mf.elements:
-        phi = stabilizer_to_right_idealizer(M, f)
-        if phi.coeffs not in iset:
-            raise Mismatch("stabilizer image escapes the right idealizer")
-        images.add(phi.coeffs)
-    if len(images) != Mf.order or images != iset:
+    images = [stabilizer_to_right_idealizer(M, f) for M in Mf.basis]
+    if any(phi.coeffs not in iset for phi in images):
+        raise Mismatch("stabilizer image escapes the right idealizer")
+    span = span_codes([_poly_vec(phi) for phi in images], T.p, T.en, T.n)
+    if len(np.unique(span, axis=0)) != Mf.order:
         raise Mismatch("stabilizer does not biject onto the right idealizer")
     rng = T.rng("iso-check")
     elems = list(Mf.elements)

@@ -8,14 +8,18 @@ therefore the kernel of an (n*en) x (4*en) system over F_p; no search over
 GL(2, q^n) is ever performed.
 
 For scattered f the nonzero solutions form the multiplicative group of a
-matrix field of order q^t with t | n; this is verified explicitly, and the
-field is simultaneously diagonalized by a matrix of eigen-rows of one
-multiplicative generator.
+matrix field of order q^t with t | n.  This is certified from the kernel
+basis and one multiplicative generator alpha (`_certify.certify_field`): the
+solution set is the F_p-span of the basis, alpha has order q^t - 1, and
+alpha b stays in the set for every basis matrix b, so the powers of alpha
+fill the nonzero part.  The field is simultaneously diagonalized by a matrix
+P of eigen-rows of alpha; conjugation by P is F_p-linear, so only the basis
+matrices are conjugated, and the Frobenius twist on the diagonal is read
+off alpha alone.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +33,9 @@ from .errors import (
     NotScattered,
     TooLarge,
 )
-from ._linalg import kernel_mod
-from .field_tower import FieldElement, FieldTower, _pack
+from ._certify import certify_field
+from ._linalg import kernel_mod, span_codes
+from .field_tower import FieldElement, FieldTower, _digits, _pack
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, linear_set
 
@@ -188,6 +193,7 @@ class MatrixField:
     solution_dim: int = 0    # F_p-dimension of the solution space
     enumerated: bool = True  # False when the space was too large to list
     _eset: frozenset | None = None
+    _diag: DiagonalizationResult | None = None
 
     @property
     def order(self):
@@ -274,16 +280,8 @@ def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
                             solution_dim=dim, enumerated=False)
         cache[f.coeffs] = field
         return field
-    if dim:
-        combos = np.array(list(itertools.product(range(T.p), repeat=dim)), dtype=np.int64)
-        digit_mat = (combos @ np.vstack(basis_vecs)) % T.p
-        pvec = np.array([T.p**i for i in range(en)], dtype=np.int64)
-        codes = [digit_mat[:, j * en:(j + 1) * en] @ pvec for j in range(4)]
-        elements = tuple(Mat2(T, int(codes[0][r]), int(codes[1][r]),
-                              int(codes[2][r]), int(codes[3][r]))
-                         for r in range(digit_mat.shape[0]))
-    else:
-        elements = (Mat2.zero(T),)
+    codes = span_codes(basis_vecs, T.p, en, 4).tolist()
+    elements = tuple(Mat2(T, *row) for row in codes)
     field = MatrixField(T, f, elements, basis, scattered_input=scattered,
                         solution_dim=dim)
     if not any(m.is_identity() for m in elements):
@@ -294,73 +292,21 @@ def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
     return field
 
 
-def verify_field(Mf: MatrixField, exhaustive_bound=200):
+def verify_field(Mf: MatrixField):
     """Certify that Mf is a commutative matrix field of order q^t, t | n.
 
-    Checks containment of O and I and absence of singular nonzero elements,
-    then finds a multiplicative generator and walks its full power sequence:
-    the walk hitting every nonzero element exactly once certifies closure
-    under products, cyclicity and hence commutativity in one pass.  Additive
-    closure is certified on all basis pairs plus a seeded random sample
-    (the set is F_p-bilinear in its basis), and every pairwise sum/product
-    is checked exhaustively when the order is at most `exhaustive_bound`.
-    Raises NotAField with the failing element or pair otherwise.
+    One certificate on the F_p-basis and one generator replaces any walk of
+    the elements (see `_certify.certify_field`): |Mf| = q^t with t | n, I in
+    Mf, the elements are distinct and exactly the F_p-span of Mf.basis, the
+    first element alpha of full multiplicative order satisfies
+    alpha^(q^t - 1) = I, and alpha b lies in Mf for every basis matrix b.
+    The powers of alpha are then the whole nonzero part, which proves
+    closure under products, invertibility and commutativity.  alpha is the
+    reported generator.  Raises NotAField naming the failing condition.
     """
     T = Mf.tower
-    elements = Mf.elements
-    order = len(elements)
-    q = T.q
-    t = 0
-    while q**t < order:
-        t += 1
-    if q**t != order:
-        raise NotAField(f"order {order} is not a power of q={q}")
-    if t and T.n % t:
-        raise NotAField(f"t={t} does not divide n={T.n}")
-    eset = Mf.element_set()
-    if (0, 0, 0, 0) not in eset:
-        raise NotAField("zero matrix missing")
-    if (1, 0, 0, 1) not in eset:
-        raise NotAField("identity matrix missing")
-    for m in elements:
-        if not m.is_zero() and m.det() == 0:
-            raise NotAField("singular nonzero element", element=m.entries())
-    group_order = order - 1
-    from .field_tower import _factorint
-
-    factors = list(_factorint(group_order)) if group_order > 1 else []
-    generator = None
-    for m in elements:
-        if m.is_zero() or (m.is_identity() and group_order > 1):
-            continue
-        if all(not m.power(group_order // ell).is_identity() for ell in factors):
-            generator = m
-            break
-    if generator is None:
-        raise NotAField("no element of full multiplicative order")
-    walk = set()
-    cur = Mat2.identity(T)
-    for _ in range(group_order):
-        cur = cur * generator
-        walk.add(cur.entries())
-    if not cur.is_identity() or len(walk) != group_order or not walk <= eset:
-        raise NotAField("powers of the generator do not enumerate the nonzero part")
-    # additive closure: exhaustive on basis pairs and a seeded sample
-    basis = list(Mf.basis) if Mf.basis else [generator]
-    rng = T.rng("verify_field")
-    pairs = [(x, y) for i, x in enumerate(basis) for y in basis[i:]]
-    pairs += [(elements[rng.randrange(order)], elements[rng.randrange(order)])
-              for _ in range(min(64, order * order))]
-    if order <= exhaustive_bound:
-        pairs = [(x, y) for i, x in enumerate(elements) for y in elements[i:]]
-    for x, y in pairs:
-        if (x + y).entries() not in eset:
-            raise NotAField("sum escapes the set", pair=(x.entries(), y.entries()))
-        if order <= exhaustive_bound:
-            if (x * y).entries() not in eset:
-                raise NotAField("product escapes the set", pair=(x.entries(), y.entries()))
-            if x * y != y * x:
-                raise NotAField("non-commutative pair", pair=(x.entries(), y.entries()))
+    t, generator = certify_field(T, Mf.elements, Mf.element_set(), Mf.basis,
+                                 Mat2.entries, Mat2.identity(T), Mat2.__mul__)
     Mf.t = t
     Mf.generator = generator
     Mf.verified = True
@@ -375,7 +321,19 @@ class DiagonalizationResult:
     t: int
     p_exponent: int          # j with sigma = p^j on the diagonal
     eigen_points: tuple      # normalized projective points, rows of P
-    diag_pairs: tuple        # (x, x^sigma) codes for every element
+    basis_pairs: tuple       # (x, x^sigma) codes of the conjugated basis matrices
+
+    @property
+    def diag_pairs(self):
+        """(x, x^sigma) codes for every element, in the order of Mf.elements.
+
+        The pairs are the F_p-combinations of basis_pairs in the enumeration
+        order of compute_stabilizer; they are rebuilt on every access and
+        never stored.
+        """
+        T = self.P.tower
+        vecs = [_digits(x, T.p, T.en) + _digits(y, T.p, T.en) for x, y in self.basis_pairs]
+        return tuple(map(tuple, span_codes(vecs, T.p, T.en, 2).tolist()))
 
     @property
     def s(self):
@@ -392,8 +350,15 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
     The characteristic quadratic of a multiplicative generator always splits
     over F_{q^n} (the field is commutative, so its elements are simultaneously
     diagonalizable there); a non-split quadratic therefore raises
-    NonSplitQuadratic as an internal-error signal.
+    NonSplitQuadratic as an internal-error signal.  Conjugation by P is
+    F_p-linear, so P diagonalizes the field once it diagonalizes the basis
+    matrices; and every nonzero element is a power of the generator, so the
+    twist y = x^(p^j) on the diagonal is checked on the generator alone.  The
+    result costs O(dim) products and is cached on Mf; its diag_pairs are
+    rebuilt from the conjugated basis on demand.
     """
+    if Mf._diag is not None:
+        return Mf._diag
     T = Mf.tower
     if not Mf.verified:
         verify_field(Mf)
@@ -402,9 +367,9 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
     A = Mf.generator
     if A.is_scalar():
         # a field of scalar matrices is already diagonal with trivial twist
-        P = Mat2.identity(T)
-        pairs = tuple((m.a, m.d) for m in Mf.elements)
-        return DiagonalizationResult(P, Mf.t, 0, ((1, 0), (0, 1)), pairs)
+        Mf._diag = DiagonalizationResult(Mat2.identity(T), Mf.t, 0, ((1, 0), (0, 1)),
+                                         tuple((b.a, b.d) for b in Mf.basis))
+        return Mf._diag
     tr = T.add_code(A.a, A.d)
     roots = T.solve_quadratic(T.neg_code(tr), A.det())
     if len(roots) < 2:
@@ -430,12 +395,12 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
     if P.det() == 0:
         raise InternalError("eigen rows are dependent")
     Pinv = P.inverse()
-    pairs = []
-    for m in Mf.elements:
-        c = P * m * Pinv
-        if c.b != 0 or c.c != 0:
-            raise InternalError("conjugation failed to diagonalize an element",)
-        pairs.append((c.a, c.d))
+    basis_pairs = []
+    for b in Mf.basis:
+        c = P * b * Pinv
+        if not c.is_diagonal():
+            raise InternalError("conjugation failed to diagonalize a basis matrix")
+        basis_pairs.append((c.a, c.d))
     Ad = P * A * Pinv
     x0, y0 = Ad.a, Ad.d
     p_exp = None
@@ -445,18 +410,14 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
             break
     if p_exp is None:
         raise InternalError("diagonal entries are not Frobenius-linked")
-    pk = T.p**p_exp
-    for x, y in pairs:
-        if T.pow_code(x, pk) != y:
-            raise InternalError("diagonal twist is not uniform across the field")
     # when the F_q-scalars lie in Mf the twist must be a q-power
-    scalars_present = all(
-        (T.mul_code(c, 1), 0, 0, T.mul_code(c, 1)) in Mf.element_set()
-        for c in T.subfield_elements(1)[:-1])
+    scalars_present = all(Mf.contains(Mat2.scalar(T, c))
+                          for c in T.subfield_elements(1)[:-1])
     if scalars_present and p_exp % T.e:
         raise InternalError("q-scalars present but twist is not in Gal(F_{q^t}|F_q)")
     eigen_points = (normalize_point(T, (P.a, P.b)), normalize_point(T, (P.c, P.d)))
-    return DiagonalizationResult(P, Mf.t, p_exp, eigen_points, tuple(pairs))
+    Mf._diag = DiagonalizationResult(P, Mf.t, p_exp, eigen_points, tuple(basis_pairs))
+    return Mf._diag
 
 
 def transversal_points(f: LinearizedPoly):

@@ -3,10 +3,13 @@
 Nothing here shares a code path with the implementations under test; each
 oracle computes from first principles (trial division, repeated
 multiplication, dictionary fiber counts) so that agreement is meaningful.
-The last three are the enumerations that closed forms replaced in the
-library (a rank per codeword class, a scan over every class of H_f, a walk
-of every spread component); they reuse the library's stabilizer,
-diagonalization and spread lookup, but none of the replaced logic.
+The rest are the enumerations that closed forms and certificates replaced
+in the library: a rank per codeword class, a scan over every class of H_f, a
+walk of every spread component, a walk of every power of a field generator
+(for G_f and for the right idealizer), a conjugation of every element of
+G_f and an image of every element of G_f in the right idealizer.  They
+reuse the library's element lists, stabilizer, diagonalization and spread
+lookup, but none of the replaced logic.
 """
 
 import itertools
@@ -14,6 +17,10 @@ import itertools
 import numpy as np
 
 from scattered_lab._linalg import rank_mod
+from scattered_lab.errors import NotAField
+from scattered_lab.field_tower import _factorint
+from scattered_lab.linearized import LinearizedPoly
+from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
 from scattered_lab.plane import _component_image, build_spread
 from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
 
@@ -213,3 +220,161 @@ def spread_walk(f, M):
         if ok[is_line] and _component_image(spread, comp, M) is None:
             ok[is_line] = False
     return ok[True], ok[False]
+
+
+def field_by_walk(Mf, exhaustive_bound=200):
+    """(t, generator) of a matrix field by walking all powers of a generator.
+
+    Checks 0 and I, the determinant of every nonzero element, that the
+    powers of the first element of full order enumerate the nonzero part,
+    additive closure on basis pairs and a seeded sample, and every pairwise
+    sum, product and commutator when the order is at most exhaustive_bound.
+    Raises NotAField; leaves Mf untouched.
+    """
+    T = Mf.tower
+    elements = Mf.elements
+    order = len(elements)
+    t = 0
+    while T.q**t < order:
+        t += 1
+    if T.q**t != order or (t and T.n % t):
+        raise NotAField("order is not q^t with t | n")
+    eset = frozenset(m.entries() for m in elements)
+    if (0, 0, 0, 0) not in eset or (1, 0, 0, 1) not in eset:
+        raise NotAField("zero or identity missing")
+    for m in elements:
+        if not m.is_zero() and m.det() == 0:
+            raise NotAField("singular nonzero element")
+    group_order = order - 1
+    factors = list(_factorint(group_order)) if group_order > 1 else []
+    generator = None
+    for m in elements:
+        if m.is_zero() or (m.is_identity() and group_order > 1):
+            continue
+        if all(not m.power(group_order // ell).is_identity() for ell in factors):
+            generator = m
+            break
+    if generator is None:
+        raise NotAField("no element of full multiplicative order")
+    walk = set()
+    cur = Mat2.identity(T)
+    for _ in range(group_order):
+        cur = cur * generator
+        walk.add(cur.entries())
+    if not cur.is_identity() or len(walk) != group_order or not walk <= eset:
+        raise NotAField("powers of the generator do not enumerate the nonzero part")
+    basis = list(Mf.basis) if Mf.basis else [generator]
+    rng = T.rng("verify_field")
+    pairs = [(x, y) for i, x in enumerate(basis) for y in basis[i:]]
+    pairs += [(elements[rng.randrange(order)], elements[rng.randrange(order)])
+              for _ in range(min(64, order * order))]
+    if order <= exhaustive_bound:
+        pairs = [(x, y) for i, x in enumerate(elements) for y in elements[i:]]
+    for x, y in pairs:
+        if (x + y).entries() not in eset:
+            raise NotAField("sum escapes the set")
+        if order <= exhaustive_bound:
+            if (x * y).entries() not in eset or x * y != y * x:
+                raise NotAField("product escapes the set or does not commute")
+    return t, generator
+
+
+def diagonalize_by_conjugation(Mf):
+    """(P, p_exponent, eigen_points, diag_pairs), conjugating every element.
+
+    P is built from the eigen rows of the walked generator the same way as
+    in the library; each element m is conjugated to P m P^-1, checked to be
+    diagonal, and its pair checked against the twist read off the generator.
+    Only for fields with t > 1 and a non-scalar generator.
+    """
+    T = Mf.tower
+    t, A = field_by_walk(Mf)
+    roots = T.solve_quadratic(T.neg_code(T.add_code(A.a, A.d)), A.det())
+    assert len(roots) == 2
+    rows = []
+    for mu in roots:
+        if A.c != 0 or T.sub_code(mu, A.a) != 0:
+            x, y = A.c, T.sub_code(mu, A.a)
+        else:
+            x, y = T.sub_code(mu, A.d), A.b
+        rows.append((1, T.div_code(y, x)) if x != 0 else (0, 1))
+    rows.sort(key=lambda r: ((0 if r[0] != 0 else 1),
+                             T.element_key(r[0]), T.element_key(r[1])))
+    P = Mat2(T, rows[0][0], rows[0][1], rows[1][0], rows[1][1])
+    Pinv = P.inverse()
+    pairs = []
+    for m in Mf.elements:
+        c = P * m * Pinv
+        assert c.is_diagonal(), "conjugation failed to diagonalize an element"
+        pairs.append((c.a, c.d))
+    Ad = P * A * Pinv
+    p_exp = next(j for j in range(T.e * t) if T.pow_code(Ad.a, T.p**j) == Ad.d)
+    for x, y in pairs:
+        assert T.pow_code(x, T.p**p_exp) == y, "twist is not uniform across the field"
+    eigen_points = tuple((1, T.div_code(b, a)) if a != 0 else (0, 1)
+                         for a, b in ((P.a, P.b), (P.c, P.d)))
+    return P, p_exp, eigen_points, tuple(pairs)
+
+
+def idealizer_field_by_walk(I, tower, exhaustive_bound=200):
+    """(t, generator) of an idealizer: one rank per element, then a power walk.
+
+    Raises NotAField.
+    """
+    elements = I.elements
+    order = len(elements)
+    t = 0
+    while tower.q**t < order:
+        t += 1
+    if tower.q**t != order:
+        raise NotAField("idealizer order is not a power of q")
+    eset = frozenset(w.coeffs for w in elements)
+    x = LinearizedPoly.identity(tower)
+    if x.coeffs not in eset:
+        raise NotAField("identity map missing from idealizer")
+    for w in elements:
+        if not w.is_zero() and w.rank() != tower.n:
+            raise NotAField("singular nonzero idealizer element")
+    group_order = order - 1
+    factors = list(_factorint(group_order)) if group_order > 1 else []
+
+    def poly_pow(w, k):
+        acc, base = x, w
+        while k:
+            if k & 1:
+                acc = base.compose(acc)
+            base = base.compose(base)
+            k >>= 1
+        return acc
+
+    generator = None
+    for w in elements:
+        if w.is_zero() or (w == x and group_order > 1):
+            continue
+        if all(poly_pow(w, group_order // ell) != x for ell in factors):
+            generator = w
+            break
+    if generator is None:
+        raise NotAField("no idealizer element of full multiplicative order")
+    walk = set()
+    cur = x
+    for _ in range(group_order):
+        cur = cur.compose(generator)
+        walk.add(cur.coeffs)
+    if cur != x or len(walk) != group_order or not walk <= eset:
+        raise NotAField("generator powers do not enumerate the nonzero idealizer")
+    head = elements[:exhaustive_bound]
+    for i, a in enumerate(head):
+        for b in head[i:]:
+            if (a + b).coeffs not in eset:
+                raise NotAField("idealizer not closed under addition")
+    return t, generator
+
+
+def stabilizer_images_by_walk(f):
+    """True when M -> a x + c f maps every element of G_f into the right
+    idealizer of C_f, injectively and onto."""
+    Mf = compute_stabilizer(f)
+    iset = right_idealizer(code_of(f)).element_set()
+    images = {stabilizer_to_right_idealizer(M, f).coeffs for M in Mf.elements}
+    return len(images) == Mf.order and images == iset

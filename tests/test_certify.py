@@ -1,0 +1,152 @@
+"""The generator-and-basis field certificate against the element walks it replaced."""
+
+import dataclasses
+
+import pytest
+
+from scattered_lab import mrd
+from scattered_lab.errors import Mismatch, NotAField
+from scattered_lab.families import catalog, find_lp_delta, make_lp
+from scattered_lab.linearized import LinearizedPoly
+from scattered_lab.mrd import (
+    Idealizer,
+    check_idealizer_matches_stabilizer,
+    code_of,
+    right_idealizer,
+    verify_idealizer_field,
+)
+from scattered_lab.scatter import is_scattered
+from scattered_lab.stabilizer import (
+    DiagonalizationResult,
+    Mat2,
+    MatrixField,
+    compute_stabilizer,
+    diagonalize,
+    verify_field,
+)
+
+from oracles import (
+    diagonalize_by_conjugation,
+    field_by_walk,
+    idealizer_field_by_walk,
+    stabilizer_images_by_walk,
+)
+
+
+def _random_scattered(T, count, salt):
+    rng = T.rng(salt)
+    out = []
+    while len(out) < count:
+        f = LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])
+        if is_scattered(f):
+            out.append(f)
+    return out
+
+
+def _instances(tower):
+    """Every catalog instance at (3,4), (5,4), (7,4), (5,5), (5,6) and over
+    F_4 at n = 4, plus seeded random scattered polynomials at (3,4), (5,4)
+    and (7,4)."""
+    polys = [inst.poly for key in ((3, 1, 4), (5, 1, 4), (7, 1, 4), (5, 1, 5),
+                                   (5, 1, 6), (2, 2, 4))
+             for inst in catalog(tower(*key))]
+    for key in ((3, 1, 4), (5, 1, 4), (7, 1, 4)):
+        polys += _random_scattered(tower(*key), 3, "certify-differential")
+    return polys
+
+
+def test_certificate_matches_walk_oracles(tower):
+    ts = set()
+    for f in _instances(tower):
+        Mf = compute_stabilizer(f)
+        t, gen = field_by_walk(Mf)
+        assert (Mf.t, Mf.generator) == (t, gen)
+        ts.add(t)
+        if t == 1:
+            continue
+        diag = diagonalize(Mf)
+        P, p_exp, eigen_points, pairs = diagonalize_by_conjugation(Mf)
+        assert diag.P == P and diag.t == t
+        assert diag.p_exponent == p_exp and diag.eigen_points == eigen_points
+        assert diag.diag_pairs == pairs
+    assert {1, 2, 3, 4, 5, 6} <= ts
+
+
+def test_idealizer_certificate_matches_walk_oracle(tower):
+    for key in ((3, 1, 4), (5, 1, 4), (7, 1, 4), (5, 1, 5), (2, 2, 4)):
+        for inst in catalog(tower(*key)):
+            IR = right_idealizer(code_of(inst.poly))
+            T = inst.poly.tower
+            assert verify_idealizer_field(IR, T) == idealizer_field_by_walk(IR, T)
+            assert check_idealizer_matches_stabilizer(inst.poly)["matches"]
+            assert stabilizer_images_by_walk(inst.poly)
+
+
+def test_diagonalization_is_cached_without_pairs(tower):
+    T = tower(5, 1, 4)
+    Mf = compute_stabilizer(make_lp(T, 1, find_lp_delta(T)).poly)
+    assert diagonalize(Mf) is diagonalize(Mf)
+    stored = {fld.name for fld in dataclasses.fields(DiagonalizationResult)}
+    assert "diag_pairs" not in stored and len(diagonalize(Mf).basis_pairs) == T.e * Mf.t
+
+
+def _field(T, elements, basis):
+    return MatrixField(T, None, tuple(elements), tuple(basis))
+
+
+def test_cyclic_group_that_is_not_a_span(tower):
+    # {0} with {diag(x, x^2) : x in F_5^*}: a cyclic group of order 4 under
+    # products, but diag(1, 1) + diag(1, 1) = diag(2, 2) is not in the set
+    T = tower(5, 1, 4)
+    elems = [Mat2.zero(T)] + [Mat2.diag(T, x, x * x % 5) for x in range(1, 5)]
+    for basis in ((Mat2.identity(T),), (elems[2],)):
+        with pytest.raises(NotAField):
+            verify_field(_field(T, elems, basis))
+    with pytest.raises(NotAField):
+        field_by_walk(_field(T, elems, (Mat2.identity(T),)))
+
+
+def test_algebra_without_a_full_order_unit(tower):
+    # span{I, E12} is closed under products (E12^2 = 0) but has nilpotents
+    T = tower(5, 1, 4)
+    E12 = Mat2(T, 0, 1, 0, 0)
+    elems = [Mat2(T, a, b, 0, a) for a in range(5) for b in range(5)]
+    with pytest.raises(NotAField):
+        verify_field(_field(T, elems, (Mat2.identity(T), E12)))
+
+
+def test_span_not_closed_under_the_generator(tower):
+    # span{I, A} with A = diag(w, 1), w primitive in F_25: A has order 24 and
+    # A^24 = I, but A * A = diag(w^2, 1) lies outside the span
+    T = tower(5, 1, 4)
+    w = T.subfield_primitive_code(2)
+    A = Mat2.diag(T, w, 1)
+    elems = [Mat2.scalar(T, a) + A.scale(b) for a in range(5) for b in range(5)]
+    Mf = _field(T, elems, (Mat2.identity(T), A))
+    with pytest.raises(NotAField, match="product escapes"):
+        verify_field(Mf)
+    with pytest.raises(NotAField):
+        field_by_walk(Mf)
+
+
+def test_idealizer_certificate_rejects_a_non_span(tower):
+    T = tower(5, 1, 4)
+    IR = right_idealizer(code_of(make_lp(T, 1, find_lp_delta(T)).poly))
+    verify_idealizer_field(IR, T)
+    # swap one element for a non-member: same order, no longer the span
+    bad = IR.elements[:-1] + (LinearizedPoly.monomial(T, 1),)
+    with pytest.raises(NotAField):
+        verify_idealizer_field(Idealizer("right", bad, IR.basis), T)
+
+
+def test_idealizer_match_detects_broken_maps(tower, monkeypatch):
+    T = tower(5, 1, 4)
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    check_idealizer_matches_stabilizer(f)
+    zero = LinearizedPoly.zero(T)
+    monkeypatch.setattr(mrd, "stabilizer_to_right_idealizer", lambda M, g: zero)
+    with pytest.raises(Mismatch, match="biject"):
+        check_idealizer_matches_stabilizer(f)
+    monkeypatch.setattr(mrd, "stabilizer_to_right_idealizer", lambda M, g: g.scale(M.a))
+    with pytest.raises(Mismatch, match="escapes"):
+        check_idealizer_matches_stabilizer(f)
