@@ -10,8 +10,11 @@ All subfields live inside the single carrier and are recognized by membership
 tests.  For fields with at most `table_bound` elements a full exp/log table
 pair is precomputed (numpy int64), which makes multiplication, inversion,
 powering, Frobenius and discrete logs O(1) and enables the vectorized bulk
-scans used elsewhere; larger fields fall back to generic polynomial
-arithmetic and square-and-multiply exponentiation.
+scans used elsewhere.  Larger fields fall back to generic polynomial
+arithmetic and square-and-multiply exponentiation, which keeps
+constructions, composition, inversion and sampled ranks exact; every
+analysis that enumerates F_{q^n}^* refuses them up front through
+`FieldTower.require_tables`, which raises TooLarge (CLI exit 2).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import (
     InternalError,
     NonPrime,
     NotADivisor,
+    TooLarge,
 )
 from ._linalg import inv_mod_matrix, solve_mod
 
@@ -341,6 +345,12 @@ class FieldTower:
     @property
     def has_tables(self):
         return self.exp_table is not None
+
+    def require_tables(self, what):
+        """Refuse an enumeration of F_{q^n}^* on a field without exp/log tables."""
+        if not self.has_tables:
+            raise TooLarge(f"{what} enumerates F_{{q^n}}^* and needs exp/log tables, "
+                           f"which this field of {self.size} elements does not have")
 
     # -- raw code arithmetic ----------------------------------------------
     def add_code(self, a, b):

@@ -156,8 +156,7 @@ class LinearizedPoly:
         """Codes of f(g^k) for k = 0..M-1 as a numpy array (table fields only)."""
         T = self.tower
         M = T.mult_order
-        if not T.has_tables:
-            raise ZeroPolynomial("bulk evaluation needs exp/log tables")
+        T.require_tables("bulk evaluation")
         karr = np.arange(M, dtype=np.int64)
         acc = np.zeros(M, dtype=np.int64)
         for i in self.support:

@@ -23,7 +23,7 @@ from ._linalg import kernel_mod, rank_mod, span_codes
 from .field_tower import FieldTower, _digits, _pack
 from .linearized import LinearizedPoly
 from .scatter import slope_census
-from .stabilizer import compute_stabilizer
+from .stabilizer import ENUMERATION_GUARD, compute_stabilizer
 
 EXACT_CLASS_BOUND = 1 << 20
 
@@ -201,7 +201,7 @@ def _left_compose_operator(T: FieldTower, psi: LinearizedPoly):
 
 def _enumerate_polys(T: FieldTower, basis_vecs):
     dim = len(basis_vecs)
-    if T.p**dim > 1 << 22:
+    if T.p**dim > ENUMERATION_GUARD:
         raise TooLarge(f"idealizer of size {T.p}^{dim} exceeds the enumeration guard")
     return [LinearizedPoly(T, row) for row in span_codes(basis_vecs, T.p, T.en, T.n).tolist()]
 

@@ -23,7 +23,6 @@ from .errors import (
     NotInS,
     NotScattered,
     SmallQ,
-    TooLarge,
 )
 from ._linalg import kernel_mod, solve_mod
 from .field_tower import FieldTower, _digits, _pack
@@ -226,8 +225,7 @@ def linear_collineations(f: LinearizedPoly) -> dict:
     PG(1, q^n) that preserves the slopes of L_f.  Needs exp/log tables.
     """
     T = f.tower
-    if not T.has_tables:
-        raise TooLarge("the collineation check needs exp/log tables")
+    T.require_tables("the collineation check")
     _plane_preconditions(f)
     spread = build_spread(f)
     Mf = compute_stabilizer(f)

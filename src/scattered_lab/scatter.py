@@ -3,11 +3,15 @@
 The workhorse is a single pass over F_{q^n}^* recording, for every attained
 value of f(x)/x, the size of its fiber.  A polynomial is scattered exactly
 when every fiber has size q - 1, equivalently when the number of distinct
-slopes is (q^n - 1)/(q - 1).  Censuses are memoized per tower.
+slopes is (q^n - 1)/(q - 1).  Censuses are memoized per tower.  The pass is
+vectorized over the exp/log tables; on fields without them (more than 2^23
+elements) the census, and with it every analysis built on it, raises
+TooLarge before doing any work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,16 +19,15 @@ import numpy as np
 from .errors import NotSubfieldLinear, ZeroPolynomial
 from .field_tower import FieldElement
 from .linearized import LinearizedPoly
-import math
 
 
 @dataclass(frozen=True)
 class SlopeCensus:
     """Fiber statistics of x -> f(x)/x over F_{q^n}^*.
 
-    slope_logs: discrete logs of the nonzero... of all attained nonzero slopes
-        (sorted ascending); the zero slope is tracked separately because its
-        fiber is the punctured kernel.
+    slope_logs: discrete logs of the attained nonzero slopes, sorted
+        ascending; the zero slope is tracked separately because its fiber is
+        the punctured kernel.
     counts: fiber sizes aligned with slope_logs.
     kernel_count: |ker f| - 1.
     rep_logs: log of one fiber representative x per slope, aligned with
@@ -49,51 +52,29 @@ class SlopeCensus:
 
 def slope_census(f: LinearizedPoly) -> SlopeCensus:
     T = f.tower
+    T.require_tables("the slope census")
     cache = T.cache("census")
     if f.coeffs in cache:
         return cache[f.coeffs]
     M = T.mult_order
-    if T.has_tables:
-        vals = f.eval_all_logs()
-        karr = np.arange(M, dtype=np.int64)
-        zero_mask = vals == 0
-        kernel_count = int(zero_mask.sum())
-        kernel_rep = int(karr[zero_mask][0]) if kernel_count else -1
-        nz = ~zero_mask
-        slogs = (T.log_table[vals[nz]] - karr[nz]) % M
-        counts = np.bincount(slogs, minlength=M)
-        reps = np.full(M, -1, dtype=np.int64)
-        reps[slogs[::-1]] = karr[nz][::-1]
-        attained = np.nonzero(counts)[0]
-        census = SlopeCensus(
-            tuple(int(s) for s in attained),
-            tuple(int(c) for c in counts[attained]),
-            kernel_count,
-            tuple(int(r) for r in reps[attained]),
-            kernel_rep,
-        )
-    else:
-        fibers: dict[int, list] = {}
-        kernel_count, kernel_rep = 0, -1
-        for k in range(M):
-            x = T.pow_code(T.gen_code, k)
-            v = f.evaluate_code(x)
-            if v == 0:
-                kernel_count += 1
-                if kernel_rep < 0:
-                    kernel_rep = k
-                continue
-            s = T.dlog(T.div_code(v, x))
-            entry = fibers.setdefault(s, [0, k])
-            entry[0] += 1
-        slogs = sorted(fibers)
-        census = SlopeCensus(
-            tuple(slogs),
-            tuple(fibers[s][0] for s in slogs),
-            kernel_count,
-            tuple(fibers[s][1] for s in slogs),
-            kernel_rep,
-        )
+    vals = f.eval_all_logs()
+    karr = np.arange(M, dtype=np.int64)
+    zero_mask = vals == 0
+    kernel_count = int(zero_mask.sum())
+    kernel_rep = int(karr[zero_mask][0]) if kernel_count else -1
+    nz = ~zero_mask
+    slogs = (T.log_table[vals[nz]] - karr[nz]) % M
+    counts = np.bincount(slogs, minlength=M)
+    reps = np.full(M, -1, dtype=np.int64)
+    reps[slogs[::-1]] = karr[nz][::-1]
+    attained = np.nonzero(counts)[0]
+    census = SlopeCensus(
+        tuple(int(s) for s in attained),
+        tuple(int(c) for c in counts[attained]),
+        kernel_count,
+        tuple(int(r) for r in reps[attained]),
+        kernel_rep,
+    )
     cache[f.coeffs] = census
     return census
 
@@ -118,8 +99,7 @@ def is_scattered_naive(f: LinearizedPoly, mode="projective") -> bool:
     M = T.mult_order
     step = M // (T.q - 1)
     if mode == "pairs":
-        if not T.has_tables:
-            raise ZeroPolynomial("pairs mode needs tables")
+        T.require_tables("pairs mode")
         vals = f.eval_all_logs()
         karr = np.arange(M, dtype=np.int64)
         # code of z * f(y) at position (log y, log z)
@@ -234,32 +214,23 @@ def is_r_partially_scattered(g: LinearizedPoly, t: int, s: int) -> bool:
 
     Checks the implication: equal slopes g(y)/y = g(z)/z with y/z in the
     subfield F_{q^gcd(s,n)} force y/z in F_q.  Fibers are grouped by the
-    residue of log(y) modulo the subfield index, so the scan is linear.
+    residue of log(y) modulo the subfield index, and every group must hold a
+    single F_q-class: one pass and two sorts of integer keys.
     """
     T = g.tower
+    T.require_tables("the r-partial scan")
     if any(i % t for i in g.support):
         raise NotSubfieldLinear(f"coefficient support is not contained in {t}Z")
     M = T.mult_order
     d = math.gcd(s, T.n)
     sub_step = M // (T.q**d - 1)  # log-multiples of this lie in F_{q^d}
     fq_step = M // (T.q - 1)
-    if T.has_tables:
-        vals = g.eval_all_logs()
-        karr = np.arange(M, dtype=np.int64)
-        zero = vals == 0
-        nz = ~zero
-        slogs = (T.log_table[np.maximum(vals, 1)] - karr) % M
-        groups: dict[tuple, set] = {}
-        for k in karr[nz]:
-            key = (int(slogs[k]), int(k % sub_step))
-            groups.setdefault(key, set()).add(int(k % fq_step))
-        for k in karr[zero]:
-            groups.setdefault(("ker", int(k % sub_step)), set()).add(int(k % fq_step))
-        return all(len(v) == 1 for v in groups.values())
-    groups = {}
-    for k in range(M):
-        x = T.pow_code(T.gen_code, k)
-        v = g.evaluate_code(x)
-        key = ("ker" if v == 0 else T.dlog(T.div_code(v, x)), k % sub_step)
-        groups.setdefault(key, set()).add(k % fq_step)
-    return all(len(v) == 1 for v in groups.values())
+    vals = g.eval_all_logs()
+    karr = np.arange(M, dtype=np.int64)
+    zero = vals == 0
+    # the kernel is its own slope key M; fq_step is a multiple of sub_step,
+    # so log(y) mod fq_step determines the residue mod sub_step
+    key = np.where(zero, M, (T.log_table[np.maximum(vals, 1)] - karr) % M)
+    pairs = np.unique(key * fq_step + karr % fq_step)
+    groups = np.unique(pairs // fq_step * sub_step + pairs % sub_step)
+    return groups.size == pairs.size

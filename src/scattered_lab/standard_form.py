@@ -57,37 +57,26 @@ def _ab_min(r: LinearizedPoly):
     """Lex-min of {normalized a*r(bx)} over b, with the witness (a, b).
 
     Normalization fixes the lowest-index nonzero coefficient to 1, which
-    pins a; the scan over b is exhaustive (vectorized in the log domain when
-    tables exist).  Returns (poly, a_code, b_code).
+    pins a; the scan over b is exhaustive, vectorized in the log domain.
+    Returns (poly, a_code, b_code).
     """
     T = r.tower
+    T.require_tables("the scan over b")
     M = T.mult_order
     supp = r.support
     if not supp:
         raise NotStandard("zero polynomial")
     i0 = supp[0]
     qi = [pow(T.q, i, M) for i in range(T.n)]
-    if T.has_tables:
-        lr = {i: T.dlog(r.coeffs[i]) for i in supp}
-        cand = np.arange(M, dtype=np.int64)
-        for i in supp[1:]:
-            rho = (lr[i] - lr[i0]) % M
-            ei = (qi[i] - qi[i0]) % M
-            vals = (rho + cand * ei) % M
-            best = vals.min()
-            cand = cand[vals == best]
-        lam = int(cand[0])
-    else:
-        best_key, lam = None, 0
-        for lb in range(M):
-            key = []
-            for i in supp[1:]:
-                c = T.mul_code(T.div_code(r.coeffs[i], r.coeffs[i0]),
-                               T.pow_code(T.gen_code, lb * ((qi[i] - qi[i0]) % M)))
-                key.append(T.element_key(c))
-            key = tuple(key)
-            if best_key is None or key < best_key:
-                best_key, lam = key, lb
+    lr = {i: T.dlog(r.coeffs[i]) for i in supp}
+    cand = np.arange(M, dtype=np.int64)
+    for i in supp[1:]:
+        rho = (lr[i] - lr[i0]) % M
+        ei = (qi[i] - qi[i0]) % M
+        vals = (rho + cand * ei) % M
+        best = vals.min()
+        cand = cand[vals == best]
+    lam = int(cand[0])
     b = T.pow_code(T.gen_code, lam)
     scaled = r.transform(1, b)
     a = T.inv_code(scaled.coeffs[i0])
@@ -145,14 +134,13 @@ def maps_onto(f: LinearizedPoly, W: Mat2, g: LinearizedPoly) -> bool:
     return v == g.compose(u)
 
 
-def to_standard_form(f: LinearizedPoly, verify_stabilizer=True) -> StandardFormResult:
+def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     """Standard form of f with the conjugating witness, canonicalized.
 
     Pipeline: diagonalize the stabilizer field by P, push U_f through
     X -> X P^{-1}, read off h, then canonicalize.  The result satisfies
     t_h = t, G_h all diagonal and G_h = {diag(alpha, alpha^{q^s})} over
-    F_{q^t}; those consequences are re-verified when verify_stabilizer is
-    set.
+    F_{q^t}; those consequences are re-verified on every call.
     """
     T = f.tower
     cache = T.cache("standard_form")
@@ -184,16 +172,15 @@ def to_standard_form(f: LinearizedPoly, verify_stabilizer=True) -> StandardFormR
     s, t = h_c.standard_form_params()
     if math.gcd(s, t) != 1:
         raise InternalError("standard form of a scattered polynomial must have (s, t) = 1")
-    if verify_stabilizer:
-        # G_h is certified to be the F_p-span of its basis; a basis inside the
-        # F_p-space {diag(al, al^(q^s)) : al in F_(q^t)} of the same order q^t
-        # spans all of it
-        Gh = compute_stabilizer(h_c)
-        if any(not m.is_diagonal() for m in Gh.basis):
-            raise InternalError("stabilizer of the standard form is not diagonal")
-        if Gh.t != t or any(T.frob_code(m.a, t) != m.a or T.frob_code(m.a, s) != m.d
-                            for m in Gh.basis):
-            raise InternalError("stabilizer of the standard form has unexpected shape")
+    # G_h is certified to be the F_p-span of its basis; a basis inside the
+    # F_p-space {diag(al, al^(q^s)) : al in F_(q^t)} of the same order q^t
+    # spans all of it
+    Gh = compute_stabilizer(h_c)
+    if any(not m.is_diagonal() for m in Gh.basis):
+        raise InternalError("stabilizer of the standard form is not diagonal")
+    if Gh.t != t or any(T.frob_code(m.a, t) != m.a or T.frob_code(m.a, s) != m.d
+                        for m in Gh.basis):
+        raise InternalError("stabilizer of the standard form has unexpected shape")
     result = StandardFormResult(h_c, Pc, s, t, canonical=True)
     cache[f.coeffs] = result
     return result

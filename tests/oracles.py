@@ -3,8 +3,11 @@
 Nothing here shares a code path with the implementations under test; each
 oracle computes from first principles (trial division, repeated
 multiplication, dictionary fiber counts) so that agreement is meaningful.
-The rest are the enumerations that closed forms and certificates replaced
-in the library: a rank per codeword class, a scan over every class of H_f, a
+The rest are the enumerations that closed forms, certificates and the
+table-only census replaced in the library: the scalar-arithmetic scans over
+F_{q^n}^* for r-partial scatteredness and for the (a, b)-normalization of
+standard forms (the only copies that still run on table-less towers), a
+rank per codeword class, a scan over every class of H_f, a
 walk of every spread component, a walk of every power of a field generator
 (for G_f and for the right idealizer), a conjugation of every element of
 G_f and an image of every element of G_f in the right idealizer.  They
@@ -13,11 +16,12 @@ lookup, but none of the replaced logic.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from scattered_lab._linalg import rank_mod
-from scattered_lab.errors import NotAField
+from scattered_lab.errors import NotAField, NotBijective
 from scattered_lab.field_tower import _factorint
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
@@ -100,6 +104,62 @@ def scattered_by_fibers(T, f):
     fibers, kernel = slope_fibers(T, f)
     sizes = list(fibers.values()) + ([kernel] if kernel else [])
     return bool(sizes) and all(s == T.q - 1 for s in sizes)
+
+
+def r_partial_by_scan(g, t, s):
+    """is_r_partially_scattered(g, t, s) by a dictionary scan in scalar arithmetic.
+
+    Every x = g^k is keyed by its slope g(x)/x (or the kernel) and by k modulo
+    the index of F_{q^gcd(s,n)}; each key must meet a single F_q-class.  The
+    support condition on g (the t in the signature) is the caller's concern.
+    """
+    T = g.tower
+    M = T.mult_order
+    sub_step = M // (T.q ** math.gcd(s, T.n) - 1)
+    fq_step = M // (T.q - 1)
+    groups = {}
+    for k in range(M):
+        x = T.pow_code(T.gen_code, k)
+        v = g.evaluate_code(x)
+        key = ("ker" if v == 0 else T.dlog(T.div_code(v, x)), k % sub_step)
+        groups.setdefault(key, set()).add(k % fq_step)
+    return all(len(v) == 1 for v in groups.values())
+
+
+def ab_min_by_scan(r):
+    """standard_form._ab_min by comparing element keys for every b = g^lb.
+
+    Returns (poly, a, b): the lex-min normalized a r(b x), with a fixing the
+    lowest-index nonzero coefficient to 1.
+    """
+    T = r.tower
+    M = T.mult_order
+    supp = r.support
+    i0 = supp[0]
+    qi = [pow(T.q, i, M) for i in range(T.n)]
+    best_key, lam = None, 0
+    for lb in range(M):
+        key = tuple(
+            T.element_key(T.mul_code(T.div_code(r.coeffs[i], r.coeffs[i0]),
+                                     T.pow_code(T.gen_code, lb * ((qi[i] - qi[i0]) % M))))
+            for i in supp[1:])
+        if best_key is None or key < best_key:
+            best_key, lam = key, lb
+    b = T.pow_code(T.gen_code, lam)
+    scaled = r.transform(1, b)
+    a = T.inv_code(scaled.coeffs[i0])
+    return scaled.scale(a), a, b
+
+
+def canonical_by_scan(h):
+    """canonicalize(h): the lex-least of ab_min_by_scan of h and of h^{-1}."""
+    T = h.tower
+    polys = [ab_min_by_scan(h)[0]]
+    try:
+        polys.append(ab_min_by_scan(h.invert())[0])
+    except NotBijective:
+        pass
+    return min(polys, key=lambda c: tuple(T.element_key(x) for x in c.coeffs))
 
 
 def rank_by_row_reduction(T, f):

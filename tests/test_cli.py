@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,21 @@ def test_standard_form_task_reports_not_in_s(tmp_path):
     assert tasks["scatter"]["scattered"] is True
     assert tasks["stabilizer"]["t"] == 1
     assert tasks["standard-form"] == {"error": "NotInS"}
+
+
+def test_analyze_refuses_table_less_field(tmp_path):
+    # 2^24 elements is above the exp/log table bound: the census refuses up
+    # front instead of scanning F_{q^n}^* in generic arithmetic
+    field = tmp_path / "f2n24.json"
+    field.write_text(json.dumps({"p": 2, "e": 1, "n": 24, "seed": 0}))
+    poly = tmp_path / "frobenius.json"
+    poly.write_text(json.dumps({"coeffs": ["0", "1"] + ["0"] * 22}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                              "--tasks", "scatter"])
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "TooLarge"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -12,6 +12,7 @@ from scattered_lab.families import (
 )
 from scattered_lab.scatter import is_scattered, linear_set
 from scattered_lab.standard_form import (
+    _ab_min,
     _branches,
     canonicalize,
     gammal_equivalent,
@@ -21,6 +22,8 @@ from scattered_lab.standard_form import (
     to_standard_form,
 )
 from scattered_lab.stabilizer import compute_stabilizer
+
+from oracles import ab_min_by_scan, canonical_by_scan
 
 
 def test_in_class_S_examples(tower):
@@ -226,12 +229,17 @@ def test_invariants_under_witness(tower):
 
 
 def test_no_table_canonicalize_agrees():
+    # the scalar-arithmetic scan over b on a table-less tower agrees with the
+    # table path, on the canonical form and on each branch with its (a, b)
     T1 = make_field(3, 1, 4)
     T0 = make_field(3, 1, 4, table_bound=0)
     coeffs = [0, 1, 0, T1.gen_code]
-    c1 = canonicalize(LinearizedPoly(T1, coeffs))
-    c0 = canonicalize(LinearizedPoly(T0, coeffs))
-    assert c1.coeffs == c0.coeffs
+    h1, h0 = LinearizedPoly(T1, coeffs), LinearizedPoly(T0, coeffs)
+    assert canonicalize(h1).coeffs == canonical_by_scan(h0).coeffs
+    for r1, r0 in ((h1, h0), (h1.invert(), h0.invert())):
+        p1, a1, b1 = _ab_min(r1)
+        p0, a0, b0 = ab_min_by_scan(r0)
+        assert (p1.coeffs, a1, b1) == (p0.coeffs, a0, b0)
 
 
 def test_invert_internal_error_propagates(monkeypatch):
