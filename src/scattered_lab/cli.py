@@ -1,7 +1,7 @@
 """Command-line front end: deterministic JSON reports over field/poly specs.
 
 Subcommands: analyze, stabilizer, standard-form, equiv, mrd, plane,
-families, selftest.  All reports carry schema_version 1, echo the field
+families, selftest.  All reports carry schema_version 2, echo the field
 spec, and emit field elements as "g^k" strings ordered canonically, so
 identical inputs (and seed) produce byte-identical output.  Exit codes:
 0 success, 2 refused precondition (SmallQ, HallCase, TooLarge, ...),
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import families as fam
@@ -24,7 +23,7 @@ from .scatter import is_scattered, is_scattered_naive, linear_set
 from .stabilizer import compute_stabilizer, diagonalize, transversal_points
 from .standard_form import gammal_equivalent, gl_equivalent, in_class_S, to_standard_form
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 KNOWN_TASKS = ("scatter", "stabilizer", "standard-form", "mrd", "plane")
 
 
@@ -47,15 +46,6 @@ def _load_poly(tower, path):
     return LinearizedPoly.from_json(tower, doc)
 
 
-def _threads(args):
-    env = os.environ.get("SCATTERED_LAB_THREADS")
-    if getattr(args, "threads", None):
-        return args.threads
-    if env and env.isdigit():
-        return int(env)
-    return 1
-
-
 def _emit(doc, stream=None):
     json.dump(doc, stream or sys.stdout, indent=2, sort_keys=True)
     (stream or sys.stdout).write("\n")
@@ -65,8 +55,12 @@ def _task_scatter(T, f, args):
     ls = linear_set(f)
     doc = ls.to_json(T, emit_points=args.emit_points)
     if args.oracle:
-        doc["oracle_agrees"] = bool(
-            is_scattered_naive(f, "projective") == ls.scattered)
+        try:
+            doc["oracle_agrees"] = bool(
+                is_scattered_naive(f, "projective") == ls.scattered)
+        except RefusedPrecondition:
+            doc["oracle_agrees"] = None
+            doc["oracle_note"] = "too many projective class pairs for the pairwise scan"
     return doc
 
 
@@ -113,6 +107,8 @@ def _stabilizer_doc(T, f):
 
 def _task_mrd(T, f, args):
     C = mrd.code_of(f)
+    # the census below needs tables: refuse before any rank is sampled
+    T.require_tables("the mrd task")
     mode = "exact" if not args.sample_mrd else "sample"
     d = mrd.min_distance(C, mode=mode, class_bound=args.exact_mrd_bound)
     doc = {
@@ -163,7 +159,6 @@ def cmd_analyze(args):
         "schema_version": SCHEMA_VERSION,
         "field": T.spec().to_json(),
         "poly": f.to_json("g^k")["coeffs"],
-        "threads": _threads(args),
         "tasks": {},
     }
     for t in tasks:
@@ -270,7 +265,6 @@ def build_parser():
                        help="cross-check with the naive quadratic algorithms")
         p.add_argument("--sample-mrd", action="store_true")
         p.add_argument("--exact-mrd-bound", type=int, default=1 << 20)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="run a comma-separated list of tasks")

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSubfieldLinear, ZeroPolynomial
+from .errors import NotSubfieldLinear, TooLarge, ZeroPolynomial
 from .field_tower import FieldElement
 from .linearized import LinearizedPoly
+
+# pairs of F_q-projective classes the naive projective scan may visit: about
+# 80 000 at (7,4) take 0.3 s, so the bound allows a few seconds of work
+PROJECTIVE_PAIR_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,9 @@ def is_scattered_naive(f: LinearizedPoly, mode="projective") -> bool:
     mode "pairs" scans every ordered pair of nonzero field elements
     (vectorized; small fields only); mode "projective" scans one
     representative per F_q-projective class, which is equivalent because the
-    vanishing condition is homogeneous in both arguments.
+    vanishing condition is homogeneous in both arguments.  The projective
+    scan is a Python loop over unordered pairs of classes and raises
+    TooLarge up front when there are more than PROJECTIVE_PAIR_BOUND.
     """
     T = f.tower
     M = T.mult_order
@@ -110,6 +116,9 @@ def is_scattered_naive(f: LinearizedPoly, mode="projective") -> bool:
         eq = prod == prod.T
         dep = ((karr[:, None] - karr[None, :]) % M % step) == 0
         return bool(np.all(~eq | dep))
+    if step * (step - 1) // 2 > PROJECTIVE_PAIR_BOUND:
+        raise TooLarge(f"{step * (step - 1) // 2} pairs of projective classes exceed "
+                       f"the naive scan's bound of {PROJECTIVE_PAIR_BOUND}")
     # one representative g^a per projective class: a in [0, M/(q-1))
     reps = range(step)
     for ia, a in enumerate(reps):

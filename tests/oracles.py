@@ -10,9 +10,14 @@ standard forms (the only copies that still run on table-less towers), a
 rank per codeword class, a scan over every class of H_f, a
 walk of every spread component, a walk of every power of a field generator
 (for G_f and for the right idealizer), a conjugation of every element of
-G_f and an image of every element of G_f in the right idealizer.  They
-reuse the library's element lists, stabilizer, diagonalization and spread
-lookup, but none of the replaced logic.
+G_f and an image of every element of G_f in the right idealizer.  The plane
+audits have theirs too: the spread audit's component count, meet kernels
+and point walk (spread_cover_by_walk), the image of every component under
+each probe scalar (kernel_scalar_by_walk), the power walk of each homology
+group (cyclic_by_walk) and the sampled conjugations of the decomposition
+audit (decomposition_by_sampling).  They reuse the library's element lists,
+stabilizer, diagonalization and spread lookup, but none of the replaced
+logic.
 """
 
 import itertools
@@ -25,7 +30,7 @@ from scattered_lab.errors import NotAField, NotBijective
 from scattered_lab.field_tower import _factorint
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
-from scattered_lab.plane import _component_image, build_spread
+from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
 
 
@@ -270,6 +275,32 @@ def central_classes_by_scan(f):
     return group_X, group_Y, elations, scanned
 
 
+def _component_image(spread, comp, M):
+    """Image component of comp under the right action of M, with verification."""
+    T = spread.tower
+    if comp[0] == "Dinf":
+        pts = [(0, 1)]
+    elif comp[0] == "D":
+        pts = [(1, comp[1])]
+    else:
+        h = T.pow_code(T.gen_code, comp[1])
+        pts = [(T.mul_code(h, int(T.p**i)),
+                T.mul_code(h, spread.f.evaluate_code(int(T.p**i))))
+               for i in range(T.en)]
+    images = [M.apply(pt) for pt in pts]
+    target = spread.component_of(images[0])
+    # lines map to lines and translates to translates; a type switch would
+    # mean an F_{q^n}-line coincides with some h U_f, impossible for
+    # scattered f with n > 2
+    line_types = ("D", "Dinf")
+    if (comp[0] in line_types) != (target[0] in line_types):
+        return None
+    for pt in images:
+        if not spread.membership(target, pt):
+            return None
+    return target
+
+
 def spread_walk(f, M):
     """(lines_ok, translates_ok): does M send every line component, and every
     translate h U_f, point by point onto a component of the spread?"""
@@ -280,6 +311,136 @@ def spread_walk(f, M):
         if ok[is_line] and _component_image(spread, comp, M) is None:
             ok[is_line] = False
     return ok[True], ok[False]
+
+
+def spread_cover_by_walk(spread, point_bound=1 << 20):
+    """plane.verify_spread_axioms by walking components, meets and points.
+
+    Counts the components by iterating them, checks that no line component
+    carries a slope of L_f, runs one kernel of f(c x) - c f(x) per coset
+    class c of F_{q^n}^*/F_q^* (two translates meet nontrivially exactly
+    when it is nonzero), and walks every nonzero point through
+    component_of and membership when there are at most point_bound of them,
+    else 2000 seeded random points.
+    """
+    T = spread.tower
+    f = spread.f
+    n_points = T.size**2 - 1
+    count = sum(1 for _ in spread.components())
+    if count != spread.component_count:
+        return {"ok": False, "reason": f"component count {count}"}
+    if count * (T.size - 1) != n_points:
+        return {"ok": False, "reason": "component sizes do not tile the point set"}
+    # line/translate meets: a Desarguesian component never carries a slope of L_f
+    for comp in spread.components():
+        if comp[0] == "D" and comp[1] in spread.lf_slopes:
+            return {"ok": False, "reason": f"component {comp} lies on the linear set"}
+    # translate/translate meets, one kernel per coset class c not in F_q^*
+    for j in range(1, spread.h_class_count):
+        c = T.pow_code(T.gen_code, j)
+        twisted = f.transform(1, c) - f.scale(c)   # f(c x) - c f(x)
+        if twisted.kernel_dim() != 0:
+            return {"ok": False,
+                    "reason": f"translates meet nontrivially at coset g^{j}"}
+    pointwise = False
+    if n_points <= point_bound:
+        pointwise = True
+        for x in range(T.size):
+            for y in range(T.size):
+                if x == 0 and y == 0:
+                    continue
+                comp = spread.component_of((x, y))
+                if not spread.membership(comp, (x, y)):
+                    return {"ok": False, "reason": f"point ({x},{y}) misplaced"}
+    else:
+        rng = T.rng("spread-cover")
+        for _ in range(2000):
+            x, y = rng.randrange(T.size), rng.randrange(T.size)
+            if x == 0 and y == 0:
+                continue
+            comp = spread.component_of((x, y))
+            if not spread.membership(comp, (x, y)):
+                return {"ok": False, "reason": f"point ({x},{y}) misplaced"}
+    return {"ok": True, "components": count,
+            "desarguesian": spread.desarguesian_count(),
+            "translates": spread.h_class_count,
+            "pointwise_cover_walked": pointwise}
+
+
+def kernel_scalar_by_walk(f):
+    """plane.kernel_scalar_audit by mapping every component under each scalar."""
+    _plane_preconditions(f)
+    T = f.tower
+    spread = build_spread(f)
+    for a in T.subfield_elements(1)[:-1]:
+        lam = Mat2.scalar(T, a)
+        for comp in spread.components():
+            if _component_image(spread, comp, lam) != comp:
+                return False
+    probes = [T.gen_code]
+    for t in range(2, T.n):
+        if T.n % t == 0:
+            probes.append(T.subfield_primitive_code(t))
+    for a in probes:
+        if T.subfield_member_code(a, 1):
+            continue
+        lam = Mat2.scalar(T, a)
+        moved = False
+        for comp in spread.components():
+            if _component_image(spread, comp, lam) != comp:
+                moved = True
+                break
+        if not moved:
+            return False
+    return True
+
+
+def cyclic_by_walk(T, elements):
+    """Is the list of matrices a cyclic group?  Walks the powers of the
+    first element of full order and compares them with the list."""
+    order = len(elements)
+    eset = {m.entries() for m in elements}
+    factors = list(_factorint(order)) if order > 1 else []
+    for m in elements:
+        if m.is_identity() and order > 1:
+            continue
+        if all(not m.power(order // ell).is_identity() for ell in factors):
+            walk, cur = set(), Mat2.identity(T)
+            for _ in range(order):
+                cur = cur * m
+                walk.add(cur.entries())
+            return cur.is_identity() and walk == eset
+    return order == 1
+
+
+def decomposition_by_sampling(T, Mf, diag, t, samples=64):
+    """Unique factorization d I * diag(1, kappa) of conjugated group elements:
+    the N powers of kappa_0 are distinct, and 64 seeded d m conjugate to a
+    diagonal matrix whose ratio kappa is one of them."""
+    q = T.q
+    s = diag.s
+    omega = T.subfield_primitive_code(t)
+    kappa_gen = T.div_code(T.frob_code(omega, s), omega)
+    kappa_set = set()
+    cur = 1
+    for _ in range((q**t - 1) // (q - 1)):
+        cur = T.mul_code(cur, kappa_gen)
+        kappa_set.add(cur)
+    if len(kappa_set) != (q**t - 1) // (q - 1):
+        return False
+    rng = T.rng("fcg")
+    elems = Mf.nonzero()
+    for _ in range(samples):
+        m = elems[rng.randrange(len(elems))]
+        d = T.pow_code(T.gen_code, rng.randrange(T.mult_order))
+        c = diag.P * m.scale(d) * diag.P.inverse()
+        if c.b != 0 or c.c != 0:
+            return False
+        kappa = T.div_code(c.d, c.a)
+        if kappa not in kappa_set:
+            return False
+        # factors are pinned by the first diagonal entry, so they are unique
+    return True
 
 
 def field_by_walk(Mf, exhaustive_bound=200):

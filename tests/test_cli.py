@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from scattered_lab import mrd
 from scattered_lab.cli import main
 
 
@@ -35,7 +36,7 @@ def test_analyze_scatter_stabilizer(specs):
                             "--tasks", "scatter,stabilizer"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["tasks"]["scatter"]["scattered"] is True
     assert doc["tasks"]["stabilizer"]["order"] == 624
     assert doc["tasks"]["stabilizer"]["t"] == 4
@@ -137,14 +138,6 @@ def test_families_cli():
     assert json.loads(err)["error"]["code"] == "BadParams"
 
 
-def test_threads_env(specs, monkeypatch):
-    field, poly, _ = specs
-    monkeypatch.setenv("SCATTERED_LAB_THREADS", "4")
-    code, out, _ = run_cli(["scatter", "--field", str(field), "--poly", str(poly)])
-    assert code == 0
-    assert json.loads(out)["threads"] == 4
-
-
 def test_corrupted_modulus_surfaces(tmp_path):
     field = tmp_path / "bad.json"
     # x^4 + 1 is reducible over F_5
@@ -189,19 +182,51 @@ def test_standard_form_task_reports_not_in_s(tmp_path):
     assert tasks["standard-form"] == {"error": "NotInS"}
 
 
-def test_analyze_refuses_table_less_field(tmp_path):
+def test_analyze_refuses_table_less_field(tmp_path, monkeypatch):
     # 2^24 elements is above the exp/log table bound: the census refuses up
-    # front instead of scanning F_{q^n}^* in generic arithmetic
+    # front instead of scanning F_{q^n}^* in generic arithmetic, and the mrd
+    # task refuses before it samples a single rank
     field = tmp_path / "f2n24.json"
     field.write_text(json.dumps({"p": 2, "e": 1, "n": 24, "seed": 0}))
     poly = tmp_path / "frobenius.json"
     poly.write_text(json.dumps({"coeffs": ["0", "1"] + ["0"] * 22}))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("min_distance ran before the refusal")
+
+    monkeypatch.setattr(mrd, "min_distance", no_sampling)
+    for tasks in (["--tasks", "scatter"], ["--tasks", "mrd", "--sample-mrd"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly)]
+                                 + tasks)
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "TooLarge"
+
+
+def test_scatter_oracle(specs):
+    # (5,4) has 156 projective classes: the naive scan runs and agrees.  psi at
+    # (5,6) has 3906, about 7.6 M pairs: the report says null at once
+    # instead of looping for minutes
+    field, poly, tmp = specs
+    code, out, _ = run_cli(["scatter", "--field", str(field), "--poly", str(poly),
+                            "--oracle"])
+    assert code == 0
+    doc = json.loads(out)["tasks"]["scatter"]["linear_set"]
+    assert doc["oracle_agrees"] is True and "oracle_note" not in doc
+    field = tmp / "f5n6.json"
+    field.write_text(json.dumps({"p": 5, "e": 1, "n": 6, "seed": 0}))
+    poly = tmp / "psi.json"
+    poly.write_text(json.dumps({"coeffs": GOLDEN_CASES["psi_5_6"][1]}))
     start = time.perf_counter()
-    code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                              "--tasks", "scatter"])
+    code, out, _ = run_cli(["scatter", "--field", str(field), "--poly", str(poly),
+                            "--oracle"])
     assert time.perf_counter() - start < 10
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"]["code"] == "TooLarge"
+    assert code == 0
+    tasks = json.loads(out)["tasks"]["scatter"]
+    assert tasks["scattered"] is True
+    assert tasks["linear_set"]["oracle_agrees"] is None
+    assert tasks["linear_set"]["oracle_note"]
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -214,10 +239,9 @@ GOLDEN_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_analyze_matches_golden_report(name, tmp_path, monkeypatch):
+def test_analyze_matches_golden_report(name, tmp_path):
     # golden files hold the five-task report of an earlier, enumerative
     # implementation of the mrd and plane tasks; the output must not move
-    monkeypatch.delenv("SCATTERED_LAB_THREADS", raising=False)
     (p, n), coeffs = GOLDEN_CASES[name]
     field = tmp_path / "field.json"
     field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from scattered_lab.errors import HallCase, NotInS, NotScattered, SmallQ, TooLarge
@@ -21,16 +23,25 @@ from scattered_lab.plane import (
     reducibility_witness,
     semilinear_part_audit,
     verify_spread_axioms,
+    _homology_factor_order,
+    _is_homology_group,
     _pointwise_fix_system,
     _component_basis,
     _moebius_preserves_lines,
 )
 from scattered_lab.scatter import is_scattered, linear_set
-from scattered_lab.stabilizer import Mat2, compute_stabilizer
+from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
 from scattered_lab.standard_form import maps_onto
 from scattered_lab._linalg import solve_mod
 
-from oracles import central_classes_by_scan, spread_walk
+from oracles import (
+    central_classes_by_scan,
+    cyclic_by_walk,
+    decomposition_by_sampling,
+    kernel_scalar_by_walk,
+    spread_cover_by_walk,
+    spread_walk,
+)
 
 
 def _differential_instances(tower):
@@ -85,7 +96,6 @@ def test_spread_axioms_large_field(tower):
     rep = verify_spread_axioms(build_spread(psi))
     assert rep["ok"], rep
     assert rep["components"] == 15626
-    assert not rep["pointwise_cover_walked"]
 
 
 def test_component_lookup_consistency(tower):
@@ -311,3 +321,94 @@ def test_linear_collineations_needs_tables():
     T = make_field(5, 1, 4, table_bound=0)
     with pytest.raises(TooLarge):
         linear_collineations(LinearizedPoly.monomial(T, 1))
+
+
+def test_spread_audit_matches_walk(tower):
+    walked = set()
+    for f in _differential_instances(tower):
+        spread = build_spread(f)
+        walk = spread_cover_by_walk(spread)
+        walked.add(walk.pop("pointwise_cover_walked"))
+        assert verify_spread_axioms(spread) == walk
+        assert walk["ok"]
+    assert walked == {True, False}
+
+
+def test_spread_audits_reject_a_dropped_slope(tower):
+    T = tower(5, 1, 4)
+    spread = build_spread(make_lp(T, 1, find_lp_delta(T)).poly)
+    broken = dataclasses.replace(spread,
+                                 lf_slopes=spread.lf_slopes - {min(spread.lf_slopes)})
+    assert not verify_spread_axioms(broken)["ok"]
+    assert not spread_cover_by_walk(broken)["ok"]
+
+
+def test_kernel_scalar_audit_matches_walk(tower):
+    for f in _differential_instances(tower):
+        assert kernel_scalar_audit(f) is kernel_scalar_by_walk(f) is True
+
+
+def test_kernel_audits_reject_a_scalar_outside_fq(tower, monkeypatch):
+    # an F_q^* list that also holds the generator of F_{q^n}^*: that scalar
+    # moves the translates, so both audits must fail
+    T = tower(5, 1, 4)
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    subfield_elements = T.subfield_elements
+    monkeypatch.setattr(T, "subfield_elements",
+                        lambda t: [T.gen_code] + subfield_elements(t))
+    assert not kernel_scalar_audit(f)
+    assert not kernel_scalar_by_walk(f)
+
+
+def test_kernel_audits_reject_a_probe_inside_fq(tower, monkeypatch):
+    # probes that a broken membership test puts outside F_q, while they are
+    # F_q-scalars that fix every component: both audits must fail
+    T = tower(5, 1, 4)
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    primitive = T.subfield_primitive_code
+    monkeypatch.setattr(T, "subfield_primitive_code", lambda t: primitive(1))
+    monkeypatch.setattr(T, "subfield_member_code", lambda a, t: False)
+    assert not kernel_scalar_audit(f)
+    assert not kernel_scalar_by_walk(f)
+
+
+def test_homology_closed_forms_match_walks(tower):
+    ts = set()
+    for f in _differential_instances(tower):
+        hr = classify_central_collineations(f)
+        if hr.t == 1:
+            continue
+        T = f.tower
+        Mf = compute_stabilizer(f)
+        assert hr.cyclic_ok is True
+        assert cyclic_by_walk(T, hr.group_X) and cyclic_by_walk(T, hr.group_Y)
+        assert hr.decomposition_ok is True
+        assert decomposition_by_sampling(T, Mf, diagonalize(Mf), hr.t)
+        ts.add(hr.t)
+    assert {2, 4, 5} <= ts
+
+
+def test_homology_checks_reject_broken_groups(tower):
+    T = tower(5, 1, 4)
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    hr = classify_central_collineations(f)
+    Mf = compute_stabilizer(f)
+    diag = diagonalize(Mf)
+    N = hr.group_order
+    for group, slot in ((hr.group_X, 1), (hr.group_Y, 0)):
+        assert _is_homology_group(diag.P, group, slot, N)
+        assert not _is_homology_group(diag.P, group, 1 - slot, N)
+        duplicated = [group[1]] + group[1:]     # one kappa twice, one missing
+        # kappa = g, the generator of F_{q^n}^*, is no root of z^N = 1
+        kappa_g = Mat2.diag(T, *((1, T.gen_code) if slot else (T.gen_code, 1)))
+        off_root = [diag.P.inverse() * kappa_g * diag.P] + group[1:]
+        # -mu moves the axis: N distinct roots, but no homology group
+        negated = [mu.scale(T.neg_code(1)) for mu in group]
+        for broken in (duplicated, off_root, negated):
+            assert not _is_homology_group(diag.P, broken, slot, N)
+            assert not cyclic_by_walk(T, broken)
+    # a trivial twist s = 0 gives kappa_0 = 1, so the factorization is not unique
+    assert _homology_factor_order(T, diag.s, hr.t) == N
+    assert _homology_factor_order(T, 0, hr.t) == 1
+    assert not decomposition_by_sampling(T, Mf, dataclasses.replace(diag, p_exponent=0),
+                                         hr.t)
