@@ -1,28 +1,88 @@
-"""One certificate that an F_p-space of maps is a field of order q^t.
+"""F_p-spaces of maps kept as a kernel, and one certificate that one is a field.
 
 The stabilizer field G_f (2x2 matrices) and the right idealizer of C_f
 (q-polynomials under composition) are both solution sets of F_p-linear
-systems, so each is the F_p-span V of a kernel basis, and each is closed
-under products by its definition.  Instead of walking every element, the
-certificate checks:
+systems.  Each is stored as its system and an F_p-basis of the kernel
+(`FpSpace`): V = span(basis) = ker(system), |V| = p^dim, and membership is
+one matrix-vector product.  No element is listed unless a caller asks for
+the list.  The field certificate checks:
 
-* |V| = q^t with t | n, the identity lies in V and the elements are distinct;
-* the elements are exactly span(basis), by one vectorized span;
-* alpha, the first element in enumeration order with alpha^(N/l) != 1 for
-  every prime l | N = |V| - 1, also has alpha^N = 1, so its order is N;
+* |V| = q^t with t | n, and system b = 0 for every basis element b;
+* the identity lies in V;
+* alpha, the first element in span order with alpha^(N/l) != 1 for every
+  prime l | N = |V| - 1, also has alpha^N = 1, so its order is N;
 * alpha * b lies in V for every basis element b.
 
 Then alpha V is contained in V, the N powers of alpha are distinct nonzero
 elements of V, so V minus 0 is the cyclic group generated by alpha and V is a
-field.  The cost is O(log N) products per generator candidate plus dim(V)
+field.  The cost is O(log N) products per generator candidate, whose
+elements are built one at a time from their span index, plus dim(V)
 products, against the N products of a power walk.
 """
 
 from __future__ import annotations
 
-from ._linalg import span_codes
+import numpy as np
+
+from ._linalg import kernel_mod, span_codes
 from .errors import NotAField
-from .field_tower import FieldTower, _digits, _factorint
+from .field_tower import _digits, _factorint, _pack
+
+
+class FpSpace:
+    """An F_p-space of maps kept as (system, basis): V = span(basis) = ker(system).
+
+    Subclasses are dataclasses with the fields `tower`, `system` (an int64
+    array whose kernel mod p is V) and `basis` (an F_p-basis of that
+    kernel, as maps), and define key(x), the tuple of codes whose
+    little-endian base-p digits are the F_p-coordinates of x, and
+    from_key(tower, codes), its inverse.  Elements are numbered as in
+    `_linalg.span_codes`: element r is the combination of the basis whose
+    coefficients are the base-p digits of r, so element 0 is zero.
+    """
+
+    @classmethod
+    def from_system(cls, tower, system, **fields):
+        """The space ker(system mod p), with the kernel basis of kernel_mod."""
+        en, p = tower.en, tower.p
+        basis = tuple(cls.from_key(tower, [_pack(v[k:k + en], p) for k in range(0, len(v), en)])
+                      for v in kernel_mod(system, p).tolist())
+        return cls(tower=tower, system=system % p, basis=basis, **fields)
+
+    @property
+    def order(self):
+        return self.tower.p ** len(self.basis)
+
+    @property
+    def group_order(self):
+        return self.order - 1
+
+    def _coords(self, x):
+        T = self.tower
+        return [d for c in self.key(x) for d in _digits(c, T.p, T.en)]
+
+    def contains(self, x) -> bool:
+        return not (self.system @ np.array(self._coords(x), dtype=np.int64) % self.tower.p).any()
+
+    def _codes(self, rows=None):
+        T = self.tower
+        return span_codes([self._coords(b) for b in self.basis], T.p, T.en,
+                          self.system.shape[1] // T.en, rows).tolist()
+
+    def element(self, r):
+        """Element r of the span order, built alone."""
+        return self.from_key(self.tower, self._codes([r])[0])
+
+    @property
+    def elements(self):
+        """Every element, zero first, in span order; built on each access."""
+        return tuple(self.from_key(self.tower, row) for row in self._codes())
+
+    def element_set(self):
+        return frozenset(map(tuple, self._codes()))
+
+    def nonzero(self):
+        return [self.from_key(self.tower, row) for row in self._codes() if any(row)]
 
 
 def _power(x, k, one, mul):
@@ -35,51 +95,42 @@ def _power(x, k, one, mul):
     return acc
 
 
-def certify_field(tower: FieldTower, elements, eset, basis, key, one, mul):
-    """Certify that `elements` is a field of order q^t, t | n; returns (t, alpha).
+def certify_field(V: FpSpace, one, mul):
+    """Certify that V is a field of order q^t, t | n; returns (t, alpha).
 
-    elements: the set V, zero included, in enumeration order (the generator
-    is the first qualifying element of it); eset: the frozenset of their
-    keys; basis: the claimed F_p-basis of V, as elements; key(x): the tuple
-    of codes that identifies x and whose digits are its F_p-coordinates;
-    one: the multiplicative identity; mul(x, y): the product.  Raises
-    NotAField naming the first failing condition.
+    one: the multiplicative identity; mul(x, y): the product.  The
+    generator alpha is the first qualifying element of the span order.
+    Raises NotAField naming the first failing condition.
     """
-    T = tower
-    order = len(elements)
-    t = 0
-    while T.q**t < order:
-        t += 1
-    if T.q**t != order:
-        raise NotAField(f"order {order} is not a power of q={T.q}")
+    T = V.tower
+    dim = len(V.basis)
+    if dim % T.e:
+        raise NotAField(f"order {V.order} is not a power of q={T.q}")
+    t = dim // T.e
     if t and T.n % t:
         raise NotAField(f"t={t} does not divide n={T.n}")
-    if len(eset) != order:
-        raise NotAField("the elements are not distinct")
-    one_key = key(one)
-    if one_key not in eset:
+    if not all(V.contains(b) for b in V.basis):
+        raise NotAField("a basis element lies outside the kernel of the system")
+    if not V.contains(one):
         raise NotAField("identity missing")
-    vecs = [[d for c in key(b) for d in _digits(c, T.p, T.en)] for b in basis]
-    span = span_codes(vecs, T.p, T.en, len(one_key))
-    if set(map(tuple, span.tolist())) != eset:
-        raise NotAField("the elements are not the F_p-span of the basis")
-    group_order = order - 1
+    one_key = V.key(one)
+    group_order = V.order - 1
     factors = list(_factorint(group_order)) if group_order > 1 else []
-    zero_key = (0,) * len(one_key)
     alpha = None
-    for m in elements:
-        k = key(m)
-        if k == zero_key or (k == one_key and group_order > 1):
+    for r in range(1, V.order):
+        m = V.element(r)
+        k = V.key(m)
+        if not any(k) or (k == one_key and group_order > 1):
             continue
-        if all(key(_power(m, group_order // ell, one, mul)) != one_key for ell in factors):
+        if all(V.key(_power(m, group_order // ell, one, mul)) != one_key for ell in factors):
             alpha = m
             break
     if alpha is None:
         raise NotAField("no element of full multiplicative order")
-    if key(_power(alpha, group_order, one, mul)) != one_key:
+    if V.key(_power(alpha, group_order, one, mul)) != one_key:
         raise NotAField("the generator candidate fails alpha^(|V| - 1) = 1",
-                        element=key(alpha))
-    for b in basis:
-        if key(mul(alpha, b)) not in eset:
-            raise NotAField("product escapes the set", pair=(key(alpha), key(b)))
+                        element=V.key(alpha))
+    for b in V.basis:
+        if not V.contains(mul(alpha, b)):
+            raise NotAField("product escapes the set", pair=(V.key(alpha), V.key(b)))
     return t, alpha

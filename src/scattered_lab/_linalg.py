@@ -95,21 +95,22 @@ def rank_mod(A, p):
     return len(pivots)
 
 
-def span_codes(basis_vecs, p, width, blocks):
-    """Every F_p-combination of the digit vectors basis_vecs, packed into codes.
+def span_codes(basis_vecs, p, width, blocks, rows=None):
+    """F_p-combinations of the digit vectors basis_vecs, packed into codes.
 
     Row r is the combination whose coefficients are the base-p digits of r,
     most significant first, i.e. the order of
     itertools.product(range(p), repeat=len(basis_vecs)); with no vectors the
     only row is zero.  Each combination is cut into `blocks` runs of `width`
     little-endian digits and each run is packed into one code, so the result
-    is an int64 array of shape (p**len(basis_vecs), blocks).
+    is an int64 array of shape (len(rows), blocks); rows defaults to every
+    r < p**len(basis_vecs).
     """
     dim = len(basis_vecs)
+    r = np.arange(p**dim, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     if dim == 0:
-        return np.zeros((1, blocks), dtype=np.int64)
+        return np.zeros((len(r), blocks), dtype=np.int64)
     B = np.array(basis_vecs, dtype=np.int64).reshape(dim, blocks * width)
-    r = np.arange(p**dim, dtype=np.int64)
     combos = (r[:, None] // p ** np.arange(dim - 1, -1, -1, dtype=np.int64)) % p
     digits = (combos @ B) % p
     pvec = p ** np.arange(width, dtype=np.int64)

@@ -66,13 +66,6 @@ def _task_scatter(T, f, args):
 
 def _stabilizer_doc(T, f):
     Mf = compute_stabilizer(f, check_scattered=False)
-    if not Mf.enumerated:
-        return {
-            "verified_field": False,
-            "unverified": True,
-            "solution_space_dim_over_Fp": Mf.solution_dim,
-            "note": "solution space too large to enumerate; input is not scattered",
-        }
     # hashes of the polynomial and of its linear set, for experiments on
     # whether transversal points depend on more than the linear set
     import hashlib

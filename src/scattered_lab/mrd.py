@@ -8,7 +8,10 @@ the scattered <=> MRD correspondence): the exact distance is one reduction
 over the census counts, with no rank computation.  Idealizers are computed as
 kernels of exact F_p-linear systems: membership in the code is the
 annihilator condition of its coefficient-vector span, and composition by a
-fixed q-polynomial is an F_p-linear operator on coefficient vectors.
+fixed q-polynomial is an F_p-linear operator on coefficient vectors.  Each
+idealizer is kept as its system and kernel basis (`_certify.FpSpace`), so
+its order is p^dim and membership is one matrix-vector product; its
+elements are listed only on request.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._certify import certify_field
+from ._certify import FpSpace, certify_field
 from .errors import Mismatch, TooLarge
-from ._linalg import kernel_mod, rank_mod, span_codes
-from .field_tower import FieldTower, _digits, _pack
+from ._linalg import kernel_mod, rank_mod
+from .field_tower import FieldTower, _digits
 from .linearized import LinearizedPoly
 from .scatter import slope_census
-from .stabilizer import ENUMERATION_GUARD, compute_stabilizer
+from .stabilizer import compute_stabilizer
 
 EXACT_CLASS_BOUND = 1 << 20
 
@@ -130,21 +133,20 @@ def min_distance_naive(C: RdCode) -> int:
     return best
 
 
-@dataclass
-class Idealizer:
+@dataclass(eq=False)
+class Idealizer(FpSpace):
     side: str                 # "left" or "right"
-    elements: tuple           # LinearizedPoly, zero included
-    basis: tuple
+    tower: FieldTower
+    system: np.ndarray        # its kernel mod p is the idealizer, on coefficient vectors
+    basis: tuple              # F_p-basis of that kernel, as LinearizedPoly
 
-    @property
-    def order(self):
-        return len(self.elements)
+    @staticmethod
+    def key(w):
+        return w.coeffs
 
-    def element_set(self):
-        return frozenset(w.coeffs for w in self.elements)
-
-    def contains(self, w: LinearizedPoly):
-        return w.coeffs in self.element_set()
+    @staticmethod
+    def from_key(tower, codes):
+        return LinearizedPoly(tower, codes)
 
 
 def _poly_vec(f: LinearizedPoly):
@@ -199,22 +201,12 @@ def _left_compose_operator(T: FieldTower, psi: LinearizedPoly):
     return Op
 
 
-def _enumerate_polys(T: FieldTower, basis_vecs):
-    dim = len(basis_vecs)
-    if T.p**dim > ENUMERATION_GUARD:
-        raise TooLarge(f"idealizer of size {T.p}^{dim} exceeds the enumeration guard")
-    return [LinearizedPoly(T, row) for row in span_codes(basis_vecs, T.p, T.en, T.n).tolist()]
-
-
 def right_idealizer(C: RdCode) -> Idealizer:
     """{phi : c o phi in C for all c in C}, i.e. phi in C and f o phi in C."""
     T = C.tower
     N = _code_annihilator(C)
     Tf = _right_compose_operator(T, C.f)
-    system = np.vstack([N, (N @ Tf) % T.p])
-    basis = kernel_mod(system, T.p)
-    elems = _enumerate_polys(T, basis)
-    return Idealizer("right", tuple(elems), tuple(map(tuple, basis)))
+    return Idealizer.from_system(T, np.vstack([N, (N @ Tf) % T.p]), side="right")
 
 
 def left_idealizer(C: RdCode) -> Idealizer:
@@ -227,27 +219,20 @@ def left_idealizer(C: RdCode) -> Idealizer:
         for gen_poly in (C.codeword(beta, 0), C.codeword(0, beta)):
             Rop = _left_compose_operator(T, gen_poly)
             blocks.append((N @ Rop) % T.p)
-    basis = kernel_mod(np.vstack(blocks), T.p)
-    elems = _enumerate_polys(T, basis)
-    return Idealizer("left", tuple(elems), tuple(map(tuple, basis)))
+    return Idealizer.from_system(T, np.vstack(blocks), side="left")
 
 
 def verify_idealizer_field(I: Idealizer, tower: FieldTower):
     """Certify that the idealizer is a field of order q^t, t | n; returns (t, alpha).
 
     The same certificate as the stabilizer field (`_certify.certify_field`),
-    with composition as the product: |I| = q^t, x in I, the elements are
-    distinct and exactly the F_p-span of I.basis, the first element alpha of
-    full multiplicative order satisfies alpha^(q^t - 1) = x, and alpha o b
-    lies in I for every basis polynomial b.  No rank is computed: the powers
-    of alpha are the whole nonzero part, so each of them is invertible.
+    with composition as the product: |I| = q^t, the basis lies in the kernel
+    of I.system, x in I, the first element alpha of full multiplicative
+    order in span order satisfies alpha^(q^t - 1) = x, and alpha o b lies in
+    I for every basis polynomial b.  No rank is computed: the powers of
+    alpha are the whole nonzero part, so each of them is invertible.
     """
-    n, en, p = tower.n, tower.en, tower.p
-    basis = [LinearizedPoly(tower, [_pack(v[j * en:(j + 1) * en], p) for j in range(n)])
-             for v in I.basis]
-    return certify_field(tower, I.elements, I.element_set(), basis,
-                         lambda w: w.coeffs, LinearizedPoly.identity(tower),
-                         LinearizedPoly.compose)
+    return certify_field(I, LinearizedPoly.identity(tower), LinearizedPoly.compose)
 
 
 def stabilizer_to_right_idealizer(M, f: LinearizedPoly) -> LinearizedPoly:
@@ -272,18 +257,16 @@ def check_idealizer_matches_stabilizer(f: LinearizedPoly) -> dict:
         raise Mismatch("field degrees disagree")
     # M -> a x + c f is F_p-linear: basis images inside I_R and F_p-independent
     # give an injection of G_f into I_R, onto since the orders agree
-    iset = IR.element_set()
     images = [stabilizer_to_right_idealizer(M, f) for M in Mf.basis]
-    if any(phi.coeffs not in iset for phi in images):
+    if not all(IR.contains(phi) for phi in images):
         raise Mismatch("stabilizer image escapes the right idealizer")
-    span = span_codes([_poly_vec(phi) for phi in images], T.p, T.en, T.n)
-    if len(np.unique(span, axis=0)) != Mf.order:
+    if rank_mod(np.array([_poly_vec(phi) for phi in images], dtype=np.int64), T.p) != len(images):
         raise Mismatch("stabilizer does not biject onto the right idealizer")
+    # span element r is picked from the digits of r, so nothing is listed
     rng = T.rng("iso-check")
-    elems = list(Mf.elements)
     for _ in range(8):
-        M1 = elems[rng.randrange(len(elems))]
-        M2 = elems[rng.randrange(len(elems))]
+        M1 = Mf.element(rng.randrange(Mf.order))
+        M2 = Mf.element(rng.randrange(Mf.order))
         lhs = stabilizer_to_right_idealizer(M1 * M2, f)
         rhs = stabilizer_to_right_idealizer(M2, f).compose(
             stabilizer_to_right_idealizer(M1, f))

@@ -30,7 +30,7 @@ from ._linalg import kernel_mod, solve_mod
 from .field_tower import FieldTower, _digits, _pack
 from .linearized import LinearizedPoly, add_code_arrays
 from .scatter import is_scattered, linear_set, slope_census
-from .stabilizer import Mat2, compute_stabilizer, diagonalize, normalize_point
+from .stabilizer import Mat2, compute_stabilizer, diagonalize
 from .standard_form import image_polynomial, maps_onto
 
 import numpy as np
@@ -295,28 +295,24 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
                               step, hf_order, True)
     diag = diagonalize(Mf)
     s = diag.s
-    v1 = (diag.P.a, diag.P.b)
-    v2 = (diag.P.c, diag.P.d)
-    X = normalize_point(T, v1)
-    Y = normalize_point(T, v2)
+    X, Y = diag.eigen_points   # the rows of P, normalized
     L = linear_set(f)
     for pt in (X, Y):
         if pt[0] == 1 and L.contains_slope(pt[1]):
             raise InternalError("candidate center lies on the linear set")
         if spread.component_of(pt if pt[0] else (0, 1))[0] == "U":
             raise InternalError("candidate center is not a Desarguesian component")
-    # M-classes: one representative per projective class of G_f
-    pair_of = {m.entries(): pr for m, pr in zip(Mf.elements, diag.diag_pairs)}
+    # M-classes: one representative per projective class of G_f; x = 0
+    # only for the zero matrix
     classes = {}
-    for m in Mf.nonzero():
-        x, _ = pair_of[m.entries()]
-        classes.setdefault(T.dlog(x) % step, m)
+    for m, (x, y) in zip(Mf.elements, diag.diag_pairs):
+        if x:
+            classes.setdefault(T.dlog(x) % step, (m, x, y))
     if len(classes) != (q**t - 1) // (q - 1):
         raise InternalError("unexpected number of stabilizer classes")
     group_X, group_Y = [], []
     elations = 0
-    for m in classes.values():
-        x, y = pair_of[m.entries()]
+    for m, x, y in classes.values():
         lx, ly = T.dlog(x), T.dlog(y)
         if lx == ly and not m.is_scalar():
             elations += 1  # defective class; cannot occur in a diagonalizable family
@@ -341,20 +337,13 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     ok_sizes = len(group_X) == expected - 1 and len(group_Y) == expected - 1
     if not ok_sizes:
         raise InternalError("homology group sizes disagree with (q^t-1)/(q-1)")
-    # pointwise-fix and center verification in original coordinates
-    exchange_ok = True
-    for grp, axis_vec, center_vec in ((group_X, v1, v2), (group_Y, v2, v1)):
-        for mu in grp:
-            ax = mu.apply(axis_vec)
-            if ax != axis_vec:
-                exchange_ok = False
-            cx, cy = mu.apply(center_vec)
-            if normalize_point(T, (cx, cy)) != normalize_point(T, center_vec):
-                exchange_ok = False
     group_X.append(idm)
     group_Y.append(idm)
-    cyclic_ok = (_is_homology_group(diag.P, group_X, 1, expected)
-                 and _is_homology_group(diag.P, group_Y, 0, expected))
+    # group_X fixes its axis, the first row of P, pointwise and scales its
+    # center, the second row; group_Y the other way round
+    kappas = (_homology_kappas(diag.P, group_X, 1), _homology_kappas(diag.P, group_Y, 0))
+    exchange_ok = None not in kappas
+    cyclic_ok = exchange_ok and all(_all_roots_of_unity(T, k, expected) for k in kappas)
     decomposition_ok = _homology_factor_order(T, s, t) == expected
     return HomologyReport("ii", t, X, Y, expected, group_X, group_Y,
                           cyclic_ok, exchange_ok, elations, len(classes) * step,
@@ -374,30 +363,42 @@ def _homology_factor_order(T: FieldTower, s, t):
     return T.order_of(T.div_code(T.frob_code(omega, s), omega))
 
 
-def _is_homology_group(P: Mat2, group, slot, N) -> bool:
-    """Is P mu P^-1 = diag(1, kappa) (slot 1) or diag(kappa, 1) (slot 0) for
-    every mu in group, with N distinct kappa, each a root of z^N = 1?
-
-    P mu = D P reads row by row: mu fixes the row of P in the other slot
-    and scales the row in the given slot by kappa.  A root of z^N = 1 is a
-    kappa with log kappa = 0 mod (q^n - 1)/N.  N distinct roots of z^N = 1
-    are all of mu_N, a cyclic group of order N, so the group is cyclic
-    without walking the powers of a generator.
-    """
+def _homology_kappas(P: Mat2, group, slot):
+    """The kappa with P mu P^-1 = diag(1, kappa) (slot 1) or diag(kappa, 1)
+    (slot 0) for each mu in group, or None when some mu is not of that form:
+    P mu = D P says that mu fixes the row of P in the other slot and scales
+    the row in the given slot by kappa."""
     T = P.tower
     rows = ((P.a, P.b), (P.c, P.d))
     fixed, moved = rows[1 - slot], rows[slot]
     i = 0 if moved[0] else 1
-    kappas = set()
+    kappas = []
     for mu in group:
         image = mu.apply(moved)
         kappa = T.div_code(image[i], moved[i])
         if kappa == 0 or mu.apply(fixed) != fixed or image != (
                 T.mul_code(kappa, moved[0]), T.mul_code(kappa, moved[1])):
-            return False
-        kappas.add(kappa)
+            return None
+        kappas.append(kappa)
+    return kappas
+
+
+def _all_roots_of_unity(T: FieldTower, kappas, N) -> bool:
+    """Are kappas N distinct roots of z^N = 1, i.e. all of mu_N?
+
+    A root of z^N = 1 is a kappa with log kappa = 0 mod (q^n - 1)/N.  N
+    distinct roots are all of mu_N, a cyclic group of order N, so a group
+    with these kappas is cyclic without walking the powers of a generator.
+    """
     root = T.mult_order // N
-    return len(group) == len(kappas) == N and all(T.dlog(k) % root == 0 for k in kappas)
+    return len(kappas) == len(set(kappas)) == N and all(T.dlog(k) % root == 0 for k in kappas)
+
+
+def _is_homology_group(P: Mat2, group, slot, N) -> bool:
+    """Is P mu P^-1 = diag(1, kappa) (slot 1) or diag(kappa, 1) (slot 0) for
+    every mu in group, with N distinct kappa, each a root of z^N = 1?"""
+    kappas = _homology_kappas(P, group, slot)
+    return kappas is not None and _all_roots_of_unity(P.tower, kappas, N)
 
 
 @dataclass

@@ -7,15 +7,17 @@ linearly and a, c only through Frobenius powers.  The full solution set is
 therefore the kernel of an (n*en) x (4*en) system over F_p; no search over
 GL(2, q^n) is ever performed.
 
-For scattered f the nonzero solutions form the multiplicative group of a
-matrix field of order q^t with t | n.  This is certified from the kernel
-basis and one multiplicative generator alpha (`_certify.certify_field`): the
-solution set is the F_p-span of the basis, alpha has order q^t - 1, and
-alpha b stays in the set for every basis matrix b, so the powers of alpha
-fill the nonzero part.  The field is simultaneously diagonalized by a matrix
-P of eigen-rows of alpha; conjugation by P is F_p-linear, so only the basis
-matrices are conjugated, and the Frobenius twist on the diagonal is read
-off alpha alone.
+The solution set is kept as that system and its kernel basis
+(`_certify.FpSpace`): its order is p^dim, membership is one matrix-vector
+product, and no element is listed unless a caller asks for the list.  For
+scattered f the nonzero solutions form the multiplicative group of a matrix
+field of order q^t with t | n.  This is certified from the kernel basis and
+one multiplicative generator alpha (`_certify.certify_field`): alpha has
+order q^t - 1 and alpha b stays in the kernel for every basis matrix b, so
+the powers of alpha fill the nonzero part.  The field is simultaneously
+diagonalized by a matrix P of eigen-rows of alpha; conjugation by P is
+F_p-linear, so only the basis matrices are conjugated, and the Frobenius
+twist on the diagonal is read off alpha alone.
 """
 
 from __future__ import annotations
@@ -29,17 +31,13 @@ from .errors import (
     InternalError,
     NoTransversals,
     NonSplitQuadratic,
-    NotAField,
     NotScattered,
-    TooLarge,
 )
-from ._certify import certify_field
-from ._linalg import kernel_mod, span_codes
-from .field_tower import FieldElement, FieldTower, _digits, _pack
+from ._certify import FpSpace, certify_field
+from ._linalg import span_codes
+from .field_tower import FieldElement, FieldTower, _digits
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, linear_set
-
-ENUMERATION_GUARD = 1 << 22
 
 
 class Mat2:
@@ -54,10 +52,6 @@ class Mat2:
     @classmethod
     def identity(cls, tower):
         return cls(tower, 1, 0, 0, 1)
-
-    @classmethod
-    def zero(cls, tower):
-        return cls(tower, 0, 0, 0, 0)
 
     @classmethod
     def diag(cls, tower, x, y):
@@ -178,41 +172,26 @@ def normalize_point(tower, point):
     return (0, 1)
 
 
-@dataclass
-class MatrixField:
+@dataclass(eq=False)
+class MatrixField(FpSpace):
     """The solution set of the stabilizer system, with field certification."""
 
     tower: FieldTower
-    poly: LinearizedPoly | None
-    elements: tuple          # all Mat2, zero included
-    basis: tuple             # F_p-basis of the solution space, as Mat2
-    t: int | None = None     # |elements| = q^t once verified
+    system: np.ndarray       # F_p-matrix whose kernel is the solution space
+    basis: tuple             # F_p-basis of that kernel, as Mat2
+    t: int | None = None     # order = q^t once verified
     generator: Mat2 | None = None
     verified: bool = False
     scattered_input: bool = True
-    solution_dim: int = 0    # F_p-dimension of the solution space
-    enumerated: bool = True  # False when the space was too large to list
-    _eset: frozenset | None = None
     _diag: DiagonalizationResult | None = None
 
-    @property
-    def order(self):
-        return len(self.elements)
+    @staticmethod
+    def key(M):
+        return M.entries()
 
-    @property
-    def group_order(self):
-        return len(self.elements) - 1
-
-    def element_set(self):
-        if self._eset is None:
-            self._eset = frozenset(m.entries() for m in self.elements)
-        return self._eset
-
-    def contains(self, M: Mat2) -> bool:
-        return M.entries() in self.element_set()
-
-    def nonzero(self):
-        return [m for m in self.elements if not m.is_zero()]
+    @staticmethod
+    def from_key(tower, codes):
+        return Mat2(tower, *codes)
 
 
 def _stabilizer_system(f: LinearizedPoly):
@@ -247,7 +226,8 @@ def _stabilizer_system(f: LinearizedPoly):
 def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
     """All M in F_{q^n}^{2x2} with U_f M contained in U_f, as a MatrixField.
 
-    For scattered f the result is the stabilizer field G_f with the zero
+    The result holds the stabilizer system and its kernel basis; no element
+    is listed.  For scattered f it is the stabilizer field G_f with the zero
     matrix adjoined, certified by verify_field.  For non-scattered f the raw
     solution set is returned with verified=False (the field structure is not
     guaranteed then); with check_scattered=True such input raises
@@ -263,28 +243,8 @@ def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
     scattered = is_scattered(f)
     if check_scattered and not scattered:
         raise NotScattered("polynomial is not scattered")
-    A = _stabilizer_system(f)
-    basis_vecs = kernel_mod(A, T.p)
-    dim = len(basis_vecs)
-    en = T.en
-    basis = tuple(
-        Mat2(T, _pack(list(v[0:en]), T.p), _pack(list(v[en:2 * en]), T.p),
-             _pack(list(v[2 * en:3 * en]), T.p), _pack(list(v[3 * en:4 * en]), T.p))
-        for v in basis_vecs)
-    if T.p**dim > ENUMERATION_GUARD:
-        if scattered:
-            raise TooLarge(
-                f"stabilizer of size {T.p}^{dim} is beyond the enumeration guard")
-        # degenerate non-scattered input: report the kernel without listing it
-        field = MatrixField(T, f, (), basis, scattered_input=False,
-                            solution_dim=dim, enumerated=False)
-        cache[f.coeffs] = field
-        return field
-    codes = span_codes(basis_vecs, T.p, en, 4).tolist()
-    elements = tuple(Mat2(T, *row) for row in codes)
-    field = MatrixField(T, f, elements, basis, scattered_input=scattered,
-                        solution_dim=dim)
-    if not any(m.is_identity() for m in elements):
+    field = MatrixField.from_system(T, _stabilizer_system(f), scattered_input=scattered)
+    if not field.contains(Mat2.identity(T)):
         raise InternalError("identity missing from the stabilizer solution set")
     if scattered:
         verify_field(field)
@@ -296,17 +256,15 @@ def verify_field(Mf: MatrixField):
     """Certify that Mf is a commutative matrix field of order q^t, t | n.
 
     One certificate on the F_p-basis and one generator replaces any walk of
-    the elements (see `_certify.certify_field`): |Mf| = q^t with t | n, I in
-    Mf, the elements are distinct and exactly the F_p-span of Mf.basis, the
-    first element alpha of full multiplicative order satisfies
-    alpha^(q^t - 1) = I, and alpha b lies in Mf for every basis matrix b.
-    The powers of alpha are then the whole nonzero part, which proves
-    closure under products, invertibility and commutativity.  alpha is the
-    reported generator.  Raises NotAField naming the failing condition.
+    the elements (see `_certify.certify_field`): |Mf| = q^t with t | n, the
+    basis lies in the kernel of Mf.system, I in Mf, the first element alpha
+    of full multiplicative order in span order satisfies alpha^(q^t - 1) = I,
+    and alpha b lies in Mf for every basis matrix b.  The powers of alpha
+    are then the whole nonzero part, which proves closure under products,
+    invertibility and commutativity.  alpha is the reported generator.
+    Raises NotAField naming the failing condition.
     """
-    T = Mf.tower
-    t, generator = certify_field(T, Mf.elements, Mf.element_set(), Mf.basis,
-                                 Mat2.entries, Mat2.identity(T), Mat2.__mul__)
+    t, generator = certify_field(Mf, Mat2.identity(Mf.tower), Mat2.__mul__)
     Mf.t = t
     Mf.generator = generator
     Mf.verified = True
@@ -327,9 +285,8 @@ class DiagonalizationResult:
     def diag_pairs(self):
         """(x, x^sigma) codes for every element, in the order of Mf.elements.
 
-        The pairs are the F_p-combinations of basis_pairs in the enumeration
-        order of compute_stabilizer; they are rebuilt on every access and
-        never stored.
+        The pairs are the F_p-combinations of basis_pairs in span order;
+        they are rebuilt on every access and never stored.
         """
         T = self.P.tower
         vecs = [_digits(x, T.p, T.en) + _digits(y, T.p, T.en) for x, y in self.basis_pairs]

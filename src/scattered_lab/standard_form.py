@@ -134,13 +134,29 @@ def maps_onto(f: LinearizedPoly, W: Mat2, g: LinearizedPoly) -> bool:
     return v == g.compose(u)
 
 
+def _standard_shape(Mf, W: Mat2, s, t) -> bool:
+    """Is W Mf W^-1 = {diag(al, al^(q^s)) : al in F_(q^t)}?
+
+    Conjugation is F_p-linear, so a conjugated basis inside that F_p-space,
+    whose order q^t equals |Mf| when Mf.t = t, spans all of it.
+    """
+    T = Mf.tower
+    Winv = W.inverse()
+    for b in Mf.basis:
+        c = W * b * Winv
+        if not c.is_diagonal() or T.frob_code(c.a, t) != c.a or T.frob_code(c.a, s) != c.d:
+            return False
+    return True
+
+
 def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     """Standard form of f with the conjugating witness, canonicalized.
 
     Pipeline: diagonalize the stabilizer field by P, push U_f through
     X -> X P^{-1}, read off h, then canonicalize.  The result satisfies
     t_h = t, G_h all diagonal and G_h = {diag(alpha, alpha^{q^s})} over
-    F_{q^t}; those consequences are re-verified on every call.
+    F_{q^t}; those consequences are re-verified on every call, the last on
+    G_h = Pc G_f Pc^-1, which follows from U_f Pc^-1 = U_h.
     """
     T = f.tower
     cache = T.cache("standard_form")
@@ -172,14 +188,7 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     s, t = h_c.standard_form_params()
     if math.gcd(s, t) != 1:
         raise InternalError("standard form of a scattered polynomial must have (s, t) = 1")
-    # G_h is certified to be the F_p-span of its basis; a basis inside the
-    # F_p-space {diag(al, al^(q^s)) : al in F_(q^t)} of the same order q^t
-    # spans all of it
-    Gh = compute_stabilizer(h_c)
-    if any(not m.is_diagonal() for m in Gh.basis):
-        raise InternalError("stabilizer of the standard form is not diagonal")
-    if Gh.t != t or any(T.frob_code(m.a, t) != m.a or T.frob_code(m.a, s) != m.d
-                        for m in Gh.basis):
+    if t != Mf.t or not _standard_shape(Mf, Pc, s, t):
         raise InternalError("stabilizer of the standard form has unexpected shape")
     result = StandardFormResult(h_c, Pc, s, t, canonical=True)
     cache[f.coeffs] = result
@@ -237,19 +246,17 @@ def gl_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult:
     """Decide U_f ~ U_g under GL(2, q^n), with witness when equivalent.
 
     Both inputs must be scattered.  Inside the standard-form class the
-    question reduces to equality of canonical forms; mixed membership is
-    immediately non-equivalent (the stabilizer order is a GL-invariant);
-    outside the class only the diagonal/antidiagonal structural witnesses
-    are searched and failure is reported as undecidable.
+    question reduces to equality of canonical forms; different stabilizer
+    orders are immediately non-equivalent (the order is a GL-invariant, and
+    equal orders put both inputs in the class or both out of it); outside
+    the class only the diagonal/antidiagonal structural witnesses are
+    searched and failure is reported as undecidable.
     """
     if not is_scattered(f) or not is_scattered(g):
         raise NotScattered("equivalence testing is defined for scattered inputs")
-    sf, sg = in_class_S(f), in_class_S(g)
-    if sf != sg:
-        return EquivalenceResult(False, "GL", reason="stabilizer orders differ")
     if compute_stabilizer(f).order != compute_stabilizer(g).order:
         return EquivalenceResult(False, "GL", reason="stabilizer orders differ")
-    if not sf:
+    if not in_class_S(f):
         return _non_s_scan(f, g)
     rf, rg = to_standard_form(f), to_standard_form(g)
     if rf.h != rg.h:
@@ -270,8 +277,8 @@ def gammal_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult
     if not is_scattered(f) or not is_scattered(g):
         raise NotScattered("equivalence testing is defined for scattered inputs")
     T = f.tower
-    sf, sg = in_class_S(f), in_class_S(g)
-    if sf != sg:
+    # the stabilizer order is a GammaL-invariant: G_(g^sigma) = (G_g)^sigma
+    if compute_stabilizer(f).order != compute_stabilizer(g).order:
         return EquivalenceResult(False, "GammaL", reason="stabilizer orders differ")
     undecidable = False
     for k in range(T.en):

@@ -10,14 +10,15 @@ standard forms (the only copies that still run on table-less towers), a
 rank per codeword class, a scan over every class of H_f, a
 walk of every spread component, a walk of every power of a field generator
 (for G_f and for the right idealizer), a conjugation of every element of
-G_f and an image of every element of G_f in the right idealizer.  The plane
+G_f, an image of every element of G_f in the right idealizer, and a second
+census and kernel for the stabilizer of each standard form.  The plane
 audits have theirs too: the spread audit's component count, meet kernels
 and point walk (spread_cover_by_walk), the image of every component under
 each probe scalar (kernel_scalar_by_walk), the power walk of each homology
 group (cyclic_by_walk) and the sampled conjugations of the decomposition
-audit (decomposition_by_sampling).  They reuse the library's element lists,
-stabilizer, diagonalization and spread lookup, but none of the replaced
-logic.
+audit (decomposition_by_sampling).  They reuse the library's element lists
+(built on request from the kernel basis), stabilizer, diagonalization and
+spread lookup, but none of the replaced logic.
 """
 
 import itertools
@@ -599,3 +600,17 @@ def stabilizer_images_by_walk(f):
     iset = right_idealizer(code_of(f)).element_set()
     images = {stabilizer_to_right_idealizer(M, f).coeffs for M in Mf.elements}
     return len(images) == Mf.order and images == iset
+
+
+def standard_form_stabilizer_by_census(f, sf):
+    """(G_h, W G_f W^-1) for the standard form sf of f with witness W = sf.P:
+    the stabilizer of h recomputed from scratch (a second census and
+    kernel), and the set of every element of G_f conjugated by W."""
+    Gh = compute_stabilizer(sf.h)
+    Winv = sf.P.inverse()
+    return Gh, frozenset((sf.P * m * Winv).entries() for m in compute_stabilizer(f).elements)
+
+
+def standard_shape_by_walk(T, eset, s, t):
+    """Is the element set exactly {diag(al, al^(q^s)) : al in F_(q^t)}?"""
+    return eset == {(al, 0, 0, T.frob_code(al, s)) for al in T.subfield_elements(t)}

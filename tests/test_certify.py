@@ -2,10 +2,13 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from scattered_lab import mrd
+from scattered_lab._linalg import kernel_mod
 from scattered_lab.errors import Mismatch, NotAField
+from scattered_lab.field_tower import _digits
 from scattered_lab.families import catalog, find_lp_delta, make_lp
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import (
@@ -90,29 +93,35 @@ def test_diagonalization_is_cached_without_pairs(tower):
     assert "diag_pairs" not in stored and len(diagonalize(Mf).basis_pairs) == T.e * Mf.t
 
 
-def _field(T, elements, basis):
-    return MatrixField(T, None, tuple(elements), tuple(basis))
+def _field(T, system, basis):
+    return MatrixField(T, system, tuple(basis))
 
 
-def test_cyclic_group_that_is_not_a_span(tower):
-    # {0} with {diag(x, x^2) : x in F_5^*}: a cyclic group of order 4 under
-    # products, but diag(1, 1) + diag(1, 1) = diag(2, 2) is not in the set
+def _span_system(T, maps):
+    """The F_p-matrix whose kernel is the F_p-span of the matrices `maps`."""
+    vecs = [[d for c in m.entries() for d in _digits(c, T.p, T.en)] for m in maps]
+    return kernel_mod(np.array(vecs), T.p)
+
+
+def test_basis_outside_the_kernel(tower):
+    # diag(2, 4) lies in the cyclic group {diag(x, x^2) : x in F_5^*} but
+    # not in span{I}, the kernel of the system, so the claimed basis does
+    # not belong to the space
     T = tower(5, 1, 4)
-    elems = [Mat2.zero(T)] + [Mat2.diag(T, x, x * x % 5) for x in range(1, 5)]
-    for basis in ((Mat2.identity(T),), (elems[2],)):
-        with pytest.raises(NotAField):
-            verify_field(_field(T, elems, basis))
-    with pytest.raises(NotAField):
-        field_by_walk(_field(T, elems, (Mat2.identity(T),)))
+    system = _span_system(T, [Mat2.identity(T)])
+    verify_field(_field(T, system, [Mat2.identity(T)]))
+    for basis in ((Mat2.diag(T, 2, 4),), (Mat2.identity(T), Mat2.diag(T, 2, 4))):
+        with pytest.raises(NotAField, match="outside the kernel"):
+            verify_field(_field(T, system, basis))
 
 
 def test_algebra_without_a_full_order_unit(tower):
     # span{I, E12} is closed under products (E12^2 = 0) but has nilpotents
     T = tower(5, 1, 4)
     E12 = Mat2(T, 0, 1, 0, 0)
-    elems = [Mat2(T, a, b, 0, a) for a in range(5) for b in range(5)]
+    basis = (Mat2.identity(T), E12)
     with pytest.raises(NotAField):
-        verify_field(_field(T, elems, (Mat2.identity(T), E12)))
+        verify_field(_field(T, _span_system(T, basis), basis))
 
 
 def test_span_not_closed_under_the_generator(tower):
@@ -121,22 +130,23 @@ def test_span_not_closed_under_the_generator(tower):
     T = tower(5, 1, 4)
     w = T.subfield_primitive_code(2)
     A = Mat2.diag(T, w, 1)
-    elems = [Mat2.scalar(T, a) + A.scale(b) for a in range(5) for b in range(5)]
-    Mf = _field(T, elems, (Mat2.identity(T), A))
+    basis = (Mat2.identity(T), A)
+    Mf = _field(T, _span_system(T, basis), basis)
     with pytest.raises(NotAField, match="product escapes"):
         verify_field(Mf)
     with pytest.raises(NotAField):
         field_by_walk(Mf)
 
 
-def test_idealizer_certificate_rejects_a_non_span(tower):
+def test_idealizer_basis_outside_the_kernel(tower):
     T = tower(5, 1, 4)
     IR = right_idealizer(code_of(make_lp(T, 1, find_lp_delta(T)).poly))
     verify_idealizer_field(IR, T)
-    # swap one element for a non-member: same order, no longer the span
-    bad = IR.elements[:-1] + (LinearizedPoly.monomial(T, 1),)
-    with pytest.raises(NotAField):
-        verify_idealizer_field(Idealizer("right", bad, IR.basis), T)
+    # swap one basis polynomial for x^q, which is not in the idealizer:
+    # same order, but the basis leaves the kernel of the system
+    bad = IR.basis[:-1] + (LinearizedPoly.monomial(T, 1),)
+    with pytest.raises(NotAField, match="outside the kernel"):
+        verify_idealizer_field(Idealizer("right", T, IR.system, bad), T)
 
 
 def test_idealizer_match_detects_broken_maps(tower, monkeypatch):

@@ -167,6 +167,22 @@ def test_stabilizer_hashes_exposed(specs):
     assert len(doc["linear_set_hash"]) == 16
 
 
+def test_non_scattered_stabilizer_report(specs):
+    # f = x has a 3 en-dimensional solution space over F_p, reported like
+    # any other non-scattered input, from the kernel dimension alone
+    field, _, tmp = specs
+    poly = tmp / "x.json"
+    poly.write_text(json.dumps({"coeffs": ["1", "0", "0", "0"]}))
+    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                            "--tasks", "stabilizer"])
+    assert code == 0
+    doc = json.loads(out)["tasks"]["stabilizer"]
+    assert doc["field_order"] == 5**12 and doc["order"] == 5**12 - 1
+    assert doc["verified_field"] is False and doc["unverified"] is True
+    assert doc["linear_set_hash"] is None and len(doc["poly_hash"]) == 16
+    assert "note" not in doc and "solution_space_dim_over_Fp" not in doc
+
+
 def test_standard_form_task_reports_not_in_s(tmp_path):
     # LP x^q + delta x^(q^4) at (5,5) has |G_f| = q - 1: no standard form
     field = tmp_path / "f5n5.json"

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
+from scattered_lab._linalg import kernel_mod
 from scattered_lab.errors import AllScalar, NoTransversals, NotAField, NotScattered
+from scattered_lab.field_tower import _digits
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.scatter import linear_set, subspace_membership
 from scattered_lab.stabilizer import (
@@ -72,16 +75,27 @@ def test_not_scattered_raises_and_unverified_path(tower):
     with pytest.raises(NotScattered):
         compute_stabilizer(f)
     # the solution space of f = x is huge (3 en-dimensional); it comes back
-    # as an unenumerated kernel basis
+    # as its kernel basis, with nothing listed
     raw = compute_stabilizer(f, check_scattered=False)
     assert not raw.verified and not raw.scattered_input
-    assert not raw.enumerated and raw.solution_dim == 3 * T.en
-    # a small non-scattered example enumerates fully and contains singular
-    # nonzero solutions, so it cannot be a field
+    assert raw.order == T.p ** (3 * T.en)
+    # a small non-scattered example contains singular nonzero solutions, so
+    # it cannot be a field
     T3 = tower(3, 1, 3)
     raw3 = compute_stabilizer(LinearizedPoly.identity(T3), check_scattered=False)
-    assert raw3.enumerated and not raw3.verified
+    assert not raw3.verified
     assert any(not m.is_zero() and m.det() == 0 for m in raw3.elements)
+
+
+def test_large_stabilizer_without_element_list(tower):
+    # 13^6 elements: certified from the kernel basis and one generator,
+    # where listing them was refused with TooLarge
+    T = tower(13, 1, 6)
+    Mf = compute_stabilizer(LinearizedPoly.monomial(T, 1))
+    assert Mf.verified and Mf.t == 6 and Mf.order == 13**6
+    for c in T.subfield_elements(1)[:-1]:
+        assert Mf.contains(Mat2.scalar(T, c))
+    assert not Mf.contains(Mat2(T, 0, 1, 0, 0))
 
 
 def test_order_q_to_t_divides_n(tower):
@@ -106,21 +120,28 @@ def test_non_pseudoregulus_has_proper_subfield(tower):
             assert Mf.t < T.n
 
 
+def _span_field(T, basis, system_of=None):
+    """MatrixField with the given basis and the system whose kernel is the
+    F_p-span of system_of (default: of basis)."""
+    vecs = [[d for c in m.entries() for d in _digits(c, T.p, T.en)]
+            for m in (system_of or basis)]
+    return MatrixField(T, kernel_mod(np.array(vecs), T.p), tuple(basis))
+
+
 def test_verify_field_on_manual_sets(tower):
     T = tower(5, 1, 4)
     # the scalar field {d I : d in F_q} with zero
-    elems = [Mat2.scalar(T, c) for c in T.subfield_elements(1)]
-    Mf = MatrixField(T, None, tuple(elems), (Mat2.identity(T),))
+    Mf = _span_field(T, [Mat2.identity(T)])
+    assert Mf.element_set() == {Mat2.scalar(T, c).entries() for c in range(5)}
     t, gen = verify_field(Mf)
     assert t == 1 and gen.power(4).is_identity()
-    # a broken set: drop one element
-    broken = MatrixField(T, None, tuple(elems[:-2] + [elems[-1]]), (Mat2.identity(T),))
+    # a basis matrix outside the kernel of the system
+    with pytest.raises(NotAField, match="outside the kernel"):
+        verify_field(_span_field(T, [Mat2.identity(T), Mat2(T, 0, 1, 0, 0)],
+                                 system_of=[Mat2.identity(T)]))
+    # a span with a singular nonzero element
     with pytest.raises(NotAField):
-        verify_field(broken)
-    # a set with a singular nonzero element
-    bad = MatrixField(T, None, tuple(elems + [Mat2(T, 1, 1, 1, 1)]), (Mat2.identity(T),))
-    with pytest.raises(NotAField):
-        verify_field(bad)
+        verify_field(_span_field(T, [Mat2.identity(T), Mat2(T, 1, 1, 1, 1)]))
 
 
 def test_diagonalize_pseudoregulus_is_identity(tower):

@@ -4,6 +4,7 @@ from scattered_lab.errors import InternalError, NotInS, NotScattered, NotStandar
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
+    catalog,
     find_lp_delta,
     find_psi_h,
     make_lp,
@@ -14,6 +15,7 @@ from scattered_lab.scatter import is_scattered, linear_set
 from scattered_lab.standard_form import (
     _ab_min,
     _branches,
+    _standard_shape,
     canonicalize,
     gammal_equivalent,
     gl_equivalent,
@@ -23,7 +25,12 @@ from scattered_lab.standard_form import (
 )
 from scattered_lab.stabilizer import compute_stabilizer
 
-from oracles import ab_min_by_scan, canonical_by_scan
+from oracles import (
+    ab_min_by_scan,
+    canonical_by_scan,
+    standard_form_stabilizer_by_census,
+    standard_shape_by_walk,
+)
 
 
 def test_in_class_S_examples(tower):
@@ -90,6 +97,25 @@ def test_standard_form_stabilizer_shape(tower):
     assert all(m.is_diagonal() for m in Gh.elements)
     predicted = {(al, 0, 0, T.frob_code(al, sf.s)) for al in T.subfield_elements(sf.t)}
     assert Gh.element_set() == frozenset(predicted)
+
+
+def test_standard_form_stabilizer_is_the_conjugated_field(tower):
+    for key in ((5, 1, 4), (7, 1, 4), (5, 1, 6), (7, 1, 6)):
+        T = tower(*key)
+        for inst in catalog(T):
+            Mf = compute_stabilizer(inst.poly)
+            if Mf.t == 1:
+                continue
+            sf = to_standard_form(inst.poly)
+            Gh, conjugated = standard_form_stabilizer_by_census(inst.poly, sf)
+            assert Gh.order == len(conjugated) == Mf.order
+            assert Gh.element_set() == conjugated
+            assert standard_shape_by_walk(T, conjugated, sf.s, sf.t)
+            assert _standard_shape(Mf, sf.P, sf.s, sf.t)
+            # a twist off by one (mod t) is rejected by both checks
+            wrong = (sf.s + 1) % sf.t
+            assert not standard_shape_by_walk(T, conjugated, wrong, sf.t)
+            assert not _standard_shape(Mf, sf.P, wrong, sf.t)
 
 
 def test_not_in_S_raises(tower):
