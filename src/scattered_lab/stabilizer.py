@@ -5,7 +5,9 @@ stabilizes U_f exactly when b x + d f(x) = f(a x + c f(x)) as q-polynomials,
 which is F_p-linear in the coordinates of (a, b, c, d): b and d enter
 linearly and a, c only through Frobenius powers.  The full solution set is
 therefore the kernel of an (n*en) x (4*en) system over F_p; no search over
-GL(2, q^n) is ever performed.
+GL(2, q^n) is ever performed.  With g in place of f on the right-hand side
+the same system gives S(f, g) = {M : U_f M in U_g}, which decides
+equivalence (`standard_form.gl_equivalent`).
 
 The solution set is kept as that system and its kernel basis
 (`_certify.FpSpace`): its order is p^dim, membership is one matrix-vector
@@ -28,6 +30,7 @@ import numpy as np
 
 from .errors import (
     AllScalar,
+    HallCase,
     InternalError,
     NoTransversals,
     NonSplitQuadratic,
@@ -174,7 +177,12 @@ def normalize_point(tower, point):
 
 @dataclass(eq=False)
 class MatrixField(FpSpace):
-    """The solution set of the stabilizer system, with field certification."""
+    """The solution set S(f, g) of a pair system (`_pair_system`).
+
+    For g = f it is G_f with zero adjoined, certified as a field by
+    verify_field; for other scattered g (n >= 3) it is {0} or (G_f with zero)
+    times any one of its nonzero elements.
+    """
 
     tower: FieldTower
     system: np.ndarray       # F_p-matrix whose kernel is the solution space
@@ -194,31 +202,32 @@ class MatrixField(FpSpace):
         return Mat2(tower, *codes)
 
 
-def _stabilizer_system(f: LinearizedPoly):
-    """The F_p-matrix whose kernel is {(a,b,c,d) : b x + d f = f(a x + c f)}."""
+def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
+    """The F_p-matrix whose kernel is S(f, g) = {(a,b,c,d) : b x + d f = g(a x + c f)}.
+
+    S(f, g) is the set of M with U_f M contained in U_g; S(f, f) is G_f with
+    zero adjoined.  Slot q^k reads b [k = 0] + d f_k = g_k a^(q^k) +
+    sum_i g_i f_(k-i)^(q^i) c^(q^i), so the a- and c-blocks carry g's
+    coefficients and the d-block carries f's.
+    """
     T = f.tower
     n, en, p = T.n, T.en, T.p
-    # K[k][i] = f_i * f_{(k-i) mod n}^{q^i}, the q^k-slot weight of c^{q^i}
-    K = [[0] * n for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            fi = f.coeffs[i]
-            fj = f.coeffs[(k - i) % n]
-            K[k][i] = T.mul_code(fi, T.frob_code(fj, i)) if fi and fj else 0
     A = np.zeros((n * en, 4 * en), dtype=np.int64)
     for k in range(n):
         rows = slice(k * en, (k + 1) * en)
-        fk = f.coeffs[k]
-        if fk:
-            mul_fk = T.mul_matrix(fk)
-            A[rows, 0:en] = (-mul_fk @ T.frob_power_matrix(k)) % p
-            A[rows, 3 * en:4 * en] = mul_fk
+        if g.coeffs[k]:
+            A[rows, 0:en] = (-T.mul_matrix(g.coeffs[k]) @ T.frob_power_matrix(k)) % p
+        if f.coeffs[k]:
+            A[rows, 3 * en:4 * en] = T.mul_matrix(f.coeffs[k])
         if k == 0:
             A[rows, en:2 * en] = np.eye(en, dtype=np.int64)
         blk = np.zeros((en, en), dtype=np.int64)
         for i in range(n):
-            if K[k][i]:
-                blk = (blk + T.mul_matrix(K[k][i]) @ T.frob_power_matrix(i)) % p
+            gi, fj = g.coeffs[i], f.coeffs[(k - i) % n]
+            if gi and fj:
+                # g_i f_(k-i)^(q^i), the q^k-slot weight of c^(q^i)
+                w = T.mul_code(gi, T.frob_code(fj, i))
+                blk = (blk + T.mul_matrix(w) @ T.frob_power_matrix(i)) % p
         A[rows, 2 * en:3 * en] = (-blk) % p
     return A % p
 
@@ -231,7 +240,8 @@ def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
     matrix adjoined, certified by verify_field.  For non-scattered f the raw
     solution set is returned with verified=False (the field structure is not
     guaranteed then); with check_scattered=True such input raises
-    NotScattered instead.
+    NotScattered instead.  Scattered input with n = 2 raises HallCase before
+    the system is built: the field structure needs n >= 3.
     """
     T = f.tower
     cache = T.cache("stabilizer")
@@ -243,7 +253,10 @@ def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
     scattered = is_scattered(f)
     if check_scattered and not scattered:
         raise NotScattered("polynomial is not scattered")
-    field = MatrixField.from_system(T, _stabilizer_system(f), scattered_input=scattered)
+    if scattered and T.n == 2:
+        # at n = 2 rank-1 solutions exist and the solution set is no field
+        raise HallCase("the stabilizer of a scattered polynomial needs n >= 3")
+    field = MatrixField.from_system(T, _pair_system(f, f), scattered_input=scattered)
     if not field.contains(Mat2.identity(T)):
         raise InternalError("identity missing from the stabilizer solution set")
     if scattered:

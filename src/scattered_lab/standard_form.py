@@ -7,6 +7,11 @@ of the simultaneous diagonalization of the stabilizer; the remaining (a, b,
 inversion) freedom is resolved by an exhaustive scan over b with the lowest
 coefficient normalized to 1, taking the lexicographically smallest
 coefficient vector in the g^k element order (zero sorts last).
+
+Equivalence is one F_p-kernel, S(f, g) = {M : U_f M in U_g}.  For scattered
+f, g with n >= 3 a rank-1 M would put n - 1 >= 2 F_q-dimensions of U_g on
+one F_(q^n)-line, so every nonzero M is invertible and the kernel is nonzero
+exactly when U_f ~ U_g.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .errors import InternalError, NotBijective, NotInS, NotScattered, NotStanda
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
-from .stabilizer import Mat2, compute_stabilizer, diagonalize
+from .stabilizer import Mat2, MatrixField, _pair_system, compute_stabilizer, diagonalize
 
 
 @dataclass
@@ -197,8 +202,8 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
 
 @dataclass
 class EquivalenceResult:
-    equivalent: bool | None      # None = undecidable by this artifact
-    mode: str                    # "GL", "GammaL" or "Undecidable"
+    equivalent: bool
+    mode: str                    # "GL" or "GammaL"
     witness: Mat2 | None = None
     sigma_p_exponent: int | None = None
     reason: str = ""
@@ -212,84 +217,58 @@ class EquivalenceResult:
         return doc
 
 
-def _branches(r: LinearizedPoly):
-    out = [(r, False)]
-    try:
-        out.append((r.invert(), True))
-    except NotBijective:
-        pass
-    return out
+def _witness(f: LinearizedPoly, g: LinearizedPoly) -> Mat2 | None:
+    """A W with U_f W = U_g, or None when S(f, g) = {0}.
+
+    S(f, g) = (G_f with zero) W, so its order must equal |G_f| + 1.
+    """
+    S = MatrixField.from_system(f.tower, _pair_system(f, g))
+    if not S.basis:
+        return None
+    if S.order != compute_stabilizer(f).order:
+        raise InternalError(f"|S(f, g)| = {S.order} differs from |G_f| + 1")
+    W = S.basis[0]
+    if not maps_onto(f, W, g):
+        raise InternalError("kernel witness fails the exhaustive check")
+    return W
 
 
-def _non_s_scan(f: LinearizedPoly, g: LinearizedPoly):
-    """(a, b)-orbit and inversion search for polynomials without standard form."""
-    T = f.tower
-    J = Mat2(T, 0, 1, 1, 0)
-    for rf, inv_f in _branches(f):
-        pf, af, bf = _ab_min(rf)
-        for rg, inv_g in _branches(g):
-            pg, ag, bg = _ab_min(rg)
-            if pf.coeffs != pg.coeffs:
-                continue
-            # U_canon = U_f [J?] D_f = U_g [J?] D_g with D = diag(b^{-1}, a)
-            Df = Mat2.diag(T, T.inv_code(bf), af)
-            Dg = Mat2.diag(T, T.inv_code(bg), ag)
-            W = (J if inv_f else Mat2.identity(T)) * Df
-            W = W * (( (J if inv_g else Mat2.identity(T)) * Dg).inverse())
-            if maps_onto(f, W, g):
-                return EquivalenceResult(True, "GL", witness=W)
-    return EquivalenceResult(None, "Undecidable",
-                             reason="no structural witness; full GL search is out of scope")
+def _preconditions(f: LinearizedPoly, g: LinearizedPoly) -> bool:
+    """Both inputs scattered; True when their stabilizer orders agree."""
+    if not is_scattered(f) or not is_scattered(g):
+        raise NotScattered("equivalence testing is defined for scattered inputs")
+    return compute_stabilizer(f).order == compute_stabilizer(g).order
 
 
 def gl_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult:
     """Decide U_f ~ U_g under GL(2, q^n), with witness when equivalent.
 
-    Both inputs must be scattered.  Inside the standard-form class the
-    question reduces to equality of canonical forms; different stabilizer
-    orders are immediately non-equivalent (the order is a GL-invariant, and
-    equal orders put both inputs in the class or both out of it); outside
-    the class only the diagonal/antidiagonal structural witnesses are
-    searched and failure is reported as undecidable.
+    Both inputs must be scattered.  Different stabilizer orders are
+    immediately non-equivalent (the order is a GL-invariant).  Otherwise the
+    answer is the kernel S(f, g), and its first basis matrix is the witness;
+    n = 2 is refused with HallCase by compute_stabilizer.
     """
-    if not is_scattered(f) or not is_scattered(g):
-        raise NotScattered("equivalence testing is defined for scattered inputs")
-    if compute_stabilizer(f).order != compute_stabilizer(g).order:
+    if not _preconditions(f, g):
         return EquivalenceResult(False, "GL", reason="stabilizer orders differ")
-    if not in_class_S(f):
-        return _non_s_scan(f, g)
-    rf, rg = to_standard_form(f), to_standard_form(g)
-    if rf.h != rg.h:
-        return EquivalenceResult(False, "GL", reason="canonical standard forms differ")
-    W = rf.P.inverse() * rg.P
-    if not maps_onto(f, W, g):
-        raise InternalError("assembled witness fails the exhaustive check")
+    W = _witness(f, g)
+    if W is None:
+        return EquivalenceResult(False, "GL", reason="no nonzero M with U_f M in U_g")
     return EquivalenceResult(True, "GL", witness=W)
 
 
 def gammal_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult:
-    """Decide equivalence under GammaL(2, q^n) by scanning coefficient twists.
+    """Decide equivalence under GammaL(2, q^n), one kernel per coefficient twist.
 
     Loops sigma over all p-power automorphisms applied to g; equivalent when
-    some twist is GL-equivalent to f.  The witness pair (P, sigma) satisfies
-    U_f P = U_{g^sigma}.
+    some twist g^sigma has a nonzero S(f, g^sigma).  The witness pair
+    (P, sigma) satisfies U_f P = U_{g^sigma}.  Scatteredness and the
+    stabilizer order are checked once: g^sigma is scattered with g, and
+    G_(g^sigma) = (G_g)^sigma.
     """
-    if not is_scattered(f) or not is_scattered(g):
-        raise NotScattered("equivalence testing is defined for scattered inputs")
-    T = f.tower
-    # the stabilizer order is a GammaL-invariant: G_(g^sigma) = (G_g)^sigma
-    if compute_stabilizer(f).order != compute_stabilizer(g).order:
+    if not _preconditions(f, g):
         return EquivalenceResult(False, "GammaL", reason="stabilizer orders differ")
-    undecidable = False
-    for k in range(T.en):
-        gk = g.twist(k)
-        res = gl_equivalent(f, gk)
-        if res.equivalent:
-            return EquivalenceResult(True, "GammaL", witness=res.witness,
-                                     sigma_p_exponent=k)
-        if res.equivalent is None:
-            undecidable = True
-    if undecidable:
-        return EquivalenceResult(None, "Undecidable",
-                                 reason="GL search undecidable for some twist")
+    for k in range(f.tower.en):
+        W = _witness(f, g.twist(k))
+        if W is not None:
+            return EquivalenceResult(True, "GammaL", witness=W, sigma_p_exponent=k)
     return EquivalenceResult(False, "GammaL", reason="no coefficient twist matches")

@@ -16,9 +16,14 @@ audits have theirs too: the spread audit's component count, meet kernels
 and point walk (spread_cover_by_walk), the image of every component under
 each probe scalar (kernel_scalar_by_walk), the power walk of each homology
 group (cyclic_by_walk) and the sampled conjugations of the decomposition
-audit (decomposition_by_sampling).  They reuse the library's element lists
-(built on request from the kernel basis), stabilizer, diagonalization and
-spread lookup, but none of the replaced logic.
+audit (decomposition_by_sampling).  Equivalence has two: the routes that
+the kernel S(f, g) replaced, canonical standard forms inside the class
+(gl_by_standard_forms) and the diagonal/antidiagonal witness search outside
+it (non_s_scan), and a brute-force search of all of GL(2, q^n) on small
+fields (gl_solutions_by_brute_force).  They reuse the library's element
+lists (built on request from the kernel basis), stabilizer,
+diagonalization, standard forms and spread lookup, but none of the replaced
+logic.
 """
 
 import itertools
@@ -33,6 +38,7 @@ from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
+from scattered_lab.standard_form import _ab_min, maps_onto, to_standard_form
 
 
 def poly_divides(d, a, p):
@@ -614,3 +620,77 @@ def standard_form_stabilizer_by_census(f, sf):
 def standard_shape_by_walk(T, eset, s, t):
     """Is the element set exactly {diag(al, al^(q^s)) : al in F_(q^t)}?"""
     return eset == {(al, 0, 0, T.frob_code(al, s)) for al in T.subfield_elements(t)}
+
+
+def branches(r):
+    """[(r, False)], plus (r^-1, True) when r is bijective."""
+    out = [(r, False)]
+    try:
+        out.append((r.invert(), True))
+    except NotBijective:
+        pass
+    return out
+
+
+def non_s_scan(f, g):
+    """A diagonal or antidiagonal W with U_f W = U_g, or None.
+
+    The structural search that once decided GL-equivalence for |G_f| = q - 1:
+    f, g and their inverses are (a, b)-normalized by _ab_min, and a match of
+    normal forms gives W = [J] D_f ([J] D_g)^-1 with D = diag(b^-1, a) and J
+    the antidiagonal swap.  None proves nothing: deeper witnesses are missed.
+    """
+    T = f.tower
+    J = Mat2(T, 0, 1, 1, 0)
+    for rf, inv_f in branches(f):
+        pf, af, bf = _ab_min(rf)
+        for rg, inv_g in branches(g):
+            pg, ag, bg = _ab_min(rg)
+            if pf.coeffs != pg.coeffs:
+                continue
+            Df = Mat2.diag(T, T.inv_code(bf), af)
+            Dg = Mat2.diag(T, T.inv_code(bg), ag)
+            W = (J * Df if inv_f else Df) * (J * Dg if inv_g else Dg).inverse()
+            if maps_onto(f, W, g):
+                return W
+    return None
+
+
+def gl_by_standard_forms(f, g):
+    """(equivalent, W) for f, g in the standard-form class (t > 1).
+
+    The essential uniqueness of standard forms: U_f ~ U_g exactly when the
+    canonical standard forms agree, and then W = P_f^-1 P_g.
+    """
+    rf, rg = to_standard_form(f), to_standard_form(g)
+    if rf.h != rg.h:
+        return False, None
+    return True, rf.P.inverse() * rg.P
+
+
+def gl_solutions_by_brute_force(f, g):
+    """Every M = (a b; c d) over F_(q^n) with U_f M contained in U_g.
+
+    Searches all (a, c) in F_(q^n)^2 at once on full addition and
+    multiplication tables built from scalar code arithmetic.  For each pair,
+    (b, d) is solved from the points x = 1 and x = gen, whose rows (1, f(1))
+    and (gen, f(gen)) are F_(q^n)-independent for scattered f, and the
+    candidate is checked on every x.  Returns the solutions as (a, b, c, d).
+    """
+    T = f.tower
+    N = T.size
+    add = np.array([[T.add_code(x, y) for y in range(N)] for x in range(N)])
+    mul = np.array([[T.mul_code(x, y) for y in range(N)] for x in range(N)])
+    neg = np.array([T.neg_code(x) for x in range(N)])
+    X = np.arange(N)
+    FX = np.array([f.evaluate_code(x) for x in X])
+    GX = np.array([g.evaluate_code(x) for x in X])
+    A, C = np.repeat(X, N), np.tile(X, N)
+    R = GX[add[mul[A[:, None], X], mul[C[:, None], FX]]]
+    gen = T.gen_code
+    det = int(add[FX[gen], neg[mul[gen, FX[1]]]])
+    assert det != 0, "the rows at x = 1 and x = gen are dependent"
+    D = mul[add[R[:, gen], neg[mul[gen, R[:, 1]]]], T.inv_code(det)]
+    B = add[R[:, 1], neg[mul[D, FX[1]]]]
+    ok = (add[mul[B[:, None], X], mul[D[:, None], FX]] == R).all(axis=1)
+    return [tuple(int(v) for v in m) for m in zip(A[ok], B[ok], C[ok], D[ok])]

@@ -183,6 +183,27 @@ def test_non_scattered_stabilizer_report(specs):
     assert "note" not in doc and "solution_space_dim_over_Fp" not in doc
 
 
+def test_n2_scattered_input_refused_as_hall_case(tmp_path):
+    # x^q over F_(5^2) is scattered, but its solution set is no field at
+    # n = 2: stabilizer, standard-form and equiv refuse it before any solve
+    field = tmp_path / "f5n2.json"
+    field.write_text(json.dumps({"p": 5, "e": 1, "n": 2, "seed": 0}))
+    poly = tmp_path / "xq.json"
+    poly.write_text(json.dumps({"coeffs": ["0", "1"]}))
+    for argv in (["stabilizer", "--field", str(field), "--poly", str(poly)],
+                 ["standard-form", "--field", str(field), "--poly", str(poly)],
+                 ["equiv", "--field", str(field), str(poly), str(poly)]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "HallCase"
+    # non-scattered input keeps its unverified report
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"coeffs": ["1", "0"]}))
+    code, out, _ = run_cli(["stabilizer", "--field", str(field), "--poly", str(x)])
+    assert code == 0
+    assert json.loads(out)["tasks"]["stabilizer"]["unverified"] is True
+
+
 def test_standard_form_task_reports_not_in_s(tmp_path):
     # LP x^q + delta x^(q^4) at (5,5) has |G_f| = q - 1: no standard form
     field = tmp_path / "f5n5.json"

@@ -1,6 +1,6 @@
 import pytest
 
-from scattered_lab.errors import InternalError, NotInS, NotScattered, NotStandard
+from scattered_lab.errors import InternalError, NotBijective, NotInS, NotScattered, NotStandard
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
@@ -12,22 +12,26 @@ from scattered_lab.families import (
     psi_standard_form_closed,
 )
 from scattered_lab.scatter import is_scattered, linear_set
+from scattered_lab.stabilizer import Mat2, MatrixField, _pair_system, compute_stabilizer
 from scattered_lab.standard_form import (
     _ab_min,
-    _branches,
     _standard_shape,
     canonicalize,
     gammal_equivalent,
     gl_equivalent,
+    image_polynomial,
     in_class_S,
     maps_onto,
     to_standard_form,
 )
-from scattered_lab.stabilizer import compute_stabilizer
 
 from oracles import (
     ab_min_by_scan,
+    branches,
     canonical_by_scan,
+    gl_by_standard_forms,
+    gl_solutions_by_brute_force,
+    non_s_scan,
     standard_form_stabilizer_by_census,
     standard_shape_by_walk,
 )
@@ -202,21 +206,115 @@ def test_gl_requires_scattered(tower):
 
 
 def test_gl_non_S_pair(tower):
-    # outside the standard-form class only structural witnesses are found
+    # outside the standard-form class the kernel decides every pair
     T5 = tower(5, 1, 5)
     lp5 = make_lp(T5, 1, find_lp_delta(T5)).poly
+    assert lp5.coeffs == LinearizedPoly.from_json(
+        T5, {"coeffs": ["0", "g^0", "0", "0", "g^1"]}).coeffs
     g = lp5.transform(7, 11)
     res = gl_equivalent(lp5, g)
     assert res.equivalent is True and maps_onto(lp5, res.witness, g)
     gi = lp5.invert().transform(3, 2)
     res2 = gl_equivalent(lp5, gi)
     assert res2.equivalent is True and maps_onto(lp5, res2.witness, gi)
-    # a different non-S polynomial of the same stabilizer order: undecidable
-    other = make_lp(T5, 1, find_lp_delta(T5, index=5)).poly
-    res3 = gl_equivalent(lp5, other)
-    assert res3.equivalent in (None, True)
-    if res3.equivalent is None:
-        assert res3.mode == "Undecidable"
+    # LP with delta = g^2 and g^7: the same stabilizer order, not equivalent
+    for k in (2, 7):
+        other = LinearizedPoly.from_json(T5, {"coeffs": ["0", "g^0", "0", "0", f"g^{k}"]})
+        res3 = gl_equivalent(lp5, other)
+        assert res3.equivalent is False and res3.mode == "GL" and res3.witness is None
+    # an image that no diagonal or antidiagonal witness reaches
+    image = LinearizedPoly.from_json(
+        T5, {"coeffs": ["g^837", "g^476", "g^3107", "g^2912", "g^600"]})
+    assert non_s_scan(lp5, image) is None
+    res4 = gl_equivalent(lp5, image)
+    assert res4.equivalent is True and res4.mode == "GL"
+    assert maps_onto(lp5, res4.witness, image)
+
+
+def _with_images(T, polys, rng, count):
+    """polys followed by count GL-images U_f W of each."""
+    out = list(polys)
+    for f in polys:
+        made = 0
+        while made < count:
+            W = Mat2(T, *(rng.randrange(T.size) for _ in range(4)))
+            if W.det() == 0:
+                continue
+            try:
+                out.append(image_polynomial(f, W))
+            except NotBijective:
+                continue
+            made += 1
+    return out
+
+
+def test_kernel_agrees_with_standard_forms_and_structural_scan(tower):
+    # every equal-order pair of catalog and LP instances and their GL-images: the
+    # kernel answer equals the standard-form route when t > 1, and is True
+    # wherever the diagonal/antidiagonal scan finds a witness
+    decided = {(in_s, eq): 0 for in_s in (True, False) for eq in (True, False)}
+    for key in ((5, 1, 4), (7, 1, 4), (5, 1, 5), (5, 1, 6)):
+        T = tower(*key)
+        sources = [inst.poly for inst in catalog(T)]
+        sources += [make_lp(T, 1, find_lp_delta(T, index=i)).poly for i in (1, 2)]
+        polys = _with_images(T, sources, T.rng("kernel-diff"), 1)
+        for f in polys:
+            Gf = compute_stabilizer(f)
+            for g in polys:
+                if compute_stabilizer(g).order != Gf.order:
+                    continue
+                res = gl_equivalent(f, g)
+                assert res.equivalent is (res.witness is not None)
+                if res.equivalent:
+                    assert maps_onto(f, res.witness, g)
+                if Gf.t > 1:
+                    expected, W = gl_by_standard_forms(f, g)
+                    assert res.equivalent is expected
+                    assert W is None or maps_onto(f, W, g)
+                else:
+                    W = non_s_scan(f, g)
+                    assert W is None or (res.equivalent and maps_onto(f, W, g))
+                decided[Gf.t > 1, res.equivalent] += 1
+    assert min(decided.values()) > 0
+
+
+def test_kernel_agrees_with_brute_force_over_gl_2_81(tower):
+    # all of GL(2, 81) against S(f, g), on every equal-order pair of the
+    # catalog at (3,4) and LP instances with delta-indices 1..7
+    T = tower(3, 1, 4)
+    polys = {inst.poly.coeffs: inst.poly for inst in catalog(T)}
+    for i in range(1, 8):
+        lp = make_lp(T, 1, find_lp_delta(T, index=i)).poly
+        polys.setdefault(lp.coeffs, lp)
+    pairs = negatives = 0
+    for f in polys.values():
+        for g in polys.values():
+            if compute_stabilizer(f).order != compute_stabilizer(g).order:
+                continue
+            solutions = gl_solutions_by_brute_force(f, g)
+            S = MatrixField.from_system(T, _pair_system(f, g))
+            invertible = [m for m in solutions if Mat2(T, *m).det() != 0]
+            singular = [m for m in solutions if Mat2(T, *m).det() == 0]
+            assert singular == [(0, 0, 0, 0)]
+            assert frozenset(solutions) == S.element_set()
+            res = gl_equivalent(f, g)
+            assert len(invertible) == (S.order - 1 if res.equivalent else 0)
+            pairs += 1
+            negatives += not res.equivalent
+    assert (pairs, negatives) == (68, 32)
+
+
+def test_pair_system_is_the_stabilizer_times_a_witness(tower):
+    # S(f, f) is G_f with zero, and S(f, g) = (G_f with zero) W for U_g = U_f W
+    for key in ((5, 1, 4), (5, 1, 5)):
+        T = tower(*key)
+        W = Mat2(T, 2, 3, 5, 7)
+        for inst in catalog(T):
+            f = inst.poly
+            Gf = compute_stabilizer(f)
+            assert Gf.order == inst.predicted_order + 1
+            S = MatrixField.from_system(T, _pair_system(f, image_polynomial(f, W)))
+            assert S.element_set() == frozenset((m * W).entries() for m in Gf.elements)
 
 
 def test_gammal_twist(tower):
@@ -224,10 +322,25 @@ def test_gammal_twist(tower):
     psi = make_psi(T, find_psi_h(T, 3), 3, 1).poly
     res = gammal_equivalent(psi, psi.twist(1))
     assert res.equivalent is True
-    assert res.sigma_p_exponent is not None
-    # reflexive with the identity twist
+    assert maps_onto(psi, res.witness, psi.twist(1).twist(res.sigma_p_exponent))
+    # reflexive: the identity twist comes first
     res0 = gammal_equivalent(psi, psi)
-    assert res0.equivalent is True
+    assert res0.equivalent is True and res0.sigma_p_exponent == 0
+
+
+def test_gammal_non_S_pair(tower):
+    # an image of a twist of LP at (5,5) is found with its twist; delta = g^2
+    # is inequivalent under every twist
+    T = tower(5, 1, 5)
+    lp5 = make_lp(T, 1, find_lp_delta(T)).poly
+    W = Mat2(T, 3, 5, 8, 13)
+    for k in range(T.en):
+        g = image_polynomial(lp5.twist(k), W)
+        res = gammal_equivalent(lp5, g)
+        assert res.equivalent is True and res.mode == "GammaL"
+        assert maps_onto(lp5, res.witness, g.twist(res.sigma_p_exponent))
+    other = LinearizedPoly.from_json(T, {"coeffs": ["0", "g^0", "0", "0", "g^2"]})
+    assert gammal_equivalent(lp5, other).equivalent is False
 
 
 def test_gammal_inequivalent_psis(tower):
@@ -284,7 +397,7 @@ def test_invert_internal_error_propagates(monkeypatch):
     with pytest.raises(InternalError):
         maps_onto(f, gen, f)
     with pytest.raises(InternalError):
-        _branches(f)
+        branches(f)
     with pytest.raises(InternalError):
         canonicalize(LinearizedPoly(T, h.coeffs))
     with pytest.raises(InternalError, match="broken inversion"):
