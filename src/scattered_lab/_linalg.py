@@ -192,27 +192,3 @@ def fe_inverse(A):
     if pivots != list(range(m)):
         return None
     return [row[m:] for row in R]
-
-
-def fe_kernel(A):
-    """Basis of the right kernel over field elements (list of vectors)."""
-    R, pivots = fe_rref(A)
-    ncols = len(A[0])
-    zero = A[0][0] - A[0][0]
-    one = None
-    for row in A:
-        for v in row:
-            if not v.is_zero():
-                one = v * v.inverse()
-                break
-        if one is not None:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = [zero] * ncols
-        vec[c] = one if one is not None else zero
-        for r, pc in enumerate(pivots):
-            vec[pc] = zero - R[r][c]
-        basis.append(vec)
-    return basis

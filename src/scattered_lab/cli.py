@@ -100,14 +100,13 @@ def _stabilizer_doc(T, f):
 
 def _task_mrd(T, f, args):
     C = mrd.code_of(f)
-    # the census below needs tables: refuse before any rank is sampled
+    # the census in min_distance needs tables: refuse up front, naming the task
     T.require_tables("the mrd task")
-    mode = "exact" if not args.sample_mrd else "sample"
-    d = mrd.min_distance(C, mode=mode, class_bound=args.exact_mrd_bound)
+    d = mrd.min_distance(C)
     doc = {
         "min_distance": d,
         "is_mrd": bool(d == T.n - 1 and not C.degenerate),
-        "mode": mode,
+        "mode": "exact",
     }
     if is_scattered(f):
         rep = mrd.check_idealizer_matches_stabilizer(f)
@@ -256,9 +255,6 @@ def build_parser():
         p.add_argument("--emit-points", action="store_true")
         p.add_argument("--oracle", action="store_true",
                        help="cross-check with the naive quadratic algorithms")
-        p.add_argument("--sample-mrd", action="store_true")
-        p.add_argument("--exact-mrd-bound", type=int, default=1 << 20)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="run a comma-separated list of tasks")
     add_common(p)
@@ -291,7 +287,6 @@ def build_parser():
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--delta", default=None)
     p.add_argument("--h", default=None)
-    p.add_argument("--find-h", action="store_true", help="search for a valid h (default)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=cmd_families)

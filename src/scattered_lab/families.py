@@ -10,15 +10,14 @@ ComputationOnly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParams, InternalError, UnsupportedParams
-from ._linalg import kernel_mod
-from .field_tower import FieldTower, _pack
+from ._linalg import kernel_mod, span_codes
+from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
 
@@ -66,14 +65,7 @@ def _diag_set(T: FieldTower, t: int, s: int) -> frozenset:
 def twisted_eigenspace(T: FieldTower, s: int, sign: int) -> list:
     """All codes with x^{q^s} = sign * x (sign is +1 or -1), via an F_p-kernel."""
     mat = (T.frob_power_matrix(s) - sign * np.eye(T.en, dtype=np.int64)) % T.p
-    basis = kernel_mod(mat, T.p)
-    out = []
-    for combo in itertools.product(range(T.p), repeat=len(basis)):
-        v = np.zeros(T.en, dtype=np.int64)
-        for c, b in zip(combo, basis):
-            v = (v + c * b) % T.p
-        out.append(_pack(list(v), T.p))
-    return out
+    return span_codes(kernel_mod(mat, T.p), T.p, T.en, 1)[:, 0].tolist()
 
 
 def psi_theta(T: FieldTower, h, t, s):

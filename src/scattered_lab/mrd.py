@@ -28,8 +28,6 @@ from .linearized import LinearizedPoly
 from .scatter import slope_census
 from .stabilizer import compute_stabilizer
 
-EXACT_CLASS_BOUND = 1 << 20
-
 
 @dataclass
 class RdCode:
@@ -77,43 +75,20 @@ def code_of(f: LinearizedPoly) -> RdCode:
     return RdCode(f.tower, f)
 
 
-def min_distance(C: RdCode, mode="exact", sample_size=2000, seed=0,
-                 class_bound=EXACT_CLASS_BOUND) -> int:
-    """Minimum rank over nonzero codewords.
+def min_distance(C: RdCode) -> int:
+    """Minimum rank over nonzero codewords, read off the slope census of f.
 
-    Exact mode reads the distance off the slope census of f, with no rank
-    computation.  The word x + b f (b != 0) vanishes exactly on 0 and the
-    fiber of f(x)/x at -1/b, and f vanishes on its kernel, so every class
-    has rank n - log_q(fiber + 1); the class (1, 0) has rank n.  Hence
+    No rank is computed.  The word x + b f (b != 0) vanishes exactly on 0
+    and the fiber of f(x)/x at -1/b, and f vanishes on its kernel, so every
+    class has rank n - log_q(fiber + 1); the class (1, 0) has rank n.  Hence
     d = n - k for the largest fiber dimension k < n, with k = 0 when every
     fiber is trivial (dimension n is the zero word, when f is c x or 0).
-    Sample mode ranks seeded random classes (1, b) and the class (0, 1) and
-    yields an upper bound only; it is meant for fields too large for the
-    census.
+    The census needs exp/log tables and refuses other fields with TooLarge.
     """
     T = C.tower
-    n_classes = T.size + 1
-    if mode == "exact":
-        if n_classes > class_bound:
-            raise TooLarge(f"{n_classes} projective classes exceed the exact-mode bound; "
-                           "request sampling mode")
-        census = slope_census(C.f)
-        dims = {T.log_q(c + 1) for c in set(census.counts) | {census.kernel_count}}
-        return T.n - max(k for k in dims | {0} if k < T.n)
-    p, e = T.p, T.e
-    Mf = C.f.fp_matrix()
-    eye = np.eye(T.en, dtype=np.int64)
-    best = T.n + 1
-    rng = T.rng(("min_distance", seed))
-    for _ in range(sample_size):
-        M = (eye + T.mul_matrix(rng.randrange(T.size)) @ Mf) % p
-        r = rank_mod(M, p) // e
-        if 0 < r < best:
-            best = r
-    r_inf = rank_mod(Mf, p) // e  # the class (0, 1)
-    if 0 < r_inf < best:
-        best = r_inf
-    return best
+    census = slope_census(C.f)
+    dims = {T.log_q(c + 1) for c in set(census.counts) | {census.kernel_count}}
+    return T.n - max(k for k in dims | {0} if k < T.n)
 
 
 def min_distance_naive(C: RdCode) -> int:

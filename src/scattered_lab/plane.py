@@ -5,19 +5,21 @@ linear set of f, together with the multiplicative translates h U_f.  The
 latter are stored by coset representative (h modulo F_q^*), so components
 have O(1) membership tests and the plane is never materialized pointwise.
 
-Collineation classification, the collineation-group check and the spread
-and kernel audits are closed forms over discrete logs, not walks over
-H_f = F_{q^n}^* G_f, over the components or over points.  The eigenvalue
-logs of the diagonalized stabilizer locate the homologies of each
-stabilizer class directly; the generators of H_f are checked by one exact
-polynomial identity and one vectorized map on slopes; the homology groups
-and the audits rest on two facts already certified: f is scattered (the
+Collineation classification, the collineation-group check, the Andre
+witness and the spread and kernel audits are closed forms, not walks over
+H_f = F_{q^n}^* G_f, over its classes, over the components, over points or
+over F_{q^t}.  They rest on two facts already certified: f is scattered (the
 slope census) and G_f = P^-1 {diag(alpha, alpha^(q^s))} P (diagonalize).
+The homology groups are the cyclic groups generated by P^-1 diag(1, kappa_0)
+P and P^-1 diag(kappa_0, 1) P with kappa_0 = omega^(q^s)/omega; the
+generators of H_f are checked by one exact polynomial identity and one
+vectorized map on slopes; the invariant subgroup of the Andre witness is
+checked on an F_p-basis of F_{q^t}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     HallCase,
@@ -26,11 +28,11 @@ from .errors import (
     NotScattered,
     SmallQ,
 )
-from ._linalg import kernel_mod, solve_mod
-from .field_tower import FieldTower, _digits, _pack
+from ._linalg import kernel_mod, solve_mod, span_codes
+from .field_tower import FieldTower, _digits
 from .linearized import LinearizedPoly, add_code_arrays
-from .scatter import is_scattered, linear_set, slope_census
-from .stabilizer import Mat2, compute_stabilizer, diagonalize
+from .scatter import is_scattered, slope_census
+from .stabilizer import Mat2, compute_stabilizer, diagonalize, transversal_points
 from .standard_form import image_polynomial, maps_onto
 
 import numpy as np
@@ -232,9 +234,7 @@ class HomologyReport:
     t: int
     X: tuple | None
     Y: tuple | None
-    group_order: int             # order of each symmetric homology group
-    group_X: list = field(default_factory=list, repr=False)
-    group_Y: list = field(default_factory=list, repr=False)
+    group_order: int             # order N of each symmetric homology group
     cyclic_ok: bool = False
     exchange_ok: bool = False
     elations: int = 0
@@ -265,89 +265,52 @@ class HomologyReport:
 def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     """Affine central collineations of the plane with axis through the origin.
 
-    Covers all of H_f modulo kernel homologies.  Each class is d M with d in
-    a transversal of F_{q^n}^*/F_q^* and M in a transversal of G_f/F_q^*;
-    in diagonalized coordinates its eigenvalues are (d x, d x^(q^s)), so the
-    class contains a homology exactly when one eigenvalue can be scaled to 1
-    by a kernel homology while the other stays different from 1.  That
-    happens only for log d = -log x or -log y modulo (q^n - 1)/(q - 1), so
-    each stabilizer class visits at most two d and the work is
-    O((q^t - 1)/(q - 1)); central_classes_scanned still counts every class
-    d M covered.  For t = 1, H_f is the scalar group and d I - I is
-    invertible for every d != 1, so there is no central collineation.
-    Elations would show up as defective classes, which cannot occur in a
-    simultaneously diagonalizable family; the count is still computed.
+    Read from the certified diagonal form G_f = P^-1 {diag(alpha,
+    alpha^(q^s))} P, with no walk of G_f or of H_f = F_{q^n}^* G_f.  Every
+    element of H_f is d P^-1 diag(alpha, alpha^(q^s)) P, which fixes a
+    nonzero vector exactly when d alpha or d alpha^(q^s) is 1; scaled so,
+    it is P^-1 diag(1, kappa) P or P^-1 diag(kappa, 1) P with kappa =
+    alpha^(q^s - 1) a power of kappa_0 = omega^(q^s)/omega, omega primitive
+    in F_{q^t}.  So the homologies form two cyclic groups, generated by
+    mu_X = P^-1 diag(1, kappa_0) P and mu_Y = P^-1 diag(kappa_0, 1) P, each
+    fixing one row of P (its axis) and scaling the other (its center); the
+    centers X and Y are the transversal points.  The groups have order
+    N = (q^t - 1)/(q - 1) exactly when kappa_0 has order N, the condition
+    that also makes the factorization of H_f into a kernel homology times
+    diag(1, kappa) unique; any other order raises InternalError.  Both
+    generators are scalar multiples of A = P^-1 diag(omega, omega^(q^s)) P
+    or of its inverse (mu_X = omega^-1 A, mu_Y = omega^(q^s) A^-1), so the
+    one membership test A in G_f ties P and s to the stabilizer; cyclic_ok
+    and exchange_ok report it.  central_classes_scanned counts the
+    N (q^n - 1)/(q - 1) classes d M of H_f modulo F_q^* that this covers.
+    For t = 1, H_f is the scalar group and d I - I is invertible for every
+    d != 1, so there is no central collineation.
     """
     _plane_preconditions(f)
     T = f.tower
-    spread = build_spread(f)
     Mf = compute_stabilizer(f)
     t = Mf.t
     q = T.q
-    M_order = T.mult_order
-    step = M_order // (q - 1)
+    step = T.mult_order // (q - 1)
     hf_order = (q**T.n - 1) * (q**t - 1) // (q - 1)
     if t == 1:
         # H_f consists of the scalar maps d I; for d != 1 the map d I - I is
         # invertible, so no nonidentity element fixes a nonzero point and
         # there is no affine central collineation at all.
-        return HomologyReport("i", 1, None, None, 1, [], [], True, True, 0,
-                              step, hf_order, True)
+        return HomologyReport("i", 1, None, None, 1, True, True, 0, step, hf_order, True)
+    X, Y = transversal_points(f)
     diag = diagonalize(Mf)
-    s = diag.s
-    X, Y = diag.eigen_points   # the rows of P, normalized
-    L = linear_set(f)
-    for pt in (X, Y):
-        if pt[0] == 1 and L.contains_slope(pt[1]):
-            raise InternalError("candidate center lies on the linear set")
-        if spread.component_of(pt if pt[0] else (0, 1))[0] == "U":
-            raise InternalError("candidate center is not a Desarguesian component")
-    # M-classes: one representative per projective class of G_f; x = 0
-    # only for the zero matrix
-    classes = {}
-    for m, (x, y) in zip(Mf.elements, diag.diag_pairs):
-        if x:
-            classes.setdefault(T.dlog(x) % step, (m, x, y))
-    if len(classes) != (q**t - 1) // (q - 1):
-        raise InternalError("unexpected number of stabilizer classes")
-    group_X, group_Y = [], []
-    elations = 0
-    for m, x, y in classes.values():
-        lx, ly = T.dlog(x), T.dlog(y)
-        if lx == ly and not m.is_scalar():
-            elations += 1  # defective class; cannot occur in a diagonalizable family
-        # a class d m holds a homology only when d x or d y lies in F_q^*
-        for dd in sorted({-lx % step, -ly % step}):
-            ex = (dd + lx) % step == 0   # d*x lands in F_q^*
-            ey = (dd + ly) % step == 0
-            if ex and ey and (lx - ly) % M_order == 0:
-                continue  # the kernel-homology class of the identity
-            d = T.pow_code(T.gen_code, dd)
-            lam = m.scale(d)
-            if ex:
-                mu = lam.scale(T.inv_code(T.mul_code(d, x)))
-                group_X.append(mu)
-            if ey:
-                mu = lam.scale(T.inv_code(T.mul_code(d, y)))
-                group_Y.append(mu)
-    expected = (q**t - 1) // (q - 1)
-    idm = Mat2.identity(T)
-    group_X = [m for m in group_X if not m.is_identity()]
-    group_Y = [m for m in group_Y if not m.is_identity()]
-    ok_sizes = len(group_X) == expected - 1 and len(group_Y) == expected - 1
-    if not ok_sizes:
-        raise InternalError("homology group sizes disagree with (q^t-1)/(q-1)")
-    group_X.append(idm)
-    group_Y.append(idm)
-    # group_X fixes its axis, the first row of P, pointwise and scales its
-    # center, the second row; group_Y the other way round
-    kappas = (_homology_kappas(diag.P, group_X, 1), _homology_kappas(diag.P, group_Y, 0))
-    exchange_ok = None not in kappas
-    cyclic_ok = exchange_ok and all(_all_roots_of_unity(T, k, expected) for k in kappas)
-    decomposition_ok = _homology_factor_order(T, s, t) == expected
-    return HomologyReport("ii", t, X, Y, expected, group_X, group_Y,
-                          cyclic_ok, exchange_ok, elations, len(classes) * step,
-                          hf_order, decomposition_ok)
+    N = (q**t - 1) // (q - 1)
+    if _homology_factor_order(T, diag.s, t) != N:
+        raise InternalError("homology factor has unexpected order")
+    omega = T.subfield_primitive_code(t)
+    A = diag.P.inverse() * Mat2.diag(T, omega, T.frob_code(omega, diag.s)) * diag.P
+    generators_ok = Mf.contains(A)
+    # elations = 0: with the certified diagonal form, a class whose two
+    # eigenvalues are equal is scalar
+    return HomologyReport("ii", t, X, Y, N, cyclic_ok=generators_ok, exchange_ok=generators_ok,
+                          elations=0, central_classes_scanned=N * step, H_f_order=hf_order,
+                          decomposition_ok=True)
 
 
 def _homology_factor_order(T: FieldTower, s, t):
@@ -361,44 +324,6 @@ def _homology_factor_order(T: FieldTower, s, t):
     """
     omega = T.subfield_primitive_code(t)
     return T.order_of(T.div_code(T.frob_code(omega, s), omega))
-
-
-def _homology_kappas(P: Mat2, group, slot):
-    """The kappa with P mu P^-1 = diag(1, kappa) (slot 1) or diag(kappa, 1)
-    (slot 0) for each mu in group, or None when some mu is not of that form:
-    P mu = D P says that mu fixes the row of P in the other slot and scales
-    the row in the given slot by kappa."""
-    T = P.tower
-    rows = ((P.a, P.b), (P.c, P.d))
-    fixed, moved = rows[1 - slot], rows[slot]
-    i = 0 if moved[0] else 1
-    kappas = []
-    for mu in group:
-        image = mu.apply(moved)
-        kappa = T.div_code(image[i], moved[i])
-        if kappa == 0 or mu.apply(fixed) != fixed or image != (
-                T.mul_code(kappa, moved[0]), T.mul_code(kappa, moved[1])):
-            return None
-        kappas.append(kappa)
-    return kappas
-
-
-def _all_roots_of_unity(T: FieldTower, kappas, N) -> bool:
-    """Are kappas N distinct roots of z^N = 1, i.e. all of mu_N?
-
-    A root of z^N = 1 is a kappa with log kappa = 0 mod (q^n - 1)/N.  N
-    distinct roots are all of mu_N, a cyclic group of order N, so a group
-    with these kappas is cyclic without walking the powers of a generator.
-    """
-    root = T.mult_order // N
-    return len(kappas) == len(set(kappas)) == N and all(T.dlog(k) % root == 0 for k in kappas)
-
-
-def _is_homology_group(P: Mat2, group, slot, N) -> bool:
-    """Is P mu P^-1 = diag(1, kappa) (slot 1) or diag(kappa, 1) (slot 0) for
-    every mu in group, with N distinct kappa, each a root of z^N = 1?"""
-    kappas = _homology_kappas(P, group, slot)
-    return kappas is not None and _all_roots_of_unity(P.tower, kappas, N)
 
 
 @dataclass
@@ -443,9 +368,13 @@ class ReducibilityWitness:
 def reducibility_witness(f: LinearizedPoly, h=1):
     """Executable certificate that the plane is not a generalized Andre plane.
 
-    Returns a PseudoregulusCase marker when t = n (the plane is then an
-    Andre plane and no witness exists); raises NotInS when the stabilizer is
-    trivial.
+    The component W = (h U_f) P^-1 is the graph of g = image_polynomial(f,
+    h P^-1) and is fixed by P G_f P^-1 = {diag(alpha, alpha^(q^s))}.  The
+    witness is that this group also fixes the proper subgroup
+    {(y, g(y)) : y in F_{q^t}}, checked on an F_p-basis by
+    _andre_subgroup_invariant.  Returns a PseudoregulusCase marker when
+    t = n (the plane is then an Andre plane and no witness exists); raises
+    NotInS when the stabilizer is trivial.
     """
     _plane_preconditions(f)
     T = f.tower
@@ -455,23 +384,31 @@ def reducibility_witness(f: LinearizedPoly, h=1):
     if Mf.t == T.n:
         return PseudoregulusCase(Mf.t)
     diag = diagonalize(Mf)
-    s = diag.s
     t = Mf.t
     hc = h if isinstance(h, int) else h.code
     Pinv = diag.P.inverse()
     hU = Mat2.scalar(T, hc) * Pinv      # X -> X (h I) P^{-1} carries U_f onto W
     g = image_polynomial(f, hU)
-    subfield = T.subfield_elements(t)
-    sub_set = set(subfield)
-    checked = 0
-    for al in subfield[:-1]:
-        D = Mat2.diag(T, al, T.frob_code(al, s))
-        for y in subfield:
-            yy, gy = D.apply((y, g.evaluate_code(y)))
-            if yy not in sub_set or g.evaluate_code(yy) != gy:
-                raise InternalError("invariant-subgroup check failed")
-            checked += 1
+    if not _andre_subgroup_invariant(g, diag.s, t):
+        raise InternalError("invariant-subgroup check failed")
     return ReducibilityWitness(hc, g, t, T.q**t, T.q**t - 1, True)
+
+
+def _andre_subgroup_invariant(g: LinearizedPoly, s, t) -> bool:
+    """Does every diag(alpha, alpha^(q^s)), alpha in F_{q^t}, map the subgroup
+    {(y, g(y)) : y in F_{q^t}} into itself, i.e. g(alpha y) = alpha^(q^s) g(y)?
+
+    Both sides are F_p-bilinear in (alpha, y), so the identity holds on all
+    of F_{q^t} x F_{q^t} once it holds for alpha and y in the F_p-basis
+    omega^i (i < e t) of F_{q^t}, omega primitive: (e t)^2 checks instead
+    of (q^t - 1) q^t.
+    """
+    T = g.tower
+    omega = T.subfield_primitive_code(t)
+    basis = [T.pow_code(omega, i) for i in range(T.e * t)]
+    return all(g.evaluate_code(T.mul_code(al, y))
+               == T.mul_code(T.frob_code(al, s), g.evaluate_code(y))
+               for al in basis for y in basis)
 
 
 def semilinear_part_audit(f: LinearizedPoly, sample_size=6, seed=0) -> dict:
@@ -508,21 +445,13 @@ def semilinear_part_audit(f: LinearizedPoly, sample_size=6, seed=0) -> dict:
         n_solutions = 0
         if sol is not None:
             hom = kernel_mod(A, T.p)
-            seen = set()
-            import itertools as _it
-
-            combos = _it.product(range(T.p), repeat=len(hom)) if len(hom) <= 4 else [()]
-            for combo in combos:
-                v = sol.copy()
-                for c, hv in zip(combo, hom):
-                    v = (v + c * hv) % T.p
-                key = tuple(int(z) for z in v)
-                if key in seen:
-                    continue
-                seen.add(key)
-                en = T.en
-                Acand = Mat2(T, _pack(list(v[0:en]), T.p), _pack(list(v[en:2 * en]), T.p),
-                             _pack(list(v[2 * en:3 * en]), T.p), _pack(list(v[3 * en:]), T.p))
+            if len(hom) > 4:
+                hom = hom[:0]             # too many: the particular solution alone
+            # sol plus every F_p-combination of the kernel basis, in the
+            # order of itertools.product: the span rows whose sol digit is 1
+            rows = range(T.p ** len(hom), 2 * T.p ** len(hom))
+            for entries in span_codes([sol, *hom], T.p, T.en, 4, rows).tolist():
+                Acand = Mat2(T, *entries)
                 if Acand.det() == 0:
                     continue
                 n_solutions += 1

@@ -7,7 +7,10 @@ The rest are the enumerations that closed forms, certificates and the
 table-only census replaced in the library: the scalar-arithmetic scans over
 F_{q^n}^* for r-partial scatteredness and for the (a, b)-normalization of
 standard forms (the only copies that still run on table-less towers), a
-rank per codeword class, a scan over every class of H_f, a
+rank per codeword class and a seeded sample of them
+(min_distance_by_sampling, an upper bound that also runs on table-less
+towers), a scan over every class of H_f (central_classes_by_scan) with
+the listed homology groups it is compared with (homology_groups), a
 walk of every spread component, a walk of every power of a field generator
 (for G_f and for the right idealizer), a conjugation of every element of
 G_f, an image of every element of G_f in the right idealizer, and a second
@@ -15,8 +18,12 @@ census and kernel for the stabilizer of each standard form.  The plane
 audits have theirs too: the spread audit's component count, meet kernels
 and point walk (spread_cover_by_walk), the image of every component under
 each probe scalar (kernel_scalar_by_walk), the power walk of each homology
-group (cyclic_by_walk) and the sampled conjugations of the decomposition
-audit (decomposition_by_sampling).  Equivalence has two: the routes that
+group (cyclic_by_walk), the list check of each homology group
+(is_homology_group: each element fixes one row of P and scales the other,
+with N distinct kappa, all in mu_N), the sampled
+conjugations of the decomposition audit (decomposition_by_sampling) and the
+walk of every pair (alpha, y) for the invariant subgroup of the Andre
+witness (andre_subgroup_by_walk).  Equivalence has two: the routes that
 the kernel S(f, g) replaced, canonical standard forms inside the class
 (gl_by_standard_forms) and the diagonal/antidiagonal witness search outside
 it (non_s_scan), and a brute-force search of all of GL(2, q^n) on small
@@ -221,6 +228,24 @@ def min_distance_by_ranks(C):
     return min((r for r in ranks if r > 0), default=T.n + 1)
 
 
+def min_distance_by_sampling(C, sample_size=2000, seed=0):
+    """Upper bound on the minimum distance of C_f from the ranks of seeded
+    random classes (1, b) and of the class (0, 1).
+
+    Runs in generic arithmetic, so it also answers on table-less towers,
+    where the census (and with it the library's exact distance) refuses.
+    """
+    T = C.tower
+    p, e = T.p, T.e
+    Mf = C.f.fp_matrix()
+    eye = np.eye(T.en, dtype=np.int64)
+    rng = T.rng(("min_distance", seed))
+    ranks = [rank_mod((eye + T.mul_matrix(rng.randrange(T.size)) @ Mf) % p, p) // e
+             for _ in range(sample_size)]
+    ranks.append(rank_mod(Mf, p) // e)
+    return min((r for r in ranks if r > 0), default=T.n + 1)
+
+
 def _fixed_vector(T, lam):
     """A nonzero row vector v with v lam = v, or None."""
     delta = lam - Mat2.identity(T)
@@ -240,9 +265,10 @@ def _fixed_vector(T, lam):
 def central_classes_by_scan(f):
     """(group_X, group_Y, elations, scanned) by visiting every class d M of H_f.
 
-    group_X and group_Y hold the homologies found, identity excluded, in
-    the order of the scan; for t = 1 every scalar class is checked to fix no
-    nonzero vector and both groups are empty.
+    group_X and group_Y hold the homologies found, identity excluded, sorted
+    by kappa = trace(mu) - 1 in g^k order (a homology is conjugate to
+    diag(1, kappa) or diag(kappa, 1)); for t = 1 every scalar class is
+    checked to fix no nonzero vector and both groups are empty.
     """
     T = f.tower
     Mf = compute_stabilizer(f)
@@ -277,8 +303,12 @@ def central_classes_by_scan(f):
                 group_X.append(lam.scale(T.inv_code(T.mul_code(d, x))))
             if ey:
                 group_Y.append(lam.scale(T.inv_code(T.mul_code(d, y))))
-    group_X = [m for m in group_X if not m.is_identity()]
-    group_Y = [m for m in group_Y if not m.is_identity()]
+
+    def kappa_order(mu):
+        return T.element_key(T.sub_code(T.add_code(mu.a, mu.d), 1))
+
+    group_X = sorted((m for m in group_X if not m.is_identity()), key=kappa_order)
+    group_Y = sorted((m for m in group_Y if not m.is_identity()), key=kappa_order)
     return group_X, group_Y, elations, scanned
 
 
@@ -418,6 +448,76 @@ def cyclic_by_walk(T, elements):
                 walk.add(cur.entries())
             return cur.is_identity() and walk == eset
     return order == 1
+
+
+def homology_groups(P, N):
+    """(group_X, group_Y) in closed form: P^-1 diag(1, kappa) P and
+    P^-1 diag(kappa, 1) P for kappa in mu_N minus 1 in g^k order, then I."""
+    T = P.tower
+    Pinv = P.inverse()
+    root = T.mult_order // N
+    kappas = [T.pow_code(T.gen_code, root * k) for k in range(1, N)]
+    groups = []
+    for slot in (1, 0):
+        # P^-1 diag(1, kappa) P = P^-1 diag(1, 0) P + kappa P^-1 diag(0, 1) P
+        fixed = Pinv * Mat2.diag(T, slot, 1 - slot) * P
+        moved = Pinv * Mat2.diag(T, 1 - slot, slot) * P
+        groups.append([fixed + moved.scale(k) for k in kappas] + [Mat2.identity(T)])
+    return tuple(groups)
+
+
+def _homology_kappas(P, group, slot):
+    """The kappa with P mu P^-1 = diag(1, kappa) (slot 1) or diag(kappa, 1)
+    (slot 0) for each mu in group, or None when some mu is not of that form:
+    P mu = D P says that mu fixes the row of P in the other slot and scales
+    the row in the given slot by kappa."""
+    T = P.tower
+    rows = ((P.a, P.b), (P.c, P.d))
+    fixed, moved = rows[1 - slot], rows[slot]
+    i = 0 if moved[0] else 1
+    kappas = []
+    for mu in group:
+        image = mu.apply(moved)
+        kappa = T.div_code(image[i], moved[i])
+        if kappa == 0 or mu.apply(fixed) != fixed or image != (
+                T.mul_code(kappa, moved[0]), T.mul_code(kappa, moved[1])):
+            return None
+        kappas.append(kappa)
+    return kappas
+
+
+def _all_roots_of_unity(T, kappas, N):
+    """Are kappas N distinct roots of z^N = 1, i.e. all of mu_N?
+
+    A root of z^N = 1 is a kappa with log kappa = 0 mod (q^n - 1)/N.  N
+    distinct roots are all of mu_N, a cyclic group of order N, so a group
+    with these kappas is cyclic without walking the powers of a generator.
+    """
+    root = T.mult_order // N
+    return len(kappas) == len(set(kappas)) == N and all(T.dlog(k) % root == 0 for k in kappas)
+
+
+def is_homology_group(P, group, slot, N):
+    """Is P mu P^-1 = diag(1, kappa) (slot 1) or diag(kappa, 1) (slot 0) for
+    every mu in the listed group, with N distinct kappa, each a root of
+    z^N = 1?"""
+    kappas = _homology_kappas(P, group, slot)
+    return kappas is not None and _all_roots_of_unity(P.tower, kappas, N)
+
+
+def andre_subgroup_by_walk(g, s, t):
+    """Does diag(alpha, alpha^(q^s)) map {(y, g(y)) : y in F_{q^t}} into
+    itself for every alpha in F_{q^t}^*?  Walks all (q^t - 1) q^t pairs."""
+    T = g.tower
+    subfield = T.subfield_elements(t)
+    sub_set = set(subfield)
+    for al in subfield[:-1]:
+        D = Mat2.diag(T, al, T.frob_code(al, s))
+        for y in subfield:
+            yy, gy = D.apply((y, g.evaluate_code(y)))
+            if yy not in sub_set or g.evaluate_code(yy) != gy:
+                return False
+    return True
 
 
 def decomposition_by_sampling(T, Mf, diag, t, samples=64):

@@ -127,7 +127,7 @@ def test_equiv_cli(specs, tmp_path):
 
 def test_families_cli():
     code, out, _ = run_cli(["families", "--family", "5", "--q", "5", "--t", "3",
-                            "--s", "1", "--find-h", "--verify"])
+                            "--s", "1", "--verify"])
     assert code == 0
     doc = json.loads(out)
     assert doc["instance"]["family"] == 5
@@ -222,17 +222,17 @@ def test_standard_form_task_reports_not_in_s(tmp_path):
 def test_analyze_refuses_table_less_field(tmp_path, monkeypatch):
     # 2^24 elements is above the exp/log table bound: the census refuses up
     # front instead of scanning F_{q^n}^* in generic arithmetic, and the mrd
-    # task refuses before it samples a single rank
+    # task refuses before min_distance runs
     field = tmp_path / "f2n24.json"
     field.write_text(json.dumps({"p": 2, "e": 1, "n": 24, "seed": 0}))
     poly = tmp_path / "frobenius.json"
     poly.write_text(json.dumps({"coeffs": ["0", "1"] + ["0"] * 22}))
 
-    def no_sampling(*args, **kwargs):
+    def not_reached(*args, **kwargs):
         raise AssertionError("min_distance ran before the refusal")
 
-    monkeypatch.setattr(mrd, "min_distance", no_sampling)
-    for tasks in (["--tasks", "scatter"], ["--tasks", "mrd", "--sample-mrd"]):
+    monkeypatch.setattr(mrd, "min_distance", not_reached)
+    for tasks in (["--tasks", "scatter"], ["--tasks", "mrd"]):
         start = time.perf_counter()
         code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly)]
                                  + tasks)

@@ -16,7 +16,7 @@ from scattered_lab.mrd import (
 )
 from scattered_lab.stabilizer import compute_stabilizer
 
-from oracles import min_distance_by_ranks
+from oracles import min_distance_by_ranks, min_distance_by_sampling
 
 
 def test_codeword_generators(tower):
@@ -57,12 +57,17 @@ def test_min_distance_naive_agreement(tower):
 def test_min_distance_guards(tower):
     T = tower(5, 1, 4)
     C = code_of(LinearizedPoly.monomial(T, 1))
-    with pytest.raises(TooLarge):
-        min_distance(C, class_bound=100)
-    # sampling mode yields an upper bound on the true distance
+    # sampled ranks yield an upper bound on the true distance
     d_exact = min_distance(C)
-    d_sample = min_distance(C, mode="sample", sample_size=300)
+    d_sample = min_distance_by_sampling(C, sample_size=300)
     assert d_sample >= d_exact
+
+
+def test_exact_distance_on_a_large_table_field():
+    # 2^21 + 1 projective classes: exact mode is one reduction over the
+    # census, with no bound on the number of classes below the table bound
+    T = make_field(2, 1, 21)
+    assert min_distance(code_of(LinearizedPoly.monomial(T, 1))) == 20
 
 
 def test_singleton_equality_for_scattered(tower):
@@ -212,7 +217,7 @@ def test_min_distance_matches_rank_oracle_random(tower, key):
 
 def test_min_distance_no_table_tower():
     # ranks in generic arithmetic on a table-less tower agree with the census
-    # on the table tower; there exact mode refuses and sample mode still runs
+    # on the table tower; there the census refuses and sampled ranks still run
     T = make_field(3, 1, 4, table_bound=0)
     T1 = make_field(3, 1, 4)
     assert not T.has_tables
@@ -225,6 +230,6 @@ def test_min_distance_no_table_tower():
         C = code_of(f)
         d = min_distance(code_of(LinearizedPoly(T1, f.coeffs)))
         assert d == min_distance_by_ranks(C)
-        assert min_distance(C, mode="sample") >= d
+        assert min_distance_by_sampling(C) >= d
         with pytest.raises(TooLarge):
             min_distance(C)

@@ -2,13 +2,17 @@ import dataclasses
 
 import pytest
 
-from scattered_lab.errors import HallCase, NotInS, NotScattered, SmallQ, TooLarge
+import scattered_lab.plane as plane
+from scattered_lab._certify import FpSpace
+from scattered_lab.errors import HallCase, InternalError, NotInS, NotScattered, SmallQ, TooLarge
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
     catalog,
+    find_family3_delta,
     find_lp_delta,
     find_psi_h,
+    make_family3,
     make_lp,
     make_psi,
     psi_theta,
@@ -23,25 +27,36 @@ from scattered_lab.plane import (
     reducibility_witness,
     semilinear_part_audit,
     verify_spread_axioms,
+    _andre_subgroup_invariant,
     _homology_factor_order,
-    _is_homology_group,
     _pointwise_fix_system,
     _component_basis,
     _moebius_preserves_lines,
 )
 from scattered_lab.scatter import is_scattered, linear_set
-from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
-from scattered_lab.standard_form import maps_onto
+from scattered_lab.stabilizer import DiagonalizationResult, Mat2, compute_stabilizer, diagonalize
+from scattered_lab.standard_form import image_polynomial, maps_onto
 from scattered_lab._linalg import solve_mod
 
 from oracles import (
+    andre_subgroup_by_walk,
     central_classes_by_scan,
     cyclic_by_walk,
     decomposition_by_sampling,
+    homology_groups,
+    is_homology_group,
     kernel_scalar_by_walk,
     spread_cover_by_walk,
     spread_walk,
+    _homology_kappas,
 )
+
+
+def _groups(f, hr):
+    """The listed homology groups (group_X, group_Y) of f; empty for t = 1."""
+    if hr.t == 1:
+        return [], []
+    return homology_groups(diagonalize(compute_stabilizer(f)).P, hr.group_order)
 
 
 def _differential_instances(tower):
@@ -134,7 +149,6 @@ def test_classification_pseudoregulus(tower):
     assert {hr.X, hr.Y} == {(1, 0), (0, 1)}
     assert hr.elations == 0 and hr.cyclic_ok and hr.exchange_ok
     assert hr.H_f_order == 624 * 156 and hr.decomposition_ok
-    assert len(hr.group_X) == 156 and len(hr.group_Y) == 156
 
 
 def test_classification_psi(tower):
@@ -163,7 +177,7 @@ def test_homology_elements_fix_structure(tower):
     psi = make_psi(T, find_psi_h(T, 3), 3, 1).poly
     hr = classify_central_collineations(psi)
     sp = build_spread(psi)
-    for mu in hr.group_X:
+    for mu in _groups(psi, hr)[0]:
         if mu.is_identity():
             continue
         vX = (1, hr.X[1]) if hr.X[0] == 1 else (0, 1)
@@ -284,11 +298,12 @@ def test_classification_matches_scan_oracle(tower):
     for f in _differential_instances(tower):
         hr = classify_central_collineations(f)
         group_X, group_Y, elations, scanned = central_classes_by_scan(f)
+        listed_X, listed_Y = _groups(f, hr)
         if hr.t > 1:
-            assert [m.entries() for m in hr.group_X[:-1]] == [m.entries() for m in group_X]
-            assert [m.entries() for m in hr.group_Y[:-1]] == [m.entries() for m in group_Y]
+            assert [m.entries() for m in listed_X[:-1]] == [m.entries() for m in group_X]
+            assert [m.entries() for m in listed_Y[:-1]] == [m.entries() for m in group_Y]
         else:
-            assert hr.group_X == hr.group_Y == group_X == group_Y == []
+            assert listed_X == listed_Y == group_X == group_Y == []
         assert hr.elations == elations
         assert hr.central_classes_scanned == scanned
         ts.add(hr.t)
@@ -381,7 +396,7 @@ def test_homology_closed_forms_match_walks(tower):
         T = f.tower
         Mf = compute_stabilizer(f)
         assert hr.cyclic_ok is True
-        assert cyclic_by_walk(T, hr.group_X) and cyclic_by_walk(T, hr.group_Y)
+        assert all(cyclic_by_walk(T, group) for group in _groups(f, hr))
         assert hr.decomposition_ok is True
         assert decomposition_by_sampling(T, Mf, diagonalize(Mf), hr.t)
         ts.add(hr.t)
@@ -395,9 +410,9 @@ def test_homology_checks_reject_broken_groups(tower):
     Mf = compute_stabilizer(f)
     diag = diagonalize(Mf)
     N = hr.group_order
-    for group, slot in ((hr.group_X, 1), (hr.group_Y, 0)):
-        assert _is_homology_group(diag.P, group, slot, N)
-        assert not _is_homology_group(diag.P, group, 1 - slot, N)
+    for group, slot in zip(_groups(f, hr), (1, 0)):
+        assert is_homology_group(diag.P, group, slot, N)
+        assert not is_homology_group(diag.P, group, 1 - slot, N)
         duplicated = [group[1]] + group[1:]     # one kappa twice, one missing
         # kappa = g, the generator of F_{q^n}^*, is no root of z^N = 1
         kappa_g = Mat2.diag(T, *((1, T.gen_code) if slot else (T.gen_code, 1)))
@@ -405,10 +420,105 @@ def test_homology_checks_reject_broken_groups(tower):
         # -mu moves the axis: N distinct roots, but no homology group
         negated = [mu.scale(T.neg_code(1)) for mu in group]
         for broken in (duplicated, off_root, negated):
-            assert not _is_homology_group(diag.P, broken, slot, N)
+            assert not is_homology_group(diag.P, broken, slot, N)
             assert not cyclic_by_walk(T, broken)
     # a trivial twist s = 0 gives kappa_0 = 1, so the factorization is not unique
     assert _homology_factor_order(T, diag.s, hr.t) == N
     assert _homology_factor_order(T, 0, hr.t) == 1
     assert not decomposition_by_sampling(T, Mf, dataclasses.replace(diag, p_exponent=0),
                                          hr.t)
+
+
+def test_classification_reads_no_element_list(tower, monkeypatch):
+    # x^q over F_(7^6): G_f has 117 649 elements; the homology groups come
+    # from the diagonal form alone
+    def refuse(*_args):
+        raise AssertionError("an element list of G_f was read")
+
+    for name in ("elements", "nonzero", "element_set"):
+        monkeypatch.setattr(FpSpace, name, property(refuse) if name == "elements" else refuse)
+    monkeypatch.setattr(DiagonalizationResult, "diag_pairs", property(refuse))
+    hr = classify_central_collineations(LinearizedPoly.monomial(tower(7, 1, 6), 1))
+    assert hr.case == "ii" and hr.t == 6 and hr.group_order == 19608
+    assert hr.cyclic_ok is hr.exchange_ok is hr.decomposition_ok is True
+    assert hr.elations == 0 and hr.central_classes_scanned == 19608 * 19608
+
+
+def test_reducibility_witness_walks_no_subfield(tower, monkeypatch):
+    # family 3 at (7,6) has t = 3: the witness checks 3 x 3 basis pairs, not
+    # the 342 * 343 pairs of F_(7^3)^* x F_(7^3)
+    T = tower(7, 1, 6)
+    f = make_family3(T, 1, find_family3_delta(T)).poly
+    diagonalize(compute_stabilizer(f))   # certified before the patch
+
+    def refuse(_t):
+        raise AssertionError("the subfield was listed")
+
+    monkeypatch.setattr(T, "subfield_elements", refuse)
+    w = reducibility_witness(f)
+    assert isinstance(w, ReducibilityWitness) and w.verified
+    assert w.t == 3 and w.subgroup_size == 343 and w.stabilizer_order == 342
+
+
+def test_andre_check_matches_walk(tower):
+    T6 = tower(5, 1, 6)
+    ts = set()
+    for f in _differential_instances(tower) + [inst.poly for inst in catalog(T6)]:
+        T = f.tower
+        Mf = compute_stabilizer(f)
+        if not 1 < Mf.t < T.n:
+            continue
+        diag = diagonalize(Mf)
+        s, t = diag.s, Mf.t
+        for h in (1, T.gen_code):
+            g = image_polynomial(f, Mat2.scalar(T, h) * diag.P.inverse())
+            assert reducibility_witness(f, h).g == g
+            assert _andre_subgroup_invariant(g, s, t) is andre_subgroup_by_walk(g, s, t) is True
+            # a wrong twist, and g + g_0 x with g_0 the generator of F_(q^n)^*
+            perturbed = g + LinearizedPoly.identity(T).scale(T.gen_code)
+            for gg, ss in ((g, s + 1), (perturbed, s)):
+                assert _andre_subgroup_invariant(gg, ss, t) is False
+                assert andre_subgroup_by_walk(gg, ss, t) is False
+        ts.add((T.n, t))
+    assert {(4, 2), (6, 2), (6, 3)} <= ts
+
+
+def test_homology_generator_negatives(tower, monkeypatch):
+    # psi at (5,6): t = 2, N = 6, and P has rows (1, theta), (1, -theta)
+    T = tower(5, 1, 6)
+    f = make_psi(T, find_psi_h(T, 3), 3, 1).poly
+    diag = diagonalize(compute_stabilizer(f))
+    P = diag.P
+    group_X, group_Y = homology_groups(P, 6)
+    mu_X, mu_Y = group_X[0], group_Y[0]
+    kappa = _homology_kappas(P, [mu_X], 1)
+    assert kappa is not None and kappa == _homology_kappas(P, [mu_Y], 0)
+    # the wrong slot, and -mu, which moves the axis
+    assert _homology_kappas(P, [mu_X], 0) is None
+    assert _homology_kappas(P, [mu_Y], 1) is None
+    assert _homology_kappas(P, [mu_X.scale(T.neg_code(1))], 1) is None
+    assert _homology_kappas(P, [mu_Y.scale(T.neg_code(1))], 0) is None
+    # the generators are tied to G_f: a transposed P conjugates the wrong
+    # way, so they leave H_f and both flags drop
+    transposed = Mat2(T, P.a, P.c, P.b, P.d)
+    assert transposed != P
+    with monkeypatch.context() as m:
+        m.setattr(plane, "diagonalize", lambda Mf: dataclasses.replace(diag, P=transposed))
+        hr = classify_central_collineations(f)
+    assert hr.cyclic_ok is hr.exchange_ok is False
+    # so does a wrong twist whose kappa_0 still has order N: the
+    # pseudoregulus at (5,5) has s = 1, and s = 2 gives order 781 as well
+    T5 = tower(5, 1, 5)
+    x_q = LinearizedPoly.monomial(T5, 1)
+    diag5 = diagonalize(compute_stabilizer(x_q))
+    assert _homology_factor_order(T5, 2, 5) == 781
+    with monkeypatch.context() as m:
+        m.setattr(plane, "diagonalize", lambda Mf: dataclasses.replace(diag5, p_exponent=2))
+        hr = classify_central_collineations(x_q)
+    assert hr.group_order == 781 and hr.cyclic_ok is hr.exchange_ok is False
+    assert classify_central_collineations(x_q).cyclic_ok is True
+    # a trivial twist gives kappa_0 = 1: the groups collapse
+    monkeypatch.setattr(plane, "diagonalize",
+                        lambda Mf: dataclasses.replace(diagonalize(Mf), p_exponent=0))
+    with pytest.raises(InternalError):
+        classify_central_collineations(f)
