@@ -1,15 +1,10 @@
-"""Small exact linear algebra kernels.
+"""Small exact linear algebra kernels over the prime field F_p.
 
-Two flavours are needed:
-
-* matrices over the prime field F_p, held as numpy int64 arrays; used for the
-  stabilizer and idealizer solution systems and for Frobenius matrices;
-* tiny matrices whose entries are field elements of an extension field
-  (anything exposing +, -, *, inverse and is_zero); used for Moore systems,
-  rank computations over F_q and 2x2 eigen work.
-
-Everything here is plain Gaussian elimination; the systems never exceed a few
-hundred rows at desk scale.
+Matrices are numpy int64 arrays reduced mod p.  They carry the stabilizer
+and idealizer solution systems, the Frobenius and multiplication matrices,
+and the F_p-matrix of a q-polynomial, from which its rank and compositional
+inverse are read.  Everything here is plain Gaussian elimination; the
+systems never exceed a few hundred rows at desk scale.
 """
 
 from __future__ import annotations
@@ -41,10 +36,9 @@ def rref_mod(A, p):
         if i != r:
             R[[r, i]] = R[[i, r]]
         R[r] = (R[r] * _inv_mod(R[r, c], p)) % p
-        mask = np.nonzero(R[:, c])[0]
-        for j in mask:
-            if j != r:
-                R[j] = (R[j] - R[j, c] * R[r]) % p
+        rows_c = np.nonzero(R[:, c])[0]
+        rows_c = rows_c[rows_c != r]
+        R[rows_c] = (R[rows_c] - np.outer(R[rows_c, c], R[r])) % p
         pivots.append(c)
         r += 1
     return R, pivots
@@ -116,79 +110,3 @@ def span_codes(basis_vecs, p, width, blocks, rows=None):
     pvec = p ** np.arange(width, dtype=np.int64)
     return digits.reshape(-1, blocks, width) @ pvec
 
-
-# ---------------------------------------------------------------------------
-# Generic elimination over field-element objects.
-
-
-def fe_rref(rows):
-    """In-place style RREF over a list of lists of field elements.
-
-    Returns (new_rows, pivots). Entries must support arithmetic operators,
-    inverse() and is_zero().
-    """
-    R = [list(row) for row in rows]
-    if not R:
-        return R, []
-    nrows, ncols = len(R), len(R[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sel = None
-        for i in range(r, nrows):
-            if not R[i][c].is_zero():
-                sel = i
-                break
-        if sel is None:
-            continue
-        R[r], R[sel] = R[sel], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [x * inv for x in R[r]]
-        for i in range(nrows):
-            if i != r and not R[i][c].is_zero():
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def fe_rank(rows):
-    return len(fe_rref(rows)[1])
-
-
-def fe_solve(A, b):
-    """Solve Ax = b over field elements; returns a solution list or None."""
-    aug = [list(row) + [v] for row, v in zip(A, b)]
-    R, pivots = fe_rref(aug)
-    ncols = len(A[0])
-    if ncols in pivots:
-        return None
-    zero = b[0] - b[0]
-    x = [zero] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = R[r][ncols]
-    return x
-
-
-def fe_inverse(A):
-    """Inverse of a square field-element matrix, or None if singular."""
-    m = len(A)
-    one = None
-    for row in A:
-        for v in row:
-            if not v.is_zero():
-                one = v * v.inverse()
-                break
-        if one is not None:
-            break
-    if one is None:
-        return None
-    zero = A[0][0] - A[0][0]
-    aug = [list(A[i]) + [one if i == j else zero for j in range(m)] for i in range(m)]
-    R, pivots = fe_rref(aug)
-    if pivots != list(range(m)):
-        return None
-    return [row[m:] for row in R]

@@ -36,10 +36,6 @@ class BadElement(ScatteredLabError):
 
 
 # linearized
-class NotABasis(ScatteredLabError):
-    code = "NotABasis"
-
-
 class NotBijective(ScatteredLabError):
     code = "NotBijective"
 

@@ -12,9 +12,14 @@ pair is precomputed (numpy int64), which makes multiplication, inversion,
 powering, Frobenius and discrete logs O(1) and enables the vectorized bulk
 scans used elsewhere.  Larger fields fall back to generic polynomial
 arithmetic and square-and-multiply exponentiation, which keeps
-constructions, composition, inversion and sampled ranks exact; every
-analysis that enumerates F_{q^n}^* refuses them up front through
+constructions, composition, ranks and inversion exact; every analysis that
+enumerates F_{q^n}^* refuses them up front through
 `FieldTower.require_tables`, which raises TooLarge (CLI exit 2).
+
+Linear algebra over the tower is F_p-linear algebra in the power basis.
+The F_p-trace-dual basis of that basis (`trace_dual_basis`, built once per
+tower) reads power-basis coordinates as traces, which turns the F_p-matrix
+of an F_q-linear map back into its q-polynomial.
 """
 
 from __future__ import annotations
@@ -311,7 +316,7 @@ class FieldTower:
             self._build_tables()
         self._frob_mat = None
         self._frob_pows: dict[int, np.ndarray] = {}
-        self._fq_data = None
+        self._trace_dual = None
         self._caches: dict[str, dict] = {}
 
     # -- table construction ---------------------------------------------
@@ -617,50 +622,29 @@ class FieldTower:
         r2 = self.mul_code(self.sub_code(0, self.add_code(b, s)), inv2)
         return sorted({r1, r2})
 
-    # -- F_q coordinates ---------------------------------------------------
-    def _fq_setup(self):
-        if self._fq_data is None:
-            e, p = self.e, self.p
-            omega = self.subfield_primitive_code(1) if e > 1 else 1
-            omega_pows = [self.pow_code(omega, m) for m in range(e)]
-            # full F_p-basis omega^m * xbar^j of F_{q^n}, column index j*e + m
-            cols = np.zeros((self.en, self.en), dtype=np.int64)
-            for j, xbar_j in enumerate(self.fq_basis_codes):
-                for m in range(e):
-                    cols[:, j * e + m] = _digits(self.mul_code(xbar_j, omega_pows[m]), p, self.en)
-            inv = inv_mod_matrix(cols, p)
-            if inv is None:
-                raise InternalError("power F_q-basis is degenerate")
-            self._fq_data = (omega, omega_pows, inv)
-        return self._fq_data
-
+    # -- trace duality -----------------------------------------------------
     @property
-    def fq_basis_codes(self):
-        """Codes of the F_q-basis 1, xbar, ..., xbar^(n-1) of F_{q^n}."""
-        # xbar^j has the single digit 1 in position j, hence code p^j
-        return [int(self.p**j) for j in range(self.n)]
+    def trace_dual_basis(self):
+        """Codes of the F_p-trace-dual basis beta_k of the power basis X^k.
 
-    def to_fq_coords(self, code):
-        """Coordinates in F_q (as codes) w.r.t. the power F_q-basis."""
-        _, omega_pows, inv = self._fq_setup()
-        v = np.array(_digits(code, self.p, self.en), dtype=np.int64)
-        w = (inv @ v) % self.p
-        out = []
-        for j in range(self.n):
-            c = 0
-            for m in range(self.e):
-                d = int(w[j * self.e + m])
-                if d:
-                    c = self.add_code(c, self.mul_code(d, omega_pows[m]))
-            out.append(c)
-        return out
-
-    def from_fq_coords(self, coords):
-        basis = self.fq_basis_codes
-        acc = 0
-        for c, b in zip(coords, basis):
-            acc = self.add_code(acc, self.mul_code(c, b))
-        return acc
+        Tr(X^j beta_k) = [j = k] with Tr the trace of F_{q^n} over F_p, so
+        the k-th power-basis coordinate of y is Tr(y beta_k).  beta is the
+        inverse of the Gram matrix Tr(X^(j+k)), whose entries are traces of
+        powers of the multiplication-by-X matrix; built once per tower.
+        """
+        if self._trace_dual is None:
+            en, p = self.en, self.p
+            X = self.mul_matrix(p)  # X has the single digit 1 in position 1
+            power, traces = np.eye(en, dtype=np.int64), []
+            for _ in range(2 * en - 1):
+                traces.append(int(np.trace(power)) % p)
+                power = (X @ power) % p
+            gram = np.array([traces[j:j + en] for j in range(en)], dtype=np.int64)
+            inv = inv_mod_matrix(gram, p)
+            if inv is None:
+                raise InternalError("the trace form is degenerate")
+            self._trace_dual = [_pack(inv[:, k], p) for k in range(en)]
+        return self._trace_dual
 
     def mul_matrix(self, code):
         """F_p-matrix of y -> code * y in the power basis."""

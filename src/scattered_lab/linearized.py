@@ -2,8 +2,9 @@
 
 A polynomial sum(a_i x^(q^i)) is held as the length-n tuple of coefficient
 codes.  Composition is reduced mod x^(q^n) - x, so these objects are exactly
-the F_q-linear endomorphisms of F_{q^n}; the matrix correspondence (w.r.t. an
-F_q-basis) and its inverse provide rank, kernel and inversion.
+the F_q-linear endomorphisms of F_{q^n}.  Rank, kernel and inversion run on
+the en x en F_p-matrix of the action in the power basis; the trace-dual
+basis turns a matrix back into its q-polynomial.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import NotABasis, NotBijective, NotStandard, ZeroPolynomial
-from ._linalg import fe_inverse, fe_rank, fe_solve
-from .field_tower import FieldElement, FieldTower
+from .errors import NotBijective, NotStandard, ZeroPolynomial
+from ._linalg import inv_mod_matrix, rank_mod
+from .field_tower import FieldElement, FieldTower, _digits, _pack
 
 
 class LinearizedPoly:
@@ -181,69 +182,38 @@ class LinearizedPoly:
     def __matmul__(self, other):
         return self.compose(other)
 
-    # -- matrix correspondence ---------------------------------------------------
-    def default_basis(self):
-        T = self.tower
-        return [FieldElement(T, c) for c in T.fq_basis_codes]
-
-    def _check_basis(self, basis):
-        T = self.tower
-        rows = []
-        for b in basis:
-            co = T.to_fq_coords(b.code)
-            rows.append([FieldElement(T, c) for c in co])
-        if len(basis) != T.n or fe_rank(rows) != T.n:
-            raise NotABasis("supplied elements are not an F_q-basis")
-
-    def to_matrix(self, basis=None):
-        """n x n matrix over F_q; column j = F_q-coordinates of f(basis_j)."""
-        T = self.tower
-        if basis is None:
-            basis = self.default_basis()
-        else:
-            self._check_basis(basis)
-        cols = [T.to_fq_coords(self.evaluate_code(b.code)) for b in basis]
-        return [[FieldElement(T, cols[j][i]) for j in range(T.n)] for i in range(T.n)]
-
-    @classmethod
-    def from_matrix(cls, tower, matrix, basis=None):
-        """Unique q-polynomial acting as the given matrix over F_q.
-
-        Solves the Moore system sum_i a_i basis_j^(q^i) = image_j; the system
-        is nonsingular for any basis, so failure is an internal error.
-        """
-        T = tower
-        if basis is None:
-            basis = [FieldElement(T, c) for c in T.fq_basis_codes]
-        n = T.n
-        images = []
-        for j in range(n):
-            acc = 0
-            for i in range(n):
-                entry = matrix[i][j]
-                ec = entry.code if isinstance(entry, FieldElement) else int(entry)
-                acc = T.add_code(acc, T.mul_code(ec, basis[i].code))
-            images.append(FieldElement(T, acc))
-        rows = [[basis[j].frob(i) for i in range(n)] for j in range(n)]
-        sol = fe_solve(rows, images)
-        if sol is None:
-            raise NotABasis("Moore system is singular; basis was dependent")
-        return cls(T, [s.code for s in sol])
-
+    # -- F_p-matrices ---------------------------------------------------------
     def fp_matrix(self):
         """en x en matrix over F_p of the action on power-basis coordinates."""
         T = self.tower
         cols = np.zeros((T.en, T.en), dtype=np.int64)
-        from .field_tower import _digits
-
         for i in range(T.en):
             cols[:, i] = _digits(self.evaluate_code(int(T.p**i)), T.p, T.en)
         return cols
 
+    @classmethod
+    def from_fp_matrix(cls, tower, A):
+        """The q-polynomial acting as the F_p-matrix A on power-basis coordinates.
+
+        With beta the trace-dual basis, y = sum_k Tr(y beta_k) X^k, so the map
+        is sum_k A(X^k) Tr(beta_k y) and its x^(p^m) coefficient is
+        sum_k A(X^k) beta_k^(p^m).  A must be F_q-linear, as every fp_matrix
+        and its inverse are: then only the multiples m = e i survive, and
+        a_i = sum_k A(X^k) beta_k^(q^i).
+        """
+        T = tower
+        images = [_pack(A[:, k], T.p) for k in range(T.en)]
+        coeffs = []
+        for i in range(T.n):
+            acc = 0
+            for img, beta in zip(images, T.trace_dual_basis):
+                if img:
+                    acc = T.add_code(acc, T.mul_code(img, T.frob_code(beta, i)))
+            coeffs.append(acc)
+        return cls(T, coeffs)
+
     def rank(self):
         """Rank as an F_q-endomorphism (the F_p rank is e times larger)."""
-        from ._linalg import rank_mod
-
         r = rank_mod(self.fp_matrix(), self.tower.p)
         if r % self.tower.e:
             raise ZeroPolynomial("F_p-rank not divisible by e; map is not F_q-linear")
@@ -257,10 +227,10 @@ class LinearizedPoly:
         cache = self.tower.cache("invert")
         if self.coeffs in cache:
             return cache[self.coeffs]
-        inv = fe_inverse(self.to_matrix())
+        inv = inv_mod_matrix(self.fp_matrix(), self.tower.p)
         if inv is None:
             raise NotBijective("polynomial has nontrivial kernel")
-        out = LinearizedPoly.from_matrix(self.tower, inv)
+        out = LinearizedPoly.from_fp_matrix(self.tower, inv)
         cache[self.coeffs] = out
         cache[out.coeffs] = self
         return out

@@ -11,6 +11,7 @@ TooLarge before doing any work.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -161,7 +162,7 @@ class LinearSet:
         return bool(self.slopes) and self.slopes[-1] == 0
 
     def contains_slope(self, code):
-        return code in set(self.slopes)
+        return code in self.slopes
 
     def points(self, tower):
         return [(tower.el(1), tower.el(m)) for m in self.slopes]
@@ -211,10 +212,11 @@ def line_intersection_dim(f: LinearizedPoly, point) -> int:
     if slope == 0:
         count = census.kernel_count
     else:
+        # slope_logs is sorted: one bisection instead of a scan
         s = T.dlog(slope)
-        count = 0
-        if s in census.slope_logs:
-            count = census.counts[census.slope_logs.index(s)]
+        i = bisect.bisect_left(census.slope_logs, s)
+        hit = i < len(census.slope_logs) and census.slope_logs[i] == s
+        count = census.counts[i] if hit else 0
     return T.log_q(count + 1)
 
 

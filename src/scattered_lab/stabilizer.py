@@ -37,10 +37,9 @@ from .errors import (
     NotScattered,
 )
 from ._certify import FpSpace, certify_field
-from ._linalg import span_codes
-from .field_tower import FieldElement, FieldTower, _digits
+from .field_tower import FieldElement, FieldTower
 from .linearized import LinearizedPoly
-from .scatter import is_scattered, linear_set
+from .scatter import is_scattered, line_intersection_dim
 
 
 class Mat2:
@@ -295,17 +294,6 @@ class DiagonalizationResult:
     basis_pairs: tuple       # (x, x^sigma) codes of the conjugated basis matrices
 
     @property
-    def diag_pairs(self):
-        """(x, x^sigma) codes for every element, in the order of Mf.elements.
-
-        The pairs are the F_p-combinations of basis_pairs in span order;
-        they are rebuilt on every access and never stored.
-        """
-        T = self.P.tower
-        vecs = [_digits(x, T.p, T.en) + _digits(y, T.p, T.en) for x, y in self.basis_pairs]
-        return tuple(map(tuple, span_codes(vecs, T.p, T.en, 2).tolist()))
-
-    @property
     def s(self):
         """sigma as a q-power; defined whenever sigma lies in Gal(F_{q^t}|F_q)."""
         e = self.P.tower.e
@@ -324,8 +312,7 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
     F_p-linear, so P diagonalizes the field once it diagonalizes the basis
     matrices; and every nonzero element is a power of the generator, so the
     twist y = x^(p^j) on the diagonal is checked on the generator alone.  The
-    result costs O(dim) products and is cached on Mf; its diag_pairs are
-    rebuilt from the conjugated basis on demand.
+    result costs O(dim) products and is cached on Mf.
     """
     if Mf._diag is not None:
         return Mf._diag
@@ -380,9 +367,11 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
             break
     if p_exp is None:
         raise InternalError("diagonal entries are not Frobenius-linked")
-    # when the F_q-scalars lie in Mf the twist must be a q-power
-    scalars_present = all(Mf.contains(Mat2.scalar(T, c))
-                          for c in T.subfield_elements(1)[:-1])
+    # when the F_q-scalars lie in Mf the twist must be a q-power; Mf is an
+    # F_p-space, so the F_p-basis omega^i (i < e) of F_q decides it
+    omega = T.subfield_primitive_code(1)
+    scalars_present = all(Mf.contains(Mat2.scalar(T, T.pow_code(omega, i)))
+                          for i in range(T.e))
     if scalars_present and p_exp % T.e:
         raise InternalError("q-scalars present but twist is not in Gal(F_{q^t}|F_q)")
     eigen_points = (normalize_point(T, (P.a, P.b)), normalize_point(T, (P.c, P.d)))
@@ -391,15 +380,15 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
 
 
 def transversal_points(f: LinearizedPoly):
-    """The two common eigen-directions of G_f; they never lie on L_f."""
+    """The two common eigen-directions of G_f; they never lie on L_f.
+
+    A point lies on L_f exactly when its line meets U_f, which the cached
+    slope census answers without building the linear set.
+    """
     Mf = compute_stabilizer(f)
     if Mf.t == 1:
         raise NoTransversals("stabilizer is the scalar group; no distinguished points")
-    diag = diagonalize(Mf)
-    X, Y = diag.eigen_points
-    L = linear_set(f)
-    T = f.tower
-    for pt in (X, Y):
-        if pt[0] == 1 and L.contains_slope(pt[1]):
-            raise InternalError("transversal point lies on the linear set")
+    X, Y = diagonalize(Mf).eigen_points
+    if line_intersection_dim(f, X) or line_intersection_dim(f, Y):
+        raise InternalError("transversal point lies on the linear set")
     return X, Y

@@ -27,10 +27,14 @@ witness (andre_subgroup_by_walk).  Equivalence has two: the routes that
 the kernel S(f, g) replaced, canonical standard forms inside the class
 (gl_by_standard_forms) and the diagonal/antidiagonal witness search outside
 it (non_s_scan), and a brute-force search of all of GL(2, q^n) on small
-fields (gl_solutions_by_brute_force).  They reuse the library's element
-lists (built on request from the kernel basis), stabilizer,
-diagonalization, standard forms and spread lookup, but none of the replaced
-logic.
+fields (gl_solutions_by_brute_force).  Compositional inversion has the
+route the F_p-matrix and the trace-dual basis replaced: the matrix over F_q,
+inverted and read back through a Moore system by elimination on field
+elements (invert_by_fq_matrix).  The diagonal pairs of every element of a
+diagonalized G_f are rebuilt from the conjugated basis (diag_pairs).
+They reuse the library's element lists (built on request from the kernel
+basis), stabilizer, diagonalization, standard forms and spread lookup, but
+none of the replaced logic.
 """
 
 import itertools
@@ -38,9 +42,9 @@ import math
 
 import numpy as np
 
-from scattered_lab._linalg import rank_mod
+from scattered_lab._linalg import inv_mod_matrix, rank_mod, span_codes
 from scattered_lab.errors import NotAField, NotBijective
-from scattered_lab.field_tower import _factorint
+from scattered_lab.field_tower import _digits, _factorint
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
@@ -213,6 +217,79 @@ def rank_by_row_reduction(T, f):
     return rank // T.e
 
 
+def fe_rref(rows):
+    """Reduced row echelon form of rows of FieldElements; returns (rows, pivots)."""
+    R = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(R[0]) if R else 0):
+        sel = next((i for i in range(r, len(R)) if not R[i][c].is_zero()), None)
+        if sel is None:
+            continue
+        R[r], R[sel] = R[sel], R[r]
+        inv = R[r][c].inverse()
+        R[r] = [x * inv for x in R[r]]
+        for i in range(len(R)):
+            if i != r and not R[i][c].is_zero():
+                fct = R[i][c]
+                R[i] = [x - fct * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(R):
+            break
+    return R, pivots
+
+
+def fe_solve_square(A, B):
+    """X with A X = B for a square FieldElement matrix A, or None if A is singular."""
+    m = len(A)
+    R, pivots = fe_rref([list(a) + list(b) for a, b in zip(A, B)])
+    if pivots[:m] != list(range(m)):
+        return None
+    return [row[m:] for row in R]
+
+
+def invert_by_fq_matrix(f):
+    """Compositional inverse of f through its n x n matrix over F_q.
+
+    The route that the F_p-matrix and the trace-dual basis replaced: column j
+    holds the F_q-coordinates of f(X^j) in the F_q-basis 1, X, ..., X^(n-1),
+    read through the F_p-basis omega^m X^j (omega primitive in F_q); the
+    matrix is inverted by elimination on field elements, and the inverse
+    polynomial solves the Moore system sum_i a_i (X^j)^(q^i) = image_j.
+    Raises NotBijective when the matrix is singular.
+    """
+    T = f.tower
+    p, e, n = T.p, T.e, T.n
+    el = T.el
+    omega = T.subfield_primitive_code(1) if e > 1 else 1
+    omega_pows = [T.pow_code(omega, m) for m in range(e)]
+    xbar = [int(p**j) for j in range(n)]
+    cols = np.array([_digits(T.mul_code(xj, w), p, T.en) for xj in xbar for w in omega_pows]).T
+    to_basis = inv_mod_matrix(cols, p)
+
+    def fq_coords(code):
+        w = (to_basis @ np.array(_digits(code, p, T.en))) % p
+        out = []
+        for j in range(n):
+            c = 0
+            for m in range(e):
+                c = T.add_code(c, T.mul_code(int(w[j * e + m]), omega_pows[m]))
+            out.append(el(c))
+        return out
+
+    images = [fq_coords(f.evaluate_code(xj)) for xj in xbar]
+    matrix = [[images[j][i] for j in range(n)] for i in range(n)]
+    identity = [[el(int(i == j)) for j in range(n)] for i in range(n)]
+    inv = fe_solve_square(matrix, identity)
+    if inv is None:
+        raise NotBijective("the F_q-matrix is singular")
+    targets = [[sum((inv[i][j] * el(xbar[i]) for i in range(n)), el(0))] for j in range(n)]
+    moore = [[el(xj).frob(i) for i in range(n)] for xj in xbar]
+    sol = fe_solve_square(moore, targets)
+    return LinearizedPoly(T, [row[0].code for row in sol])
+
+
 def min_distance_by_ranks(C):
     """Minimum distance of C_f from one rank computation per projective class.
 
@@ -280,7 +357,7 @@ def central_classes_by_scan(f):
                 raise AssertionError("a scalar class fixes a direction pointwise")
         return [], [], 0, step
     diag = diagonalize(Mf)
-    pair_of = {m.entries(): pr for m, pr in zip(Mf.elements, diag.diag_pairs)}
+    pair_of = {m.entries(): pr for m, pr in zip(Mf.elements, diag_pairs(diag))}
     classes = {}
     for m in Mf.nonzero():
         classes.setdefault(T.dlog(pair_of[m.entries()][0]) % step, m)
@@ -605,6 +682,15 @@ def field_by_walk(Mf, exhaustive_bound=200):
             if (x * y).entries() not in eset or x * y != y * x:
                 raise NotAField("product escapes the set or does not commute")
     return t, generator
+
+
+def diag_pairs(diag):
+    """(x, x^sigma) codes of every element of the diagonalized field, in the
+    order of Mf.elements: the F_p-combinations of diag.basis_pairs in span
+    order."""
+    T = diag.P.tower
+    vecs = [_digits(x, T.p, T.en) + _digits(y, T.p, T.en) for x, y in diag.basis_pairs]
+    return tuple(map(tuple, span_codes(vecs, T.p, T.en, 2).tolist()))
 
 
 def diagonalize_by_conjugation(Mf):

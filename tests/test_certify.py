@@ -29,6 +29,7 @@ from scattered_lab.stabilizer import (
 )
 
 from oracles import (
+    diag_pairs,
     diagonalize_by_conjugation,
     field_by_walk,
     idealizer_field_by_walk,
@@ -71,7 +72,7 @@ def test_certificate_matches_walk_oracles(tower):
         P, p_exp, eigen_points, pairs = diagonalize_by_conjugation(Mf)
         assert diag.P == P and diag.t == t
         assert diag.p_exponent == p_exp and diag.eigen_points == eigen_points
-        assert diag.diag_pairs == pairs
+        assert diag_pairs(diag) == pairs
     assert {1, 2, 3, 4, 5, 6} <= ts
 
 
@@ -153,10 +154,18 @@ def test_idealizer_match_detects_broken_maps(tower, monkeypatch):
     T = tower(5, 1, 4)
     f = make_lp(T, 1, find_lp_delta(T)).poly
     check_idealizer_matches_stabilizer(f)
+    phi = mrd.stabilizer_to_right_idealizer
+    phi_alpha = phi(compute_stabilizer(f).generator, f)
     zero = LinearizedPoly.zero(T)
     monkeypatch.setattr(mrd, "stabilizer_to_right_idealizer", lambda M, g: zero)
     with pytest.raises(Mismatch, match="biject"):
         check_idealizer_matches_stabilizer(f)
     monkeypatch.setattr(mrd, "stabilizer_to_right_idealizer", lambda M, g: g.scale(M.a))
     with pytest.raises(Mismatch, match="escapes"):
+        check_idealizer_matches_stabilizer(f)
+    # phi'(M) = phi(M) o phi(alpha) maps G_f injectively into the right
+    # idealizer, but phi'(alpha b) = phi'(b) o phi(alpha) != phi'(b) o phi'(alpha)
+    monkeypatch.setattr(mrd, "stabilizer_to_right_idealizer",
+                        lambda M, g: phi(M, g).compose(phi_alpha))
+    with pytest.raises(Mismatch, match="not multiplicative"):
         check_idealizer_matches_stabilizer(f)

@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scattered_lab.errors import NotABasis, NotBijective, NotStandard, ZeroPolynomial
+from scattered_lab.errors import NotBijective, NotStandard, ZeroPolynomial
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 
-from oracles import rank_by_row_reduction
+from oracles import invert_by_fq_matrix, rank_by_row_reduction
 
 
 def rand_poly(T, rng):
@@ -73,41 +74,58 @@ def test_compose_associative(data):
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
-def test_to_matrix_examples(tower):
+def test_fp_matrix_examples(tower):
     T = tower(5, 1, 4)
-    x = LinearizedPoly.identity(T)
-    M = x.to_matrix()
-    for i in range(4):
-        for j in range(4):
-            assert M[i][j].code == (1 if i == j else 0)
-    Z = LinearizedPoly.zero(T).to_matrix()
-    assert all(Z[i][j].is_zero() for i in range(4) for j in range(4))
-    # matrix of x^5 is the tower Frobenius matrix (e = 1 makes them comparable)
-    F = T.frobenius_matrix
-    Mq = LinearizedPoly.monomial(T, 1).to_matrix()
-    for i in range(4):
-        for j in range(4):
-            assert Mq[i][j].code == int(F[i, j]) % 5
+    assert (LinearizedPoly.identity(T).fp_matrix() == np.eye(4, dtype=np.int64)).all()
+    assert not LinearizedPoly.zero(T).fp_matrix().any()
+    # the matrix of x^5 is the tower Frobenius matrix
+    assert (LinearizedPoly.monomial(T, 1).fp_matrix() == T.frobenius_matrix).all()
 
 
-def test_from_matrix_roundtrip(tower):
+def test_from_fp_matrix_roundtrip(tower):
     for key in ((5, 1, 4), (3, 2, 3)):
         T = tower(*key)
         rng = T.rng("matrixtest")
         for _ in range(8):
             f = rand_poly(T, rng)
-            assert LinearizedPoly.from_matrix(T, f.to_matrix()) == f
+            assert LinearizedPoly.from_fp_matrix(T, f.fp_matrix()) == f
     T = tower(3, 1, 3)
-    assert LinearizedPoly.from_matrix(T, LinearizedPoly.monomial(T, 1).to_matrix()) \
+    assert LinearizedPoly.from_fp_matrix(T, LinearizedPoly.monomial(T, 1).fp_matrix()) \
         == LinearizedPoly.monomial(T, 1)
 
 
-def test_bad_basis_rejected(tower):
-    T = tower(5, 1, 4)
-    f = LinearizedPoly.identity(T)
-    dependent = [T.one, T.el(2), T.gen, T.gen]
-    with pytest.raises(NotABasis):
-        f.to_matrix(basis=dependent)
+def test_trace_dual_basis(tower):
+    # Tr(X^j beta_k) = [j = k], with Tr(y) the sum of the p^m-th powers of y
+    for key in ((5, 1, 4), (2, 3, 3)):
+        T = tower(*key)
+        for j in range(T.en):
+            for k, beta in enumerate(T.trace_dual_basis):
+                y = T.mul_code(int(T.p**j), beta)
+                tr = 0
+                for m in range(T.en):
+                    tr = T.add_code(tr, T.pow_code(y, T.p**m))
+                assert tr == (1 if j == k else 0)
+
+
+def _invert_or_none(invert, f):
+    try:
+        return invert(f).coeffs
+    except NotBijective:
+        return None
+
+
+def test_invert_matches_fq_matrix_oracle(tower):
+    towers = [tower(*key) for key in ((5, 1, 4), (5, 1, 6), (3, 2, 3), (2, 2, 4), (2, 3, 3))]
+    towers.append(make_field(3, 2, 3, table_bound=0))
+    for T in towers:
+        rng = T.rng("invert-oracle")
+        answers = []
+        for _ in range(200 if T.has_tables else 40):
+            f = rand_poly(T, rng)
+            answers.append(_invert_or_none(LinearizedPoly.invert, f))
+            assert answers[-1] == _invert_or_none(invert_by_fq_matrix, f)
+        # both outcomes are exercised on every tower
+        assert None in answers and any(a is not None for a in answers)
 
 
 def test_rank_oracle_agreement(tower):

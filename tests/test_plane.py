@@ -34,7 +34,7 @@ from scattered_lab.plane import (
     _moebius_preserves_lines,
 )
 from scattered_lab.scatter import is_scattered, linear_set
-from scattered_lab.stabilizer import DiagonalizationResult, Mat2, compute_stabilizer, diagonalize
+from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
 from scattered_lab.standard_form import image_polynomial, maps_onto
 from scattered_lab._linalg import solve_mod
 
@@ -437,7 +437,6 @@ def test_classification_reads_no_element_list(tower, monkeypatch):
 
     for name in ("elements", "nonzero", "element_set"):
         monkeypatch.setattr(FpSpace, name, property(refuse) if name == "elements" else refuse)
-    monkeypatch.setattr(DiagonalizationResult, "diag_pairs", property(refuse))
     hr = classify_central_collineations(LinearizedPoly.monomial(tower(7, 1, 6), 1))
     assert hr.case == "ii" and hr.t == 6 and hr.group_order == 19608
     assert hr.cyclic_ok is hr.exchange_ok is hr.decomposition_ok is True

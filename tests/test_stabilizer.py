@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from scattered_lab import scatter, stabilizer
 from scattered_lab._linalg import kernel_mod
-from scattered_lab.errors import AllScalar, NoTransversals, NotAField, NotScattered
+from scattered_lab.errors import AllScalar, InternalError, NoTransversals, NotAField, NotScattered
 from scattered_lab.field_tower import _digits
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.scatter import linear_set, subspace_membership
@@ -14,6 +17,8 @@ from scattered_lab.stabilizer import (
     transversal_points,
     verify_field,
 )
+
+from oracles import diag_pairs
 
 
 def test_pseudoregulus_exact_set(tower):
@@ -165,7 +170,7 @@ def test_diagonalize_conjugates_everything(tower):
         c = diag.P * m * Pinv
         assert c.b == 0 and c.c == 0
     # the diagonal pairs are Frobenius-linked with exponent s
-    for x, y in diag.diag_pairs:
+    for x, y in diag_pairs(diag):
         assert T.frob_code(x, diag.s) == y
     theta = psi_theta(T, h, 3, 1)
     assert set(diag.eigen_points) == {(1, theta), (1, T.neg_code(theta))}
@@ -180,7 +185,7 @@ def test_diagonalize_char2(tower):
     Mf = compute_stabilizer(lp.poly)
     assert Mf.t == 2 and Mf.group_order == 15
     diag = diagonalize(Mf)
-    for x, y in diag.diag_pairs:
+    for x, y in diag_pairs(diag):
         assert T.frob_code(x, diag.s) == y
 
 
@@ -209,6 +214,30 @@ def test_transversal_points(tower):
     T5 = tower(5, 1, 5)
     with pytest.raises(NoTransversals):
         transversal_points(make_lp(T5, 1, find_lp_delta(T5)).poly)
+
+
+def test_transversal_points_build_no_linear_set(tower, monkeypatch):
+    # the eigen-points are tested on the cached census; L_f is never built
+    from scattered_lab.families import find_psi_h, make_psi, psi_theta
+
+    T = tower(5, 1, 6)
+    h = find_psi_h(T, 3)
+    psi = make_psi(T, h, 3, 1).poly
+
+    def refuse(_f):
+        raise AssertionError("the linear set was built")
+
+    monkeypatch.setattr(scatter, "linear_set", refuse)
+    monkeypatch.setattr(stabilizer, "linear_set", refuse, raising=False)
+    theta = psi_theta(T, h, 3, 1)
+    assert set(transversal_points(psi)) == {(1, theta), (1, T.neg_code(theta))}
+    # an eigen-point on L_f is caught by the census
+    on_L = (1, T.pow_code(T.gen_code, scatter.slope_census(psi).slope_logs[0]))
+    diag = diagonalize(compute_stabilizer(psi))
+    moved = dataclasses.replace(diag, eigen_points=(diag.eigen_points[0], on_L))
+    monkeypatch.setattr(stabilizer, "diagonalize", lambda _Mf: moved)
+    with pytest.raises(InternalError, match="linear set"):
+        transversal_points(psi)
 
 
 def test_scalars_always_present(tower):
