@@ -29,14 +29,14 @@ def rref_mod(A, p):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.flatnonzero(R[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
         R[r] = (R[r] * _inv_mod(R[r, c], p)) % p
-        rows_c = np.nonzero(R[:, c])[0]
+        rows_c = np.flatnonzero(R[:, c])
         rows_c = rows_c[rows_c != r]
         R[rows_c] = (R[rows_c] - np.outer(R[rows_c, c], R[r])) % p
         pivots.append(c)

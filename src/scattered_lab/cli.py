@@ -11,6 +11,7 @@ identical inputs (and seed) produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,8 +52,8 @@ def _emit(doc, stream=None):
     (stream or sys.stdout).write("\n")
 
 
-def _task_scatter(T, f, args):
-    ls = linear_set(f)
+def _task_scatter(T, f, args, lazy_ls):
+    ls = lazy_ls()
     doc = ls.to_json(T, emit_points=args.emit_points)
     if args.oracle:
         try:
@@ -64,13 +65,13 @@ def _task_scatter(T, f, args):
     return doc
 
 
-def _stabilizer_doc(T, f):
+def _stabilizer_doc(T, f, lazy_ls):
     Mf = compute_stabilizer(f, check_scattered=False)
     # hashes of the polynomial and of its linear set, for experiments on
     # whether transversal points depend on more than the linear set
     import hashlib
 
-    ls = linear_set(f) if is_scattered(f) else None
+    ls = lazy_ls() if is_scattered(f) else None
     doc = {
         "order": Mf.group_order,
         "field_order": Mf.order,
@@ -153,12 +154,14 @@ def cmd_analyze(args):
         "poly": f.to_json("g^k")["coeffs"],
         "tasks": {},
     }
+    # the scatter and stabilizer tasks share one linear set, built on first use
+    lazy_ls = functools.cache(functools.partial(linear_set, f))
     for t in tasks:
         if t == "scatter":
             report["tasks"]["scatter"] = {"scattered": is_scattered(f),
-                                          "linear_set": _task_scatter(T, f, args)}
+                                          "linear_set": _task_scatter(T, f, args, lazy_ls)}
         elif t == "stabilizer":
-            report["tasks"]["stabilizer"] = _stabilizer_doc(T, f)
+            report["tasks"]["stabilizer"] = _stabilizer_doc(T, f, lazy_ls)
         elif t == "standard-form":
             try:
                 report["tasks"]["standard-form"] = to_standard_form(f).to_json()
@@ -226,7 +229,7 @@ def cmd_families(args):
         doc["verified"] = {
             "scattered": True,
             "stabilizer_order": Mf.group_order,
-            "matches_prediction": Mf.element_set() == inst.predicted_set,
+            "matches_prediction": inst.matches(Mf),
         }
     _emit(doc)
     return 0

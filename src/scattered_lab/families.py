@@ -1,11 +1,12 @@
 """Constructors for the known scattered families, with predicted stabilizers.
 
 Each constructor validates the displayed parameter conditions exactly and
-attaches the predicted stabilizer as an explicit element set, so tests can
-compare compute_stabilizer output element-for-element.  Families whose full
-parameter conditions are not displayed (family 3, and family 4 for even q)
-are gated on a computational scatteredness check instead and marked
-ComputationOnly.
+attaches the predicted stabilizer as a triple (W, s, t): the prediction is
+W G_f W^-1 = {diag(alpha, alpha^(q^s)) : alpha in F_(q^t)}, decided by one
+basis certificate (`stabilizer.conjugates_to_diagonal`) without listing an
+element.  Families whose full parameter conditions are not displayed
+(family 3, and family 4 for even q) are gated on a computational
+scatteredness check instead and marked ComputationOnly.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ._linalg import kernel_mod, span_codes
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
+from .stabilizer import Mat2, MatrixField, conjugates_to_diagonal
 
 CHECKED = "Checked"
 COMPUTATION_ONLY = "ComputationOnly"
@@ -27,14 +29,30 @@ COMPUTATION_ONLY = "ComputationOnly"
 
 @dataclass
 class FamilyInstance:
+    """A family member with its predicted stabilizer: W G_f W^-1 = D(s, t).
+
+    D(s, t) = {diag(alpha, alpha^(q^s)) : alpha in F_(q^t)}, W is
+    predicted_conjugator, s is predicted_s and t is predicted_t.
+    """
+
     family_id: int
     params: dict
     poly: LinearizedPoly
-    predicted_order: int           # |G_f| (group order, zero excluded)
     predicted_t: int
-    predicted_set: frozenset      # entries of G_f with the zero matrix adjoined
+    predicted_s: int
+    predicted_conjugator: Mat2
     validity: str
     shape: str
+
+    @property
+    def predicted_order(self):
+        """|G_f| = q^t - 1 (group order, zero excluded)."""
+        return self.poly.tower.q**self.predicted_t - 1
+
+    def matches(self, Mf: MatrixField) -> bool:
+        """Is Mf (G_f with zero) exactly the predicted field?"""
+        return conjugates_to_diagonal(Mf, self.predicted_conjugator,
+                                      self.predicted_s, self.predicted_t)
 
     def to_json(self, style="g^k"):
         T = self.poly.tower
@@ -54,14 +72,6 @@ class FamilyInstance:
         }
 
 
-def _diag_set(T: FieldTower, t: int, s: int) -> frozenset:
-    """{diag(alpha, alpha^{q^s}) : alpha in F_{q^t}^*} with zero adjoined."""
-    out = {(0, 0, 0, 0)}
-    for al in T.subfield_elements(t)[:-1]:
-        out.add((al, 0, 0, T.frob_code(al, s)))
-    return frozenset(out)
-
-
 def twisted_eigenspace(T: FieldTower, s: int, sign: int) -> list:
     """All codes with x^{q^s} = sign * x (sign is +1 or -1), via an F_p-kernel."""
     mat = (T.frob_power_matrix(s) - sign * np.eye(T.en, dtype=np.int64)) % T.p
@@ -73,31 +83,13 @@ def psi_theta(T: FieldTower, h, t, s):
     return T.add_code(T.frob_code(h, s), T.frob_code(h, (s * (t - 1)) % T.n))
 
 
-def _psi_predicted_set(T: FieldTower, h, t, s) -> frozenset:
-    if t % 2 == 0:
-        return _diag_set(T, 2, 1)
-    theta = psi_theta(T, h, t, s)
-    if theta == 0:
-        raise InternalError("degenerate theta = 0; stabilizer shape undefined")
-    out = {(0, 0, 0, 0)}
-    fq = T.subfield_elements(1)
-    xis = twisted_eigenspace(T, s, -1)
-    for al in fq:
-        for xi in xis:
-            if al == 0 and xi == 0:
-                continue
-            out.add((al, T.mul_code(xi, theta), T.div_code(xi, theta), al))
-    return frozenset(out)
-
-
 def make_pseudoregulus(T: FieldTower, s: int) -> FamilyInstance:
     """f(x) = x^{q^s} with gcd(s, n) = 1."""
     if not 1 <= s < T.n or math.gcd(s, T.n) != 1:
         raise BadParams(f"need gcd(s, n) = 1 and 1 <= s < n, got s={s}")
     poly = LinearizedPoly.monomial(T, s)
-    return FamilyInstance(
-        1, {"s": s}, poly, T.q**T.n - 1, T.n, _diag_set(T, T.n, s), CHECKED,
-        "diag(alpha, alpha^(q^s)), alpha in F_(q^n)*")
+    return FamilyInstance(1, {"s": s}, poly, T.n, s, Mat2.identity(T), CHECKED,
+                          "diag(alpha, alpha^(q^s)), alpha in F_(q^n)*")
 
 
 def make_lp(T: FieldTower, s: int, delta) -> FamilyInstance:
@@ -114,11 +106,9 @@ def make_lp(T: FieldTower, s: int, delta) -> FamilyInstance:
     coeffs[T.n - s] = d
     poly = LinearizedPoly(T, coeffs)
     if T.n % 2 == 0:
-        return FamilyInstance(2, {"s": s, "delta": d}, poly, T.q**2 - 1, 2,
-                              _diag_set(T, 2, 1), CHECKED,
+        return FamilyInstance(2, {"s": s, "delta": d}, poly, 2, 1, Mat2.identity(T), CHECKED,
                               "diag(alpha, alpha^q), alpha in F_(q^2)*")
-    return FamilyInstance(2, {"s": s, "delta": d}, poly, T.q - 1, 1,
-                          _diag_set(T, 1, 0), CHECKED,
+    return FamilyInstance(2, {"s": s, "delta": d}, poly, 1, 0, Mat2.identity(T), CHECKED,
                           "diag(alpha, alpha), alpha in F_q*")
 
 
@@ -138,8 +128,7 @@ def make_family3(T: FieldTower, s: int, delta) -> FamilyInstance:
     poly = LinearizedPoly(T, coeffs)
     if not is_scattered(poly):
         raise BadParams("delta fails the computational scatteredness gate")
-    return FamilyInstance(3, {"s": s, "delta": d}, poly, T.q**half - 1, half,
-                          _diag_set(T, half, s % half if half > 1 else 0),
+    return FamilyInstance(3, {"s": s, "delta": d}, poly, half, s % half, Mat2.identity(T),
                           COMPUTATION_ONLY,
                           "diag(alpha, alpha^(q^s)), alpha in F_(q^(n/2))*")
 
@@ -161,13 +150,24 @@ def make_family4(T: FieldTower, delta) -> FamilyInstance:
     poly = LinearizedPoly(T, coeffs)
     if not is_scattered(poly):
         raise BadParams("delta fails the computational scatteredness gate")
-    return FamilyInstance(4, {"delta": d}, poly, T.q**2 - 1, 2,
-                          _diag_set(T, 2, 1), validity,
+    return FamilyInstance(4, {"delta": d}, poly, 2, 1, Mat2.identity(T), validity,
                           "diag(alpha, alpha^q), alpha in F_(q^2)*")
 
 
 def make_psi(T: FieldTower, h, t: int, s: int) -> FamilyInstance:
-    """The four-term family on F_{q^{2t}}, t >= 3, q odd, N_{q^n/q^t}(h) = -1."""
+    """The four-term family on F_{q^{2t}}, t >= 3, q odd, N_{q^n/q^t}(h) = -1.
+
+    The predicted stabilizer is D(1, 2) = {diag(alpha, alpha^q)}, alpha in
+    F_(q^2), for even t.  For odd t it is P_theta G_f P_theta^-1 = D(1, 2),
+    with theta = psi_theta(h, t, s) and P_theta = (1 theta; 1 -theta).  Proof:
+    * G_f = {M = (alpha, xi theta; xi/theta, alpha)} with alpha in F_q and xi
+      in ker(x^(q^s) + x), and P_theta M = diag(alpha + xi, alpha - xi) P_theta.
+    * xi^(q^(2s)) = xi and gcd(2s, 2t) = 2 put xi in F_(q^2).  s is odd, as
+      gcd(s, 2t) = 1, so xi^q = xi^(q^s) = -xi and beta = alpha + xi has
+      beta^q = alpha - xi.
+    * The xi form the trace-zero line of F_(q^2) over F_q, which meets F_q
+      only in 0 for odd q, so beta runs over all of F_(q^2).
+    """
     hc = h if isinstance(h, int) else h.code
     n, q, M = T.n, T.q, T.mult_order
     if n != 2 * t or t < 3:
@@ -188,10 +188,15 @@ def make_psi(T: FieldTower, h, t: int, s: int) -> FamilyInstance:
     for e_exp, c in terms:
         coeffs[e_exp] = T.add_code(coeffs[e_exp], c)
     poly = LinearizedPoly(T, coeffs)
-    shape = ("diag(alpha, alpha^q), alpha in F_(q^2)*" if t % 2 == 0 else
-             "(alpha, xi*theta; xi/theta, alpha), alpha in F_q, xi^(q^s) = -xi")
-    return FamilyInstance(5, {"h": hc, "t": t, "s": s}, poly, q**2 - 1, 2,
-                          _psi_predicted_set(T, hc, t, s), CHECKED, shape)
+    if t % 2 == 0:
+        return FamilyInstance(5, {"h": hc, "t": t, "s": s}, poly, 2, 1, Mat2.identity(T),
+                              CHECKED, "diag(alpha, alpha^q), alpha in F_(q^2)*")
+    theta = psi_theta(T, hc, t, s)
+    if theta == 0:
+        raise InternalError("degenerate theta = 0; stabilizer shape undefined")
+    return FamilyInstance(5, {"h": hc, "t": t, "s": s}, poly, 2, 1,
+                          Mat2(T, 1, theta, 1, T.neg_code(theta)), CHECKED,
+                          "(alpha, xi*theta; xi/theta, alpha), alpha in F_q, xi^(q^s) = -xi")
 
 
 def psi_standard_form_closed(T: FieldTower, h, t: int, s: int,

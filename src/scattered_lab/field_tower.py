@@ -265,12 +265,6 @@ class FieldElement:
     def in_subfield(self, t):
         return self.tower.subfield_member_code(self.code, t)
 
-    def multiplicative_order(self):
-        return self.tower.order_of(self.code)
-
-    def coords(self):
-        return _digits(self.code, self.tower.p, self.tower.en)
-
     # -- plumbing -------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -672,20 +666,8 @@ class FieldTower:
     def gen(self):
         return FieldElement(self, self.gen_code)
 
-    def from_log(self, k):
-        return FieldElement(self, self.pow_code(self.gen_code, k))
-
     def scalar(self, v):
         return FieldElement(self, v % self.p)
-
-    def from_coords(self, digits):
-        if len(digits) != self.en:
-            raise BadElement(f"expected {self.en} coordinates")
-        return FieldElement(self, _pack(list(digits), self.p))
-
-    def elements(self):
-        for code in range(self.size):
-            yield FieldElement(self, code)
 
     def subfield_elements(self, t):
         """All codes of the subfield F_{q^t}, in g^k order (0 last)."""

@@ -67,10 +67,6 @@ class LinearizedPoly:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
     @property
-    def q_degree(self):
-        s = self.support
-        return s[-1] if s else None
-
     def coeff(self, i):
         return FieldElement(self.tower, self.coeffs[i % self.tower.n])
 

@@ -49,11 +49,6 @@ class SlopeCensus:
     def n_slopes(self):
         return len(self.slope_logs) + (1 if self.kernel_count else 0)
 
-    @property
-    def max_fiber(self):
-        m = max(self.counts) if self.counts else 0
-        return max(m, self.kernel_count)
-
 
 def slope_census(f: LinearizedPoly) -> SlopeCensus:
     T = f.tower
@@ -72,7 +67,7 @@ def slope_census(f: LinearizedPoly) -> SlopeCensus:
     counts = np.bincount(slogs, minlength=M)
     reps = np.full(M, -1, dtype=np.int64)
     reps[slogs[::-1]] = karr[nz][::-1]
-    attained = np.nonzero(counts)[0]
+    attained = np.flatnonzero(counts)
     census = SlopeCensus(
         tuple(int(s) for s in attained),
         tuple(int(c) for c in counts[attained]),
@@ -183,8 +178,8 @@ def linear_set(f: LinearizedPoly) -> LinearSet:
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial spans no linear set")
     census = slope_census(f)
-    slopes = [T.pow_code(T.gen_code, s) for s in census.slope_logs]
-    slopes.sort(key=T.element_key)
+    # slope_logs is sorted, so the gather is already in g^k order
+    slopes = T.exp_table[np.array(census.slope_logs, dtype=np.int64)].tolist()
     if census.kernel_count:
         slopes.append(0)
     return LinearSet(T.key, tuple(slopes), is_scattered(f))

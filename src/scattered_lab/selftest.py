@@ -17,7 +17,7 @@ from . import mrd, plane
 from .field_tower import make_field
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, is_scattered_naive
-from .stabilizer import Mat2, compute_stabilizer
+from .stabilizer import Mat2, compute_stabilizer, conjugates_to_diagonal
 from .standard_form import canonicalize, to_standard_form
 
 _TOWERS: dict = {}
@@ -50,17 +50,17 @@ def _check(cond, msg):
 
 
 def criterion_1():
-    """Pseudoregulus stabilizers at (5,4), s in {1,3}: exact set, order 624, < 5 s."""
+    """Pseudoregulus stabilizers at (5,4), s in {1,3}: the predicted field, order 624, < 5 s."""
     T = tower(5, 1, 4)
     t0 = time.time()
     for s in (1, 3):
         inst = fam.make_pseudoregulus(T, s)
         Mf = compute_stabilizer(inst.poly)
         _check(Mf.group_order == 624, f"order {Mf.group_order} != 624")
-        _check(Mf.element_set() == inst.predicted_set, f"set mismatch at s={s}")
+        _check(inst.matches(Mf), f"prediction fails at s={s}")
     elapsed = time.time() - t0
     _check(elapsed < 5.0, f"runtime {elapsed:.1f}s exceeds 5s")
-    return "orders 624, element-for-element equality"
+    return "orders 624, G_f = {diag(alpha, alpha^(q^s))} by the basis certificate"
 
 
 def criterion_2():
@@ -70,19 +70,19 @@ def criterion_2():
     lp4 = fam.make_lp(T4, 1, fam.find_lp_delta(T4))
     Mf4 = compute_stabilizer(lp4.poly)
     _check(Mf4.group_order == 24, f"even-n order {Mf4.group_order}")
-    _check(Mf4.element_set() == lp4.predicted_set, "even-n set mismatch")
+    _check(lp4.matches(Mf4), "even-n prediction fails")
     T5 = tower(5, 1, 5)
     lp5 = fam.make_lp(T5, 1, fam.find_lp_delta(T5))
     Mf5 = compute_stabilizer(lp5.poly)
     _check(Mf5.group_order == 4, f"odd-n order {Mf5.group_order}")
-    _check(Mf5.element_set() == lp5.predicted_set, "odd-n set mismatch")
+    _check(lp5.matches(Mf5), "odd-n prediction fails")
     elapsed = time.time() - t0
     _check(elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s")
-    return "|G| = 24 diagonal over F_25 (n=4) and 4 scalar (n=5), exact sets"
+    return "|G| = 24 diagonal over F_25 (n=4) and 4 scalar (n=5), as predicted"
 
 
 def criterion_3():
-    """Four-term family at (5,6), t=3, s=1: the closed stabilizer set, order 24; < 30 s."""
+    """Four-term family at (5,6), t=3, s=1: the closed stabilizer, order 24; < 30 s."""
     t0 = time.time()
     T = tower(5, 1, 6)
     h = fam.find_psi_h(T, 3)
@@ -92,22 +92,17 @@ def criterion_3():
     theta = fam.psi_theta(T, h, 3, 1)
     _check(theta == T.add_code(T.frob_code(h, 1), T.frob_code(h, 2)),
            "theta mismatch")
-    _check(Mf.element_set() == inst.predicted_set, "stabilizer set mismatch")
-    # specialization h in F_{q^3}: entries (alpha, -4 eta; eta, alpha)
+    _check(inst.matches(Mf), "stabilizer prediction fails")
+    # specialization h in F_{q^3}: theta^2 = -4 turns (alpha, xi theta; xi/theta,
+    # alpha) into the displayed (alpha, -4 eta; eta, alpha) with eta = xi/theta
     rho = min(T.solve_quadratic(0, 1), key=T.element_key)  # rho^2 = -1
     inst_r = fam.make_psi(T, rho, 3, 1)
-    Mf_r = compute_stabilizer(inst_r.poly)
-    etas = fam.twisted_eigenspace(T, 1, -1)
-    special = {(0, 0, 0, 0)}
-    for al in T.subfield_elements(1)[:-1] + [0]:
-        for eta in etas:
-            if al == 0 and eta == 0:
-                continue
-            special.add((al, T.mul_code(T.neg_code(4), eta), eta, al))
-    _check(Mf_r.element_set() == frozenset(special), "subfield specialization mismatch")
+    theta_r = fam.psi_theta(T, rho, 3, 1)
+    _check(T.mul_code(theta_r, theta_r) == T.neg_code(4), "theta_rho^2 != -4")
+    _check(inst_r.matches(compute_stabilizer(inst_r.poly)), "subfield specialization fails")
     elapsed = time.time() - t0
     _check(elapsed < 30.0, f"runtime {elapsed:.1f}s exceeds 30s")
-    return "order 24; closed-form set and the (alpha, -4 eta; eta, alpha) case match"
+    return "order 24; closed-form stabilizer and the (alpha, -4 eta; eta, alpha) case match"
 
 
 def criterion_4():
@@ -117,15 +112,8 @@ def criterion_4():
     psi = fam.make_psi(T, h, 3, 1).poly
     theta = fam.psi_theta(T, h, 3, 1)
     P = Mat2(T, 1, theta, 1, T.neg_code(theta))
-    Pinv = P.inverse()
-    Mf = compute_stabilizer(psi)
-    conj = set()
-    for m in Mf.nonzero():
-        c = P * m * Pinv
-        _check(c.b == 0 and c.c == 0, "conjugate not diagonal")
-        conj.add((c.a, c.d))
-    expected = {(al, T.frob_code(al, 1)) for al in T.subfield_elements(2)[:-1]}
-    _check(conj == expected, "conjugated set differs from diag(a, a^q) over F_25")
+    _check(conjugates_to_diagonal(compute_stabilizer(psi), P, 1, 2),
+           "P G_f P^-1 differs from diag(a, a^q) over F_25")
     return "exact equality with the diagonal model of F_25"
 
 
@@ -158,11 +146,8 @@ def criterion_6():
             sf = to_standard_form(inst.poly)   # includes the G_h shape assertions
             _check(sf.h.delta_profile().t_h == sf.t, "t_h != t")
             _check(sf.t == Mf.t, "standard-form degree differs from stabilizer degree")
-            Gh = compute_stabilizer(sf.h)
-            _check(all(m.is_diagonal() for m in Gh.elements), "G_h not all diagonal")
-            predicted = {(al, 0, 0, T.frob_code(al, sf.s))
-                         for al in T.subfield_elements(sf.t)}
-            _check(Gh.element_set() == frozenset(predicted), "G_h shape mismatch")
+            _check(conjugates_to_diagonal(compute_stabilizer(sf.h), Mat2.identity(T),
+                                          sf.s, sf.t), "G_h shape mismatch")
     return "every catalog instance with t > 1 passes the equivalence consequences"
 
 

@@ -63,11 +63,6 @@ class Mat2:
     def scalar(cls, tower, x):
         return cls(tower, x, 0, 0, x)
 
-    @classmethod
-    def from_elements(cls, rows):
-        (a, b), (c, d) = rows
-        return cls(a.tower, a.code, b.code, c.code, d.code)
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -120,10 +115,6 @@ class Mat2:
         di = T.inv_code(dt)
         return Mat2(T, T.mul_code(di, self.d), T.mul_code(di, T.neg_code(self.b)),
                     T.mul_code(di, T.neg_code(self.c)), T.mul_code(di, self.a))
-
-    def conjugate(self, N):
-        """self * N * self^-1."""
-        return self * N * self.inverse()
 
     def apply(self, point):
         """Row-vector action: (x, y) -> (x a + y c, x b + y d)."""
@@ -281,6 +272,24 @@ def verify_field(Mf: MatrixField):
     Mf.generator = generator
     Mf.verified = True
     return t, generator
+
+
+def conjugates_to_diagonal(Mf: MatrixField, W: Mat2, s: int, t: int) -> bool:
+    """Is W Mf W^-1 = D(s, t) = {diag(alpha, alpha^(q^s)) : alpha in F_(q^t)}?
+
+    Conjugation by W is F_p-linear and D(s, t) is an F_p-space of order q^t,
+    so a conjugated basis inside D(s, t) puts W Mf W^-1 inside it, and equal
+    orders |Mf| = q^t make the two equal.  Costs dim(Mf) pairs of products.
+    """
+    T = Mf.tower
+    if Mf.order != T.q**t:
+        return False
+    Winv = W.inverse()
+    for b in Mf.basis:
+        c = W * b * Winv
+        if not c.is_diagonal() or T.frob_code(c.a, t) != c.a or T.frob_code(c.a, s) != c.d:
+            return False
+    return True
 
 
 @dataclass

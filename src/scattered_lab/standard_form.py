@@ -25,7 +25,8 @@ from .errors import InternalError, NotBijective, NotInS, NotScattered, NotStanda
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
-from .stabilizer import Mat2, MatrixField, _pair_system, compute_stabilizer, diagonalize
+from .stabilizer import (Mat2, MatrixField, _pair_system, compute_stabilizer,
+                         conjugates_to_diagonal, diagonalize)
 
 
 @dataclass
@@ -139,21 +140,6 @@ def maps_onto(f: LinearizedPoly, W: Mat2, g: LinearizedPoly) -> bool:
     return v == g.compose(u)
 
 
-def _standard_shape(Mf, W: Mat2, s, t) -> bool:
-    """Is W Mf W^-1 = {diag(al, al^(q^s)) : al in F_(q^t)}?
-
-    Conjugation is F_p-linear, so a conjugated basis inside that F_p-space,
-    whose order q^t equals |Mf| when Mf.t = t, spans all of it.
-    """
-    T = Mf.tower
-    Winv = W.inverse()
-    for b in Mf.basis:
-        c = W * b * Winv
-        if not c.is_diagonal() or T.frob_code(c.a, t) != c.a or T.frob_code(c.a, s) != c.d:
-            return False
-    return True
-
-
 def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     """Standard form of f with the conjugating witness, canonicalized.
 
@@ -193,7 +179,7 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     s, t = h_c.standard_form_params()
     if math.gcd(s, t) != 1:
         raise InternalError("standard form of a scattered polynomial must have (s, t) = 1")
-    if t != Mf.t or not _standard_shape(Mf, Pc, s, t):
+    if not conjugates_to_diagonal(Mf, Pc, s, t):
         raise InternalError("stabilizer of the standard form has unexpected shape")
     result = StandardFormResult(h_c, Pc, s, t, canonical=True)
     cache[f.coeffs] = result

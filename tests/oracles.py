@@ -31,7 +31,10 @@ fields (gl_solutions_by_brute_force).  Compositional inversion has the
 route the F_p-matrix and the trace-dual basis replaced: the matrix over F_q,
 inverted and read back through a Moore system by elimination on field
 elements (invert_by_fq_matrix).  The diagonal pairs of every element of a
-diagonalized G_f are rebuilt from the conjugated basis (diag_pairs).
+diagonalized G_f are rebuilt from the conjugated basis (diag_pairs).  The
+family predictions that the conjugator certificate decides are listed
+element by element (predicted_set_by_listing), and the linear set is built
+by one power and a sort per slope (linear_set_by_sort).
 They reuse the library's element lists (built on request from the kernel
 basis), stabilizer, diagonalization, standard forms and spread lookup, but
 none of the replaced logic.
@@ -44,10 +47,12 @@ import numpy as np
 
 from scattered_lab._linalg import inv_mod_matrix, rank_mod, span_codes
 from scattered_lab.errors import NotAField, NotBijective
+from scattered_lab.families import psi_theta, twisted_eigenspace
 from scattered_lab.field_tower import _digits, _factorint
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
+from scattered_lab.scatter import slope_census
 from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
 from scattered_lab.standard_form import _ab_min, maps_onto, to_standard_form
 
@@ -127,6 +132,18 @@ def scattered_by_fibers(T, f):
     fibers, kernel = slope_fibers(T, f)
     sizes = list(fibers.values()) + ([kernel] if kernel else [])
     return bool(sizes) and all(s == T.q - 1 for s in sizes)
+
+
+def linear_set_by_sort(f):
+    """The slopes of linear_set(f): one pow_code per attained slope log of the
+    census, sorted by element_key, with the zero slope appended for a kernel."""
+    T = f.tower
+    census = slope_census(f)
+    slopes = [T.pow_code(T.gen_code, s) for s in census.slope_logs]
+    slopes.sort(key=T.element_key)
+    if census.kernel_count:
+        slopes.append(0)
+    return tuple(slopes)
 
 
 def r_partial_by_scan(g, t, s):
@@ -806,6 +823,22 @@ def standard_form_stabilizer_by_census(f, sf):
 def standard_shape_by_walk(T, eset, s, t):
     """Is the element set exactly {diag(al, al^(q^s)) : al in F_(q^t)}?"""
     return eset == {(al, 0, 0, T.frob_code(al, s)) for al in T.subfield_elements(t)}
+
+
+def predicted_set_by_listing(inst):
+    """The predicted stabilizer of a family instance as a set of entry tuples,
+    zero included: {diag(al, al^(q^s)) : al in F_(q^t)} for the instance's
+    (s, t), and for the four-term family with odd t the displayed closed form
+    {(al, xi theta; xi/theta, al) : al in F_q, xi^(q^s) = -xi}."""
+    T = inst.poly.tower
+    prm = inst.params
+    if inst.family_id == 5 and prm["t"] % 2:
+        theta = psi_theta(T, prm["h"], prm["t"], prm["s"])
+        return frozenset((al, T.mul_code(xi, theta), T.div_code(xi, theta), al)
+                         for al in T.subfield_elements(1)
+                         for xi in twisted_eigenspace(T, prm["s"], -1))
+    s, t = inst.predicted_s, inst.predicted_t
+    return frozenset((al, 0, 0, T.frob_code(al, s)) for al in T.subfield_elements(t))
 
 
 def branches(r):

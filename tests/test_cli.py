@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from scattered_lab import mrd
+from scattered_lab import cli, mrd, scatter
 from scattered_lab.cli import main
 
 
@@ -288,3 +288,26 @@ def test_analyze_matches_golden_report(name, tmp_path):
                             "--tasks", "scatter,stabilizer,standard-form,mrd,plane"])
     assert code == 0
     assert out == (GOLDEN / f"analyze_{name}.json").read_text()
+
+
+def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
+    # the scatter and stabilizer tasks share one lazily built linear set
+    calls = []
+    build = scatter.linear_set
+
+    def counted(f):
+        calls.append(f.coeffs)
+        return build(f)
+
+    monkeypatch.setattr(cli, "linear_set", counted)
+    monkeypatch.setattr(scatter, "linear_set", counted)
+    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"coeffs": coeffs}))
+    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                            "--tasks", "scatter,stabilizer,standard-form,mrd,plane"])
+    assert code == 0
+    assert out == (GOLDEN / "analyze_psi_5_6.json").read_text()
+    assert len(calls) == 1

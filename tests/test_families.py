@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,9 @@ from scattered_lab.families import (
     twisted_eigenspace,
 )
 from scattered_lab.scatter import is_scattered
-from scattered_lab.stabilizer import compute_stabilizer
+from scattered_lab.stabilizer import Mat2, compute_stabilizer
+
+from oracles import predicted_set_by_listing
 
 
 def test_pseudoregulus_params(tower):
@@ -112,12 +115,14 @@ def test_all_checked_instances_scattered(tower):
 
 
 def test_predicted_stabilizers_exact(tower):
-    # the table of stabilizers as executable assertions, element-for-element
-    for key in ((5, 1, 4), (5, 1, 5), (5, 1, 6)):
+    # the table of stabilizers as executable assertions: the conjugator
+    # certificate, and element-for-element against the listed prediction
+    for key in ((5, 1, 4), (5, 1, 5), (5, 1, 6), (3, 1, 8)):
         T = tower(*key)
         for inst in catalog(T):
             Mf = compute_stabilizer(inst.poly)
-            assert Mf.element_set() == inst.predicted_set, (key, inst.family_id)
+            assert inst.matches(Mf), (key, inst.family_id)
+            assert Mf.element_set() == predicted_set_by_listing(inst), (key, inst.family_id)
             assert Mf.group_order == inst.predicted_order
 
 
@@ -127,8 +132,31 @@ def test_psi_stabilizer_even_t():
     h = find_psi_h(T, 4)
     inst = make_psi(T, h, 4, 1)
     Mf = compute_stabilizer(inst.poly)
-    assert Mf.element_set() == inst.predicted_set
+    assert inst.matches(Mf)
+    assert Mf.element_set() == predicted_set_by_listing(inst)
     assert Mf.t == 2 and Mf.group_order == 8
+
+
+def test_prediction_certificate_rejects_wrong_triples(tower):
+    # each mutated (W, s, t) describes another F_p-space of matrices
+    T = tower(5, 1, 6)
+    psi = make_psi(T, find_psi_h(T, 3), 3, 1)
+    Mf = compute_stabilizer(psi.poly)
+    assert psi.matches(Mf)
+    two_theta = T.add_code(psi_theta(T, psi.params["h"], 3, 1),
+                           psi_theta(T, psi.params["h"], 3, 1))
+    assert not replace(psi, predicted_conjugator=Mat2(
+        T, 1, two_theta, 1, T.neg_code(two_theta))).matches(Mf)
+    assert not replace(psi, predicted_conjugator=Mat2.identity(T)).matches(Mf)
+    frob = make_pseudoregulus(T, 1)
+    assert frob.matches(compute_stabilizer(frob.poly))
+    assert not replace(frob, predicted_s=5).matches(compute_stabilizer(frob.poly))
+    T4 = tower(5, 1, 4)
+    lp = make_lp(T4, 1, find_lp_delta(T4))
+    assert lp.matches(compute_stabilizer(lp.poly))
+    assert not replace(lp, predicted_t=1).matches(compute_stabilizer(lp.poly))
+    # F_25 lies in D(1, 4), so only the order |G_f| = 25 rejects t = 4
+    assert not replace(lp, predicted_t=4).matches(compute_stabilizer(lp.poly))
 
 
 def test_beta_identity(tower):

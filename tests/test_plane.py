@@ -1,11 +1,13 @@
 import dataclasses
+import json
 
 import pytest
 
 import scattered_lab.plane as plane
+from scattered_lab import cli, selftest
 from scattered_lab._certify import FpSpace
 from scattered_lab.errors import HallCase, InternalError, NotInS, NotScattered, SmallQ, TooLarge
-from scattered_lab.field_tower import make_field
+from scattered_lab.field_tower import FieldTower, make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
     catalog,
@@ -429,18 +431,27 @@ def test_homology_checks_reject_broken_groups(tower):
                                          hr.t)
 
 
-def test_classification_reads_no_element_list(tower, monkeypatch):
+def test_classification_reads_no_element_list(tower, monkeypatch, capsys):
     # x^q over F_(7^6): G_f has 117 649 elements; the homology groups come
-    # from the diagonal form alone
+    # from the diagonal form alone.  The family predictions of selftest
+    # criteria 1-4 and 6 and of `families --verify` are decided by the
+    # conjugator certificate, with no list of G_f or of a subfield either
     def refuse(*_args):
-        raise AssertionError("an element list of G_f was read")
+        raise AssertionError("an element list was read")
 
     for name in ("elements", "nonzero", "element_set"):
         monkeypatch.setattr(FpSpace, name, property(refuse) if name == "elements" else refuse)
+    monkeypatch.setattr(FieldTower, "subfield_elements", refuse)
     hr = classify_central_collineations(LinearizedPoly.monomial(tower(7, 1, 6), 1))
     assert hr.case == "ii" and hr.t == 6 and hr.group_order == 19608
     assert hr.cyclic_ok is hr.exchange_ok is hr.decomposition_ok is True
     assert hr.elations == 0 and hr.central_classes_scanned == 19608 * 19608
+    for criterion in (selftest.criterion_1, selftest.criterion_2, selftest.criterion_3,
+                      selftest.criterion_4, selftest.criterion_6):
+        criterion()
+    assert cli.main(["families", "--family", "1", "--q", "7", "--n", "6", "--verify"]) == 0
+    verified = json.loads(capsys.readouterr().out)["verified"]
+    assert verified["matches_prediction"] is True and verified["stabilizer_order"] == 7**6 - 1
 
 
 def test_reducibility_witness_walks_no_subfield(tower, monkeypatch):

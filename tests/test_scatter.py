@@ -4,6 +4,7 @@ import random
 import pytest
 
 from scattered_lab.errors import NotSubfieldLinear, TooLarge
+from scattered_lab.families import catalog
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.scatter import (
@@ -18,7 +19,7 @@ from scattered_lab.scatter import (
 from scattered_lab.standard_form import canonicalize, image_polynomial
 from scattered_lab.stabilizer import Mat2, compute_stabilizer
 
-from oracles import r_partial_by_scan, scattered_by_fibers, slope_fibers
+from oracles import linear_set_by_sort, r_partial_by_scan, scattered_by_fibers, slope_fibers
 
 
 def test_is_scattered_examples(tower):
@@ -230,3 +231,23 @@ def test_linear_set_json(tower):
     assert doc["size"] == 156 and doc["scattered"] and not doc["has_infinity"]
     assert len(doc["slopes"]) == 156
     assert all(isinstance(s, str) for s in doc["slopes"])
+
+
+def test_linear_set_matches_sorted_powers(tower):
+    # the gather from the sorted census against one pow_code and a sort per
+    # slope, on catalog instances, seeded random f and f with a kernel
+    rng = random.Random(2024)
+    polys = []
+    for key in ((3, 1, 4), (5, 1, 4), (5, 1, 5), (5, 1, 6)):
+        T = tower(*key)
+        polys += [inst.poly for inst in catalog(T)]
+        polys += [LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])
+                  for _ in range(6)]
+    T = tower(5, 1, 4)
+    with_kernel = LinearizedPoly(T, [T.neg_code(1), 1, 0, 0])   # x^q - x, kernel F_q
+    polys.append(with_kernel)
+    for f in polys:
+        if not f.is_zero():
+            assert linear_set(f).slopes == linear_set_by_sort(f), f.coeffs
+    assert linear_set(with_kernel).has_zero_slope
+    assert linear_set(with_kernel).size == slope_census(with_kernel).n_slopes

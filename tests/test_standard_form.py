@@ -12,10 +12,15 @@ from scattered_lab.families import (
     psi_standard_form_closed,
 )
 from scattered_lab.scatter import is_scattered, linear_set
-from scattered_lab.stabilizer import Mat2, MatrixField, _pair_system, compute_stabilizer
+from scattered_lab.stabilizer import (
+    Mat2,
+    MatrixField,
+    _pair_system,
+    compute_stabilizer,
+    conjugates_to_diagonal,
+)
 from scattered_lab.standard_form import (
     _ab_min,
-    _standard_shape,
     canonicalize,
     gammal_equivalent,
     gl_equivalent,
@@ -115,11 +120,11 @@ def test_standard_form_stabilizer_is_the_conjugated_field(tower):
             assert Gh.order == len(conjugated) == Mf.order
             assert Gh.element_set() == conjugated
             assert standard_shape_by_walk(T, conjugated, sf.s, sf.t)
-            assert _standard_shape(Mf, sf.P, sf.s, sf.t)
+            assert conjugates_to_diagonal(Mf, sf.P, sf.s, sf.t)
             # a twist off by one (mod t) is rejected by both checks
             wrong = (sf.s + 1) % sf.t
             assert not standard_shape_by_walk(T, conjugated, wrong, sf.t)
-            assert not _standard_shape(Mf, sf.P, wrong, sf.t)
+            assert not conjugates_to_diagonal(Mf, sf.P, wrong, sf.t)
 
 
 def test_not_in_S_raises(tower):
