@@ -4,8 +4,8 @@ The stabilizer field G_f (2x2 matrices) and the right idealizer of C_f
 (q-polynomials under composition) are both solution sets of F_p-linear
 systems.  Each is stored as its system and an F_p-basis of the kernel
 (`FpSpace`): V = span(basis) = ker(system), |V| = p^dim, and membership is
-one matrix-vector product.  No element is listed unless a caller asks for
-the list.  The field certificate checks:
+one matrix-vector product.  The library never lists the elements; only the
+test oracles do, through `FpSpace._codes()`.  The field certificate checks:
 
 * |V| = q^t with t | n, and system b = 0 for every basis element b;
 * the identity lies in V;
@@ -26,7 +26,7 @@ import numpy as np
 
 from ._linalg import kernel_mod, span_codes
 from .errors import NotAField
-from .field_tower import _digits, _factorint, _pack
+from .field_tower import _digits, _pack, _prime_divisors
 
 
 class FpSpace:
@@ -73,17 +73,6 @@ class FpSpace:
         """Element r of the span order, built alone."""
         return self.from_key(self.tower, self._codes([r])[0])
 
-    @property
-    def elements(self):
-        """Every element, zero first, in span order; built on each access."""
-        return tuple(self.from_key(self.tower, row) for row in self._codes())
-
-    def element_set(self):
-        return frozenset(map(tuple, self._codes()))
-
-    def nonzero(self):
-        return [self.from_key(self.tower, row) for row in self._codes() if any(row)]
-
 
 def _power(x, k, one, mul):
     acc, base = one, x
@@ -115,7 +104,7 @@ def certify_field(V: FpSpace, one, mul):
         raise NotAField("identity missing")
     one_key = V.key(one)
     group_order = V.order - 1
-    factors = list(_factorint(group_order)) if group_order > 1 else []
+    factors = _prime_divisors(group_order)
     alpha = None
     for r in range(1, V.order):
         m = V.element(r)

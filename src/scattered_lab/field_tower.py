@@ -16,6 +16,16 @@ constructions, composition, ranks and inversion exact; every analysis that
 enumerates F_{q^n}^* refuses them up front through
 `FieldTower.require_tables`, which raises TooLarge (CLI exit 2).
 
+The primes dividing p^(en) - 1 (primitivity, element orders, the field
+certificate) and en (Rabin's test) come from `_prime_divisors`: trial
+division by the primes below 2^10, then Brent's variant of Pollard rho with
+a fixed start and a fixed sequence of constants.  Primality is trial
+division, then strong probable-prime tests to the 13 prime bases 2..41,
+which no composite below psi_13 = 3317044064679887385961981 passes
+(Sorenson and Webster, Math. Comp. 2017).  Both are exact; at or above
+psi_13 the prime test raises TooLarge instead of guessing, which the
+default enumeration bound 2^40 keeps far away.
+
 Linear algebra over the tower is F_p-linear algebra in the power basis.
 The F_p-trace-dual basis of that basis (`trace_dual_basis`, built once per
 tower) reads power-basis coordinates as traces, which turns the F_p-matrix
@@ -24,6 +34,8 @@ of an F_q-linear map back into its q-polynomial.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -43,21 +55,109 @@ from ._linalg import inv_mod_matrix, solve_mod
 DEFAULT_TABLE_BOUND = 1 << 23
 DEFAULT_ENUM_BOUND = 1 << 40
 
-_FACTOR_CACHE: dict[int, dict[int, int]] = {}
-
-
-def _factorint(m: int) -> dict[int, int]:
-    if m not in _FACTOR_CACHE:
-        import sympy
-
-        _FACTOR_CACHE[m] = {int(p): int(k) for p, k in sympy.factorint(m).items()}
-    return _FACTOR_CACHE[m]
+_SMALL_PRIMES = tuple(m for m in range(2, 1 << 10)
+                      if all(m % d for d in range(2, math.isqrt(m) + 1)))
+# The strong probable-prime test to the 13 prime bases 2..41 has no composite
+# below psi_13 passing it (Sorenson-Webster 2017), so it decides primality
+# exactly there; psi_12 = 318665857834031151167461 passes the bases 2..37.
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SPRP_EXACT_BELOW = 3317044064679887385961981   # psi_13
+_RHO_BATCH = 128
 
 
 def _is_prime(m: int) -> bool:
-    import sympy
+    """Is m prime?  Exact; raises TooLarge for m >= psi_13 rather than guess.
 
-    return bool(sympy.isprime(m))
+    Trial division by the primes below 2^10 settles every m with such a
+    factor and every m < 1021^2; any other m is prime iff it is a strong
+    probable prime to every base of _SPRP_BASES.
+    """
+    if m >= _SPRP_EXACT_BELOW:
+        raise TooLarge(f"primality of {m} is decided exactly only below {_SPRP_EXACT_BELOW}")
+    for ell in _SMALL_PRIMES:
+        if ell * ell > m:
+            return m > 1
+        if m % ell == 0:
+            return m == ell
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _SPRP_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(m: int) -> int:
+    """A proper divisor of the odd composite m, which is not a perfect square.
+
+    Brent's variant of Pollard rho on x -> x^2 + c from x = 2, with the gcd
+    taken once per batch of _RHO_BATCH steps; c runs through 1, 2, ... until
+    the gcd is proper, so every call on the same m does the same work.
+    """
+    for c in itertools.count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    acc = acc * abs(x - y) % m
+                g = math.gcd(acc, m)
+                k += _RHO_BATCH
+            r *= 2
+        if g == m:
+            # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
+
+
+@functools.lru_cache(maxsize=1024)
+def _prime_divisors(m: int) -> tuple[int, ...]:
+    """The distinct primes dividing m >= 1, ascending.
+
+    Trial division by the primes below 2^10, then Brent's rho on what is
+    left, split until every part passes `_is_prime`; raises TooLarge when a
+    part at or above psi_13 is left.
+    """
+    if m < 1:
+        raise ValueError(f"prime divisors of {m}")
+    found = []
+    for ell in _SMALL_PRIMES:
+        if ell * ell > m:
+            break
+        if m % ell == 0:
+            found.append(ell)
+            while m % ell == 0:
+                m //= ell
+    large, parts = set(), [m] if m > 1 else []
+    while parts:
+        k = parts.pop()
+        if _is_prime(k):
+            large.add(k)
+            continue
+        root = math.isqrt(k)
+        if root * root == k:
+            parts.append(root)
+        else:
+            d = _rho_factor(k)
+            parts += [d, k // d]
+    return tuple(found) + tuple(sorted(large))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +229,7 @@ def is_irreducible(coeffs, p) -> bool:
     if _ptrim([(x - y) % p for x, y in zip(
             xq + [0] * len(base), base + [0] * len(xq))]) != []:
         return False
-    for ell in _factorint(d):
+    for ell in _prime_divisors(d):
         xr = _ppow_x(p ** (d // ell), m, p)
         diff = [(x - y) % p for x, y in zip(
             xr + [0] * len(base), base + [0] * len(xr))]
@@ -534,7 +634,7 @@ class FieldTower:
             raise ZeroDivisionError("order of zero")
         M = self.mult_order
         order = M
-        for ell in _factorint(M):
+        for ell in _prime_divisors(M):
             while order % ell == 0 and self.pow_code(a, order // ell) == 1:
                 order //= ell
         return order
@@ -739,14 +839,17 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
     element (in code order, starting from the class of X) of multiplicative
     order p^(e*n) - 1.  Both choices are verified, also for supplied values.
     """
-    if p < 2 or not _is_prime(p):
+    if p < 2:
         raise NonPrime(f"p={p} is not prime")
     if e < 1 or n < 2:
         raise DegreeTooLarge(f"need e >= 1 and n >= 2, got e={e}, n={n}")
-    if p ** (e * n) > enum_bound:
-        raise DegreeTooLarge(
-            f"field with p^(e*n) = {p**(e*n)} elements exceeds the enumeration bound {enum_bound}")
     en = e * n
+    # p^en >= 2^((bits(p) - 1) * en): a huge degree is refused without forming p^en
+    if (p.bit_length() - 1) * en >= enum_bound.bit_length() or p**en > enum_bound:
+        raise DegreeTooLarge(
+            f"field with {p}^{en} elements exceeds the enumeration bound {enum_bound}")
+    if not _is_prime(p):
+        raise NonPrime(f"p={p} is not prime")
     if modulus is None:
         modulus = first_irreducible(p, en)
     else:
@@ -760,7 +863,7 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
 
     probe = FieldTower(FieldSpec(p, e, n, modulus, p, seed), table_bound=0)
     M = probe.mult_order
-    factors = list(_factorint(M))
+    factors = _prime_divisors(M)
 
     def is_primitive(code):
         return all(probe.pow_code(code, M // ell) != 1 for ell in factors)

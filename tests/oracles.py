@@ -35,9 +35,10 @@ diagonalized G_f are rebuilt from the conjugated basis (diag_pairs).  The
 family predictions that the conjugator certificate decides are listed
 element by element (predicted_set_by_listing), and the linear set is built
 by one power and a sort per slope (linear_set_by_sort).
-They reuse the library's element lists (built on request from the kernel
-basis), stabilizer, diagonalization, standard forms and spread lookup, but
-none of the replaced logic.
+The element lists of a kernel-basis space, which the library never builds,
+live here too (elements_of, element_set_of, nonzero_of).  The oracles reuse
+the library's stabilizer, diagonalization, standard forms and spread lookup,
+but none of the replaced logic.
 """
 
 import itertools
@@ -48,13 +49,28 @@ import numpy as np
 from scattered_lab._linalg import inv_mod_matrix, rank_mod, span_codes
 from scattered_lab.errors import NotAField, NotBijective
 from scattered_lab.families import psi_theta, twisted_eigenspace
-from scattered_lab.field_tower import _digits, _factorint
+from scattered_lab.field_tower import _digits, _prime_divisors
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.scatter import slope_census
 from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
 from scattered_lab.standard_form import _ab_min, maps_onto, to_standard_form
+
+
+def elements_of(V):
+    """Every element of the F_p-space V (a `_certify.FpSpace`), zero first,
+    in span order."""
+    return tuple(V.from_key(V.tower, row) for row in V._codes())
+
+
+def element_set_of(V):
+    """The keys of every element of V, as a frozenset of code tuples."""
+    return frozenset(map(tuple, V._codes()))
+
+
+def nonzero_of(V):
+    return [V.from_key(V.tower, row) for row in V._codes() if any(row)]
 
 
 def poly_divides(d, a, p):
@@ -374,9 +390,9 @@ def central_classes_by_scan(f):
                 raise AssertionError("a scalar class fixes a direction pointwise")
         return [], [], 0, step
     diag = diagonalize(Mf)
-    pair_of = {m.entries(): pr for m, pr in zip(Mf.elements, diag_pairs(diag))}
+    pair_of = {m.entries(): pr for m, pr in zip(elements_of(Mf), diag_pairs(diag))}
     classes = {}
-    for m in Mf.nonzero():
+    for m in nonzero_of(Mf):
         classes.setdefault(T.dlog(pair_of[m.entries()][0]) % step, m)
     group_X, group_Y = [], []
     elations = scanned = 0
@@ -531,7 +547,7 @@ def cyclic_by_walk(T, elements):
     first element of full order and compares them with the list."""
     order = len(elements)
     eset = {m.entries() for m in elements}
-    factors = list(_factorint(order)) if order > 1 else []
+    factors = _prime_divisors(order) if order > 1 else ()
     for m in elements:
         if m.is_identity() and order > 1:
             continue
@@ -630,7 +646,7 @@ def decomposition_by_sampling(T, Mf, diag, t, samples=64):
     if len(kappa_set) != (q**t - 1) // (q - 1):
         return False
     rng = T.rng("fcg")
-    elems = Mf.nonzero()
+    elems = nonzero_of(Mf)
     for _ in range(samples):
         m = elems[rng.randrange(len(elems))]
         d = T.pow_code(T.gen_code, rng.randrange(T.mult_order))
@@ -654,7 +670,7 @@ def field_by_walk(Mf, exhaustive_bound=200):
     Raises NotAField; leaves Mf untouched.
     """
     T = Mf.tower
-    elements = Mf.elements
+    elements = elements_of(Mf)
     order = len(elements)
     t = 0
     while T.q**t < order:
@@ -668,7 +684,7 @@ def field_by_walk(Mf, exhaustive_bound=200):
         if not m.is_zero() and m.det() == 0:
             raise NotAField("singular nonzero element")
     group_order = order - 1
-    factors = list(_factorint(group_order)) if group_order > 1 else []
+    factors = _prime_divisors(group_order) if group_order > 1 else ()
     generator = None
     for m in elements:
         if m.is_zero() or (m.is_identity() and group_order > 1):
@@ -703,7 +719,7 @@ def field_by_walk(Mf, exhaustive_bound=200):
 
 def diag_pairs(diag):
     """(x, x^sigma) codes of every element of the diagonalized field, in the
-    order of Mf.elements: the F_p-combinations of diag.basis_pairs in span
+    order of elements_of(Mf): the F_p-combinations of diag.basis_pairs in span
     order."""
     T = diag.P.tower
     vecs = [_digits(x, T.p, T.en) + _digits(y, T.p, T.en) for x, y in diag.basis_pairs]
@@ -734,7 +750,7 @@ def diagonalize_by_conjugation(Mf):
     P = Mat2(T, rows[0][0], rows[0][1], rows[1][0], rows[1][1])
     Pinv = P.inverse()
     pairs = []
-    for m in Mf.elements:
+    for m in elements_of(Mf):
         c = P * m * Pinv
         assert c.is_diagonal(), "conjugation failed to diagonalize an element"
         pairs.append((c.a, c.d))
@@ -752,7 +768,7 @@ def idealizer_field_by_walk(I, tower, exhaustive_bound=200):
 
     Raises NotAField.
     """
-    elements = I.elements
+    elements = elements_of(I)
     order = len(elements)
     t = 0
     while tower.q**t < order:
@@ -767,7 +783,7 @@ def idealizer_field_by_walk(I, tower, exhaustive_bound=200):
         if not w.is_zero() and w.rank() != tower.n:
             raise NotAField("singular nonzero idealizer element")
     group_order = order - 1
-    factors = list(_factorint(group_order)) if group_order > 1 else []
+    factors = _prime_divisors(group_order) if group_order > 1 else ()
 
     def poly_pow(w, k):
         acc, base = x, w
@@ -806,8 +822,8 @@ def stabilizer_images_by_walk(f):
     """True when M -> a x + c f maps every element of G_f into the right
     idealizer of C_f, injectively and onto."""
     Mf = compute_stabilizer(f)
-    iset = right_idealizer(code_of(f)).element_set()
-    images = {stabilizer_to_right_idealizer(M, f).coeffs for M in Mf.elements}
+    iset = element_set_of(right_idealizer(code_of(f)))
+    images = {stabilizer_to_right_idealizer(M, f).coeffs for M in elements_of(Mf)}
     return len(images) == Mf.order and images == iset
 
 
@@ -817,7 +833,7 @@ def standard_form_stabilizer_by_census(f, sf):
     kernel), and the set of every element of G_f conjugated by W."""
     Gh = compute_stabilizer(sf.h)
     Winv = sf.P.inverse()
-    return Gh, frozenset((sf.P * m * Winv).entries() for m in compute_stabilizer(f).elements)
+    return Gh, frozenset((sf.P * m * Winv).entries() for m in elements_of(compute_stabilizer(f)))
 
 
 def standard_shape_by_walk(T, eset, s, t):

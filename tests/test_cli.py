@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -311,3 +313,22 @@ def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
     assert code == 0
     assert out == (GOLDEN / "analyze_psi_5_6.json").read_text()
     assert len(calls) == 1
+
+
+def test_analyze_process_never_imports_sympy(specs):
+    # primality and prime divisors are stdlib code, so a fresh five-task
+    # analyze process does not load sympy
+    field, poly, _ = specs
+    script = ("import sys\n"
+              "from scattered_lab.cli import main\n"
+              f"code = main(['analyze', '--field', {str(field)!r}, '--poly', {str(poly)!r},\n"
+              "             '--tasks', 'scatter,stabilizer,standard-form,mrd,plane'])\n"
+              "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+              "sys.exit(code)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)["tasks"]) == {"scatter", "stabilizer", "standard-form",
+                                                     "mrd", "plane"}

@@ -12,6 +12,8 @@ from scattered_lab import (
 )
 from scattered_lab.families import find_lp_delta, make_lp
 
+from oracles import element_set_of
+
 
 def test_q9_pseudoregulus_full_chain(tower):
     T = tower(3, 2, 3)
@@ -20,7 +22,7 @@ def test_q9_pseudoregulus_full_chain(tower):
     assert Mf.t == 3 and Mf.group_order == 9**3 - 1
     predicted = {(al, 0, 0, T.frob_code(al, 1)) for al in range(1, 729)}
     predicted.add((0, 0, 0, 0))
-    assert Mf.element_set() == frozenset(predicted)
+    assert element_set_of(Mf) == frozenset(predicted)
     d = diagonalize(Mf)
     assert d.P.is_identity() and d.s == 1
     assert min_distance(code_of(f)) == T.n - 1

@@ -25,7 +25,7 @@ from scattered_lab.families import (
 from scattered_lab.scatter import is_scattered
 from scattered_lab.stabilizer import Mat2, compute_stabilizer
 
-from oracles import predicted_set_by_listing
+from oracles import element_set_of, predicted_set_by_listing
 
 
 def test_pseudoregulus_params(tower):
@@ -122,7 +122,7 @@ def test_predicted_stabilizers_exact(tower):
         for inst in catalog(T):
             Mf = compute_stabilizer(inst.poly)
             assert inst.matches(Mf), (key, inst.family_id)
-            assert Mf.element_set() == predicted_set_by_listing(inst), (key, inst.family_id)
+            assert element_set_of(Mf) == predicted_set_by_listing(inst), (key, inst.family_id)
             assert Mf.group_order == inst.predicted_order
 
 
@@ -133,7 +133,7 @@ def test_psi_stabilizer_even_t():
     inst = make_psi(T, h, 4, 1)
     Mf = compute_stabilizer(inst.poly)
     assert inst.matches(Mf)
-    assert Mf.element_set() == predicted_set_by_listing(inst)
+    assert element_set_of(Mf) == predicted_set_by_listing(inst)
     assert Mf.t == 2 and Mf.group_order == 8
 
 

@@ -7,8 +7,9 @@ from scattered_lab.errors import (
     InternalError,
     NonPrime,
     NotADivisor,
+    TooLarge,
 )
-from scattered_lab.field_tower import FieldSpec, field_from_json, make_field
+from scattered_lab.field_tower import FieldSpec, _is_prime, field_from_json, make_field
 
 from oracles import (
     irreducible_by_trial_division,
@@ -66,8 +67,25 @@ def test_construction_errors():
         make_field(2, 1, 50)
     with pytest.raises(DegreeTooLarge):
         make_field(5, 1, 1)
+    # the size is refused before p is tested, so a p past the exact range of
+    # the prime test never reaches it
+    with pytest.raises(DegreeTooLarge):
+        make_field(3317044064679887385961981 + 2, 1, 2)
+    # and a huge degree is refused without forming (or printing) p^(e*n)
+    for n in (10**5, 10**12):
+        with pytest.raises(DegreeTooLarge):
+            make_field(3, 1, n)
     with pytest.raises(BadElement):
         make_field(2, 1, 2, modulus=[1, 0, 1])  # x^2 + 1 = (x+1)^2
+
+
+def test_prime_test_refuses_past_its_exact_range():
+    # the bases 2..41 are proven only below psi_13; psi_12 passes 2..37 but not 41
+    psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
+    assert not _is_prime(psi_12) and _is_prime(2**61 - 1)
+    for m in (psi_13, psi_13 + 2, 2**89 - 1):
+        with pytest.raises(TooLarge):
+            _is_prime(m)
 
 
 def test_frobenius_examples(tower):

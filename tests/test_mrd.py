@@ -16,7 +16,7 @@ from scattered_lab.mrd import (
 )
 from scattered_lab.stabilizer import compute_stabilizer
 
-from oracles import min_distance_by_ranks, min_distance_by_sampling
+from oracles import element_set_of, elements_of, min_distance_by_ranks, min_distance_by_sampling
 
 
 def test_codeword_generators(tower):
@@ -103,7 +103,7 @@ def test_right_idealizer_orders(tower):
     assert IR5.order == 25
     x = LinearizedPoly.identity(T5)
     for lam in T5.subfield_elements(1):
-        assert x.scale(lam).coeffs in IR5.element_set()
+        assert x.scale(lam).coeffs in element_set_of(IR5)
 
 
 def test_left_idealizer_contains_big_field(tower):
@@ -112,7 +112,7 @@ def test_left_idealizer_contains_big_field(tower):
     IL = left_idealizer(code_of(lp))
     assert IL.order >= 5**4
     x = LinearizedPoly.identity(T)
-    iset = IL.element_set()
+    iset = element_set_of(IL)
     rng = T.rng("leftid")
     for _ in range(20):
         lam = rng.randrange(625)
@@ -147,9 +147,9 @@ def test_explicit_isomorphism_map(tower):
     f = LinearizedPoly.monomial(T, 1)
     Mf = compute_stabilizer(f)
     IR = right_idealizer(code_of(f))
-    iset = IR.element_set()
+    iset = element_set_of(IR)
     rng = T.rng("isomap")
-    elems = list(Mf.elements)
+    elems = list(elements_of(Mf))
     for _ in range(15):
         M1, M2 = (elems[rng.randrange(len(elems))] for _ in range(2))
         phi1 = stabilizer_to_right_idealizer(M1, f)
