@@ -3,8 +3,11 @@
 Matrices are numpy int64 arrays reduced mod p.  They carry the stabilizer
 and idealizer solution systems, the Frobenius and multiplication matrices,
 and the F_p-matrix of a q-polynomial, from which its rank and compositional
-inverse are read.  Everything here is plain Gaussian elimination; the
-systems never exceed a few hundred rows at desk scale.
+inverse are read.  The eliminations are plain Gaussian elimination; the
+systems never exceed a few hundred rows at desk scale.  `linear_values`
+tabulates an F_p-affine map on every code of F_p^en by p-adic doubling: it
+is the bulk evaluation behind the slope census, the exp-table build and
+the line check of a collineation.
 """
 
 from __future__ import annotations
@@ -87,6 +90,50 @@ def inv_mod_matrix(A, p):
 def rank_mod(A, p):
     _, pivots = rref_mod(A, p)
     return len(pivots)
+
+
+def linear_values(p, A, offset=None):
+    """Value of the F_p-affine map c -> offset + A c at every code c < p^en.
+
+    A is a matrix over F_p with en columns acting on little-endian digit
+    vectors, and offset a digit vector (zero when None).  Entry c of the
+    int64 result is the packed code of offset + A digits(c), so the table is
+    in code order.  It is built by p-adic doubling: the codes with top digit
+    d at level j are the codes below p^j, shifted by d A(p^j).  For p = 2
+    each level is one XOR of packed codes.  Otherwise all output digits are
+    doubled together in one rows x N array of the narrowest unsigned dtype
+    that holds 2p, and packed into the result one digit at a time, so no
+    N x en int64 temporary is formed.
+    """
+    A = np.asarray(A, dtype=np.int64) % p
+    rows, en = A.shape
+    size = p**en
+    off = np.zeros(rows, dtype=np.int64) if offset is None else np.asarray(offset, dtype=np.int64) % p
+    if p == 2:
+        bits = 1 << np.arange(rows, dtype=np.int64)
+        images = bits @ A
+        out = np.empty(size, dtype=np.int64)
+        out[0] = bits @ off
+        h = 1
+        for j in range(en):
+            np.bitwise_xor(out[:h], images[j], out=out[h:2 * h])
+            h *= 2
+        return out
+    D = np.empty((rows, size), dtype=np.min_scalar_type(2 * p))
+    D[:, 0] = off
+    # shifts[i, d - 1, j] = digit i of d A(p^j)
+    shifts = (A[:, None, :] * np.arange(1, p)[None, :, None] % p).astype(D.dtype)
+    h = 1
+    for j in range(en):
+        block = D[:, h:p * h].reshape(rows, p - 1, h)
+        np.add(D[:, None, :h], shifts[:, :, j, None], out=block)
+        np.remainder(block, p, out=block)
+        h *= p
+    out = np.zeros(size, dtype=np.int64)
+    for digit in D[::-1]:
+        out *= p
+        out += digit
+    return out
 
 
 def span_codes(basis_vecs, p, width, blocks, rows=None):

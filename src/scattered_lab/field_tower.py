@@ -38,6 +38,7 @@ import functools
 import itertools
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,13 @@ from .errors import (
     NotADivisor,
     TooLarge,
 )
-from ._linalg import inv_mod_matrix, solve_mod
+from ._linalg import inv_mod_matrix, linear_values, solve_mod
 
 DEFAULT_TABLE_BOUND = 1 << 23
 DEFAULT_ENUM_BOUND = 1 << 40
+# entries kept per memo of a tower (census, stabilizer, invert, ...); a sweep
+# round of the benchmark stores at most 77 in one (invert, two per inversion)
+CACHE_SIZE = 128
 
 _SMALL_PRIMES = tuple(m for m in range(2, 1 << 10)
                       if all(m % d for d in range(2, math.isqrt(m) + 1)))
@@ -380,6 +384,20 @@ class FieldElement:
         return self.tower.format_code(self.code)
 
 
+class _LRU(OrderedDict):
+    """A memo that keeps the CACHE_SIZE most recently used entries."""
+
+    def __getitem__(self, key):
+        self.move_to_end(key)
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > CACHE_SIZE:
+            self.popitem(last=False)
+
+
 class FieldTower:
     """The chain F_p < F_q < F_{q^n} with all precomputed machinery."""
 
@@ -395,7 +413,6 @@ class FieldTower:
         self.modulus = spec.modulus
         self.seed = spec.seed
         self.key = (spec.p, spec.e, spec.n, spec.modulus)
-        self._pvec = np.array([self.p**i for i in range(self.en)], dtype=np.int64)
         # rows for reducing X^(en+j), j = 0..en-2
         red = []
         cur = _pmod([0] * self.en + [1], list(self.modulus), self.p)
@@ -411,30 +428,30 @@ class FieldTower:
         self._frob_mat = None
         self._frob_pows: dict[int, np.ndarray] = {}
         self._trace_dual = None
-        self._caches: dict[str, dict] = {}
+        self._bsgs_baby: dict[int, int] = {}
+        self._caches: dict[str, _LRU] = {}
 
     # -- table construction ---------------------------------------------
     def _build_tables(self):
+        """exp[k] = g^k by B = isqrt(M) baby steps, then whole blocks.
+
+        Multiplication by g^B is F_p-linear, so its value table over every
+        code is one `linear_values` pass, and block j + 1 of the exp table
+        is that table gathered at block j.
+        """
         M = self.mult_order
-        en, p = self.en, self.p
-        B = max(1, math.isqrt(M))
-        baby = np.zeros((en, B), dtype=np.int64)
+        B = math.isqrt(M)
+        exp = np.empty(M, dtype=np.int64)
         c = 1
         for j in range(B):
-            baby[:, j] = _digits(c, p, en)
+            exp[j] = c
             c = self._poly_mul_codes(c, self.gen_code)
-        giant = np.zeros((en, en), dtype=np.int64)
-        gB = c if B else 1  # g^B
-        for i in range(en):
-            giant[:, i] = _digits(self._poly_mul_codes(gB, int(self.p**i)), p, en)
-        exp = np.empty(((M // B + 2) * B,), dtype=np.int64)
-        cur = baby
-        pos = 0
-        while pos < M:
-            exp[pos:pos + B] = self._pvec @ cur
-            cur = (giant @ cur) % p
-            pos += B
-        self.exp_table = exp[:M].copy()
+        times_gB = linear_values(self.p, self.mul_matrix(c))   # c = g^B
+        for pos in range(B, M, B):
+            k = min(B, M - pos)
+            exp[pos:pos + k] = times_gB[exp[pos - B:pos - B + k]]
+        del times_gB   # freed before the log table is allocated
+        self.exp_table = exp
         log = np.full(self.size, -1, dtype=np.int64)
         log[self.exp_table] = np.arange(M, dtype=np.int64)
         self.log_table = log
@@ -545,7 +562,7 @@ class FieldTower:
     def _bsgs(self, a):
         M = self.mult_order
         m = math.isqrt(M) + 1
-        baby = self._caches.setdefault("bsgs", {})
+        baby = self._bsgs_baby
         if not baby:
             c = 1
             for j in range(m):
@@ -827,7 +844,10 @@ class FieldTower:
 
     # shared memo space for the other modules, keyed by polynomial coefficients
     def cache(self, name):
-        return self._caches.setdefault(name, {})
+        """The memo `name` of this tower: an LRU mapping of CACHE_SIZE entries."""
+        if name not in self._caches:
+            self._caches[name] = _LRU()
+        return self._caches[name]
 
 
 def make_field(p, e, n, seed=0, modulus=None, generator=None,

@@ -4,7 +4,10 @@ A polynomial sum(a_i x^(q^i)) is held as the length-n tuple of coefficient
 codes.  Composition is reduced mod x^(q^n) - x, so these objects are exactly
 the F_q-linear endomorphisms of F_{q^n}.  Rank, kernel and inversion run on
 the en x en F_p-matrix of the action in the power basis; the trace-dual
-basis turns a matrix back into its q-polynomial.
+basis turns a matrix back into its q-polynomial.  The same matrix gives the
+bulk evaluation at every element: `_linalg.linear_values` tabulates it in
+code order by p-adic doubling, one digit level at a time, so its cost does
+not grow with the number of terms.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import NotBijective, NotStandard, ZeroPolynomial
-from ._linalg import inv_mod_matrix, rank_mod
+from ._linalg import inv_mod_matrix, linear_values, rank_mod
 from .field_tower import FieldElement, FieldTower, _digits, _pack
 
 
@@ -150,17 +153,15 @@ class LinearizedPoly:
         return self.evaluate(x)
 
     def eval_all_logs(self):
-        """Codes of f(g^k) for k = 0..M-1 as a numpy array (table fields only)."""
+        """Codes of f(g^k) for k = 0..M-1 as a numpy array (table fields only).
+
+        f is F_p-linear, so its value table in code order is the p-adic
+        doubling of its F_p-matrix (`linear_values`), whatever its support;
+        the exp table gathers it into g^k order.
+        """
         T = self.tower
-        M = T.mult_order
         T.require_tables("bulk evaluation")
-        karr = np.arange(M, dtype=np.int64)
-        acc = np.zeros(M, dtype=np.int64)
-        for i in self.support:
-            la = T.dlog(self.coeffs[i])
-            term = T.exp_table[(la + karr * pow(T.q, i, M)) % M]
-            acc = add_code_arrays(T, acc, term)
-        return acc
+        return linear_values(T.p, self.fp_matrix())[T.exp_table]
 
     # -- composition -----------------------------------------------------------
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
@@ -273,14 +274,3 @@ class DeltaProfile:
     def __repr__(self):
         return f"DeltaProfile({sorted(self.delta_set)}, t_h={self.t_h})"
 
-
-def add_code_arrays(tower, A, B):
-    """Digitwise mod-p addition of two int64 code arrays."""
-    p = tower.p
-    if p == 2:
-        return A ^ B
-    out = np.zeros_like(A)
-    for i in range(tower.en):
-        pi = int(p**i)
-        out += ((A // pi + B // pi) % p) * pi
-    return out

@@ -28,9 +28,9 @@ from .errors import (
     NotScattered,
     SmallQ,
 )
-from ._linalg import kernel_mod, solve_mod, span_codes
+from ._linalg import kernel_mod, linear_values, solve_mod, span_codes
 from .field_tower import FieldTower, _digits
-from .linearized import LinearizedPoly, add_code_arrays
+from .linearized import LinearizedPoly
 from .scatter import is_scattered, slope_census
 from .stabilizer import Mat2, compute_stabilizer, diagonalize, transversal_points
 from .standard_form import image_polynomial, maps_onto
@@ -203,29 +203,27 @@ def _moebius_preserves_lines(spread: Spread, M: Mat2) -> bool:
     The line of slope m (direction (1, m)) goes to the direction
     (a + m c, b + m d); the vertical line (0, 1) goes to (c, d).  Slopes are
     element codes, with the code q^n standing for the vertical direction.
+    Both coordinates are F_p-affine in m, so each is one `linear_values`
+    table over every code.
     """
     T = spread.tower
     M_order, size = T.mult_order, T.size
     exp, log = T.exp_table, T.log_table
-
-    def mul(codes, k):
-        if k == 0:
-            return np.zeros_like(codes)
-        lk = int(log[k])
-        return np.where(codes == 0, 0, exp[(log[codes] + lk) % M_order])
-
-    m = np.arange(size + 1, dtype=np.int64)
-    m[size] = 0                                   # placeholder for the vertical line
-    den = add_code_arrays(T, np.full(size + 1, M.a, dtype=np.int64), mul(m, M.c))
-    num = add_code_arrays(T, np.full(size + 1, M.b, dtype=np.int64), mul(m, M.d))
-    den[size], num[size] = M.c, M.d
+    den = np.append(_moebius_coordinate(T, M.a, M.c), M.c)
+    num = np.append(_moebius_coordinate(T, M.b, M.d), M.d)
     image = np.where(den == 0, size,
                      np.where(num == 0, 0, exp[(log[num] - log[den]) % M_order]))
-    if np.unique(image).size != size + 1:
+    # q^n + 1 directions permuted exactly when none is hit twice
+    if np.bincount(image, minlength=size + 1).max() != 1:
         return False
     on_L = np.zeros(size + 1, dtype=bool)
     on_L[list(spread.lf_slopes)] = True
     return bool(on_L[image[on_L]].all())
+
+
+def _moebius_coordinate(T: FieldTower, a, c):
+    """The codes of a + m c for every code m < q^n, in code order."""
+    return linear_values(T.p, T.mul_matrix(c), offset=_digits(a, T.p, T.en))
 
 
 @dataclass

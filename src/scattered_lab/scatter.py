@@ -3,8 +3,11 @@
 The workhorse is a single pass over F_{q^n}^* recording, for every attained
 value of f(x)/x, the size of its fiber.  A polynomial is scattered exactly
 when every fiber has size q - 1, equivalently when the number of distinct
-slopes is (q^n - 1)/(q - 1).  Censuses are memoized per tower.  The pass is
-vectorized over the exp/log tables; on fields without them (more than 2^23
+slopes is (q^n - 1)/(q - 1).  Censuses are memoized per tower, in an LRU
+memo of `field_tower.CACHE_SIZE` entries.  The pass is vectorized over the
+exp/log tables: the values f(g^k) come from the p-adic doubling of the
+F_p-matrix of f (`_linalg.linear_values`, one digit level at a time), and the
+fibers from one bincount.  On fields without tables (more than 2^23
 elements) the census, and with it every analysis built on it, raises
 TooLarge before doing any work.
 """
@@ -69,10 +72,10 @@ def slope_census(f: LinearizedPoly) -> SlopeCensus:
     reps[slogs[::-1]] = karr[nz][::-1]
     attained = np.flatnonzero(counts)
     census = SlopeCensus(
-        tuple(int(s) for s in attained),
-        tuple(int(c) for c in counts[attained]),
+        tuple(attained.tolist()),
+        tuple(counts[attained].tolist()),
         kernel_count,
-        tuple(int(r) for r in reps[attained]),
+        tuple(reps[attained].tolist()),
         kernel_rep,
     )
     cache[f.coeffs] = census

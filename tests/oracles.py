@@ -36,7 +36,12 @@ family predictions that the conjugator certificate decides are listed
 element by element (predicted_set_by_listing), and the linear set is built
 by one power and a sort per slope (linear_set_by_sort).
 The element lists of a kernel-basis space, which the library never builds,
-live here too (elements_of, element_set_of, nonzero_of).  The oracles reuse
+live here too (elements_of, element_set_of, nonzero_of).  So do the bulk
+passes that p-adic doubling (`_linalg.linear_values`) replaced: the
+term-by-term evaluation with a digitwise addition of code arrays
+(eval_all_logs_by_terms, add_code_arrays), the giant-step matmul build of
+the exp table (exp_table_by_giant_steps) and the per-code products of the
+line check of a collineation (moebius_coordinate_by_terms).  The oracles reuse
 the library's stabilizer, diagonalization, standard forms and spread lookup,
 but none of the replaced logic.
 """
@@ -148,6 +153,79 @@ def scattered_by_fibers(T, f):
     fibers, kernel = slope_fibers(T, f)
     sizes = list(fibers.values()) + ([kernel] if kernel else [])
     return bool(sizes) and all(s == T.q - 1 for s in sizes)
+
+
+# (p, e, n) of every field with exp/log tables that the test suite builds,
+# plus the towers (2,2,3) and (3,2,4) with e > 1
+TABLE_FIELDS = [
+    (2, 1, 2), (2, 1, 4), (2, 1, 6), (2, 1, 21), (2, 2, 3), (2, 2, 4), (2, 3, 3),
+    (3, 1, 3), (3, 1, 4), (3, 1, 6), (3, 1, 8), (3, 2, 3), (3, 2, 4),
+    (5, 1, 2), (5, 1, 3), (5, 1, 4), (5, 1, 5), (5, 1, 6),
+    (7, 1, 4), (7, 1, 6), (13, 1, 6),
+]
+
+
+def field_id(key):
+    return "{}_{}_{}".format(*key)
+
+
+def add_code_arrays(tower, A, B):
+    """Digitwise mod-p addition of two int64 code arrays."""
+    p = tower.p
+    if p == 2:
+        return A ^ B
+    out = np.zeros_like(A)
+    for i in range(tower.en):
+        pi = int(p**i)
+        out += ((A // pi + B // pi) % p) * pi
+    return out
+
+
+def eval_all_logs_by_terms(f):
+    """Codes of f(g^k) for k = 0..M-1: each term a_i x^(q^i) is one exp-table
+    gather at log a_i + k q^i, and the terms are added digit by digit."""
+    T = f.tower
+    M = T.mult_order
+    karr = np.arange(M, dtype=np.int64)
+    acc = np.zeros(M, dtype=np.int64)
+    for i in f.support:
+        la = T.dlog(f.coeffs[i])
+        term = T.exp_table[(la + karr * pow(T.q, i, M)) % M]
+        acc = add_code_arrays(T, acc, term)
+    return acc
+
+
+def exp_table_by_giant_steps(T):
+    """g^k for k = 0..M-1 from B = isqrt(M) baby steps, advanced block by
+    block with the en x en F_p-matrix of multiplication by g^B (one matmul
+    on the digit vectors per block)."""
+    M, en, p = T.mult_order, T.en, T.p
+    B = max(1, math.isqrt(M))
+    baby = np.zeros((en, B), dtype=np.int64)
+    c = 1
+    for j in range(B):
+        baby[:, j] = _digits(c, p, en)
+        c = T._poly_mul_codes(c, T.gen_code)
+    giant = np.zeros((en, en), dtype=np.int64)
+    for i in range(en):
+        giant[:, i] = _digits(T._poly_mul_codes(c, p**i), p, en)
+    pvec = np.array([p**i for i in range(en)], dtype=np.int64)
+    exp = np.empty(((M // B + 2) * B,), dtype=np.int64)
+    cur, pos = baby, 0
+    while pos < M:
+        exp[pos:pos + B] = pvec @ cur
+        cur = (giant @ cur) % p
+        pos += B
+    return exp[:M]
+
+
+def moebius_coordinate_by_terms(T, a, c):
+    """a + m c for every code m < q^n: one log-table product per code and a
+    digitwise addition of the constant a."""
+    exp, log, M = T.exp_table, T.log_table, T.mult_order
+    m = np.arange(T.size, dtype=np.int64)
+    mc = np.zeros_like(m) if c == 0 else np.where(m == 0, 0, exp[(log[m] + int(log[c])) % M])
+    return add_code_arrays(T, np.full(T.size, a, dtype=np.int64), mc)
 
 
 def linear_set_by_sort(f):

@@ -315,20 +315,38 @@ def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_analyze_process_never_imports_sympy(specs):
-    # primality and prime divisors are stdlib code, so a fresh five-task
-    # analyze process does not load sympy
-    field, poly, _ = specs
+def _fresh_analyze(field, poly, forbidden):
+    """Run a five-task analyze in a fresh process that fails if it imported
+    the module `forbidden`; the parsed report."""
     script = ("import sys\n"
               "from scattered_lab.cli import main\n"
               f"code = main(['analyze', '--field', {str(field)!r}, '--poly', {str(poly)!r},\n"
               "             '--tasks', 'scatter,stabilizer,standard-form,mrd,plane'])\n"
-              "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+              f"assert {forbidden!r} not in sys.modules, {forbidden!r} + ' was imported'\n"
               "sys.exit(code)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)["tasks"]) == {"scatter", "stabilizer", "standard-form",
-                                                     "mrd", "plane"}
+    doc = json.loads(proc.stdout)
+    assert set(doc["tasks"]) == {"scatter", "stabilizer", "standard-form", "mrd", "plane"}
+    return doc
+
+
+def test_analyze_process_never_imports_sympy(specs):
+    # primality and prime divisors are stdlib code, so a fresh five-task
+    # analyze process does not load sympy
+    field, poly, _ = specs
+    _fresh_analyze(field, poly, "sympy")
+
+
+def test_analyze_process_never_imports_numpy_ma(tmp_path):
+    # numpy.ma is imported by the first np.unique call, a cost every fresh
+    # report process would pay; the five tasks use no np.unique
+    field = tmp_path / "f5n6.json"
+    field.write_text(json.dumps({"p": 5, "e": 1, "n": 6, "seed": 0}))
+    poly = tmp_path / "pseudoregulus.json"
+    poly.write_text(json.dumps({"coeffs": ["0", "1", "0", "0", "0", "0"]}))
+    doc = _fresh_analyze(field, poly, "numpy.ma")
+    assert doc["tasks"]["plane"]["axes_coaxes_exchanged"] is True

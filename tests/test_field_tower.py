@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +10,14 @@ from scattered_lab.errors import (
     NotADivisor,
     TooLarge,
 )
-from scattered_lab.field_tower import FieldSpec, _is_prime, field_from_json, make_field
+from scattered_lab.field_tower import CACHE_SIZE, FieldSpec, _is_prime, field_from_json, make_field
+from scattered_lab.linearized import LinearizedPoly
+from scattered_lab.scatter import slope_census
 
 from oracles import (
+    TABLE_FIELDS,
+    exp_table_by_giant_steps,
+    field_id,
     irreducible_by_trial_division,
     order_by_walk,
     repeated_power,
@@ -266,3 +272,28 @@ def test_log_q_exact(tower):
     assert T2.log_q(64) == 3
     with pytest.raises(InternalError):
         T2.log_q(8)
+
+
+@pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
+def test_exp_table_matches_giant_step_build(tower, key):
+    T = tower(*key)
+    assert np.array_equal(T.exp_table, exp_table_by_giant_steps(T))
+
+
+def test_memo_caches_are_bounded_lru():
+    T = make_field(3, 1, 3)
+    polys = [LinearizedPoly(T, [0, a, b]) for a in range(1, T.size) for b in range(T.size)]
+    polys = polys[:CACHE_SIZE + 10]
+    first = [slope_census(f) for f in polys]
+    cache = T.cache("census")
+    assert len(cache) == CACHE_SIZE
+    assert polys[0].coeffs not in cache and polys[-1].coeffs in cache
+    # a hit refreshes its entry: the next insertion evicts the oldest other one
+    oldest, second = polys[10].coeffs, polys[11].coeffs
+    assert cache[oldest] is first[10]
+    slope_census(polys[0])
+    assert len(cache) == CACHE_SIZE and oldest in cache and second not in cache
+    # evicted entries are recomputed to the same answers
+    again = [slope_census(f) for f in polys]
+    assert again == first
+    assert len(cache) == CACHE_SIZE

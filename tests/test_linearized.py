@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scattered_lab._linalg import linear_values
 from scattered_lab.errors import NotBijective, NotStandard, ZeroPolynomial
-from scattered_lab.field_tower import make_field
+from scattered_lab.field_tower import _digits, _pack, make_field
 from scattered_lab.linearized import LinearizedPoly
 
-from oracles import invert_by_fq_matrix, rank_by_row_reduction
+from oracles import (
+    TABLE_FIELDS,
+    eval_all_logs_by_terms,
+    field_id,
+    invert_by_fq_matrix,
+    moebius_coordinate_by_terms,
+    rank_by_row_reduction,
+)
 
 
 def rand_poly(T, rng):
@@ -247,3 +255,36 @@ def test_repr_readable(tower):
     f = LinearizedPoly(T, [0, 1, 0, T.gen_code])
     s = repr(f)
     assert "x^q" in s and "g^1" in s
+
+
+@pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
+def test_bulk_evaluation_matches_term_by_term_oracle(tower, key):
+    T = tower(*key)
+    rng = T.rng("bulk-evaluation")
+    polys = [LinearizedPoly.zero(T), LinearizedPoly.monomial(T, 1, T.gen_code),
+             LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])]
+    for f in polys:
+        assert np.array_equal(f.eval_all_logs(), eval_all_logs_by_terms(f))
+
+
+@pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
+def test_affine_values_with_offset_match_digitwise_oracle(tower, key):
+    # a + m c for every code m, the two coordinates of the line check
+    T = tower(*key)
+    rng = T.rng("affine-values")
+    for a, c in ((0, 1), (rng.randrange(1, T.size), 0),
+                 (rng.randrange(1, T.size), rng.randrange(1, T.size))):
+        got = linear_values(T.p, T.mul_matrix(c), offset=_digits(a, T.p, T.en))
+        assert np.array_equal(got, moebius_coordinate_by_terms(T, a, c))
+
+
+@pytest.mark.parametrize("p, rows, en", [(2, 3, 5), (3, 4, 4), (5, 2, 3), (7, 3, 2), (257, 1, 2)])
+def test_linear_values_of_any_affine_map(p, rows, en):
+    # not the matrix of a field map: rectangular, arbitrary entries
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, size=(rows, en))
+    off = rng.integers(0, p, size=rows)
+    want = [_pack((off + A @ np.array(_digits(c, p, en))) % p, p) for c in range(p**en)]
+    assert linear_values(p, A, offset=off).tolist() == want
+    assert linear_values(p, A).tolist() == [_pack(A @ np.array(_digits(c, p, en)) % p, p)
+                                            for c in range(p**en)]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import scattered_lab.plane as plane
@@ -33,6 +34,7 @@ from scattered_lab.plane import (
     _homology_factor_order,
     _pointwise_fix_system,
     _component_basis,
+    _moebius_coordinate,
     _moebius_preserves_lines,
 )
 from scattered_lab.scatter import is_scattered, linear_set
@@ -48,6 +50,7 @@ from oracles import (
     homology_groups,
     is_homology_group,
     kernel_scalar_by_walk,
+    moebius_coordinate_by_terms,
     nonzero_of,
     spread_cover_by_walk,
     spread_walk,
@@ -333,6 +336,28 @@ def test_collineation_checks_match_spread_walk(tower):
             assert _moebius_preserves_lines(spread, M) == lines_ok
             if maps_onto(f, M, f):
                 assert translates_ok
+
+
+def test_moebius_coordinates_match_digitwise_oracle(tower):
+    # den = a + m c and num = b + m d of the stabilizer generator of every
+    # catalog instance, against the per-code products and digitwise sums
+    generators = [compute_stabilizer(f).generator for f in _differential_instances(tower)]
+    generators = [M for M in generators if M is not None]
+    assert generators
+    for M in generators:
+        for a, c in ((M.a, M.c), (M.b, M.d)):
+            got = _moebius_coordinate(M.tower, a, c)
+            assert np.array_equal(got, moebius_coordinate_by_terms(M.tower, a, c))
+
+
+def test_moebius_check_rejects_a_map_that_does_not_permute_the_lines(tower):
+    f = catalog(tower(5, 1, 4))[0].poly
+    spread = build_spread(f)
+    T = f.tower
+    assert _moebius_preserves_lines(spread, Mat2.identity(T))
+    # singular: every direction goes to (1 + m)(1, g) or to the origin
+    assert not _moebius_preserves_lines(spread, Mat2(T, 1, T.gen_code, 1, T.gen_code))
+    assert not _moebius_preserves_lines(spread, Mat2(T, 1, 0, 0, 0))
 
 
 def test_linear_collineations_needs_tables():
