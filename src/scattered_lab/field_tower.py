@@ -435,18 +435,24 @@ class FieldTower:
     def _build_tables(self):
         """exp[k] = g^k by B = isqrt(M) baby steps, then whole blocks.
 
-        Multiplication by g^B is F_p-linear, so its value table over every
-        code is one `linear_values` pass, and block j + 1 of the exp table
-        is that table gathered at block j.
+        The baby steps are digit vectors stepped by the F_p-matrix of
+        multiplication by g and packed into codes with one matrix product.
+        Multiplication by g^B is F_p-linear too, so its value table over
+        every code is one `linear_values` pass, and block j + 1 of the exp
+        table is that table gathered at block j.
         """
-        M = self.mult_order
+        p, M = self.p, self.mult_order
         B = math.isqrt(M)
-        exp = np.empty(M, dtype=np.int64)
-        c = 1
+        times_g = self.mul_matrix(self.gen_code)
+        steps = np.empty((B, self.en), dtype=np.int64)
+        v = np.zeros(self.en, dtype=np.int64)
+        v[0] = 1
         for j in range(B):
-            exp[j] = c
-            c = self._poly_mul_codes(c, self.gen_code)
-        times_gB = linear_values(self.p, self.mul_matrix(c))   # c = g^B
+            steps[j] = v
+            v = times_g @ v % p
+        exp = np.empty(M, dtype=np.int64)
+        exp[:B] = steps @ p ** np.arange(self.en, dtype=np.int64)
+        times_gB = linear_values(p, self.mul_matrix(_pack(v, p)))   # v = g^B
         for pos in range(B, M, B):
             k = min(B, M - pos)
             exp[pos:pos + k] = times_gB[exp[pos - B:pos - B + k]]

@@ -69,10 +69,6 @@ class LinearizedPoly:
     def support(self):
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
-    @property
-    def coeff(self, i):
-        return FieldElement(self.tower, self.coeffs[i % self.tower.n])
-
     def __eq__(self, other):
         return (isinstance(other, LinearizedPoly)
                 and self.tower.key == other.tower.key

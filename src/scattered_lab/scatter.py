@@ -3,7 +3,10 @@
 The workhorse is a single pass over F_{q^n}^* recording, for every attained
 value of f(x)/x, the size of its fiber.  A polynomial is scattered exactly
 when every fiber has size q - 1, equivalently when the number of distinct
-slopes is (q^n - 1)/(q - 1).  Censuses are memoized per tower, in an LRU
+slopes is (q^n - 1)/(q - 1).  The census keeps the attained slopes, their
+fiber sizes and the kernel size, and nothing pointwise: the linear set, the
+minimum distance, line intersections and the plane's spread are all read
+from the slopes and counts.  Censuses are memoized per tower, in an LRU
 memo of `field_tower.CACHE_SIZE` entries.  The pass is vectorized over the
 exp/log tables: the values f(g^k) come from the p-adic doubling of the
 F_p-matrix of f (`_linalg.linear_values`, one digit level at a time), and the
@@ -38,15 +41,11 @@ class SlopeCensus:
         the punctured kernel.
     counts: fiber sizes aligned with slope_logs.
     kernel_count: |ker f| - 1.
-    rep_logs: log of one fiber representative x per slope, aligned with
-        slope_logs (used to locate spread components).
     """
 
     slope_logs: tuple
     counts: tuple
     kernel_count: int
-    rep_logs: tuple
-    kernel_rep_log: int
 
     @property
     def n_slopes(self):
@@ -61,22 +60,14 @@ def slope_census(f: LinearizedPoly) -> SlopeCensus:
         return cache[f.coeffs]
     M = T.mult_order
     vals = f.eval_all_logs()
-    karr = np.arange(M, dtype=np.int64)
-    zero_mask = vals == 0
-    kernel_count = int(zero_mask.sum())
-    kernel_rep = int(karr[zero_mask][0]) if kernel_count else -1
-    nz = ~zero_mask
-    slogs = (T.log_table[vals[nz]] - karr[nz]) % M
+    nz = np.flatnonzero(vals)
+    slogs = (T.log_table[vals[nz]] - nz) % M
     counts = np.bincount(slogs, minlength=M)
-    reps = np.full(M, -1, dtype=np.int64)
-    reps[slogs[::-1]] = karr[nz][::-1]
     attained = np.flatnonzero(counts)
     census = SlopeCensus(
         tuple(attained.tolist()),
         tuple(counts[attained].tolist()),
-        kernel_count,
-        tuple(reps[attained].tolist()),
-        kernel_rep,
+        M - nz.size,
     )
     cache[f.coeffs] = census
     return census

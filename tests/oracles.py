@@ -41,9 +41,13 @@ passes that p-adic doubling (`_linalg.linear_values`) replaced: the
 term-by-term evaluation with a digitwise addition of code arrays
 (eval_all_logs_by_terms, add_code_arrays), the giant-step matmul build of
 the exp table (exp_table_by_giant_steps) and the per-code products of the
-line check of a collineation (moebius_coordinate_by_terms).  The oracles reuse
-the library's stabilizer, diagonalization, standard forms and spread lookup,
-but none of the replaced logic.
+line check of a collineation (moebius_coordinate_by_terms).  The spread is
+a slope set in the library; locating a point on a component happens only
+here (component_of, membership), with fiber representatives from a scalar
+walk of F_{q^n}^* (fiber_representatives), so the spread oracles share no
+lookup with the library.  The oracles reuse the library's stabilizer,
+diagonalization, standard forms and the spread's component list, but none
+of the replaced logic.
 """
 
 import itertools
@@ -500,6 +504,63 @@ def central_classes_by_scan(f):
     return group_X, group_Y, elations, scanned
 
 
+_FIBER_REPRESENTATIVES = {}
+
+
+def fiber_representatives(f):
+    """slope code -> log of the first x = g^k whose slope f(x)/x it is.
+
+    A scalar walk of F_{q^n}^* by repeated multiplication with the
+    generator and one evaluation of f per element (the zero slope holds the
+    punctured kernel), memoized per polynomial.
+    """
+    T = f.tower
+    key = (T.key, f.coeffs)
+    if key not in _FIBER_REPRESENTATIVES:
+        reps, x = {}, 1
+        for k in range(T.mult_order):
+            reps.setdefault(T.div_code(f.evaluate_code(x), x), k)
+            x = T.mul_code(x, T.gen_code)
+        _FIBER_REPRESENTATIVES[key] = reps
+    return _FIBER_REPRESENTATIVES[key]
+
+
+def component_of(spread, point):
+    """The component of the spread through a nonzero point.
+
+    Off L_f the point's slope names its line; on L_f the point (x, m x) lies
+    on g^j U_f with x / g^j in the fiber of m, that is with j the log of x
+    over a fiber representative, modulo (q^n - 1)/(q - 1).
+    """
+    T = spread.tower
+    x, y = point
+    if x == 0 and y == 0:
+        raise ValueError("the origin lies on every component")
+    if x == 0:
+        return ("Dinf",)
+    m = T.div_code(y, x)
+    if m not in spread.lf_slopes:
+        return ("D", m)
+    x0_log = fiber_representatives(spread.f)[m]
+    return ("U", (T.dlog(x) - x0_log) % spread.h_class_count)
+
+
+def membership(spread, comp, point):
+    """Does the point lie on the component?  One evaluation of f at most."""
+    T = spread.tower
+    x, y = point
+    if x == 0 and y == 0:
+        return True
+    if comp[0] == "Dinf":
+        return x == 0
+    if comp[0] == "D":
+        return x != 0 and T.mul_code(comp[1], x) == y
+    h = T.pow_code(T.gen_code, comp[1])
+    if x == 0:
+        return y == 0
+    return spread.f.evaluate_code(T.div_code(x, h)) == T.div_code(y, h)
+
+
 def _component_image(spread, comp, M):
     """Image component of comp under the right action of M, with verification."""
     T = spread.tower
@@ -513,7 +574,7 @@ def _component_image(spread, comp, M):
                 T.mul_code(h, spread.f.evaluate_code(int(T.p**i))))
                for i in range(T.en)]
     images = [M.apply(pt) for pt in pts]
-    target = spread.component_of(images[0])
+    target = component_of(spread, images[0])
     # lines map to lines and translates to translates; a type switch would
     # mean an F_{q^n}-line coincides with some h U_f, impossible for
     # scattered f with n > 2
@@ -521,7 +582,7 @@ def _component_image(spread, comp, M):
     if (comp[0] in line_types) != (target[0] in line_types):
         return None
     for pt in images:
-        if not spread.membership(target, pt):
+        if not membership(spread, target, pt):
             return None
     return target
 
@@ -574,8 +635,8 @@ def spread_cover_by_walk(spread, point_bound=1 << 20):
             for y in range(T.size):
                 if x == 0 and y == 0:
                     continue
-                comp = spread.component_of((x, y))
-                if not spread.membership(comp, (x, y)):
+                comp = component_of(spread, (x, y))
+                if not membership(spread, comp, (x, y)):
                     return {"ok": False, "reason": f"point ({x},{y}) misplaced"}
     else:
         rng = T.rng("spread-cover")
@@ -583,8 +644,8 @@ def spread_cover_by_walk(spread, point_bound=1 << 20):
             x, y = rng.randrange(T.size), rng.randrange(T.size)
             if x == 0 and y == 0:
                 continue
-            comp = spread.component_of((x, y))
-            if not spread.membership(comp, (x, y)):
+            comp = component_of(spread, (x, y))
+            if not membership(spread, comp, (x, y)):
                 return {"ok": False, "reason": f"point ({x},{y}) misplaced"}
     return {"ok": True, "components": count,
             "desarguesian": spread.desarguesian_count(),

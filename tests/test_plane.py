@@ -46,10 +46,13 @@ from oracles import (
     andre_subgroup_by_walk,
     central_classes_by_scan,
     cyclic_by_walk,
+    component_of,
     decomposition_by_sampling,
+    fiber_representatives,
     homology_groups,
     is_homology_group,
     kernel_scalar_by_walk,
+    membership,
     moebius_coordinate_by_terms,
     nonzero_of,
     spread_cover_by_walk,
@@ -129,8 +132,13 @@ def test_component_lookup_consistency(tower):
         x, y = rng.randrange(T.size), rng.randrange(T.size)
         if x == 0 and y == 0:
             continue
-        comp = sp.component_of((x, y))
-        assert sp.membership(comp, (x, y))
+        comp = component_of(sp, (x, y))
+        assert membership(sp, comp, (x, y))
+        # the point (h x, h f(x)) of h U_f, with h = g^j, lies on ("U", j)
+        j, x = rng.randrange(T.mult_order), rng.randrange(1, T.size)
+        h = T.pow_code(T.gen_code, j)
+        point = (T.mul_code(h, x), T.mul_code(h, psi.evaluate_code(x)))
+        assert component_of(sp, point) == ("U", j % sp.h_class_count)
 
 
 def test_linear_collineations_orders(tower):
@@ -270,6 +278,30 @@ def test_semilinear_system_detects_trivial_twist():
     assert sol is not None
 
 
+def test_pointwise_fix_systems_are_inconsistent(tower):
+    # the theorem behind the semilinear audit: for scattered f with n >= 3 no
+    # matrix A at all gives sigma(w) A = w on a component, for any twist
+    # sigma != id; checked on every component and every twist, e = 1 and 2
+    for key in ((5, 1, 3), (2, 2, 3)):
+        T = tower(*key)
+        for inst in catalog(T):
+            sp = build_spread(inst.poly)
+            for comp in sp.components():
+                pts = _component_basis(sp, comp)
+                for k in range(1, T.en):
+                    A, b = _pointwise_fix_system(T, pts, k)
+                    assert solve_mod(A, b, T.p) is None, (key, inst.poly.coeffs, comp, k)
+
+
+def test_semilinear_audit_raises_on_a_consistent_system(tower, monkeypatch):
+    T = tower(5, 1, 4)
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    assert semilinear_part_audit(f)["candidates"] == 0
+    monkeypatch.setattr(plane, "solve_mod", lambda A, b, p: np.zeros(A.shape[1], dtype=np.int64))
+    with pytest.raises(InternalError):
+        semilinear_part_audit(f)
+
+
 def test_pseudoregulus_twist_cases(tower):
     # the s and n-s Frobenius twists on a translate component: the pointwise
     # fix system must have no nonsingular solution
@@ -380,10 +412,16 @@ def test_spread_audit_matches_walk(tower):
 def test_spread_audits_reject_a_dropped_slope(tower):
     T = tower(5, 1, 4)
     spread = build_spread(make_lp(T, 1, find_lp_delta(T)).poly)
-    broken = dataclasses.replace(spread,
-                                 lf_slopes=spread.lf_slopes - {min(spread.lf_slopes)})
+    dropped = min(spread.lf_slopes)
+    broken = dataclasses.replace(spread, lf_slopes=spread.lf_slopes - {dropped})
     assert not verify_spread_axioms(broken)["ok"]
     assert not spread_cover_by_walk(broken)["ok"]
+    # a point of the dropped slope's fiber lies on its line and on U_f at once
+    x = T.pow_code(T.gen_code, fiber_representatives(spread.f)[dropped])
+    point = (x, spread.f.evaluate_code(x))
+    assert component_of(broken, point) == ("D", dropped)
+    assert membership(broken, ("D", dropped), point)
+    assert membership(broken, ("U", 0), point)
 
 
 def test_kernel_scalar_audit_matches_walk(tower):
