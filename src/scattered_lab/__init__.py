@@ -7,7 +7,7 @@ planes, at desk scale.
 """
 
 from .errors import ScatteredLabError
-from .field_tower import FieldElement, FieldSpec, FieldTower, field_from_json, make_field
+from .field_tower import FieldSpec, FieldTower, field_from_json, make_field
 from .linearized import DeltaProfile, LinearizedPoly
 from .scatter import (
     LinearSet,

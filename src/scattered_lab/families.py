@@ -94,7 +94,7 @@ def make_pseudoregulus(T: FieldTower, s: int) -> FamilyInstance:
 
 def make_lp(T: FieldTower, s: int, delta) -> FamilyInstance:
     """f(x) = x^{q^s} + delta x^{q^{n-s}}, gcd(s,n) = 1, n > 3, N(delta) not 0 or 1."""
-    d = delta if isinstance(delta, int) else delta.code
+    d = int(delta)
     if math.gcd(s, T.n) != 1 or not 1 <= s < T.n:
         raise BadParams(f"need gcd(s, n) = 1, got s={s}")
     if T.n <= 3:
@@ -114,7 +114,7 @@ def make_lp(T: FieldTower, s: int, delta) -> FamilyInstance:
 
 def make_family3(T: FieldTower, s: int, delta) -> FamilyInstance:
     """f(x) = delta x^{q^s} + x^{q^{s + n/2}}, n in {6, 8}; scatteredness re-checked."""
-    d = delta if isinstance(delta, int) else delta.code
+    d = int(delta)
     if T.n not in (6, 8):
         raise BadParams("this family is defined for n in {6, 8}")
     half = T.n // 2
@@ -135,7 +135,7 @@ def make_family3(T: FieldTower, s: int, delta) -> FamilyInstance:
 
 def make_family4(T: FieldTower, delta) -> FamilyInstance:
     """f(x) = x^q + x^{q^3} + delta x^{q^5} over F_{q^6}."""
-    d = delta if isinstance(delta, int) else delta.code
+    d = int(delta)
     if T.n != 6:
         raise BadParams("this family lives in F_(q^6)[x]")
     validity = CHECKED
@@ -168,7 +168,7 @@ def make_psi(T: FieldTower, h, t: int, s: int) -> FamilyInstance:
     * The xi form the trace-zero line of F_(q^2) over F_q, which meets F_q
       only in 0 for odd q, so beta runs over all of F_(q^2).
     """
-    hc = h if isinstance(h, int) else h.code
+    hc = int(h)
     n, q, M = T.n, T.q, T.mult_order
     if n != 2 * t or t < 3:
         raise BadParams(f"need n = 2t with t >= 3, got n={n}, t={t}")
@@ -208,7 +208,7 @@ def psi_standard_form_closed(T: FieldTower, h, t: int, s: int,
     t odd with h in F_q (so h^2 = -1, q = 1 mod 4): the alternating series
         h * sum_i (-1)^i x^(u^(2i-1)) + sum_i (-1)^(i+1) x^(u^(t+2i)), u = q^s.
     """
-    hc = h if isinstance(h, int) else h.code
+    hc = int(h)
     n, q, M = T.n, T.q, T.mult_order
     if n != 2 * t:
         raise BadParams(f"need n = 2t, got n={n}, t={t}")

@@ -3,8 +3,11 @@
 A tower is built from (p, e, n): the big field F_{q^n} is realized as
 F_p[X]/(m(X)) with m the first irreducible monic polynomial of degree e*n in
 a fixed enumeration order, so identical parameters always produce identical
-towers.  Elements are stored as integer codes: the base-p digit vector of the
-power-basis coordinates, packed as sum(d_i * p^i).
+towers.  An element is its integer code: the base-p digit vector of its
+power-basis coordinates, packed as sum(d_i * p^i), so a code lies in
+[0, p^(en)).  Every library function takes and returns these codes; the
+`*_code` methods of FieldTower are the field operations on them, and
+`format_code`/`parse_element` convert to and from the wire format.
 
 All subfields live inside the single carrier and are recognized by membership
 tests.  For fields with at most `table_bound` elements a full exp/log table
@@ -299,89 +302,6 @@ def _pack(digits, p):
     for d in reversed(digits):
         code = code * p + int(d) % p
     return code
-
-
-class FieldElement:
-    """An element of F_{q^n}, identified by its packed digit code."""
-
-    __slots__ = ("tower", "code")
-
-    def __init__(self, tower, code):
-        self.tower = tower
-        self.code = code
-
-    # -- arithmetic -----------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.tower.key != self.tower.key:
-                raise BadElement("elements from different towers")
-            return other.code
-        if isinstance(other, int):
-            return other % self.tower.p
-        raise BadElement(f"cannot coerce {other!r}")
-
-    def __add__(self, other):
-        return FieldElement(self.tower, self.tower.add_code(self.code, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.tower, self.tower.sub_code(self.code, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.tower, self.tower.sub_code(self._coerce(other), self.code))
-
-    def __neg__(self):
-        return FieldElement(self.tower, self.tower.neg_code(self.code))
-
-    def __mul__(self, other):
-        return FieldElement(self.tower, self.tower.mul_code(self.code, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * FieldElement(self.tower, self._coerce(other)).inverse()
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.tower, self._coerce(other)) * self.inverse()
-
-    def __pow__(self, k):
-        return FieldElement(self.tower, self.tower.pow_code(self.code, k))
-
-    def inverse(self):
-        return FieldElement(self.tower, self.tower.inv_code(self.code))
-
-    def frob(self, k=1):
-        """q-power Frobenius applied k times (k reduced mod n)."""
-        return FieldElement(self.tower, self.tower.frob_code(self.code, k))
-
-    # -- structure ------------------------------------------------------
-    def is_zero(self):
-        return self.code == 0
-
-    @property
-    def log(self):
-        return self.tower.dlog(self.code)
-
-    def norm(self, t=1):
-        return FieldElement(self.tower, self.tower.rel_norm_code(self.code, t))
-
-    def in_subfield(self, t):
-        return self.tower.subfield_member_code(self.code, t)
-
-    # -- plumbing -------------------------------------------------------
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.code == other.code and self.tower.key == other.tower.key
-        if isinstance(other, int):
-            return self.code == other % self.tower.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tower.key, self.code))
-
-    def __repr__(self):
-        return self.tower.format_code(self.code)
 
 
 class _LRU(OrderedDict):
@@ -771,27 +691,7 @@ class FieldTower:
             Mm[:, i] = _digits(self.mul_code(code, int(self.p**i)), self.p, en)
         return Mm
 
-    # -- element factories --------------------------------------------------
-    def el(self, code):
-        if not 0 <= code < self.size:
-            raise BadElement(f"code {code} out of range")
-        return FieldElement(self, code)
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self):
-        return FieldElement(self, self.gen_code)
-
-    def scalar(self, v):
-        return FieldElement(self, v % self.p)
-
+    # -- enumeration and sampling --------------------------------------------
     def subfield_elements(self, t):
         """All codes of the subfield F_{q^t}, in g^k order (0 last)."""
         self._check_divisor(t)

@@ -1,13 +1,15 @@
 """Algebra of q-polynomials of q-degree < n over F_{q^n}.
 
 A polynomial sum(a_i x^(q^i)) is held as the length-n tuple of coefficient
-codes.  Composition is reduced mod x^(q^n) - x, so these objects are exactly
-the F_q-linear endomorphisms of F_{q^n}.  Rank, kernel and inversion run on
-the en x en F_p-matrix of the action in the power basis; the trace-dual
-basis turns a matrix back into its q-polynomial.  The same matrix gives the
-bulk evaluation at every element: `_linalg.linear_values` tabulates it in
-code order by p-adic doubling, one digit level at a time, so its cost does
-not grow with the number of terms.
+codes (see `field_tower`), each checked on construction to lie in [0, q^n);
+`evaluate_code` maps a code to a code.  Composition is reduced mod
+x^(q^n) - x, so these objects are exactly the F_q-linear endomorphisms of
+F_{q^n}.  Rank, kernel and inversion run on the en x en F_p-matrix of the
+action in the power basis; the trace-dual basis turns a matrix back into
+its q-polynomial.  The same matrix gives the bulk evaluation at every
+element: `_linalg.linear_values` tabulates it in code order by p-adic
+doubling, one digit level at a time, so its cost does not grow with the
+number of terms.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import math
 
 import numpy as np
 
-from .errors import NotBijective, NotStandard, ZeroPolynomial
+from .errors import BadElement, NotBijective, NotStandard, ZeroPolynomial
 from ._linalg import inv_mod_matrix, linear_values, rank_mod
-from .field_tower import FieldElement, FieldTower, _digits, _pack
+from .field_tower import FieldTower, _digits, _pack
 
 
 class LinearizedPoly:
@@ -27,17 +29,17 @@ class LinearizedPoly:
     __slots__ = ("tower", "coeffs")
 
     def __init__(self, tower: FieldTower, coeffs):
-        codes = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                codes.append(c.code)
-            else:
-                codes.append(int(c))
+        codes = tuple(int(c) for c in coeffs)
         if len(codes) != tower.n:
             raise ZeroPolynomial(
                 f"need exactly n={tower.n} coefficients, got {len(codes)}")
+        # the code arithmetic assumes codes in range: a negative one never
+        # leaves add_code's digit loop, and -1 would index log_table[-1]
+        bad = next((c for c in codes if not 0 <= c < tower.size), None)
+        if bad is not None:
+            raise BadElement(f"coefficient code {bad} is outside [0, {tower.size})")
         self.tower = tower
-        self.coeffs = tuple(codes)
+        self.coeffs = codes
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -51,7 +53,7 @@ class LinearizedPoly:
     @classmethod
     def monomial(cls, tower, i, coeff=1):
         c = [0] * tower.n
-        c[i % tower.n] = coeff if isinstance(coeff, int) else coeff.code
+        c[i % tower.n] = coeff
         return cls(tower, c)
 
     @classmethod
@@ -106,17 +108,14 @@ class LinearizedPoly:
     def scale(self, a):
         """a * f, coefficientwise."""
         T = self.tower
-        ac = a.code if isinstance(a, FieldElement) else int(a)
-        return LinearizedPoly(T, [T.mul_code(ac, c) for c in self.coeffs])
+        return LinearizedPoly(T, [T.mul_code(a, c) for c in self.coeffs])
 
     def transform(self, a, b):
         """The q-polynomial a * f(b x); coefficient i becomes a*f_i*b^(q^i)."""
         T = self.tower
-        ac = a.code if isinstance(a, FieldElement) else int(a)
-        bc = b.code if isinstance(b, FieldElement) else int(b)
         out = []
         for i, c in enumerate(self.coeffs):
-            out.append(T.mul_code(ac, T.mul_code(c, T.frob_code(bc, i))) if c else 0)
+            out.append(T.mul_code(a, T.mul_code(c, T.frob_code(b, i))) if c else 0)
         return LinearizedPoly(T, out)
 
     def twist(self, k):
@@ -141,12 +140,6 @@ class LinearizedPoly:
         for i in self.support:
             acc = T.add_code(acc, T.mul_code(self.coeffs[i], T.frob_code(x, i)))
         return acc
-
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        return FieldElement(self.tower, self.evaluate_code(x.code))
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def eval_all_logs(self):
         """Codes of f(g^k) for k = 0..M-1 as a numpy array (table fields only).
@@ -246,12 +239,8 @@ class LinearizedPoly:
         prof = self.delta_profile()
         if prof.t_h == 1:
             raise NotStandard("exponent gcd is 1")
-        t = prof.t_h
-        s = self.support[0] % t
-        for i in self.support:
-            if i % t != s:
-                raise ZeroPolynomial("exponent profile inconsistent")  # unreachable
-        return s, t
+        # t_h divides every difference of exponents, so they agree mod t_h
+        return self.support[0] % prof.t_h, prof.t_h
 
 
 class DeltaProfile:

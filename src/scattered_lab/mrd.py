@@ -37,10 +37,8 @@ class RdCode:
     f: LinearizedPoly
 
     def codeword(self, a, b) -> LinearizedPoly:
-        ac = a if isinstance(a, int) else a.code
-        bc = b if isinstance(b, int) else b.code
         x = LinearizedPoly.identity(self.tower)
-        return x.scale(ac) + self.f.scale(bc)
+        return x.scale(a) + self.f.scale(b)
 
     @property
     def degenerate(self):
@@ -58,11 +56,9 @@ class RdCode:
         # pick a slot where f is nonzero to pin b (unless f = 0)
         pivot = next((i for i in range(1, T.n) if f.coeffs[i]), None)
         if pivot is None:
+            # f is c*x (or 0): a x + b c x does not pin b, so take b = 0
             b = 0
             a = w.coeffs[0]
-            if f.coeffs[0]:
-                # f is c*x: a x + b c x; split is not unique, take b = 0
-                pass
         else:
             b = T.div_code(w.coeffs[pivot], f.coeffs[pivot])
             a = T.sub_code(w.coeffs[0], T.mul_code(b, f.coeffs[0]))

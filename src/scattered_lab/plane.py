@@ -338,13 +338,12 @@ def reducibility_witness(f: LinearizedPoly, h=1):
         return PseudoregulusCase(Mf.t)
     diag = diagonalize(Mf)
     t = Mf.t
-    hc = h if isinstance(h, int) else h.code
     Pinv = diag.P.inverse()
-    hU = Mat2.scalar(T, hc) * Pinv      # X -> X (h I) P^{-1} carries U_f onto W
+    hU = Mat2.scalar(T, h) * Pinv      # X -> X (h I) P^{-1} carries U_f onto W
     g = image_polynomial(f, hU)
     if not _andre_subgroup_invariant(g, diag.s, t):
         raise InternalError("invariant-subgroup check failed")
-    return ReducibilityWitness(hc, g, t, T.q**t, T.q**t - 1, True)
+    return ReducibilityWitness(h, g, t, T.q**t, T.q**t - 1, True)
 
 
 def _andre_subgroup_invariant(g: LinearizedPoly, s, t) -> bool:
@@ -391,7 +390,6 @@ def semilinear_part_audit(f: LinearizedPoly, sample_size=6, seed=0) -> dict:
     spread = build_spread(f)
     rng = T.rng(("semilinear", seed))
     cases = []
-    comps = list(spread.components())
     twists = list(range(1, T.en))
     key_twists = twists if len(twists) <= 3 else [twists[0], twists[len(twists) // 2], twists[-1]]
     line_comp = ("D", next(m for m in range(T.size) if m not in spread.lf_slopes))
@@ -400,7 +398,7 @@ def semilinear_part_audit(f: LinearizedPoly, sample_size=6, seed=0) -> dict:
                           ("U", rng.randrange(spread.h_class_count)))]
     while len(picks) < sample_size:
         picks.append((twists[rng.randrange(len(twists))],
-                      comps[rng.randrange(len(comps))]))
+                      _component_at(spread, rng.randrange(spread.component_count))))
     for k, comp in picks:
         A, b = _pointwise_fix_system(T, _component_basis(spread, comp), k)
         if solve_mod(A, b, T.p) is not None:
@@ -408,6 +406,22 @@ def semilinear_part_audit(f: LinearizedPoly, sample_size=6, seed=0) -> dict:
         cases.append({"p_exponent": k, "component": str(comp),
                       "nonsingular_solutions": 0})
     return {"samples": len(cases), "candidates": 0, "violations": 0, "cases": cases}
+
+
+def _component_at(spread: Spread, i):
+    """Descriptor number i of spread.components(), found without listing them."""
+    lines = spread.desarguesian_count()  # ("Dinf",) and the ("D", m)
+    if i == 0:
+        return ("Dinf",)
+    if i >= lines:
+        return ("U", i - lines)
+    # the (i-1)-th code off L_f: each slope of L_f at or below it shifts it up
+    m = i - 1
+    for s in sorted(spread.lf_slopes):
+        if s > m:
+            break
+        m += 1
+    return ("D", m)
 
 
 def _component_basis(spread: Spread, comp):

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSubfieldLinear, TooLarge, ZeroPolynomial
-from .field_tower import FieldElement
 from .linearized import LinearizedPoly
 
 # pairs of F_q-projective classes the naive projective scan may visit: about
@@ -153,9 +152,6 @@ class LinearSet:
     def contains_slope(self, code):
         return code in self.slopes
 
-    def points(self, tower):
-        return [(tower.el(1), tower.el(m)) for m in self.slopes]
-
     def to_json(self, tower, emit_points=False):
         doc = {
             "size": self.size,
@@ -180,23 +176,20 @@ def linear_set(f: LinearizedPoly) -> LinearSet:
 
 
 def subspace_membership(f: LinearizedPoly, v) -> bool:
-    """Is v = (x, y) of the form (x, f(x))?"""
+    """Is v = (x, y), a pair of codes, of the form (x, f(x))?"""
     x, y = v
-    xc = x.code if isinstance(x, FieldElement) else int(x)
-    yc = y.code if isinstance(y, FieldElement) else int(y)
-    return f.evaluate_code(xc) == yc
+    return f.evaluate_code(x) == y
 
 
 def line_intersection_dim(f: LinearizedPoly, point) -> int:
-    """dim_Fq of U_f intersected with the F_{q^n}-line spanned by the point."""
+    """dim_Fq of U_f intersected with the F_{q^n}-line spanned by the point,
+    a pair of codes."""
     T = f.tower
     x, y = point
-    xc = x.code if isinstance(x, FieldElement) else int(x)
-    yc = y.code if isinstance(y, FieldElement) else int(y)
-    if xc == 0:
+    if x == 0:
         # vertical line: (0, z) in U_f only for z = 0 when f has q-degree < n
         return 0
-    slope = T.div_code(yc, xc)
+    slope = T.div_code(y, x)
     census = slope_census(f)
     if slope == 0:
         count = census.kernel_count

@@ -37,7 +37,7 @@ from .errors import (
     NotScattered,
 )
 from ._certify import FpSpace, certify_field
-from .field_tower import FieldElement, FieldTower
+from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, line_intersection_dim
 
@@ -88,8 +88,7 @@ class Mat2:
 
     def scale(self, x):
         T = self.tower
-        xc = x.code if isinstance(x, FieldElement) else int(x)
-        return Mat2(T, *(T.mul_code(xc, v) for v in self.entries()))
+        return Mat2(T, *(T.mul_code(x, v) for v in self.entries()))
 
     def det(self):
         T = self.tower

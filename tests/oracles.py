@@ -29,8 +29,8 @@ the kernel S(f, g) replaced, canonical standard forms inside the class
 it (non_s_scan), and a brute-force search of all of GL(2, q^n) on small
 fields (gl_solutions_by_brute_force).  Compositional inversion has the
 route the F_p-matrix and the trace-dual basis replaced: the matrix over F_q,
-inverted and read back through a Moore system by elimination on field
-elements (invert_by_fq_matrix).  The diagonal pairs of every element of a
+inverted and read back through a Moore system by elimination on element
+codes (invert_by_fq_matrix).  The diagonal pairs of every element of a
 diagonalized G_f are rebuilt from the conjugated basis (diag_pairs).  The
 family predictions that the conjugator certificate decides are listed
 element by element (predicted_set_by_listing), and the linear set is built
@@ -332,22 +332,22 @@ def rank_by_row_reduction(T, f):
     return rank // T.e
 
 
-def fe_rref(rows):
-    """Reduced row echelon form of rows of FieldElements; returns (rows, pivots)."""
+def fe_rref(T, rows):
+    """Reduced row echelon form of rows of element codes; returns (rows, pivots)."""
     R = [list(row) for row in rows]
     pivots = []
     r = 0
     for c in range(len(R[0]) if R else 0):
-        sel = next((i for i in range(r, len(R)) if not R[i][c].is_zero()), None)
+        sel = next((i for i in range(r, len(R)) if R[i][c]), None)
         if sel is None:
             continue
         R[r], R[sel] = R[sel], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [x * inv for x in R[r]]
+        inv = T.inv_code(R[r][c])
+        R[r] = [T.mul_code(x, inv) for x in R[r]]
         for i in range(len(R)):
-            if i != r and not R[i][c].is_zero():
+            if i != r and R[i][c]:
                 fct = R[i][c]
-                R[i] = [x - fct * y for x, y in zip(R[i], R[r])]
+                R[i] = [T.sub_code(x, T.mul_code(fct, y)) for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
         if r == len(R):
@@ -355,10 +355,10 @@ def fe_rref(rows):
     return R, pivots
 
 
-def fe_solve_square(A, B):
-    """X with A X = B for a square FieldElement matrix A, or None if A is singular."""
+def fe_solve_square(T, A, B):
+    """X with A X = B for a square matrix A of element codes, or None if A is singular."""
     m = len(A)
-    R, pivots = fe_rref([list(a) + list(b) for a, b in zip(A, B)])
+    R, pivots = fe_rref(T, [list(a) + list(b) for a, b in zip(A, B)])
     if pivots[:m] != list(range(m)):
         return None
     return [row[m:] for row in R]
@@ -370,13 +370,12 @@ def invert_by_fq_matrix(f):
     The route that the F_p-matrix and the trace-dual basis replaced: column j
     holds the F_q-coordinates of f(X^j) in the F_q-basis 1, X, ..., X^(n-1),
     read through the F_p-basis omega^m X^j (omega primitive in F_q); the
-    matrix is inverted by elimination on field elements, and the inverse
+    matrix is inverted by elimination on element codes, and the inverse
     polynomial solves the Moore system sum_i a_i (X^j)^(q^i) = image_j.
     Raises NotBijective when the matrix is singular.
     """
     T = f.tower
     p, e, n = T.p, T.e, T.n
-    el = T.el
     omega = T.subfield_primitive_code(1) if e > 1 else 1
     omega_pows = [T.pow_code(omega, m) for m in range(e)]
     xbar = [int(p**j) for j in range(n)]
@@ -390,19 +389,24 @@ def invert_by_fq_matrix(f):
             c = 0
             for m in range(e):
                 c = T.add_code(c, T.mul_code(int(w[j * e + m]), omega_pows[m]))
-            out.append(el(c))
+            out.append(c)
         return out
 
     images = [fq_coords(f.evaluate_code(xj)) for xj in xbar]
     matrix = [[images[j][i] for j in range(n)] for i in range(n)]
-    identity = [[el(int(i == j)) for j in range(n)] for i in range(n)]
-    inv = fe_solve_square(matrix, identity)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = fe_solve_square(T, matrix, identity)
     if inv is None:
         raise NotBijective("the F_q-matrix is singular")
-    targets = [[sum((inv[i][j] * el(xbar[i]) for i in range(n)), el(0))] for j in range(n)]
-    moore = [[el(xj).frob(i) for i in range(n)] for xj in xbar]
-    sol = fe_solve_square(moore, targets)
-    return LinearizedPoly(T, [row[0].code for row in sol])
+    targets = []
+    for j in range(n):
+        acc = 0
+        for i in range(n):
+            acc = T.add_code(acc, T.mul_code(inv[i][j], xbar[i]))
+        targets.append([acc])
+    moore = [[T.frob_code(xj, i) for i in range(n)] for xj in xbar]
+    sol = fe_solve_square(T, moore, targets)
+    return LinearizedPoly(T, [row[0] for row in sol])
 
 
 def min_distance_by_ranks(C):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scattered_lab._linalg import linear_values
-from scattered_lab.errors import NotBijective, NotStandard, ZeroPolynomial
+from scattered_lab.errors import BadElement, NotBijective, NotStandard, ZeroPolynomial
 from scattered_lab.field_tower import _digits, _pack, make_field
 from scattered_lab.linearized import LinearizedPoly
 
@@ -202,6 +202,17 @@ def test_delta_profile_examples(tower):
         lp5.standard_form_params()
     with pytest.raises(ZeroPolynomial):
         LinearizedPoly.zero(T).delta_profile()
+
+
+def test_coefficient_codes_out_of_range_are_refused(tower):
+    # -1 would read log_table[-1] (the code q^n - 1) and never leave add_code;
+    # q^n would index past the tables
+    T = tower(5, 1, 4)
+    for bad in (-1, T.size):
+        with pytest.raises(BadElement):
+            LinearizedPoly(T, [0, 1, 0, bad])
+        with pytest.raises(BadElement):
+            LinearizedPoly.monomial(T, 1, bad)
 
 
 def test_subfield_linear_monomial_params(tower):

@@ -266,6 +266,30 @@ def test_semilinear_audit_no_violations(tower):
         assert rep["samples"] >= 6
 
 
+def test_semilinear_audit_draws_match_the_listed_components(tower):
+    # past the fixed picks the audit draws (twist, component) pairs; replay
+    # those draws against the full list of spread components
+    T = tower(5, 1, 4)
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    comps = list(build_spread(f).components())
+    twists = list(range(1, T.en))
+    kinds = set()
+    for seed in range(5):
+        rep = semilinear_part_audit(f, sample_size=12, seed=seed)
+        rng = T.rng(("semilinear", seed))
+        for _ in range(3):  # one translate draw per key twist among the fixed picks
+            rng.randrange(T.mult_order // (T.q - 1))
+        drawn = rep["cases"][9:]
+        assert len(drawn) == 3
+        for case in drawn:
+            k = twists[rng.randrange(len(twists))]
+            comp = comps[rng.randrange(len(comps))]
+            assert case == {"p_exponent": k, "component": str(comp),
+                            "nonsingular_solutions": 0}
+            kinds.add(comp[0])
+    assert kinds == {"D", "U"}
+
+
 def test_semilinear_system_detects_trivial_twist():
     # sanity of the solver: with the identity twist (k = en), every component
     # is fixed pointwise by the identity matrix, so solutions must exist
