@@ -15,18 +15,23 @@ test oracles do, through `FpSpace._codes()`.  The field certificate checks:
 
 Then alpha V is contained in V, the N powers of alpha are distinct nonzero
 elements of V, so V minus 0 is the cyclic group generated by alpha and V is a
-field.  The cost is O(log N) products per generator candidate, whose
-elements are built one at a time from their span index, plus dim(V)
-products, against the N products of a power walk.
+field.  Each test x^k = 1 is the subclass's `power_is_one`: a matrix reads
+it from its two eigenvalues (one quadratic and two table powers), a
+q-polynomial by square and multiply under composition (O(log N)
+compositions).  Candidates are built one at a time from their span index,
+and few are tried, since a share phi(N)/N of V generates it; the closure
+check adds dim(V) products.  A power walk would cost N products.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from ._linalg import kernel_mod, span_codes
 from .errors import NotAField
-from .field_tower import _digits, _pack, _prime_divisors
+from .field_tower import _digits, _prime_divisors
 
 
 class FpSpace:
@@ -35,18 +40,22 @@ class FpSpace:
     Subclasses are dataclasses with the fields `tower`, `system` (an int64
     array whose kernel mod p is V) and `basis` (an F_p-basis of that
     kernel, as maps), and define key(x), the tuple of codes whose
-    little-endian base-p digits are the F_p-coordinates of x, and
-    from_key(tower, codes), its inverse.  Elements are numbered as in
-    `_linalg.span_codes`: element r is the combination of the basis whose
-    coefficients are the base-p digits of r, so element 0 is zero.
+    little-endian base-p digits are the F_p-coordinates of x,
+    from_key(tower, codes), its inverse, and power_is_one(x, k), the test
+    x^k = 1 for the exponents k | N of the field certificate.  Elements are
+    numbered as in `_linalg.span_codes`: element r is the combination of
+    the basis whose coefficients are the base-p digits of r, so element 0
+    is zero.
     """
 
     @classmethod
     def from_system(cls, tower, system, **fields):
         """The space ker(system mod p), with the kernel basis of kernel_mod."""
         en, p = tower.en, tower.p
-        basis = tuple(cls.from_key(tower, [_pack(v[k:k + en], p) for k in range(0, len(v), en)])
-                      for v in kernel_mod(system, p).tolist())
+        kernel = kernel_mod(system, p)
+        blocks = system.shape[1] // en
+        codes = kernel.reshape(len(kernel), blocks, en) @ p ** np.arange(en, dtype=np.int64)
+        basis = tuple(cls.from_key(tower, row) for row in codes.tolist())
         return cls(tower=tower, system=system % p, basis=basis, **fields)
 
     @property
@@ -64,24 +73,18 @@ class FpSpace:
     def contains(self, x) -> bool:
         return not (self.system @ np.array(self._coords(x), dtype=np.int64) % self.tower.p).any()
 
+    @functools.cached_property
+    def _basis_coords(self):
+        return [self._coords(b) for b in self.basis]
+
     def _codes(self, rows=None):
         T = self.tower
-        return span_codes([self._coords(b) for b in self.basis], T.p, T.en,
+        return span_codes(self._basis_coords, T.p, T.en,
                           self.system.shape[1] // T.en, rows).tolist()
 
     def element(self, r):
         """Element r of the span order, built alone."""
         return self.from_key(self.tower, self._codes([r])[0])
-
-
-def _power(x, k, one, mul):
-    acc, base = one, x
-    while k:
-        if k & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        k >>= 1
-    return acc
 
 
 def certify_field(V: FpSpace, one, mul):
@@ -111,12 +114,12 @@ def certify_field(V: FpSpace, one, mul):
         k = V.key(m)
         if not any(k) or (k == one_key and group_order > 1):
             continue
-        if all(V.key(_power(m, group_order // ell, one, mul)) != one_key for ell in factors):
+        if not any(V.power_is_one(m, group_order // ell) for ell in factors):
             alpha = m
             break
     if alpha is None:
         raise NotAField("no element of full multiplicative order")
-    if V.key(_power(alpha, group_order, one, mul)) != one_key:
+    if not V.power_is_one(alpha, group_order):
         raise NotAField("the generator candidate fails alpha^(|V| - 1) = 1",
                         element=V.key(alpha))
     for b in V.basis:

@@ -3,8 +3,11 @@
 Matrices are numpy int64 arrays reduced mod p.  They carry the stabilizer
 and idealizer solution systems, the Frobenius and multiplication matrices,
 and the F_p-matrix of a q-polynomial, from which its rank and compositional
-inverse are read.  The eliminations are plain Gaussian elimination; the
-systems never exceed a few hundred rows at desk scale.  `linear_values`
+inverse are read.  The eliminations are Gauss-Jordan elimination with one
+broadcast update of every row per pivot, which at these sizes costs less
+than selecting the rows to update; the systems never exceed a few hundred
+rows at desk scale, and the reduced row echelon form is unique, so the
+pivot rule changes no result.  `linear_values`
 tabulates an F_p-affine map on every code of F_p^en by p-adic doubling: it
 is the bulk evaluation behind the slope census, the exp-table build and
 the line check of a collineation.
@@ -32,16 +35,23 @@ def rref_mod(A, p):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(R[r:, c])
-        if nz.size == 0:
+        col = R[r:, c]
+        i = int(col.argmax())   # entries lie in [0, p): the max is nonzero if any is
+        if col[i] == 0:
             continue
-        i = r + int(nz[0])
+        i += r
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = (R[r] * _inv_mod(R[r, c], p)) % p
-        rows_c = np.flatnonzero(R[:, c])
-        rows_c = rows_c[rows_c != r]
-        R[rows_c] = (R[rows_c] - np.outer(R[rows_c, c], R[r])) % p
+        # the columns left of c are zero in row r, so only c onwards changes;
+        # one broadcast update then clears column c off the pivot row
+        sub = R[:, c:]
+        row = sub[r]
+        row *= _inv_mod(row[0], p)
+        row %= p
+        factors = sub[:, :1].copy()
+        factors[r] = 0
+        sub -= factors * row
+        sub %= p
         pivots.append(c)
         r += 1
     return R, pivots
@@ -54,10 +64,8 @@ def kernel_mod(A, p):
     R, pivots = rref_mod(A, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-R[r, c]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:len(pivots), free].T % p
     return basis
 
 

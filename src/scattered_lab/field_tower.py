@@ -30,9 +30,13 @@ psi_13 the prime test raises TooLarge instead of guessing, which the
 default enumeration bound 2^40 keeps far away.
 
 Linear algebra over the tower is F_p-linear algebra in the power basis.
-The F_p-trace-dual basis of that basis (`trace_dual_basis`, built once per
-tower) reads power-basis coordinates as traces, which turns the F_p-matrix
-of an F_q-linear map back into its q-polynomial.
+Each tower caches the en matrices of multiplication by X^k and the n
+matrices of x -> x^(q^k); the F_p-matrices of any stack of products or
+q-polynomials are matrix products with them (`mul_matrices`,
+`qpoly_matrices`), with no field arithmetic.  The F_p-trace-dual basis of
+the power basis (`trace_dual_basis`, built once per tower) reads
+power-basis coordinates as traces, which turns the F_p-matrix of an
+F_q-linear map back into its q-polynomial.
 """
 
 from __future__ import annotations
@@ -340,13 +344,18 @@ class FieldTower:
             red.append(cur + [0] * (self.en - len(cur)))
             cur = _pmod(_pmul(cur, [0, 1], self.p), list(self.modulus), self.p)
         self._red_rows = red
+        # x_powers[k] is the F_p-matrix of y -> X^k y: column i holds the
+        # digits of X^(k+i), a unit vector or a reduction row
+        reduced = np.vstack([np.eye(self.en, dtype=np.int64),
+                             np.array(red, dtype=np.int64).reshape(-1, self.en)])
+        self._x_powers = np.stack([reduced[k:k + self.en].T for k in range(self.en)])
         self.exp_table = None
         self.log_table = None
         self.gen_code = spec.generator
         if self.size <= table_bound:
             self._build_tables()
         self._frob_mat = None
-        self._frob_pows: dict[int, np.ndarray] = {}
+        self._frob_stack = None
         self._trace_dual = None
         self._bsgs_baby: dict[int, int] = {}
         self._caches: dict[str, _LRU] = {}
@@ -395,6 +404,18 @@ class FieldTower:
                            f"which this field of {self.size} elements does not have")
 
     # -- raw code arithmetic ----------------------------------------------
+    def check_codes(self, *codes, what="element code"):
+        """Raise BadElement unless every code lies in [0, q^n).
+
+        Public functions that take codes call this where the codes enter:
+        the arithmetic below assumes the range, and out of it a negative
+        code never leaves add_code's digit loop, -1 reads log_table[-1] (the
+        code q^n - 1) and q^n indexes past the tables.
+        """
+        for c in codes:
+            if not 0 <= c < self.size:
+                raise BadElement(f"{what} {c} is outside [0, {self.size})")
+
     def add_code(self, a, b):
         p = self.p
         if p == 2:
@@ -520,14 +541,19 @@ class FieldTower:
             self._frob_mat = F
         return self._frob_mat
 
+    @property
+    def frob_stack(self):
+        """The n F_p-matrices of x -> x^(q^k), k = 0..n-1, stacked; built once."""
+        if self._frob_stack is None:
+            F = np.empty((self.n, self.en, self.en), dtype=np.int64)
+            F[0] = np.eye(self.en, dtype=np.int64)
+            for k in range(1, self.n):
+                F[k] = (self.frobenius_matrix @ F[k - 1]) % self.p
+            self._frob_stack = F
+        return self._frob_stack
+
     def frob_power_matrix(self, k):
-        k %= self.n
-        if k not in self._frob_pows:
-            F = np.eye(self.en, dtype=np.int64)
-            for _ in range(k):
-                F = (self.frobenius_matrix @ F) % self.p
-            self._frob_pows[k] = F
-        return self._frob_pows[k]
+        return self.frob_stack[k % self.n]
 
     def frob_code(self, a, k=1):
         k %= self.n
@@ -684,12 +710,33 @@ class FieldTower:
         return self._trace_dual
 
     def mul_matrix(self, code):
-        """F_p-matrix of y -> code * y in the power basis."""
-        en = self.en
-        Mm = np.zeros((en, en), dtype=np.int64)
-        for i in range(en):
-            Mm[:, i] = _digits(self.mul_code(code, int(self.p**i)), self.p, en)
-        return Mm
+        """F_p-matrix of y -> code * y in the power basis (see mul_matrices)."""
+        return self.mul_matrices([code])[0]
+
+    def mul_matrices(self, codes):
+        """The F_p-matrices of y -> c * y for every code c, stacked.
+
+        Multiplication by c = sum_k c_k X^k is sum_k c_k (y -> X^k y), so
+        the stack is the digit rows of the codes times the en cached
+        matrices of X^k: one matrix product, with no field arithmetic and no
+        exp/log table.  Returns an int64 array of shape (len(codes), en, en).
+        """
+        en, p = self.en, self.p
+        digits = np.asarray(codes, dtype=np.int64).reshape(-1, 1) // p ** np.arange(en) % p
+        return (digits @ self._x_powers.reshape(en, en * en)).reshape(-1, en, en) % p
+
+    def qpoly_matrices(self, coeff_rows):
+        """The F_p-matrices of the q-polynomials sum_i a_i x^(q^i), stacked.
+
+        Each row of coeff_rows holds the n coefficient codes of one
+        polynomial; its matrix is sum_i (y -> a_i y)(x -> x^(q^i)), the
+        multiplication stack times the cached Frobenius stack, summed over
+        i.  Returns an int64 array of shape (len(coeff_rows), en, en).
+        """
+        n, en = self.n, self.en
+        rows = np.asarray(coeff_rows, dtype=np.int64).reshape(-1, n)
+        mats = self.mul_matrices(rows.ravel()).reshape(-1, n, en, en)
+        return (mats @ self.frob_stack).sum(axis=1) % self.p
 
     # -- enumeration and sampling --------------------------------------------
     def subfield_elements(self, t):

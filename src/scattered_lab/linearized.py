@@ -5,22 +5,21 @@ codes (see `field_tower`), each checked on construction to lie in [0, q^n);
 `evaluate_code` maps a code to a code.  Composition is reduced mod
 x^(q^n) - x, so these objects are exactly the F_q-linear endomorphisms of
 F_{q^n}.  Rank, kernel and inversion run on the en x en F_p-matrix of the
-action in the power basis; the trace-dual basis turns a matrix back into
-its q-polynomial.  The same matrix gives the bulk evaluation at every
-element: `_linalg.linear_values` tabulates it in code order by p-adic
-doubling, one digit level at a time, so its cost does not grow with the
-number of terms.
+action in the power basis, which `FieldTower.qpoly_matrices` assembles from
+the tower's cached multiplication and Frobenius matrices without evaluating
+f; the trace-dual basis turns a matrix back into its q-polynomial.  The
+same matrix gives the bulk evaluation at every element:
+`_linalg.linear_values` tabulates it in code order by p-adic doubling, one
+digit level at a time, so its cost does not grow with the number of terms.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import BadElement, NotBijective, NotStandard, ZeroPolynomial
+from .errors import NotBijective, NotStandard, ZeroPolynomial
 from ._linalg import inv_mod_matrix, linear_values, rank_mod
-from .field_tower import FieldTower, _digits, _pack
+from .field_tower import FieldTower, _pack
 
 
 class LinearizedPoly:
@@ -33,11 +32,7 @@ class LinearizedPoly:
         if len(codes) != tower.n:
             raise ZeroPolynomial(
                 f"need exactly n={tower.n} coefficients, got {len(codes)}")
-        # the code arithmetic assumes codes in range: a negative one never
-        # leaves add_code's digit loop, and -1 would index log_table[-1]
-        bad = next((c for c in codes if not 0 <= c < tower.size), None)
-        if bad is not None:
-            raise BadElement(f"coefficient code {bad} is outside [0, {tower.size})")
+        tower.check_codes(*codes, what="coefficient code")
         self.tower = tower
         self.coeffs = codes
 
@@ -171,11 +166,7 @@ class LinearizedPoly:
     # -- F_p-matrices ---------------------------------------------------------
     def fp_matrix(self):
         """en x en matrix over F_p of the action on power-basis coordinates."""
-        T = self.tower
-        cols = np.zeros((T.en, T.en), dtype=np.int64)
-        for i in range(T.en):
-            cols[:, i] = _digits(self.evaluate_code(int(T.p**i)), T.p, T.en)
-        return cols
+        return self.tower.qpoly_matrices([self.coeffs])[0]
 
     @classmethod
     def from_fp_matrix(cls, tower, A):

@@ -119,6 +119,16 @@ class Idealizer(FpSpace):
     def from_key(tower, codes):
         return LinearizedPoly(tower, codes)
 
+    def power_is_one(self, w, k):
+        """Is w composed with itself k times the identity x?  Square and multiply."""
+        acc = one = LinearizedPoly.identity(self.tower)
+        while k:
+            if k & 1:
+                acc = acc.compose(w)
+            w = w.compose(w)
+            k >>= 1
+        return acc == one
+
 
 def _poly_vec(f: LinearizedPoly):
     T = f.tower
@@ -140,19 +150,16 @@ def _code_annihilator(C: RdCode):
 
 
 def _right_compose_operator(T: FieldTower, f: LinearizedPoly):
-    """Matrix of phi -> f o phi on coefficient vectors."""
+    """Matrix of phi -> f o phi on coefficient vectors.
+
+    Coefficient k of f o phi is sum_i f_i phi_(k-i)^(q^i), so block (k, j)
+    is the F_p-matrix of the monomial f_(k-j) x^(q^(k-j)); the n monomial
+    matrices come from one `FieldTower.qpoly_matrices` call.
+    """
     n, en = T.n, T.en
-    Op = np.zeros((n * en, n * en), dtype=np.int64)
-    for i in range(n):
-        fi = f.coeffs[i]
-        if not fi:
-            continue
-        blk = (T.mul_matrix(fi) @ T.frob_power_matrix(i)) % T.p
-        for j in range(n):
-            k = (i + j) % n
-            Op[k * en:(k + 1) * en, j * en:(j + 1) * en] = \
-                (Op[k * en:(k + 1) * en, j * en:(j + 1) * en] + blk) % T.p
-    return Op
+    blocks = T.qpoly_matrices(np.diag(f.coeffs))
+    shift = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n   # shift[k, j] = k - j
+    return blocks[shift].transpose(0, 2, 1, 3).reshape(n * en, n * en)
 
 
 def _left_compose_operator(T: FieldTower, psi: LinearizedPoly):

@@ -177,6 +177,7 @@ def linear_set(f: LinearizedPoly) -> LinearSet:
 
 def subspace_membership(f: LinearizedPoly, v) -> bool:
     """Is v = (x, y), a pair of codes, of the form (x, f(x))?"""
+    f.tower.check_codes(*v)
     x, y = v
     return f.evaluate_code(x) == y
 
@@ -185,6 +186,7 @@ def line_intersection_dim(f: LinearizedPoly, point) -> int:
     """dim_Fq of U_f intersected with the F_{q^n}-line spanned by the point,
     a pair of codes."""
     T = f.tower
+    T.check_codes(*point)
     x, y = point
     if x == 0:
         # vertical line: (0, z) in U_f only for z = 0 when f has q-degree < n

@@ -5,9 +5,12 @@ stabilizes U_f exactly when b x + d f(x) = f(a x + c f(x)) as q-polynomials,
 which is F_p-linear in the coordinates of (a, b, c, d): b and d enter
 linearly and a, c only through Frobenius powers.  The full solution set is
 therefore the kernel of an (n*en) x (4*en) system over F_p; no search over
-GL(2, q^n) is ever performed.  With g in place of f on the right-hand side
-the same system gives S(f, g) = {M : U_f M in U_g}, which decides
-equivalence (`standard_form.gl_equivalent`).
+GL(2, q^n) is ever performed.  Its blocks are F_p-matrices of
+q-polynomials, built in three stacked matrix products from the tower's
+cached multiplication and Frobenius matrices (`_pair_system`).  With g in
+place of f on the right-hand side the same system gives
+S(f, g) = {M : U_f M in U_g}, which decides equivalence
+(`standard_form.gl_equivalent`).
 
 The solution set is kept as that system and its kernel basis
 (`_certify.FpSpace`): its order is p^dim, membership is one matrix-vector
@@ -16,10 +19,12 @@ scattered f the nonzero solutions form the multiplicative group of a matrix
 field of order q^t with t | n.  This is certified from the kernel basis and
 one multiplicative generator alpha (`_certify.certify_field`): alpha has
 order q^t - 1 and alpha b stays in the kernel for every basis matrix b, so
-the powers of alpha fill the nonzero part.  The field is simultaneously
-diagonalized by a matrix P of eigen-rows of alpha; conjugation by P is
-F_p-linear, so only the basis matrices are conjugated, and the Frobenius
-twist on the diagonal is read off alpha alone.
+the powers of alpha fill the nonzero part.  Each order test reads the two
+eigenvalues of the candidate (`MatrixField.power_is_one`) instead of
+multiplying matrices.  The field is simultaneously diagonalized by a matrix P of
+eigen-rows of alpha; conjugation by P is F_p-linear, so only the basis
+matrices are conjugated, and the Frobenius twist on the diagonal is read
+off alpha alone.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ class Mat2:
     __slots__ = ("tower", "a", "b", "c", "d")
 
     def __init__(self, tower, a, b, c, d):
+        tower.check_codes(a, b, c, d, what="matrix entry")
         self.tower = tower
         self.a, self.b, self.c, self.d = a, b, c, d
 
@@ -122,20 +128,6 @@ class Mat2:
         return (T.add_code(T.mul_code(x, self.a), T.mul_code(y, self.c)),
                 T.add_code(T.mul_code(x, self.b), T.mul_code(y, self.d)))
 
-    def power(self, k):
-        T = self.tower
-        result = Mat2.identity(T)
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.tower.key == other.tower.key
                 and self.entries() == other.entries())
@@ -190,6 +182,38 @@ class MatrixField(FpSpace):
     def from_key(tower, codes):
         return Mat2(tower, *codes)
 
+    def power_is_one(self, A, k):
+        """Is A^k = I?  Read from the eigenvalues of A, for k | q^n - 1.
+
+        If b = c = 0, A^k = diag(a^k, d^k), which is I exactly when
+        a^k = d^k = 1.  Otherwise let lambda, mu be the roots of
+        x^2 - (a + d) x + det A:
+        * lambda != mu in F_(q^n): A is diagonalizable over F_(q^n), so
+          A^k = I exactly when lambda^k = mu^k = 1 (0^k = 0 for a singular A);
+        * lambda = mu: A is not scalar, so A = lambda I + N with N != 0 and
+          N^2 = 0, and A^k = lambda^k I + k lambda^(k-1) N.  For this to be
+          I, lambda != 0 (else A^k is 0 or N) and then p | k; but p does
+          not divide k, a divisor of q^n - 1;
+        * no root in F_(q^n): lambda lies in F_(q^2n) outside F_(q^n) and
+          mu = lambda^(q^n) != lambda, so A is diagonalizable over F_(q^2n)
+          and A^k = I needs lambda^k = 1.  As k | q^n - 1, that gives
+          lambda^(q^n - 1) = 1, i.e. lambda in F_(q^n): impossible.
+        The last two cases rest on k | q^n - 1, which every exponent of the
+        field certificate satisfies (|Mf| - 1 = q^t - 1 with t | n); any
+        other k raises InternalError.  The cost is one quadratic and two
+        powers, with no matrix product.
+        """
+        T = self.tower
+        if k < 1 or T.mult_order % k:
+            raise InternalError(f"exponent {k} does not divide q^n - 1 = {T.mult_order}")
+        if A.b == 0 and A.c == 0:
+            eigenvalues = (A.a, A.d)
+        else:
+            eigenvalues = T.solve_quadratic(T.neg_code(T.add_code(A.a, A.d)), A.det())
+            if len(eigenvalues) < 2:
+                return False
+        return all(T.pow_code(lam, k) == 1 for lam in eigenvalues)
+
 
 def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
     """The F_p-matrix whose kernel is S(f, g) = {(a,b,c,d) : b x + d f = g(a x + c f)}.
@@ -197,28 +221,22 @@ def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
     S(f, g) is the set of M with U_f M contained in U_g; S(f, f) is G_f with
     zero adjoined.  Slot q^k reads b [k = 0] + d f_k = g_k a^(q^k) +
     sum_i g_i f_(k-i)^(q^i) c^(q^i), so the a- and c-blocks carry g's
-    coefficients and the d-block carries f's.
+    coefficients and the d-block carries f's.  Row block k is therefore
+    the F_p-matrices of the q-polynomials -g_k x^(q^k) (a), [k = 0] x (b),
+    -sum_i g_i f_(k-i)^(q^i) x^(q^i) (c) and f_k x (d): three stacked
+    calls of `FieldTower.qpoly_matrices` and `mul_matrices`, which need no
+    exp/log tables.
     """
     T = f.tower
     n, en, p = T.n, T.en, T.p
-    A = np.zeros((n * en, 4 * en), dtype=np.int64)
-    for k in range(n):
-        rows = slice(k * en, (k + 1) * en)
-        if g.coeffs[k]:
-            A[rows, 0:en] = (-T.mul_matrix(g.coeffs[k]) @ T.frob_power_matrix(k)) % p
-        if f.coeffs[k]:
-            A[rows, 3 * en:4 * en] = T.mul_matrix(f.coeffs[k])
-        if k == 0:
-            A[rows, en:2 * en] = np.eye(en, dtype=np.int64)
-        blk = np.zeros((en, en), dtype=np.int64)
-        for i in range(n):
-            gi, fj = g.coeffs[i], f.coeffs[(k - i) % n]
-            if gi and fj:
-                # g_i f_(k-i)^(q^i), the q^k-slot weight of c^(q^i)
-                w = T.mul_code(gi, T.frob_code(fj, i))
-                blk = (blk + T.mul_matrix(w) @ T.frob_power_matrix(i)) % p
-        A[rows, 2 * en:3 * en] = (-blk) % p
-    return A % p
+    c_polys = [[T.mul_code(gi, T.frob_code(f.coeffs[(k - i) % n], i)) if gi else 0
+                for i, gi in enumerate(g.coeffs)] for k in range(n)]
+    A = np.zeros((n, en, 4, en), dtype=np.int64)
+    A[:, :, 0] = -T.qpoly_matrices(np.diag(g.coeffs))
+    A[0, :, 1] = np.eye(en, dtype=np.int64)
+    A[:, :, 2] = -T.qpoly_matrices(c_polys)
+    A[:, :, 3] = T.mul_matrices(f.coeffs)
+    return A.reshape(n * en, 4 * en) % p
 
 
 def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
@@ -261,7 +279,9 @@ def verify_field(Mf: MatrixField):
     the elements (see `_certify.certify_field`): |Mf| = q^t with t | n, the
     basis lies in the kernel of Mf.system, I in Mf, the first element alpha
     of full multiplicative order in span order satisfies alpha^(q^t - 1) = I,
-    and alpha b lies in Mf for every basis matrix b.  The powers of alpha
+    and alpha b lies in Mf for every basis matrix b.  The orders are read
+    from eigenvalues (`MatrixField.power_is_one`), so the certificate costs
+    one quadratic per tested power and dim(Mf) matrix products.  The powers of alpha
     are then the whole nonzero part, which proves closure under products,
     invertibility and commutativity.  alpha is the reported generator.
     Raises NotAField naming the failing condition.

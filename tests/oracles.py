@@ -45,7 +45,15 @@ line check of a collineation (moebius_coordinate_by_terms).  The spread is
 a slope set in the library; locating a point on a component happens only
 here (component_of, membership), with fiber representatives from a scalar
 walk of F_{q^n}^* (fiber_representatives), so the spread oracles share no
-lookup with the library.  The oracles reuse the library's stabilizer,
+lookup with the library.  The stabilizer chain has the per-element
+routes that stacked matrix products replaced: the multiplication matrix
+column by column (mul_matrix_by_codes), the F_p-matrix of a q-polynomial
+by evaluation (fp_matrix_by_evaluation), the pair system and the
+right-composition operator block by block (pair_system_by_blocks,
+right_compose_operator_by_blocks), the elimination with an outer-product
+update of the nonzero rows (rref_by_outer, kernel_by_outer) and the test
+M^k = I by a chain of products (mat_power, power_is_one_by_chain), where
+the library reads the eigenvalues.  The oracles reuse the library's stabilizer,
 diagonalization, standard forms and the spread's component list, but none
 of the replaced logic.
 """
@@ -58,7 +66,7 @@ import numpy as np
 from scattered_lab._linalg import inv_mod_matrix, rank_mod, span_codes
 from scattered_lab.errors import NotAField, NotBijective
 from scattered_lab.families import psi_theta, twisted_eigenspace
-from scattered_lab.field_tower import _digits, _prime_divisors
+from scattered_lab.field_tower import _digits, _prime_divisors, make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
@@ -139,6 +147,120 @@ def order_by_walk(T, code):
     return k
 
 
+def mul_matrix_by_codes(T, code):
+    """F_p-matrix of y -> code * y, one column per basis product code * X^i."""
+    en = T.en
+    Mm = np.zeros((en, en), dtype=np.int64)
+    for i in range(en):
+        Mm[:, i] = _digits(T.mul_code(code, int(T.p**i)), T.p, en)
+    return Mm
+
+
+def fp_matrix_by_evaluation(f):
+    """F_p-matrix of f, one column per value f(X^i), evaluated term by term."""
+    T = f.tower
+    cols = np.zeros((T.en, T.en), dtype=np.int64)
+    for i in range(T.en):
+        cols[:, i] = _digits(f.evaluate_code(int(T.p**i)), T.p, T.en)
+    return cols
+
+
+def pair_system_by_blocks(f, g):
+    """The pair system S(f, g) block by block: one multiplication matrix per
+    nonzero product g_i f_(k-i)^(q^i), times the matrix of x^(q^i)."""
+    T = f.tower
+    n, en, p = T.n, T.en, T.p
+
+    frob = [fp_matrix_by_evaluation(LinearizedPoly.monomial(T, i)) for i in range(n)]
+    A = np.zeros((n * en, 4 * en), dtype=np.int64)
+    for k in range(n):
+        rows = slice(k * en, (k + 1) * en)
+        if g.coeffs[k]:
+            A[rows, 0:en] = (-mul_matrix_by_codes(T, g.coeffs[k]) @ frob[k]) % p
+        if f.coeffs[k]:
+            A[rows, 3 * en:4 * en] = mul_matrix_by_codes(T, f.coeffs[k])
+        if k == 0:
+            A[rows, en:2 * en] = np.eye(en, dtype=np.int64)
+        blk = np.zeros((en, en), dtype=np.int64)
+        for i in range(n):
+            gi, fj = g.coeffs[i], f.coeffs[(k - i) % n]
+            if gi and fj:
+                w = T.mul_code(gi, T.frob_code(fj, i))
+                blk = (blk + mul_matrix_by_codes(T, w) @ frob[i]) % p
+        A[rows, 2 * en:3 * en] = (-blk) % p
+    return A % p
+
+
+def right_compose_operator_by_blocks(T, f):
+    """Matrix of phi -> f o phi, accumulating f_i x^(q^i) into block (i + j, j)."""
+    n, en = T.n, T.en
+    Op = np.zeros((n * en, n * en), dtype=np.int64)
+    for i in range(n):
+        if not f.coeffs[i]:
+            continue
+        blk = fp_matrix_by_evaluation(LinearizedPoly.monomial(T, i, f.coeffs[i]))
+        for j in range(n):
+            k = (i + j) % n
+            Op[k * en:(k + 1) * en, j * en:(j + 1) * en] = \
+                (Op[k * en:(k + 1) * en, j * en:(j + 1) * en] + blk) % T.p
+    return Op
+
+
+def rref_by_outer(A, p):
+    """Reduced row echelon form mod p: first nonzero pivot, then an outer
+    product update of the rows that are nonzero in the pivot column."""
+    R = np.array(A, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = (R[r] * pow(int(R[r, c]), p - 2, p)) % p
+        rows_c = np.flatnonzero(R[:, c])
+        rows_c = rows_c[rows_c != r]
+        R[rows_c] = (R[rows_c] - np.outer(R[rows_c, c], R[r])) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def kernel_by_outer(A, p):
+    """Kernel basis of A mod p from rref_by_outer, one free column at a time."""
+    A = np.atleast_2d(np.array(A, dtype=np.int64)) % p
+    cols = A.shape[1]
+    R, pivots = rref_by_outer(A, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for r, pc in enumerate(pivots):
+            basis[k, pc] = (-R[r, c]) % p
+    return basis
+
+
+def mat_power(m, k):
+    """m^k for k >= 0 by square and multiply of 2x2 matrices."""
+    result, base = Mat2.identity(m.tower), m
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def power_is_one_by_chain(m, k):
+    """Is m^k = I?  Decided by the chain of products of mat_power."""
+    return mat_power(m, k).entries() == (1, 0, 0, 1)
+
+
 def slope_fibers(T, f):
     """Dictionary census of f(x)/x using only scalar arithmetic."""
     fibers = {}
@@ -171,6 +293,21 @@ TABLE_FIELDS = [
 
 def field_id(key):
     return "{}_{}_{}".format(*key)
+
+
+# the matrix builders must not need exp/log tables: every table field, and
+# one tower built without them
+BUILDER_FIELDS = [(key, True) for key in TABLE_FIELDS] + [((3, 2, 3), False)]
+
+
+def builder_id(case):
+    key, tables = case
+    return field_id(key) + ("" if tables else "_tableless")
+
+
+def builder_tower(tower, case):
+    key, tables = case
+    return tower(*key) if tables else make_field(*key, table_bound=0)
 
 
 def add_code_arrays(tower, A, B):
@@ -694,7 +831,7 @@ def cyclic_by_walk(T, elements):
     for m in elements:
         if m.is_identity() and order > 1:
             continue
-        if all(not m.power(order // ell).is_identity() for ell in factors):
+        if not any(power_is_one_by_chain(m, order // ell) for ell in factors):
             walk, cur = set(), Mat2.identity(T)
             for _ in range(order):
                 cur = cur * m
@@ -832,7 +969,7 @@ def field_by_walk(Mf, exhaustive_bound=200):
     for m in elements:
         if m.is_zero() or (m.is_identity() and group_order > 1):
             continue
-        if all(not m.power(group_order // ell).is_identity() for ell in factors):
+        if not any(power_is_one_by_chain(m, group_order // ell) for ell in factors):
             generator = m
             break
     if generator is None:

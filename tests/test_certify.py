@@ -7,8 +7,8 @@ import pytest
 
 from scattered_lab import mrd
 from scattered_lab._linalg import kernel_mod
-from scattered_lab.errors import Mismatch, NotAField
-from scattered_lab.field_tower import _digits
+from scattered_lab.errors import InternalError, Mismatch, NotAField
+from scattered_lab.field_tower import _digits, _prime_divisors
 from scattered_lab.families import catalog, find_lp_delta, make_lp
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import (
@@ -33,6 +33,7 @@ from oracles import (
     diagonalize_by_conjugation,
     field_by_walk,
     idealizer_field_by_walk,
+    power_is_one_by_chain,
     stabilizer_images_by_walk,
 )
 
@@ -169,3 +170,62 @@ def test_idealizer_match_detects_broken_maps(tower, monkeypatch):
                         lambda M, g: phi(M, g).compose(phi_alpha))
     with pytest.raises(Mismatch, match="not multiplicative"):
         check_idealizer_matches_stabilizer(f)
+
+
+def _crafted_matrices(T):
+    """Matrices of every shape the eigenvalue test distinguishes, labelled."""
+    rng = T.rng("eigenvalue-orders")
+    units = [1, T.gen_code] + [T.subfield_primitive_code(t) for t in range(1, T.n + 1)
+                               if T.n % t == 0]
+    out = [("scalar", Mat2.scalar(T, x)) for x in units]
+    out += [("zero entry", m) for x in units[1:3]
+            for m in (Mat2.diag(T, x, 0), Mat2.diag(T, 0, x))]
+    out += [("diagonal", Mat2.diag(T, x, T.frob_code(x, 1))) for x in units[2:]]
+    out += [("double", Mat2(T, x, 1, 0, x)) for x in units[:3]]
+    out += [("double", Mat2(T, x, 0, T.gen_code, x)) for x in units[:2]]
+    # W diag(x, x^q) W^-1 for x in each subfield: distinct eigenvalues, b, c != 0
+    W = Mat2(T, 1, T.gen_code, 1, 1)
+    out += [("conjugated", W * Mat2.diag(T, x, T.frob_code(x, 1)) * W.inverse())
+            for x in units[2:]]
+    x, y = rng.randrange(1, T.size), rng.randrange(1, T.size)
+    out.append(("singular", Mat2(T, x, y, T.mul_code(T.gen_code, x), T.mul_code(T.gen_code, y))))
+    out.append(("singular", Mat2(T, 1, 1, 1, 1)))
+    found = 0
+    while found < 3:
+        # the companion matrix of x^2 + b x + c, irreducible over F_(q^n)
+        b, c = rng.randrange(T.size), rng.randrange(1, T.size)
+        if not T.solve_quadratic(b, c):
+            out.append(("irreducible", Mat2(T, 0, 1, T.neg_code(c), T.neg_code(b))))
+            found += 1
+    return out
+
+
+@pytest.mark.parametrize("key", [(5, 1, 4), (3, 1, 6), (2, 1, 4), (2, 2, 4)])
+def test_eigenvalue_order_test_matches_product_chain(tower, key):
+    # k = N/l and k = N for N = q^t - 1 and every t | n: the exponents the
+    # field certificate asks about
+    T = tower(*key)
+    field = MatrixField(T, np.zeros((0, 4 * T.en), dtype=np.int64), ())
+    exponents = set()
+    for t in range(1, T.n + 1):
+        if T.n % t == 0:
+            N = T.q**t - 1
+            exponents |= {N} | {N // ell for ell in _prime_divisors(N)}
+    answers = {}
+    for label, A in _crafted_matrices(T):
+        for k in sorted(exponents):
+            got = field.power_is_one(A, k)
+            assert got == power_is_one_by_chain(A, k), (label, A, k)
+            answers.setdefault(label, set()).add(got)
+    for label in ("zero entry", "double", "irreducible", "singular"):
+        assert answers[label] == {False}, label
+    for label in ("scalar", "diagonal", "conjugated"):
+        assert answers[label] == {False, True}, label
+
+
+def test_eigenvalue_order_test_refuses_other_exponents(tower):
+    T = tower(5, 1, 4)
+    field = MatrixField(T, np.zeros((0, 4 * T.en), dtype=np.int64), ())
+    for k in (0, 5, T.size, 7):
+        with pytest.raises(InternalError, match="does not divide"):
+            field.power_is_one(Mat2.identity(T), k)

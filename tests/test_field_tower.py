@@ -15,10 +15,14 @@ from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.scatter import slope_census
 
 from oracles import (
+    BUILDER_FIELDS,
     TABLE_FIELDS,
+    builder_id,
+    builder_tower,
     exp_table_by_giant_steps,
     field_id,
     irreducible_by_trial_division,
+    mul_matrix_by_codes,
     order_by_walk,
     repeated_power,
     repeated_q_power,
@@ -285,3 +289,15 @@ def test_memo_caches_are_bounded_lru():
     again = [slope_census(f) for f in polys]
     assert again == first
     assert len(cache) == CACHE_SIZE
+
+
+@pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)
+def test_mul_matrices_match_per_code_oracle(tower, case):
+    T = builder_tower(tower, case)
+    rng = T.rng("mul-matrices")
+    codes = [0, 1, T.gen_code, T.size - 1] + [rng.randrange(T.size) for _ in range(6)]
+    stack = T.mul_matrices(codes)
+    assert stack.shape == (len(codes), T.en, T.en)
+    for c, got in zip(codes, stack):
+        want = mul_matrix_by_codes(T, c)
+        assert np.array_equal(got, want) and np.array_equal(T.mul_matrix(c), want)

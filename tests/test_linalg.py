@@ -1,0 +1,48 @@
+"""The one-update elimination against the outer-product elimination it replaced."""
+
+import numpy as np
+import pytest
+
+from scattered_lab._linalg import inv_mod_matrix, kernel_mod, rank_mod, rref_mod
+from scattered_lab.families import catalog
+from scattered_lab.stabilizer import _pair_system
+
+from oracles import kernel_by_outer, rref_by_outer
+
+
+def _matrices(p, seed):
+    """Random matrices mod p: square, wide, tall, of low rank, zero, with zero
+    columns, and with entries outside [0, p)."""
+    rng = np.random.default_rng(seed)
+    out = [rng.integers(0, p, size=shape) for shape in ((6, 6), (4, 9), (9, 4), (1, 5), (5, 1))]
+    out.append(rng.integers(0, p, size=(7, 3)) @ rng.integers(0, p, size=(3, 8)))
+    out.append(np.zeros((3, 4), dtype=np.int64))
+    wide = rng.integers(0, p, size=(5, 10))
+    wide[:, [0, 3, 4]] = 0
+    out.append(wide)
+    out.append(rng.integers(-3 * p, 3 * p, size=(5, 7)))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 257])
+def test_rref_and_kernel_match_outer_product_oracle(p):
+    for A in _matrices(p, p):
+        R, pivots = rref_mod(A, p)
+        R0, pivots0 = rref_by_outer(A, p)
+        assert pivots == pivots0 and np.array_equal(R, R0)
+        K = kernel_mod(A, p)
+        assert np.array_equal(K, kernel_by_outer(A, p))
+        assert not (np.asarray(A) % p @ K.T % p).any()
+        assert rank_mod(A, p) + len(K) == A.shape[1]
+
+
+def test_pair_systems_and_inverses_match_oracle(tower):
+    for key in ((3, 1, 4), (5, 1, 4), (2, 2, 4)):
+        T = tower(*key)
+        for inst in catalog(T):
+            A = _pair_system(inst.poly, inst.poly)
+            assert np.array_equal(kernel_mod(A, T.p), kernel_by_outer(A, T.p))
+            M = inst.poly.fp_matrix()
+            inv = inv_mod_matrix(M, T.p)
+            R0, pivots0 = rref_by_outer(np.hstack([M, np.eye(T.en, dtype=np.int64)]), T.p)
+            assert pivots0 == list(range(T.en)) and np.array_equal(inv, R0[:, T.en:])

@@ -8,9 +8,13 @@ from scattered_lab.field_tower import _digits, _pack, make_field
 from scattered_lab.linearized import LinearizedPoly
 
 from oracles import (
+    BUILDER_FIELDS,
     TABLE_FIELDS,
+    builder_id,
+    builder_tower,
     eval_all_logs_by_terms,
     field_id,
+    fp_matrix_by_evaluation,
     invert_by_fq_matrix,
     moebius_coordinate_by_terms,
     rank_by_row_reduction,
@@ -299,3 +303,15 @@ def test_linear_values_of_any_affine_map(p, rows, en):
     assert linear_values(p, A, offset=off).tolist() == want
     assert linear_values(p, A).tolist() == [_pack(A @ np.array(_digits(c, p, en)) % p, p)
                                             for c in range(p**en)]
+
+
+@pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)
+def test_fp_matrix_matches_evaluation_oracle(tower, case):
+    T = builder_tower(tower, case)
+    rng = T.rng("fp-matrix")
+    polys = [LinearizedPoly.zero(T), LinearizedPoly.identity(T),
+             LinearizedPoly.monomial(T, T.n - 1, T.gen_code)] + [rand_poly(T, rng) for _ in range(3)]
+    stack = T.qpoly_matrices([f.coeffs for f in polys])
+    for f, got in zip(polys, stack):
+        want = fp_matrix_by_evaluation(f)
+        assert np.array_equal(got, want) and np.array_equal(f.fp_matrix(), want)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from scattered_lab.errors import TooLarge
@@ -5,6 +6,7 @@ from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import catalog, find_lp_delta, make_lp
 from scattered_lab.mrd import (
+    _right_compose_operator,
     check_idealizer_matches_stabilizer,
     code_of,
     left_idealizer,
@@ -16,7 +18,16 @@ from scattered_lab.mrd import (
 )
 from scattered_lab.stabilizer import compute_stabilizer
 
-from oracles import element_set_of, elements_of, min_distance_by_ranks, min_distance_by_sampling
+from oracles import (
+    BUILDER_FIELDS,
+    builder_id,
+    builder_tower,
+    element_set_of,
+    elements_of,
+    min_distance_by_ranks,
+    min_distance_by_sampling,
+    right_compose_operator_by_blocks,
+)
 
 
 def test_codeword_generators(tower):
@@ -233,3 +244,12 @@ def test_min_distance_no_table_tower():
         assert min_distance_by_sampling(C) >= d
         with pytest.raises(TooLarge):
             min_distance(C)
+
+
+@pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)
+def test_right_compose_operator_matches_block_oracle(tower, case):
+    T = builder_tower(tower, case)
+    rng = T.rng("right-compose")
+    for f in (LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)]),
+              LinearizedPoly.monomial(T, T.n - 1, T.gen_code), LinearizedPoly.zero(T)):
+        assert np.array_equal(_right_compose_operator(T, f), right_compose_operator_by_blocks(T, f))

@@ -5,20 +5,37 @@ import pytest
 
 from scattered_lab import scatter, stabilizer
 from scattered_lab._linalg import kernel_mod
-from scattered_lab.errors import AllScalar, InternalError, NoTransversals, NotAField, NotScattered
+from scattered_lab.errors import (
+    AllScalar,
+    BadElement,
+    InternalError,
+    NoTransversals,
+    NotAField,
+    NotScattered,
+)
 from scattered_lab.field_tower import _digits
 from scattered_lab.linearized import LinearizedPoly
-from scattered_lab.scatter import linear_set, subspace_membership
+from scattered_lab.scatter import line_intersection_dim, linear_set, subspace_membership
 from scattered_lab.stabilizer import (
     Mat2,
     MatrixField,
+    _pair_system,
     compute_stabilizer,
     diagonalize,
     transversal_points,
     verify_field,
 )
 
-from oracles import diag_pairs, element_set_of, elements_of
+from oracles import (
+    BUILDER_FIELDS,
+    builder_id,
+    builder_tower,
+    diag_pairs,
+    element_set_of,
+    elements_of,
+    mat_power,
+    pair_system_by_blocks,
+)
 
 
 def test_pseudoregulus_exact_set(tower):
@@ -139,7 +156,7 @@ def test_verify_field_on_manual_sets(tower):
     Mf = _span_field(T, [Mat2.identity(T)])
     assert element_set_of(Mf) == {Mat2.scalar(T, c).entries() for c in range(5)}
     t, gen = verify_field(Mf)
-    assert t == 1 and gen.power(4).is_identity()
+    assert t == 1 and mat_power(gen, 4).is_identity()
     # a basis matrix outside the kernel of the system
     with pytest.raises(NotAField, match="outside the kernel"):
         verify_field(_span_field(T, [Mat2.identity(T), Mat2(T, 0, 1, 0, 0)],
@@ -259,8 +276,50 @@ def test_mat2_algebra(tower):
         if m.det() == 0:
             continue
         assert (m * m.inverse()).is_identity()
-        assert m.power(3) == m * m * m
+        assert mat_power(m, 3) == m * m * m
         pt = (rng.randrange(625), rng.randrange(625))
         via = m.apply(pt)
         back = m.inverse().apply(via)
         assert back == pt
+
+
+@pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)
+def test_pair_system_matches_block_oracle(tower, case):
+    T = builder_tower(tower, case)
+    rng = T.rng("pair-system")
+
+    def draw():
+        return LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])
+
+    f, g = draw(), draw()
+    sparse = LinearizedPoly.monomial(T, 1, T.gen_code)
+    for a, b in ((f, f), (f, g), (sparse, f), (f, sparse), (sparse, sparse),
+                 (LinearizedPoly.zero(T), g)):
+        assert np.array_equal(_pair_system(a, b), pair_system_by_blocks(a, b))
+
+
+def test_codes_out_of_range_are_refused_at_every_entry(tower):
+    # -1 would read log_table[-1], the code q^n - 1: Mat2.scalar(T, -1).det()
+    # was 540 at (5,4); q^n would index past the tables
+    T = tower(5, 1, 4)
+    f = LinearizedPoly.monomial(T, 1)
+    for bad in (-1, T.size):
+        entries = [
+            lambda: Mat2(T, bad, 0, 0, 1),
+            lambda: Mat2(T, 1, 0, 0, bad),
+            lambda: Mat2.scalar(T, bad),
+            lambda: Mat2.diag(T, 1, bad),
+            lambda: subspace_membership(f, (bad, 0)),
+            lambda: subspace_membership(f, (1, bad)),
+            lambda: line_intersection_dim(f, (bad, 1)),
+            lambda: line_intersection_dim(f, (1, bad)),
+            lambda: LinearizedPoly(T, [0, bad, 0, 0]),
+        ]
+        for entry in entries:
+            with pytest.raises(BadElement, match="outside"):
+                entry()
+    # the last codes in range still pass
+    top = T.size - 1
+    assert Mat2.scalar(T, top).det() == T.mul_code(top, top)
+    assert subspace_membership(f, (top, f.evaluate_code(top)))
+    assert line_intersection_dim(f, (top, top)) in (0, 1)
