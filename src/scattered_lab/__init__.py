@@ -2,7 +2,7 @@
 
 Exact computation of scatteredness, subspace stabilizers in GL(2, q^n),
 standard forms and equivalence, the associated rank-distance codes with
-their idealizers, and the homology structure of the derived translation
+their right idealizers, and the homology structure of the derived translation
 planes, at desk scale.
 """
 
@@ -11,12 +11,10 @@ from .field_tower import FieldSpec, FieldTower, field_from_json, make_field
 from .linearized import DeltaProfile, LinearizedPoly
 from .scatter import (
     LinearSet,
-    is_r_partially_scattered,
     is_scattered,
     is_scattered_naive,
     linear_set,
     slope_census,
-    subspace_membership,
 )
 from .stabilizer import (
     DiagonalizationResult,
@@ -41,7 +39,6 @@ from .mrd import (
     RdCode,
     check_idealizer_matches_stabilizer,
     code_of,
-    left_idealizer,
     min_distance,
     min_distance_naive,
     right_idealizer,

@@ -1,7 +1,7 @@
 """Command-line front end: deterministic JSON reports over field/poly specs.
 
 Subcommands: analyze, stabilizer, standard-form, equiv, mrd, plane,
-families, selftest.  All reports carry schema_version 2, echo the field
+families, selftest.  All reports carry schema_version 3, echo the field
 spec, and emit field elements as "g^k" strings ordered canonically, so
 identical inputs (and seed) produce byte-identical output.  Exit codes:
 0 success, 2 refused precondition (SmallQ, HallCase, TooLarge, ...),
@@ -11,7 +11,6 @@ identical inputs (and seed) produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -24,7 +23,7 @@ from .scatter import is_scattered, is_scattered_naive, linear_set
 from .stabilizer import compute_stabilizer, diagonalize, transversal_points
 from .standard_form import gammal_equivalent, gl_equivalent, in_class_S, to_standard_form
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 KNOWN_TASKS = ("scatter", "stabilizer", "standard-form", "mrd", "plane")
 
 
@@ -52,8 +51,8 @@ def _emit(doc, stream=None):
     (stream or sys.stdout).write("\n")
 
 
-def _task_scatter(T, f, args, lazy_ls):
-    ls = lazy_ls()
+def _task_scatter(T, f, args):
+    ls = linear_set(f)
     doc = ls.to_json(T, emit_points=args.emit_points)
     if args.oracle:
         try:
@@ -65,20 +64,12 @@ def _task_scatter(T, f, args, lazy_ls):
     return doc
 
 
-def _stabilizer_doc(T, f, lazy_ls):
+def _stabilizer_doc(T, f):
     Mf = compute_stabilizer(f, check_scattered=False)
-    # hashes of the polynomial and of its linear set, for experiments on
-    # whether transversal points depend on more than the linear set
-    import hashlib
-
-    ls = lazy_ls() if is_scattered(f) else None
     doc = {
         "order": Mf.group_order,
         "field_order": Mf.order,
         "verified_field": Mf.verified,
-        "poly_hash": hashlib.sha256(repr(f.coeffs).encode()).hexdigest()[:16],
-        "linear_set_hash": (hashlib.sha256(repr(ls.slopes).encode()).hexdigest()[:16]
-                            if ls else None),
     }
     if Mf.verified:
         doc["t"] = Mf.t
@@ -154,14 +145,12 @@ def cmd_analyze(args):
         "poly": f.to_json("g^k")["coeffs"],
         "tasks": {},
     }
-    # the scatter and stabilizer tasks share one linear set, built on first use
-    lazy_ls = functools.cache(functools.partial(linear_set, f))
     for t in tasks:
         if t == "scatter":
             report["tasks"]["scatter"] = {"scattered": is_scattered(f),
-                                          "linear_set": _task_scatter(T, f, args, lazy_ls)}
+                                          "linear_set": _task_scatter(T, f, args)}
         elif t == "stabilizer":
-            report["tasks"]["stabilizer"] = _stabilizer_doc(T, f, lazy_ls)
+            report["tasks"]["stabilizer"] = _stabilizer_doc(T, f)
         elif t == "standard-form":
             try:
                 report["tasks"]["standard-form"] = to_standard_form(f).to_json()

@@ -48,11 +48,6 @@ class NotStandard(ScatteredLabError):
     code = "NotStandard"
 
 
-# scatter
-class NotSubfieldLinear(ScatteredLabError):
-    code = "NotSubfieldLinear"
-
-
 # stabilizer
 class NotScattered(ScatteredLabError):
     code = "NotScattered"

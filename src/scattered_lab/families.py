@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadParams, InternalError, UnsupportedParams
-from ._linalg import kernel_mod, span_codes
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
@@ -70,12 +67,6 @@ class FamilyInstance:
             },
             "validity": self.validity,
         }
-
-
-def twisted_eigenspace(T: FieldTower, s: int, sign: int) -> list:
-    """All codes with x^{q^s} = sign * x (sign is +1 or -1), via an F_p-kernel."""
-    mat = (T.frob_power_matrix(s) - sign * np.eye(T.en, dtype=np.int64)) % T.p
-    return span_codes(kernel_mod(mat, T.p), T.p, T.en, 1)[:, 0].tolist()
 
 
 def psi_theta(T: FieldTower, h, t, s):
@@ -332,35 +323,3 @@ def catalog(T: FieldTower) -> list[FamilyInstance]:
             pass
     return out
 
-
-def beta_coefficient_identity(T: FieldTower, t: int, s: int, trials=5, seed=0) -> bool:
-    """Field-identity check of the off-diagonal coefficient simplification.
-
-    For valid (h, xi) pairs, gamma = xi / theta must reproduce
-    beta = xi * theta through the four-term coefficient match.
-    """
-    n, q, M = T.n, T.q, T.mult_order
-    rng = T.rng(("beta", seed))
-    xis = [x for x in twisted_eigenspace(T, s, -1) if x]
-    if not xis:
-        return False
-    for i in range(trials):
-        h = find_psi_h(T, t, index=rng.randrange(q**t - 1))
-        theta = psi_theta(T, h, t, s)
-        if theta == 0:
-            return False
-        xi = xis[rng.randrange(len(xis))]
-        gamma = T.div_code(xi, theta)
-        # beta = gamma^(q^s) h^(q^s - 1) - gamma^(q^(s(t-1))) h^(q^(s(t-1)) - 1)
-        #        - h^(1 - q^(s(t+1))) gamma^(q^(s(t+1))) + h^(1 - q^(s(2t-1))) gamma^(q^(s(2t-1)))
-        b1 = T.mul_code(T.frob_code(gamma, s), T.pow_code(h, (q**s - 1) % M))
-        b2 = T.mul_code(T.frob_code(gamma, (s * (t - 1)) % n),
-                        T.pow_code(h, (q ** (s * (t - 1)) - 1) % M))
-        b3 = T.mul_code(T.pow_code(h, (1 - q ** (s * (t + 1))) % M),
-                        T.frob_code(gamma, (s * (t + 1)) % n))
-        b4 = T.mul_code(T.pow_code(h, (1 - q ** (s * (2 * t - 1))) % M),
-                        T.frob_code(gamma, (s * (2 * t - 1)) % n))
-        beta = T.add_code(T.sub_code(T.sub_code(b1, b2), b3), b4)
-        if beta != T.mul_code(xi, theta):
-            return False
-    return True

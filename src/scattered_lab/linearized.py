@@ -2,7 +2,8 @@
 
 A polynomial sum(a_i x^(q^i)) is held as the length-n tuple of coefficient
 codes (see `field_tower`), each checked on construction to lie in [0, q^n);
-`evaluate_code` maps a code to a code.  Composition is reduced mod
+`evaluate_code` maps a code to a code, and it, `scale` and `transform`
+refuse an argument outside that range.  Composition is reduced mod
 x^(q^n) - x, so these objects are exactly the F_q-linear endomorphisms of
 F_{q^n}.  Rank, kernel and inversion run on the en x en F_p-matrix of the
 action in the power basis, which `FieldTower.qpoly_matrices` assembles from
@@ -103,11 +104,13 @@ class LinearizedPoly:
     def scale(self, a):
         """a * f, coefficientwise."""
         T = self.tower
+        T.check_codes(a)
         return LinearizedPoly(T, [T.mul_code(a, c) for c in self.coeffs])
 
     def transform(self, a, b):
         """The q-polynomial a * f(b x); coefficient i becomes a*f_i*b^(q^i)."""
         T = self.tower
+        T.check_codes(a, b)
         out = []
         for i, c in enumerate(self.coeffs):
             out.append(T.mul_code(a, T.mul_code(c, T.frob_code(b, i))) if c else 0)
@@ -122,6 +125,7 @@ class LinearizedPoly:
     # -- evaluation ---------------------------------------------------------
     def evaluate_code(self, x):
         T = self.tower
+        T.check_codes(x)
         if x == 0:
             return 0
         acc = 0
@@ -242,10 +246,6 @@ class DeltaProfile:
     def __init__(self, delta_set, t_h):
         self.delta_set = delta_set
         self.t_h = t_h
-
-    @property
-    def is_standard(self):
-        return self.t_h > 1
 
     def __repr__(self):
         return f"DeltaProfile({sorted(self.delta_set)}, t_h={self.t_h})"

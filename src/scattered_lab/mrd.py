@@ -1,17 +1,17 @@
-"""The rank-distance code spanned by x and f(x), and its idealizers.
+"""The rank-distance code spanned by x and f(x), and its right idealizer.
 
 Codewords are the q-polynomials a x + b f(x); the minimum distance is the
 minimum rank over nonzero codewords.  Rank is invariant under scalar
 multiples, so one word per projective class (a : b) suffices, and the rank
 of each class is a fiber size of the slope census of f (the kernel form of
 the scattered <=> MRD correspondence): the exact distance is one reduction
-over the census counts, with no rank computation.  Idealizers are computed as
-kernels of exact F_p-linear systems: membership in the code is the
-annihilator condition of its coefficient-vector span, and composition by a
-fixed q-polynomial is an F_p-linear operator on coefficient vectors.  Each
-idealizer is kept as its system and kernel basis (`_certify.FpSpace`), so
-its order is p^dim and membership is one matrix-vector product; its
-elements are listed only on request.
+over the census counts, with no rank computation.  The right idealizer is
+the kernel of an exact F_p-linear system: membership in the code is the
+annihilator condition of its coefficient-vector span, and composition by f
+is an F_p-linear operator on coefficient vectors.  The idealizer is kept as
+its system and kernel basis (`_certify.FpSpace`), so its order is p^dim
+and membership is one matrix-vector product; its elements are listed only
+on request.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ class RdCode:
     f: LinearizedPoly
 
     def codeword(self, a, b) -> LinearizedPoly:
+        """a x + b f; `LinearizedPoly.scale` refuses a or b outside [0, q^n)."""
         x = LinearizedPoly.identity(self.tower)
         return x.scale(a) + self.f.scale(b)
 
@@ -44,27 +45,6 @@ class RdCode:
     def degenerate(self):
         """True when f is a scalar multiple of x, so the span is 1-dimensional."""
         return all(c == 0 for c in self.f.coeffs[1:])
-
-    def size(self):
-        q2n = self.tower.q ** (2 * self.tower.n)
-        return self.tower.q ** self.tower.n if self.degenerate else q2n
-
-    def contains(self, w: LinearizedPoly):
-        """(a, b) with w = a x + b f, or None; solved on two slots, checked on all."""
-        T = self.tower
-        f = self.f
-        # pick a slot where f is nonzero to pin b (unless f = 0)
-        pivot = next((i for i in range(1, T.n) if f.coeffs[i]), None)
-        if pivot is None:
-            # f is c*x (or 0): a x + b c x does not pin b, so take b = 0
-            b = 0
-            a = w.coeffs[0]
-        else:
-            b = T.div_code(w.coeffs[pivot], f.coeffs[pivot])
-            a = T.sub_code(w.coeffs[0], T.mul_code(b, f.coeffs[0]))
-        if self.codeword(a, b) == w:
-            return (a, b)
-        return None
 
 
 def code_of(f: LinearizedPoly) -> RdCode:
@@ -106,7 +86,6 @@ def min_distance_naive(C: RdCode) -> int:
 
 @dataclass(eq=False)
 class Idealizer(FpSpace):
-    side: str                 # "left" or "right"
     tower: FieldTower
     system: np.ndarray        # its kernel mod p is the idealizer, on coefficient vectors
     basis: tuple              # F_p-basis of that kernel, as LinearizedPoly
@@ -162,42 +141,12 @@ def _right_compose_operator(T: FieldTower, f: LinearizedPoly):
     return blocks[shift].transpose(0, 2, 1, 3).reshape(n * en, n * en)
 
 
-def _left_compose_operator(T: FieldTower, psi: LinearizedPoly):
-    """Matrix of phi -> phi o psi on coefficient vectors."""
-    n, en = T.n, T.en
-    Op = np.zeros((n * en, n * en), dtype=np.int64)
-    # coefficient k = i + j of phi o psi picks phi_i * psi_j^{q^i}
-    for i in range(n):
-        for j in range(n):
-            pj = psi.coeffs[j]
-            if not pj:
-                continue
-            k = (i + j) % n
-            blk = T.mul_matrix(T.frob_code(pj, i))
-            Op[k * en:(k + 1) * en, i * en:(i + 1) * en] = \
-                (Op[k * en:(k + 1) * en, i * en:(i + 1) * en] + blk) % T.p
-    return Op
-
-
 def right_idealizer(C: RdCode) -> Idealizer:
     """{phi : c o phi in C for all c in C}, i.e. phi in C and f o phi in C."""
     T = C.tower
     N = _code_annihilator(C)
     Tf = _right_compose_operator(T, C.f)
-    return Idealizer.from_system(T, np.vstack([N, (N @ Tf) % T.p]), side="right")
-
-
-def left_idealizer(C: RdCode) -> Idealizer:
-    """{phi : phi o c in C for all c in C}, via the F_p-basis of C."""
-    T = C.tower
-    N = _code_annihilator(C)
-    blocks = []
-    for m in range(T.en):
-        beta = int(T.p**m)
-        for gen_poly in (C.codeword(beta, 0), C.codeword(0, beta)):
-            Rop = _left_compose_operator(T, gen_poly)
-            blocks.append((N @ Rop) % T.p)
-    return Idealizer.from_system(T, np.vstack(blocks), side="left")
+    return Idealizer.from_system(T, np.vstack([N, (N @ Tf) % T.p]))
 
 
 def verify_idealizer_field(I: Idealizer, tower: FieldTower):

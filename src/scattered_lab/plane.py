@@ -124,7 +124,6 @@ def linear_collineations(f: LinearizedPoly) -> dict:
     """
     T = f.tower
     T.require_tables("the collineation check")
-    _plane_preconditions(f)
     spread = build_spread(f)
     Mf = compute_stabilizer(f)
     t = Mf.t
@@ -191,7 +190,6 @@ class HomologyReport:
     cyclic_ok: bool = False
     exchange_ok: bool = False
     elations: int = 0
-    central_classes_scanned: int = 0
     H_f_order: int = 0
     decomposition_ok: bool = False
 
@@ -234,23 +232,21 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     generators are scalar multiples of A = P^-1 diag(omega, omega^(q^s)) P
     or of its inverse (mu_X = omega^-1 A, mu_Y = omega^(q^s) A^-1), so the
     one membership test A in G_f ties P and s to the stabilizer; cyclic_ok
-    and exchange_ok report it.  central_classes_scanned counts the
-    N (q^n - 1)/(q - 1) classes d M of H_f modulo F_q^* that this covers.
-    For t = 1, H_f is the scalar group and d I - I is invertible for every
-    d != 1, so there is no central collineation.
+    and exchange_ok report it.  For t = 1, H_f is the scalar group and
+    d I - I is invertible for every d != 1, so there is no central
+    collineation.
     """
     _plane_preconditions(f)
     T = f.tower
     Mf = compute_stabilizer(f)
     t = Mf.t
     q = T.q
-    step = T.mult_order // (q - 1)
     hf_order = (q**T.n - 1) * (q**t - 1) // (q - 1)
     if t == 1:
         # H_f consists of the scalar maps d I; for d != 1 the map d I - I is
         # invertible, so no nonidentity element fixes a nonzero point and
         # there is no affine central collineation at all.
-        return HomologyReport("i", 1, None, None, 1, True, True, 0, step, hf_order, True)
+        return HomologyReport("i", 1, None, None, 1, True, True, 0, hf_order, True)
     X, Y = transversal_points(f)
     diag = diagonalize(Mf)
     N = (q**t - 1) // (q - 1)
@@ -262,8 +258,7 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     # elations = 0: with the certified diagonal form, a class whose two
     # eigenvalues are equal is scalar
     return HomologyReport("ii", t, X, Y, N, cyclic_ok=generators_ok, exchange_ok=generators_ok,
-                          elations=0, central_classes_scanned=N * step, H_f_order=hf_order,
-                          decomposition_ok=True)
+                          elations=0, H_f_order=hf_order, decomposition_ok=True)
 
 
 def _homology_factor_order(T: FieldTower, s, t):

@@ -18,12 +18,11 @@ TooLarge before doing any work.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSubfieldLinear, TooLarge, ZeroPolynomial
+from .errors import TooLarge, ZeroPolynomial
 from .linearized import LinearizedPoly
 
 # pairs of F_q-projective classes the naive projective scan may visit: about
@@ -133,7 +132,6 @@ class LinearSet:
     A nontrivial kernel shows up as the zero slope, i.e. the point (1, 0).
     """
 
-    tower_key: tuple
     slopes: tuple  # element codes, sorted in g^k order (zero last)
     scattered: bool
 
@@ -144,13 +142,6 @@ class LinearSet:
     @property
     def has_infinity(self):
         return False
-
-    @property
-    def has_zero_slope(self):
-        return bool(self.slopes) and self.slopes[-1] == 0
-
-    def contains_slope(self, code):
-        return code in self.slopes
 
     def to_json(self, tower, emit_points=False):
         doc = {
@@ -172,14 +163,7 @@ def linear_set(f: LinearizedPoly) -> LinearSet:
     slopes = T.exp_table[np.array(census.slope_logs, dtype=np.int64)].tolist()
     if census.kernel_count:
         slopes.append(0)
-    return LinearSet(T.key, tuple(slopes), is_scattered(f))
-
-
-def subspace_membership(f: LinearizedPoly, v) -> bool:
-    """Is v = (x, y), a pair of codes, of the form (x, f(x))?"""
-    f.tower.check_codes(*v)
-    x, y = v
-    return f.evaluate_code(x) == y
+    return LinearSet(tuple(slopes), is_scattered(f))
 
 
 def line_intersection_dim(f: LinearizedPoly, point) -> int:
@@ -202,30 +186,3 @@ def line_intersection_dim(f: LinearizedPoly, point) -> int:
         hit = i < len(census.slope_logs) and census.slope_logs[i] == s
         count = census.counts[i] if hit else 0
     return T.log_q(count + 1)
-
-
-def is_r_partially_scattered(g: LinearizedPoly, t: int, s: int) -> bool:
-    """Restricted scatteredness for an F_{q^t}-linearized g.
-
-    Checks the implication: equal slopes g(y)/y = g(z)/z with y/z in the
-    subfield F_{q^gcd(s,n)} force y/z in F_q.  Fibers are grouped by the
-    residue of log(y) modulo the subfield index, and every group must hold a
-    single F_q-class: one pass and two sorts of integer keys.
-    """
-    T = g.tower
-    T.require_tables("the r-partial scan")
-    if any(i % t for i in g.support):
-        raise NotSubfieldLinear(f"coefficient support is not contained in {t}Z")
-    M = T.mult_order
-    d = math.gcd(s, T.n)
-    sub_step = M // (T.q**d - 1)  # log-multiples of this lie in F_{q^d}
-    fq_step = M // (T.q - 1)
-    vals = g.eval_all_logs()
-    karr = np.arange(M, dtype=np.int64)
-    zero = vals == 0
-    # the kernel is its own slope key M; fq_step is a multiple of sub_step,
-    # so log(y) mod fq_step determines the residue mod sub_step
-    key = np.where(zero, M, (T.log_table[np.maximum(vals, 1)] - karr) % M)
-    pairs = np.unique(key * fq_step + karr % fq_step)
-    groups = np.unique(pairs // fq_step * sub_step + pairs % sub_step)
-    return groups.size == pairs.size

@@ -148,6 +148,7 @@ class Mat2:
 
 def normalize_point(tower, point):
     """Projective normalization to (1, m) or (0, 1)."""
+    tower.check_codes(*point)
     x, y = point
     if x != 0:
         return (1, tower.div_code(y, x))

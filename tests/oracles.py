@@ -4,13 +4,12 @@ Nothing here shares a code path with the implementations under test; each
 oracle computes from first principles (trial division, repeated
 multiplication, dictionary fiber counts) so that agreement is meaningful.
 The rest are the enumerations that closed forms, certificates and the
-table-only census replaced in the library: the scalar-arithmetic scans over
-F_{q^n}^* for r-partial scatteredness and for the (a, b)-normalization of
-standard forms (the only copies that still run on table-less towers), a
-rank per codeword class and a seeded sample of them
-(min_distance_by_sampling, an upper bound that also runs on table-less
-towers), a scan over every class of H_f (central_classes_by_scan) with
-the listed homology groups it is compared with (homology_groups), a
+table-only census replaced in the library: the scalar-arithmetic scan over
+F_{q^n}^* for the (a, b)-normalization of standard forms (the only copy that
+still runs on table-less towers), a rank per codeword class and a seeded
+sample of them (min_distance_by_sampling, an upper bound that also runs on
+table-less towers), a scan over every class of H_f (central_classes_by_scan)
+with the listed homology groups it is compared with (homology_groups), a
 walk of every spread component, a walk of every power of a field generator
 (for G_f and for the right idealizer), a conjugation of every element of
 G_f, an image of every element of G_f in the right idealizer, and a second
@@ -63,9 +62,9 @@ import math
 
 import numpy as np
 
-from scattered_lab._linalg import inv_mod_matrix, rank_mod, span_codes
+from scattered_lab._linalg import inv_mod_matrix, kernel_mod, rank_mod, span_codes
 from scattered_lab.errors import NotAField, NotBijective
-from scattered_lab.families import psi_theta, twisted_eigenspace
+from scattered_lab.families import psi_theta
 from scattered_lab.field_tower import _digits, _prime_divisors, make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
@@ -381,26 +380,6 @@ def linear_set_by_sort(f):
     return tuple(slopes)
 
 
-def r_partial_by_scan(g, t, s):
-    """is_r_partially_scattered(g, t, s) by a dictionary scan in scalar arithmetic.
-
-    Every x = g^k is keyed by its slope g(x)/x (or the kernel) and by k modulo
-    the index of F_{q^gcd(s,n)}; each key must meet a single F_q-class.  The
-    support condition on g (the t in the signature) is the caller's concern.
-    """
-    T = g.tower
-    M = T.mult_order
-    sub_step = M // (T.q ** math.gcd(s, T.n) - 1)
-    fq_step = M // (T.q - 1)
-    groups = {}
-    for k in range(M):
-        x = T.pow_code(T.gen_code, k)
-        v = g.evaluate_code(x)
-        key = ("ker" if v == 0 else T.dlog(T.div_code(v, x)), k % sub_step)
-        groups.setdefault(key, set()).add(k % fq_step)
-    return all(len(v) == 1 for v in groups.values())
-
-
 def ab_min_by_scan(r):
     """standard_form._ab_min by comparing element keys for every b = g^lb.
 
@@ -596,7 +575,7 @@ def _fixed_vector(T, lam):
 
 
 def central_classes_by_scan(f):
-    """(group_X, group_Y, elations, scanned) by visiting every class d M of H_f.
+    """(group_X, group_Y, elations) by visiting every class d M of H_f.
 
     group_X and group_Y hold the homologies found, identity excluded, sorted
     by kappa = trace(mu) - 1 in g^k order (a homology is conjugate to
@@ -611,21 +590,20 @@ def central_classes_by_scan(f):
             lam = Mat2.scalar(T, T.pow_code(T.gen_code, dd))
             if not lam.is_identity() and _fixed_vector(T, lam) is not None:
                 raise AssertionError("a scalar class fixes a direction pointwise")
-        return [], [], 0, step
+        return [], [], 0
     diag = diagonalize(Mf)
     pair_of = {m.entries(): pr for m, pr in zip(elements_of(Mf), diag_pairs(diag))}
     classes = {}
     for m in nonzero_of(Mf):
         classes.setdefault(T.dlog(pair_of[m.entries()][0]) % step, m)
     group_X, group_Y = [], []
-    elations = scanned = 0
+    elations = 0
     for m in classes.values():
         x, y = pair_of[m.entries()]
         lx, ly = T.dlog(x), T.dlog(y)
         if lx == ly and not m.is_scalar():
             elations += 1
         for dd in range(step):
-            scanned += 1
             ex = (dd + lx) % step == 0
             ey = (dd + ly) % step == 0
             if not (ex or ey) or (ex and ey and (lx - ly) % T.mult_order == 0):
@@ -642,7 +620,7 @@ def central_classes_by_scan(f):
 
     group_X = sorted((m for m in group_X if not m.is_identity()), key=kappa_order)
     group_Y = sorted((m for m in group_Y if not m.is_identity()), key=kappa_order)
-    return group_X, group_Y, elations, scanned
+    return group_X, group_Y, elations
 
 
 _FIBER_REPRESENTATIVES = {}
@@ -1119,6 +1097,12 @@ def standard_form_stabilizer_by_census(f, sf):
 def standard_shape_by_walk(T, eset, s, t):
     """Is the element set exactly {diag(al, al^(q^s)) : al in F_(q^t)}?"""
     return eset == {(al, 0, 0, T.frob_code(al, s)) for al in T.subfield_elements(t)}
+
+
+def twisted_eigenspace(T, s, sign):
+    """All codes with x^{q^s} = sign * x (sign is +1 or -1), via an F_p-kernel."""
+    mat = (T.frob_power_matrix(s) - sign * np.eye(T.en, dtype=np.int64)) % T.p
+    return span_codes(kernel_mod(mat, T.p), T.p, T.en, 1)[:, 0].tolist()
 
 
 def predicted_set_by_listing(inst):

@@ -148,7 +148,7 @@ def test_idealizer_basis_outside_the_kernel(tower):
     # same order, but the basis leaves the kernel of the system
     bad = IR.basis[:-1] + (LinearizedPoly.monomial(T, 1),)
     with pytest.raises(NotAField, match="outside the kernel"):
-        verify_idealizer_field(Idealizer("right", T, IR.system, bad), T)
+        verify_idealizer_field(Idealizer(T, IR.system, bad), T)
 
 
 def test_idealizer_match_detects_broken_maps(tower, monkeypatch):

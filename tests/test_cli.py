@@ -38,7 +38,7 @@ def test_analyze_scatter_stabilizer(specs):
                             "--tasks", "scatter,stabilizer"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["tasks"]["scatter"]["scattered"] is True
     assert doc["tasks"]["stabilizer"]["order"] == 624
     assert doc["tasks"]["stabilizer"]["t"] == 4
@@ -160,15 +160,6 @@ def test_families_generate_verb():
     assert doc["instance"]["predicted_stabilizer"]["order"] == 624
 
 
-def test_stabilizer_hashes_exposed(specs):
-    field, poly, _ = specs
-    code, out, _ = run_cli(["stabilizer", "--field", str(field), "--poly", str(poly)])
-    assert code == 0
-    doc = json.loads(out)["tasks"]["stabilizer"]
-    assert len(doc["poly_hash"]) == 16
-    assert len(doc["linear_set_hash"]) == 16
-
-
 def test_non_scattered_stabilizer_report(specs):
     # f = x has a 3 en-dimensional solution space over F_p, reported like
     # any other non-scattered input, from the kernel dimension alone
@@ -181,7 +172,6 @@ def test_non_scattered_stabilizer_report(specs):
     doc = json.loads(out)["tasks"]["stabilizer"]
     assert doc["field_order"] == 5**12 and doc["order"] == 5**12 - 1
     assert doc["verified_field"] is False and doc["unverified"] is True
-    assert doc["linear_set_hash"] is None and len(doc["poly_hash"]) == 16
     assert "note" not in doc and "solution_space_dim_over_Fp" not in doc
 
 
@@ -293,7 +283,7 @@ def test_analyze_matches_golden_report(name, tmp_path):
 
 
 def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
-    # the scatter and stabilizer tasks share one lazily built linear set
+    # the scatter task builds the linear set once; the stabilizer task reads none
     calls = []
     build = scatter.linear_set
 
@@ -308,11 +298,14 @@ def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
     field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"coeffs": coeffs}))
-    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                            "--tasks", "scatter,stabilizer,standard-form,mrd,plane"])
-    assert code == 0
-    assert out == (GOLDEN / "analyze_psi_5_6.json").read_text()
-    assert len(calls) == 1
+    golden = json.loads((GOLDEN / "analyze_psi_5_6.json").read_text())
+    for tasks, builds in (("scatter,stabilizer,standard-form,mrd,plane", 1), ("stabilizer", 0)):
+        calls.clear()
+        code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                                "--tasks", tasks])
+        assert code == 0
+        assert json.loads(out)["tasks"] == {t: golden["tasks"][t] for t in tasks.split(",")}
+        assert len(calls) == builds, tasks
 
 
 def _fresh_analyze(field, poly, forbidden):
@@ -350,3 +343,14 @@ def test_analyze_process_never_imports_numpy_ma(tmp_path):
     poly.write_text(json.dumps({"coeffs": ["0", "1", "0", "0", "0", "0"]}))
     doc = _fresh_analyze(field, poly, "numpy.ma")
     assert doc["tasks"]["plane"]["axes_coaxes_exchanged"] is True
+
+
+def test_analyze_process_never_imports_hashlib(tmp_path):
+    # hashlib loads OpenSSL; the report carries no hash, so no task needs it
+    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"coeffs": coeffs}))
+    doc = _fresh_analyze(field, poly, "hashlib")
+    assert doc == json.loads((GOLDEN / "analyze_psi_5_6.json").read_text())

@@ -7,7 +7,6 @@ from scattered_lab.errors import BadParams, UnsupportedParams
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
-    beta_coefficient_identity,
     catalog,
     find_family3_delta,
     find_family4_delta,
@@ -20,12 +19,11 @@ from scattered_lab.families import (
     make_pseudoregulus,
     psi_standard_form_closed,
     psi_theta,
-    twisted_eigenspace,
 )
 from scattered_lab.scatter import is_scattered
 from scattered_lab.stabilizer import Mat2, compute_stabilizer
 
-from oracles import element_set_of, predicted_set_by_listing
+from oracles import element_set_of, predicted_set_by_listing, twisted_eigenspace
 
 
 def test_pseudoregulus_params(tower):
@@ -157,11 +155,6 @@ def test_prediction_certificate_rejects_wrong_triples(tower):
     assert not replace(lp, predicted_t=1).matches(compute_stabilizer(lp.poly))
     # F_25 lies in D(1, 4), so only the order |G_f| = 25 rejects t = 4
     assert not replace(lp, predicted_t=4).matches(compute_stabilizer(lp.poly))
-
-
-def test_beta_identity(tower):
-    T = tower(5, 1, 6)
-    assert beta_coefficient_identity(T, 3, 1, trials=6)
 
 
 def test_eigen_sign_identity(tower):

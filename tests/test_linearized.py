@@ -193,7 +193,7 @@ def test_delta_profile_examples(tower):
     d = T.gen_code
     lp = LinearizedPoly(T, [0, 1, 0, d])
     prof = lp.delta_profile()
-    assert prof.delta_set == frozenset({2, 4}) and prof.t_h == 2 and prof.is_standard
+    assert prof.delta_set == frozenset({2, 4}) and prof.t_h == 2
     assert lp.standard_form_params() == (1, 2)
     mono = LinearizedPoly.monomial(T, 3)
     assert mono.delta_profile().delta_set == frozenset({4})

@@ -9,7 +9,6 @@ from scattered_lab.mrd import (
     _right_compose_operator,
     check_idealizer_matches_stabilizer,
     code_of,
-    left_idealizer,
     min_distance,
     min_distance_naive,
     right_idealizer,
@@ -43,7 +42,6 @@ def test_codeword_generators(tower):
         w = C.codeword(a, b)
         if not w.is_zero():
             assert w.rank() >= 3  # scattered: rank at least n - 1
-        assert C.contains(w) is not None
 
 
 def test_min_distance_examples(tower):
@@ -86,7 +84,7 @@ def test_singleton_equality_for_scattered(tower):
     T = tower(3, 1, 4)
     for inst in catalog(T):
         C = code_of(inst.poly)
-        assert C.size() == T.q ** (2 * T.n)
+        assert not C.degenerate   # |C_f| = q^(2n)
         d = min_distance(C)
         assert d == T.n - 1
         n = T.n
@@ -115,19 +113,6 @@ def test_right_idealizer_orders(tower):
     x = LinearizedPoly.identity(T5)
     for lam in T5.subfield_elements(1):
         assert x.scale(lam).coeffs in element_set_of(IR5)
-
-
-def test_left_idealizer_contains_big_field(tower):
-    T = tower(5, 1, 4)
-    lp = make_lp(T, 1, find_lp_delta(T)).poly
-    IL = left_idealizer(code_of(lp))
-    assert IL.order >= 5**4
-    x = LinearizedPoly.identity(T)
-    iset = element_set_of(IL)
-    rng = T.rng("leftid")
-    for _ in range(20):
-        lam = rng.randrange(625)
-        assert x.scale(lam).coeffs in iset
 
 
 def test_idealizer_field_verification(tower):
@@ -180,19 +165,6 @@ def test_psi_idealizer_order(tower):
     assert IR.order == 25
     rep = check_idealizer_matches_stabilizer(psi)
     assert rep["t"] == 2
-
-
-def test_contains_solver(tower):
-    T = tower(5, 1, 4)
-    f = LinearizedPoly(T, [0, 1, 0, T.gen_code])
-    C = code_of(f)
-    rng = T.rng("contains")
-    for _ in range(20):
-        a, b = rng.randrange(625), rng.randrange(625)
-        got = C.contains(C.codeword(a, b))
-        assert got == (a, b)
-    outside = LinearizedPoly(T, [0, 0, 1, 0])
-    assert C.contains(outside) is None
 
 
 @pytest.mark.parametrize("key", [(5, 1, 4), (7, 1, 4), (5, 1, 5)])

@@ -174,7 +174,6 @@ def test_classification_psi(tower):
     assert {hr.X, hr.Y} == {(1, theta), (1, T.neg_code(theta))}
     assert hr.elations == 0 and hr.cyclic_ok and hr.exchange_ok
     assert hr.H_f_order == 15624 * 24 // 4
-    assert hr.central_classes_scanned == 3906 * 6
 
 
 def test_classification_case_i(tower):
@@ -220,7 +219,7 @@ def test_orbit_size_divisibility(tower):
     L = linear_set(psi)
     m = hr.group_order
     assert L.size % m == 0
-    on_L = sum(1 for pt in (hr.X, hr.Y) if pt[0] == 1 and L.contains_slope(pt[1]))
+    on_L = sum(1 for pt in (hr.X, hr.Y) if pt[0] == 1 and pt[1] in L.slopes)
     assert on_L == 0
     assert (L.size - on_L) % m == 0
 
@@ -359,7 +358,7 @@ def test_classification_matches_scan_oracle(tower):
     ts = set()
     for f in _differential_instances(tower):
         hr = classify_central_collineations(f)
-        group_X, group_Y, elations, scanned = central_classes_by_scan(f)
+        group_X, group_Y, elations = central_classes_by_scan(f)
         listed_X, listed_Y = _groups(f, hr)
         if hr.t > 1:
             assert [m.entries() for m in listed_X[:-1]] == [m.entries() for m in group_X]
@@ -367,7 +366,6 @@ def test_classification_matches_scan_oracle(tower):
         else:
             assert listed_X == listed_Y == group_X == group_Y == []
         assert hr.elations == elations
-        assert hr.central_classes_scanned == scanned
         ts.add(hr.t)
     assert {1, 2, 4} <= ts
 
@@ -539,7 +537,7 @@ def test_classification_reads_no_element_list(tower, monkeypatch, capsys):
     hr = classify_central_collineations(LinearizedPoly.monomial(tower(7, 1, 6), 1))
     assert hr.case == "ii" and hr.t == 6 and hr.group_order == 19608
     assert hr.cyclic_ok is hr.exchange_ok is hr.decomposition_ok is True
-    assert hr.elations == 0 and hr.central_classes_scanned == 19608 * 19608
+    assert hr.elations == 0
     for criterion in (selftest.criterion_1, selftest.criterion_2, selftest.criterion_3,
                       selftest.criterion_4, selftest.criterion_6):
         criterion()

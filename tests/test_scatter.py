@@ -1,25 +1,22 @@
-import math
 import random
 
 import pytest
 
-from scattered_lab.errors import NotSubfieldLinear, TooLarge
+from scattered_lab.errors import TooLarge
 from scattered_lab.families import catalog
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.scatter import (
-    is_r_partially_scattered,
     is_scattered,
     is_scattered_naive,
     line_intersection_dim,
     linear_set,
     slope_census,
-    subspace_membership,
 )
 from scattered_lab.standard_form import canonicalize, image_polynomial
 from scattered_lab.stabilizer import Mat2, compute_stabilizer
 
-from oracles import linear_set_by_sort, r_partial_by_scan, scattered_by_fibers, slope_fibers
+from oracles import linear_set_by_sort, scattered_by_fibers, slope_fibers
 
 
 def test_is_scattered_examples(tower):
@@ -72,7 +69,7 @@ def test_linear_set_trivial_and_kernel(tower):
     f = LinearizedPoly(T, [T.neg_code(1), 1, 0, 0])
     ls2 = linear_set(f)
     assert is_scattered(f)
-    assert ls2.has_zero_slope and ls2.size == 156
+    assert ls2.size == 156
     assert slope_census(f).kernel_count == 4
     # zero slope sorts last in the g^k order
     assert ls2.slopes[-1] == 0
@@ -123,16 +120,6 @@ def test_scatteredness_gl_invariant(tower):
         done += 1
 
 
-def test_subspace_membership(tower):
-    T = tower(5, 1, 4)
-    f = LinearizedPoly.monomial(T, 1)
-    g = T.gen_code
-    assert subspace_membership(f, (0, 0))
-    assert subspace_membership(f, (g, T.pow_code(g, 5)))
-    assert not subspace_membership(f, (0, 1))  # f bijective
-    assert not subspace_membership(f, (g, g))
-
-
 def test_line_intersection_bound(tower):
     T = tower(5, 1, 4)
     f = LinearizedPoly(T, [0, 1, 0, T.gen_code])
@@ -162,64 +149,12 @@ def test_line_intersection_direct_enumeration(tower):
         assert 3**dim - 1 == on_line
 
 
-def test_r_partially_scattered(tower):
-    T = tower(5, 1, 4)
-    d = T.gen_code
-    # g derived from the standard Lunardon-Polverino form: h(x) = g(x^q)
-    g = LinearizedPoly(T, [1, 0, d, 0])
-    assert is_r_partially_scattered(g, 2, 1)
-    x = LinearizedPoly.identity(T)
-    # gcd(s, n) = 1 makes the premise trivial; s = 2 exposes degeneracy
-    assert is_r_partially_scattered(x, 1, 1)
-    assert not is_r_partially_scattered(x, 1, 2)
-    with pytest.raises(NotSubfieldLinear):
-        is_r_partially_scattered(LinearizedPoly(T, [0, 1, 0, d]), 2, 1)
-
-
-def test_r_partial_no_table_path():
-    # the scalar-arithmetic scan on a table-less tower agrees with the table path
-    T0 = make_field(5, 1, 4, table_bound=0)
-    T1 = make_field(5, 1, 4)
-    coeffs = [1, 0, T1.gen_code, 0]
-    assert r_partial_by_scan(LinearizedPoly(T0, coeffs), 2, 1)
-    assert is_r_partially_scattered(LinearizedPoly(T1, coeffs), 2, 1)
-
-
-def test_r_partial_matches_scan(tower):
-    cases = []
-    T = tower(5, 1, 4)
-    x = LinearizedPoly.identity(T)
-    cases += [(LinearizedPoly(T, [1, 0, T.gen_code, 0]), 2, 1), (x, 1, 1), (x, 1, 2)]
-    # the kernel is its own key: c (x^q - x) vanishes on F_q and has slope 1 at
-    # lam in F_(q^2) \ F_q, whose residue modulo the F_(q^2) index is that of 1
-    lam = T.pow_code(T.gen_code, T.mult_order // (T.q**2 - 1))
-    c = T.div_code(lam, T.add_code(T.frob_code(lam, 1), T.neg_code(lam)))
-    cases.append((LinearizedPoly(T, [T.neg_code(c), c, 0, 0]), 1, 2))
-    # x^(q^3) - x^q: F_(q^2) is in the kernel, no other fiber meets two F_q-classes
-    cases.append((LinearizedPoly(T, [0, T.neg_code(1), 0, 1]), 1, 2))
-    for q, n in [(5, 4), (3, 6), (5, 6)]:
-        T = tower(q, 1, n)
-        rng = T.rng("r-partial")
-        for _ in range(8):
-            t = rng.choice([d for d in range(1, n) if n % d == 0])
-            coeffs = [rng.randrange(T.size) if i % t == 0 else 0 for i in range(n)]
-            cases.append((LinearizedPoly(T, coeffs), t, rng.randrange(1, n)))
-    answers = set()
-    for g, t, s in cases:
-        got = is_r_partially_scattered(g, t, s)
-        assert got == r_partial_by_scan(g, t, s), (g.tower.key, g.coeffs, t, s)
-        if math.gcd(s, g.tower.n) > 1:  # gcd 1 makes the premise trivial
-            answers.add(got)
-    assert answers == {True, False}
-
-
 def test_enumerations_refuse_table_less_tower():
     T = make_field(5, 1, 4, table_bound=0)
     f = LinearizedPoly.monomial(T, 1)
     h = LinearizedPoly(T, [0, 1, 0, T.gen_code])
     for call in (lambda: is_scattered(f), lambda: compute_stabilizer(f),
-                 lambda: canonicalize(h), lambda: is_r_partially_scattered(f, 1, 2),
-                 f.eval_all_logs, lambda: is_scattered_naive(f, "pairs")):
+                 lambda: canonicalize(h), f.eval_all_logs, lambda: is_scattered_naive(f, "pairs")):
         with pytest.raises(TooLarge):
             call()
 
@@ -249,5 +184,5 @@ def test_linear_set_matches_sorted_powers(tower):
     for f in polys:
         if not f.is_zero():
             assert linear_set(f).slopes == linear_set_by_sort(f), f.coeffs
-    assert linear_set(with_kernel).has_zero_slope
+    assert linear_set(with_kernel).slopes[-1] == 0
     assert linear_set(with_kernel).size == slope_census(with_kernel).n_slopes

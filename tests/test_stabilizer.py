@@ -15,7 +15,8 @@ from scattered_lab.errors import (
 )
 from scattered_lab.field_tower import _digits
 from scattered_lab.linearized import LinearizedPoly
-from scattered_lab.scatter import line_intersection_dim, linear_set, subspace_membership
+from scattered_lab.mrd import code_of
+from scattered_lab.scatter import line_intersection_dim, linear_set
 from scattered_lab.stabilizer import (
     Mat2,
     MatrixField,
@@ -68,8 +69,8 @@ def test_soundness_exhaustive(tower):
     Mf = compute_stabilizer(f)
     for m in elements_of(Mf):
         for xc in range(27):
-            pt = m.apply((xc, f.evaluate_code(xc)))
-            assert subspace_membership(f, pt)
+            x, y = m.apply((xc, f.evaluate_code(xc)))
+            assert f.evaluate_code(x) == y
 
 
 def test_completeness_random_audit(tower):
@@ -84,9 +85,8 @@ def test_completeness_random_audit(tower):
                  rng.randrange(625), rng.randrange(625))
         if m.det() == 0 or m.entries() in eset:
             continue
-        violated = any(
-            not subspace_membership(f, m.apply((xc, f.evaluate_code(xc))))
-            for xc in range(1, 625))
+        images = (m.apply((xc, f.evaluate_code(xc))) for xc in range(1, 625))
+        violated = any(f.evaluate_code(x) != y for x, y in images)
         assert violated
         audited += 1
 
@@ -225,7 +225,7 @@ def test_transversal_points(tower):
         L = linear_set(f)
         for pt in (X, Y):
             if pt[0] == 1:
-                assert not L.contains_slope(pt[1])
+                assert pt[1] not in L.slopes
     from scattered_lab.families import find_lp_delta, make_lp
 
     T5 = tower(5, 1, 5)
@@ -309,11 +309,17 @@ def test_codes_out_of_range_are_refused_at_every_entry(tower):
             lambda: Mat2(T, 1, 0, 0, bad),
             lambda: Mat2.scalar(T, bad),
             lambda: Mat2.diag(T, 1, bad),
-            lambda: subspace_membership(f, (bad, 0)),
-            lambda: subspace_membership(f, (1, bad)),
+            lambda: stabilizer.normalize_point(T, (bad, 1)),
+            lambda: stabilizer.normalize_point(T, (1, bad)),
             lambda: line_intersection_dim(f, (bad, 1)),
             lambda: line_intersection_dim(f, (1, bad)),
             lambda: LinearizedPoly(T, [0, bad, 0, 0]),
+            lambda: f.evaluate_code(bad),
+            lambda: f.scale(bad),
+            lambda: f.transform(bad, 1),
+            lambda: f.transform(1, bad),
+            lambda: code_of(f).codeword(bad, 0),
+            lambda: code_of(f).codeword(0, bad),
         ]
         for entry in entries:
             with pytest.raises(BadElement, match="outside"):
@@ -321,5 +327,7 @@ def test_codes_out_of_range_are_refused_at_every_entry(tower):
     # the last codes in range still pass
     top = T.size - 1
     assert Mat2.scalar(T, top).det() == T.mul_code(top, top)
-    assert subspace_membership(f, (top, f.evaluate_code(top)))
+    assert f.evaluate_code(top) == T.frob_code(top, 1)
+    assert stabilizer.normalize_point(T, (top, top)) == (1, 1)
+    assert code_of(f).codeword(top, 0).coeffs == (top, 0, 0, 0)
     assert line_intersection_dim(f, (top, top)) in (0, 1)
