@@ -10,14 +10,19 @@ power-basis coordinates, packed as sum(d_i * p^i), so a code lies in
 `format_code`/`parse_element` convert to and from the wire format.
 
 All subfields live inside the single carrier and are recognized by membership
-tests.  For fields with at most `table_bound` elements a full exp/log table
-pair is precomputed (numpy int64), which makes multiplication, inversion,
-powering, Frobenius and discrete logs O(1) and enables the vectorized bulk
-scans used elsewhere.  Larger fields fall back to generic polynomial
-arithmetic and square-and-multiply exponentiation, which keeps
-constructions, composition, ranks and inversion exact; every analysis that
-enumerates F_{q^n}^* refuses them up front through
-`FieldTower.require_tables`, which raises TooLarge (CLI exit 2).
+tests.  For fields with at most `table_bound` elements (below 2^31, so
+every entry fits) full exp/log tables are precomputed as numpy int32
+arrays.  The bulk scans elsewhere gather from the arrays; the scalar
+`*_code` methods read zero-copy memoryviews of them, which return plain
+Python ints, so multiplication, negation (-1 = g^((q^n - 1)/2) for odd
+p), inversion, powering, Frobenius, square roots and discrete logs are a
+few integer reads each.  Addition is digitwise (XOR for p = 2) on every
+field: a Zech-logarithm table for odd p measured no gain on the sweep
+benchmark.  Larger fields fall back to generic polynomial arithmetic and
+square-and-multiply exponentiation, which keeps constructions,
+composition, ranks and inversion exact; every analysis that enumerates
+F_{q^n}^* refuses them up front through `FieldTower.require_tables`, which
+raises TooLarge (CLI exit 2).
 
 The primes dividing p^(en) - 1 (primitivity, element orders, the field
 certificate) and en (Rabin's test) come from `_prime_divisors`: trial
@@ -36,7 +41,8 @@ q-polynomials are matrix products with them (`mul_matrices`,
 `qpoly_matrices`), with no field arithmetic.  The F_p-trace-dual basis of
 the power basis (`trace_dual_basis`, built once per tower) reads
 power-basis coordinates as traces, which turns the F_p-matrix of an
-F_q-linear map back into its q-polynomial.
+F_q-linear map back into its q-polynomial; `qpoly_readback` is that
+readback as one F_p-matrix, built once per tower.
 """
 
 from __future__ import annotations
@@ -61,9 +67,11 @@ from .errors import (
 from ._linalg import inv_mod_matrix, linear_values, solve_mod
 
 DEFAULT_TABLE_BOUND = 1 << 23
+# exp/log tables are int32: codes and logs of a tabled field lie below it
+TABLE_BOUND_LIMIT = 1 << 31
 DEFAULT_ENUM_BOUND = 1 << 40
 # entries kept per memo of a tower (census, stabilizer, invert, ...); a sweep
-# round of the benchmark stores at most 77 in one (invert, two per inversion)
+# round of the benchmark stores at most 46 in one (invert, two per inversion)
 CACHE_SIZE = 128
 
 _SMALL_PRIMES = tuple(m for m in range(2, 1 << 10)
@@ -326,6 +334,9 @@ class FieldTower:
     """The chain F_p < F_q < F_{q^n} with all precomputed machinery."""
 
     def __init__(self, spec: FieldSpec, table_bound=DEFAULT_TABLE_BOUND):
+        if table_bound >= TABLE_BOUND_LIMIT:
+            raise TooLarge(f"table_bound {table_bound} is not below {TABLE_BOUND_LIMIT}, "
+                           f"the limit of int32 tables")
         self.spec_data = spec
         self.p = spec.p
         self.e = spec.e
@@ -349,14 +360,15 @@ class FieldTower:
         reduced = np.vstack([np.eye(self.en, dtype=np.int64),
                              np.array(red, dtype=np.int64).reshape(-1, self.en)])
         self._x_powers = np.stack([reduced[k:k + self.en].T for k in range(self.en)])
-        self.exp_table = None
-        self.log_table = None
+        self.exp_table = self.log_table = None
+        self.exp_view = self.log_view = None
         self.gen_code = spec.generator
         if self.size <= table_bound:
             self._build_tables()
         self._frob_mat = None
         self._frob_stack = None
         self._trace_dual = None
+        self._readback = None
         self._bsgs_baby: dict[int, int] = {}
         self._caches: dict[str, _LRU] = {}
 
@@ -368,7 +380,8 @@ class FieldTower:
         multiplication by g and packed into codes with one matrix product.
         Multiplication by g^B is F_p-linear too, so its value table over
         every code is one `linear_values` pass, and block j + 1 of the exp
-        table is that table gathered at block j.
+        table is that table gathered at block j.  The tables are read-only
+        int32 arrays, and the scalar methods read memoryviews of them.
         """
         p, M = self.p, self.mult_order
         B = math.isqrt(M)
@@ -379,19 +392,22 @@ class FieldTower:
         for j in range(B):
             steps[j] = v
             v = times_g @ v % p
-        exp = np.empty(M, dtype=np.int64)
+        exp = np.empty(M, dtype=np.int32)
         exp[:B] = steps @ p ** np.arange(self.en, dtype=np.int64)
         times_gB = linear_values(p, self.mul_matrix(_pack(v, p)))   # v = g^B
         for pos in range(B, M, B):
             k = min(B, M - pos)
             exp[pos:pos + k] = times_gB[exp[pos - B:pos - B + k]]
         del times_gB   # freed before the log table is allocated
-        self.exp_table = exp
-        log = np.full(self.size, -1, dtype=np.int64)
-        log[self.exp_table] = np.arange(M, dtype=np.int64)
-        self.log_table = log
+        log = np.full(self.size, -1, dtype=np.int32)
+        log[exp] = np.arange(M, dtype=np.int32)
         if log[1] != 0:
             raise InternalError("exp/log tables inconsistent")
+        exp.flags.writeable = log.flags.writeable = False
+        self.exp_table, self.log_table = exp, log
+        self.exp_view, self.log_view = memoryview(exp), memoryview(log)
+        # frob_exps[k] = q^k mod M: x^(q^k) multiplies the log by it
+        self.frob_exps = [pow(self.q, k, M) for k in range(self.n)]
 
     @property
     def has_tables(self):
@@ -409,8 +425,8 @@ class FieldTower:
 
         Public functions that take codes call this where the codes enter:
         the arithmetic below assumes the range, and out of it a negative
-        code never leaves add_code's digit loop, -1 reads log_table[-1] (the
-        code q^n - 1) and q^n indexes past the tables.
+        code never leaves add_code's digit loop, -1 reads the last log entry
+        (that of the code q^n - 1) and q^n indexes past the tables.
         """
         for c in codes:
             if not 0 <= c < self.size:
@@ -431,8 +447,12 @@ class FieldTower:
 
     def neg_code(self, a):
         p = self.p
-        if p == 2:
+        if p == 2 or a == 0:
             return a
+        if self.log_view is not None:
+            # -1 = g^(M/2) for odd p
+            M = self.mult_order
+            return self.exp_view[(self.log_view[a] + M // 2) % M]
         out = 0
         mult = 1
         while a:
@@ -466,8 +486,9 @@ class FieldTower:
     def mul_code(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if self.exp_table is not None:
-            return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % self.mult_order])
+        if self.log_view is not None:
+            log = self.log_view
+            return self.exp_view[(log[a] + log[b]) % self.mult_order]
         return self._poly_mul_codes(a, b)
 
     def pow_code(self, a, k):
@@ -479,8 +500,8 @@ class FieldTower:
                 raise ZeroDivisionError("0 has no negative powers")
             return 0
         k %= M
-        if self.log_table is not None:
-            return int(self.exp_table[(int(self.log_table[a]) * k) % M])
+        if self.log_view is not None:
+            return self.exp_view[self.log_view[a] * k % M]
         result = 1
         base = a
         while k:
@@ -493,6 +514,8 @@ class FieldTower:
     def inv_code(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        if self.log_view is not None:
+            return self.exp_view[-self.log_view[a] % self.mult_order]
         return self.pow_code(a, self.mult_order - 1)
 
     def div_code(self, a, b):
@@ -502,8 +525,8 @@ class FieldTower:
         """Discrete log base g; -1 convention is never used (0 raises)."""
         if a == 0:
             raise ZeroDivisionError("log of zero")
-        if self.log_table is not None:
-            return int(self.log_table[a])
+        if self.log_view is not None:
+            return self.log_view[a]
         return self._bsgs(a)
 
     def _bsgs(self, a):
@@ -559,8 +582,8 @@ class FieldTower:
         k %= self.n
         if a == 0 or k == 0:
             return a
-        if self.log_table is not None:
-            return int(self.exp_table[(int(self.log_table[a]) * pow(self.q, k, self.mult_order)) % self.mult_order])
+        if self.log_view is not None:
+            return self.exp_view[self.log_view[a] * self.frob_exps[k] % self.mult_order]
         v = (self.frob_power_matrix(k) @ np.array(_digits(a, self.p, self.en), dtype=np.int64)) % self.p
         return _pack(list(v), self.p)
 
@@ -615,11 +638,11 @@ class FieldTower:
             return 0
         if self.p == 2:
             return self.pow_code(a, self.size // 2)
-        if self.log_table is not None:
-            la = int(self.log_table[a])
+        if self.log_view is not None:
+            la = self.log_view[a]
             if la % 2:
                 return None
-            return int(self.exp_table[la // 2])
+            return self.exp_view[la // 2]
         return self._tonelli(a)
 
     def _tonelli(self, a):
@@ -708,6 +731,24 @@ class FieldTower:
                 raise InternalError("the trace form is degenerate")
             self._trace_dual = [_pack(inv[:, k], p) for k in range(en)]
         return self._trace_dual
+
+    @property
+    def qpoly_readback(self):
+        """The F_p-matrix R that reads an F_q-linear map's q-polynomial off its matrix.
+
+        For the F_p-matrix A of an F_q-linear map, the digits of its
+        coefficients are R @ vec(A^T) mod p, row (i, r) holding digit r of
+        a_i and column (k, s) meeting A[s, k]; R[(i, r), (k, s)] is digit r
+        of X^s beta_k^(q^i), with beta the trace-dual basis (see
+        `LinearizedPoly.from_fp_matrix`).  One `mul_matrices` stack of the
+        n * en codes beta_k^(q^i), transposed; built once per tower.
+        """
+        if self._readback is None:
+            n, en = self.n, self.en
+            conj = [self.frob_code(beta, i) for i in range(n) for beta in self.trace_dual_basis]
+            mats = self.mul_matrices(conj).reshape(n, en, en, en)   # [i, k, r, s]
+            self._readback = mats.transpose(0, 2, 1, 3).reshape(n * en, en * en)
+        return self._readback
 
     def mul_matrix(self, code):
         """F_p-matrix of y -> code * y in the power basis (see mul_matrices)."""

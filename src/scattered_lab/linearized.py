@@ -8,19 +8,24 @@ x^(q^n) - x, so these objects are exactly the F_q-linear endomorphisms of
 F_{q^n}.  Rank, kernel and inversion run on the en x en F_p-matrix of the
 action in the power basis, which `FieldTower.qpoly_matrices` assembles from
 the tower's cached multiplication and Frobenius matrices without evaluating
-f; the trace-dual basis turns a matrix back into its q-polynomial.  The
-same matrix gives the bulk evaluation at every element:
+f; one product with the tower's `qpoly_readback` matrix, built from the
+trace-dual basis, turns a matrix back into its q-polynomial.  The same
+matrix gives the bulk evaluation at every element:
 `_linalg.linear_values` tabulates it in code order by p-adic doubling, one
 digit level at a time, so its cost does not grow with the number of terms.
+A single value, `evaluate_code`, reads the tower's exp/log memoryviews, one
+log per term, on a field with tables.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import NotBijective, NotStandard, ZeroPolynomial
 from ._linalg import inv_mod_matrix, linear_values, rank_mod
-from .field_tower import FieldTower, _pack
+from .field_tower import FieldTower
 
 
 class LinearizedPoly:
@@ -130,11 +135,11 @@ class LinearizedPoly:
             return 0
         acc = 0
         if T.has_tables:
-            lx = T.dlog(x)
-            M = T.mult_order
+            # the term a_i x^(q^i) is g^(log a_i + q^i log x)
+            exp, log, M = T.exp_view, T.log_view, T.mult_order
+            lx = log[x]
             for i in self.support:
-                la = T.dlog(self.coeffs[i])
-                acc = T.add_code(acc, int(T.exp_table[(la + lx * pow(T.q, i, M)) % M]))
+                acc = T.add_code(acc, exp[(log[self.coeffs[i]] + lx * T.frob_exps[i]) % M])
             return acc
         for i in self.support:
             acc = T.add_code(acc, T.mul_code(self.coeffs[i], T.frob_code(x, i)))
@@ -180,18 +185,14 @@ class LinearizedPoly:
         is sum_k A(X^k) Tr(beta_k y) and its x^(p^m) coefficient is
         sum_k A(X^k) beta_k^(p^m).  A must be F_q-linear, as every fp_matrix
         and its inverse are: then only the multiples m = e i survive, and
-        a_i = sum_k A(X^k) beta_k^(q^i).
+        a_i = sum_k A(X^k) beta_k^(q^i).  A(X^k) is column k of A, so the
+        digits of every a_i are one product with the tower's cached
+        `qpoly_readback` matrix, with no field arithmetic.
         """
         T = tower
-        images = [_pack(A[:, k], T.p) for k in range(T.en)]
-        coeffs = []
-        for i in range(T.n):
-            acc = 0
-            for img, beta in zip(images, T.trace_dual_basis):
-                if img:
-                    acc = T.add_code(acc, T.mul_code(img, T.frob_code(beta, i)))
-            coeffs.append(acc)
-        return cls(T, coeffs)
+        vec = np.asarray(A, dtype=np.int64).T.reshape(-1)
+        digits = (T.qpoly_readback @ vec % T.p).reshape(T.n, T.en)
+        return cls(T, (digits @ T.p ** np.arange(T.en, dtype=np.int64)).tolist())
 
     def rank(self):
         """Rank as an F_q-endomorphism (the F_p rank is e times larger)."""

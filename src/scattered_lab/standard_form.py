@@ -131,13 +131,23 @@ def image_polynomial(f: LinearizedPoly, W: Mat2) -> LinearizedPoly:
 
 
 def maps_onto(f: LinearizedPoly, W: Mat2, g: LinearizedPoly) -> bool:
-    """Exact check that U_f W = U_g (as a polynomial identity v = g o u)."""
+    """Exact check that U_f W = U_g, with (x, f(x)) W = (u(x), v(x)).
+
+    U_f W = U_g exactly when v = g o u and u is bijective.  For det W != 0
+    the identity alone proves it: u(x) = 0 gives v(x) = g(0) = 0, so
+    (x, f(x)) W = 0 and x = 0; u is injective, hence bijective.  Only a
+    singular W pays for inverting u.
+    """
     u, v = _uv_from(f, W)
+    if v != g.compose(u):
+        return False
+    if W.det() != 0:
+        return True
     try:
         u.invert()
     except NotBijective:
         return False
-    return v == g.compose(u)
+    return True
 
 
 def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
@@ -219,27 +229,32 @@ def _witness(f: LinearizedPoly, g: LinearizedPoly) -> Mat2 | None:
     return W
 
 
-def _preconditions(f: LinearizedPoly, g: LinearizedPoly) -> bool:
-    """Both inputs scattered; True when their stabilizer orders agree."""
+def _check_scattered(f: LinearizedPoly, g: LinearizedPoly):
     if not is_scattered(f) or not is_scattered(g):
         raise NotScattered("equivalence testing is defined for scattered inputs")
+
+
+def _orders_agree(f: LinearizedPoly, g: LinearizedPoly) -> bool:
     return compute_stabilizer(f).order == compute_stabilizer(g).order
 
 
 def gl_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult:
     """Decide U_f ~ U_g under GL(2, q^n), with witness when equivalent.
 
-    Both inputs must be scattered.  Different stabilizer orders are
-    immediately non-equivalent (the order is a GL-invariant).  Otherwise the
-    answer is the kernel S(f, g), and its first basis matrix is the witness;
-    n = 2 is refused with HallCase by compute_stabilizer.
+    Both inputs must be scattered.  The answer is the kernel S(f, g), and
+    its first basis matrix is the witness.  A nonzero S gives U_f W = U_g
+    with W invertible, so G_g = W^-1 G_f W and the stabilizer orders agree;
+    only an empty S computes G_g, to report whether the orders already
+    differ (the order is a GL-invariant).  n = 2 is refused with HallCase by
+    compute_stabilizer.
     """
-    if not _preconditions(f, g):
-        return EquivalenceResult(False, "GL", reason="stabilizer orders differ")
+    _check_scattered(f, g)
     W = _witness(f, g)
-    if W is None:
-        return EquivalenceResult(False, "GL", reason="no nonzero M with U_f M in U_g")
-    return EquivalenceResult(True, "GL", witness=W)
+    if W is not None:
+        return EquivalenceResult(True, "GL", witness=W)
+    if not _orders_agree(f, g):
+        return EquivalenceResult(False, "GL", reason="stabilizer orders differ")
+    return EquivalenceResult(False, "GL", reason="no nonzero M with U_f M in U_g")
 
 
 def gammal_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult:
@@ -249,9 +264,11 @@ def gammal_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult
     some twist g^sigma has a nonzero S(f, g^sigma).  The witness pair
     (P, sigma) satisfies U_f P = U_{g^sigma}.  Scatteredness and the
     stabilizer order are checked once: g^sigma is scattered with g, and
-    G_(g^sigma) = (G_g)^sigma.
+    G_(g^sigma) = (G_g)^sigma.  Unlike gl_equivalent, the order check comes
+    first: it costs two stabilizers, and saves up to en kernels.
     """
-    if not _preconditions(f, g):
+    _check_scattered(f, g)
+    if not _orders_agree(f, g):
         return EquivalenceResult(False, "GammaL", reason="stabilizer orders differ")
     for k in range(f.tower.en):
         W = _witness(f, g.twist(k))

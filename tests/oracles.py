@@ -29,7 +29,11 @@ it (non_s_scan), and a brute-force search of all of GL(2, q^n) on small
 fields (gl_solutions_by_brute_force).  Compositional inversion has the
 route the F_p-matrix and the trace-dual basis replaced: the matrix over F_q,
 inverted and read back through a Moore system by elimination on element
-codes (invert_by_fq_matrix).  The diagonal pairs of every element of a
+codes (invert_by_fq_matrix), and the readback of a q-polynomial from its
+F_p-matrix by en * n scalar products, where the library takes one product
+with a cached matrix (from_fp_matrix_by_scalars).  U_f W = U_g is decided
+with u always inverted (maps_onto_by_inversion), where the library skips
+the inversion for invertible W.  The diagonal pairs of every element of a
 diagonalized G_f are rebuilt from the conjugated basis (diag_pairs).  The
 family predictions that the conjugator certificate decides are listed
 element by element (predicted_set_by_listing), and the linear set is built
@@ -65,13 +69,13 @@ import numpy as np
 from scattered_lab._linalg import inv_mod_matrix, kernel_mod, rank_mod, span_codes
 from scattered_lab.errors import NotAField, NotBijective
 from scattered_lab.families import psi_theta
-from scattered_lab.field_tower import _digits, _prime_divisors, make_field
+from scattered_lab.field_tower import _digits, _pack, _prime_divisors, make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.scatter import slope_census
 from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
-from scattered_lab.standard_form import _ab_min, maps_onto, to_standard_form
+from scattered_lab.standard_form import _ab_min, _uv_from, maps_onto, to_standard_form
 
 
 def elements_of(V):
@@ -523,6 +527,32 @@ def invert_by_fq_matrix(f):
     moore = [[T.frob_code(xj, i) for i in range(n)] for xj in xbar]
     sol = fe_solve_square(T, moore, targets)
     return LinearizedPoly(T, [row[0] for row in sol])
+
+
+def from_fp_matrix_by_scalars(T, A):
+    """The q-polynomial of the F_q-linear F_p-matrix A, term by term:
+    a_i = sum_k A(X^k) beta_k^(q^i) with beta the trace-dual basis, each
+    term one mul_code and frob_code, summed by add_code."""
+    images = [_pack(A[:, k], T.p) for k in range(T.en)]
+    coeffs = []
+    for i in range(T.n):
+        acc = 0
+        for img, beta in zip(images, T.trace_dual_basis):
+            if img:
+                acc = T.add_code(acc, T.mul_code(img, T.frob_code(beta, i)))
+        coeffs.append(acc)
+    return LinearizedPoly(T, coeffs)
+
+
+def maps_onto_by_inversion(f, W, g):
+    """U_f W = U_g, with (x, f(x)) W = (u(x), v(x)): u is inverted for every
+    W, and then v = g o u is checked."""
+    u, v = _uv_from(f, W)
+    try:
+        u.invert()
+    except NotBijective:
+        return False
+    return v == g.compose(u)
 
 
 def min_distance_by_ranks(C):

@@ -10,7 +10,14 @@ from scattered_lab.errors import (
     NotADivisor,
     TooLarge,
 )
-from scattered_lab.field_tower import CACHE_SIZE, FieldSpec, _is_prime, field_from_json, make_field
+from scattered_lab.field_tower import (
+    CACHE_SIZE,
+    FieldSpec,
+    FieldTower,
+    _is_prime,
+    field_from_json,
+    make_field,
+)
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.scatter import slope_census
 
@@ -270,6 +277,58 @@ def test_log_q_exact(tower):
 def test_exp_table_matches_giant_step_build(tower, key):
     T = tower(*key)
     assert np.array_equal(T.exp_table, exp_table_by_giant_steps(T))
+
+
+def _same_root(T, got, want):
+    return got is None if want is None else got in (want, T.neg_code(want))
+
+
+@pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
+def test_scalar_tables_match_table_less_tower(tower, key):
+    # every scalar operation on the int32 exp/log tables against the digit
+    # loops, polynomial products and BSGS of the table-less tower
+    T, U = tower(*key), make_field(*key, table_bound=0)
+    assert T.has_tables and not U.has_tables
+    p, M = T.p, T.mult_order
+    rng = T.rng("scalar-tables")
+    # 0, 1, -1 (the code p - 1, g^(M/2) for odd p), g and the largest code
+    special = [0, 1, p - 1, T.gen_code, T.size - 1]
+    codes = special + [rng.randrange(T.size) for _ in range(40)]
+    pairs = [(a, b) for a in special for b in special]
+    pairs += [(a, U.neg_code(a)) for a in codes] + [(a, a) for a in codes]
+    pairs += [(rng.randrange(T.size), rng.randrange(T.size)) for _ in range(60)]
+    for a, b in pairs:
+        for op in ("add_code", "sub_code", "mul_code"):
+            got, want = getattr(T, op)(a, b), getattr(U, op)(a, b)
+            assert got == want and type(got) is int, (op, a, b)
+    for a in codes:
+        assert T.neg_code(a) == U.neg_code(a)
+        for k in (0, 1, 2, p, M - 1, M + 3, rng.randrange(M)):
+            assert T.pow_code(a, k) == U.pow_code(a, k)
+        for k in range(T.n + 1):
+            assert T.frob_code(a, k) == U.frob_code(a, k)
+    for a in [c for c in codes if c][:20]:
+        assert T.inv_code(a) == U.inv_code(a)
+        assert T.dlog(a) == U.dlog(a)
+        assert _same_root(T, T.sqrt_code(a), U.sqrt_code(a))
+    assert T.neg_code(1) == p - 1 and T.add_code(1, p - 1) == 0
+
+
+@pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
+def test_tables_are_read_only_int32(tower, key):
+    T = tower(*key)
+    for view, table in ((T.exp_view, T.exp_table), (T.log_view, T.log_table)):
+        assert view.obj is table and view.readonly
+        assert table.dtype == np.int32 and not table.flags.writeable
+
+
+def test_table_bound_past_int32_refused():
+    spec = make_field(3, 1, 4, table_bound=0).spec()
+    with pytest.raises(TooLarge, match="int32"):
+        FieldTower(spec, table_bound=1 << 31)
+    with pytest.raises(TooLarge):
+        make_field(3, 1, 4, table_bound=1 << 40)
+    assert FieldTower(spec, table_bound=(1 << 31) - 1).has_tables
 
 
 def test_memo_caches_are_bounded_lru():

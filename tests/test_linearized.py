@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scattered_lab._linalg import linear_values
+from scattered_lab._linalg import inv_mod_matrix, linear_values
 from scattered_lab.errors import BadElement, NotBijective, NotStandard, ZeroPolynomial
 from scattered_lab.field_tower import _digits, _pack, make_field
 from scattered_lab.linearized import LinearizedPoly
@@ -15,6 +15,7 @@ from oracles import (
     eval_all_logs_by_terms,
     field_id,
     fp_matrix_by_evaluation,
+    from_fp_matrix_by_scalars,
     invert_by_fq_matrix,
     moebius_coordinate_by_terms,
     rank_by_row_reduction,
@@ -104,6 +105,24 @@ def test_from_fp_matrix_roundtrip(tower):
     T = tower(3, 1, 3)
     assert LinearizedPoly.from_fp_matrix(T, LinearizedPoly.monomial(T, 1).fp_matrix()) \
         == LinearizedPoly.monomial(T, 1)
+
+
+@pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)
+def test_from_fp_matrix_matches_scalar_readback(tower, case):
+    # the cached readback matrix against en * n scalar products per matrix,
+    # on the matrices of random polynomials and of their inverses
+    T = builder_tower(tower, case)
+    rng = T.rng("readback")
+    mats = []
+    for _ in range(6):
+        A = rand_poly(T, rng).fp_matrix()
+        mats.append(A)
+        inv = inv_mod_matrix(A, T.p)
+        if inv is not None:
+            mats.append(inv)
+    for A in mats:
+        assert LinearizedPoly.from_fp_matrix(T, A) == from_fp_matrix_by_scalars(T, A)
+    assert T.qpoly_readback.shape == (T.n * T.en, T.en * T.en)
 
 
 def test_trace_dual_basis(tower):

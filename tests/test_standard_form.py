@@ -38,6 +38,7 @@ from oracles import (
     elements_of,
     gl_by_standard_forms,
     gl_solutions_by_brute_force,
+    maps_onto_by_inversion,
     non_s_scan,
     standard_form_stabilizer_by_census,
     standard_shape_by_walk,
@@ -395,17 +396,57 @@ def test_invert_internal_error_propagates(monkeypatch):
     h = to_standard_form(make_lp(T0, 1, find_lp_delta(T0)).poly).h
     T = make_field(5, 1, 4)  # fresh tower: no inverse or canonical form cached
     f = LinearizedPoly.monomial(T, 1)
-    gen = compute_stabilizer(f).generator
 
     def broken(self):
         raise InternalError("broken inversion")
 
     monkeypatch.setattr(LinearizedPoly, "invert", broken)
+    # v = g o u holds for W = diag(1, 0) and g = 0; a singular W then needs
+    # the inversion of u = x
     with pytest.raises(InternalError):
-        maps_onto(f, gen, f)
+        maps_onto(f, Mat2.diag(T, 1, 0), LinearizedPoly.zero(T))
     with pytest.raises(InternalError):
         branches(f)
     with pytest.raises(InternalError):
         canonicalize(LinearizedPoly(T, h.coeffs))
     with pytest.raises(InternalError, match="broken inversion"):
         to_standard_form(make_lp(T, 1, find_lp_delta(T)).poly)
+
+
+def test_maps_onto_matches_inversion_oracle(tower):
+    # witnesses of gl_equivalent and of the standard form, random invertible
+    # W with g = image_polynomial(f, W) (and g perturbed), and singular W
+    # with both answers: True needs u bijective and v = g o u
+    for key in ((5, 1, 4), (3, 1, 4), (5, 1, 6)):
+        T = tower(*key)
+        rng = T.rng("maps-onto")
+        cases = []
+        for inst in catalog(T)[:3]:
+            f = inst.poly
+            zero, x = LinearizedPoly.zero(T), LinearizedPoly.identity(T)
+            lam = rng.randrange(1, T.size)
+            cases += [(f, Mat2.diag(T, 1, 0), zero), (f, Mat2.diag(T, 1, 0), f),
+                      (f, Mat2(T, 0, 0, 1, 0), zero), (f, Mat2.diag(T, 0, 1), zero),
+                      (f, Mat2(T, 1, lam, 0, 0), x.scale(lam)),
+                      (f, Mat2(T, 1, lam, 0, 0), x)]
+            if in_class_S(f):
+                sf = to_standard_form(f)
+                cases.append((f, sf.P.inverse(), sf.h))
+            for _ in range(4):
+                W = Mat2(T, *(rng.randrange(T.size) for _ in range(4)))
+                if W.det() == 0:
+                    continue
+                try:
+                    g = image_polynomial(f, W)
+                except NotBijective:
+                    cases.append((f, W, f))
+                    continue
+                res = gl_equivalent(f, g)
+                cases += [(f, W, g), (f, res.witness, g), (g, W.inverse(), f),
+                          (f, W, g + x), (f, W.scale(lam), g)]
+        answers = set()
+        for f, W, g in cases:
+            want = maps_onto_by_inversion(f, W, g)
+            assert maps_onto(f, W, g) == want, (f, W.entries(), g)
+            answers.add((W.det() == 0, want))
+        assert answers == {(False, False), (False, True), (True, False), (True, True)}
