@@ -9,13 +9,18 @@ than selecting the rows to update; the systems never exceed a few hundred
 rows at desk scale, and the reduced row echelon form is unique, so the
 pivot rule changes no result.  `linear_values`
 tabulates an F_p-affine map on every code of F_p^en by p-adic doubling: it
-is the bulk evaluation behind the slope census, the exp-table build and
-the line check of a collineation.
+is the bulk evaluation behind the exp-table build and the line check of a
+collineation.  `class_values` evaluates a linear map on one code per
+F_p^*-class only, which is all the slope census reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# class representatives of the low levels that `class_values` reads off one
+# product with a digit block; the levels above are doubled
+CLASS_BLOCK_BOUND = 1 << 10
 
 
 def _inv_mod(a, p):
@@ -141,6 +146,69 @@ def linear_values(p, A, offset=None):
     for digit in D[::-1]:
         out *= p
         out += digit
+    return out
+
+
+def class_codes(p, levels):
+    """The codes of F_p^levels whose top nonzero digit is 1, ascending.
+
+    They are p^j + y for j < levels and y < p^j, one code per F_p^*-class
+    of nonzero codes: (p^levels - 1)/(p - 1) of them.
+    """
+    return np.concatenate([np.arange(p**j, 2 * p**j, dtype=np.int64) for j in range(levels)])
+
+
+def class_block(p, levels):
+    """The digit block of `class_values`: column c holds the `levels` digits of
+    the c-th class representative of F_p^levels (`class_codes`)."""
+    return class_codes(p, levels) // p ** np.arange(levels, dtype=np.int64)[:, None] % p
+
+
+def class_values(p, A, block):
+    """Value of the F_p-linear map c -> A c at every class representative c.
+
+    The representatives are `class_codes(p, en)`, and entry k of the int64
+    result is the packed code of A digits(c_k).  For p = 2 they are the
+    nonzero codes, so this is the `linear_values` table without its entry
+    at 0.  Otherwise the representatives of the first L = len(block) levels
+    are one product with the digit block `class_block(p, L)`, packed by a
+    second product; both are bounded by the block.  Each level j >= L is p
+    shifted copies of level j - 1: p^j + d p^(j-1) + y is p^(j-1) + y
+    shifted by A(p^j) + (d - 1) A(p^(j-1)).  Those levels are doubled in one
+    rows x N array of the narrowest unsigned dtype that holds 2p and packed
+    one digit at a time, as in `linear_values`, so no N x rows int64
+    temporary is formed.
+    """
+    A = np.asarray(A, dtype=np.int64) % p
+    rows, en = A.shape
+    if p == 2:
+        return linear_values(2, A)[1:]
+    levels = len(block)
+    low = A[:, :levels] @ block % p
+    n_low = low.shape[1]
+    out = np.empty((p**en - 1) // (p - 1), dtype=np.int64)
+    out[:n_low] = p ** np.arange(rows, dtype=np.int64) @ low
+    if levels == en:
+        return out
+    h = p ** (levels - 1)
+    # columns [0, h) hold level levels - 1, the last of the block
+    D = np.empty((rows, out.size - n_low + h), dtype=np.min_scalar_type(2 * p))
+    D[:, :h] = low[:, -h:]
+    # shifts[i, d, j] = digit i of A(p^(j+1)) + (d - 1) A(p^j)
+    d = np.arange(p)[None, :, None]
+    shifts = ((A[:, None, 1:] + (d - 1) * A[:, None, :-1]) % p).astype(D.dtype)
+    start = 0
+    for j in range(levels, en):
+        level = D[:, start + h:start + (p + 1) * h].reshape(rows, p, h)
+        np.add(D[:, None, start:start + h], shifts[:, :, j - 1, None], out=level)
+        np.remainder(level, p, out=level)
+        start += h
+        h *= p
+    high = out[n_low:]
+    high[:] = 0
+    for digit in D[::-1, p ** (levels - 1):]:
+        high *= p
+        high += digit
     return out
 
 

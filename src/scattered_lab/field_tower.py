@@ -42,7 +42,10 @@ q-polynomials are matrix products with them (`mul_matrices`,
 the power basis (`trace_dual_basis`, built once per tower) reads
 power-basis coordinates as traces, which turns the F_p-matrix of an
 F_q-linear map back into its q-polynomial; `qpoly_readback` is that
-readback as one F_p-matrix, built once per tower.
+readback as one F_p-matrix, built once per tower.  The slope census reads
+one code per F_p^*-class, the codes whose top nonzero digit is 1; the
+tower caches their logs (`class_logs`) and the digit block that evaluates
+their low levels in one product (`class_block`).
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ from .errors import (
     NotADivisor,
     TooLarge,
 )
-from ._linalg import inv_mod_matrix, linear_values, solve_mod
+from ._linalg import (CLASS_BLOCK_BOUND, class_block, class_codes, inv_mod_matrix,
+                      linear_values, solve_mod)
 
 DEFAULT_TABLE_BOUND = 1 << 23
 # exp/log tables are int32: codes and logs of a tabled field lie below it
@@ -369,6 +373,7 @@ class FieldTower:
         self._frob_stack = None
         self._trace_dual = None
         self._readback = None
+        self._class_block = self._class_logs = None
         self._bsgs_baby: dict[int, int] = {}
         self._caches: dict[str, _LRU] = {}
 
@@ -749,6 +754,36 @@ class FieldTower:
             mats = self.mul_matrices(conj).reshape(n, en, en, en)   # [i, k, r, s]
             self._readback = mats.transpose(0, 2, 1, 3).reshape(n * en, en * en)
         return self._readback
+
+    @property
+    def class_block(self):
+        """The digit block of `_linalg.class_values` on this tower, built once.
+
+        It covers the most levels L <= en whose (p^L - 1)/(p - 1) class
+        representatives fit in CLASS_BLOCK_BOUND.
+        """
+        if self._class_block is None:
+            p, levels = self.p, 1
+            while levels < self.en and (p ** (levels + 1) - 1) // (p - 1) <= CLASS_BLOCK_BOUND:
+                levels += 1
+            self._class_block = class_block(p, levels)
+        return self._class_block
+
+    @property
+    def class_logs(self):
+        """Discrete logs of the class representatives `_linalg.class_codes(p, en)`,
+        one code per F_p^*-class, as a read-only int32 array; built once.
+
+        For p = 2 they are the nonzero codes, and this is a view of the log table.
+        """
+        self.require_tables("the class representatives' logs")
+        if self._class_logs is None:
+            if self.p == 2:
+                self._class_logs = self.log_table[1:]
+            else:
+                self._class_logs = self.log_table[class_codes(self.p, self.en)]
+                self._class_logs.flags.writeable = False
+        return self._class_logs
 
     def mul_matrix(self, code):
         """F_p-matrix of y -> code * y in the power basis (see mul_matrices)."""

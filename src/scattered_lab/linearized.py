@@ -3,7 +3,9 @@
 A polynomial sum(a_i x^(q^i)) is held as the length-n tuple of coefficient
 codes (see `field_tower`), each checked on construction to lie in [0, q^n);
 `evaluate_code` maps a code to a code, and it, `scale` and `transform`
-refuse an argument outside that range.  Composition is reduced mod
+refuse an argument outside that range.  The results of the algebra below
+(sums, scalings, transforms, compositions, twists and readbacks) are
+computed from codes in range, so they skip the check.  Composition is reduced mod
 x^(q^n) - x, so these objects are exactly the F_q-linear endomorphisms of
 F_{q^n}.  Rank, kernel and inversion run on the en x en F_p-matrix of the
 action in the power basis, which `FieldTower.qpoly_matrices` assembles from
@@ -41,6 +43,15 @@ class LinearizedPoly:
         tower.check_codes(*codes, what="coefficient code")
         self.tower = tower
         self.coeffs = codes
+
+    @classmethod
+    def _of(cls, tower, codes):
+        """A polynomial from n codes the library computed itself, unchecked:
+        field operations on codes in range return codes in range."""
+        f = cls.__new__(cls)
+        f.tower = tower
+        f.coeffs = tuple(codes)
+        return f
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -96,21 +107,21 @@ class LinearizedPoly:
     # -- linear combinations ---------------------------------------------------
     def __add__(self, other):
         T = self.tower
-        return LinearizedPoly(T, [T.add_code(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return LinearizedPoly._of(T, [T.add_code(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         T = self.tower
-        return LinearizedPoly(T, [T.sub_code(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return LinearizedPoly._of(T, [T.sub_code(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         T = self.tower
-        return LinearizedPoly(T, [T.neg_code(a) for a in self.coeffs])
+        return LinearizedPoly._of(T, [T.neg_code(a) for a in self.coeffs])
 
     def scale(self, a):
         """a * f, coefficientwise."""
         T = self.tower
         T.check_codes(a)
-        return LinearizedPoly(T, [T.mul_code(a, c) for c in self.coeffs])
+        return LinearizedPoly._of(T, [T.mul_code(a, c) for c in self.coeffs])
 
     def transform(self, a, b):
         """The q-polynomial a * f(b x); coefficient i becomes a*f_i*b^(q^i)."""
@@ -119,13 +130,13 @@ class LinearizedPoly:
         out = []
         for i, c in enumerate(self.coeffs):
             out.append(T.mul_code(a, T.mul_code(c, T.frob_code(b, i))) if c else 0)
-        return LinearizedPoly(T, out)
+        return LinearizedPoly._of(T, out)
 
     def twist(self, k):
         """Coefficientwise p^k power (the sigma-twist used for semilinear maps)."""
         T = self.tower
         pk = T.p ** (k % T.en)
-        return LinearizedPoly(T, [T.pow_code(c, pk) for c in self.coeffs])
+        return LinearizedPoly._of(T, [T.pow_code(c, pk) for c in self.coeffs])
 
     # -- evaluation ---------------------------------------------------------
     def evaluate_code(self, x):
@@ -167,7 +178,7 @@ class LinearizedPoly:
             for j in other.support:
                 k = (i + j) % n
                 out[k] = T.add_code(out[k], T.mul_code(fi, T.frob_code(other.coeffs[j], i)))
-        return LinearizedPoly(T, out)
+        return LinearizedPoly._of(T, out)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -192,7 +203,7 @@ class LinearizedPoly:
         T = tower
         vec = np.asarray(A, dtype=np.int64).T.reshape(-1)
         digits = (T.qpoly_readback @ vec % T.p).reshape(T.n, T.en)
-        return cls(T, (digits @ T.p ** np.arange(T.en, dtype=np.int64)).tolist())
+        return cls._of(T, (digits @ T.p ** np.arange(T.en, dtype=np.int64)).tolist())
 
     def rank(self):
         """Rank as an F_q-endomorphism (the F_p rank is e times larger)."""

@@ -7,12 +7,17 @@ slopes is (q^n - 1)/(q - 1).  The census keeps the attained slopes, their
 fiber sizes and the kernel size, and nothing pointwise: the linear set, the
 minimum distance, line intersections and the plane's spread are all read
 from the slopes and counts.  Censuses are memoized per tower, in an LRU
-memo of `field_tower.CACHE_SIZE` entries.  The pass is vectorized over the
-exp/log tables: the values f(g^k) come from the p-adic doubling of the
-F_p-matrix of f (`_linalg.linear_values`, one digit level at a time), and the
-fibers from one bincount.  On fields without tables (more than 2^23
-elements) the census, and with it every analysis built on it, raises
-TooLarge before doing any work.
+memo of `field_tower.CACHE_SIZE` entries.  f is F_q-linear, so
+f(c x)/(c x) = f(x)/x for every c in F_p^*: each fiber is a union of
+F_p^*-classes, and the pass visits one code per class, those whose top
+nonzero digit is 1, and multiplies its counts by p - 1.  Their values come
+from the F_p-matrix of f (`_linalg.class_values`: one product with the
+tower's digit block for the low levels, p-adic doubling above), their logs
+from a per-tower cache (`FieldTower.class_logs`), and the fibers from one
+bincount (a sort would be faster on big fields, but its first call in a
+process costs about 0.5 MB of peak memory).  On fields without tables
+(more than 2^23 elements) the census, and with it every analysis built on
+it, raises TooLarge before doing any work.
 """
 
 from __future__ import annotations
@@ -22,12 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import class_values
 from .errors import TooLarge, ZeroPolynomial
 from .linearized import LinearizedPoly
 
 # pairs of F_q-projective classes the naive projective scan may visit: about
 # 80 000 at (7,4) take 0.3 s, so the bound allows a few seconds of work
 PROJECTIVE_PAIR_BOUND = 1 << 20
+# ordered pairs of nonzero elements the pairs scan holds in its M x M
+# arrays: at the bound each int64 array takes 8 MB
+PAIR_ARRAY_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,16 +65,21 @@ def slope_census(f: LinearizedPoly) -> SlopeCensus:
     cache = T.cache("census")
     if f.coeffs in cache:
         return cache[f.coeffs]
-    M = T.mult_order
-    vals = f.eval_all_logs()
+    # f(c x)/(c x) = f(x)/x for c in F_p^*: one code per class, counts * (p - 1)
+    vals = class_values(T.p, f.fp_matrix(), T.class_block)
+    logs = T.class_logs
     nz = np.flatnonzero(vals)
-    slogs = (T.log_table[vals[nz]] - nz) % M
-    counts = np.bincount(slogs, minlength=M)
+    kernel_classes = vals.size - nz.size
+    if kernel_classes:
+        vals, logs = vals[nz], logs[nz]
+    slogs = T.log_table[vals] - logs
+    slogs %= T.mult_order
+    counts = np.bincount(slogs, minlength=T.mult_order)
     attained = np.flatnonzero(counts)
     census = SlopeCensus(
         tuple(attained.tolist()),
-        tuple(counts[attained].tolist()),
-        M - nz.size,
+        tuple((counts[attained] * (T.p - 1)).tolist()),
+        kernel_classes * (T.p - 1),
     )
     cache[f.coeffs] = census
     return census
@@ -82,18 +96,22 @@ def is_scattered(f: LinearizedPoly) -> bool:
 def is_scattered_naive(f: LinearizedPoly, mode="projective") -> bool:
     """Direct pairwise test: z f(y) = y f(z) forces y, z to be F_q-dependent.
 
-    mode "pairs" scans every ordered pair of nonzero field elements
-    (vectorized; small fields only); mode "projective" scans one
-    representative per F_q-projective class, which is equivalent because the
-    vanishing condition is homogeneous in both arguments.  The projective
-    scan is a Python loop over unordered pairs of classes and raises
-    TooLarge up front when there are more than PROJECTIVE_PAIR_BOUND.
+    mode "pairs" scans every ordered pair of nonzero field elements in
+    M x M arrays, and raises TooLarge up front when M^2 exceeds
+    PAIR_ARRAY_BOUND; mode "projective" scans one representative per
+    F_q-projective class, which is equivalent because the vanishing
+    condition is homogeneous in both arguments.  The projective scan is a
+    Python loop over unordered pairs of classes and raises TooLarge up front
+    when there are more than PROJECTIVE_PAIR_BOUND.
     """
     T = f.tower
     M = T.mult_order
     step = M // (T.q - 1)
     if mode == "pairs":
         T.require_tables("pairs mode")
+        if M * M > PAIR_ARRAY_BOUND:
+            raise TooLarge(f"{M * M} ordered pairs exceed the pairs scan's bound "
+                           f"of {PAIR_ARRAY_BOUND}")
         vals = f.eval_all_logs()
         karr = np.arange(M, dtype=np.int64)
         # code of z * f(y) at position (log y, log z)

@@ -4,9 +4,11 @@ A scattered polynomial whose stabilizer is larger than the scalar group is
 GL-equivalent to one whose exponents all lie in a single residue class
 s mod t, t = gcd of the exponent differences.  The witness matrix comes out
 of the simultaneous diagonalization of the stabilizer; the remaining (a, b,
-inversion) freedom is resolved by an exhaustive scan over b with the lowest
-coefficient normalized to 1, taking the lexicographically smallest
-coefficient vector in the g^k element order (zero sorts last).
+inversion) freedom is resolved with the lowest coefficient normalized to 1,
+taking the lexicographically smallest coefficient vector in the g^k element
+order (zero sorts last).  With b = g^lam each coefficient's log is linear in
+lam mod q^n - 1, so the least b is found term by term, one linear
+congruence each, with no scan over F_{q^n}^*.
 
 Equivalence is one F_p-kernel, S(f, g) = {M : U_f M in U_g}.  For scattered
 f, g with n >= 3 a rank-1 M would put n - 1 >= 2 F_q-dimensions of U_g on
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InternalError, NotBijective, NotInS, NotScattered, NotStandard
 from .field_tower import FieldTower
@@ -59,12 +59,36 @@ def _vector_key(tower: FieldTower, coeffs):
     return tuple(tower.element_key(c) for c in coeffs)
 
 
+def _min_exponent(M, terms):
+    """The least lam in [0, M) that makes ((rho + lam e) mod M for (rho, e)
+    in terms) lexicographically least.
+
+    The minimizers of the terms so far are a progression {c + k m}, m | M,
+    starting from every lam (c = 0, m = 1).  On it the next term takes the
+    values (A + k m e) mod M with A = rho + c e, and {k m e mod M} is the
+    multiples of g = gcd(m e, M): the least value is A mod g, reached
+    exactly when k (m e / g) = -(A // g) mod M / g.  m e / g is a unit there,
+    so the minimizers are the progression with first element c + k0 m and
+    step m M / g, one modular inverse away.
+    """
+    c, m = 0, 1
+    for rho, e in terms:
+        A = (rho + c * e) % M
+        g = math.gcd(m * e, M)
+        mod = M // g
+        k0 = -(A // g) * pow(m * e // g, -1, mod) % mod
+        c, m = c + k0 * m, m * mod
+    return c
+
+
 def _ab_min(r: LinearizedPoly):
     """Lex-min of {normalized a*r(bx)} over b, with the witness (a, b).
 
     Normalization fixes the lowest-index nonzero coefficient to 1, which
-    pins a; the scan over b is exhaustive, vectorized in the log domain.
-    Returns (poly, a_code, b_code).
+    pins a.  With b = g^lam the other coefficients have logs
+    (rho_i + lam e_i) mod M, rho_i = log r_i - log r_i0 and
+    e_i = q^i - q^i0, so the least b (in the g^k order) is `_min_exponent`
+    in closed form, with no scan.  Returns (poly, a_code, b_code).
     """
     T = r.tower
     T.require_tables("the scan over b")
@@ -73,16 +97,9 @@ def _ab_min(r: LinearizedPoly):
     if not supp:
         raise NotStandard("zero polynomial")
     i0 = supp[0]
-    qi = [pow(T.q, i, M) for i in range(T.n)]
-    lr = {i: T.dlog(r.coeffs[i]) for i in supp}
-    cand = np.arange(M, dtype=np.int64)
-    for i in supp[1:]:
-        rho = (lr[i] - lr[i0]) % M
-        ei = (qi[i] - qi[i0]) % M
-        vals = (rho + cand * ei) % M
-        best = vals.min()
-        cand = cand[vals == best]
-    lam = int(cand[0])
+    l0, q0 = T.dlog(r.coeffs[i0]), T.frob_exps[i0]
+    lam = _min_exponent(M, [((T.dlog(r.coeffs[i]) - l0) % M, (T.frob_exps[i] - q0) % M)
+                            for i in supp[1:]])
     b = T.pow_code(T.gen_code, lam)
     scaled = r.transform(1, b)
     a = T.inv_code(scaled.coeffs[i0])

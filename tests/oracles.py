@@ -56,7 +56,12 @@ right-composition operator block by block (pair_system_by_blocks,
 right_compose_operator_by_blocks), the elimination with an outer-product
 update of the nonzero rows (rref_by_outer, kernel_by_outer) and the test
 M^k = I by a chain of products (mat_power, power_is_one_by_chain), where
-the library reads the eigenvalues.  The oracles reuse the library's stabilizer,
+the library reads the eigenvalues.  The slope census reads one code per
+F_p^*-class; the census over every code, gathered from the full value table
+(slope_census_by_full_table), stays here, as does the scan over b that
+filtered all M exponents with one array per term (ab_min_by_array_scan,
+lambda_by_array_scan), where the library solves a linear congruence per
+term.  The oracles reuse the library's stabilizer,
 diagonalization, standard forms and the spread's component list, but none
 of the replaced logic.
 """
@@ -73,7 +78,7 @@ from scattered_lab.field_tower import _digits, _pack, _prime_divisors, make_fiel
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
-from scattered_lab.scatter import slope_census
+from scattered_lab.scatter import SlopeCensus, slope_census
 from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
 from scattered_lab.standard_form import _ab_min, _uv_from, maps_onto, to_standard_form
 
@@ -284,6 +289,19 @@ def scattered_by_fibers(T, f):
     return bool(sizes) and all(s == T.q - 1 for s in sizes)
 
 
+
+def slope_census_by_full_table(f):
+    """slope_census(f) over every nonzero code: the full value table in g^k
+    order, one slope log per element and one bincount over all M logs."""
+    T = f.tower
+    M = T.mult_order
+    vals = f.eval_all_logs()
+    nz = np.flatnonzero(vals)
+    slogs = (T.log_table[vals[nz]] - nz) % M
+    counts = np.bincount(slogs, minlength=M)
+    attained = np.flatnonzero(counts)
+    return SlopeCensus(tuple(attained.tolist()), tuple(counts[attained].tolist()), M - nz.size)
+
 # (p, e, n) of every field with exp/log tables that the test suite builds,
 # plus the towers (2,2,3) and (3,2,4) with e > 1
 TABLE_FIELDS = [
@@ -408,6 +426,33 @@ def ab_min_by_scan(r):
     a = T.inv_code(scaled.coeffs[i0])
     return scaled.scale(a), a, b
 
+
+
+def lambda_by_array_scan(M, terms):
+    """standard_form._min_exponent by filtering every lam < M: one M-array of
+    values (rho + lam e) mod M per term, keeping the lam at its minimum."""
+    cand = np.arange(M, dtype=np.int64)
+    for rho, e in terms:
+        vals = (rho + cand * e) % M
+        cand = cand[vals == vals.min()]
+    return int(cand[0])
+
+
+def ab_min_by_array_scan(r):
+    """standard_form._ab_min with the scan over b as M-array filters
+    (lambda_by_array_scan).  Returns (poly, a, b)."""
+    T = r.tower
+    M = T.mult_order
+    supp = r.support
+    i0 = supp[0]
+    qi = [pow(T.q, i, M) for i in range(T.n)]
+    lr = {i: T.dlog(r.coeffs[i]) for i in supp}
+    lam = lambda_by_array_scan(M, [((lr[i] - lr[i0]) % M, (qi[i] - qi[i0]) % M)
+                                   for i in supp[1:]])
+    b = T.pow_code(T.gen_code, lam)
+    scaled = r.transform(1, b)
+    a = T.inv_code(scaled.coeffs[i0])
+    return scaled.scale(a), a, b
 
 def canonical_by_scan(h):
     """canonicalize(h): the lex-least of ab_min_by_scan of h and of h^{-1}."""

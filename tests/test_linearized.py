@@ -238,6 +238,28 @@ def test_coefficient_codes_out_of_range_are_refused(tower):
             LinearizedPoly.monomial(T, 1, bad)
 
 
+def test_internal_results_skip_the_range_check(monkeypatch):
+    # sums, scalings, transforms, compositions, twists and readbacks are
+    # built from codes in range; only codes from outside are checked
+    T = make_field(5, 1, 4)
+    rng = T.rng("unchecked")
+    f, g = rand_poly(T, rng), rand_poly(T, rng)
+    a, b = rng.randrange(1, T.size), rng.randrange(1, T.size)
+
+    def results():
+        return [f + g, f - g, -f, f.scale(a), f.transform(a, b), f.compose(g),
+                f.twist(1), LinearizedPoly.from_fp_matrix(T, f.fp_matrix())]
+
+    want = [r.coeffs for r in results()]
+    seen = []
+    monkeypatch.setattr(T, "check_codes", lambda *codes, what="": seen.extend(codes))
+    got = results()
+    assert [r.coeffs for r in got] == want
+    assert seen == [a, a, b]   # the arguments of scale and transform only
+    for r in got:
+        assert all(type(c) is int and 0 <= c < T.size for c in r.coeffs)
+
+
 def test_subfield_linear_monomial_params(tower):
     # x^{q^3} over n = 6: t_h = 6 and s = 3, with gcd(s, t) = 3 flagging
     # F_{q^3}-linearity (hence non-scatteredness); the call still returns

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from scattered_lab._linalg import class_block, class_codes, class_values, linear_values
 from scattered_lab.errors import TooLarge
 from scattered_lab.families import catalog
 from scattered_lab.field_tower import make_field
@@ -16,7 +18,14 @@ from scattered_lab.scatter import (
 from scattered_lab.standard_form import canonicalize, image_polynomial
 from scattered_lab.stabilizer import Mat2, compute_stabilizer
 
-from oracles import linear_set_by_sort, scattered_by_fibers, slope_fibers
+from oracles import (
+    TABLE_FIELDS,
+    field_id,
+    linear_set_by_sort,
+    scattered_by_fibers,
+    slope_census_by_full_table,
+    slope_fibers,
+)
 
 
 def test_is_scattered_examples(tower):
@@ -94,6 +103,47 @@ def test_naive_oracle_agreement(tower):
         r = is_scattered(f)
         assert r == is_scattered_naive(f, "pairs")
         assert r == is_scattered_naive(f, "projective")
+
+
+def test_pairs_scan_refused_past_its_bound(tower):
+    # at (5,6) the M x M index array alone would take about 2 GB
+    f = LinearizedPoly.monomial(tower(5, 1, 6), 1)
+    with pytest.raises(TooLarge, match="pairs scan"):
+        is_scattered_naive(f, "pairs")
+
+
+@pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
+def test_census_matches_full_table_oracle(tower, key):
+    # one code per F_p^*-class against every code: p = 2, e > 1, blocks
+    # with and without doubled levels, the zero map and a map with a kernel
+    T = tower(*key)
+    rng = T.rng("class-census")
+    polys = [LinearizedPoly.zero(T), LinearizedPoly.monomial(T, 1, T.gen_code),
+             LinearizedPoly(T, [T.neg_code(1), 1] + [0] * (T.n - 2)),
+             LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])]
+    assert slope_census(polys[2]).kernel_count == T.q - 1   # ker(x^q - x) = F_q
+    for f in polys:
+        assert slope_census(f) == slope_census_by_full_table(f), f.coeffs
+
+
+@pytest.mark.parametrize("p, rows, en", [(2, 3, 5), (3, 4, 4), (5, 2, 3), (7, 3, 2), (3, 5, 6),
+                                         (257, 1, 2)])
+def test_class_values_of_any_linear_map(p, rows, en):
+    # every block size from one level to all of them: the levels above the
+    # block are doubled
+    rng = np.random.default_rng(p + en)
+    A = rng.integers(0, p, size=(rows, en))
+    want = linear_values(p, A)[class_codes(p, en)]
+    for levels in range(1, en + 1):
+        assert np.array_equal(class_values(p, A, class_block(p, levels)), want), levels
+
+
+def test_class_codes_one_per_scalar_class():
+    for p, en in ((2, 4), (3, 3), (5, 2)):
+        codes = class_codes(p, en).tolist()
+        assert len(codes) == (p**en - 1) // (p - 1) == len(set(codes))
+        # the top nonzero digit is 1
+        assert all(c // p ** (len(np.base_repr(c, p)) - 1) == 1 for c in codes)
 
 
 def test_scatteredness_gl_invariant(tower):

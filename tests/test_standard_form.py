@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from scattered_lab.errors import InternalError, NotBijective, NotInS, NotScattered, NotStandard
@@ -21,6 +23,7 @@ from scattered_lab.stabilizer import (
 )
 from scattered_lab.standard_form import (
     _ab_min,
+    _min_exponent,
     canonicalize,
     gammal_equivalent,
     gl_equivalent,
@@ -31,6 +34,7 @@ from scattered_lab.standard_form import (
 )
 
 from oracles import (
+    ab_min_by_array_scan,
     ab_min_by_scan,
     branches,
     canonical_by_scan,
@@ -38,6 +42,7 @@ from oracles import (
     elements_of,
     gl_by_standard_forms,
     gl_solutions_by_brute_force,
+    lambda_by_array_scan,
     maps_onto_by_inversion,
     non_s_scan,
     standard_form_stabilizer_by_census,
@@ -387,6 +392,37 @@ def test_no_table_canonicalize_agrees():
         p1, a1, b1 = _ab_min(r1)
         p0, a0, b0 = ab_min_by_scan(r0)
         assert (p1.coeffs, a1, b1) == (p0.coeffs, a0, b0)
+
+
+def test_min_exponent_matches_array_scan():
+    # the linear congruences against the M-array filter: moduli q^n - 1 and
+    # arbitrary ones, up to four terms, e = 0 and e sharing factors with M
+    rng = random.Random(19)
+    moduli = [q**n - 1 for q in (2, 3, 4, 5, 7, 8, 9) for n in range(2, 7) if q**n < 120_000]
+    for trial in range(3000):
+        M = rng.choice(moduli) if trial % 2 else rng.randrange(1, 20_000)
+        terms = []
+        for _ in range(rng.randrange(1, 5)):
+            e = rng.choice([0, rng.randrange(M), M // 2, M // 3 * rng.randrange(3)])
+            terms.append((rng.randrange(M), e % M))
+        assert _min_exponent(M, terms) == lambda_by_array_scan(M, terms), (M, terms)
+
+
+def test_ab_min_matches_array_scan_on_catalog(tower):
+    # every catalog instance, its inverse and a transform of it
+    for key in ((5, 1, 4), (7, 1, 4), (5, 1, 6)):
+        T = tower(*key)
+        rng = T.rng("ab-min")
+        for inst in catalog(T):
+            f = inst.poly
+            polys = [f, f.transform(rng.randrange(1, T.size), rng.randrange(1, T.size))]
+            try:
+                polys.append(f.invert())
+            except NotBijective:
+                pass
+            for r in polys:
+                got, want = _ab_min(r), ab_min_by_array_scan(r)
+                assert (got[0].coeffs, got[1], got[2]) == (want[0].coeffs, want[1], want[2])
 
 
 def test_invert_internal_error_propagates(monkeypatch):
