@@ -142,7 +142,7 @@ def cmd_analyze(args):
     report = {
         "schema_version": SCHEMA_VERSION,
         "field": T.spec().to_json(),
-        "poly": f.to_json("g^k")["coeffs"],
+        "poly": f.to_json()["coeffs"],
         "tasks": {},
     }
     for t in tasks:

@@ -61,10 +61,6 @@ class AllScalar(ScatteredLabError):
     code = "AllScalar"
 
 
-class NonSplitQuadratic(ScatteredLabError):
-    code = "NonSplitQuadratic"
-
-
 class NoTransversals(ScatteredLabError):
     code = "NoTransversals"
 

@@ -51,15 +51,15 @@ class FamilyInstance:
         return conjugates_to_diagonal(Mf, self.predicted_conjugator,
                                       self.predicted_s, self.predicted_t)
 
-    def to_json(self, style="g^k"):
+    def to_json(self):
         T = self.poly.tower
         params = {}
         for k, v in self.params.items():
-            params[k] = T.format_code(v, style) if k in ("delta", "h") else v
+            params[k] = T.format_code(v) if k in ("delta", "h") else v
         return {
             "family": self.family_id,
             "params": params,
-            "poly": self.poly.to_json(style)["coeffs"],
+            "poly": self.poly.to_json()["coeffs"],
             "predicted_stabilizer": {
                 "order": self.predicted_order,
                 "t": self.predicted_t,

@@ -834,9 +834,7 @@ class FieldTower:
     def spec(self) -> FieldSpec:
         return self.spec_data
 
-    def format_code(self, code, style="g^k"):
-        if style == "digits":
-            return _digits(code, self.p, self.en)
+    def format_code(self, code):
         if code == 0:
             return "0"
         return f"g^{self.dlog(code)}"

@@ -72,8 +72,8 @@ class LinearizedPoly:
     def from_json(cls, tower, doc):
         return cls(tower, [tower.parse_element(c) for c in doc["coeffs"]])
 
-    def to_json(self, style="digits"):
-        return {"coeffs": [self.tower.format_code(c, style) for c in self.coeffs]}
+    def to_json(self):
+        return {"coeffs": [self.tower.format_code(c) for c in self.coeffs]}
 
     # -- basic structure -----------------------------------------------------
     def is_zero(self):

@@ -9,9 +9,11 @@ over the census counts, with no rank computation.  The right idealizer is
 the kernel of an exact F_p-linear system: membership in the code is the
 annihilator condition of its coefficient-vector span, and composition by f
 is an F_p-linear operator on coefficient vectors.  The idealizer is kept as
-its system and kernel basis (`_certify.FpSpace`), so its order is p^dim
+its system and kernel basis (`stabilizer.FpSpace`), so its order is p^dim
 and membership is one matrix-vector product; its elements are listed only
-on request.
+on request.  It is certified a field by the explicit isomorphism
+(a b; c d) -> a x + c f from the certified stabilizer field G_f, checked on
+the F_p-basis of G_f and its generator alone.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._certify import FpSpace, certify_field
-from .errors import Mismatch, TooLarge
+from .errors import Mismatch, NotAField, TooLarge
 from ._linalg import kernel_mod, rank_mod
 from .field_tower import FieldTower, _digits
 from .linearized import LinearizedPoly
 from .scatter import slope_census
-from .stabilizer import compute_stabilizer
+from .stabilizer import FpSpace, compute_stabilizer
 
 
 @dataclass
@@ -98,16 +99,6 @@ class Idealizer(FpSpace):
     def from_key(tower, codes):
         return LinearizedPoly(tower, codes)
 
-    def power_is_one(self, w, k):
-        """Is w composed with itself k times the identity x?  Square and multiply."""
-        acc = one = LinearizedPoly.identity(self.tower)
-        while k:
-            if k & 1:
-                acc = acc.compose(w)
-            w = w.compose(w)
-            k >>= 1
-        return acc == one
-
 
 def _poly_vec(f: LinearizedPoly):
     T = f.tower
@@ -149,54 +140,49 @@ def right_idealizer(C: RdCode) -> Idealizer:
     return Idealizer.from_system(T, np.vstack([N, (N @ Tf) % T.p]))
 
 
-def verify_idealizer_field(I: Idealizer, tower: FieldTower):
-    """Certify that the idealizer is a field of order q^t, t | n; returns (t, alpha).
-
-    The same certificate as the stabilizer field (`_certify.certify_field`),
-    with composition as the product: |I| = q^t, the basis lies in the kernel
-    of I.system, x in I, the first element alpha of full multiplicative
-    order in span order satisfies alpha^(q^t - 1) = x, and alpha o b lies in
-    I for every basis polynomial b.  No rank is computed: the powers of
-    alpha are the whole nonzero part, so each of them is invertible.
-    """
-    return certify_field(I, LinearizedPoly.identity(tower), LinearizedPoly.compose)
-
-
 def stabilizer_to_right_idealizer(M, f: LinearizedPoly) -> LinearizedPoly:
     """The map (a b; c d) -> a x + c f underlying the group isomorphism."""
     x = LinearizedPoly.identity(f.tower)
     return x.scale(M.a) + f.scale(M.c)
 
 
-def check_idealizer_matches_stabilizer(f: LinearizedPoly) -> dict:
-    """|I_R(C_f)| = |G_f| + 1, both fields, and the explicit isomorphism works.
+def verify_idealizer_field(I: Idealizer, f: LinearizedPoly):
+    """Certify I = I_R(C_f) as a field of order q^t by phi: G_f -> I; returns (t, phi(alpha)).
 
-    The isomorphism M -> a x + c f is checked on the F_p-basis of G_f and its
-    generator alpha, so no element of G_f is listed or sampled.
-
-    Raises Mismatch when any part fails; returns a small report otherwise.
+    phi(M) = a x + c f is F_p-linear, so its images of the G_f basis lying
+    in I and F_p-independent, with |I| = |G_f| + 1, make phi a bijection of
+    G_f with zero onto I.  phi(alpha b) = phi(b) o phi(alpha) on the basis
+    holds on all of G_f, as both sides are F_p-linear in b, so phi(alpha^k)
+    = phi(alpha)^k for the generator alpha of G_f: the nonzero part of I is
+    the cyclic group generated by phi(alpha), of order q^t - 1, and I is a
+    field.  No rank of an element and no power is computed.  Raises
+    NotAField when I's basis leaves the kernel of I.system, and Mismatch
+    when a part of the isomorphism fails.
     """
-    T = f.tower
     Mf = compute_stabilizer(f)
-    C = code_of(f)
-    IR = right_idealizer(C)
-    if IR.order != Mf.order:
-        raise Mismatch(f"right idealizer order {IR.order} != stabilizer order {Mf.order}")
-    t, _ = verify_idealizer_field(IR, T)
-    if t != Mf.t:
-        raise Mismatch("field degrees disagree")
-    # M -> a x + c f is F_p-linear: basis images inside I_R and F_p-independent
-    # give an injection of G_f into I_R, onto since the orders agree
+    if not all(I.contains(b) for b in I.basis):
+        raise NotAField("a basis element lies outside the kernel of the system")
+    if I.order != Mf.order:
+        raise Mismatch(f"right idealizer order {I.order} != stabilizer order {Mf.order}")
     images = [stabilizer_to_right_idealizer(M, f) for M in Mf.basis]
-    if not all(IR.contains(phi) for phi in images):
+    if not all(I.contains(phi) for phi in images):
         raise Mismatch("stabilizer image escapes the right idealizer")
-    if rank_mod(np.array([_poly_vec(phi) for phi in images], dtype=np.int64), T.p) != len(images):
+    vecs = np.array([_poly_vec(phi) for phi in images], dtype=np.int64)
+    if rank_mod(vecs, f.tower.p) != len(images):
         raise Mismatch("stabilizer does not biject onto the right idealizer")
-    # phi(alpha b) = phi(b) o phi(alpha) on the basis gives it on all of G_f:
-    # both sides are F_p-linear in b, and phi(alpha^k) = phi(alpha)^k follows
     phi_alpha = stabilizer_to_right_idealizer(Mf.generator, f)
     for b in Mf.basis:
         if (stabilizer_to_right_idealizer(Mf.generator * b, f)
                 != stabilizer_to_right_idealizer(b, f).compose(phi_alpha)):
             raise Mismatch("isomorphism is not multiplicative")
+    return Mf.t, phi_alpha
+
+
+def check_idealizer_matches_stabilizer(f: LinearizedPoly) -> dict:
+    """|I_R(C_f)| = |G_f| + 1 and the explicit isomorphism works (verify_idealizer_field).
+
+    Raises Mismatch when any part fails; returns a small report otherwise.
+    """
+    IR = right_idealizer(code_of(f))
+    t, _ = verify_idealizer_field(IR, f)
     return {"order": IR.order, "t": t, "matches": True}

@@ -193,11 +193,9 @@ class HomologyReport:
     H_f_order: int = 0
     decomposition_ok: bool = False
 
-    def to_json(self, tower=None, style="g^k"):
+    def to_json(self, tower):
         def fmt_pt(pt):
-            if pt is None or tower is None:
-                return pt
-            return [tower.format_code(pt[0], style), tower.format_code(pt[1], style)]
+            return None if pt is None else [tower.format_code(pt[0]), tower.format_code(pt[1])]
 
         return {
             "case": self.case,
@@ -280,7 +278,7 @@ class PseudoregulusCase:
 
     t: int
 
-    def to_json(self, *_args, **_kw):
+    def to_json(self, tower):
         return "pseudoregulus"
 
 
@@ -301,16 +299,15 @@ class ReducibilityWitness:
     stabilizer_order: int
     verified: bool
 
-    def to_json(self, tower=None, style="g^k"):
-        doc = {
-            "h": tower.format_code(self.h_code, style) if tower else self.h_code,
-            "g": self.g.to_json(style)["coeffs"],
+    def to_json(self, tower):
+        return {
+            "h": tower.format_code(self.h_code),
+            "g": self.g.to_json()["coeffs"],
             "t": self.t,
             "invariant_subgroup_size": self.subgroup_size,
             "component_stabilizer_order": self.stabilizer_order,
             "verified": self.verified,
         }
-        return doc
 
 
 def reducibility_witness(f: LinearizedPoly, h=1):

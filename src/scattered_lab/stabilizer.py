@@ -12,37 +12,27 @@ place of f on the right-hand side the same system gives
 S(f, g) = {M : U_f M in U_g}, which decides equivalence
 (`standard_form.gl_equivalent`).
 
-The solution set is kept as that system and its kernel basis
-(`_certify.FpSpace`): its order is p^dim, membership is one matrix-vector
-product, and no element is listed unless a caller asks for the list.  For
-scattered f the nonzero solutions form the multiplicative group of a matrix
-field of order q^t with t | n.  This is certified from the kernel basis and
-one multiplicative generator alpha (`_certify.certify_field`): alpha has
-order q^t - 1 and alpha b stays in the kernel for every basis matrix b, so
-the powers of alpha fill the nonzero part.  Each order test reads the two
-eigenvalues of the candidate (`MatrixField.power_is_one`) instead of
-multiplying matrices.  The field is simultaneously diagonalized by a matrix P of
-eigen-rows of alpha; conjugation by P is F_p-linear, so only the basis
-matrices are conjugated, and the Frobenius twist on the diagonal is read
-off alpha alone.
+The solution set is kept as that system and its kernel basis (`FpSpace`):
+its order is p^dim, membership is one matrix-vector product, and no element
+is listed unless a caller asks for the list.  For scattered f the nonzero
+solutions form a matrix field of order q^t with t | n, simultaneously
+diagonalizable: P G_f P^-1 = {diag(x, x^(p^j)) : x in F_(q^t)}.  That
+diagonal form is the certificate (`verify_field`): P is read from the
+eigen-rows of one basis matrix, and since conjugation by P is F_p-linear,
+only the basis matrices are conjugated.  The generator is found from the
+diagonal entries by scalar powers alone, with no matrix product.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllScalar,
-    HallCase,
-    InternalError,
-    NoTransversals,
-    NonSplitQuadratic,
-    NotScattered,
-)
-from ._certify import FpSpace, certify_field
-from .field_tower import FieldTower
+from ._linalg import kernel_mod, span_codes
+from .errors import AllScalar, HallCase, InternalError, NoTransversals, NotAField, NotScattered
+from .field_tower import FieldTower, _digits, _prime_divisors
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, line_intersection_dim
 
@@ -140,10 +130,9 @@ class Mat2:
         fmt = T.format_code
         return f"[{fmt(self.a)} {fmt(self.b)}; {fmt(self.c)} {fmt(self.d)}]"
 
-    def to_json(self, style="g^k"):
+    def to_json(self):
         fmt = self.tower.format_code
-        return [[fmt(self.a, style), fmt(self.b, style)],
-                [fmt(self.c, style), fmt(self.d, style)]]
+        return [[fmt(self.a), fmt(self.b)], [fmt(self.c), fmt(self.d)]]
 
 
 def normalize_point(tower, point):
@@ -155,6 +144,59 @@ def normalize_point(tower, point):
     if y == 0:
         raise InternalError("the zero vector spans no point")
     return (0, 1)
+
+
+class FpSpace:
+    """An F_p-space of maps kept as (system, basis): V = span(basis) = ker(system).
+
+    Subclasses are dataclasses with the fields `tower`, `system` (an int64
+    array whose kernel mod p is V) and `basis` (an F_p-basis of that
+    kernel, as maps), and define key(x), the tuple of codes whose
+    little-endian base-p digits are the F_p-coordinates of x, and
+    from_key(tower, codes), its inverse.  Elements are numbered as in
+    `_linalg.span_codes`: element r is the combination of the basis whose
+    coefficients are the base-p digits of r, so element 0 is zero.  The
+    library never lists the elements; only the test oracles do, through
+    `_codes()`.
+    """
+
+    @classmethod
+    def from_system(cls, tower, system, **fields):
+        """The space ker(system mod p), with the kernel basis of kernel_mod."""
+        en, p = tower.en, tower.p
+        kernel = kernel_mod(system, p)
+        blocks = system.shape[1] // en
+        codes = kernel.reshape(len(kernel), blocks, en) @ p ** np.arange(en, dtype=np.int64)
+        basis = tuple(cls.from_key(tower, row) for row in codes.tolist())
+        return cls(tower=tower, system=system % p, basis=basis, **fields)
+
+    @property
+    def order(self):
+        return self.tower.p ** len(self.basis)
+
+    @property
+    def group_order(self):
+        return self.order - 1
+
+    def _coords(self, x):
+        T = self.tower
+        return [d for c in self.key(x) for d in _digits(c, T.p, T.en)]
+
+    def contains(self, x) -> bool:
+        return not (self.system @ np.array(self._coords(x), dtype=np.int64) % self.tower.p).any()
+
+    @functools.cached_property
+    def _basis_coords(self):
+        return [self._coords(b) for b in self.basis]
+
+    def _codes(self, rows=None):
+        T = self.tower
+        return span_codes(self._basis_coords, T.p, T.en,
+                          self.system.shape[1] // T.en, rows).tolist()
+
+    def element(self, r):
+        """Element r of the span order, built alone."""
+        return self.from_key(self.tower, self._codes([r])[0])
 
 
 @dataclass(eq=False)
@@ -182,38 +224,6 @@ class MatrixField(FpSpace):
     @staticmethod
     def from_key(tower, codes):
         return Mat2(tower, *codes)
-
-    def power_is_one(self, A, k):
-        """Is A^k = I?  Read from the eigenvalues of A, for k | q^n - 1.
-
-        If b = c = 0, A^k = diag(a^k, d^k), which is I exactly when
-        a^k = d^k = 1.  Otherwise let lambda, mu be the roots of
-        x^2 - (a + d) x + det A:
-        * lambda != mu in F_(q^n): A is diagonalizable over F_(q^n), so
-          A^k = I exactly when lambda^k = mu^k = 1 (0^k = 0 for a singular A);
-        * lambda = mu: A is not scalar, so A = lambda I + N with N != 0 and
-          N^2 = 0, and A^k = lambda^k I + k lambda^(k-1) N.  For this to be
-          I, lambda != 0 (else A^k is 0 or N) and then p | k; but p does
-          not divide k, a divisor of q^n - 1;
-        * no root in F_(q^n): lambda lies in F_(q^2n) outside F_(q^n) and
-          mu = lambda^(q^n) != lambda, so A is diagonalizable over F_(q^2n)
-          and A^k = I needs lambda^k = 1.  As k | q^n - 1, that gives
-          lambda^(q^n - 1) = 1, i.e. lambda in F_(q^n): impossible.
-        The last two cases rest on k | q^n - 1, which every exponent of the
-        field certificate satisfies (|Mf| - 1 = q^t - 1 with t | n); any
-        other k raises InternalError.  The cost is one quadratic and two
-        powers, with no matrix product.
-        """
-        T = self.tower
-        if k < 1 or T.mult_order % k:
-            raise InternalError(f"exponent {k} does not divide q^n - 1 = {T.mult_order}")
-        if A.b == 0 and A.c == 0:
-            eigenvalues = (A.a, A.d)
-        else:
-            eigenvalues = T.solve_quadratic(T.neg_code(T.add_code(A.a, A.d)), A.det())
-            if len(eigenvalues) < 2:
-                return False
-        return all(T.pow_code(lam, k) == 1 for lam in eigenvalues)
 
 
 def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
@@ -274,24 +284,93 @@ def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
 
 
 def verify_field(Mf: MatrixField):
-    """Certify that Mf is a commutative matrix field of order q^t, t | n.
+    """Certify Mf as a matrix field of order q^t, t | n, by its diagonal form.
 
-    One certificate on the F_p-basis and one generator replaces any walk of
-    the elements (see `_certify.certify_field`): |Mf| = q^t with t | n, the
-    basis lies in the kernel of Mf.system, I in Mf, the first element alpha
-    of full multiplicative order in span order satisfies alpha^(q^t - 1) = I,
-    and alpha b lies in Mf for every basis matrix b.  The orders are read
-    from eigenvalues (`MatrixField.power_is_one`), so the certificate costs
-    one quadratic per tested power and dim(Mf) matrix products.  The powers of alpha
-    are then the whole nonzero part, which proves closure under products,
-    invertibility and commutativity.  alpha is the reported generator.
-    Raises NotAField naming the failing condition.
+    Checks |Mf| = q^t with t | n, that the basis lies in the kernel of
+    Mf.system and that I lies in Mf.  P is made of the sorted, normalized
+    eigen-rows of the first non-scalar basis matrix (P = I when every basis
+    matrix is scalar).  Every basis matrix conjugated by P must be
+    diag(x, y) with x in F_(q^t), and y = x^(p^j) for one least j < e t on
+    the whole basis.  Conjugation by P and x -> (x, x^(p^j)) are F_p-linear,
+    so P Mf P^-1 lies in D_j = {diag(x, x^(p^j)) : x in F_(q^t)}, a field
+    of order q^t; Mf has that order, so P Mf P^-1 = D_j and Mf is a field.
+    The generator is the first element in span order whose entry x has
+    order q^t - 1, tested by scalar powers of x; the diagonal form is cached
+    for `diagonalize`.  Raises NotAField naming the failing condition.
     """
-    t, generator = certify_field(Mf, Mat2.identity(Mf.tower), Mat2.__mul__)
-    Mf.t = t
-    Mf.generator = generator
-    Mf.verified = True
-    return t, generator
+    T = Mf.tower
+    dim = len(Mf.basis)
+    if dim % T.e:
+        raise NotAField(f"order {Mf.order} is not a power of q={T.q}")
+    t = dim // T.e
+    if t and T.n % t:
+        raise NotAField(f"t={t} does not divide n={T.n}")
+    if not all(Mf.contains(b) for b in Mf.basis):
+        raise NotAField("a basis element lies outside the kernel of the system")
+    if not Mf.contains(Mat2.identity(T)):
+        raise NotAField("identity missing")
+    A = next((b for b in Mf.basis if not b.is_scalar()), None)
+    P = Mat2.identity(T) if A is None else _eigenbasis(A)
+    pairs = _conjugated_pairs(Mf.basis, P)
+    if pairs is None:
+        raise NotAField("the basis matrices have no common eigenbasis")
+    if any(T.frob_code(x, t) != x for x, _ in pairs):
+        raise NotAField(f"a diagonal entry lies outside F_(q^{t})")
+    p_exp = next((j for j in range(T.e * t)
+                  if all(T.pow_code(x, T.p**j) == y for x, y in pairs)), None)
+    if p_exp is None:
+        raise NotAField("the diagonal entries are not linked by one Frobenius twist")
+    N = T.q**t - 1
+    factors = _prime_divisors(N)
+    # span order gives the last basis element the lowest base-p digit
+    xs = [x for x, _ in reversed(pairs)]
+    for r in range(1, Mf.order):
+        x, rest = 0, r
+        for xi in xs:
+            rest, d = divmod(rest, T.p)
+            if d:
+                x = T.add_code(x, T.mul_code(d, xi))
+        if x and all(T.pow_code(x, N // ell) != 1 for ell in factors):
+            break
+    else:
+        raise NotAField("no element of full multiplicative order")
+    Mf.t, Mf.generator, Mf.verified = t, Mf.element(r), True
+    eigen_points = (normalize_point(T, (P.a, P.b)), normalize_point(T, (P.c, P.d)))
+    Mf._diag = DiagonalizationResult(P, t, p_exp, eigen_points, pairs)
+    return t, Mf.generator
+
+
+def _eigenbasis(A: Mat2) -> Mat2:
+    """The rows of A's two eigenvectors, normalized to (1, m) or (0, 1) and sorted.
+
+    Raises NotAField when A has no two distinct eigenvalues in F_(q^n):
+    A is then nilpotent plus scalar or has an irreducible characteristic
+    polynomial, and no field of matrices with a common eigenbasis holds it.
+    """
+    T = A.tower
+    roots = T.solve_quadratic(T.neg_code(T.add_code(A.a, A.d)), A.det())
+    if len(roots) < 2:
+        raise NotAField("a basis matrix has no two distinct eigenvalues in F_(q^n)")
+    rows = []
+    for mu in roots:
+        if A.c != 0 or mu != A.a:
+            rows.append(normalize_point(T, (A.c, T.sub_code(mu, A.a))))
+        else:
+            rows.append(normalize_point(T, (T.sub_code(mu, A.d), A.b)))
+    rows.sort(key=lambda r: (r[0] == 0, T.element_key(r[0]), T.element_key(r[1])))
+    return Mat2(T, *rows[0], *rows[1])
+
+
+def _conjugated_pairs(basis, W: Mat2):
+    """(x, y) with W b W^-1 = diag(x, y) for each b in basis; None if one is not diagonal."""
+    Winv = W.inverse()
+    pairs = []
+    for b in basis:
+        c = W * b * Winv
+        if not c.is_diagonal():
+            return None
+        pairs.append((c.a, c.d))
+    return tuple(pairs)
 
 
 def conjugates_to_diagonal(Mf: MatrixField, W: Mat2, s: int, t: int) -> bool:
@@ -304,12 +383,9 @@ def conjugates_to_diagonal(Mf: MatrixField, W: Mat2, s: int, t: int) -> bool:
     T = Mf.tower
     if Mf.order != T.q**t:
         return False
-    Winv = W.inverse()
-    for b in Mf.basis:
-        c = W * b * Winv
-        if not c.is_diagonal() or T.frob_code(c.a, t) != c.a or T.frob_code(c.a, s) != c.d:
-            return False
-    return True
+    pairs = _conjugated_pairs(Mf.basis, W)
+    return pairs is not None and all(T.frob_code(x, t) == x and T.frob_code(x, s) == y
+                                     for x, y in pairs)
 
 
 @dataclass
@@ -332,79 +408,15 @@ class DiagonalizationResult:
 
 
 def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
-    """Find P whose rows are common eigenvectors of every element of Mf.
+    """The diagonal form P Mf P^-1 that certified Mf, cached by verify_field.
 
-    The characteristic quadratic of a multiplicative generator always splits
-    over F_{q^n} (the field is commutative, so its elements are simultaneously
-    diagonalizable there); a non-split quadratic therefore raises
-    NonSplitQuadratic as an internal-error signal.  Conjugation by P is
-    F_p-linear, so P diagonalizes the field once it diagonalizes the basis
-    matrices; and every nonzero element is a power of the generator, so the
-    twist y = x^(p^j) on the diagonal is checked on the generator alone.  The
-    result costs O(dim) products and is cached on Mf.
+    The rows of P are common eigenvectors of every element of Mf.  A field
+    of scalars (t = 1) raises AllScalar.
     """
-    if Mf._diag is not None:
-        return Mf._diag
-    T = Mf.tower
     if not Mf.verified:
         verify_field(Mf)
     if Mf.t == 1:
         raise AllScalar("only scalar multiples of the identity; nothing to diagonalize")
-    A = Mf.generator
-    if A.is_scalar():
-        # a field of scalar matrices is already diagonal with trivial twist
-        Mf._diag = DiagonalizationResult(Mat2.identity(T), Mf.t, 0, ((1, 0), (0, 1)),
-                                         tuple((b.a, b.d) for b in Mf.basis))
-        return Mf._diag
-    tr = T.add_code(A.a, A.d)
-    roots = T.solve_quadratic(T.neg_code(tr), A.det())
-    if len(roots) < 2:
-        raise NonSplitQuadratic(
-            "characteristic polynomial of the generator does not split; "
-            "this contradicts simultaneous diagonalizability")
-
-    def eigen_row(mu):
-        if A.c != 0 or T.sub_code(mu, A.a) != 0:
-            row = (A.c, T.sub_code(mu, A.a))
-        else:
-            row = (T.sub_code(mu, A.d), A.b)
-        x, y = row
-        if x != 0:
-            inv = T.inv_code(x)
-            return (1, T.mul_code(y, inv))
-        return (0, 1)
-
-    rows = [eigen_row(mu) for mu in roots]
-    rows.sort(key=lambda r: ((0 if r[0] != 0 else 1),
-                             T.element_key(r[0]), T.element_key(r[1])))
-    P = Mat2(T, rows[0][0], rows[0][1], rows[1][0], rows[1][1])
-    if P.det() == 0:
-        raise InternalError("eigen rows are dependent")
-    Pinv = P.inverse()
-    basis_pairs = []
-    for b in Mf.basis:
-        c = P * b * Pinv
-        if not c.is_diagonal():
-            raise InternalError("conjugation failed to diagonalize a basis matrix")
-        basis_pairs.append((c.a, c.d))
-    Ad = P * A * Pinv
-    x0, y0 = Ad.a, Ad.d
-    p_exp = None
-    for j in range(T.e * Mf.t):
-        if T.pow_code(x0, T.p**j) == y0:
-            p_exp = j
-            break
-    if p_exp is None:
-        raise InternalError("diagonal entries are not Frobenius-linked")
-    # when the F_q-scalars lie in Mf the twist must be a q-power; Mf is an
-    # F_p-space, so the F_p-basis omega^i (i < e) of F_q decides it
-    omega = T.subfield_primitive_code(1)
-    scalars_present = all(Mf.contains(Mat2.scalar(T, T.pow_code(omega, i)))
-                          for i in range(T.e))
-    if scalars_present and p_exp % T.e:
-        raise InternalError("q-scalars present but twist is not in Gal(F_{q^t}|F_q)")
-    eigen_points = (normalize_point(T, (P.a, P.b)), normalize_point(T, (P.c, P.d)))
-    Mf._diag = DiagonalizationResult(P, Mf.t, p_exp, eigen_points, tuple(basis_pairs))
     return Mf._diag
 
 

@@ -39,10 +39,10 @@ class StandardFormResult:
     t: int
     canonical: bool = True
 
-    def to_json(self, style="g^k"):
+    def to_json(self):
         return {
-            "h": self.h.to_json(style)["coeffs"],
-            "P": self.P.to_json(style),
+            "h": self.h.to_json()["coeffs"],
+            "P": self.P.to_json(),
             "s": self.s,
             "t": self.t,
             "canonical": self.canonical,
@@ -221,10 +221,10 @@ class EquivalenceResult:
     sigma_p_exponent: int | None = None
     reason: str = ""
 
-    def to_json(self, style="g^k"):
+    def to_json(self):
         doc = {"equivalent": self.equivalent, "mode": self.mode, "reason": self.reason}
         if self.witness is not None:
-            doc["witness"] = self.witness.to_json(style)
+            doc["witness"] = self.witness.to_json()
         if self.sigma_p_exponent is not None:
             doc["sigma_p_exponent"] = self.sigma_p_exponent
         return doc

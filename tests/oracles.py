@@ -56,12 +56,12 @@ right-composition operator block by block (pair_system_by_blocks,
 right_compose_operator_by_blocks), the elimination with an outer-product
 update of the nonzero rows (rref_by_outer, kernel_by_outer) and the test
 M^k = I by a chain of products (mat_power, power_is_one_by_chain), where
-the library reads the eigenvalues.  The slope census reads one code per
-F_p^*-class; the census over every code, gathered from the full value table
-(slope_census_by_full_table), stays here, as does the scan over b that
-filtered all M exponents with one array per term (ab_min_by_array_scan,
-lambda_by_array_scan), where the library solves a linear congruence per
-term.  The oracles reuse the library's stabilizer,
+the library takes scalar powers of one diagonal entry.  The slope census
+reads one code per F_p^*-class; the census over every code, gathered from
+the full value table (slope_census_by_full_table), stays here, as does the
+scan over b that filtered all M exponents with one array per term
+(ab_min_by_array_scan, lambda_by_array_scan), where the library solves a
+linear congruence per term.  The oracles reuse the library's stabilizer,
 diagonalization, standard forms and the spread's component list, but none
 of the replaced logic.
 """
@@ -84,7 +84,7 @@ from scattered_lab.standard_form import _ab_min, _uv_from, maps_onto, to_standar
 
 
 def elements_of(V):
-    """Every element of the F_p-space V (a `_certify.FpSpace`), zero first,
+    """Every element of the F_p-space V (a `stabilizer.FpSpace`), zero first,
     in span order."""
     return tuple(V.from_key(V.tower, row) for row in V._codes())
 
@@ -1149,6 +1149,18 @@ def idealizer_field_by_walk(I, tower, exhaustive_bound=200):
             if (a + b).coeffs not in eset:
                 raise NotAField("idealizer not closed under addition")
     return t, generator
+
+
+def composition_order_by_walk(w, bound):
+    """The least k <= bound with w composed k times equal to x, or None;
+    one composition per step."""
+    x = LinearizedPoly.identity(w.tower)
+    acc = w
+    for k in range(1, bound + 1):
+        if acc == x:
+            return k
+        acc = acc.compose(w)
+    return None
 
 
 def stabilizer_images_by_walk(f):

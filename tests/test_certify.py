@@ -1,4 +1,5 @@
-"""The generator-and-basis field certificate against the element walks it replaced."""
+"""The diagonal-form field certificate and the idealizer isomorphism against
+the element walks they replaced."""
 
 import dataclasses
 
@@ -7,8 +8,8 @@ import pytest
 
 from scattered_lab import mrd
 from scattered_lab._linalg import kernel_mod
-from scattered_lab.errors import InternalError, Mismatch, NotAField
-from scattered_lab.field_tower import _digits, _prime_divisors
+from scattered_lab.errors import Mismatch, NotAField
+from scattered_lab.field_tower import _digits
 from scattered_lab.families import catalog, find_lp_delta, make_lp
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import (
@@ -29,11 +30,11 @@ from scattered_lab.stabilizer import (
 )
 
 from oracles import (
+    composition_order_by_walk,
     diag_pairs,
     diagonalize_by_conjugation,
     field_by_walk,
     idealizer_field_by_walk,
-    power_is_one_by_chain,
     stabilizer_images_by_walk,
 )
 
@@ -82,7 +83,9 @@ def test_idealizer_certificate_matches_walk_oracle(tower):
         for inst in catalog(tower(*key)):
             IR = right_idealizer(code_of(inst.poly))
             T = inst.poly.tower
-            assert verify_idealizer_field(IR, T) == idealizer_field_by_walk(IR, T)
+            t, phi_alpha = verify_idealizer_field(IR, inst.poly)
+            assert t == idealizer_field_by_walk(IR, T)[0]
+            assert composition_order_by_walk(phi_alpha, T.q**t) == T.q**t - 1
             assert check_idealizer_matches_stabilizer(inst.poly)["matches"]
             assert stabilizer_images_by_walk(inst.poly)
 
@@ -122,19 +125,20 @@ def test_algebra_without_a_full_order_unit(tower):
     T = tower(5, 1, 4)
     E12 = Mat2(T, 0, 1, 0, 0)
     basis = (Mat2.identity(T), E12)
-    with pytest.raises(NotAField):
+    with pytest.raises(NotAField, match="no two distinct eigenvalues"):
         verify_field(_field(T, _span_system(T, basis), basis))
 
 
 def test_span_not_closed_under_the_generator(tower):
     # span{I, A} with A = diag(w, 1), w primitive in F_25: A has order 24 and
-    # A^24 = I, but A * A = diag(w^2, 1) lies outside the span
+    # A^24 = I, but A * A = diag(w^2, 1) lies outside the span; the entries
+    # (w, 1) are linked by no Frobenius twist
     T = tower(5, 1, 4)
     w = T.subfield_primitive_code(2)
     A = Mat2.diag(T, w, 1)
     basis = (Mat2.identity(T), A)
     Mf = _field(T, _span_system(T, basis), basis)
-    with pytest.raises(NotAField, match="product escapes"):
+    with pytest.raises(NotAField, match="Frobenius twist"):
         verify_field(Mf)
     with pytest.raises(NotAField):
         field_by_walk(Mf)
@@ -142,13 +146,14 @@ def test_span_not_closed_under_the_generator(tower):
 
 def test_idealizer_basis_outside_the_kernel(tower):
     T = tower(5, 1, 4)
-    IR = right_idealizer(code_of(make_lp(T, 1, find_lp_delta(T)).poly))
-    verify_idealizer_field(IR, T)
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    IR = right_idealizer(code_of(f))
+    verify_idealizer_field(IR, f)
     # swap one basis polynomial for x^q, which is not in the idealizer:
     # same order, but the basis leaves the kernel of the system
     bad = IR.basis[:-1] + (LinearizedPoly.monomial(T, 1),)
     with pytest.raises(NotAField, match="outside the kernel"):
-        verify_idealizer_field(Idealizer(T, IR.system, bad), T)
+        verify_idealizer_field(Idealizer(T, IR.system, bad), f)
 
 
 def test_idealizer_match_detects_broken_maps(tower, monkeypatch):
@@ -172,60 +177,42 @@ def test_idealizer_match_detects_broken_maps(tower, monkeypatch):
         check_idealizer_matches_stabilizer(f)
 
 
-def _crafted_matrices(T):
-    """Matrices of every shape the eigenvalue test distinguishes, labelled."""
-    rng = T.rng("eigenvalue-orders")
-    units = [1, T.gen_code] + [T.subfield_primitive_code(t) for t in range(1, T.n + 1)
-                               if T.n % t == 0]
-    out = [("scalar", Mat2.scalar(T, x)) for x in units]
-    out += [("zero entry", m) for x in units[1:3]
-            for m in (Mat2.diag(T, x, 0), Mat2.diag(T, 0, x))]
-    out += [("diagonal", Mat2.diag(T, x, T.frob_code(x, 1))) for x in units[2:]]
-    out += [("double", Mat2(T, x, 1, 0, x)) for x in units[:3]]
-    out += [("double", Mat2(T, x, 0, T.gen_code, x)) for x in units[:2]]
-    # W diag(x, x^q) W^-1 for x in each subfield: distinct eigenvalues, b, c != 0
-    W = Mat2(T, 1, T.gen_code, 1, 1)
-    out += [("conjugated", W * Mat2.diag(T, x, T.frob_code(x, 1)) * W.inverse())
-            for x in units[2:]]
-    x, y = rng.randrange(1, T.size), rng.randrange(1, T.size)
-    out.append(("singular", Mat2(T, x, y, T.mul_code(T.gen_code, x), T.mul_code(T.gen_code, y))))
-    out.append(("singular", Mat2(T, 1, 1, 1, 1)))
-    found = 0
-    while found < 3:
-        # the companion matrix of x^2 + b x + c, irreducible over F_(q^n)
+def _companion_of_irreducible(T):
+    """The companion matrix of a quadratic with no root in F_(q^n)."""
+    rng = T.rng("irreducible companion")
+    while True:
         b, c = rng.randrange(T.size), rng.randrange(1, T.size)
         if not T.solve_quadratic(b, c):
-            out.append(("irreducible", Mat2(T, 0, 1, T.neg_code(c), T.neg_code(b))))
-            found += 1
-    return out
+            return Mat2(T, 0, 1, T.neg_code(c), T.neg_code(b))
 
 
-@pytest.mark.parametrize("key", [(5, 1, 4), (3, 1, 6), (2, 1, 4), (2, 2, 4)])
-def test_eigenvalue_order_test_matches_product_chain(tower, key):
-    # k = N/l and k = N for N = q^t - 1 and every t | n: the exponents the
-    # field certificate asks about
-    T = tower(*key)
-    field = MatrixField(T, np.zeros((0, 4 * T.en), dtype=np.int64), ())
-    exponents = set()
-    for t in range(1, T.n + 1):
-        if T.n % t == 0:
-            N = T.q**t - 1
-            exponents |= {N} | {N // ell for ell in _prime_divisors(N)}
-    answers = {}
-    for label, A in _crafted_matrices(T):
-        for k in sorted(exponents):
-            got = field.power_is_one(A, k)
-            assert got == power_is_one_by_chain(A, k), (label, A, k)
-            answers.setdefault(label, set()).add(got)
-    for label in ("zero entry", "double", "irreducible", "singular"):
-        assert answers[label] == {False}, label
-    for label in ("scalar", "diagonal", "conjugated"):
-        assert answers[label] == {False, True}, label
+def _broken_bases(T):
+    """Bases containing I, of dimension 2 or 4 over F_5 at n = 4, each
+    breaking one condition of the diagonal-form certificate.  The nilpotent
+    and the untwisted cases are test_algebra_without_a_full_order_unit and
+    test_span_not_closed_under_the_generator."""
+    one, g = Mat2.identity(T), T.gen_code
+    return {
+        "irreducible": (one, _companion_of_irreducible(T)),
+        # the full matrix algebra: diag(1, 0) fixes P = I, E12 stays off-diagonal
+        "no common eigenbasis": (one, Mat2.diag(T, 1, 0), Mat2(T, 0, 1, 0, 0),
+                                 Mat2(T, 0, 0, 1, 0)),
+        # diagonal with the q-twist, but g generates all of F_(5^4)
+        "entry outside F_(q^t)": (one, Mat2.diag(T, g, T.frob_code(g, 1))),
+    }
 
 
-def test_eigenvalue_order_test_refuses_other_exponents(tower):
+@pytest.mark.parametrize("label, message", [
+    ("irreducible", "no two distinct eigenvalues"),
+    ("no common eigenbasis", "no common eigenbasis"),
+    ("entry outside F_(q^t)", r"outside F_\(q\^2\)"),
+])
+def test_certificate_refuses_each_broken_condition(tower, label, message):
     T = tower(5, 1, 4)
-    field = MatrixField(T, np.zeros((0, 4 * T.en), dtype=np.int64), ())
-    for k in (0, 5, T.size, 7):
-        with pytest.raises(InternalError, match="does not divide"):
-            field.power_is_one(Mat2.identity(T), k)
+    basis = _broken_bases(T)[label]
+    Mf = _field(T, _span_system(T, basis), basis)
+    with pytest.raises(NotAField, match=message):
+        verify_field(Mf)
+    assert not Mf.verified
+    with pytest.raises(NotAField):
+        field_by_walk(Mf)

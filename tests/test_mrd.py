@@ -119,7 +119,7 @@ def test_idealizer_field_verification(tower):
     T = tower(5, 1, 4)
     lp = make_lp(T, 1, find_lp_delta(T)).poly
     IR = right_idealizer(code_of(lp))
-    t, gen = verify_idealizer_field(IR, T)
+    t, gen = verify_idealizer_field(IR, lp)
     assert t == 2
     # generator composes to the identity after q^t - 1 steps
     x = LinearizedPoly.identity(T)

@@ -6,7 +6,6 @@ import pytest
 
 import scattered_lab.plane as plane
 from scattered_lab import cli, selftest
-from scattered_lab._certify import FpSpace
 from scattered_lab.errors import HallCase, InternalError, NotInS, NotScattered, SmallQ, TooLarge
 from scattered_lab.field_tower import FieldTower, make_field
 from scattered_lab.linearized import LinearizedPoly
@@ -38,7 +37,7 @@ from scattered_lab.plane import (
     _moebius_preserves_lines,
 )
 from scattered_lab.scatter import is_scattered, linear_set
-from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
+from scattered_lab.stabilizer import FpSpace, Mat2, compute_stabilizer, diagonalize
 from scattered_lab.standard_form import image_polynomial, maps_onto
 from scattered_lab._linalg import solve_mod
 
@@ -244,7 +243,7 @@ def test_reducibility_pseudoregulus_marker(tower):
     T = tower(5, 1, 4)
     mark = reducibility_witness(LinearizedPoly.monomial(T, 1))
     assert isinstance(mark, PseudoregulusCase)
-    assert mark.to_json() == "pseudoregulus"
+    assert mark.to_json(T) == "pseudoregulus"
     T5 = tower(5, 1, 5)
     with pytest.raises(NotInS):
         reducibility_witness(make_lp(T5, 1, find_lp_delta(T5)).poly)
