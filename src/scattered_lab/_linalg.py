@@ -5,9 +5,10 @@ and idealizer solution systems, the Frobenius and multiplication matrices,
 and the F_p-matrix of a q-polynomial, from which its rank and compositional
 inverse are read.  The eliminations are Gauss-Jordan elimination with one
 broadcast update of every row per pivot, which at these sizes costs less
-than selecting the rows to update; the systems never exceed a few hundred
-rows at desk scale, and the reduced row echelon form is unique, so the
-pivot rule changes no result.  `linear_values`
+than selecting the rows to update, reduced mod p lazily (see `rref_mod`);
+the systems never exceed a few hundred rows at desk scale, and the reduced
+row echelon form is unique, so neither the pivot rule nor the reduction
+schedule changes a result.  `linear_values`
 tabulates an F_p-affine map on every code of F_p^en by p-adic doubling: it
 is the bulk evaluation behind the exp-table build and the line check of a
 collineation.  `class_values` evaluates a linear map on one code per
@@ -21,6 +22,8 @@ import numpy as np
 # class representatives of the low levels that `class_values` reads off one
 # product with a digit block; the levels above are doubled
 CLASS_BLOCK_BOUND = 1 << 10
+# `rref_mod` reduces in full before an entry could reach this; int64 holds 2^63
+LAZY_BOUND = 1 << 62
 
 
 def _inv_mod(a, p):
@@ -31,42 +34,53 @@ def rref_mod(A, p):
     """Reduced row echelon form of an integer matrix mod p.
 
     Returns (R, pivots) where R is a new int64 array and pivots the list of
-    pivot column indices.
+    pivot column indices.  Entries are reduced lazily: per pivot only the
+    pivot column and the pivot row are reduced, and the whole matrix once at
+    the end.  Each update adds less than p^2 in absolute value, so after k
+    pivots every |entry| < p + k p^2; the matrix is reduced in full before a
+    pivot could take an entry past LAZY_BOUND.  Every pivot choice reads
+    reduced values, and the RREF is unique, so R and the pivots are those of
+    an elimination reduced after every step.
     """
     R = np.array(A, dtype=np.int64) % p
     rows, cols = R.shape
     pivots = []
     r = 0
+    step = p * p
+    bound = p   # every |entry| of R lies below it
     for c in range(cols):
         if r == rows:
             break
-        col = R[r:, c]
-        i = int(col.argmax())   # entries lie in [0, p): the max is nonzero if any is
-        if col[i] == 0:
+        factors = R[:, c] % p
+        i = int(factors[r:].argmax()) + r   # the max of [0, p) values is nonzero if any is
+        pivot = int(factors[i])
+        if pivot == 0:
             continue
-        i += r
+        if bound + step > LAZY_BOUND:
+            R %= p
+            bound = p
         if i != r:
             R[[r, i]] = R[[i, r]]
-        # the columns left of c are zero in row r, so only c onwards changes;
-        # one broadcast update then clears column c off the pivot row
-        sub = R[:, c:]
-        row = sub[r]
-        row *= _inv_mod(row[0], p)
-        row %= p
-        factors = sub[:, :1].copy()
+            factors[i] = factors[r]
         factors[r] = 0
-        sub -= factors * row
-        sub %= p
+        # the columns left of c are zero mod p in row r, so only c onwards
+        # changes; one broadcast update then clears column c off the pivot row
+        row = R[r, c:]
+        row %= p
+        row *= _inv_mod(pivot, p)
+        row %= p
+        R[:, c:] -= factors[:, None] * row
+        bound += step
         pivots.append(c)
         r += 1
+    R %= p
     return R, pivots
 
 
 def kernel_mod(A, p):
     """Basis of the right kernel {v : Av = 0 mod p} as rows of an array."""
-    A = np.atleast_2d(np.array(A, dtype=np.int64)) % p
-    cols = A.shape[1]
-    R, pivots = rref_mod(A, p)
+    R, pivots = rref_mod(np.atleast_2d(A), p)
+    cols = R.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1

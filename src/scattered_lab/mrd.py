@@ -64,7 +64,7 @@ def min_distance(C: RdCode) -> int:
     """
     T = C.tower
     census = slope_census(C.f)
-    dims = {T.log_q(c + 1) for c in set(census.counts) | {census.kernel_count}}
+    dims = {T.log_q(c + 1) for c in set(census.counts.tolist()) | {census.kernel_count}}
     return T.n - max(k for k in dims | {0} if k < T.n)
 
 

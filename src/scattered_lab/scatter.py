@@ -22,7 +22,6 @@ it, raises TooLarge before doing any work.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,20 +38,28 @@ PROJECTIVE_PAIR_BOUND = 1 << 20
 PAIR_ARRAY_BOUND = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlopeCensus:
     """Fiber statistics of x -> f(x)/x over F_{q^n}^*.
 
     slope_logs: discrete logs of the attained nonzero slopes, sorted
-        ascending; the zero slope is tracked separately because its fiber is
-        the punctured kernel.
-    counts: fiber sizes aligned with slope_logs.
+        ascending, as a read-only int64 array; the zero slope is tracked
+        separately because its fiber is the punctured kernel.
+    counts: fiber sizes aligned with slope_logs, as a read-only int64 array.
     kernel_count: |ker f| - 1.
+
+    Two censuses are equal when their entries are, whatever the sequence
+    type; the readers gather, search or reduce the arrays directly.
     """
 
-    slope_logs: tuple
-    counts: tuple
+    slope_logs: np.ndarray
+    counts: np.ndarray
     kernel_count: int
+
+    def __eq__(self, other):
+        return (isinstance(other, SlopeCensus) and self.kernel_count == other.kernel_count
+                and np.array_equal(self.slope_logs, other.slope_logs)
+                and np.array_equal(self.counts, other.counts))
 
     @property
     def n_slopes(self):
@@ -76,11 +83,9 @@ def slope_census(f: LinearizedPoly) -> SlopeCensus:
     slogs %= T.mult_order
     counts = np.bincount(slogs, minlength=T.mult_order)
     attained = np.flatnonzero(counts)
-    census = SlopeCensus(
-        tuple(attained.tolist()),
-        tuple((counts[attained] * (T.p - 1)).tolist()),
-        kernel_classes * (T.p - 1),
-    )
+    fibers = counts[attained] * (T.p - 1)
+    attained.flags.writeable = fibers.flags.writeable = False
+    census = SlopeCensus(attained, fibers, kernel_classes * (T.p - 1))
     cache[f.coeffs] = census
     return census
 
@@ -178,7 +183,7 @@ def linear_set(f: LinearizedPoly) -> LinearSet:
         raise ZeroPolynomial("the zero polynomial spans no linear set")
     census = slope_census(f)
     # slope_logs is sorted, so the gather is already in g^k order
-    slopes = T.exp_table[np.array(census.slope_logs, dtype=np.int64)].tolist()
+    slopes = T.exp_table[census.slope_logs].tolist()
     if census.kernel_count:
         slopes.append(0)
     return LinearSet(tuple(slopes), is_scattered(f))
@@ -200,7 +205,7 @@ def line_intersection_dim(f: LinearizedPoly, point) -> int:
     else:
         # slope_logs is sorted: one bisection instead of a scan
         s = T.dlog(slope)
-        i = bisect.bisect_left(census.slope_logs, s)
+        i = int(np.searchsorted(census.slope_logs, s))
         hit = i < len(census.slope_logs) and census.slope_logs[i] == s
-        count = census.counts[i] if hit else 0
+        count = int(census.counts[i]) if hit else 0
     return T.log_q(count + 1)

@@ -10,7 +10,9 @@ q-polynomials, built in three stacked matrix products from the tower's
 cached multiplication and Frobenius matrices (`_pair_system`).  With g in
 place of f on the right-hand side the same system gives
 S(f, g) = {M : U_f M in U_g}, which decides equivalence
-(`standard_form.gl_equivalent`).
+(`standard_form.gl_equivalent`).  Both are solved by
+`MatrixField.of_pair`: b and a are read off two row blocks, and only the
+(n-2)*en x 2*en Schur complement on (c, d) is eliminated.
 
 The solution set is kept as that system and its kernel basis (`FpSpace`):
 its order is p^dim, membership is one matrix-vector product, and no element
@@ -48,6 +50,15 @@ class Mat2:
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @classmethod
+    def _of(cls, tower, a, b, c, d):
+        """The matrix of four codes the tower's arithmetic or a kernel row
+        produced, without the range check of __init__."""
+        M = cls.__new__(cls)
+        M.tower = tower
+        M.a, M.b, M.c, M.d = a, b, c, d
+        return M
+
+    @classmethod
     def identity(cls, tower):
         return cls(tower, 1, 0, 0, 1)
 
@@ -64,7 +75,7 @@ class Mat2:
 
     def __mul__(self, other):
         T = self.tower
-        return Mat2(
+        return Mat2._of(
             T,
             T.add_code(T.mul_code(self.a, other.a), T.mul_code(self.b, other.c)),
             T.add_code(T.mul_code(self.a, other.b), T.mul_code(self.b, other.d)),
@@ -74,17 +85,17 @@ class Mat2:
 
     def __add__(self, other):
         T = self.tower
-        return Mat2(T, T.add_code(self.a, other.a), T.add_code(self.b, other.b),
-                    T.add_code(self.c, other.c), T.add_code(self.d, other.d))
+        return Mat2._of(T, T.add_code(self.a, other.a), T.add_code(self.b, other.b),
+                        T.add_code(self.c, other.c), T.add_code(self.d, other.d))
 
     def __sub__(self, other):
         T = self.tower
-        return Mat2(T, T.sub_code(self.a, other.a), T.sub_code(self.b, other.b),
-                    T.sub_code(self.c, other.c), T.sub_code(self.d, other.d))
+        return Mat2._of(T, T.sub_code(self.a, other.a), T.sub_code(self.b, other.b),
+                        T.sub_code(self.c, other.c), T.sub_code(self.d, other.d))
 
     def scale(self, x):
         T = self.tower
-        return Mat2(T, *(T.mul_code(x, v) for v in self.entries()))
+        return Mat2._of(T, *(T.mul_code(x, v) for v in self.entries()))
 
     def det(self):
         T = self.tower
@@ -108,8 +119,8 @@ class Mat2:
         if dt == 0:
             raise ZeroDivisionError("singular matrix")
         di = T.inv_code(dt)
-        return Mat2(T, T.mul_code(di, self.d), T.mul_code(di, T.neg_code(self.b)),
-                    T.mul_code(di, T.neg_code(self.c)), T.mul_code(di, self.a))
+        return Mat2._of(T, T.mul_code(di, self.d), T.mul_code(di, T.neg_code(self.b)),
+                        T.mul_code(di, T.neg_code(self.c)), T.mul_code(di, self.a))
 
     def apply(self, point):
         """Row-vector action: (x, y) -> (x a + y c, x b + y d)."""
@@ -163,8 +174,12 @@ class FpSpace:
     @classmethod
     def from_system(cls, tower, system, **fields):
         """The space ker(system mod p), with the kernel basis of kernel_mod."""
+        return cls._of_kernel(tower, system, kernel_mod(system, tower.p), **fields)
+
+    @classmethod
+    def _of_kernel(cls, tower, system, kernel, **fields):
+        """The space ker(system mod p) with the rows of `kernel` as its basis."""
         en, p = tower.en, tower.p
-        kernel = kernel_mod(system, p)
         blocks = system.shape[1] // en
         codes = kernel.reshape(len(kernel), blocks, en) @ p ** np.arange(en, dtype=np.int64)
         basis = tuple(cls.from_key(tower, row) for row in codes.tolist())
@@ -223,7 +238,54 @@ class MatrixField(FpSpace):
 
     @staticmethod
     def from_key(tower, codes):
-        return Mat2(tower, *codes)
+        return Mat2._of(tower, *codes)
+
+    @classmethod
+    def of_pair(cls, f: LinearizedPoly, g: LinearizedPoly, **fields):
+        """S(f, g) on the pair system `_pair_system(f, g)`, with the kernel basis
+        that kernel_mod gives on it, found through its (c, d) Schur complement.
+
+        Row block 0 is the only one that holds b, as the identity, so it reads
+        b = -(A_0 a + C_0 c + D_0 d).  Take the least k1 >= 1 with g_k1 != 0:
+        the a-block A_k1 of row block k1 is the F_p-matrix of -g_k1 x^(q^k1),
+        so -A_k1^-1 is that of x -> (g_k1^-1 x)^(q^(n-k1)), and row block k1
+        reads a = L (c, d) with L = -A_k1^-1 (C_k1 D_k1).  The other row
+        blocks then leave the Schur complement (C_k D_k) + A_k L, k not in
+        {0, k1}, of (n-2) en x 2 en, the only system that is eliminated; its
+        kernel is lifted by these two reads.
+
+        The lifted rows are the basis kernel_mod gives on the full system.
+        A kernel vector is fixed by its (c, d) part, and a column of the full
+        system is free in its RREF exactly when some kernel vector has a 1 in
+        it and zeros in every later column.  No a- or b-column is free: with
+        c = d = 0, A_k1 a = 0 forces a = 0 and then row block 0 forces b = 0.
+        A (c, d)-column is free in the full system exactly when it is free in
+        the Schur complement, since both conditions only read (c, d).  The
+        basis vector of a free column has a 1 there and a 0 at every other
+        free column, which fixes one kernel vector; the lift of the Schur
+        basis vector is such a vector.  So `basis`, and with it the reported
+        generator and witness, are those of `from_system`.
+
+        When g = g_0 x no a-block past row block 0 is invertible, and the
+        full system is eliminated.
+        """
+        T = f.tower
+        n, en, p = T.n, T.en, T.p
+        system = _pair_system(f, g)
+        k1 = next((k for k in range(1, n) if g.coeffs[k]), None)
+        if k1 is None:
+            return cls.from_system(T, system, **fields)
+        blocks = system.reshape(n, en, 4, en)
+        a_blocks = blocks[:, :, 0]
+        cd = blocks[:, :, 2:].reshape(n, en, 2 * en)
+        lift = T.mul_matrix(T.inv_code(g.coeffs[k1])) @ cd[k1] % p
+        lift = T.frob_power_matrix(n - k1) @ lift % p
+        rest = [k for k in range(1, n) if k != k1]
+        schur = (cd[rest] + a_blocks[rest] @ lift) % p
+        cd_kernel = kernel_mod(schur.reshape(-1, 2 * en), p)
+        a = cd_kernel @ lift.T % p
+        b = -(a @ a_blocks[0].T + cd_kernel @ cd[0].T) % p
+        return cls._of_kernel(T, system, np.hstack([a, b, cd_kernel]), **fields)
 
 
 def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
@@ -231,22 +293,25 @@ def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
 
     S(f, g) is the set of M with U_f M contained in U_g; S(f, f) is G_f with
     zero adjoined.  Slot q^k reads b [k = 0] + d f_k = g_k a^(q^k) +
-    sum_i g_i f_(k-i)^(q^i) c^(q^i), so the a- and c-blocks carry g's
+    sum_i g_i (f_(k-i) c)^(q^i), so the a- and c-blocks carry g's
     coefficients and the d-block carries f's.  Row block k is therefore
     the F_p-matrices of the q-polynomials -g_k x^(q^k) (a), [k = 0] x (b),
-    -sum_i g_i f_(k-i)^(q^i) x^(q^i) (c) and f_k x (d): three stacked
-    calls of `FieldTower.qpoly_matrices` and `mul_matrices`, which need no
-    exp/log tables.
+    -sum_i g_i (f_(k-i) x)^(q^i) (c) and f_k x (d).  The a- and d-blocks
+    are stacked products of the tower's multiplication and Frobenius
+    matrices, and the c-block of row block k is sum_i A_i D_(k-i), the
+    a-block i after the d-block k - i: one batched product, with no field
+    arithmetic and no exp/log table.
     """
     T = f.tower
     n, en, p = T.n, T.en, T.p
-    c_polys = [[T.mul_code(gi, T.frob_code(f.coeffs[(k - i) % n], i)) if gi else 0
-                for i, gi in enumerate(g.coeffs)] for k in range(n)]
+    a_blocks = -(T.mul_matrices(g.coeffs) @ T.frob_stack % p)
+    d_blocks = T.mul_matrices(f.coeffs)
+    shift = (np.arange(n)[:, None] - np.arange(n)) % n   # shift[k, i] = k - i
     A = np.zeros((n, en, 4, en), dtype=np.int64)
-    A[:, :, 0] = -T.qpoly_matrices(np.diag(g.coeffs))
+    A[:, :, 0] = a_blocks
     A[0, :, 1] = np.eye(en, dtype=np.int64)
-    A[:, :, 2] = -T.qpoly_matrices(c_polys)
-    A[:, :, 3] = T.mul_matrices(f.coeffs)
+    A[:, :, 2] = (a_blocks @ d_blocks[shift]).sum(axis=1)
+    A[:, :, 3] = d_blocks
     return A.reshape(n * en, 4 * en) % p
 
 
@@ -274,9 +339,7 @@ def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
     if scattered and T.n == 2:
         # at n = 2 rank-1 solutions exist and the solution set is no field
         raise HallCase("the stabilizer of a scattered polynomial needs n >= 3")
-    field = MatrixField.from_system(T, _pair_system(f, f), scattered_input=scattered)
-    if not field.contains(Mat2.identity(T)):
-        raise InternalError("identity missing from the stabilizer solution set")
+    field = MatrixField.of_pair(f, f, scattered_input=scattered)
     if scattered:
         verify_field(field)
     cache[f.coeffs] = field
@@ -286,8 +349,10 @@ def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
 def verify_field(Mf: MatrixField):
     """Certify Mf as a matrix field of order q^t, t | n, by its diagonal form.
 
-    Checks |Mf| = q^t with t | n, that the basis lies in the kernel of
-    Mf.system and that I lies in Mf.  P is made of the sorted, normalized
+    Checks |Mf| = q^t with t | n, and that the basis and I lie in the
+    kernel of Mf.system, by one product; it is the only identity check on
+    G_f, and it also checks the basis that `MatrixField.of_pair` lifted from
+    its Schur complement.  P is made of the sorted, normalized
     eigen-rows of the first non-scalar basis matrix (P = I when every basis
     matrix is scalar).  Every basis matrix conjugated by P must be
     diag(x, y) with x in F_(q^t), and y = x^(p^j) for one least j < e t on
@@ -305,9 +370,11 @@ def verify_field(Mf: MatrixField):
     t = dim // T.e
     if t and T.n % t:
         raise NotAField(f"t={t} does not divide n={T.n}")
-    if not all(Mf.contains(b) for b in Mf.basis):
+    coords = np.array(Mf._basis_coords + [Mf._coords(Mat2.identity(T))], dtype=np.int64)
+    outside = (Mf.system @ coords.T % T.p).any(axis=0)
+    if outside[:-1].any():
         raise NotAField("a basis element lies outside the kernel of the system")
-    if not Mf.contains(Mat2.identity(T)):
+    if outside[-1]:
         raise NotAField("identity missing")
     A = next((b for b in Mf.basis if not b.is_scalar()), None)
     P = Mat2.identity(T) if A is None else _eigenbasis(A)

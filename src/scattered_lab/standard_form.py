@@ -25,8 +25,8 @@ from .errors import InternalError, NotBijective, NotInS, NotScattered, NotStanda
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
-from .stabilizer import (Mat2, MatrixField, _pair_system, compute_stabilizer,
-                         conjugates_to_diagonal, diagonalize)
+from .stabilizer import (Mat2, MatrixField, compute_stabilizer, conjugates_to_diagonal,
+                         diagonalize)
 
 
 @dataclass
@@ -235,7 +235,7 @@ def _witness(f: LinearizedPoly, g: LinearizedPoly) -> Mat2 | None:
 
     S(f, g) = (G_f with zero) W, so its order must equal |G_f| + 1.
     """
-    S = MatrixField.from_system(f.tower, _pair_system(f, g))
+    S = MatrixField.of_pair(f, g)
     if not S.basis:
         return None
     if S.order != compute_stabilizer(f).order:

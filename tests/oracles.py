@@ -54,7 +54,9 @@ column by column (mul_matrix_by_codes), the F_p-matrix of a q-polynomial
 by evaluation (fp_matrix_by_evaluation), the pair system and the
 right-composition operator block by block (pair_system_by_blocks,
 right_compose_operator_by_blocks), the elimination with an outer-product
-update of the nonzero rows (rref_by_outer, kernel_by_outer) and the test
+update of the nonzero rows (rref_by_outer, kernel_by_outer), the
+elimination that reduces the whole matrix after every pivot, where the
+library reduces lazily (rref_eager), and the test
 M^k = I by a chain of products (mat_power, power_is_one_by_chain), where
 the library takes scalar powers of one diagonal entry.  The slope census
 reads one code per F_p^*-class; the census over every code, gathered from
@@ -234,6 +236,36 @@ def rref_by_outer(A, p):
         rows_c = np.flatnonzero(R[:, c])
         rows_c = rows_c[rows_c != r]
         R[rows_c] = (R[rows_c] - np.outer(R[rows_c, c], R[r])) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def rref_eager(A, p):
+    """Reduced row echelon form mod p, pivoting by argmax and reducing every
+    entry after each pivot's broadcast update."""
+    R = np.array(A, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        col = R[r:, c]
+        i = int(col.argmax())
+        if col[i] == 0:
+            continue
+        i += r
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        sub = R[:, c:]
+        row = sub[r]
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        factors = sub[:, :1].copy()
+        factors[r] = 0
+        sub -= factors * row
+        sub %= p
         pivots.append(c)
         r += 1
     return R, pivots

@@ -1,4 +1,5 @@
-"""The one-update elimination against the outer-product elimination it replaced."""
+"""The lazily reduced one-update elimination against the outer-product
+elimination and the eagerly reduced elimination it replaced."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scattered_lab._linalg import inv_mod_matrix, kernel_mod, rank_mod, rref_mod
 from scattered_lab.families import catalog
 from scattered_lab.stabilizer import _pair_system
 
-from oracles import kernel_by_outer, rref_by_outer
+from oracles import kernel_by_outer, rref_by_outer, rref_eager
 
 
 def _matrices(p, seed):
@@ -46,3 +47,30 @@ def test_pair_systems_and_inverses_match_oracle(tower):
             inv = inv_mod_matrix(M, T.p)
             R0, pivots0 = rref_by_outer(np.hstack([M, np.eye(T.en, dtype=np.int64)]), T.p)
             assert pivots0 == list(range(T.en)) and np.array_equal(inv, R0[:, T.en:])
+
+
+def _large_p_matrices(p, seed):
+    """Random matrices mod a large p: one of full row rank 48, one of rank 30
+    whose other rows are combinations of those, and a wide one with zero
+    columns."""
+    rng = np.random.default_rng(seed)
+    full = rng.integers(0, p, size=(48, 60))
+    base = rng.integers(0, p, size=(30, 56)).astype(object)
+    mixed = rng.integers(0, p, size=(20, 30)).astype(object).dot(base) % p
+    low = np.vstack([base, mixed]).astype(np.int64)[rng.permutation(50)]
+    wide = rng.integers(0, p, size=(44, 70))
+    wide[:, [0, 5, 6, 40]] = 0
+    return [full, low, wide]
+
+
+@pytest.mark.parametrize("p", [1048573, 1073741827])
+def test_lazy_reduction_matches_eager_elimination(p):
+    # above 2^30 a pivot adds up to p^2 > 2^60, so the elimination reduces
+    # in full every few pivots; at 2^20 it never needs to
+    pivot_counts = []
+    for A in _large_p_matrices(p, p % 1000):
+        R, pivots = rref_mod(A, p)
+        R0, pivots0 = rref_eager(A, p)
+        assert pivots == pivots0 and np.array_equal(R, R0)
+        pivot_counts.append(len(pivots))
+    assert pivot_counts == [48, 30, 44]

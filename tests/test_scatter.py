@@ -236,3 +236,14 @@ def test_linear_set_matches_sorted_powers(tower):
             assert linear_set(f).slopes == linear_set_by_sort(f), f.coeffs
     assert linear_set(with_kernel).slopes[-1] == 0
     assert linear_set(with_kernel).size == slope_census(with_kernel).n_slopes
+
+
+def test_census_arrays_are_read_only(tower):
+    # the census is memoized, so its arrays must not be writable by a reader
+    T = tower(5, 1, 4)
+    census = slope_census(LinearizedPoly(T, [T.neg_code(1), 1, 0, 0]))
+    assert census.kernel_count == T.q - 1
+    for arr in (census.slope_logs, census.counts):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0

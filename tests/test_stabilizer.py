@@ -331,3 +331,39 @@ def test_codes_out_of_range_are_refused_at_every_entry(tower):
     assert stabilizer.normalize_point(T, (top, top)) == (1, 1)
     assert code_of(f).codeword(top, 0).coeffs == (top, 0, 0, 0)
     assert line_intersection_dim(f, (top, top)) in (0, 1)
+
+
+def _pair_kernel_matches(f, g):
+    """S(f, g) from MatrixField.of_pair against kernel_mod of the full pair
+    system, array for array."""
+    T = f.tower
+    system = _pair_system(f, g)
+    K = kernel_mod(system, T.p)
+    S = MatrixField.of_pair(f, g)
+    coords = np.array(S._basis_coords, dtype=np.int64).reshape(K.shape)
+    return np.array_equal(S.system, system) and np.array_equal(coords, K)
+
+
+def test_pair_kernel_is_the_full_elimination(tower):
+    # every ordered pair of catalog instances, then seeded random pairs with
+    # g = f and g = g_0 x (the full-elimination branch, g = 0 included);
+    # most random polynomials are not scattered
+    from scattered_lab.families import catalog
+
+    for key in ((3, 1, 4), (5, 1, 4), (7, 1, 4), (5, 1, 5), (5, 1, 6)):
+        polys = [inst.poly for inst in catalog(tower(*key))]
+        for f in polys:
+            for g in polys:
+                assert _pair_kernel_matches(f, g), (key, f.coeffs, g.coeffs)
+    kinds = set()
+    for key in ((3, 1, 4), (5, 1, 4), (7, 1, 4), (5, 1, 5), (5, 1, 6), (2, 2, 4), (3, 2, 3)):
+        T = tower(*key)
+        rng = T.rng("pair-kernel")
+        for _ in range(6):
+            f, g = (LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])
+                    for _ in range(2))
+            linear = LinearizedPoly(T, [g.coeffs[0]] + [0] * (T.n - 1))
+            for h in (g, f, linear, LinearizedPoly.zero(T)):
+                assert _pair_kernel_matches(f, h), (key, f.coeffs, h.coeffs)
+            kinds.add(scatter.is_scattered(f))
+    assert kinds == {False, True}
