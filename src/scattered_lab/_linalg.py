@@ -1,7 +1,7 @@
 """Small exact linear algebra kernels over the prime field F_p.
 
 Matrices are numpy int64 arrays reduced mod p.  They carry the stabilizer
-and idealizer solution systems, the Frobenius and multiplication matrices,
+solution system, the Frobenius and multiplication matrices,
 and the F_p-matrix of a q-polynomial, from which its rank and compositional
 inverse are read.  The eliminations are Gauss-Jordan elimination with one
 broadcast update of every row per pivot, which at these sizes costs less
@@ -10,8 +10,7 @@ the systems never exceed a few hundred rows at desk scale, and the reduced
 row echelon form is unique, so neither the pivot rule nor the reduction
 schedule changes a result.  `linear_values`
 tabulates an F_p-affine map on every code of F_p^en by p-adic doubling: it
-is the bulk evaluation behind the exp-table build and the line check of a
-collineation.  `class_values` evaluates a linear map on one code per
+is the bulk evaluation behind the exp-table build.  `class_values` evaluates a linear map on one code per
 F_p^*-class only, which is all the slope census reads.
 """
 

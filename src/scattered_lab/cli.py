@@ -41,8 +41,9 @@ def _load_field(path):
 
 def _load_poly(tower, path):
     doc = _load_json(path)
-    if "coeffs" not in doc or len(doc["coeffs"]) != tower.n:
-        raise ParseError(f"{path}: polynomial needs exactly n={tower.n} coefficients")
+    coeffs = doc.get("coeffs") if isinstance(doc, dict) else None
+    if not isinstance(coeffs, list) or len(coeffs) != tower.n:
+        raise ParseError(f"{path}: polynomial needs a list of exactly n={tower.n} coefficients")
     return LinearizedPoly.from_json(tower, doc)
 
 

@@ -75,10 +75,6 @@ class TooLarge(RefusedPrecondition):
     code = "TooLarge"
 
 
-class Mismatch(ScatteredLabError):
-    code = "Mismatch"
-
-
 # families
 class BadParams(ScatteredLabError):
     code = "BadParams"

@@ -848,7 +848,10 @@ class FieldTower:
         if isinstance(obj, (list, tuple)):
             if len(obj) != self.en:
                 raise BadElement(f"digit array must have length {self.en}")
-            return _pack([int(d) for d in obj], self.p)
+            try:
+                return _pack([int(d) for d in obj], self.p)
+            except (TypeError, ValueError) as exc:
+                raise BadElement(f"bad digit array {obj!r}: {exc}") from exc
         if isinstance(obj, str):
             s = obj.strip()
             if s == "0":
@@ -927,12 +930,14 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
 def field_from_json(doc, table_bound=DEFAULT_TABLE_BOUND) -> FieldTower:
     try:
         p, e, n = int(doc["p"]), int(doc.get("e", 1)), int(doc["n"])
+        seed = int(doc.get("seed", 0))
+        modulus = doc.get("modulus")
+        if modulus is not None:
+            modulus = [int(c) for c in modulus]
+        gen = doc.get("generator")
+        if gen is not None:
+            gen = _pack([int(d) for d in gen], p) if isinstance(gen, (list, tuple)) else int(gen)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadElement(f"bad field spec: {exc}") from exc
-    modulus = doc.get("modulus")
-    gen = doc.get("generator")
-    gen_code = None
-    if gen is not None:
-        gen_code = _pack([int(d) for d in gen], p) if isinstance(gen, (list, tuple)) else int(gen)
-    return make_field(p, e, n, seed=int(doc.get("seed", 0)), modulus=modulus,
-                      generator=gen_code, table_bound=table_bound)
+    return make_field(p, e, n, seed=seed, modulus=modulus, generator=gen,
+                      table_bound=table_bound)

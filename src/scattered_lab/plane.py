@@ -6,16 +6,18 @@ fixed by the slopes of L_f alone: a spread is that slope set and the number
 (q^n - 1)/(q - 1) of translates, indexed by h modulo F_q^*.  The plane is
 never materialized pointwise, and no point is ever located on a component.
 
-Collineation classification, the collineation-group check, the Andre
-witness and the spread and kernel audits are closed forms, not walks over
+Collineation classification, the collineation group, the Andre witness and
+the spread and kernel audits are closed forms, not walks over
 H_f = F_{q^n}^* G_f, over its classes, over the components, over points or
 over F_{q^t}.  They rest on two facts already certified: f is scattered (the
 slope census) and G_f = P^-1 {diag(alpha, alpha^(q^s))} P (diagonalize).
 The homology groups are the cyclic groups generated by P^-1 diag(1, kappa_0)
-P and P^-1 diag(kappa_0, 1) P with kappa_0 = omega^(q^s)/omega; the
-generators of H_f are checked by one exact polynomial identity and one
-vectorized map on slopes; the invariant subgroup of the Andre witness is
-checked on an F_p-basis of F_{q^t}.
+P and P^-1 diag(kappa_0, 1) P with kappa_0 = omega^(q^s)/omega.  That the
+generators of H_f permute the spread is no check but a consequence of
+verify_field: the generator of G_f lies in the kernel of the stabilizer
+system and is a nonzero element of a matrix field, hence invertible, so it
+fixes U_f.  The invariant subgroup of the Andre witness is checked on an
+F_p-basis of F_{q^t}.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .errors import (
     NotScattered,
     SmallQ,
 )
-from ._linalg import linear_values, solve_mod
+from ._linalg import solve_mod
 from .field_tower import FieldTower, _digits
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, linear_set
 from .stabilizer import Mat2, compute_stabilizer, diagonalize, transversal_points
-from .standard_form import image_polynomial, maps_onto
+from .standard_form import image_polynomial
 
 import numpy as np
 
@@ -114,17 +116,19 @@ def linear_collineations(f: LinearizedPoly) -> dict:
     The group is F_{q^n}^* G_f; each element factors uniquely as a scalar
     kernel homology times diag(1, alpha^(q^s - 1)) in diagonalized
     coordinates, giving order (q^n - 1)(q^t - 1)/(q - 1).  Both generators
-    are shown to permute the spread without walking its points.  The scalar
-    generator g I fixes every F_{q^n}-line and sends g^j U_f to g^(j+1) U_f,
-    a permutation of the translate indices modulo (q^n - 1)/(q - 1).  For the
-    generator M of G_f, one exact check U_f M = U_f gives h U_f M = h U_f for
-    every h, and M permutes the lines by the Moebius map
-    m -> (b + m d)/(a + m c) on slopes, which must be a bijection of
-    PG(1, q^n) that preserves the slopes of L_f.  Needs exp/log tables.
+    permute the spread by facts already certified, so nothing is walked or
+    checked here.  The scalar generator g I fixes every F_{q^n}-line and
+    sends g^j U_f to g^(j+1) U_f, a permutation of the translate indices
+    modulo (q^n - 1)/(q - 1).  The generator M of G_f lies in the kernel
+    S(f, f), so U_f M lies in U_f, and verify_field made it a nonzero
+    element of a matrix field, so M is invertible and U_f M = U_f: every
+    translate h U_f is fixed.  M permutes the F_{q^n}-lines through the
+    origin, and a line that meets U_f goes to one that meets U_f M = U_f,
+    so M permutes the lines on L_f and with them the lines off L_f, the
+    spread's other components.
     """
+    _plane_preconditions(f)
     T = f.tower
-    T.require_tables("the collineation check")
-    spread = build_spread(f)
     Mf = compute_stabilizer(f)
     t = Mf.t
     q = T.q
@@ -136,12 +140,6 @@ def linear_collineations(f: LinearizedPoly) -> dict:
             raise InternalError("homology factor has unexpected order")
     else:
         kappa_order = 1
-    if Mf.generator is not None:
-        M = Mf.generator
-        if not maps_onto(f, M, f):
-            raise InternalError("the stabilizer generator does not fix U_f")
-        if not _moebius_preserves_lines(spread, M):
-            raise InternalError("the stabilizer generator fails to permute the lines")
     return {
         "order": order,
         "t": t,
@@ -149,35 +147,6 @@ def linear_collineations(f: LinearizedPoly) -> dict:
         "cyclic_factor_order": kappa_order,
         "generators_permute_spread": True,
     }
-
-
-def _moebius_preserves_lines(spread: Spread, M: Mat2) -> bool:
-    """Does M permute the lines through the origin and fix the slope set of L_f?
-
-    The line of slope m (direction (1, m)) goes to the direction
-    (a + m c, b + m d); the vertical line (0, 1) goes to (c, d).  Slopes are
-    element codes, with the code q^n standing for the vertical direction.
-    Both coordinates are F_p-affine in m, so each is one `linear_values`
-    table over every code.
-    """
-    T = spread.tower
-    M_order, size = T.mult_order, T.size
-    exp, log = T.exp_table, T.log_table
-    den = np.append(_moebius_coordinate(T, M.a, M.c), M.c)
-    num = np.append(_moebius_coordinate(T, M.b, M.d), M.d)
-    image = np.where(den == 0, size,
-                     np.where(num == 0, 0, exp[(log[num] - log[den]) % M_order]))
-    # q^n + 1 directions permuted exactly when none is hit twice
-    if np.bincount(image, minlength=size + 1).max() != 1:
-        return False
-    on_L = np.zeros(size + 1, dtype=bool)
-    on_L[list(spread.lf_slopes)] = True
-    return bool(on_L[image[on_L]].all())
-
-
-def _moebius_coordinate(T: FieldTower, a, c):
-    """The codes of a + m c for every code m < q^n, in code order."""
-    return linear_values(T.p, T.mul_matrix(c), offset=_digits(a, T.p, T.en))
 
 
 @dataclass

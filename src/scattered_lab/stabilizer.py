@@ -14,7 +14,7 @@ S(f, g) = {M : U_f M in U_g}, which decides equivalence
 `MatrixField.of_pair`: b and a are read off two row blocks, and only the
 (n-2)*en x 2*en Schur complement on (c, d) is eliminated.
 
-The solution set is kept as that system and its kernel basis (`FpSpace`):
+The solution set is kept as that system and its kernel basis (`MatrixField`):
 its order is p^dim, membership is one matrix-vector product, and no element
 is listed unless a caller asks for the list.  For scattered f the nonzero
 solutions form a matrix field of order q^t with t | n, simultaneously
@@ -157,70 +157,19 @@ def normalize_point(tower, point):
     return (0, 1)
 
 
-class FpSpace:
-    """An F_p-space of maps kept as (system, basis): V = span(basis) = ker(system).
-
-    Subclasses are dataclasses with the fields `tower`, `system` (an int64
-    array whose kernel mod p is V) and `basis` (an F_p-basis of that
-    kernel, as maps), and define key(x), the tuple of codes whose
-    little-endian base-p digits are the F_p-coordinates of x, and
-    from_key(tower, codes), its inverse.  Elements are numbered as in
-    `_linalg.span_codes`: element r is the combination of the basis whose
-    coefficients are the base-p digits of r, so element 0 is zero.  The
-    library never lists the elements; only the test oracles do, through
-    `_codes()`.
-    """
-
-    @classmethod
-    def from_system(cls, tower, system, **fields):
-        """The space ker(system mod p), with the kernel basis of kernel_mod."""
-        return cls._of_kernel(tower, system, kernel_mod(system, tower.p), **fields)
-
-    @classmethod
-    def _of_kernel(cls, tower, system, kernel, **fields):
-        """The space ker(system mod p) with the rows of `kernel` as its basis."""
-        en, p = tower.en, tower.p
-        blocks = system.shape[1] // en
-        codes = kernel.reshape(len(kernel), blocks, en) @ p ** np.arange(en, dtype=np.int64)
-        basis = tuple(cls.from_key(tower, row) for row in codes.tolist())
-        return cls(tower=tower, system=system % p, basis=basis, **fields)
-
-    @property
-    def order(self):
-        return self.tower.p ** len(self.basis)
-
-    @property
-    def group_order(self):
-        return self.order - 1
-
-    def _coords(self, x):
-        T = self.tower
-        return [d for c in self.key(x) for d in _digits(c, T.p, T.en)]
-
-    def contains(self, x) -> bool:
-        return not (self.system @ np.array(self._coords(x), dtype=np.int64) % self.tower.p).any()
-
-    @functools.cached_property
-    def _basis_coords(self):
-        return [self._coords(b) for b in self.basis]
-
-    def _codes(self, rows=None):
-        T = self.tower
-        return span_codes(self._basis_coords, T.p, T.en,
-                          self.system.shape[1] // T.en, rows).tolist()
-
-    def element(self, r):
-        """Element r of the span order, built alone."""
-        return self.from_key(self.tower, self._codes([r])[0])
-
-
 @dataclass(eq=False)
-class MatrixField(FpSpace):
-    """The solution set S(f, g) of a pair system (`_pair_system`).
+class MatrixField:
+    """The solution set S(f, g) of a pair system (`_pair_system`), kept as
+    (system, basis): S(f, g) = span(basis) = ker(system mod p).
 
     For g = f it is G_f with zero adjoined, certified as a field by
     verify_field; for other scattered g (n >= 3) it is {0} or (G_f with zero)
-    times any one of its nonzero elements.
+    times any one of its nonzero elements.  The F_p-coordinates of a matrix
+    are the little-endian base-p digits of its entries (a, b, c, d).
+    Elements are numbered as in `_linalg.span_codes`: element r is the
+    combination of the basis whose coefficients are the base-p digits of r,
+    so element 0 is zero.  The library never lists the elements; only the
+    test oracles do, through `_codes()`.
     """
 
     tower: FieldTower
@@ -232,13 +181,45 @@ class MatrixField(FpSpace):
     scattered_input: bool = True
     _diag: DiagonalizationResult | None = None
 
-    @staticmethod
-    def key(M):
-        return M.entries()
+    @classmethod
+    def from_system(cls, tower, system, **fields):
+        """The space ker(system mod p), with the kernel basis of kernel_mod."""
+        return cls._of_kernel(tower, system, kernel_mod(system, tower.p), **fields)
 
-    @staticmethod
-    def from_key(tower, codes):
-        return Mat2._of(tower, *codes)
+    @classmethod
+    def _of_kernel(cls, tower, system, kernel, **fields):
+        """The space ker(system mod p) with the rows of `kernel` as its basis."""
+        en, p = tower.en, tower.p
+        codes = kernel.reshape(len(kernel), 4, en) @ p ** np.arange(en, dtype=np.int64)
+        basis = tuple(Mat2._of(tower, *row) for row in codes.tolist())
+        return cls(tower=tower, system=system % p, basis=basis, **fields)
+
+    @property
+    def order(self):
+        return self.tower.p ** len(self.basis)
+
+    @property
+    def group_order(self):
+        return self.order - 1
+
+    def _coords(self, M):
+        T = self.tower
+        return [d for c in M.entries() for d in _digits(c, T.p, T.en)]
+
+    def contains(self, M) -> bool:
+        return not (self.system @ np.array(self._coords(M), dtype=np.int64) % self.tower.p).any()
+
+    @functools.cached_property
+    def _basis_coords(self):
+        return [self._coords(b) for b in self.basis]
+
+    def _codes(self, rows=None):
+        T = self.tower
+        return span_codes(self._basis_coords, T.p, T.en, 4, rows).tolist()
+
+    def element(self, r):
+        """Element r of the span order, built alone."""
+        return Mat2._of(self.tower, *self._codes([r])[0])
 
     @classmethod
     def of_pair(cls, f: LinearizedPoly, g: LinearizedPoly, **fields):

@@ -43,8 +43,8 @@ live here too (elements_of, element_set_of, nonzero_of).  So do the bulk
 passes that p-adic doubling (`_linalg.linear_values`) replaced: the
 term-by-term evaluation with a digitwise addition of code arrays
 (eval_all_logs_by_terms, add_code_arrays), the giant-step matmul build of
-the exp table (exp_table_by_giant_steps) and the per-code products of the
-line check of a collineation (moebius_coordinate_by_terms).  The spread is
+the exp table (exp_table_by_giant_steps) and the per-code products of an
+affine table a + m c (affine_values_by_terms).  The spread is
 a slope set in the library; locating a point on a component happens only
 here (component_of, membership), with fiber representatives from a scalar
 walk of F_{q^n}^* (fiber_representatives), so the spread oracles share no
@@ -53,7 +53,11 @@ routes that stacked matrix products replaced: the multiplication matrix
 column by column (mul_matrix_by_codes), the F_p-matrix of a q-polynomial
 by evaluation (fp_matrix_by_evaluation), the pair system and the
 right-composition operator block by block (pair_system_by_blocks,
-right_compose_operator_by_blocks), the elimination with an outer-product
+right_compose_operator_by_blocks), the right idealizer as the kernel of its
+own system, a code annihilator and that operator, where the library reads
+it off the kernel of the pair system (right_idealizer_by_annihilator),
+with the comparison of two spans by their RREFs (same_span), the
+elimination with an outer-product
 update of the nonzero rows (rref_by_outer, kernel_by_outer), the
 elimination that reduces the whole matrix after every pivot, where the
 library reduces lazily (rref_eager), and the test
@@ -81,23 +85,43 @@ from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.scatter import SlopeCensus, slope_census
-from scattered_lab.stabilizer import Mat2, compute_stabilizer, diagonalize
+from scattered_lab.stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
 from scattered_lab.standard_form import _ab_min, _uv_from, maps_onto, to_standard_form
 
 
+def _keys(V):
+    """The key of every element of V in span order: the entries of each
+    matrix of a `stabilizer.MatrixField`, the coefficients of each
+    q-polynomial of an `mrd.Idealizer`."""
+    if isinstance(V, MatrixField):
+        return V._codes()
+    T = V.tower
+    return span_codes([poly_vec(w) for w in V.basis], T.p, T.en, T.n).tolist()
+
+
+def _of_key(V, row):
+    return Mat2._of(V.tower, *row) if isinstance(V, MatrixField) else LinearizedPoly(V.tower, row)
+
+
 def elements_of(V):
-    """Every element of the F_p-space V (a `stabilizer.FpSpace`), zero first,
-    in span order."""
-    return tuple(V.from_key(V.tower, row) for row in V._codes())
+    """Every element of the F_p-space V (a `stabilizer.MatrixField` or an
+    `mrd.Idealizer`), zero first, in span order."""
+    return tuple(_of_key(V, row) for row in _keys(V))
 
 
 def element_set_of(V):
     """The keys of every element of V, as a frozenset of code tuples."""
-    return frozenset(map(tuple, V._codes()))
+    return frozenset(map(tuple, _keys(V)))
 
 
 def nonzero_of(V):
-    return [V.from_key(V.tower, row) for row in V._codes() if any(row)]
+    return [_of_key(V, row) for row in _keys(V) if any(row)]
+
+
+def poly_vec(f):
+    """The F_p-coordinates of a q-polynomial: the digits of each coefficient."""
+    T = f.tower
+    return [d for c in f.coeffs for d in _digits(c, T.p, T.en)]
 
 
 def poly_divides(d, a, p):
@@ -216,6 +240,26 @@ def right_compose_operator_by_blocks(T, f):
     return Op
 
 
+def right_idealizer_by_annihilator(f):
+    """mrd.right_idealizer as the kernel of its own F_p-system, on coefficient
+    vectors (poly_vec), as a kernel basis.
+
+    The rows N of the kernel of the codewords beta x and beta f (beta in the
+    power basis) vanish exactly on the vectors of C_f, and phi -> f o phi is
+    right_compose_operator_by_blocks, so phi is in I_R(C_f) exactly when
+    N phi = 0 and N (f o phi) = 0.  Both eliminations are kernel_by_outer.
+    """
+    T = f.tower
+    C = code_of(f)
+    rows = []
+    for m in range(T.en):
+        beta = int(T.p**m)
+        rows += [poly_vec(C.codeword(beta, 0)), poly_vec(C.codeword(0, beta))]
+    N = kernel_by_outer(rows, T.p)
+    Tf = right_compose_operator_by_blocks(T, f)
+    return kernel_by_outer(np.vstack([N, N @ Tf % T.p]), T.p)
+
+
 def rref_by_outer(A, p):
     """Reduced row echelon form mod p: first nonzero pivot, then an outer
     product update of the rows that are nonzero in the pivot column."""
@@ -239,6 +283,14 @@ def rref_by_outer(A, p):
         pivots.append(c)
         r += 1
     return R, pivots
+
+
+def same_span(A, B, p):
+    """Do the rows of the 2-d arrays A and B span the same F_p-space?
+    Equal RREFs."""
+    RA, pa = rref_by_outer(A, p)
+    RB, pb = rref_by_outer(B, p)
+    return pa == pb and np.array_equal(RA[:len(pa)], RB[:len(pb)])
 
 
 def rref_eager(A, p):
@@ -413,7 +465,7 @@ def exp_table_by_giant_steps(T):
     return exp[:M]
 
 
-def moebius_coordinate_by_terms(T, a, c):
+def affine_values_by_terms(T, a, c):
     """a + m c for every code m < q^n: one log-table product per code and a
     digitwise addition of the constant a."""
     exp, log, M = T.exp_table, T.log_table, T.mult_order

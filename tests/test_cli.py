@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from scattered_lab import cli, mrd, scatter
+from scattered_lab import _linalg, cli, mrd, scatter
 from scattered_lab.cli import main
+from scattered_lab.families import find_lp_delta, find_psi_h, make_lp, make_pseudoregulus, make_psi
 
 
 def run_cli(argv, tmp_path=None):
@@ -149,6 +150,81 @@ def test_corrupted_modulus_surfaces(tmp_path):
     code, _, err = run_cli(["scatter", "--field", str(field), "--poly", str(poly)])
     assert code == 1
     assert json.loads(err)["error"]["code"] == "BadElement"
+
+
+FIELD_OK = {"p": 5, "e": 1, "n": 4, "seed": 0}
+POLY_OK = {"coeffs": ["0", "1", "0", "0"]}
+
+
+@pytest.mark.parametrize("field, poly, error", [
+    ({**FIELD_OK, "seed": "x"}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "modulus": ["a", 0, 0, 0]}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "modulus": 7}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "generator": "zz"}, POLY_OK, "BadElement"),
+    (FIELD_OK, {"coeffs": 4}, "ParseError"),
+    (FIELD_OK, {"coeffs": [["a", 0, 0, 0], "1", "0", "0"]}, "BadElement"),
+    # four characters, one per coefficient, were read as four coefficients
+    (FIELD_OK, {"coeffs": "0100"}, "ParseError"),
+], ids=["seed", "modulus-digit", "modulus-int", "generator", "coeffs-int",
+        "coeff-digit-array", "coeffs-string"])
+def test_malformed_spec_is_a_json_error(tmp_path, field, poly, error):
+    field_path, poly_path = tmp_path / "field.json", tmp_path / "poly.json"
+    field_path.write_text(json.dumps(field))
+    poly_path.write_text(json.dumps(poly))
+    code, out, err = run_cli(["scatter", "--field", str(field_path), "--poly", str(poly_path)])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["code"] == error
+
+
+def _report_instances(tower):
+    """The seven instance kinds of the benchmark's report workload: psi at
+    (5,6), the pseudoregulus at (5,5), (5,4) and (7,4), and LP at (5,4),
+    (7,4) and (5,5)."""
+    T = tower(5, 1, 6)
+    out = [make_psi(T, find_psi_h(T, 3), 3, 1)]
+    out += [make_pseudoregulus(tower(q, 1, n), 1) for q, n in ((5, 5), (5, 4), (7, 4))]
+    out += [make_lp(T, 1, find_lp_delta(T)) for T in (tower(q, 1, n) for q, n in
+                                                      ((5, 4), (7, 4), (5, 5)))]
+    return out
+
+
+def test_mrd_task_solves_no_second_system(tower, tmp_path, monkeypatch):
+    # once the stabilizer task has solved S(f, f), the mrd task reads the
+    # right idealizer off that kernel: no elimination and no rank follows
+    armed = []
+
+    def guard(fn):
+        def guarded(*args, **kwargs):
+            assert not armed, f"{fn.__name__} was called after the stabilizer task"
+            return fn(*args, **kwargs)
+
+        return guarded
+
+    for fn in (_linalg.kernel_mod, _linalg.rank_mod):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scattered_lab") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, guard(fn))
+    stabilizer_doc = cli._stabilizer_doc
+
+    def then_arm(T, f):
+        doc = stabilizer_doc(T, f)
+        armed.append(True)
+        return doc
+
+    monkeypatch.setattr(cli, "_stabilizer_doc", then_arm)
+    for inst in _report_instances(tower):
+        armed.clear()
+        T = inst.poly.tower
+        field, poly = tmp_path / "field.json", tmp_path / "poly.json"
+        field.write_text(json.dumps(T.spec().to_json()))
+        poly.write_text(json.dumps(inst.poly.to_json()))
+        code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                                  "--tasks", "stabilizer,mrd"])
+        assert code == 0, err
+        assert armed
+        tasks = json.loads(out)["tasks"]
+        assert tasks["mrd"]["right_idealizer_order"] == tasks["stabilizer"]["field_order"]
+        assert tasks["mrd"]["matches_stabilizer"] is True
 
 
 def test_families_generate_verb():

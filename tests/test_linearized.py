@@ -17,7 +17,7 @@ from oracles import (
     fp_matrix_by_evaluation,
     from_fp_matrix_by_scalars,
     invert_by_fq_matrix,
-    moebius_coordinate_by_terms,
+    affine_values_by_terms,
     rank_by_row_reduction,
 )
 
@@ -323,13 +323,13 @@ def test_bulk_evaluation_matches_term_by_term_oracle(tower, key):
 
 @pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
 def test_affine_values_with_offset_match_digitwise_oracle(tower, key):
-    # a + m c for every code m, the two coordinates of the line check
+    # a + m c for every code m
     T = tower(*key)
     rng = T.rng("affine-values")
     for a, c in ((0, 1), (rng.randrange(1, T.size), 0),
                  (rng.randrange(1, T.size), rng.randrange(1, T.size))):
         got = linear_values(T.p, T.mul_matrix(c), offset=_digits(a, T.p, T.en))
-        assert np.array_equal(got, moebius_coordinate_by_terms(T, a, c))
+        assert np.array_equal(got, affine_values_by_terms(T, a, c))
 
 
 @pytest.mark.parametrize("p, rows, en", [(2, 3, 5), (3, 4, 4), (5, 2, 3), (7, 3, 2), (257, 1, 2)])

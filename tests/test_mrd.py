@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from scattered_lab.errors import TooLarge
+from scattered_lab.errors import HallCase, TooLarge
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import catalog, find_lp_delta, make_lp
+from scattered_lab.scatter import is_scattered
 from scattered_lab.mrd import (
-    _right_compose_operator,
     check_idealizer_matches_stabilizer,
     code_of,
     min_distance,
@@ -25,7 +25,10 @@ from oracles import (
     elements_of,
     min_distance_by_ranks,
     min_distance_by_sampling,
+    poly_vec,
     right_compose_operator_by_blocks,
+    right_idealizer_by_annihilator,
+    same_span,
 )
 
 
@@ -220,8 +223,67 @@ def test_min_distance_no_table_tower():
 
 @pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)
 def test_right_compose_operator_matches_block_oracle(tower, case):
+    # f o phi from LinearizedPoly.compose against the block operator that the
+    # annihilator oracle of the right idealizer applies to coefficient vectors
     T = builder_tower(tower, case)
     rng = T.rng("right-compose")
+    phis = [LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)]) for _ in range(3)]
     for f in (LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)]),
               LinearizedPoly.monomial(T, T.n - 1, T.gen_code), LinearizedPoly.zero(T)):
-        assert np.array_equal(_right_compose_operator(T, f), right_compose_operator_by_blocks(T, f))
+        op = right_compose_operator_by_blocks(T, f)
+        for phi in phis:
+            assert (op @ poly_vec(phi) % T.p).tolist() == poly_vec(f.compose(phi))
+
+
+def _idealizer_cases(tower):
+    """On each of (3,4), (5,4), (7,4), (5,5), (5,6), (2,2,4) and (3,2,3):
+    every catalog instance, 0, x, g x, every monomial x^(q^i) and g x^(q^i),
+    and seeded random f with 1, 2 and n terms; at n = 2, non-scattered f."""
+    polys = []
+    for key in ((3, 1, 4), (5, 1, 4), (7, 1, 4), (5, 1, 5), (5, 1, 6), (2, 2, 4), (3, 2, 3)):
+        T = tower(*key)
+        polys += [inst.poly for inst in catalog(T)]
+        polys += [LinearizedPoly.zero(T), LinearizedPoly.identity(T),
+                  LinearizedPoly.monomial(T, 0, T.gen_code)]
+        polys += [LinearizedPoly.monomial(T, i, c) for i in range(1, T.n)
+                  for c in (1, T.gen_code)]
+        rng = T.rng("idealizer-differential")
+        for density in (1, 2, T.n):
+            for _ in range(10):
+                coeffs = [0] * T.n
+                for i in rng.sample(range(T.n), density):
+                    coeffs[i] = rng.randrange(T.size)
+                polys.append(LinearizedPoly(T, coeffs))
+    # at n = 2, f = a x + b x^q with b != 0 is scattered, so the
+    # non-scattered f are the c x
+    for key in ((5, 1, 2), (7, 1, 2), (2, 2, 2)):
+        T = tower(*key)
+        rng = T.rng("idealizer-n2")
+        polys += [LinearizedPoly.monomial(T, 0, c) for c in [0, 1] + rng.sample(range(2, T.size), 6)]
+    return polys
+
+
+def test_right_idealizer_matches_annihilator_oracle(tower):
+    # the images of the S(f, f) basis are a basis of the kernel of the
+    # annihilator system
+    orders = set()
+    polys = _idealizer_cases(tower)
+    for f in polys:
+        T = f.tower
+        IR = right_idealizer(code_of(f))
+        got = np.array([poly_vec(w) for w in IR.basis], dtype=np.int64).reshape(-1, T.n * T.en)
+        want = right_idealizer_by_annihilator(f)
+        assert len(IR.basis) == len(want), f
+        assert same_span(got, want, T.p), f
+        orders.add((T.n, IR.order == T.q**T.n))
+    assert len(polys) > 300
+    assert {(4, True), (4, False), (2, True)} <= orders
+
+
+def test_right_idealizer_refuses_scattered_n2(tower):
+    # the kernel S(f, f) is read through compute_stabilizer, which refuses a
+    # scattered f at n = 2 as the mrd task does
+    f = LinearizedPoly.monomial(tower(5, 1, 2), 1)
+    assert is_scattered(f)
+    with pytest.raises(HallCase):
+        right_idealizer(code_of(f))

@@ -33,11 +33,9 @@ from scattered_lab.plane import (
     _homology_factor_order,
     _pointwise_fix_system,
     _component_basis,
-    _moebius_coordinate,
-    _moebius_preserves_lines,
 )
 from scattered_lab.scatter import is_scattered, linear_set
-from scattered_lab.stabilizer import FpSpace, Mat2, compute_stabilizer, diagonalize
+from scattered_lab.stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
 from scattered_lab.standard_form import image_polynomial, maps_onto
 from scattered_lab._linalg import solve_mod
 
@@ -52,7 +50,6 @@ from oracles import (
     is_homology_group,
     kernel_scalar_by_walk,
     membership,
-    moebius_coordinate_by_terms,
     nonzero_of,
     spread_cover_by_walk,
     spread_walk,
@@ -370,10 +367,11 @@ def test_classification_matches_scan_oracle(tower):
 
 
 def test_collineation_checks_match_spread_walk(tower):
+    # the generators of H_f permute the spread point by point, and no
+    # invertible M outside H_f does
     for f in _differential_instances(tower):
         T = f.tower
-        linear_collineations(f)  # raises when a generator fails its check
-        spread = build_spread(f)
+        assert linear_collineations(f)["generators_permute_spread"]
         G = nonzero_of(compute_stabilizer(f))
         rng = T.rng("collineation-differential")
         in_H = [compute_stabilizer(f).generator, Mat2.scalar(T, T.gen_code),
@@ -386,31 +384,8 @@ def test_collineation_checks_match_spread_walk(tower):
         for M in in_H + outside:
             lines_ok, translates_ok = spread_walk(f, M)
             assert (lines_ok and translates_ok) == (M in in_H)
-            assert _moebius_preserves_lines(spread, M) == lines_ok
             if maps_onto(f, M, f):
                 assert translates_ok
-
-
-def test_moebius_coordinates_match_digitwise_oracle(tower):
-    # den = a + m c and num = b + m d of the stabilizer generator of every
-    # catalog instance, against the per-code products and digitwise sums
-    generators = [compute_stabilizer(f).generator for f in _differential_instances(tower)]
-    generators = [M for M in generators if M is not None]
-    assert generators
-    for M in generators:
-        for a, c in ((M.a, M.c), (M.b, M.d)):
-            got = _moebius_coordinate(M.tower, a, c)
-            assert np.array_equal(got, moebius_coordinate_by_terms(M.tower, a, c))
-
-
-def test_moebius_check_rejects_a_map_that_does_not_permute_the_lines(tower):
-    f = catalog(tower(5, 1, 4))[0].poly
-    spread = build_spread(f)
-    T = f.tower
-    assert _moebius_preserves_lines(spread, Mat2.identity(T))
-    # singular: every direction goes to (1 + m)(1, g) or to the origin
-    assert not _moebius_preserves_lines(spread, Mat2(T, 1, T.gen_code, 1, T.gen_code))
-    assert not _moebius_preserves_lines(spread, Mat2(T, 1, 0, 0, 0))
 
 
 def test_linear_collineations_needs_tables():
@@ -524,14 +499,14 @@ def test_classification_reads_no_element_list(tower, monkeypatch, capsys):
     def refuse(*_args):
         raise AssertionError("an element list was read")
 
-    codes = FpSpace._codes
+    codes = MatrixField._codes
 
     def codes_one_at_a_time(self, rows=None):
         if rows is None:
             refuse()
         return codes(self, rows)
 
-    monkeypatch.setattr(FpSpace, "_codes", codes_one_at_a_time)
+    monkeypatch.setattr(MatrixField, "_codes", codes_one_at_a_time)
     monkeypatch.setattr(FieldTower, "subfield_elements", refuse)
     hr = classify_central_collineations(LinearizedPoly.monomial(tower(7, 1, 6), 1))
     assert hr.case == "ii" and hr.t == 6 and hr.group_order == 19608
