@@ -20,7 +20,7 @@ from .errors import NotInS, ParseError, RefusedPrecondition, ScatteredLabError
 from .field_tower import field_from_json
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, is_scattered_naive, linear_set
-from .stabilizer import compute_stabilizer, diagonalize, transversal_points
+from .stabilizer import compute_stabilizer, diagonalize
 from .standard_form import gammal_equivalent, gl_equivalent, in_class_S, to_standard_form
 
 SCHEMA_VERSION = 3
@@ -77,7 +77,7 @@ def _stabilizer_doc(T, f):
         doc["generator"] = Mf.generator.to_json()
         if Mf.t > 1:
             dg = diagonalize(Mf)
-            X, Y = transversal_points(f)
+            X, Y = dg.eigen_points
             doc["s"] = dg.s
             doc["diagonalized"] = True
             doc["transversals"] = [[T.format_code(X[0]), T.format_code(X[1])],
@@ -121,8 +121,6 @@ def _task_mrd(T, f, args):
 def _task_plane(T, f, args):
     hr = plane.classify_central_collineations(f)
     doc = hr.to_json(T)
-    lc = plane.linear_collineations(f)
-    doc["H_f_order"] = lc["order"]
     try:
         w = plane.reducibility_witness(f)
         doc["andre_witness"] = w.to_json(T)

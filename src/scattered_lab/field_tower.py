@@ -320,6 +320,19 @@ def _pack(digits, p):
     return code
 
 
+def _outside_digits(obj, p, what):
+    """A digit array read from outside the program, as a list of ints in [0, p).
+
+    A string, a non-integer or boolean digit, or a digit out of range is
+    refused with BadElement, not split, truncated or reduced mod p.
+    """
+    if not isinstance(obj, (list, tuple)):
+        raise BadElement(f"{what} must be a list of digits, not {obj!r}")
+    if not all(type(d) is int and 0 <= d < p for d in obj):
+        raise BadElement(f"{what} {obj!r} needs integer digits in [0, {p})")
+    return list(obj)
+
+
 class _LRU(OrderedDict):
     """A memo that keeps the CACHE_SIZE most recently used entries."""
 
@@ -840,7 +853,8 @@ class FieldTower:
         return f"g^{self.dlog(code)}"
 
     def parse_element(self, obj) -> int:
-        """Accepts "g^k"/"0"/"1"/"g" strings, digit arrays, ints (F_p scalars)."""
+        """Accepts "g^k"/"0"/"1"/"g" strings, digit arrays (integers in [0, p)),
+        ints (F_p scalars)."""
         if isinstance(obj, bool):
             raise BadElement("booleans are not field elements")
         if isinstance(obj, int):
@@ -848,10 +862,7 @@ class FieldTower:
         if isinstance(obj, (list, tuple)):
             if len(obj) != self.en:
                 raise BadElement(f"digit array must have length {self.en}")
-            try:
-                return _pack([int(d) for d in obj], self.p)
-            except (TypeError, ValueError) as exc:
-                raise BadElement(f"bad digit array {obj!r}: {exc}") from exc
+            return _pack(_outside_digits(obj, self.p, "digit array"), self.p)
         if isinstance(obj, str):
             s = obj.strip()
             if s == "0":
@@ -933,10 +944,11 @@ def field_from_json(doc, table_bound=DEFAULT_TABLE_BOUND) -> FieldTower:
         seed = int(doc.get("seed", 0))
         modulus = doc.get("modulus")
         if modulus is not None:
-            modulus = [int(c) for c in modulus]
+            modulus = _outside_digits(modulus, p, "modulus")
         gen = doc.get("generator")
         if gen is not None:
-            gen = _pack([int(d) for d in gen], p) if isinstance(gen, (list, tuple)) else int(gen)
+            gen = (_pack(_outside_digits(gen, p, "generator"), p)
+                   if isinstance(gen, (list, tuple)) else int(gen))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadElement(f"bad field spec: {exc}") from exc
     return make_field(p, e, n, seed=seed, modulus=modulus, generator=gen,

@@ -121,7 +121,7 @@ def stabilizer_to_right_idealizer(M, f: LinearizedPoly) -> LinearizedPoly:
     return x.scale(M.a) + f.scale(M.c)
 
 
-def verify_idealizer_field(I: Idealizer, f: LinearizedPoly):
+def verify_idealizer_field(f: LinearizedPoly):
     """(t, phi(alpha)) for I = right_idealizer(code_of(f)) and scattered f.
 
     Nothing is checked beyond `verify_field`, which certified G_f with zero
@@ -145,5 +145,5 @@ def check_idealizer_matches_stabilizer(f: LinearizedPoly) -> dict:
     """|I_R(C_f)| = |G_f| + 1 for scattered f, by the isomorphism of
     verify_idealizer_field; a small report."""
     IR = right_idealizer(code_of(f))
-    t, _ = verify_idealizer_field(IR, f)
+    t, _ = verify_idealizer_field(f)
     return {"order": IR.order, "t": t, "matches": True}

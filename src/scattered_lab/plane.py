@@ -12,12 +12,14 @@ H_f = F_{q^n}^* G_f, over its classes, over the components, over points or
 over F_{q^t}.  They rest on two facts already certified: f is scattered (the
 slope census) and G_f = P^-1 {diag(alpha, alpha^(q^s))} P (diagonalize).
 The homology groups are the cyclic groups generated by P^-1 diag(1, kappa_0)
-P and P^-1 diag(kappa_0, 1) P with kappa_0 = omega^(q^s)/omega.  That the
-generators of H_f permute the spread is no check but a consequence of
-verify_field: the generator of G_f lies in the kernel of the stabilizer
-system and is a nonzero element of a matrix field, hence invertible, so it
-fixes U_f.  The invariant subgroup of the Andre witness is checked on an
-F_p-basis of F_{q^t}.
+P and P^-1 diag(kappa_0, 1) P with kappa_0 = omega^(q^s)/omega.  Their
+order (q^t - 1)/(q - 1), and that their generators lie in H_f, follow from
+that form with gcd(s, t) = 1 (`DiagonalizationResult.s`), so neither is
+checked.  That the generators of H_f permute the spread is no check but a
+consequence of verify_field: the generator of G_f lies in the kernel of the
+stabilizer system and is a nonzero element of a matrix field, hence
+invertible, so it fixes U_f.  The invariant subgroup of the Andre witness is
+checked on an F_p-basis of F_{q^t}.
 """
 
 from __future__ import annotations
@@ -115,36 +117,30 @@ def linear_collineations(f: LinearizedPoly) -> dict:
 
     The group is F_{q^n}^* G_f; each element factors uniquely as a scalar
     kernel homology times diag(1, alpha^(q^s - 1)) in diagonalized
-    coordinates, giving order (q^n - 1)(q^t - 1)/(q - 1).  Both generators
-    permute the spread by facts already certified, so nothing is walked or
-    checked here.  The scalar generator g I fixes every F_{q^n}-line and
-    sends g^j U_f to g^(j+1) U_f, a permutation of the translate indices
-    modulo (q^n - 1)/(q - 1).  The generator M of G_f lies in the kernel
-    S(f, f), so U_f M lies in U_f, and verify_field made it a nonzero
-    element of a matrix field, so M is invertible and U_f M = U_f: every
-    translate h U_f is fixed.  M permutes the F_{q^n}-lines through the
+    coordinates, giving order (q^n - 1)(q^t - 1)/(q - 1).  The factors
+    alpha^(q^s - 1) form the cyclic group generated by kappa_0 =
+    omega^(q^s - 1), of order (q^t - 1)/(q^gcd(s, t) - 1) = (q^t - 1)/(q - 1)
+    since gcd(s, t) = 1 (`DiagonalizationResult.s`); for t = 1 it is 1.
+    Both generators permute the spread by facts already certified, so
+    nothing is walked or checked here.  The scalar generator g I fixes every
+    F_{q^n}-line and sends g^j U_f to g^(j+1) U_f, a permutation of the
+    translate indices modulo (q^n - 1)/(q - 1).  The generator M of G_f
+    lies in the kernel S(f, f), so U_f M lies in U_f, and verify_field made
+    it a nonzero element of a matrix field, so M is invertible and
+    U_f M = U_f: every translate h U_f is fixed.  M permutes the F_{q^n}-lines through the
     origin, and a line that meets U_f goes to one that meets U_f M = U_f,
     so M permutes the lines on L_f and with them the lines off L_f, the
     spread's other components.
     """
     _plane_preconditions(f)
     T = f.tower
-    Mf = compute_stabilizer(f)
-    t = Mf.t
+    t = compute_stabilizer(f).t
     q = T.q
-    order = (q**T.n - 1) * (q**t - 1) // (q - 1)
-    # unique-decomposition data: the image of alpha -> alpha^(q^s - 1)
-    if t > 1:
-        kappa_order = _homology_factor_order(T, diagonalize(Mf).s, t)
-        if kappa_order != (q**t - 1) // (q - 1):
-            raise InternalError("homology factor has unexpected order")
-    else:
-        kappa_order = 1
     return {
-        "order": order,
+        "order": (q**T.n - 1) * (q**t - 1) // (q - 1),
         "t": t,
         "kernel_homology_order": q**T.n - 1,
-        "cyclic_factor_order": kappa_order,
+        "cyclic_factor_order": (q**t - 1) // (q - 1),
         "generators_permute_spread": True,
     }
 
@@ -193,20 +189,20 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     mu_X = P^-1 diag(1, kappa_0) P and mu_Y = P^-1 diag(kappa_0, 1) P, each
     fixing one row of P (its axis) and scaling the other (its center); the
     centers X and Y are the transversal points.  The groups have order
-    N = (q^t - 1)/(q - 1) exactly when kappa_0 has order N, the condition
-    that also makes the factorization of H_f into a kernel homology times
-    diag(1, kappa) unique; any other order raises InternalError.  Both
-    generators are scalar multiples of A = P^-1 diag(omega, omega^(q^s)) P
-    or of its inverse (mu_X = omega^-1 A, mu_Y = omega^(q^s) A^-1), so the
-    one membership test A in G_f ties P and s to the stabilizer; cyclic_ok
-    and exchange_ok report it.  For t = 1, H_f is the scalar group and
-    d I - I is invertible for every d != 1, so there is no central
-    collineation.
+    N = (q^t - 1)/(q - 1), with nothing to check: kappa_0 = omega^(q^s - 1)
+    has order (q^t - 1)/gcd(q^s - 1, q^t - 1) = (q^t - 1)/(q^gcd(s, t) - 1),
+    and gcd(s, t) = 1 for scattered f (`DiagonalizationResult.s`).  The same
+    order makes the factorization of H_f into a kernel homology times
+    diag(1, kappa) unique, so decomposition_ok holds.  Both generators are
+    scalar multiples of A = P^-1 diag(omega, omega^(q^s)) P or of its
+    inverse (mu_X = omega^-1 A, mu_Y = omega^(q^s) A^-1), and A lies in
+    P^-1 D_j P = G_f by the certified form, so cyclic_ok and exchange_ok
+    hold too.  For t = 1, H_f is the scalar group and d I - I is invertible
+    for every d != 1, so there is no central collineation.
     """
     _plane_preconditions(f)
     T = f.tower
-    Mf = compute_stabilizer(f)
-    t = Mf.t
+    t = compute_stabilizer(f).t
     q = T.q
     hf_order = (q**T.n - 1) * (q**t - 1) // (q - 1)
     if t == 1:
@@ -215,30 +211,11 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
         # there is no affine central collineation at all.
         return HomologyReport("i", 1, None, None, 1, True, True, 0, hf_order, True)
     X, Y = transversal_points(f)
-    diag = diagonalize(Mf)
-    N = (q**t - 1) // (q - 1)
-    if _homology_factor_order(T, diag.s, t) != N:
-        raise InternalError("homology factor has unexpected order")
-    omega = T.subfield_primitive_code(t)
-    A = diag.P.inverse() * Mat2.diag(T, omega, T.frob_code(omega, diag.s)) * diag.P
-    generators_ok = Mf.contains(A)
     # elations = 0: with the certified diagonal form, a class whose two
     # eigenvalues are equal is scalar
-    return HomologyReport("ii", t, X, Y, N, cyclic_ok=generators_ok, exchange_ok=generators_ok,
-                          elations=0, H_f_order=hf_order, decomposition_ok=True)
-
-
-def _homology_factor_order(T: FieldTower, s, t):
-    """Order of kappa_0 = omega^(q^s)/omega, omega primitive in F_{q^t}.
-
-    In diagonalized coordinates G_f is {diag(alpha, alpha^(q^s))}, and
-    d diag(alpha, alpha^(q^s)) = (d alpha) diag(1, kappa) with kappa a power
-    of kappa_0.  The factorization of H_f into a kernel homology times
-    diag(1, kappa) is unique exactly when kappa_0 has order (q^t - 1)/(q - 1),
-    the index of F_q^* in F_{q^t}^*.
-    """
-    omega = T.subfield_primitive_code(t)
-    return T.order_of(T.div_code(T.frob_code(omega, s), omega))
+    return HomologyReport("ii", t, X, Y, (q**t - 1) // (q - 1), cyclic_ok=True,
+                          exchange_ok=True, elations=0, H_f_order=hf_order,
+                          decomposition_ok=True)
 
 
 @dataclass

@@ -5,9 +5,9 @@ value of f(x)/x, the size of its fiber.  A polynomial is scattered exactly
 when every fiber has size q - 1, equivalently when the number of distinct
 slopes is (q^n - 1)/(q - 1).  The census keeps the attained slopes, their
 fiber sizes and the kernel size, and nothing pointwise: the linear set, the
-minimum distance, line intersections and the plane's spread are all read
-from the slopes and counts.  Censuses are memoized per tower, in an LRU
-memo of `field_tower.CACHE_SIZE` entries.  f is F_q-linear, so
+minimum distance and the plane's spread are all read from the slopes and
+counts.  Censuses are memoized per tower, in an LRU memo of
+`field_tower.CACHE_SIZE` entries.  f is F_q-linear, so
 f(c x)/(c x) = f(x)/x for every c in F_p^*: each fiber is a union of
 F_p^*-classes, and the pass visits one code per class, those whose top
 nonzero digit is 1, and multiplies its counts by p - 1.  Their values come
@@ -187,25 +187,3 @@ def linear_set(f: LinearizedPoly) -> LinearSet:
     if census.kernel_count:
         slopes.append(0)
     return LinearSet(tuple(slopes), is_scattered(f))
-
-
-def line_intersection_dim(f: LinearizedPoly, point) -> int:
-    """dim_Fq of U_f intersected with the F_{q^n}-line spanned by the point,
-    a pair of codes."""
-    T = f.tower
-    T.check_codes(*point)
-    x, y = point
-    if x == 0:
-        # vertical line: (0, z) in U_f only for z = 0 when f has q-degree < n
-        return 0
-    slope = T.div_code(y, x)
-    census = slope_census(f)
-    if slope == 0:
-        count = census.kernel_count
-    else:
-        # slope_logs is sorted: one bisection instead of a scan
-        s = T.dlog(slope)
-        i = int(np.searchsorted(census.slope_logs, s))
-        hit = i < len(census.slope_logs) and census.slope_logs[i] == s
-        count = int(census.counts[i]) if hit else 0
-    return T.log_q(count + 1)

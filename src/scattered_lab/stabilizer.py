@@ -36,7 +36,7 @@ from ._linalg import kernel_mod, span_codes
 from .errors import AllScalar, HallCase, InternalError, NoTransversals, NotAField, NotScattered
 from .field_tower import FieldTower, _digits, _prime_divisors
 from .linearized import LinearizedPoly
-from .scatter import is_scattered, line_intersection_dim
+from .scatter import is_scattered
 
 
 class Mat2:
@@ -448,11 +448,17 @@ class DiagonalizationResult:
 
     @property
     def s(self):
-        """sigma as a q-power; defined whenever sigma lies in Gal(F_{q^t}|F_q)."""
-        e = self.P.tower.e
-        if self.p_exponent % e:
-            raise InternalError("diagonal automorphism is not a q-power")
-        return self.p_exponent // e
+        """sigma = q^s as a q-power: s = j / e, with 0 <= s < t and gcd(s, t) = 1.
+
+        e divides j: every a I with a in F_q stabilizes U_f, so diag(a, a)
+        lies in P Mf P^-1 = D_j and a^(p^j) = a for every a in F_q.
+        gcd(s, t) = 1 for scattered f: with d = gcd(s, t), every beta in
+        F_(q^d) lies in F_(q^t) and has beta^(q^s) = beta, so
+        diag(beta, beta) lies in D_j and beta I in Mf.  Then U_f is
+        F_(q^d)-linear, and the fiber of f(x)/x at any x != 0 holds the
+        q^d - 1 elements beta x, so d = 1 by scatteredness.
+        """
+        return self.p_exponent // self.P.tower.e
 
 
 def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
@@ -469,15 +475,16 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
 
 
 def transversal_points(f: LinearizedPoly):
-    """The two common eigen-directions of G_f; they never lie on L_f.
+    """The two common eigen-directions of G_f, the rows of P in diagonalize.
 
-    A point lies on L_f exactly when its line meets U_f, which the cached
-    slope census answers without building the linear set.
+    Neither lies on L_f, with nothing to check.  Suppose v != 0 in U_f lies
+    on the F_(q^n)-line <X> of one row X.  Every M in G_f fixes <X> and U_f,
+    so vM lies in <X> meet U_f for every M in G_f with zero.  M -> vM is
+    one-to-one: vM = vN gives v (M - N) = 0, and M - N is zero or invertible
+    in the field G_f with zero.  So <X> meet U_f has at least q^t > q
+    elements, an F_q-dimension above 1, against scatteredness (t > 1).
     """
     Mf = compute_stabilizer(f)
     if Mf.t == 1:
         raise NoTransversals("stabilizer is the scalar group; no distinguished points")
-    X, Y = diagonalize(Mf).eigen_points
-    if line_intersection_dim(f, X) or line_intersection_dim(f, Y):
-        raise InternalError("transversal point lies on the linear set")
-    return X, Y
+    return diagonalize(Mf).eigen_points

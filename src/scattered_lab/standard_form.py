@@ -25,8 +25,7 @@ from .errors import InternalError, NotBijective, NotInS, NotScattered, NotStanda
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
-from .stabilizer import (Mat2, MatrixField, compute_stabilizer, conjugates_to_diagonal,
-                         diagonalize)
+from .stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
 
 
 @dataclass
@@ -171,10 +170,23 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     """Standard form of f with the conjugating witness, canonicalized.
 
     Pipeline: diagonalize the stabilizer field by P, push U_f through
-    X -> X P^{-1}, read off h, then canonicalize.  The result satisfies
-    t_h = t, G_h all diagonal and G_h = {diag(alpha, alpha^{q^s})} over
-    F_{q^t}; those consequences are re-verified on every call, the last on
-    G_h = Pc G_f Pc^-1, which follows from U_f Pc^-1 = U_h.
+    X -> X P^{-1}, read off h0, then canonicalize to h_c = a h0(b x) or
+    a h0^-1(b x).  What the result promises follows from the certified
+    diagonal form P G_f P^-1 = D(s0, t) = {diag(alpha, alpha^(q^s0))} and is
+    not checked again:
+    - U_f P^-1 = U_h0 by construction, as h0 = v o u^-1 with u bijective.
+      The scaling X -> X diag(b^-1, a), after the swap of the coordinates in
+      the inverse branch, carries U_h0 onto U_(h_c), so U_f Pc^-1 = U_(h_c).
+    - So G_(h_c) = Pc G_f Pc^-1.  That is D(s0, t) in the direct branch,
+      since diagonal matrices commute, and D(t - s0, t) in the inverse
+      branch, since the swap turns diag(alpha, alpha^(q^s0)) into
+      diag(beta, beta^(q^(t - s0))) with beta = alpha^(q^s0).
+    - A polynomial h with G_h = D(s', t), as h0 and h_c are, has
+      h(alpha x) = alpha^(q^s') h(x) for every alpha in F_(q^t), so every
+      exponent of h is congruent to s' mod t and t divides t_h.  A larger
+      t_h would put D(s', t_h), of order q^(t_h), into G_h with zero, of
+      order q^t.  So the (s, t) read off h_c is (s', t) with t that of G_f.
+    - gcd(s, t) = 1 for scattered f (`DiagonalizationResult.s`).
     """
     T = f.tower
     cache = T.cache("standard_form")
@@ -183,31 +195,20 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     Mf = compute_stabilizer(f)
     if Mf.t == 1:
         raise NotInS("stabilizer is the scalar group; no standard form exists")
-    diag = diagonalize(Mf)
-    P = diag.P
+    P = diagonalize(Mf).P
     u, v = _uv_from(f, P.inverse())
     try:
         uinv = u.invert()
     except NotBijective as exc:
         raise InternalError(
             "first-coordinate map is singular, contradicting scatteredness") from exc
-    h0 = v.compose(uinv)
-    s0, t0 = h0.standard_form_params()
-    if t0 != Mf.t:
-        raise InternalError(f"exponent gcd {t0} disagrees with stabilizer degree {Mf.t}")
-    h_c, branch, a, b = _canonicalize_witness(h0)
+    h_c, branch, a, b = _canonicalize_witness(v.compose(uinv))
     D_inv = Mat2.diag(T, b, T.inv_code(a))
     if branch == "direct":
         Pc = D_inv * P
     else:
         Pc = D_inv * Mat2(T, 0, 1, 1, 0) * P
-    if not maps_onto(f, Pc.inverse(), h_c):
-        raise InternalError("witness matrix fails to map U_f onto U_h")
     s, t = h_c.standard_form_params()
-    if math.gcd(s, t) != 1:
-        raise InternalError("standard form of a scattered polynomial must have (s, t) = 1")
-    if not conjugates_to_diagonal(Mf, Pc, s, t):
-        raise InternalError("stabilizer of the standard form has unexpected shape")
     result = StandardFormResult(h_c, Pc, s, t, canonical=True)
     cache[f.coeffs] = result
     return result

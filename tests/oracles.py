@@ -37,7 +37,11 @@ the inversion for invertible W.  The diagonal pairs of every element of a
 diagonalized G_f are rebuilt from the conjugated basis (diag_pairs).  The
 family predictions that the conjugator certificate decides are listed
 element by element (predicted_set_by_listing), and the linear set is built
-by one power and a sort per slope (linear_set_by_sort).
+by one power and a sort per slope (linear_set_by_sort).  Two checks that the
+certified diagonal form proves, so that the library no longer runs them,
+stay here for the differential test: the dimension of U_f on an
+F_(q^n)-line, read off the census (line_intersection_dim), and the order of
+kappa_0 by `FieldTower.order_of` (_homology_factor_order).
 The element lists of a kernel-basis space, which the library never builds,
 live here too (elements_of, element_set_of, nonzero_of).  So do the bulk
 passes that p-adic doubling (`_linalg.linear_values`) replaced: the
@@ -385,6 +389,30 @@ def slope_census_by_full_table(f):
     counts = np.bincount(slogs, minlength=M)
     attained = np.flatnonzero(counts)
     return SlopeCensus(tuple(attained.tolist()), tuple(counts[attained].tolist()), M - nz.size)
+
+
+def line_intersection_dim(f, point):
+    """dim_Fq of U_f intersected with the F_{q^n}-line spanned by the point,
+    a pair of codes, read off the slope census: the check that
+    `stabilizer.transversal_points` proves instead of running."""
+    T = f.tower
+    T.check_codes(*point)
+    x, y = point
+    if x == 0:
+        # vertical line: (0, z) in U_f only for z = 0 when f has q-degree < n
+        return 0
+    slope = T.div_code(y, x)
+    census = slope_census(f)
+    if slope == 0:
+        count = census.kernel_count
+    else:
+        # slope_logs is sorted: one bisection instead of a scan
+        s = T.dlog(slope)
+        i = int(np.searchsorted(census.slope_logs, s))
+        hit = i < len(census.slope_logs) and census.slope_logs[i] == s
+        count = int(census.counts[i]) if hit else 0
+    return T.log_q(count + 1)
+
 
 # (p, e, n) of every field with exp/log tables that the test suite builds,
 # plus the towers (2,2,3) and (3,2,4) with e > 1
@@ -1030,6 +1058,13 @@ def is_homology_group(P, group, slot, N):
     z^N = 1?"""
     kappas = _homology_kappas(P, group, slot)
     return kappas is not None and _all_roots_of_unity(P.tower, kappas, N)
+
+
+def _homology_factor_order(T, s, t):
+    """Order of kappa_0 = omega^(q^s)/omega, omega primitive in F_{q^t}, by
+    `FieldTower.order_of`: the plane layer reads (q^t - 1)/(q - 1) instead."""
+    omega = T.subfield_primitive_code(t)
+    return T.order_of(T.div_code(T.frob_code(omega, s), omega))
 
 
 def andre_subgroup_by_walk(g, s, t):

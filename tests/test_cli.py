@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from scattered_lab import _linalg, cli, mrd, scatter
+from scattered_lab import _linalg, cli, mrd, scatter, standard_form
 from scattered_lab.cli import main
 from scattered_lab.families import find_lp_delta, find_psi_h, make_lp, make_pseudoregulus, make_psi
+from scattered_lab.field_tower import FieldTower
+from scattered_lab.stabilizer import MatrixField
 
 
 def run_cli(argv, tmp_path=None):
@@ -165,8 +167,19 @@ POLY_OK = {"coeffs": ["0", "1", "0", "0"]}
     (FIELD_OK, {"coeffs": [["a", 0, 0, 0], "1", "0", "0"]}, "BadElement"),
     # four characters, one per coefficient, were read as four coefficients
     (FIELD_OK, {"coeffs": "0100"}, "ParseError"),
+    # digits were split off a string, truncated, or reduced mod p
+    ({**FIELD_OK, "modulus": "20001"}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "modulus": [2.7, 0, 0, 0, 1]}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "modulus": [7, 0, 0, 0, 1]}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "generator": [6, 1, 0, 0]}, POLY_OK, "BadElement"),
+    (FIELD_OK, {"coeffs": [[7, 0, 0, 0], "1", "0", "0"]}, "BadElement"),
+    (FIELD_OK, {"coeffs": [[1.5, 0, 0, 0], "1", "0", "0"]}, "BadElement"),
+    (FIELD_OK, {"coeffs": [[-1, 0, 0, 0], "1", "0", "0"]}, "BadElement"),
+    (FIELD_OK, {"coeffs": [[True, 0, 0, 0], "1", "0", "0"]}, "BadElement"),
 ], ids=["seed", "modulus-digit", "modulus-int", "generator", "coeffs-int",
-        "coeff-digit-array", "coeffs-string"])
+        "coeff-digit-array", "coeffs-string", "modulus-string", "modulus-float",
+        "modulus-out-of-range", "generator-out-of-range", "coeff-digit-out-of-range",
+        "coeff-digit-float", "coeff-digit-negative", "coeff-digit-bool"])
 def test_malformed_spec_is_a_json_error(tmp_path, field, poly, error):
     field_path, poly_path = tmp_path / "field.json", tmp_path / "poly.json"
     field_path.write_text(json.dumps(field))
@@ -188,22 +201,21 @@ def _report_instances(tower):
     return out
 
 
-def test_mrd_task_solves_no_second_system(tower, tmp_path, monkeypatch):
-    # once the stabilizer task has solved S(f, f), the mrd task reads the
-    # right idealizer off that kernel: no elimination and no rank follows
+def _reports_after_stabilizer(tower, tmp_path, monkeypatch, tasks, guarded):
+    """The task reports of `analyze --tasks stabilizer,<tasks>` on the seven
+    report instances, where a call of the attribute `name` of `owner`, for
+    each (owner, name) in guarded, fails once the stabilizer task is done."""
     armed = []
 
-    def guard(fn):
-        def guarded(*args, **kwargs):
-            assert not armed, f"{fn.__name__} was called after the stabilizer task"
+    def guard(name, fn):
+        def guarded_fn(*args, **kwargs):
+            assert not armed, f"{name} was called after the stabilizer task"
             return fn(*args, **kwargs)
 
-        return guarded
+        return guarded_fn
 
-    for fn in (_linalg.kernel_mod, _linalg.rank_mod):
-        for name, module in list(sys.modules.items()):
-            if name.startswith("scattered_lab") and getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__, guard(fn))
+    for owner, name in guarded:
+        monkeypatch.setattr(owner, name, guard(name, getattr(owner, name)))
     stabilizer_doc = cli._stabilizer_doc
 
     def then_arm(T, f):
@@ -212,6 +224,7 @@ def test_mrd_task_solves_no_second_system(tower, tmp_path, monkeypatch):
         return doc
 
     monkeypatch.setattr(cli, "_stabilizer_doc", then_arm)
+    reports = []
     for inst in _report_instances(tower):
         armed.clear()
         T = inst.poly.tower
@@ -219,12 +232,32 @@ def test_mrd_task_solves_no_second_system(tower, tmp_path, monkeypatch):
         field.write_text(json.dumps(T.spec().to_json()))
         poly.write_text(json.dumps(inst.poly.to_json()))
         code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                                  "--tasks", "stabilizer,mrd"])
+                                  "--tasks", "stabilizer," + tasks])
         assert code == 0, err
         assert armed
-        tasks = json.loads(out)["tasks"]
+        reports.append(json.loads(out)["tasks"])
+    return reports
+
+
+def test_mrd_task_solves_no_second_system(tower, tmp_path, monkeypatch):
+    # once the stabilizer task has solved S(f, f), the mrd task reads the
+    # right idealizer off that kernel: no elimination and no rank follows
+    guarded = [(module, fn.__name__) for fn in (_linalg.kernel_mod, _linalg.rank_mod)
+               for name, module in list(sys.modules.items())
+               if name.startswith("scattered_lab") and getattr(module, fn.__name__, None) is fn]
+    for tasks in _reports_after_stabilizer(tower, tmp_path, monkeypatch, "mrd", guarded):
         assert tasks["mrd"]["right_idealizer_order"] == tasks["stabilizer"]["field_order"]
         assert tasks["mrd"]["matches_stabilizer"] is True
+
+
+def test_plane_and_standard_form_tasks_recheck_nothing(tower, tmp_path, monkeypatch):
+    # once the stabilizer task has certified G_f, the standard-form and plane
+    # tasks read their facts off the diagonal form: no order computation, no
+    # membership product and no U_f W = U_g check follows
+    guarded = [(FieldTower, "order_of"), (MatrixField, "contains"), (standard_form, "maps_onto")]
+    for tasks in _reports_after_stabilizer(tower, tmp_path, monkeypatch,
+                                           "standard-form,plane", guarded):
+        assert tasks["plane"]["cyclic"] is tasks["plane"]["decomposition_ok"] is True
 
 
 def test_families_generate_verb():

@@ -323,13 +323,12 @@ def test_bulk_evaluation_matches_term_by_term_oracle(tower, key):
 
 @pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
 def test_affine_values_with_offset_match_digitwise_oracle(tower, key):
-    # a + m c for every code m
+    # m c for every code m: the affine table a + m c at a = 0
     T = tower(*key)
     rng = T.rng("affine-values")
-    for a, c in ((0, 1), (rng.randrange(1, T.size), 0),
-                 (rng.randrange(1, T.size), rng.randrange(1, T.size))):
-        got = linear_values(T.p, T.mul_matrix(c), offset=_digits(a, T.p, T.en))
-        assert np.array_equal(got, affine_values_by_terms(T, a, c))
+    for c in (1, rng.randrange(1, T.size)):
+        got = linear_values(T.p, T.mul_matrix(c))
+        assert np.array_equal(got, affine_values_by_terms(T, 0, c))
 
 
 @pytest.mark.parametrize("p, rows, en", [(2, 3, 5), (3, 4, 4), (5, 2, 3), (7, 3, 2), (257, 1, 2)])
@@ -337,9 +336,6 @@ def test_linear_values_of_any_affine_map(p, rows, en):
     # not the matrix of a field map: rectangular, arbitrary entries
     rng = np.random.default_rng(p)
     A = rng.integers(0, p, size=(rows, en))
-    off = rng.integers(0, p, size=rows)
-    want = [_pack((off + A @ np.array(_digits(c, p, en))) % p, p) for c in range(p**en)]
-    assert linear_values(p, A, offset=off).tolist() == want
     assert linear_values(p, A).tolist() == [_pack(A @ np.array(_digits(c, p, en)) % p, p)
                                             for c in range(p**en)]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,13 +31,13 @@ from scattered_lab.plane import (
     semilinear_part_audit,
     verify_spread_axioms,
     _andre_subgroup_invariant,
-    _homology_factor_order,
     _pointwise_fix_system,
     _component_basis,
 )
 from scattered_lab.scatter import is_scattered, linear_set
-from scattered_lab.stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
-from scattered_lab.standard_form import image_polynomial, maps_onto
+from scattered_lab.stabilizer import (Mat2, MatrixField, compute_stabilizer, conjugates_to_diagonal,
+                                      diagonalize, transversal_points)
+from scattered_lab.standard_form import image_polynomial, maps_onto, to_standard_form
 from scattered_lab._linalg import solve_mod
 
 from oracles import (
@@ -49,10 +50,12 @@ from oracles import (
     homology_groups,
     is_homology_group,
     kernel_scalar_by_walk,
+    line_intersection_dim,
     membership,
     nonzero_of,
     spread_cover_by_walk,
     spread_walk,
+    _homology_factor_order,
     _homology_kappas,
 )
 
@@ -559,7 +562,7 @@ def test_andre_check_matches_walk(tower):
     assert {(4, 2), (6, 2), (6, 3)} <= ts
 
 
-def test_homology_generator_negatives(tower, monkeypatch):
+def test_homology_generator_negatives(tower):
     # psi at (5,6): t = 2, N = 6, and P has rows (1, theta), (1, -theta)
     T = tower(5, 1, 6)
     f = make_psi(T, find_psi_h(T, 3), 3, 1).poly
@@ -574,27 +577,37 @@ def test_homology_generator_negatives(tower, monkeypatch):
     assert _homology_kappas(P, [mu_Y], 1) is None
     assert _homology_kappas(P, [mu_X.scale(T.neg_code(1))], 1) is None
     assert _homology_kappas(P, [mu_Y.scale(T.neg_code(1))], 0) is None
-    # the generators are tied to G_f: a transposed P conjugates the wrong
-    # way, so they leave H_f and both flags drop
-    transposed = Mat2(T, P.a, P.c, P.b, P.d)
-    assert transposed != P
-    with monkeypatch.context() as m:
-        m.setattr(plane, "diagonalize", lambda Mf: dataclasses.replace(diag, P=transposed))
-        hr = classify_central_collineations(f)
-    assert hr.cyclic_ok is hr.exchange_ok is False
-    # so does a wrong twist whose kappa_0 still has order N: the
-    # pseudoregulus at (5,5) has s = 1, and s = 2 gives order 781 as well
-    T5 = tower(5, 1, 5)
-    x_q = LinearizedPoly.monomial(T5, 1)
-    diag5 = diagonalize(compute_stabilizer(x_q))
-    assert _homology_factor_order(T5, 2, 5) == 781
-    with monkeypatch.context() as m:
-        m.setattr(plane, "diagonalize", lambda Mf: dataclasses.replace(diag5, p_exponent=2))
-        hr = classify_central_collineations(x_q)
-    assert hr.group_order == 781 and hr.cyclic_ok is hr.exchange_ok is False
-    assert classify_central_collineations(x_q).cyclic_ok is True
-    # a trivial twist gives kappa_0 = 1: the groups collapse
-    monkeypatch.setattr(plane, "diagonalize",
-                        lambda Mf: dataclasses.replace(diagonalize(Mf), p_exponent=0))
-    with pytest.raises(InternalError):
-        classify_central_collineations(f)
+
+
+def test_certificate_proves_the_deleted_checks(tower):
+    # the checks that the certified form P G_f P^-1 = D(s, t) proves, which
+    # the library no longer runs: the transversal points lie off L_f,
+    # A = P^-1 diag(omega, omega^(q^s)) P lies in G_f, ord(kappa_0) = N,
+    # e divides the p-exponent, and the standard form has t_h0 = t,
+    # U_f P^-1 = U_h, gcd(s, t) = 1 and P G_f P^-1 = D(s, t)
+    polys = _differential_instances(tower)
+    for key in ((3, 1, 4), (5, 1, 6), (7, 1, 6), (2, 2, 4), (3, 2, 3)):
+        polys += [inst.poly for inst in catalog(tower(*key))]
+    seen = set()
+    for f in polys:
+        T = f.tower
+        Mf = compute_stabilizer(f)
+        t = Mf.t
+        if t == 1:
+            continue
+        diag = diagonalize(Mf)
+        assert diag.p_exponent % T.e == 0
+        X, Y = transversal_points(f)
+        assert line_intersection_dim(f, X) == line_intersection_dim(f, Y) == 0
+        omega = T.subfield_primitive_code(t)
+        A = diag.P.inverse() * Mat2.diag(T, omega, T.frob_code(omega, diag.s)) * diag.P
+        assert Mf.contains(A)
+        assert _homology_factor_order(T, diag.s, t) == (T.q**t - 1) // (T.q - 1)
+        assert image_polynomial(f, diag.P.inverse()).delta_profile().t_h == t
+        sf = to_standard_form(f)
+        assert sf.t == t and math.gcd(sf.s, t) == 1
+        assert maps_onto(f, sf.P.inverse(), sf.h)
+        assert conjugates_to_diagonal(Mf, sf.P, sf.s, sf.t)
+        seen.add((T.p, T.e, T.n, t))
+    assert {(3, 1, 4, 2), (5, 1, 6, 3), (7, 1, 6, 6), (2, 2, 4, 2), (3, 2, 3, 3),
+            (5, 1, 3, 3), (5, 1, 5, 5)} <= seen

@@ -11,7 +11,6 @@ from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.scatter import (
     is_scattered,
     is_scattered_naive,
-    line_intersection_dim,
     linear_set,
     slope_census,
 )
@@ -21,6 +20,7 @@ from scattered_lab.stabilizer import Mat2, compute_stabilizer
 from oracles import (
     TABLE_FIELDS,
     field_id,
+    line_intersection_dim,
     linear_set_by_sort,
     scattered_by_fibers,
     slope_census_by_full_table,

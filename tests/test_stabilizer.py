@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from scattered_lab._linalg import kernel_mod
 from scattered_lab.errors import (
     AllScalar,
     BadElement,
-    InternalError,
     NoTransversals,
     NotAField,
     NotScattered,
@@ -16,7 +13,7 @@ from scattered_lab.errors import (
 from scattered_lab.field_tower import _digits
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of
-from scattered_lab.scatter import line_intersection_dim, linear_set
+from scattered_lab.scatter import linear_set
 from scattered_lab.stabilizer import (
     Mat2,
     MatrixField,
@@ -234,7 +231,7 @@ def test_transversal_points(tower):
 
 
 def test_transversal_points_build_no_linear_set(tower, monkeypatch):
-    # the eigen-points are tested on the cached census; L_f is never built
+    # the eigen-points are read off the diagonal form; L_f is never built
     from scattered_lab.families import find_psi_h, make_psi, psi_theta
 
     T = tower(5, 1, 6)
@@ -248,13 +245,6 @@ def test_transversal_points_build_no_linear_set(tower, monkeypatch):
     monkeypatch.setattr(stabilizer, "linear_set", refuse, raising=False)
     theta = psi_theta(T, h, 3, 1)
     assert set(transversal_points(psi)) == {(1, theta), (1, T.neg_code(theta))}
-    # an eigen-point on L_f is caught by the census
-    on_L = (1, T.pow_code(T.gen_code, scatter.slope_census(psi).slope_logs[0]))
-    diag = diagonalize(compute_stabilizer(psi))
-    moved = dataclasses.replace(diag, eigen_points=(diag.eigen_points[0], on_L))
-    monkeypatch.setattr(stabilizer, "diagonalize", lambda _Mf: moved)
-    with pytest.raises(InternalError, match="linear set"):
-        transversal_points(psi)
 
 
 def test_scalars_always_present(tower):
@@ -311,8 +301,6 @@ def test_codes_out_of_range_are_refused_at_every_entry(tower):
             lambda: Mat2.diag(T, 1, bad),
             lambda: stabilizer.normalize_point(T, (bad, 1)),
             lambda: stabilizer.normalize_point(T, (1, bad)),
-            lambda: line_intersection_dim(f, (bad, 1)),
-            lambda: line_intersection_dim(f, (1, bad)),
             lambda: LinearizedPoly(T, [0, bad, 0, 0]),
             lambda: f.evaluate_code(bad),
             lambda: f.scale(bad),
@@ -330,7 +318,6 @@ def test_codes_out_of_range_are_refused_at_every_entry(tower):
     assert f.evaluate_code(top) == T.frob_code(top, 1)
     assert stabilizer.normalize_point(T, (top, top)) == (1, 1)
     assert code_of(f).codeword(top, 0).coeffs == (top, 0, 0, 0)
-    assert line_intersection_dim(f, (top, top)) in (0, 1)
 
 
 def _pair_kernel_matches(f, g):
