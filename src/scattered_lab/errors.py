@@ -61,10 +61,6 @@ class AllScalar(ScatteredLabError):
     code = "AllScalar"
 
 
-class NoTransversals(ScatteredLabError):
-    code = "NoTransversals"
-
-
 # standard_form
 class NotInS(ScatteredLabError):
     code = "NotInS"

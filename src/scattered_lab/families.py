@@ -203,7 +203,7 @@ def psi_standard_form_closed(T: FieldTower, h, t: int, s: int,
     n, q, M = T.n, T.q, T.mult_order
     if n != 2 * t:
         raise BadParams(f"need n = 2t, got n={n}, t={t}")
-    in_fq = T.subfield_member_code(hc, 1) if T.e == 1 else hc < T.q
+    in_fq = T.subfield_member_code(hc, 1)
     if formula == "auto":
         formula = "trinomial" if t == 3 else "series"
     if formula == "trinomial":
@@ -250,10 +250,11 @@ def find_lp_delta(T: FieldTower, index=0):
     raise BadParams("no valid delta exists")
 
 
-def find_family3_delta(T: FieldTower, s=1, limit=2000):
-    """First delta passing the norm condition and the scatteredness gate."""
+def find_family3_delta(T: FieldTower, s=1):
+    """First delta among g^k, k < 2000, passing the norm condition and the
+    scatteredness gate."""
     half = T.n // 2
-    for k in range(min(T.mult_order, limit)):
+    for k in range(min(T.mult_order, 2000)):
         d = T.pow_code(T.gen_code, k)
         if T.rel_norm_code(d, half) in (0, 1):
             continue

@@ -73,7 +73,7 @@ from ._linalg import (CLASS_BLOCK_BOUND, class_block, class_codes, inv_mod_matri
 DEFAULT_TABLE_BOUND = 1 << 23
 # exp/log tables are int32: codes and logs of a tabled field lie below it
 TABLE_BOUND_LIMIT = 1 << 31
-DEFAULT_ENUM_BOUND = 1 << 40
+ENUM_BOUND = 1 << 40
 # entries kept per memo of a tower (census, stabilizer, invert, ...); a sweep
 # round of the benchmark stores at most 46 in one (invert, two per inversion)
 CACHE_SIZE = 128
@@ -639,16 +639,6 @@ class FieldTower:
             raise InternalError(f"{m} is not a power of q={self.q}")
         return k
 
-    def order_of(self, a):
-        if a == 0:
-            raise ZeroDivisionError("order of zero")
-        M = self.mult_order
-        order = M
-        for ell in _prime_divisors(M):
-            while order % ell == 0 and self.pow_code(a, order // ell) == 1:
-                order //= ell
-        return order
-
     # -- square roots and quadratics ---------------------------------------
     def sqrt_code(self, a):
         """A square root of a, or None if a is not a square (odd p)."""
@@ -892,7 +882,7 @@ class FieldTower:
 
 
 def make_field(p, e, n, seed=0, modulus=None, generator=None,
-               table_bound=DEFAULT_TABLE_BOUND, enum_bound=DEFAULT_ENUM_BOUND) -> FieldTower:
+               table_bound=DEFAULT_TABLE_BOUND) -> FieldTower:
     """Build the tower F_p < F_{p^e} < F_{p^(e*n)} deterministically.
 
     The modulus is the first irreducible polynomial of degree e*n in the fixed
@@ -906,9 +896,9 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
         raise DegreeTooLarge(f"need e >= 1 and n >= 2, got e={e}, n={n}")
     en = e * n
     # p^en >= 2^((bits(p) - 1) * en): a huge degree is refused without forming p^en
-    if (p.bit_length() - 1) * en >= enum_bound.bit_length() or p**en > enum_bound:
+    if (p.bit_length() - 1) * en >= ENUM_BOUND.bit_length() or p**en > ENUM_BOUND:
         raise DegreeTooLarge(
-            f"field with {p}^{en} elements exceeds the enumeration bound {enum_bound}")
+            f"field with {p}^{en} elements exceeds the enumeration bound {ENUM_BOUND}")
     if not _is_prime(p):
         raise NonPrime(f"p={p} is not prime")
     if modulus is None:
@@ -939,17 +929,23 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
 
 
 def field_from_json(doc, table_bound=DEFAULT_TABLE_BOUND) -> FieldTower:
+    """The tower of a JSON field spec.  p, e, n, seed and a generator that is
+    no digit array must be integers: a float, string or boolean is refused
+    with BadElement, not truncated or parsed."""
     try:
-        p, e, n = int(doc["p"]), int(doc.get("e", 1)), int(doc["n"])
-        seed = int(doc.get("seed", 0))
-        modulus = doc.get("modulus")
-        if modulus is not None:
-            modulus = _outside_digits(modulus, p, "modulus")
-        gen = doc.get("generator")
-        if gen is not None:
-            gen = (_pack(_outside_digits(gen, p, "generator"), p)
-                   if isinstance(gen, (list, tuple)) else int(gen))
-    except (KeyError, TypeError, ValueError) as exc:
+        p, e, n, seed = doc["p"], doc.get("e", 1), doc["n"], doc.get("seed", 0)
+        modulus, gen = doc.get("modulus"), doc.get("generator")
+    except (KeyError, TypeError) as exc:
         raise BadElement(f"bad field spec: {exc}") from exc
+    scalars = {"p": p, "e": e, "n": n, "seed": seed}
+    if gen is not None and not isinstance(gen, (list, tuple)):
+        scalars["generator"] = gen
+    for key, value in scalars.items():
+        if type(value) is not int:
+            raise BadElement(f"bad field spec: {key} must be an integer, not {value!r}")
+    if modulus is not None:
+        modulus = _outside_digits(modulus, p, "modulus")
+    if isinstance(gen, (list, tuple)):
+        gen = _pack(_outside_digits(gen, p, "generator"), p)
     return make_field(p, e, n, seed=seed, modulus=modulus, generator=gen,
                       table_bound=table_bound)

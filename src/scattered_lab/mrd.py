@@ -99,26 +99,20 @@ def right_idealizer(C: RdCode) -> Idealizer:
     which is the pair equation b x + d f = f(a x + c f) of M = (a b; c d).
     So I_R is the image of the kernel S(f, f) of the memoized
     `compute_stabilizer(f, check_scattered=False)` under the F_p-linear
-    map phi(M) = a x + c f, and the images of its basis span I_R.  When f
-    is not in F_(q^n) x, x and f are F_(q^n)-independent: phi(M) = 0 forces
-    a = c = 0, then b x + d f = 0 forces b = d = 0, so phi is one-to-one
-    and the images are a basis.  A degenerate f = c x (0 included) spans
-    C_f = F_(q^n) x, which every beta x keeps, so I_R has the basis
-    {X^m x : m < en} and order q^n.  A scattered f at n = 2 raises HallCase
-    from compute_stabilizer.
+    map phi(M) = a x + c f, the codeword of (a, c), and the images of its
+    basis span I_R.  When f is not in F_(q^n) x, x and f are
+    F_(q^n)-independent: phi(M) = 0 forces a = c = 0, then b x + d f = 0
+    forces b = d = 0, so phi is one-to-one and the images are a basis.  A
+    degenerate f = c x (0 included) spans C_f = F_(q^n) x, which every
+    beta x keeps, so I_R has the basis {X^m x : m < en} and order q^n.  A
+    scattered f at n = 2 raises HallCase from compute_stabilizer.
     """
     T = C.tower
     if C.degenerate:
         x = LinearizedPoly.identity(T)
         return Idealizer(T, tuple(x.scale(int(T.p**m)) for m in range(T.en)))
     S = compute_stabilizer(C.f, check_scattered=False)
-    return Idealizer(T, tuple(stabilizer_to_right_idealizer(M, C.f) for M in S.basis))
-
-
-def stabilizer_to_right_idealizer(M, f: LinearizedPoly) -> LinearizedPoly:
-    """The map (a b; c d) -> a x + c f underlying the group isomorphism."""
-    x = LinearizedPoly.identity(f.tower)
-    return x.scale(M.a) + f.scale(M.c)
+    return Idealizer(T, tuple(C.codeword(M.a, M.c) for M in S.basis))
 
 
 def verify_idealizer_field(f: LinearizedPoly):
@@ -126,8 +120,8 @@ def verify_idealizer_field(f: LinearizedPoly):
 
     Nothing is checked beyond `verify_field`, which certified G_f with zero
     as a field of order q^t generated by alpha; the rest is proof.
-    right_idealizer built I as the image of G_f with zero under
-    phi(M) = a x + c f, one-to-one because a scattered f is not in
+    right_idealizer built I as the image of G_f with zero under the
+    codeword map phi(M) = a x + c f, one-to-one because a scattered f is not in
     F_(q^n) x, so the images of G_f's basis lie in I, are F_p-independent
     and |I| = q^t.  For M in G_f, f o phi(M) = b_M x + d_M f, so for any N
     phi(N) o phi(M) = a_N phi(M) + c_N (b_M x + d_M f)
@@ -138,12 +132,4 @@ def verify_idealizer_field(f: LinearizedPoly):
     order q^t - 1 generated by phi(alpha).
     """
     Mf = compute_stabilizer(f)
-    return Mf.t, stabilizer_to_right_idealizer(Mf.generator, f)
-
-
-def check_idealizer_matches_stabilizer(f: LinearizedPoly) -> dict:
-    """|I_R(C_f)| = |G_f| + 1 for scattered f, by the isomorphism of
-    verify_idealizer_field; a small report."""
-    IR = right_idealizer(code_of(f))
-    t, _ = verify_idealizer_field(f)
-    return {"order": IR.order, "t": t, "matches": True}
+    return Mf.t, code_of(f).codeword(Mf.generator.a, Mf.generator.c)

@@ -19,7 +19,10 @@ checked.  That the generators of H_f permute the spread is no check but a
 consequence of verify_field: the generator of G_f lies in the kernel of the
 stabilizer system and is a nonzero element of a matrix field, hence
 invertible, so it fixes U_f.  The invariant subgroup of the Andre witness is
-checked on an F_p-basis of F_{q^t}.
+checked on an F_p-basis of F_{q^t}.  What the form proves is held in no
+field: HomologyReport and ReducibilityWitness write it into their JSON as
+constants (cyclic groups, axes and coaxes exchanged, H_f decomposed, no
+elation, a verified invariant subgroup of order q^t).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from ._linalg import solve_mod
 from .field_tower import FieldTower, _digits
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, linear_set
-from .stabilizer import Mat2, compute_stabilizer, diagonalize, transversal_points
+from .stabilizer import Mat2, compute_stabilizer, diagonalize
 from .standard_form import image_polynomial
 
 import numpy as np
@@ -70,15 +73,6 @@ class Spread:
     @property
     def component_count(self):
         return self.tower.size + 1
-
-    def components(self):
-        T = self.tower
-        yield ("Dinf",)
-        for m in range(T.size):
-            if m not in self.lf_slopes:
-                yield ("D", m)
-        for j in range(self.h_class_count):
-            yield ("U", j)
 
     def desarguesian_count(self):
         return self.tower.size + 1 - len(self.lf_slopes)
@@ -152,11 +146,7 @@ class HomologyReport:
     X: tuple | None
     Y: tuple | None
     group_order: int             # order N of each symmetric homology group
-    cyclic_ok: bool = False
-    exchange_ok: bool = False
-    elations: int = 0
-    H_f_order: int = 0
-    decomposition_ok: bool = False
+    H_f_order: int
 
     def to_json(self, tower):
         def fmt_pt(pt):
@@ -168,11 +158,11 @@ class HomologyReport:
             "X": fmt_pt(self.X),
             "Y": fmt_pt(self.Y),
             "homology_group_order": self.group_order,
-            "elations": self.elations,
+            "elations": 0,
             "H_f_order": self.H_f_order,
-            "decomposition_ok": self.decomposition_ok,
-            "cyclic": self.cyclic_ok,
-            "axes_coaxes_exchanged": self.exchange_ok,
+            "decomposition_ok": True,
+            "cyclic": True,
+            "axes_coaxes_exchanged": True,
         }
 
 
@@ -188,34 +178,36 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     in F_{q^t}.  So the homologies form two cyclic groups, generated by
     mu_X = P^-1 diag(1, kappa_0) P and mu_Y = P^-1 diag(kappa_0, 1) P, each
     fixing one row of P (its axis) and scaling the other (its center); the
-    centers X and Y are the transversal points.  The groups have order
-    N = (q^t - 1)/(q - 1), with nothing to check: kappa_0 = omega^(q^s - 1)
-    has order (q^t - 1)/gcd(q^s - 1, q^t - 1) = (q^t - 1)/(q^gcd(s, t) - 1),
-    and gcd(s, t) = 1 for scattered f (`DiagonalizationResult.s`).  The same
-    order makes the factorization of H_f into a kernel homology times
-    diag(1, kappa) unique, so decomposition_ok holds.  Both generators are
-    scalar multiples of A = P^-1 diag(omega, omega^(q^s)) P or of its
-    inverse (mu_X = omega^-1 A, mu_Y = omega^(q^s) A^-1), and A lies in
-    P^-1 D_j P = G_f by the certified form, so cyclic_ok and exchange_ok
-    hold too.  For t = 1, H_f is the scalar group and d I - I is invertible
-    for every d != 1, so there is no central collineation.
+    centers X and Y are the rows of P, the eigen-points of diagonalize.
+    Neither lies on L_f, with nothing to check.  Suppose v != 0 in U_f lies
+    on the F_(q^n)-line <X> of one row X.  Every M in G_f fixes <X> and U_f,
+    so vM lies in <X> meet U_f for every M in G_f with zero.  M -> vM is
+    one-to-one: vM = vN gives v (M - N) = 0, and M - N is zero or invertible
+    in the field G_f with zero.  So <X> meet U_f has at least q^t > q
+    elements, an F_q-dimension above 1, against scatteredness.  The groups
+    have order N = (q^t - 1)/(q - 1), with nothing to check:
+    kappa_0 = omega^(q^s - 1) has order (q^t - 1)/gcd(q^s - 1, q^t - 1)
+    = (q^t - 1)/(q^gcd(s, t) - 1), and gcd(s, t) = 1 for scattered f
+    (`DiagonalizationResult.s`).  The same order makes the factorization
+    of H_f into a kernel homology times diag(1, kappa) unique: H_f
+    decomposes.  Both generators are scalar
+    multiples of A = P^-1 diag(omega, omega^(q^s)) P or of its inverse
+    (mu_X = omega^-1 A, mu_Y = omega^(q^s) A^-1), and A lies in
+    P^-1 D_j P = G_f by the certified form, so both groups are cyclic and
+    exchange axes and coaxes.  There is no elation: a class of H_f whose
+    two eigenvalues are equal is scalar.  For t = 1, H_f is the scalar group
+    and d I - I is invertible for every d != 1, so there is no central
+    collineation.
     """
     _plane_preconditions(f)
     T = f.tower
-    t = compute_stabilizer(f).t
-    q = T.q
+    Mf = compute_stabilizer(f)
+    t, q = Mf.t, T.q
     hf_order = (q**T.n - 1) * (q**t - 1) // (q - 1)
     if t == 1:
-        # H_f consists of the scalar maps d I; for d != 1 the map d I - I is
-        # invertible, so no nonidentity element fixes a nonzero point and
-        # there is no affine central collineation at all.
-        return HomologyReport("i", 1, None, None, 1, True, True, 0, hf_order, True)
-    X, Y = transversal_points(f)
-    # elations = 0: with the certified diagonal form, a class whose two
-    # eigenvalues are equal is scalar
-    return HomologyReport("ii", t, X, Y, (q**t - 1) // (q - 1), cyclic_ok=True,
-                          exchange_ok=True, elations=0, H_f_order=hf_order,
-                          decomposition_ok=True)
+        return HomologyReport("i", 1, None, None, 1, hf_order)
+    X, Y = diagonalize(Mf).eigen_points
+    return HomologyReport("ii", t, X, Y, (q**t - 1) // (q - 1), hf_order)
 
 
 @dataclass
@@ -241,18 +233,17 @@ class ReducibilityWitness:
     h_code: int
     g: LinearizedPoly
     t: int
-    subgroup_size: int
-    stabilizer_order: int
-    verified: bool
 
     def to_json(self, tower):
+        # the subgroup is F_(q^t), W's stabilizer P G_f P^-1, and a witness is
+        # returned only once _andre_subgroup_invariant has checked it
         return {
             "h": tower.format_code(self.h_code),
             "g": self.g.to_json()["coeffs"],
             "t": self.t,
-            "invariant_subgroup_size": self.subgroup_size,
-            "component_stabilizer_order": self.stabilizer_order,
-            "verified": self.verified,
+            "invariant_subgroup_size": tower.q**self.t,
+            "component_stabilizer_order": tower.q**self.t - 1,
+            "verified": True,
         }
 
 
@@ -281,7 +272,7 @@ def reducibility_witness(f: LinearizedPoly, h=1):
     g = image_polynomial(f, hU)
     if not _andre_subgroup_invariant(g, diag.s, t):
         raise InternalError("invariant-subgroup check failed")
-    return ReducibilityWitness(h, g, t, T.q**t, T.q**t - 1, True)
+    return ReducibilityWitness(h, g, t)
 
 
 def _andre_subgroup_invariant(g: LinearizedPoly, s, t) -> bool:
@@ -301,12 +292,14 @@ def _andre_subgroup_invariant(g: LinearizedPoly, s, t) -> bool:
                for al in basis for y in basis)
 
 
-def semilinear_part_audit(f: LinearizedPoly, sample_size=6, seed=0) -> dict:
+def semilinear_part_audit(f: LinearizedPoly, seed=0) -> dict:
     """Audit that no properly semilinear map fixes a component pointwise.
 
-    For sampled Frobenius twists sigma = x^(p^k), 1 <= k < en, and sampled
-    components W, sets up the exact F_p-linear system for the matrices A
-    with sigma(w) A = w on all of W.  For scattered f with n >= 3 the system
+    For up to three Frobenius twists sigma = x^(p^k), 1 <= k < en (the
+    first, middle and last), and for each of them three components W (the
+    vertical line, the first Desarguesian line off L_f and one seeded
+    translate), sets up the exact F_p-linear system for the matrices A with
+    sigma(w) A = w on all of W.  For scattered f with n >= 3 the system
     has no solution at all, singular or not, so every case reports
     "nonsingular_solutions": 0 and there is never a candidate to test
     against the spread.  Proof: the vectors fixed by the semilinear map
@@ -334,9 +327,6 @@ def semilinear_part_audit(f: LinearizedPoly, sample_size=6, seed=0) -> dict:
     picks = [(k, comp) for k in key_twists
              for comp in (("Dinf",), line_comp,
                           ("U", rng.randrange(spread.h_class_count)))]
-    while len(picks) < sample_size:
-        picks.append((twists[rng.randrange(len(twists))],
-                      _component_at(spread, rng.randrange(spread.component_count))))
     for k, comp in picks:
         A, b = _pointwise_fix_system(T, _component_basis(spread, comp), k)
         if solve_mod(A, b, T.p) is not None:
@@ -344,22 +334,6 @@ def semilinear_part_audit(f: LinearizedPoly, sample_size=6, seed=0) -> dict:
         cases.append({"p_exponent": k, "component": str(comp),
                       "nonsingular_solutions": 0})
     return {"samples": len(cases), "candidates": 0, "violations": 0, "cases": cases}
-
-
-def _component_at(spread: Spread, i):
-    """Descriptor number i of spread.components(), found without listing them."""
-    lines = spread.desarguesian_count()  # ("Dinf",) and the ("D", m)
-    if i == 0:
-        return ("Dinf",)
-    if i >= lines:
-        return ("U", i - lines)
-    # the (i-1)-th code off L_f: each slope of L_f at or below it shifts it up
-    m = i - 1
-    for s in sorted(spread.lf_slopes):
-        if s > m:
-            break
-        m += 1
-    return ("D", m)
 
 
 def _component_basis(spread: Spread, comp):

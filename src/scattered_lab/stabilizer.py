@@ -14,14 +14,14 @@ S(f, g) = {M : U_f M in U_g}, which decides equivalence
 `MatrixField.of_pair`: b and a are read off two row blocks, and only the
 (n-2)*en x 2*en Schur complement on (c, d) is eliminated.
 
-The solution set is kept as that system and its kernel basis (`MatrixField`):
-its order is p^dim, membership is one matrix-vector product, and no element
-is listed unless a caller asks for the list.  For scattered f the nonzero
-solutions form a matrix field of order q^t with t | n, simultaneously
-diagonalizable: P G_f P^-1 = {diag(x, x^(p^j)) : x in F_(q^t)}.  That
-diagonal form is the certificate (`verify_field`): P is read from the
-eigen-rows of one basis matrix, and since conjugation by P is F_p-linear,
-only the basis matrices are conjugated.  The generator is found from the
+The solution set is kept as that system and its kernel basis, as the digit
+rows the elimination gives (`MatrixField`): its order is p^dim, and no
+element is listed unless a caller asks for the list.  For scattered f the
+nonzero solutions form a matrix field of order q^t with t | n,
+simultaneously diagonalizable: P G_f P^-1 = {diag(x, x^(p^j)) : x in
+F_(q^t)}.  That diagonal form is the certificate (`verify_field`): P is
+read from the eigen-rows of one basis matrix, and since conjugation by P
+is F_p-linear, only the basis matrices are conjugated.  The generator is found from the
 diagonal entries by scalar powers alone, with no matrix product.
 """
 
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import kernel_mod, span_codes
-from .errors import AllScalar, HallCase, InternalError, NoTransversals, NotAField, NotScattered
-from .field_tower import FieldTower, _digits, _prime_divisors
+from .errors import AllScalar, HallCase, InternalError, NotAField, NotScattered
+from .field_tower import FieldTower, _prime_divisors
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
 
@@ -160,13 +160,14 @@ def normalize_point(tower, point):
 @dataclass(eq=False)
 class MatrixField:
     """The solution set S(f, g) of a pair system (`_pair_system`), kept as
-    (system, basis): S(f, g) = span(basis) = ker(system mod p).
+    (system, coords): S(f, g) = span(coords) = ker(system mod p).
 
     For g = f it is G_f with zero adjoined, certified as a field by
     verify_field; for other scattered g (n >= 3) it is {0} or (G_f with zero)
     times any one of its nonzero elements.  The F_p-coordinates of a matrix
-    are the little-endian base-p digits of its entries (a, b, c, d).
-    Elements are numbered as in `_linalg.span_codes`: element r is the
+    are the little-endian base-p digits of its entries (a, b, c, d); coords
+    holds the kernel basis as those digit rows, and `basis` reads them as
+    Mat2.  Elements are numbered as in `_linalg.span_codes`: element r is the
     combination of the basis whose coefficients are the base-p digits of r,
     so element 0 is zero.  The library never lists the elements; only the
     test oracles do, through `_codes()`.
@@ -174,7 +175,7 @@ class MatrixField:
 
     tower: FieldTower
     system: np.ndarray       # F_p-matrix whose kernel is the solution space
-    basis: tuple             # F_p-basis of that kernel, as Mat2
+    coords: np.ndarray       # F_p-basis of that kernel, one digit row each
     t: int | None = None     # order = q^t once verified
     generator: Mat2 | None = None
     verified: bool = False
@@ -184,42 +185,26 @@ class MatrixField:
     @classmethod
     def from_system(cls, tower, system, **fields):
         """The space ker(system mod p), with the kernel basis of kernel_mod."""
-        return cls._of_kernel(tower, system, kernel_mod(system, tower.p), **fields)
+        return cls(tower, system, kernel_mod(system, tower.p), **fields)
 
-    @classmethod
-    def _of_kernel(cls, tower, system, kernel, **fields):
-        """The space ker(system mod p) with the rows of `kernel` as its basis."""
-        en, p = tower.en, tower.p
-        codes = kernel.reshape(len(kernel), 4, en) @ p ** np.arange(en, dtype=np.int64)
-        basis = tuple(Mat2._of(tower, *row) for row in codes.tolist())
-        return cls(tower=tower, system=system % p, basis=basis, **fields)
+    @functools.cached_property
+    def basis(self):
+        """The rows of coords as Mat2."""
+        T = self.tower
+        codes = self.coords.reshape(-1, 4, T.en) @ T.p ** np.arange(T.en, dtype=np.int64)
+        return tuple(Mat2._of(T, *row) for row in codes.tolist())
 
     @property
     def order(self):
-        return self.tower.p ** len(self.basis)
+        return self.tower.p ** len(self.coords)
 
     @property
     def group_order(self):
         return self.order - 1
 
-    def _coords(self, M):
-        T = self.tower
-        return [d for c in M.entries() for d in _digits(c, T.p, T.en)]
-
-    def contains(self, M) -> bool:
-        return not (self.system @ np.array(self._coords(M), dtype=np.int64) % self.tower.p).any()
-
-    @functools.cached_property
-    def _basis_coords(self):
-        return [self._coords(b) for b in self.basis]
-
     def _codes(self, rows=None):
         T = self.tower
-        return span_codes(self._basis_coords, T.p, T.en, 4, rows).tolist()
-
-    def element(self, r):
-        """Element r of the span order, built alone."""
-        return Mat2._of(self.tower, *self._codes([r])[0])
+        return span_codes(self.coords, T.p, T.en, 4, rows).tolist()
 
     @classmethod
     def of_pair(cls, f: LinearizedPoly, g: LinearizedPoly, **fields):
@@ -266,7 +251,7 @@ class MatrixField:
         cd_kernel = kernel_mod(schur.reshape(-1, 2 * en), p)
         a = cd_kernel @ lift.T % p
         b = -(a @ a_blocks[0].T + cd_kernel @ cd[0].T) % p
-        return cls._of_kernel(T, system, np.hstack([a, b, cd_kernel]), **fields)
+        return cls(T, system, np.hstack([a, b, cd_kernel]), **fields)
 
 
 def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
@@ -345,14 +330,15 @@ def verify_field(Mf: MatrixField):
     for `diagonalize`.  Raises NotAField naming the failing condition.
     """
     T = Mf.tower
-    dim = len(Mf.basis)
+    dim = len(Mf.coords)
     if dim % T.e:
         raise NotAField(f"order {Mf.order} is not a power of q={T.q}")
     t = dim // T.e
     if t and T.n % t:
         raise NotAField(f"t={t} does not divide n={T.n}")
-    coords = np.array(Mf._basis_coords + [Mf._coords(Mat2.identity(T))], dtype=np.int64)
-    outside = (Mf.system @ coords.T % T.p).any(axis=0)
+    identity = np.zeros(4 * T.en, dtype=np.int64)
+    identity[[0, 3 * T.en]] = 1            # the digit row of I = (1 0; 0 1)
+    outside = (Mf.system @ np.vstack([Mf.coords, identity]).T % T.p).any(axis=0)
     if outside[:-1].any():
         raise NotAField("a basis element lies outside the kernel of the system")
     if outside[-1]:
@@ -382,7 +368,7 @@ def verify_field(Mf: MatrixField):
             break
     else:
         raise NotAField("no element of full multiplicative order")
-    Mf.t, Mf.generator, Mf.verified = t, Mf.element(r), True
+    Mf.t, Mf.generator, Mf.verified = t, Mat2._of(T, *Mf._codes([r])[0]), True
     eigen_points = (normalize_point(T, (P.a, P.b)), normalize_point(T, (P.c, P.d)))
     Mf._diag = DiagonalizationResult(P, t, p_exp, eigen_points, pairs)
     return t, Mf.generator
@@ -472,19 +458,3 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
     if Mf.t == 1:
         raise AllScalar("only scalar multiples of the identity; nothing to diagonalize")
     return Mf._diag
-
-
-def transversal_points(f: LinearizedPoly):
-    """The two common eigen-directions of G_f, the rows of P in diagonalize.
-
-    Neither lies on L_f, with nothing to check.  Suppose v != 0 in U_f lies
-    on the F_(q^n)-line <X> of one row X.  Every M in G_f fixes <X> and U_f,
-    so vM lies in <X> meet U_f for every M in G_f with zero.  M -> vM is
-    one-to-one: vM = vN gives v (M - N) = 0, and M - N is zero or invertible
-    in the field G_f with zero.  So <X> meet U_f has at least q^t > q
-    elements, an F_q-dimension above 1, against scatteredness (t > 1).
-    """
-    Mf = compute_stabilizer(f)
-    if Mf.t == 1:
-        raise NoTransversals("stabilizer is the scalar group; no distinguished points")
-    return diagonalize(Mf).eigen_points

@@ -48,12 +48,6 @@ class StandardFormResult:
         }
 
 
-def in_class_S(f: LinearizedPoly) -> bool:
-    """True when the stabilizer of U_f is strictly larger than the F_q-scalars."""
-    Mf = compute_stabilizer(f)
-    return Mf.t > 1
-
-
 def _vector_key(tower: FieldTower, coeffs):
     return tuple(tower.element_key(c) for c in coeffs)
 

@@ -41,7 +41,7 @@ by one power and a sort per slope (linear_set_by_sort).  Two checks that the
 certified diagonal form proves, so that the library no longer runs them,
 stay here for the differential test: the dimension of U_f on an
 F_(q^n)-line, read off the census (line_intersection_dim), and the order of
-kappa_0 by `FieldTower.order_of` (_homology_factor_order).
+kappa_0 by a walk of its powers (_homology_factor_order).
 The element lists of a kernel-basis space, which the library never builds,
 live here too (elements_of, element_set_of, nonzero_of).  So do the bulk
 passes that p-adic doubling (`_linalg.linear_values`) replaced: the
@@ -72,8 +72,9 @@ the full value table (slope_census_by_full_table), stays here, as does the
 scan over b that filtered all M exponents with one array per term
 (ab_min_by_array_scan, lambda_by_array_scan), where the library solves a
 linear congruence per term.  The oracles reuse the library's stabilizer,
-diagonalization, standard forms and the spread's component list, but none
-of the replaced logic.
+diagonalization, standard forms and spread, but none of the replaced logic;
+the list of the spread's components, which the library never walks, is
+here (spread_components).
 """
 
 import itertools
@@ -86,7 +87,7 @@ from scattered_lab.errors import NotAField, NotBijective
 from scattered_lab.families import psi_theta
 from scattered_lab.field_tower import _digits, _pack, _prime_divisors, make_field
 from scattered_lab.linearized import LinearizedPoly
-from scattered_lab.mrd import code_of, right_idealizer, stabilizer_to_right_idealizer
+from scattered_lab.mrd import code_of, right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.scatter import SlopeCensus, slope_census
 from scattered_lab.stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
@@ -126,6 +127,18 @@ def poly_vec(f):
     """The F_p-coordinates of a q-polynomial: the digits of each coefficient."""
     T = f.tower
     return [d for c in f.coeffs for d in _digits(c, T.p, T.en)]
+
+
+def mat_vec(M):
+    """The F_p-coordinates of a Mat2: the digits of each entry (a, b, c, d)."""
+    T = M.tower
+    return [d for c in M.entries() for d in _digits(c, T.p, T.en)]
+
+
+def in_kernel(V, M):
+    """Does the matrix M lie in the `stabilizer.MatrixField` V, i.e. is its
+    digit row in the kernel of V.system?"""
+    return not (V.system @ np.array(mat_vec(M), dtype=np.int64) % V.tower.p).any()
 
 
 def poly_divides(d, a, p):
@@ -394,7 +407,7 @@ def slope_census_by_full_table(f):
 def line_intersection_dim(f, point):
     """dim_Fq of U_f intersected with the F_{q^n}-line spanned by the point,
     a pair of codes, read off the slope census: the check that
-    `stabilizer.transversal_points` proves instead of running."""
+    `plane.classify_central_collineations` proves instead of running."""
     T = f.tower
     T.check_codes(*point)
     x, y = point
@@ -893,12 +906,23 @@ def _component_image(spread, comp, M):
     return target
 
 
+def spread_components(spread):
+    """Every component descriptor of the spread: ("Dinf",), the ("D", m)
+    with m off L_f, then the translates ("U", j)."""
+    yield ("Dinf",)
+    for m in range(spread.tower.size):
+        if m not in spread.lf_slopes:
+            yield ("D", m)
+    for j in range(spread.h_class_count):
+        yield ("U", j)
+
+
 def spread_walk(f, M):
     """(lines_ok, translates_ok): does M send every line component, and every
     translate h U_f, point by point onto a component of the spread?"""
     spread = build_spread(f)
     ok = {True: True, False: True}
-    for comp in spread.components():
+    for comp in spread_components(spread):
         is_line = comp[0] != "U"
         if ok[is_line] and _component_image(spread, comp, M) is None:
             ok[is_line] = False
@@ -918,13 +942,13 @@ def spread_cover_by_walk(spread, point_bound=1 << 20):
     T = spread.tower
     f = spread.f
     n_points = T.size**2 - 1
-    count = sum(1 for _ in spread.components())
+    count = sum(1 for _ in spread_components(spread))
     if count != spread.component_count:
         return {"ok": False, "reason": f"component count {count}"}
     if count * (T.size - 1) != n_points:
         return {"ok": False, "reason": "component sizes do not tile the point set"}
     # line/translate meets: a Desarguesian component never carries a slope of L_f
-    for comp in spread.components():
+    for comp in spread_components(spread):
         if comp[0] == "D" and comp[1] in spread.lf_slopes:
             return {"ok": False, "reason": f"component {comp} lies on the linear set"}
     # translate/translate meets, one kernel per coset class c not in F_q^*
@@ -966,7 +990,7 @@ def kernel_scalar_by_walk(f):
     spread = build_spread(f)
     for a in T.subfield_elements(1)[:-1]:
         lam = Mat2.scalar(T, a)
-        for comp in spread.components():
+        for comp in spread_components(spread):
             if _component_image(spread, comp, lam) != comp:
                 return False
     probes = [T.gen_code]
@@ -978,7 +1002,7 @@ def kernel_scalar_by_walk(f):
             continue
         lam = Mat2.scalar(T, a)
         moved = False
-        for comp in spread.components():
+        for comp in spread_components(spread):
             if _component_image(spread, comp, lam) != comp:
                 moved = True
                 break
@@ -1061,10 +1085,10 @@ def is_homology_group(P, group, slot, N):
 
 
 def _homology_factor_order(T, s, t):
-    """Order of kappa_0 = omega^(q^s)/omega, omega primitive in F_{q^t}, by
-    `FieldTower.order_of`: the plane layer reads (q^t - 1)/(q - 1) instead."""
+    """Order of kappa_0 = omega^(q^s)/omega, omega primitive in F_{q^t}, by a
+    walk of its powers: the plane layer reads (q^t - 1)/(q - 1) instead."""
     omega = T.subfield_primitive_code(t)
-    return T.order_of(T.div_code(T.frob_code(omega, s), omega))
+    return order_by_walk(T, T.div_code(T.frob_code(omega, s), omega))
 
 
 def andre_subgroup_by_walk(g, s, t):
@@ -1286,8 +1310,9 @@ def stabilizer_images_by_walk(f):
     """True when M -> a x + c f maps every element of G_f into the right
     idealizer of C_f, injectively and onto."""
     Mf = compute_stabilizer(f)
-    iset = element_set_of(right_idealizer(code_of(f)))
-    images = {stabilizer_to_right_idealizer(M, f).coeffs for M in elements_of(Mf)}
+    C = code_of(f)
+    iset = element_set_of(right_idealizer(C))
+    images = {C.codeword(M.a, M.c).coeffs for M in elements_of(Mf)}
     return len(images) == Mf.order and images == iset
 
 

@@ -7,7 +7,7 @@ dependency only.
 
 import pytest
 
-from scattered_lab.field_tower import DEFAULT_ENUM_BOUND, _is_prime, _prime_divisors
+from scattered_lab.field_tower import ENUM_BOUND, _is_prime, _prime_divisors
 
 sympy = pytest.importorskip("sympy")
 
@@ -25,7 +25,7 @@ def _sympy_primes(m):
 def test_group_orders_up_to_the_enumeration_bound():
     # every p^k - 1 that make_field and the field certificate can meet with p < 200
     orders = sorted({p**k - 1 for p in sympy.primerange(2, 200)
-                     for k in range(2, 41) if p**k <= DEFAULT_ENUM_BOUND})
+                     for k in range(2, 41) if p**k <= ENUM_BOUND})
     assert len(orders) > 300
     for m in orders:
         assert _prime_divisors(m) == _sympy_primes(m), m

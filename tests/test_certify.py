@@ -8,11 +8,9 @@ import pytest
 
 from scattered_lab._linalg import kernel_mod
 from scattered_lab.errors import NotAField
-from scattered_lab.field_tower import _digits
 from scattered_lab.families import catalog, find_lp_delta, make_lp
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import (
-    check_idealizer_matches_stabilizer,
     code_of,
     right_idealizer,
     verify_idealizer_field,
@@ -33,6 +31,7 @@ from oracles import (
     diagonalize_by_conjugation,
     field_by_walk,
     idealizer_field_by_walk,
+    mat_vec,
     stabilizer_images_by_walk,
 )
 
@@ -84,7 +83,7 @@ def test_idealizer_certificate_matches_walk_oracle(tower):
             t, phi_alpha = verify_idealizer_field(inst.poly)
             assert t == idealizer_field_by_walk(IR, T)[0]
             assert composition_order_by_walk(phi_alpha, T.q**t) == T.q**t - 1
-            assert check_idealizer_matches_stabilizer(inst.poly)["matches"]
+            assert IR.order == compute_stabilizer(inst.poly).order
             assert stabilizer_images_by_walk(inst.poly)
 
 
@@ -96,14 +95,17 @@ def test_diagonalization_is_cached_without_pairs(tower):
     assert "diag_pairs" not in stored and len(diagonalize(Mf).basis_pairs) == T.e * Mf.t
 
 
+def _digit_rows(maps):
+    return np.array([mat_vec(m) for m in maps], dtype=np.int64)
+
+
 def _field(T, system, basis):
-    return MatrixField(T, system, tuple(basis))
+    return MatrixField(T, system, _digit_rows(basis))
 
 
 def _span_system(T, maps):
     """The F_p-matrix whose kernel is the F_p-span of the matrices `maps`."""
-    vecs = [[d for c in m.entries() for d in _digits(c, T.p, T.en)] for m in maps]
-    return kernel_mod(np.array(vecs), T.p)
+    return kernel_mod(_digit_rows(maps), T.p)
 
 
 def test_basis_outside_the_kernel(tower):

@@ -11,8 +11,6 @@ import pytest
 from scattered_lab import _linalg, cli, mrd, scatter, standard_form
 from scattered_lab.cli import main
 from scattered_lab.families import find_lp_delta, find_psi_h, make_lp, make_pseudoregulus, make_psi
-from scattered_lab.field_tower import FieldTower
-from scattered_lab.stabilizer import MatrixField
 
 
 def run_cli(argv, tmp_path=None):
@@ -176,10 +174,19 @@ POLY_OK = {"coeffs": ["0", "1", "0", "0"]}
     (FIELD_OK, {"coeffs": [[1.5, 0, 0, 0], "1", "0", "0"]}, "BadElement"),
     (FIELD_OK, {"coeffs": [[-1, 0, 0, 0], "1", "0", "0"]}, "BadElement"),
     (FIELD_OK, {"coeffs": [[True, 0, 0, 0], "1", "0", "0"]}, "BadElement"),
+    # p, e, n, seed and a scalar generator were truncated or parsed by int()
+    ({"p": 5.7, "n": 4.9, "generator": 7.5}, POLY_OK, "BadElement"),
+    ({"p": "5", "n": "4", "seed": 2.5}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "e": True}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "seed": "7"}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "p": 5.7}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "n": "4"}, POLY_OK, "BadElement"),
 ], ids=["seed", "modulus-digit", "modulus-int", "generator", "coeffs-int",
         "coeff-digit-array", "coeffs-string", "modulus-string", "modulus-float",
         "modulus-out-of-range", "generator-out-of-range", "coeff-digit-out-of-range",
-        "coeff-digit-float", "coeff-digit-negative", "coeff-digit-bool"])
+        "coeff-digit-float", "coeff-digit-negative", "coeff-digit-bool",
+        "float-p-n-generator", "string-p-n-float-seed", "bool-e", "string-seed",
+        "float-p", "string-n"])
 def test_malformed_spec_is_a_json_error(tmp_path, field, poly, error):
     field_path, poly_path = tmp_path / "field.json", tmp_path / "poly.json"
     field_path.write_text(json.dumps(field))
@@ -252,12 +259,9 @@ def test_mrd_task_solves_no_second_system(tower, tmp_path, monkeypatch):
 
 def test_plane_and_standard_form_tasks_recheck_nothing(tower, tmp_path, monkeypatch):
     # once the stabilizer task has certified G_f, the standard-form and plane
-    # tasks read their facts off the diagonal form: no order computation, no
-    # membership product and no U_f W = U_g check follows
-    guarded = [(FieldTower, "order_of"), (MatrixField, "contains"), (standard_form, "maps_onto")]
-    for tasks in _reports_after_stabilizer(tower, tmp_path, monkeypatch,
-                                           "standard-form,plane", guarded):
-        assert tasks["plane"]["cyclic"] is tasks["plane"]["decomposition_ok"] is True
+    # tasks read their facts off the diagonal form: no U_f W = U_g check follows
+    _reports_after_stabilizer(tower, tmp_path, monkeypatch, "standard-form,plane",
+                              [(standard_form, "maps_onto")])
 
 
 def test_families_generate_verb():

@@ -2,15 +2,16 @@
 
 from scattered_lab import (
     LinearizedPoly,
-    check_idealizer_matches_stabilizer,
     code_of,
     compute_stabilizer,
     diagonalize,
     is_scattered,
     min_distance,
+    right_idealizer,
     to_standard_form,
 )
 from scattered_lab.families import find_lp_delta, make_lp
+from scattered_lab.mrd import verify_idealizer_field
 
 from oracles import element_set_of
 
@@ -26,8 +27,8 @@ def test_q9_pseudoregulus_full_chain(tower):
     d = diagonalize(Mf)
     assert d.P.is_identity() and d.s == 1
     assert min_distance(code_of(f)) == T.n - 1
-    rep = check_idealizer_matches_stabilizer(f)
-    assert rep["order"] == 729 and rep["t"] == 3
+    assert right_idealizer(code_of(f)).order == 729
+    assert verify_idealizer_field(f)[0] == 3
 
 
 def test_q4_lp_standard_form_char2(tower):
@@ -37,5 +38,5 @@ def test_q4_lp_standard_form_char2(tower):
     sf = to_standard_form(lp)
     assert sf.t == 2 and sf.h.delta_profile().t_h == 2
     assert min_distance(code_of(lp)) == 3
-    rep = check_idealizer_matches_stabilizer(lp)
-    assert rep["t"] == 2 and rep["order"] == 16
+    assert right_idealizer(code_of(lp)).order == 16
+    assert verify_idealizer_field(lp)[0] == 2

@@ -22,6 +22,7 @@ from scattered_lab.families import (
 )
 from scattered_lab.scatter import is_scattered
 from scattered_lab.stabilizer import Mat2, compute_stabilizer
+from scattered_lab.standard_form import canonicalize, to_standard_form
 
 from oracles import element_set_of, predicted_set_by_listing, twisted_eigenspace
 
@@ -181,6 +182,19 @@ def test_closed_form_unsupported(tower):
     T8 = make_field(3, 1, 8)
     with pytest.raises(UnsupportedParams):
         psi_standard_form_closed(T8, find_psi_h(T8, 4), 4, 1)
+
+
+def test_series_form_tests_membership_in_F_q_by_frobenius(tower):
+    # over F_9 (e = 2) the roots of x^2 + 1 lie in F_q with codes above q,
+    # and the code 3, below q, lies outside F_q
+    T = tower(3, 2, 6)
+    h = min(T.solve_quadratic(0, 1))
+    assert h > T.q and T.subfield_member_code(h, 1)
+    ser = psi_standard_form_closed(T, h, 3, 1, formula="series")
+    assert canonicalize(ser) == to_standard_form(make_psi(T, h, 3, 1).poly).h
+    assert not T.subfield_member_code(3, 1)
+    with pytest.raises(UnsupportedParams):
+        psi_standard_form_closed(T, 3, 3, 1, formula="series")
 
 
 def test_psi_inverse_identity_large_no_table_field():

@@ -6,11 +6,9 @@ from scattered_lab._linalg import kernel_mod
 from scattered_lab.errors import (
     AllScalar,
     BadElement,
-    NoTransversals,
     NotAField,
     NotScattered,
 )
-from scattered_lab.field_tower import _digits
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import code_of
 from scattered_lab.scatter import linear_set
@@ -20,7 +18,6 @@ from scattered_lab.stabilizer import (
     _pair_system,
     compute_stabilizer,
     diagonalize,
-    transversal_points,
     verify_field,
 )
 
@@ -31,7 +28,9 @@ from oracles import (
     diag_pairs,
     element_set_of,
     elements_of,
+    in_kernel,
     mat_power,
+    mat_vec,
     pair_system_by_blocks,
 )
 
@@ -113,8 +112,8 @@ def test_large_stabilizer_without_element_list(tower):
     Mf = compute_stabilizer(LinearizedPoly.monomial(T, 1))
     assert Mf.verified and Mf.t == 6 and Mf.order == 13**6
     for c in T.subfield_elements(1)[:-1]:
-        assert Mf.contains(Mat2.scalar(T, c))
-    assert not Mf.contains(Mat2(T, 0, 1, 0, 0))
+        assert in_kernel(Mf, Mat2.scalar(T, c))
+    assert not in_kernel(Mf, Mat2(T, 0, 1, 0, 0))
 
 
 def test_order_q_to_t_divides_n(tower):
@@ -142,9 +141,10 @@ def test_non_pseudoregulus_has_proper_subfield(tower):
 def _span_field(T, basis, system_of=None):
     """MatrixField with the given basis and the system whose kernel is the
     F_p-span of system_of (default: of basis)."""
-    vecs = [[d for c in m.entries() for d in _digits(c, T.p, T.en)]
-            for m in (system_of or basis)]
-    return MatrixField(T, kernel_mod(np.array(vecs), T.p), tuple(basis))
+    def digit_rows(maps):
+        return np.array([mat_vec(m) for m in maps], dtype=np.int64)
+
+    return MatrixField(T, kernel_mod(digit_rows(system_of or basis), T.p), digit_rows(basis))
 
 
 def test_verify_field_on_manual_sets(tower):
@@ -212,13 +212,17 @@ def test_diagonalize_all_scalar_raises(tower):
         diagonalize(Mf)
 
 
+def _transversal_points(f):
+    return diagonalize(compute_stabilizer(f)).eigen_points
+
+
 def test_transversal_points(tower):
     T = tower(5, 1, 4)
-    X, Y = transversal_points(LinearizedPoly.monomial(T, 1))
+    X, Y = _transversal_points(LinearizedPoly.monomial(T, 1))
     assert {X, Y} == {(1, 0), (0, 1)}
     # never on the linear set
     for f in (LinearizedPoly.monomial(T, 1), LinearizedPoly(T, [0, 1, 0, T.gen_code])):
-        X, Y = transversal_points(f)
+        X, Y = _transversal_points(f)
         L = linear_set(f)
         for pt in (X, Y):
             if pt[0] == 1:
@@ -226,8 +230,8 @@ def test_transversal_points(tower):
     from scattered_lab.families import find_lp_delta, make_lp
 
     T5 = tower(5, 1, 5)
-    with pytest.raises(NoTransversals):
-        transversal_points(make_lp(T5, 1, find_lp_delta(T5)).poly)
+    with pytest.raises(AllScalar):
+        _transversal_points(make_lp(T5, 1, find_lp_delta(T5)).poly)
 
 
 def test_transversal_points_build_no_linear_set(tower, monkeypatch):
@@ -244,7 +248,7 @@ def test_transversal_points_build_no_linear_set(tower, monkeypatch):
     monkeypatch.setattr(scatter, "linear_set", refuse)
     monkeypatch.setattr(stabilizer, "linear_set", refuse, raising=False)
     theta = psi_theta(T, h, 3, 1)
-    assert set(transversal_points(psi)) == {(1, theta), (1, T.neg_code(theta))}
+    assert set(_transversal_points(psi)) == {(1, theta), (1, T.neg_code(theta))}
 
 
 def test_scalars_always_present(tower):
@@ -255,7 +259,7 @@ def test_scalars_always_present(tower):
     for inst in catalog(T):
         Mf = compute_stabilizer(inst.poly)
         for c in T.subfield_elements(1)[:-1]:
-            assert Mf.contains(Mat2.scalar(T, c))
+            assert in_kernel(Mf, Mat2.scalar(T, c))
 
 
 def test_mat2_algebra(tower):
@@ -327,8 +331,7 @@ def _pair_kernel_matches(f, g):
     system = _pair_system(f, g)
     K = kernel_mod(system, T.p)
     S = MatrixField.of_pair(f, g)
-    coords = np.array(S._basis_coords, dtype=np.int64).reshape(K.shape)
-    return np.array_equal(S.system, system) and np.array_equal(coords, K)
+    return np.array_equal(S.system, system) and np.array_equal(S.coords.reshape(K.shape), K)
 
 
 def test_pair_kernel_is_the_full_elimination(tower):
