@@ -75,7 +75,7 @@ DEFAULT_TABLE_BOUND = 1 << 23
 TABLE_BOUND_LIMIT = 1 << 31
 ENUM_BOUND = 1 << 40
 # entries kept per memo of a tower (census, stabilizer, invert, ...); a sweep
-# round of the benchmark stores at most 46 in one (invert, two per inversion)
+# round of the benchmark stores at most 23 in one (census)
 CACHE_SIZE = 128
 
 _SMALL_PRIMES = tuple(m for m in range(2, 1 << 10)
@@ -844,11 +844,15 @@ class FieldTower:
 
     def parse_element(self, obj) -> int:
         """Accepts "g^k"/"0"/"1"/"g" strings, digit arrays (integers in [0, p)),
-        ints (F_p scalars)."""
+        ints in [0, p) (F_p scalars).  An int out of range is refused, not
+        reduced mod p: a packed code written as an int would otherwise read
+        as a different element."""
         if isinstance(obj, bool):
             raise BadElement("booleans are not field elements")
         if isinstance(obj, int):
-            return obj % self.p
+            if not 0 <= obj < self.p:
+                raise BadElement(f"integer element {obj} is outside [0, {self.p})")
+            return obj
         if isinstance(obj, (list, tuple)):
             if len(obj) != self.en:
                 raise BadElement(f"digit array must have length {self.en}")

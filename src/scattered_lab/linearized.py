@@ -16,7 +16,10 @@ matrix gives the bulk evaluation at every element:
 `_linalg.linear_values` tabulates it in code order by p-adic doubling, one
 digit level at a time, so its cost does not grow with the number of terms.
 A single value, `evaluate_code`, reads the tower's exp/log memoryviews, one
-log per term, on a field with tables.
+log per term, on a field with tables.  When the answer is known to have all
+its exponents in one residue class s mod t, `solve_on_class` finds the r
+with r o u = v from n/t unknowns over F_{q^n} instead: the standard form
+and its inverse are found that way, with no F_p-inversion.
 """
 
 from __future__ import annotations
@@ -227,6 +230,43 @@ class LinearizedPoly:
         cache[self.coeffs] = out
         cache[out.coeffs] = self
         return out
+
+    def solve_on_class(self, v: "LinearizedPoly", s, t):
+        """The r with r o self = v whose exponents are all congruent to s mod t,
+        or None when there is none or it is not unique.  t must divide n.
+
+        With k_j = s + j t, the x^(q^m) coefficient of r o self is
+        sum_j r_j self_(m - k_j)^(q^(k_j)): n equations, linear over F_(q^n),
+        in the n/t unknowns r_j, solved by one Gauss-Jordan elimination on
+        element codes.  For bijective self the solution, if any, is unique:
+        r o self = 0 forces r = 0.
+        """
+        T = self.tower
+        n = T.n
+        ks = [(s + j * t) % n for j in range(n // t)]
+        width = len(ks)
+        rows = [[T.frob_code(self.coeffs[(m - k) % n], k) for k in ks] + [v.coeffs[m]]
+                for m in range(n)]
+        for col in range(width):
+            piv = next((i for i in range(col, n) if rows[i][col]), None)
+            if piv is None:
+                return None             # a free unknown
+            rows[col], rows[piv] = rows[piv], rows[col]
+            # column col is not read again: reduce the columns right of it
+            inv = T.inv_code(rows[col][col])
+            pivot = [T.mul_code(inv, x) for x in rows[col][col + 1:]]
+            rows[col][col + 1:] = pivot
+            for i, row in enumerate(rows):
+                if row[col] and i != col:
+                    c = T.neg_code(row[col])
+                    row[col + 1:] = [T.add_code(x, T.mul_code(c, y))
+                                     for x, y in zip(row[col + 1:], pivot)]
+        if any(row[width] for row in rows[width:]):
+            return None                 # inconsistent
+        out = [0] * n
+        for j, k in enumerate(ks):
+            out[k] = rows[j][width]
+        return LinearizedPoly._of(T, out)
 
     # -- exponent combinatorics ---------------------------------------------------
     def delta_profile(self) -> "DeltaProfile":

@@ -3,7 +3,9 @@
 A scattered polynomial whose stabilizer is larger than the scalar group is
 GL-equivalent to one whose exponents all lie in a single residue class
 s mod t, t = gcd of the exponent differences.  The witness matrix comes out
-of the simultaneous diagonalization of the stabilizer; the remaining (a, b,
+of the simultaneous diagonalization of the stabilizer, which also names the
+class, so the standard form and its inverse are each solved for on their
+class, n/t unknowns over F_{q^n}, with no F_p-inversion.  The remaining (a, b,
 inversion) freedom is resolved with the lowest coefficient normalized to 1,
 taking the lexicographically smallest coefficient vector in the g^k element
 order (zero sorts last).  With b = g^lam each coefficient's log is linear in
@@ -13,7 +15,9 @@ congruence each, with no scan over F_{q^n}^*.
 Equivalence is one F_p-kernel, S(f, g) = {M : U_f M in U_g}.  For scattered
 f, g with n >= 3 a rank-1 M would put n - 1 >= 2 F_q-dimensions of U_g on
 one F_(q^n)-line, so every nonzero M is invertible and the kernel is nonzero
-exactly when U_f ~ U_g.
+exactly when U_f ~ U_g.  Only f is checked for scatteredness up front: an
+invertible W in the kernel with U_f W = U_g proves that g is scattered too,
+so g's census runs only on the paths that answer "not equivalent" or raise.
 """
 
 from __future__ import annotations
@@ -99,18 +103,26 @@ def _ab_min(r: LinearizedPoly):
     return scaled.scale(a), a, b
 
 
-def _canonicalize_witness(h: LinearizedPoly):
-    """(h_c, branch, a, b) with h_c = a*h(bx) or a*h^{-1}(bx), lex-minimal."""
+def _canonicalize_witness(h: LinearizedPoly, s, t):
+    """(h_c, branch, a, b) with h_c = a*h(bx) or a*h^{-1}(bx), lex-minimal.
+
+    Every exponent of h is congruent to s mod t, and t divides n, so
+    h(alpha x) = alpha^(q^s) h(x) for alpha in F_(q^t).  Applying h^-1 to
+    both sides gives h^-1(beta y) = beta^(q^-s) h^-1(y) with
+    beta = alpha^(q^s), which runs over F_(q^t) too, so every exponent of
+    h^-1 is congruent to -s mod t: the inverse branch is the solution r of
+    r o h = x on that class, and there is none when h is not bijective.
+    Only the n/t equations at x^(q^m) with t | m have terms, so the system
+    is square.
+    """
     T = h.tower
     cache = T.cache("canonical")
     if h.coeffs in cache:
         return cache[h.coeffs]
     candidates = [(_ab_min(h), "direct")]
-    try:
-        hinv = h.invert()
+    hinv = h.solve_on_class(LinearizedPoly.identity(T), -s, t)
+    if hinv is not None:
         candidates.append((_ab_min(hinv), "inverse"))
-    except NotBijective:
-        pass
     best = min(candidates, key=lambda c: _vector_key(T, c[0][0].coeffs))
     (poly, a, b), branch = best
     out = (poly, branch, a, b)
@@ -120,18 +132,21 @@ def _canonicalize_witness(h: LinearizedPoly):
 
 def canonicalize(h: LinearizedPoly) -> LinearizedPoly:
     """Canonical representative of the orbit {a h(bx)} union {a h^{-1}(bx)}."""
-    if h.delta_profile().t_h == 1:
+    t = h.delta_profile().t_h
+    if t == 1:
         raise NotStandard("polynomial is not in standard form")
-    return _canonicalize_witness(h)[0]
+    # t_h divides n and every difference of exponents
+    return _canonicalize_witness(h, h.support[0], t)[0]
 
 
 def _uv_from(f: LinearizedPoly, Pinv: Mat2):
     """The pair of q-polynomials (u, v) with (x, f(x)) Pinv = (u(x), v(x))."""
     T = f.tower
-    x = LinearizedPoly.identity(T)
-    u = x.scale(Pinv.a) + f.scale(Pinv.c)
-    v = x.scale(Pinv.b) + f.scale(Pinv.d)
-    return u, v
+
+    def plus_x(a, g):               # a x + g
+        return LinearizedPoly._of(T, (T.add_code(a, g.coeffs[0]),) + g.coeffs[1:])
+
+    return plus_x(Pinv.a, f.scale(Pinv.c)), plus_x(Pinv.b, f.scale(Pinv.d))
 
 
 def image_polynomial(f: LinearizedPoly, W: Mat2) -> LinearizedPoly:
@@ -164,23 +179,37 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     """Standard form of f with the conjugating witness, canonicalized.
 
     Pipeline: diagonalize the stabilizer field by P, push U_f through
-    X -> X P^{-1}, read off h0, then canonicalize to h_c = a h0(b x) or
-    a h0^-1(b x).  What the result promises follows from the certified
-    diagonal form P G_f P^-1 = D(s0, t) = {diag(alpha, alpha^(q^s0))} and is
-    not checked again:
-    - U_f P^-1 = U_h0 by construction, as h0 = v o u^-1 with u bijective.
-      The scaling X -> X diag(b^-1, a), after the swap of the coordinates in
+    X -> X P^{-1} to {(u(x), v(x))}, solve for h0 = v o u^-1 on its
+    residue class (`solve_on_class`), then canonicalize to h_c = a h0(b x)
+    or a h0^-1(b x), with h0^-1 solved for on its class too.  What the result
+    promises follows from the certified diagonal form
+    P G_f P^-1 = D(s0, t) = {diag(alpha, alpha^(q^s0))} and is not checked
+    again:
+    - u and v are bijective.  D(s0, t) fixes U_f P^-1 and acts on the line
+      X = 0 as y -> alpha^(q^s0) y, so U_f P^-1 meets that line in an
+      F_(q^t)-space; U_f P^-1 is scattered with U_f, so the meet has
+      F_q-dimension at most 1 < t and is zero: u has no kernel.  The line
+      Y = 0 gives the same for v.
+    - So U_f P^-1 = U_h0 with h0 bijective, and G_h0 = D(s0, t): h0 has
+      h0(alpha x) = alpha^(q^s0) h0(x) for alpha in F_(q^t), so every
+      exponent of h0 is congruent to s0 mod t.  r o u = v has no other
+      solution on that class, since r o u = 0 with u bijective forces
+      r = 0; a None from the solve would contradict the certificate and
+      raises InternalError.  h0^-1 is found on the class -s0 mod t
+      (`_canonicalize_witness`).
+    - The scaling X -> X diag(b^-1, a), after the swap of the coordinates in
       the inverse branch, carries U_h0 onto U_(h_c), so U_f Pc^-1 = U_(h_c).
     - So G_(h_c) = Pc G_f Pc^-1.  That is D(s0, t) in the direct branch,
       since diagonal matrices commute, and D(t - s0, t) in the inverse
       branch, since the swap turns diag(alpha, alpha^(q^s0)) into
       diag(beta, beta^(q^(t - s0))) with beta = alpha^(q^s0).
-    - A polynomial h with G_h = D(s', t), as h0 and h_c are, has
-      h(alpha x) = alpha^(q^s') h(x) for every alpha in F_(q^t), so every
-      exponent of h is congruent to s' mod t and t divides t_h.  A larger
+    - A polynomial h with G_h = D(s', t), as h0 and h_c are, has every
+      exponent congruent to s' mod t, as above, so t divides t_h.  A larger
       t_h would put D(s', t_h), of order q^(t_h), into G_h with zero, of
-      order q^t.  So the (s, t) read off h_c is (s', t) with t that of G_f.
-    - gcd(s, t) = 1 for scattered f (`DiagonalizationResult.s`).
+      order q^t.  So h_c has (s, t) = (s0, t) in the direct branch and
+      (t - s0, t) in the inverse one, and both are taken from the form.
+    - gcd(s, t) = 1 for scattered f (`DiagonalizationResult.s`), so s0 >= 1
+      when t > 1, and t - s0 lies in [1, t) as s does.
     """
     T = f.tower
     cache = T.cache("standard_form")
@@ -189,21 +218,21 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     Mf = compute_stabilizer(f)
     if Mf.t == 1:
         raise NotInS("stabilizer is the scalar group; no standard form exists")
-    P = diagonalize(Mf).P
+    form = diagonalize(Mf)
+    P = form.P
     u, v = _uv_from(f, P.inverse())
-    try:
-        uinv = u.invert()
-    except NotBijective as exc:
-        raise InternalError(
-            "first-coordinate map is singular, contradicting scatteredness") from exc
-    h_c, branch, a, b = _canonicalize_witness(v.compose(uinv))
-    D_inv = Mat2.diag(T, b, T.inv_code(a))
-    if branch == "direct":
-        Pc = D_inv * P
-    else:
-        Pc = D_inv * Mat2(T, 0, 1, 1, 0) * P
-    s, t = h_c.standard_form_params()
-    result = StandardFormResult(h_c, Pc, s, t, canonical=True)
+    h0 = u.solve_on_class(v, form.s, form.t)
+    if h0 is None:
+        raise InternalError("no standard form on the certified class, contradicting "
+                            "scatteredness")
+    h_c, branch, a, b = _canonicalize_witness(h0, form.s, form.t)
+    # Pc = diag(b, a^-1) P, with the rows of P swapped first in the inverse branch
+    rows = (P.a, P.b, P.c, P.d) if branch == "direct" else (P.c, P.d, P.a, P.b)
+    ainv = T.inv_code(a)
+    Pc = Mat2._of(T, *(T.mul_code(b, x) for x in rows[:2]),
+                  *(T.mul_code(ainv, x) for x in rows[2:]))
+    s = form.s if branch == "direct" else form.t - form.s
+    result = StandardFormResult(h_c, Pc, s, form.t, canonical=True)
     cache[f.coeffs] = result
     return result
 
@@ -225,24 +254,36 @@ class EquivalenceResult:
         return doc
 
 
-def _witness(f: LinearizedPoly, g: LinearizedPoly) -> Mat2 | None:
-    """A W with U_f W = U_g, or None when S(f, g) = {0}.
+def _pair_kernel(f: LinearizedPoly, g: LinearizedPoly):
+    """S(f, g), and whether its first basis matrix W proves U_f W = U_g.
 
-    S(f, g) = (G_f with zero) W, so its order must equal |G_f| + 1.
+    W proves it when det W != 0 and `maps_onto` holds.  Such a W maps each
+    F_(q^n)-line onto one, so U_g = U_f W is scattered with U_f, and g needs
+    no census.
     """
     S = MatrixField.of_pair(f, g)
     if not S.basis:
-        return None
+        return S, False
+    W = S.basis[0]
+    return S, W.det() != 0 and maps_onto(f, W, g)
+
+
+def _witness(f: LinearizedPoly, S: MatrixField, proven: bool) -> Mat2:
+    """The first basis matrix of a nonzero S = S(f, g), for scattered f, g.
+
+    S(f, g) = (G_f with zero) W, so its order must equal |G_f| + 1.  For
+    scattered g the witness is proven (`_pair_kernel`): a singular W would
+    put U_g on one F_(q^n)-line.
+    """
     if S.order != compute_stabilizer(f).order:
         raise InternalError(f"|S(f, g)| = {S.order} differs from |G_f| + 1")
-    W = S.basis[0]
-    if not maps_onto(f, W, g):
+    if not proven:
         raise InternalError("kernel witness fails the exhaustive check")
-    return W
+    return S.basis[0]
 
 
-def _check_scattered(f: LinearizedPoly, g: LinearizedPoly):
-    if not is_scattered(f) or not is_scattered(g):
+def _check_scattered(*polys: LinearizedPoly):
+    if not all(is_scattered(f) for f in polys):
         raise NotScattered("equivalence testing is defined for scattered inputs")
 
 
@@ -254,16 +295,20 @@ def gl_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult:
     """Decide U_f ~ U_g under GL(2, q^n), with witness when equivalent.
 
     Both inputs must be scattered.  The answer is the kernel S(f, g), and
-    its first basis matrix is the witness.  A nonzero S gives U_f W = U_g
-    with W invertible, so G_g = W^-1 G_f W and the stabilizer orders agree;
-    only an empty S computes G_g, to report whether the orders already
-    differ (the order is a GL-invariant).  n = 2 is refused with HallCase by
+    its first basis matrix is the witness.  f is checked first; a proven
+    witness W (`_pair_kernel`) shows that g is scattered too, so g's census
+    runs only when there is none.  A nonzero S gives U_f W = U_g with W
+    invertible, so G_g = W^-1 G_f W and the stabilizer orders agree; only
+    an empty S computes G_g, to report whether the orders already differ
+    (the order is a GL-invariant).  n = 2 is refused with HallCase by
     compute_stabilizer.
     """
-    _check_scattered(f, g)
-    W = _witness(f, g)
-    if W is not None:
-        return EquivalenceResult(True, "GL", witness=W)
+    _check_scattered(f)
+    S, proven = _pair_kernel(f, g)
+    if not proven:
+        _check_scattered(g)
+    if S.basis:
+        return EquivalenceResult(True, "GL", witness=_witness(f, S, proven))
     if not _orders_agree(f, g):
         return EquivalenceResult(False, "GL", reason="stabilizer orders differ")
     return EquivalenceResult(False, "GL", reason="no nonzero M with U_f M in U_g")
@@ -283,7 +328,8 @@ def gammal_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult
     if not _orders_agree(f, g):
         return EquivalenceResult(False, "GammaL", reason="stabilizer orders differ")
     for k in range(f.tower.en):
-        W = _witness(f, g.twist(k))
-        if W is not None:
-            return EquivalenceResult(True, "GammaL", witness=W, sigma_p_exponent=k)
+        S, proven = _pair_kernel(f, g.twist(k))
+        if S.basis:
+            return EquivalenceResult(True, "GammaL", witness=_witness(f, S, proven),
+                                     sigma_p_exponent=k)
     return EquivalenceResult(False, "GammaL", reason="no coefficient twist matches")

@@ -74,7 +74,11 @@ scan over b that filtered all M exponents with one array per term
 linear congruence per term.  The oracles reuse the library's stabilizer,
 diagonalization, standard forms and spread, but none of the replaced logic;
 the list of the spread's components, which the library never walks, is
-here (spread_components).
+here (spread_components).  The standard form has the route that the solve
+on its residue class replaced: u inverted over F_p, h0 = v o u^-1 by
+composition, and h0^-1 and the inverse branch of canonicalize by a second
+F_p inversion (standard_pair_by_inversion, canonical_by_inversion,
+standard_form_by_inversion).
 """
 
 import itertools
@@ -91,7 +95,8 @@ from scattered_lab.mrd import code_of, right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.scatter import SlopeCensus, slope_census
 from scattered_lab.stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
-from scattered_lab.standard_form import _ab_min, _uv_from, maps_onto, to_standard_form
+from scattered_lab.standard_form import (StandardFormResult, _ab_min, _uv_from, maps_onto,
+                                         to_standard_form)
 
 
 def _keys(V):
@@ -1424,3 +1429,42 @@ def gl_solutions_by_brute_force(f, g):
     B = add[R[:, 1], neg[mul[D, FX[1]]]]
     ok = (add[mul[B[:, None], X], mul[D[:, None], FX]] == R).all(axis=1)
     return [tuple(int(v) for v in m) for m in zip(A[ok], B[ok], C[ok], D[ok])]
+
+
+def standard_pair_by_inversion(f):
+    """(P, h0, h0^-1) with U_f P^-1 = U_h0, every inverse by F_p elimination."""
+    P = diagonalize(compute_stabilizer(f)).P
+    Pinv, x = P.inverse(), LinearizedPoly.identity(f.tower)
+    u = x.scale(Pinv.a) + f.scale(Pinv.c)
+    v = x.scale(Pinv.b) + f.scale(Pinv.d)
+    h0 = v.compose(u.invert())
+    return P, h0, h0.invert()
+
+
+def _canonical_witness_by_inversion(h, hinv):
+    """(h_c, inverse branch?, a, b): the lex-least _ab_min of h and of hinv."""
+    T = h.tower
+    found = [(_ab_min(h), False)]
+    if hinv is not None:
+        found.append((_ab_min(hinv), True))
+    (poly, a, b), inverse = min(found, key=lambda c: tuple(T.element_key(x)
+                                                           for x in c[0][0].coeffs))
+    return poly, inverse, a, b
+
+
+def canonical_by_inversion(h):
+    """canonicalize(h), with the inverse branch from h.invert()."""
+    try:
+        hinv = h.invert()
+    except NotBijective:
+        hinv = None
+    return _canonical_witness_by_inversion(h, hinv)[0]
+
+
+def standard_form_by_inversion(f):
+    """to_standard_form(f) on the F_p-inversion route."""
+    T = f.tower
+    P, h0, h0inv = standard_pair_by_inversion(f)
+    h_c, inverse, a, b = _canonical_witness_by_inversion(h0, h0inv)
+    Pc = Mat2.diag(T, b, T.inv_code(a)) * (Mat2(T, 0, 1, 1, 0) * P if inverse else P)
+    return StandardFormResult(h_c, Pc, *h_c.standard_form_params())

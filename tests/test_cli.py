@@ -181,12 +181,14 @@ POLY_OK = {"coeffs": ["0", "1", "0", "0"]}
     ({**FIELD_OK, "seed": "7"}, POLY_OK, "BadElement"),
     ({**FIELD_OK, "p": 5.7}, POLY_OK, "BadElement"),
     ({**FIELD_OK, "n": "4"}, POLY_OK, "BadElement"),
+    # an int coefficient outside [0, p) was reduced mod p
+    ({**FIELD_OK, "n": 5}, {"coeffs": [0, 437, 0, -3, 0]}, "BadElement"),
 ], ids=["seed", "modulus-digit", "modulus-int", "generator", "coeffs-int",
         "coeff-digit-array", "coeffs-string", "modulus-string", "modulus-float",
         "modulus-out-of-range", "generator-out-of-range", "coeff-digit-out-of-range",
         "coeff-digit-float", "coeff-digit-negative", "coeff-digit-bool",
         "float-p-n-generator", "string-p-n-float-seed", "bool-e", "string-seed",
-        "float-p", "string-n"])
+        "float-p", "string-n", "coeff-int-out-of-range"])
 def test_malformed_spec_is_a_json_error(tmp_path, field, poly, error):
     field_path, poly_path = tmp_path / "field.json", tmp_path / "poly.json"
     field_path.write_text(json.dumps(field))

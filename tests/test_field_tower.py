@@ -212,7 +212,7 @@ def test_element_parsing_and_formatting(tower):
     assert T.parse_element("1") == 1
     assert T.parse_element("g") == T.gen_code
     assert T.parse_element("g^10") == T.pow_code(T.gen_code, 10)
-    assert T.parse_element(7) == 2
+    assert T.parse_element(2) == 2
     assert T.parse_element([1, 2, 0, 3]) == 1 + 2 * 5 + 3 * 125
     assert T.format_code(0) == "0"
     k = 123
@@ -221,6 +221,9 @@ def test_element_parsing_and_formatting(tower):
         T.parse_element("h^2")
     with pytest.raises(BadElement):
         T.parse_element([1, 2])
+    for outside in (7, 5, -3):   # an int is an F_p scalar, never reduced mod p
+        with pytest.raises(BadElement):
+            T.parse_element(outside)
 
 
 def test_no_table_fallback_agrees(tower):

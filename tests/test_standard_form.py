@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from scattered_lab.errors import InternalError, NotBijective, NotInS, NotScattered, NotStandard
+from scattered_lab.errors import (HallCase, InternalError, NotBijective, NotInS, NotScattered,
+                                  NotStandard)
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
@@ -20,10 +21,12 @@ from scattered_lab.stabilizer import (
     _pair_system,
     compute_stabilizer,
     conjugates_to_diagonal,
+    diagonalize,
 )
 from scattered_lab.standard_form import (
     _ab_min,
     _min_exponent,
+    _uv_from,
     canonicalize,
     gammal_equivalent,
     gl_equivalent,
@@ -36,6 +39,7 @@ from oracles import (
     ab_min_by_array_scan,
     ab_min_by_scan,
     branches,
+    canonical_by_inversion,
     canonical_by_scan,
     element_set_of,
     elements_of,
@@ -44,7 +48,9 @@ from oracles import (
     lambda_by_array_scan,
     maps_onto_by_inversion,
     non_s_scan,
+    standard_form_by_inversion,
     standard_form_stabilizer_by_census,
+    standard_pair_by_inversion,
     standard_shape_by_walk,
 )
 
@@ -432,9 +438,7 @@ def test_ab_min_matches_array_scan_on_catalog(tower):
 def test_invert_internal_error_propagates(monkeypatch):
     # only NotBijective means "not invertible"; any other failure of invert()
     # is a bug and must surface instead of steering the answer
-    T0 = make_field(5, 1, 4)
-    h = to_standard_form(make_lp(T0, 1, find_lp_delta(T0)).poly).h
-    T = make_field(5, 1, 4)  # fresh tower: no inverse or canonical form cached
+    T = make_field(5, 1, 4)  # fresh tower: no inverse or standard form cached
     f = LinearizedPoly.monomial(T, 1)
 
     def broken(self):
@@ -447,9 +451,10 @@ def test_invert_internal_error_propagates(monkeypatch):
         maps_onto(f, Mat2.diag(T, 1, 0), LinearizedPoly.zero(T))
     with pytest.raises(InternalError):
         branches(f)
-    with pytest.raises(InternalError):
-        canonicalize(LinearizedPoly(T, h.coeffs))
-    with pytest.raises(InternalError, match="broken inversion"):
+    # the standard form solves on its certified class instead; no solution
+    # there contradicts the certificate
+    monkeypatch.setattr(LinearizedPoly, "solve_on_class", lambda self, v, s, t: None)
+    with pytest.raises(InternalError, match="certified class"):
         to_standard_form(make_lp(T, 1, find_lp_delta(T)).poly)
 
 
@@ -490,3 +495,123 @@ def test_maps_onto_matches_inversion_oracle(tower):
             assert maps_onto(f, W, g) == want, (f, W.entries(), g)
             answers.add((W.det() == 0, want))
         assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _random_scattered(T, rng, count):
+    """count seeded random scattered f over T, or fewer when 200 draws do not
+    find them: a_0 = 0 and the other coefficients uniform, and at n = 6 also
+    x^q + a x^(q^4), which lies in the standard-form class (t = 3) when
+    scattered."""
+    out = []
+    x_q = LinearizedPoly.monomial(T, 1)
+    for draw in range(200):
+        if T.n == 6 and draw % 2:
+            f = x_q + LinearizedPoly.monomial(T, 4, rng.randrange(1, T.size))
+        else:
+            f = LinearizedPoly(T, [0] + [rng.randrange(T.size) for _ in range(T.n - 1)])
+        if is_scattered(f):
+            out.append(f)
+            if len(out) == count:
+                break
+    return out
+
+
+CLASS_SOLVE_FIELDS = ((3, 1, 4), (5, 1, 4), (7, 1, 4), (5, 1, 5), (5, 1, 6), (7, 1, 6),
+                      (2, 2, 4), (3, 2, 3))
+
+
+def test_class_solve_matches_inversion_oracle(tower):
+    # every catalog instance, GL-images of them and seeded random scattered f:
+    # h0 and h0^-1 solved on their classes are those of the F_p inversions,
+    # and so are the standard form and canonicalize; a wrong class has none
+    seen = {True: 0, False: 0}   # standard forms over e = 2 and e = 1 towers
+    for key in CLASS_SOLVE_FIELDS:
+        T = tower(*key)
+        rng = T.rng("class-solve")
+        sources = [inst.poly for inst in catalog(T)]
+        polys = _with_images(T, sources, rng, 1) + _random_scattered(T, rng, 4)
+        x = LinearizedPoly.identity(T)
+        for f in polys:
+            if compute_stabilizer(f).t == 1:
+                with pytest.raises(NotInS):
+                    to_standard_form(f)
+                continue
+            D = diagonalize(compute_stabilizer(f))
+            u, v = _uv_from(f, D.P.inverse())
+            P, h0, h0inv = standard_pair_by_inversion(f)
+            assert P == D.P
+            assert u.solve_on_class(v, D.s, D.t) == h0, (key, f)
+            assert v.solve_on_class(u, -D.s, D.t) == h0inv, (key, f)
+            assert u.solve_on_class(v, D.s + 1, D.t) is None
+            assert v.solve_on_class(u, 1 - D.s, D.t) is None
+            sf = to_standard_form(f)
+            assert sf == standard_form_by_inversion(f), (key, f)
+            for h in (h0, h0inv, sf.h, h0.transform(rng.randrange(1, T.size), 1 + T.gen_code)):
+                assert canonicalize(h) == canonical_by_inversion(h), (key, h)
+                assert h.solve_on_class(x, -h.support[0], h.delta_profile().t_h) == h.invert()
+            seen[key[1] == 2] += 1
+    assert min(seen.values()) > 0
+
+
+def test_class_solve_refuses_a_singular_map(tower):
+    # h = x^q + c x^(q^3) over F_(5^4) with a kernel: canonicalize has no
+    # inverse branch, as on the inversion route, and r o h = v has a free
+    # unknown for v = 0 and no solution for v = x
+    T = tower(5, 1, 4)
+    x, zero = LinearizedPoly.identity(T), LinearizedPoly.zero(T)
+    singular = [h for h in (LinearizedPoly(T, [0, 1, 0, c]) for c in range(1, T.size, 7))
+                if h.kernel_dim() > 0]
+    assert singular
+    for h in singular[:5]:
+        assert h.solve_on_class(x, -1, 2) is None
+        assert h.solve_on_class(zero, 1, 2) is None
+        assert canonicalize(h) == canonical_by_inversion(h)
+
+
+def test_equivalent_target_needs_no_census():
+    # a proven witness shows that g is scattered: no census of g is taken
+    T = make_field(5, 1, 5)  # fresh tower: empty memos
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    g = image_polynomial(f, Mat2(T, 3, 5, 8, 13))
+    res = gl_equivalent(f, g)
+    assert res.equivalent and maps_onto(f, res.witness, g)
+    census = T.cache("census")
+    assert f.coeffs in census and g.coeffs not in census
+    # an inequivalent target is still censused
+    other = LinearizedPoly.from_json(T, {"coeffs": ["0", "g^0", "0", "0", "g^2"]})
+    assert gl_equivalent(f, other).equivalent is False
+    assert other.coeffs in census
+
+
+def test_non_scattered_target_is_refused(tower):
+    # g = 0, whose pair kernel is nonzero but singular; x^(q^2) over F_(3^4),
+    # which is F_(q^2)-linear; and non-scattered g at n = 2, where a
+    # scattered pair raises HallCase instead
+    T5 = tower(5, 1, 5)
+    lp5 = make_lp(T5, 1, find_lp_delta(T5)).poly
+    T3 = tower(3, 1, 4)
+    T2 = tower(5, 1, 2)
+    x_q2 = LinearizedPoly.monomial(T2, 1)
+    cases = [(lp5, LinearizedPoly.zero(T5)),
+             (LinearizedPoly.monomial(T3, 1), LinearizedPoly.monomial(T3, 2)),
+             (x_q2, LinearizedPoly.zero(T2)), (x_q2, LinearizedPoly.monomial(T2, 0, 7))]
+    for f, g in cases:
+        assert is_scattered(f) and not is_scattered(g)
+        for equivalent in (gl_equivalent, gammal_equivalent):
+            with pytest.raises(NotScattered, match="scattered inputs"):
+                equivalent(f, g)
+            with pytest.raises(NotScattered, match="scattered inputs"):
+                equivalent(g, f)
+
+
+def test_scattered_pair_at_n_2_is_a_hall_case(tower):
+    # x^q against itself, a GL-image of it and a multiple of it: at n = 2 the
+    # answer is HallCase whether or not the kernel holds a witness
+    T = tower(5, 1, 2)
+    f = LinearizedPoly.monomial(T, 1)
+    targets = [f, image_polynomial(f, Mat2(T, 2, 3, 1, 7)), f.scale(T.gen_code)]
+    for g in targets:
+        assert is_scattered(g)
+        for equivalent in (gl_equivalent, gammal_equivalent):
+            with pytest.raises(HallCase):
+                equivalent(f, g)
