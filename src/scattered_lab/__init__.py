@@ -8,7 +8,7 @@ planes, at desk scale.
 
 from .errors import ScatteredLabError
 from .field_tower import FieldSpec, FieldTower, field_from_json, make_field
-from .linearized import DeltaProfile, LinearizedPoly
+from .linearized import LinearizedPoly
 from .scatter import (
     LinearSet,
     is_scattered,

@@ -1,9 +1,9 @@
 """Small exact linear algebra kernels over the prime field F_p.
 
 Matrices are numpy int64 arrays reduced mod p.  They carry the stabilizer
-solution system, the Frobenius and multiplication matrices,
-and the F_p-matrix of a q-polynomial, from which its rank and compositional
-inverse are read.  The eliminations are Gauss-Jordan elimination with one
+solution system, the Frobenius and multiplication matrices, and the
+F_p-matrix of a q-polynomial, from which its rank is read.  The
+eliminations are Gauss-Jordan elimination with one
 broadcast update of every row per pivot, which at these sizes costs less
 than selecting the rows to update, reduced mod p lazily (see `rref_mod`);
 the systems never exceed a few hundred rows at desk scale, and the reduced
@@ -100,17 +100,6 @@ def solve_mod(A, b, p):
     for r, c in enumerate(pivots):
         x[c] = R[r, cols]
     return x
-
-
-def inv_mod_matrix(A, p):
-    """Inverse of a square matrix mod p, or None if singular."""
-    A = np.array(A, dtype=np.int64) % p
-    m = A.shape[0]
-    aug = np.hstack([A, np.eye(m, dtype=np.int64)])
-    R, pivots = rref_mod(aug, p)
-    if pivots != list(range(m)):
-        return None
-    return R[:, m:]
 
 
 def rank_mod(A, p):

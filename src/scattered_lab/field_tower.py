@@ -38,11 +38,7 @@ Linear algebra over the tower is F_p-linear algebra in the power basis.
 Each tower caches the en matrices of multiplication by X^k and the n
 matrices of x -> x^(q^k); the F_p-matrices of any stack of products or
 q-polynomials are matrix products with them (`mul_matrices`,
-`qpoly_matrices`), with no field arithmetic.  The F_p-trace-dual basis of
-the power basis (`trace_dual_basis`, built once per tower) reads
-power-basis coordinates as traces, which turns the F_p-matrix of an
-F_q-linear map back into its q-polynomial; `qpoly_readback` is that
-readback as one F_p-matrix, built once per tower.  The slope census reads
+`qpoly_matrices`), with no field arithmetic.  The slope census reads
 one code per F_p^*-class, the codes whose top nonzero digit is 1; the
 tower caches their logs (`class_logs`) and the digit block that evaluates
 their low levels in one product (`class_block`).
@@ -67,8 +63,7 @@ from .errors import (
     NotADivisor,
     TooLarge,
 )
-from ._linalg import (CLASS_BLOCK_BOUND, class_block, class_codes, inv_mod_matrix,
-                      linear_values, solve_mod)
+from ._linalg import CLASS_BLOCK_BOUND, class_block, class_codes, linear_values, solve_mod
 
 DEFAULT_TABLE_BOUND = 1 << 23
 # exp/log tables are int32: codes and logs of a tabled field lie below it
@@ -384,8 +379,6 @@ class FieldTower:
             self._build_tables()
         self._frob_mat = None
         self._frob_stack = None
-        self._trace_dual = None
-        self._readback = None
         self._class_block = self._class_logs = None
         self._bsgs_baby: dict[int, int] = {}
         self._caches: dict[str, _LRU] = {}
@@ -715,48 +708,6 @@ class FieldTower:
         r1 = self.mul_code(self.sub_code(s, b), inv2)
         r2 = self.mul_code(self.sub_code(0, self.add_code(b, s)), inv2)
         return sorted({r1, r2})
-
-    # -- trace duality -----------------------------------------------------
-    @property
-    def trace_dual_basis(self):
-        """Codes of the F_p-trace-dual basis beta_k of the power basis X^k.
-
-        Tr(X^j beta_k) = [j = k] with Tr the trace of F_{q^n} over F_p, so
-        the k-th power-basis coordinate of y is Tr(y beta_k).  beta is the
-        inverse of the Gram matrix Tr(X^(j+k)), whose entries are traces of
-        powers of the multiplication-by-X matrix; built once per tower.
-        """
-        if self._trace_dual is None:
-            en, p = self.en, self.p
-            X = self.mul_matrix(p)  # X has the single digit 1 in position 1
-            power, traces = np.eye(en, dtype=np.int64), []
-            for _ in range(2 * en - 1):
-                traces.append(int(np.trace(power)) % p)
-                power = (X @ power) % p
-            gram = np.array([traces[j:j + en] for j in range(en)], dtype=np.int64)
-            inv = inv_mod_matrix(gram, p)
-            if inv is None:
-                raise InternalError("the trace form is degenerate")
-            self._trace_dual = [_pack(inv[:, k], p) for k in range(en)]
-        return self._trace_dual
-
-    @property
-    def qpoly_readback(self):
-        """The F_p-matrix R that reads an F_q-linear map's q-polynomial off its matrix.
-
-        For the F_p-matrix A of an F_q-linear map, the digits of its
-        coefficients are R @ vec(A^T) mod p, row (i, r) holding digit r of
-        a_i and column (k, s) meeting A[s, k]; R[(i, r), (k, s)] is digit r
-        of X^s beta_k^(q^i), with beta the trace-dual basis (see
-        `LinearizedPoly.from_fp_matrix`).  One `mul_matrices` stack of the
-        n * en codes beta_k^(q^i), transposed; built once per tower.
-        """
-        if self._readback is None:
-            n, en = self.n, self.en
-            conj = [self.frob_code(beta, i) for i in range(n) for beta in self.trace_dual_basis]
-            mats = self.mul_matrices(conj).reshape(n, en, en, en)   # [i, k, r, s]
-            self._readback = mats.transpose(0, 2, 1, 3).reshape(n * en, en * en)
-        return self._readback
 
     @property
     def class_block(self):

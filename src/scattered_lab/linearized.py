@@ -4,32 +4,31 @@ A polynomial sum(a_i x^(q^i)) is held as the length-n tuple of coefficient
 codes (see `field_tower`), each checked on construction to lie in [0, q^n);
 `evaluate_code` maps a code to a code, and it, `scale` and `transform`
 refuse an argument outside that range.  The results of the algebra below
-(sums, scalings, transforms, compositions, twists and readbacks) are
+(sums, scalings, transforms, compositions, twists and solves) are
 computed from codes in range, so they skip the check.  Composition is reduced mod
 x^(q^n) - x, so these objects are exactly the F_q-linear endomorphisms of
-F_{q^n}.  Rank, kernel and inversion run on the en x en F_p-matrix of the
-action in the power basis, which `FieldTower.qpoly_matrices` assembles from
-the tower's cached multiplication and Frobenius matrices without evaluating
-f; one product with the tower's `qpoly_readback` matrix, built from the
-trace-dual basis, turns a matrix back into its q-polynomial.  The same
-matrix gives the bulk evaluation at every element:
+F_{q^n}.  Rank and kernel run on the en x en F_p-matrix of the action in
+the power basis, which `FieldTower.qpoly_matrices` assembles from the
+tower's cached multiplication and Frobenius matrices without evaluating
+f.  The same matrix gives the bulk evaluation at every element:
 `_linalg.linear_values` tabulates it in code order by p-adic doubling, one
 digit level at a time, so its cost does not grow with the number of terms.
 A single value, `evaluate_code`, reads the tower's exp/log memoryviews, one
-log per term, on a field with tables.  When the answer is known to have all
-its exponents in one residue class s mod t, `solve_on_class` finds the r
-with r o u = v from n/t unknowns over F_{q^n} instead: the standard form
-and its inverse are found that way, with no F_p-inversion.
+log per term, on a field with tables.  The way back to a q-polynomial is
+one routine, `solve_on_class`: the r with r o u = v whose exponents all lie
+in one residue class s mod t, n/t unknowns over F_{q^n}.  The standard form
+and its inverse are solved on the class that the G_f certificate names; a
+compositional inverse, and with it an image U_f W, is the same solve on the
+class 0 mod 1, whose system is the Dickson matrix of u, nonsingular exactly
+when u is bijective.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import NotBijective, NotStandard, ZeroPolynomial
-from ._linalg import inv_mod_matrix, linear_values, rank_mod
+from ._linalg import linear_values, rank_mod
 from .field_tower import FieldTower
 
 
@@ -191,23 +190,6 @@ class LinearizedPoly:
         """en x en matrix over F_p of the action on power-basis coordinates."""
         return self.tower.qpoly_matrices([self.coeffs])[0]
 
-    @classmethod
-    def from_fp_matrix(cls, tower, A):
-        """The q-polynomial acting as the F_p-matrix A on power-basis coordinates.
-
-        With beta the trace-dual basis, y = sum_k Tr(y beta_k) X^k, so the map
-        is sum_k A(X^k) Tr(beta_k y) and its x^(p^m) coefficient is
-        sum_k A(X^k) beta_k^(p^m).  A must be F_q-linear, as every fp_matrix
-        and its inverse are: then only the multiples m = e i survive, and
-        a_i = sum_k A(X^k) beta_k^(q^i).  A(X^k) is column k of A, so the
-        digits of every a_i are one product with the tower's cached
-        `qpoly_readback` matrix, with no field arithmetic.
-        """
-        T = tower
-        vec = np.asarray(A, dtype=np.int64).T.reshape(-1)
-        digits = (T.qpoly_readback @ vec % T.p).reshape(T.n, T.en)
-        return cls._of(T, (digits @ T.p ** np.arange(T.en, dtype=np.int64)).tolist())
-
     def rank(self):
         """Rank as an F_q-endomorphism (the F_p rank is e times larger)."""
         r = rank_mod(self.fp_matrix(), self.tower.p)
@@ -219,16 +201,16 @@ class LinearizedPoly:
         return self.tower.n - self.rank()
 
     def invert(self) -> "LinearizedPoly":
-        """Compositional inverse; raises NotBijective if the kernel is nontrivial."""
-        cache = self.tower.cache("invert")
-        if self.coeffs in cache:
-            return cache[self.coeffs]
-        inv = inv_mod_matrix(self.fp_matrix(), self.tower.p)
-        if inv is None:
+        """Compositional inverse; raises NotBijective if the kernel is nontrivial.
+
+        The inverse is the r with r o self = x, solved on the class 0 mod 1
+        (every exponent): n equations in n unknowns whose matrix is the
+        Dickson matrix of self, nonsingular exactly when self is bijective
+        (Wu and Liu, Finite Fields Appl. 2013).
+        """
+        out = self.solve_on_class(LinearizedPoly.identity(self.tower), 0, 1)
+        if out is None:
             raise NotBijective("polynomial has nontrivial kernel")
-        out = LinearizedPoly.from_fp_matrix(self.tower, inv)
-        cache[self.coeffs] = out
-        cache[out.coeffs] = self
         return out
 
     def solve_on_class(self, v: "LinearizedPoly", s, t):
@@ -269,36 +251,16 @@ class LinearizedPoly:
         return LinearizedPoly._of(T, out)
 
     # -- exponent combinatorics ---------------------------------------------------
-    def delta_profile(self) -> "DeltaProfile":
-        if self.is_zero():
-            raise ZeroPolynomial("the zero polynomial has no exponent profile")
-        n = self.tower.n
-        supp = self.support
-        deltas = {n}
-        for i in supp:
-            for j in supp:
-                if i != j:
-                    deltas.add((i - j) % n)
-        return DeltaProfile(frozenset(deltas), math.gcd(*deltas))
-
     def standard_form_params(self):
-        """(s, t) with all exponents congruent to s mod t = t_h; NotStandard if t_h = 1."""
-        prof = self.delta_profile()
-        if prof.t_h == 1:
+        """(s, t) with all exponents congruent to s mod t = t_h; NotStandard if t_h = 1.
+
+        t_h = gcd(n, i - i0 for i in the support), i0 the least exponent: the
+        gcd of n and every difference of exponents.
+        """
+        supp = self.support
+        if not supp:
+            raise ZeroPolynomial("the zero polynomial has no exponent profile")
+        t = math.gcd(self.tower.n, *(i - supp[0] for i in supp))
+        if t == 1:
             raise NotStandard("exponent gcd is 1")
-        # t_h divides every difference of exponents, so they agree mod t_h
-        return self.support[0] % prof.t_h, prof.t_h
-
-
-class DeltaProfile:
-    """Set of exponent differences of a q-polynomial, and their gcd."""
-
-    __slots__ = ("delta_set", "t_h")
-
-    def __init__(self, delta_set, t_h):
-        self.delta_set = delta_set
-        self.t_h = t_h
-
-    def __repr__(self):
-        return f"DeltaProfile({sorted(self.delta_set)}, t_h={self.t_h})"
-
+        return supp[0] % t, t

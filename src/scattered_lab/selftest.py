@@ -144,7 +144,7 @@ def criterion_6():
             if Mf.t == 1:
                 continue
             sf = to_standard_form(inst.poly)   # includes the G_h shape assertions
-            _check(sf.h.delta_profile().t_h == sf.t, "t_h != t")
+            _check(sf.h.standard_form_params()[1] == sf.t, "t_h != t")
             _check(sf.t == Mf.t, "standard-form degree differs from stabilizer degree")
             _check(conjugates_to_diagonal(compute_stabilizer(sf.h), Mat2.identity(T),
                                           sf.s, sf.t), "G_h shape mismatch")

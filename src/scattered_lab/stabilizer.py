@@ -110,9 +110,6 @@ class Mat2:
     def is_scalar(self):
         return self.b == 0 and self.c == 0 and self.a == self.d
 
-    def is_diagonal(self):
-        return self.b == 0 and self.c == 0
-
     def inverse(self):
         T = self.tower
         dt = self.det()
@@ -178,9 +175,8 @@ class MatrixField:
     coords: np.ndarray       # F_p-basis of that kernel, one digit row each
     t: int | None = None     # order = q^t once verified
     generator: Mat2 | None = None
-    verified: bool = False
     scattered_input: bool = True
-    _diag: DiagonalizationResult | None = None
+    _diag: DiagonalizationResult | None = None   # the certificate of verify_field
 
     @classmethod
     def from_system(cls, tower, system, **fields):
@@ -193,6 +189,12 @@ class MatrixField:
         T = self.tower
         codes = self.coords.reshape(-1, 4, T.en) @ T.p ** np.arange(T.en, dtype=np.int64)
         return tuple(Mat2._of(T, *row) for row in codes.tolist())
+
+    @property
+    def verified(self):
+        """Has verify_field certified this space as a field?  Its diagonal
+        form is the certificate."""
+        return self._diag is not None
 
     @property
     def order(self):
@@ -368,7 +370,7 @@ def verify_field(Mf: MatrixField):
             break
     else:
         raise NotAField("no element of full multiplicative order")
-    Mf.t, Mf.generator, Mf.verified = t, Mat2._of(T, *Mf._codes([r])[0]), True
+    Mf.t, Mf.generator = t, Mat2._of(T, *Mf._codes([r])[0])
     eigen_points = (normalize_point(T, (P.a, P.b)), normalize_point(T, (P.c, P.d)))
     Mf._diag = DiagonalizationResult(P, t, p_exp, eigen_points, pairs)
     return t, Mf.generator
@@ -396,14 +398,28 @@ def _eigenbasis(A: Mat2) -> Mat2:
 
 
 def _conjugated_pairs(basis, W: Mat2):
-    """(x, y) with W b W^-1 = diag(x, y) for each b in basis; None if one is not diagonal."""
-    Winv = W.inverse()
+    """(x, y) with W b W^-1 = diag(x, y) for each b in basis; None if one is not diagonal.
+
+    W b W^-1 = diag(x, y) exactly when W b = diag(x, y) W, that is, when
+    row i of W times b is lambda_i times that row, with (x, y) = (lambda_0,
+    lambda_1): no W^-1 and no matrix product.  A singular W raises
+    ZeroDivisionError, as W.inverse() does.
+    """
+    T = W.tower
+    if W.det() == 0:
+        raise ZeroDivisionError("singular matrix")
+    rows = ((W.a, W.b), (W.c, W.d))
     pairs = []
     for b in basis:
-        c = W * b * Winv
-        if not c.is_diagonal():
-            return None
-        pairs.append((c.a, c.d))
+        lams = []
+        for w0, w1 in rows:
+            # (u0, u1) = (w0, w1) b is a multiple of (w0, w1) iff u0 w1 = u1 w0
+            u0 = T.add_code(T.mul_code(w0, b.a), T.mul_code(w1, b.c))
+            u1 = T.add_code(T.mul_code(w0, b.b), T.mul_code(w1, b.d))
+            if T.mul_code(u0, w1) != T.mul_code(u1, w0):
+                return None
+            lams.append(T.div_code(u0, w0) if w0 else T.div_code(u1, w1))
+        pairs.append(tuple(lams))
     return tuple(pairs)
 
 
@@ -412,7 +428,9 @@ def conjugates_to_diagonal(Mf: MatrixField, W: Mat2, s: int, t: int) -> bool:
 
     Conjugation by W is F_p-linear and D(s, t) is an F_p-space of order q^t,
     so a conjugated basis inside D(s, t) puts W Mf W^-1 inside it, and equal
-    orders |Mf| = q^t make the two equal.  Costs dim(Mf) pairs of products.
+    orders |Mf| = q^t make the two equal.  Each basis matrix is tested
+    against the rows of W (`_conjugated_pairs`), and a singular W raises
+    ZeroDivisionError.
     """
     T = Mf.tower
     if Mf.order != T.q**t:

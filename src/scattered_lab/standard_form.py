@@ -116,27 +116,20 @@ def _canonicalize_witness(h: LinearizedPoly, s, t):
     is square.
     """
     T = h.tower
-    cache = T.cache("canonical")
-    if h.coeffs in cache:
-        return cache[h.coeffs]
     candidates = [(_ab_min(h), "direct")]
     hinv = h.solve_on_class(LinearizedPoly.identity(T), -s, t)
     if hinv is not None:
         candidates.append((_ab_min(hinv), "inverse"))
-    best = min(candidates, key=lambda c: _vector_key(T, c[0][0].coeffs))
-    (poly, a, b), branch = best
-    out = (poly, branch, a, b)
-    cache[h.coeffs] = out
-    return out
+    (poly, a, b), branch = min(candidates, key=lambda c: _vector_key(T, c[0][0].coeffs))
+    return poly, branch, a, b
 
 
 def canonicalize(h: LinearizedPoly) -> LinearizedPoly:
-    """Canonical representative of the orbit {a h(bx)} union {a h^{-1}(bx)}."""
-    t = h.delta_profile().t_h
-    if t == 1:
-        raise NotStandard("polynomial is not in standard form")
-    # t_h divides n and every difference of exponents
-    return _canonicalize_witness(h, h.support[0], t)[0]
+    """Canonical representative of the orbit {a h(bx)} union {a h^{-1}(bx)}.
+
+    Raises NotStandard when t_h = 1 and ZeroPolynomial for h = 0.
+    """
+    return _canonicalize_witness(h, *h.standard_form_params())[0]
 
 
 def _uv_from(f: LinearizedPoly, Pinv: Mat2):
@@ -150,9 +143,16 @@ def _uv_from(f: LinearizedPoly, Pinv: Mat2):
 
 
 def image_polynomial(f: LinearizedPoly, W: Mat2) -> LinearizedPoly:
-    """g with U_f W = U_g, when the first-coordinate map is invertible."""
+    """g with U_f W = U_g, when the first-coordinate map u is invertible.
+
+    (x, f(x)) W = (u(x), v(x)), and g is the solution of g o u = v on the
+    class 0 mod 1; raises NotBijective when u has a kernel.
+    """
     u, v = _uv_from(f, W)
-    return v.compose(u.invert())
+    g = u.solve_on_class(v, 0, 1)
+    if g is None:
+        raise NotBijective("polynomial has nontrivial kernel")
+    return g
 
 
 def maps_onto(f: LinearizedPoly, W: Mat2, g: LinearizedPoly) -> bool:
@@ -212,9 +212,6 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
       when t > 1, and t - s0 lies in [1, t) as s does.
     """
     T = f.tower
-    cache = T.cache("standard_form")
-    if f.coeffs in cache:
-        return cache[f.coeffs]
     Mf = compute_stabilizer(f)
     if Mf.t == 1:
         raise NotInS("stabilizer is the scalar group; no standard form exists")
@@ -232,9 +229,7 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     Pc = Mat2._of(T, *(T.mul_code(b, x) for x in rows[:2]),
                   *(T.mul_code(ainv, x) for x in rows[2:]))
     s = form.s if branch == "direct" else form.t - form.s
-    result = StandardFormResult(h_c, Pc, s, form.t, canonical=True)
-    cache[f.coeffs] = result
-    return result
+    return StandardFormResult(h_c, Pc, s, form.t, canonical=True)
 
 
 @dataclass

@@ -26,15 +26,21 @@ witness (andre_subgroup_by_walk).  Equivalence has two: the routes that
 the kernel S(f, g) replaced, canonical standard forms inside the class
 (gl_by_standard_forms) and the diagonal/antidiagonal witness search outside
 it (non_s_scan), and a brute-force search of all of GL(2, q^n) on small
-fields (gl_solutions_by_brute_force).  Compositional inversion has the
-route the F_p-matrix and the trace-dual basis replaced: the matrix over F_q,
-inverted and read back through a Moore system by elimination on element
-codes (invert_by_fq_matrix), and the readback of a q-polynomial from its
-F_p-matrix by en * n scalar products, where the library takes one product
-with a cached matrix (from_fp_matrix_by_scalars).  U_f W = U_g is decided
-with u always inverted (maps_onto_by_inversion), where the library skips
-the inversion for invertible W.  The diagonal pairs of every element of a
-diagonalized G_f are rebuilt from the conjugated basis (diag_pairs).  The
+fields (gl_solutions_by_brute_force).  Compositional inversion, which the
+library solves on the class 0 mod 1 (`LinearizedPoly.solve_on_class`), has
+two earlier routes.  One is the en x en F_p-matrix, inverted mod p
+(inv_mod_matrix) and read back into a q-polynomial by one product with a
+per-tower matrix built from the F_p-trace-dual basis of the power basis
+(invert_by_fp_matrix, from_fp_matrix, qpoly_readback, trace_dual_basis),
+with the same readback by en * n scalar products (from_fp_matrix_by_scalars)
+and an image U_f W = U_g by that inverse (image_by_fp_matrix).  The other is
+the matrix over F_q, inverted and read back through a Moore system by
+elimination on element codes (invert_by_fq_matrix).  U_f W = U_g is decided
+with u always inverted over F_p (maps_onto_by_inversion), where the library
+skips the inversion for invertible W.  The diagonal pairs of every element of a
+diagonalized G_f are rebuilt from the conjugated basis (diag_pairs), and
+the pairs of the basis itself by W b W^-1 with two matrix products each,
+where the library reads them off the rows of W (conjugated_pairs_by_inverse).  The
 family predictions that the conjugator certificate decides are listed
 element by element (predicted_set_by_listing), and the linear set is built
 by one power and a sort per slope (linear_set_by_sort).  Two checks that the
@@ -78,15 +84,18 @@ here (spread_components).  The standard form has the route that the solve
 on its residue class replaced: u inverted over F_p, h0 = v o u^-1 by
 composition, and h0^-1 and the inverse branch of canonicalize by a second
 F_p inversion (standard_pair_by_inversion, canonical_by_inversion,
-standard_form_by_inversion).
+standard_form_by_inversion); the inverse branch of canonical_by_scan is an
+F_p inversion too.
 """
 
+import functools
 import itertools
 import math
+import weakref
 
 import numpy as np
 
-from scattered_lab._linalg import inv_mod_matrix, kernel_mod, rank_mod, span_codes
+from scattered_lab._linalg import kernel_mod, rank_mod, rref_mod, span_codes
 from scattered_lab.errors import NotAField, NotBijective
 from scattered_lab.families import psi_theta
 from scattered_lab.field_tower import _digits, _pack, _prime_divisors, make_field
@@ -589,7 +598,7 @@ def canonical_by_scan(h):
     T = h.tower
     polys = [ab_min_by_scan(h)[0]]
     try:
-        polys.append(ab_min_by_scan(h.invert())[0])
+        polys.append(ab_min_by_scan(invert_by_fp_matrix(h))[0])
     except NotBijective:
         pass
     return min(polys, key=lambda c: tuple(T.element_key(x) for x in c.coeffs))
@@ -704,6 +713,100 @@ def invert_by_fq_matrix(f):
     return LinearizedPoly(T, [row[0] for row in sol])
 
 
+def _per_tower(build):
+    """Memoize build(T) for as long as the tower T lives."""
+    memo = weakref.WeakKeyDictionary()
+
+    @functools.wraps(build)
+    def cached(T):
+        if T not in memo:
+            memo[T] = build(T)
+        return memo[T]
+
+    return cached
+
+
+def inv_mod_matrix(A, p):
+    """Inverse of a square matrix mod p, or None if singular."""
+    A = np.array(A, dtype=np.int64) % p
+    m = A.shape[0]
+    aug = np.hstack([A, np.eye(m, dtype=np.int64)])
+    R, pivots = rref_mod(aug, p)
+    if pivots != list(range(m)):
+        return None
+    return R[:, m:]
+
+
+@_per_tower
+def trace_dual_basis(T):
+    """Codes of the F_p-trace-dual basis beta_k of the power basis X^k.
+
+    Tr(X^j beta_k) = [j = k] with Tr the trace of F_{q^n} over F_p, so
+    the k-th power-basis coordinate of y is Tr(y beta_k).  beta is the
+    inverse of the Gram matrix Tr(X^(j+k)), whose entries are traces of
+    powers of the multiplication-by-X matrix; built once per tower.
+    """
+    en, p = T.en, T.p
+    X = T.mul_matrix(p)  # X has the single digit 1 in position 1
+    power, traces = np.eye(en, dtype=np.int64), []
+    for _ in range(2 * en - 1):
+        traces.append(int(np.trace(power)) % p)
+        power = (X @ power) % p
+    gram = np.array([traces[j:j + en] for j in range(en)], dtype=np.int64)
+    inv = inv_mod_matrix(gram, p)
+    assert inv is not None, "the trace form is degenerate"
+    return tuple(_pack(inv[:, k], p) for k in range(en))
+
+
+@_per_tower
+def qpoly_readback(T):
+    """The F_p-matrix R that reads an F_q-linear map's q-polynomial off its matrix.
+
+    For the F_p-matrix A of an F_q-linear map, the digits of its
+    coefficients are R @ vec(A^T) mod p, row (i, r) holding digit r of
+    a_i and column (k, s) meeting A[s, k]; R[(i, r), (k, s)] is digit r
+    of X^s beta_k^(q^i), with beta the trace-dual basis (see
+    `from_fp_matrix`).  One `mul_matrices` stack of the n * en codes
+    beta_k^(q^i), transposed; built once per tower.
+    """
+    n, en = T.n, T.en
+    conj = [T.frob_code(beta, i) for i in range(n) for beta in trace_dual_basis(T)]
+    mats = T.mul_matrices(conj).reshape(n, en, en, en)   # [i, k, r, s]
+    return mats.transpose(0, 2, 1, 3).reshape(n * en, en * en)
+
+
+def from_fp_matrix(T, A):
+    """The q-polynomial acting as the F_p-matrix A on power-basis coordinates.
+
+    With beta the trace-dual basis, y = sum_k Tr(y beta_k) X^k, so the map
+    is sum_k A(X^k) Tr(beta_k y) and its x^(p^m) coefficient is
+    sum_k A(X^k) beta_k^(p^m).  A must be F_q-linear, as every fp_matrix
+    and its inverse are: then only the multiples m = e i survive, and
+    a_i = sum_k A(X^k) beta_k^(q^i).  A(X^k) is column k of A, so the
+    digits of every a_i are one product with `qpoly_readback(T)`.
+    """
+    vec = np.asarray(A, dtype=np.int64).T.reshape(-1)
+    digits = (qpoly_readback(T) @ vec % T.p).reshape(T.n, T.en)
+    return LinearizedPoly(T, (digits @ T.p ** np.arange(T.en, dtype=np.int64)).tolist())
+
+
+def invert_by_fp_matrix(f):
+    """Compositional inverse of f by the inverse of its F_p-matrix, read back
+    through the trace-dual basis (from_fp_matrix).  Raises NotBijective when
+    the matrix is singular."""
+    inv = inv_mod_matrix(f.fp_matrix(), f.tower.p)
+    if inv is None:
+        raise NotBijective("the F_p-matrix is singular")
+    return from_fp_matrix(f.tower, inv)
+
+
+def image_by_fp_matrix(f, W):
+    """g with U_f W = U_g as v o u^-1, with (x, f(x)) W = (u(x), v(x)) and u
+    inverted over F_p; NotBijective when u has a kernel."""
+    u, v = _uv_from(f, W)
+    return v.compose(invert_by_fp_matrix(u))
+
+
 def from_fp_matrix_by_scalars(T, A):
     """The q-polynomial of the F_q-linear F_p-matrix A, term by term:
     a_i = sum_k A(X^k) beta_k^(q^i) with beta the trace-dual basis, each
@@ -712,7 +815,7 @@ def from_fp_matrix_by_scalars(T, A):
     coeffs = []
     for i in range(T.n):
         acc = 0
-        for img, beta in zip(images, T.trace_dual_basis):
+        for img, beta in zip(images, trace_dual_basis(T)):
             if img:
                 acc = T.add_code(acc, T.mul_code(img, T.frob_code(beta, i)))
         coeffs.append(acc)
@@ -724,7 +827,7 @@ def maps_onto_by_inversion(f, W, g):
     W, and then v = g o u is checked."""
     u, v = _uv_from(f, W)
     try:
-        u.invert()
+        invert_by_fp_matrix(u)
     except NotBijective:
         return False
     return v == g.compose(u)
@@ -1198,6 +1301,20 @@ def field_by_walk(Mf, exhaustive_bound=200):
     return t, generator
 
 
+def conjugated_pairs_by_inverse(basis, W):
+    """stabilizer._conjugated_pairs by two Mat2 products per basis matrix:
+    (x, y) with W b W^-1 = diag(x, y), None if one is not diagonal; a
+    singular W raises ZeroDivisionError from W.inverse()."""
+    Winv = W.inverse()
+    pairs = []
+    for b in basis:
+        c = W * b * Winv
+        if c.b or c.c:
+            return None
+        pairs.append((c.a, c.d))
+    return tuple(pairs)
+
+
 def diag_pairs(diag):
     """(x, x^sigma) codes of every element of the diagonalized field, in the
     order of elements_of(Mf): the F_p-combinations of diag.basis_pairs in span
@@ -1233,7 +1350,7 @@ def diagonalize_by_conjugation(Mf):
     pairs = []
     for m in elements_of(Mf):
         c = P * m * Pinv
-        assert c.is_diagonal(), "conjugation failed to diagonalize an element"
+        assert c.b == 0 and c.c == 0, "conjugation failed to diagonalize an element"
         pairs.append((c.a, c.d))
     Ad = P * A * Pinv
     p_exp = next(j for j in range(T.e * t) if T.pow_code(Ad.a, T.p**j) == Ad.d)
@@ -1437,8 +1554,8 @@ def standard_pair_by_inversion(f):
     Pinv, x = P.inverse(), LinearizedPoly.identity(f.tower)
     u = x.scale(Pinv.a) + f.scale(Pinv.c)
     v = x.scale(Pinv.b) + f.scale(Pinv.d)
-    h0 = v.compose(u.invert())
-    return P, h0, h0.invert()
+    h0 = v.compose(invert_by_fp_matrix(u))
+    return P, h0, invert_by_fp_matrix(h0)
 
 
 def _canonical_witness_by_inversion(h, hinv):
@@ -1453,9 +1570,9 @@ def _canonical_witness_by_inversion(h, hinv):
 
 
 def canonical_by_inversion(h):
-    """canonicalize(h), with the inverse branch from h.invert()."""
+    """canonicalize(h), with the inverse branch by F_p inversion."""
     try:
-        hinv = h.invert()
+        hinv = invert_by_fp_matrix(h)
     except NotBijective:
         hinv = None
     return _canonical_witness_by_inversion(h, hinv)[0]

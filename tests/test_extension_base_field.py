@@ -36,7 +36,7 @@ def test_q4_lp_standard_form_char2(tower):
     lp = make_lp(T, 1, find_lp_delta(T)).poly
     assert is_scattered(lp)
     sf = to_standard_form(lp)
-    assert sf.t == 2 and sf.h.delta_profile().t_h == 2
+    assert sf.t == 2 and sf.h.standard_form_params()[1] == 2
     assert min_distance(code_of(lp)) == 3
     assert right_idealizer(code_of(lp)).order == 16
     assert verify_idealizer_field(lp)[0] == 2

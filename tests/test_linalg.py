@@ -4,11 +4,11 @@ elimination and the eagerly reduced elimination it replaced."""
 import numpy as np
 import pytest
 
-from scattered_lab._linalg import inv_mod_matrix, kernel_mod, rank_mod, rref_mod
+from scattered_lab._linalg import kernel_mod, rank_mod, rref_mod
 from scattered_lab.families import catalog
 from scattered_lab.stabilizer import _pair_system
 
-from oracles import kernel_by_outer, rref_by_outer, rref_eager
+from oracles import inv_mod_matrix, kernel_by_outer, rref_by_outer, rref_eager
 
 
 def _matrices(p, seed):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scattered_lab._linalg import inv_mod_matrix, linear_values
+from scattered_lab._linalg import linear_values
 from scattered_lab.errors import BadElement, NotBijective, NotStandard, ZeroPolynomial
 from scattered_lab.field_tower import _digits, _pack, make_field
 from scattered_lab.linearized import LinearizedPoly
@@ -15,8 +15,13 @@ from oracles import (
     eval_all_logs_by_terms,
     field_id,
     fp_matrix_by_evaluation,
+    from_fp_matrix,
     from_fp_matrix_by_scalars,
+    inv_mod_matrix,
+    invert_by_fp_matrix,
     invert_by_fq_matrix,
+    qpoly_readback,
+    trace_dual_basis,
     affine_values_by_terms,
     rank_by_row_reduction,
 )
@@ -96,20 +101,21 @@ def test_fp_matrix_examples(tower):
 
 
 def test_from_fp_matrix_roundtrip(tower):
+    # the oracle's trace-dual readback inverts fp_matrix
     for key in ((5, 1, 4), (3, 2, 3)):
         T = tower(*key)
         rng = T.rng("matrixtest")
         for _ in range(8):
             f = rand_poly(T, rng)
-            assert LinearizedPoly.from_fp_matrix(T, f.fp_matrix()) == f
+            assert from_fp_matrix(T, f.fp_matrix()) == f
     T = tower(3, 1, 3)
-    assert LinearizedPoly.from_fp_matrix(T, LinearizedPoly.monomial(T, 1).fp_matrix()) \
+    assert from_fp_matrix(T, LinearizedPoly.monomial(T, 1).fp_matrix()) \
         == LinearizedPoly.monomial(T, 1)
 
 
 @pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)
 def test_from_fp_matrix_matches_scalar_readback(tower, case):
-    # the cached readback matrix against en * n scalar products per matrix,
+    # the oracle's readback matrix against en * n scalar products per matrix,
     # on the matrices of random polynomials and of their inverses
     T = builder_tower(tower, case)
     rng = T.rng("readback")
@@ -121,8 +127,8 @@ def test_from_fp_matrix_matches_scalar_readback(tower, case):
         if inv is not None:
             mats.append(inv)
     for A in mats:
-        assert LinearizedPoly.from_fp_matrix(T, A) == from_fp_matrix_by_scalars(T, A)
-    assert T.qpoly_readback.shape == (T.n * T.en, T.en * T.en)
+        assert from_fp_matrix(T, A) == from_fp_matrix_by_scalars(T, A)
+    assert qpoly_readback(T).shape == (T.n * T.en, T.en * T.en)
 
 
 def test_trace_dual_basis(tower):
@@ -130,7 +136,7 @@ def test_trace_dual_basis(tower):
     for key in ((5, 1, 4), (2, 3, 3)):
         T = tower(*key)
         for j in range(T.en):
-            for k, beta in enumerate(T.trace_dual_basis):
+            for k, beta in enumerate(trace_dual_basis(T)):
                 y = T.mul_code(int(T.p**j), beta)
                 tr = 0
                 for m in range(T.en):
@@ -146,6 +152,9 @@ def _invert_or_none(invert, f):
 
 
 def test_invert_matches_fq_matrix_oracle(tower):
+    # three routes: the class solve, the F_p-matrix inverse read back through
+    # the trace-dual basis, and the F_q-matrix inverse read back through a
+    # Moore system
     towers = [tower(*key) for key in ((5, 1, 4), (5, 1, 6), (3, 2, 3), (2, 2, 4), (2, 3, 3))]
     towers.append(make_field(3, 2, 3, table_bound=0))
     for T in towers:
@@ -154,6 +163,7 @@ def test_invert_matches_fq_matrix_oracle(tower):
         for _ in range(200 if T.has_tables else 40):
             f = rand_poly(T, rng)
             answers.append(_invert_or_none(LinearizedPoly.invert, f))
+            assert answers[-1] == _invert_or_none(invert_by_fp_matrix, f)
             assert answers[-1] == _invert_or_none(invert_by_fq_matrix, f)
         # both outcomes are exercised on every tower
         assert None in answers and any(a is not None for a in answers)
@@ -207,24 +217,30 @@ def test_invert_psi_closed_form(tower):
     assert psi.invert() == LinearizedPoly(T, coeffs)
 
 
+def _params_or_none(f):
+    try:
+        return f.standard_form_params()
+    except NotStandard:
+        return None
+
+
 def test_delta_profile_examples(tower):
+    # t_h = gcd(n, exponent differences) and s = least exponent mod t_h
     T = tower(5, 1, 4)
     d = T.gen_code
     lp = LinearizedPoly(T, [0, 1, 0, d])
-    prof = lp.delta_profile()
-    assert prof.delta_set == frozenset({2, 4}) and prof.t_h == 2
     assert lp.standard_form_params() == (1, 2)
-    mono = LinearizedPoly.monomial(T, 3)
-    assert mono.delta_profile().delta_set == frozenset({4})
-    assert mono.delta_profile().t_h == 4
+    assert LinearizedPoly.monomial(T, 3).standard_form_params() == (3, 4)
+    T6 = tower(5, 1, 6)
+    assert LinearizedPoly(T6, [1, 0, 1, 0, 1, 0]).standard_form_params() == (0, 2)
+    assert LinearizedPoly(T6, [0, 1, 0, 0, 1, 0]).standard_form_params() == (1, 3)
     # same Lunardon-Polverino shape with odd n is not standard
     T5 = tower(5, 1, 5)
     lp5 = LinearizedPoly(T5, [0, 1, 0, 0, T5.gen_code])
-    assert lp5.delta_profile().t_h == 1
     with pytest.raises(NotStandard):
         lp5.standard_form_params()
     with pytest.raises(ZeroPolynomial):
-        LinearizedPoly.zero(T).delta_profile()
+        LinearizedPoly.zero(T).standard_form_params()
 
 
 def test_coefficient_codes_out_of_range_are_refused(tower):
@@ -239,16 +255,17 @@ def test_coefficient_codes_out_of_range_are_refused(tower):
 
 
 def test_internal_results_skip_the_range_check(monkeypatch):
-    # sums, scalings, transforms, compositions, twists and readbacks are
+    # sums, scalings, transforms, compositions, twists and class solves are
     # built from codes in range; only codes from outside are checked
     T = make_field(5, 1, 4)
     rng = T.rng("unchecked")
     f, g = rand_poly(T, rng), rand_poly(T, rng)
     a, b = rng.randrange(1, T.size), rng.randrange(1, T.size)
+    u = LinearizedPoly.monomial(T, 1, a)
 
     def results():
         return [f + g, f - g, -f, f.scale(a), f.transform(a, b), f.compose(g),
-                f.twist(1), LinearizedPoly.from_fp_matrix(T, f.fp_matrix())]
+                f.twist(1), u.solve_on_class(g, 0, 1)]
 
     want = [r.coeffs for r in results()]
     seen = []
@@ -282,7 +299,7 @@ def test_delta_profile_invariance(tower):
         b = rng.randrange(1, 625)
         g = f.transform(a, b)
         assert g.support == f.support
-        assert g.delta_profile().delta_set == f.delta_profile().delta_set
+        assert _params_or_none(g) == _params_or_none(f)
 
 
 def test_standard_scattered_is_bijective(tower):
@@ -292,7 +309,7 @@ def test_standard_scattered_is_bijective(tower):
 
     d = T.gen_code
     lp = LinearizedPoly(T, [0, 1, 0, d])
-    assert is_scattered(lp) and lp.delta_profile().t_h == 2
+    assert is_scattered(lp) and lp.standard_form_params()[1] == 2
     lp.invert()  # must not raise
 
 

@@ -587,7 +587,7 @@ def test_certificate_proves_the_deleted_checks(tower):
         A = diag.P.inverse() * Mat2.diag(T, omega, T.frob_code(omega, diag.s)) * diag.P
         assert in_kernel(Mf, A)
         assert _homology_factor_order(T, diag.s, t) == (T.q**t - 1) // (T.q - 1)
-        assert image_polynomial(f, diag.P.inverse()).delta_profile().t_h == t
+        assert image_polynomial(f, diag.P.inverse()).standard_form_params()[1] == t
         sf = to_standard_form(f)
         assert sf.t == t and math.gcd(sf.s, t) == 1
         assert maps_onto(f, sf.P.inverse(), sf.h)

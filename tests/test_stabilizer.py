@@ -15,8 +15,10 @@ from scattered_lab.scatter import linear_set
 from scattered_lab.stabilizer import (
     Mat2,
     MatrixField,
+    _conjugated_pairs,
     _pair_system,
     compute_stabilizer,
+    conjugates_to_diagonal,
     diagonalize,
     verify_field,
 )
@@ -25,6 +27,7 @@ from oracles import (
     BUILDER_FIELDS,
     builder_id,
     builder_tower,
+    conjugated_pairs_by_inverse,
     diag_pairs,
     element_set_of,
     elements_of,
@@ -188,6 +191,37 @@ def test_diagonalize_conjugates_everything(tower):
         assert T.frob_code(x, diag.s) == y
     theta = psi_theta(T, h, 3, 1)
     assert set(diag.eigen_points) == {(1, theta), (1, T.neg_code(theta))}
+
+
+def test_conjugated_pairs_match_inverse_oracle(tower):
+    # the pairs read off the rows of W against W b W^-1: the certificate's P,
+    # P with its rows swapped or scaled, the identity and random W, on the
+    # stabilizers of every catalog instance; a singular W is refused
+    from scattered_lab.families import catalog
+
+    outcomes = set()
+    for key in ((5, 1, 4), (3, 1, 4), (5, 1, 6), (2, 2, 4), (3, 2, 3)):
+        T = tower(*key)
+        rng = T.rng("conjugated-pairs")
+        for inst in catalog(T):
+            Mf = compute_stabilizer(inst.poly)
+            P = diagonalize(Mf).P if Mf.t > 1 else Mat2.identity(T)
+            Ws = [P, Mat2(T, 0, 1, 1, 0) * P, Mat2.diag(T, T.gen_code, 1) * P,
+                  Mat2.identity(T)]
+            Ws += [Mat2(T, *(rng.randrange(T.size) for _ in range(4))) for _ in range(3)]
+            for W in Ws:
+                if W.det() == 0:
+                    continue
+                got = _conjugated_pairs(Mf.basis, W)
+                assert got == conjugated_pairs_by_inverse(Mf.basis, W), (key, W)
+                outcomes.add(got is None)
+            singular = Mat2(T, 1, T.gen_code, 0, 0)
+            with pytest.raises(ZeroDivisionError):
+                _conjugated_pairs(Mf.basis, singular)
+            if Mf.t > 1:
+                with pytest.raises(ZeroDivisionError):
+                    conjugates_to_diagonal(Mf, singular, diagonalize(Mf).s, Mf.t)
+    assert outcomes == {True, False}
 
 
 def test_diagonalize_char2(tower):

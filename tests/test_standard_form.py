@@ -45,6 +45,8 @@ from oracles import (
     elements_of,
     gl_by_standard_forms,
     gl_solutions_by_brute_force,
+    image_by_fp_matrix,
+    invert_by_fp_matrix,
     lambda_by_array_scan,
     maps_onto_by_inversion,
     non_s_scan,
@@ -99,7 +101,7 @@ def test_trinomial_closed_form(tower):
         sf = to_standard_form(psi)
         tri = psi_standard_form_closed(T, h, 3, 1, formula="trinomial")
         assert sf.h == canonicalize(tri)
-        assert sf.t == 2 and sf.h.delta_profile().t_h == 2
+        assert sf.t == 2 and sf.h.standard_form_params()[1] == 2
         # exponents s, 3s, 5s are all congruent to s mod 2
         assert tri.standard_form_params() == (1, 2)
         assert tri.support == (1, 3, 5)
@@ -121,7 +123,7 @@ def test_standard_form_stabilizer_shape(tower):
     sf = to_standard_form(psi)
     Gh = compute_stabilizer(sf.h)
     assert Gh.t == sf.t
-    assert all(m.is_diagonal() for m in elements_of(Gh))
+    assert all(m.b == 0 and m.c == 0 for m in elements_of(Gh))
     predicted = {(al, 0, 0, T.frob_code(al, sf.s)) for al in T.subfield_elements(sf.t)}
     assert element_set_of(Gh) == frozenset(predicted)
 
@@ -190,7 +192,7 @@ def test_essential_uniqueness(tower):
     for _ in range(5):
         a, b = rng.randrange(1, T.size), rng.randrange(1, T.size)
         other = sf.h.transform(a, b)  # another standard form of the same orbit
-        assert other.delta_profile().t_h == sf.t
+        assert other.standard_form_params()[1] == sf.t
         assert canonicalize(other) == sf.h
 
 
@@ -438,7 +440,7 @@ def test_ab_min_matches_array_scan_on_catalog(tower):
 def test_invert_internal_error_propagates(monkeypatch):
     # only NotBijective means "not invertible"; any other failure of invert()
     # is a bug and must surface instead of steering the answer
-    T = make_field(5, 1, 4)  # fresh tower: no inverse or standard form cached
+    T = make_field(5, 1, 4)  # fresh tower: no stabilizer cached
     f = LinearizedPoly.monomial(T, 1)
 
     def broken(self):
@@ -548,7 +550,8 @@ def test_class_solve_matches_inversion_oracle(tower):
             assert sf == standard_form_by_inversion(f), (key, f)
             for h in (h0, h0inv, sf.h, h0.transform(rng.randrange(1, T.size), 1 + T.gen_code)):
                 assert canonicalize(h) == canonical_by_inversion(h), (key, h)
-                assert h.solve_on_class(x, -h.support[0], h.delta_profile().t_h) == h.invert()
+                s, t = h.standard_form_params()
+                assert h.solve_on_class(x, -s, t) == invert_by_fp_matrix(h)
             seen[key[1] == 2] += 1
     assert min(seen.values()) > 0
 
@@ -566,6 +569,31 @@ def test_class_solve_refuses_a_singular_map(tower):
         assert h.solve_on_class(x, -1, 2) is None
         assert h.solve_on_class(zero, 1, 2) is None
         assert canonicalize(h) == canonical_by_inversion(h)
+
+
+def test_image_polynomial_matches_fp_oracle(tower):
+    # one class solve against v o u^-1 with u inverted over F_p, on a
+    # table-less tower; when the first coordinate u has a kernel (u = 0 for
+    # W = diag(0, 1), u = f for W = (0 0; 1 1)) both routes raise NotBijective
+    T = make_field(5, 1, 4, table_bound=0)
+    lp = make_lp(tower(5, 1, 4), 1, find_lp_delta(tower(5, 1, 4))).poly
+    polys = [LinearizedPoly(T, lp.coeffs), LinearizedPoly(T, [T.neg_code(1), 0, 1, 0])]
+    rng = T.rng("image")
+    Ws = [Mat2.identity(T), Mat2(T, 0, 1, 1, 0), Mat2.diag(T, 0, 1), Mat2(T, 0, 0, 1, 1)]
+    Ws += [Mat2(T, *(rng.randrange(T.size) for _ in range(4))) for _ in range(6)]
+    outcomes = set()
+    for f in polys:
+        for W in Ws:
+            try:
+                want = image_by_fp_matrix(f, W)
+            except NotBijective:
+                with pytest.raises(NotBijective):
+                    image_polynomial(f, W)
+                outcomes.add(False)
+                continue
+            assert image_polynomial(f, W) == want, (f, W)
+            outcomes.add(True)
+    assert outcomes == {True, False}
 
 
 def test_equivalent_target_needs_no_census():
