@@ -115,7 +115,8 @@ def _task_plane(T, f, args):
     try:
         w = plane.reducibility_witness(f)
         doc["andre_witness"] = w.to_json(T)
-    except ScatteredLabError as exc:
+    except NotInS as exc:
+        # G_f is scalar: no witness exists, which is an answer
         doc["andre_witness"] = {"error": exc.code}
     return doc
 
@@ -288,14 +289,10 @@ def main(argv=None):
             args.n = 2 * args.t if args.t else 6
     try:
         return args.fn(args)
-    except RefusedPrecondition as exc:
-        _emit({"schema_version": SCHEMA_VERSION,
-               "error": {"code": exc.code, "message": str(exc)}}, sys.stderr)
-        return 2
     except ScatteredLabError as exc:
         _emit({"schema_version": SCHEMA_VERSION,
                "error": {"code": exc.code, "message": str(exc)}}, sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

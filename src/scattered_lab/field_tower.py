@@ -25,19 +25,25 @@ F_{q^n}^* refuses them up front through `FieldTower.require_tables`, which
 raises TooLarge (CLI exit 2).
 
 The primes dividing p^(en) - 1 (primitivity, element orders, the field
-certificate) and en (Rabin's test) come from `_prime_divisors`: trial
-division by the primes below 2^10, then Brent's variant of Pollard rho with
-a fixed start and a fixed sequence of constants.  Primality is trial
-division, then strong probable-prime tests to the 13 prime bases 2..41,
-which no composite below psi_13 = 3317044064679887385961981 passes
+certificate) come from `_prime_divisors`: trial division by the primes
+below 2^10, then Brent's variant of Pollard rho with a fixed start and a
+fixed sequence of constants.  Primality is trial division, then strong
+probable-prime tests to the 13 prime bases 2..41, which no composite
+below psi_13 = 3317044064679887385961981 passes
 (Sorenson and Webster, Math. Comp. 2017).  Both are exact; at or above
 psi_13 the prime test raises TooLarge instead of guessing, which the
 default enumeration bound 2^40 keeps far away.
 
-Linear algebra over the tower is F_p-linear algebra in the power basis.
-Each tower caches the en matrices of multiplication by X^k and the n
-matrices of x -> x^(q^k); the F_p-matrices of any stack of products or
-q-polynomials are matrix products with them (`mul_matrices`,
+Linear algebra over the tower is F_p-linear algebra in the power basis,
+and its one polynomial primitive is the companion matrix C of the
+modulus, the F_p-matrix of y -> X y.  Each tower caches the en matrices
+C^k of multiplication by X^k (C^k 1 holds the digits of X^k, among them
+the rows that reduce table-less products) and the n matrices of
+x -> x^(q^k), the powers of Phi^e for the p-Frobenius Phi, whose column i
+holds the digits of X^(p i) = (C^p)^i 1.  Phi + I is the char-2
+Artin-Schreier system, and Berlekamp's rank test on Phi certifies the
+modulus (`is_irreducible`).  The F_p-matrices of any stack of products or
+q-polynomials are matrix products with the cached ones (`mul_matrices`,
 `qpoly_matrices`), with no field arithmetic.  The slope census reads
 one code per F_p^*-class, the codes whose top nonzero digit is 1; the
 tower caches their logs (`class_logs`) and the digit block that evaluates
@@ -63,7 +69,7 @@ from .errors import (
     NotADivisor,
     TooLarge,
 )
-from ._linalg import CLASS_BLOCK_BOUND, class_block, class_codes, linear_values, solve_mod
+from ._linalg import CLASS_BLOCK_BOUND, class_block, class_codes, linear_values, rank_mod, solve_mod
 
 DEFAULT_TABLE_BOUND = 1 << 23
 # exp/log tables are int32: codes and logs of a tabled field lie below it
@@ -178,83 +184,60 @@ def _prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(found) + tuple(sorted(large))
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over F_p as little-endian coefficient lists.
+def _mat_pow_mod(A, k, p):
+    """A^k mod p for a square int64 matrix A, by square and multiply."""
+    R = np.eye(len(A), dtype=np.int64)
+    while k:
+        if k & 1:
+            R = R @ A % p
+        A = A @ A % p
+        k >>= 1
+    return R
 
 
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _powers_of_one(A, count, p):
+    """The rows A^j 1, j < count: for A = C^k the digits of X^(k j)."""
+    rows = [np.eye(len(A), dtype=np.int64)[0]]
+    for _ in range(count - 1):
+        rows.append(A @ rows[-1] % p)
+    return np.array(rows)
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+def _companion(m, p):
+    """The companion matrix C of the monic m: the F_p-matrix of y -> X y on
+    F_p[X]/(m), so C^k is that of y -> X^k y and C^k 1 holds the digits of X^k."""
+    C = np.eye(len(m) - 1, k=-1, dtype=np.int64)
+    C[:, -1] = -np.array(m[:-1], dtype=np.int64) % p
+    return C
 
 
-def _pmod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        a = _ptrim(a)
-        if len(a) - 1 < dm:
-            break
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - coef * mi) % p
-        a = _ptrim(a)
-    return a
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _ppow_x(exp, m, p):
-    """X^exp mod m(X) by square and multiply."""
-    result = [1]
-    base = _pmod([0, 1], m, p)
-    while exp:
-        if exp & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        exp >>= 1
-    return result
+def _p_frobenius(C, p):
+    """The F_p-matrix Phi of y -> y^p on F_p[X]/(m), C the companion of m:
+    column i holds the digits of X^(p i) = (C^p)^i 1."""
+    return _powers_of_one(_mat_pow_mod(C, p, p), len(C), p).T
 
 
 def is_irreducible(coeffs, p) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    m = _ptrim(list(coeffs))
-    d = len(m) - 1
+    """Is the monic m over F_p of degree d >= 1 irreducible?  Berlekamp's
+    criterion: iff Phi^d X = X and rank(Phi - I) = d - 1, Phi the p-Frobenius.
+
+    Let m = prod_j g_j^(k_j) over r distinct irreducibles.  By the Chinese
+    remainder theorem ker(Phi - I) = {y : y^p = y} is the product of the
+    fixed points in each F_p[X]/(g^k).  There a fixed point y is a root of
+    Y^p - Y = prod_(c in F_p) (Y - c); two of the y - c differ by a nonzero
+    constant, so at most one lies in the maximal ideal (g), the others are
+    units, and that one is zero: the fixed points are exactly F_p.  So
+    rank(Phi - I) = d - r, which is d - 1 iff m = g^k.  Phi^d X = X says m
+    divides X^(p^d) - X, which is squarefree (its derivative is -1), so then
+    k = 1.  Conversely R = F_(p^d) for m irreducible, with X^(p^d) = X.
+    """
+    d = len(coeffs) - 1
     if d < 1:
         return False
-    if d == 1:
-        return True
-    xq = _ppow_x(p**d, m, p)
-    base = _pmod([0, 1], m, p)
-    if _ptrim([(x - y) % p for x, y in zip(
-            xq + [0] * len(base), base + [0] * len(xq))]) != []:
-        return False
-    for ell in _prime_divisors(d):
-        xr = _ppow_x(p ** (d // ell), m, p)
-        diff = [(x - y) % p for x, y in zip(
-            xr + [0] * len(base), base + [0] * len(xr))]
-        g = _pgcd(m, _ptrim(diff), p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    C = _companion(coeffs, p)
+    Phi, x = _p_frobenius(C, p), C[:, 0]
+    return (np.array_equal(_mat_pow_mod(Phi, d, p) @ x % p, x)
+            and rank_mod(Phi - np.eye(d, dtype=np.int64), p) == d - 1)
 
 
 def first_irreducible(p, degree):
@@ -264,18 +247,10 @@ def first_irreducible(p, degree):
     integer sum(c_i * p^i); the choice is what makes towers reproducible.
     """
     for v in range(p**degree):
-        coeffs = []
-        w = v
-        for _ in range(degree):
-            coeffs.append(w % p)
-            w //= p
-        coeffs.append(1)
+        coeffs = _digits(v, p, degree) + [1]
         if is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise InternalError(f"no irreducible polynomial of degree {degree} over F_{p}")
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -360,18 +335,11 @@ class FieldTower:
         self.modulus = spec.modulus
         self.seed = spec.seed
         self.key = (spec.p, spec.e, spec.n, spec.modulus)
-        # rows for reducing X^(en+j), j = 0..en-2
-        red = []
-        cur = _pmod([0] * self.en + [1], list(self.modulus), self.p)
-        for _ in range(self.en - 1):
-            red.append(cur + [0] * (self.en - len(cur)))
-            cur = _pmod(_pmul(cur, [0, 1], self.p), list(self.modulus), self.p)
-        self._red_rows = red
-        # x_powers[k] is the F_p-matrix of y -> X^k y: column i holds the
-        # digits of X^(k+i), a unit vector or a reduction row
-        reduced = np.vstack([np.eye(self.en, dtype=np.int64),
-                             np.array(red, dtype=np.int64).reshape(-1, self.en)])
-        self._x_powers = np.stack([reduced[k:k + self.en].T for k in range(self.en)])
+        # x_powers[k] = C^k, the F_p-matrix of y -> X^k y: column i holds the
+        # digits of X^(k+i); those of X^(en+j) reduce the table-less products
+        powers = _powers_of_one(_companion(self.modulus, self.p), 2 * self.en - 1, self.p)
+        self._x_powers = np.stack([powers[k:k + self.en].T for k in range(self.en)])
+        self._red_rows = powers[self.en:].tolist()
         self.exp_table = self.log_table = None
         self.exp_view = self.log_view = None
         self.gen_code = spec.generator
@@ -566,13 +534,10 @@ class FieldTower:
     # -- Frobenius -------------------------------------------------------
     @property
     def frobenius_matrix(self):
-        """F_p-matrix of x -> x^q in the power basis."""
+        """F_p-matrix of x -> x^q in the power basis: Phi^e, Phi the p-Frobenius."""
         if self._frob_mat is None:
-            en = self.en
-            F = np.zeros((en, en), dtype=np.int64)
-            for i in range(en):
-                F[:, i] = _digits(self.pow_code(int(self.p**i), self.q), self.p, en)
-            self._frob_mat = F
+            Phi = _p_frobenius(self._x_powers[1], self.p)
+            self._frob_mat = _mat_pow_mod(Phi, self.e, self.p)
         return self._frob_mat
 
     @property
@@ -676,13 +641,10 @@ class FieldTower:
         return r
 
     def artin_schreier_solve(self, u):
-        """Solve z^2 + z = u in characteristic 2, or None (F_2-linear system)."""
+        """Solve z^2 + z = u in characteristic 2, or None: the F_2-system Phi + I."""
         if self.p != 2:
             raise InternalError("Artin-Schreier solving is a char-2 tool")
-        S = np.zeros((self.en, self.en), dtype=np.int64)
-        for i in range(self.en):
-            S[:, i] = _digits(self.mul_code(1 << i, 1 << i), 2, self.en)
-        A = (S + np.eye(self.en, dtype=np.int64)) % 2
+        A = (_p_frobenius(self._x_powers[1], 2) + np.eye(self.en, dtype=np.int64)) % 2
         sol = solve_mod(A, _digits(u, 2, self.en), 2)
         if sol is None:
             return None

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,11 @@ from scattered_lab.field_tower import (
     CACHE_SIZE,
     FieldSpec,
     FieldTower,
+    _digits,
     _is_prime,
     field_from_json,
+    first_irreducible,
+    is_irreducible,
     make_field,
 )
 from scattered_lab.linearized import LinearizedPoly
@@ -69,6 +74,29 @@ def test_modulus_is_lex_first(tower):
         assert not irreducible_by_trial_division(coeffs, 5)
 
 
+# every monic polynomial of degree 1-6 over F_2, 1-4 over F_3, 1-3 over F_5 and F_7
+IRREDUCIBILITY_RANGES = [(2, 6), (3, 4), (5, 3), (7, 3)]
+
+
+@pytest.mark.parametrize("p, top", IRREDUCIBILITY_RANGES)
+def test_is_irreducible_matches_trial_division(p, top):
+    # the rank test against the naive oracle on every monic polynomial, in
+    # the enumeration order of first_irreducible, whose pick is the first hit
+    seen = []
+    for d in range(1, top + 1):
+        verdicts = []
+        for tail in itertools.product(range(p), repeat=d):
+            coeffs = list(reversed(tail)) + [1]
+            verdicts.append(is_irreducible(coeffs, p))
+            assert verdicts[-1] == irreducible_by_trial_division(coeffs, p), coeffs
+            seen.append(coeffs)
+        first = next(i for i, irreducible in enumerate(verdicts) if irreducible)
+        assert first_irreducible(p, d) == tuple(_digits(first, p, d)) + (1,)
+    if p == 2:
+        # X^4 + X^2 + 1 = (X^2 + X + 1)^2: Phi - I has rank 3, but X^16 != X
+        assert [1, 0, 1, 0, 1] in seen and not is_irreducible([1, 0, 1, 0, 1], 2)
+
+
 def test_determinism_and_json_roundtrip(tower):
     T = tower(5, 1, 4)
     T2 = make_field(5, 1, 4)
@@ -116,6 +144,15 @@ def test_frobenius_examples(tower):
     # x = g, k = 2 -> g^25, against the repeated-5th-powering oracle
     assert T.frob_code(g, 2) == repeated_q_power(T, g, 2)
     assert T.frob_code(g, 2) == T.pow_code(g, 25)
+
+
+@pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)
+def test_frobenius_matrix_matches_repeated_q_power(tower, case):
+    # column i is (X^i)^q, each q-th power by repeated multiplication
+    T = builder_tower(tower, case)
+    for i in range(T.en):
+        want = _digits(repeated_q_power(T, T.p**i, 1), T.p, T.en)
+        assert T.frobenius_matrix[:, i].tolist() == want, i
 
 
 def test_frobenius_order_and_additivity(tower):
@@ -249,13 +286,15 @@ def test_quadratic_solver_odd_and_even_char(tower):
         b = T.neg_code(T.add_code(r1, r2))
         c = T.mul_code(r1, r2)
         assert set(T.solve_quadratic(b, c)) == {r1, r2}
-    T2 = tower(2, 2, 4)
-    rng = T2.rng("quad2")
-    for _ in range(40):
-        b, c = rng.randrange(256), rng.randrange(256)
-        for r in T2.solve_quadratic(b, c):
-            val = T2.add_code(T2.add_code(T2.mul_code(r, r), T2.mul_code(b, r)), c)
-            assert val == 0
+    # char 2: the returned set is every root, found by trying all elements
+    for key in ((2, 1, 5), (2, 2, 4)):
+        T2 = tower(*key)
+        rng = T2.rng("quad2")
+        for _ in range(40):
+            b, c = rng.randrange(T2.size), rng.randrange(T2.size)
+            roots = [r for r in range(T2.size) if T2.add_code(
+                T2.add_code(T2.mul_code(r, r), T2.mul_code(b, r)), c) == 0]
+            assert T2.solve_quadratic(b, c) == roots, (key, b, c)
 
 
 def test_spec_dataclass_roundtrip():
