@@ -40,21 +40,6 @@ from .mrd import (
     min_distance_naive,
     right_idealizer,
 )
-from .families import (
-    FamilyInstance,
-    catalog,
-    find_family3_delta,
-    find_family4_delta,
-    find_lp_delta,
-    find_psi_h,
-    make_family3,
-    make_family4,
-    make_lp,
-    make_pseudoregulus,
-    make_psi,
-    psi_standard_form_closed,
-    psi_theta,
-)
 from .plane import (
     HomologyReport,
     PseudoregulusCase,
@@ -71,4 +56,35 @@ from .plane import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the family constructors, imported on first use: a command that builds no
+# family does not compile or run the module
+_FAMILY_NAMES = (
+    "FamilyInstance",
+    "catalog",
+    "find_family3_delta",
+    "find_family4_delta",
+    "find_lp_delta",
+    "find_psi_h",
+    "make_family3",
+    "make_family4",
+    "make_lp",
+    "make_pseudoregulus",
+    "make_psi",
+    "psi_standard_form_closed",
+    "psi_theta",
+)
+
+
+def __getattr__(name):
+    """`families` and its names, loaded on first access (PEP 562)."""
+    if name == "families" or name in _FAMILY_NAMES:
+        # `from . import families` would ask this hook for `families` again
+        import importlib
+
+        families = importlib.import_module(".families", __name__)
+        return families if name == "families" else getattr(families, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["families", *_FAMILY_NAMES])

@@ -11,11 +11,11 @@ identical inputs (and seed) produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
-from . import families as fam
-from . import mrd, plane, selftest
+from . import mrd, plane
 from .errors import NotInS, ParseError, RefusedPrecondition, ScatteredLabError
 from .field_tower import field_from_json
 from .linearized import LinearizedPoly
@@ -180,6 +180,10 @@ def cmd_equiv(args):
 
 
 def cmd_families(args):
+    from . import families as fam
+
+    if args.field is None and args.n is None:
+        args.n = 2 * args.t if args.t else 6
     T = field_from_json({"p": args.q_prime, "e": args.e, "n": args.n, "seed": args.seed}) \
         if args.field is None else _load_field(args.field)
     fid = args.family
@@ -217,6 +221,8 @@ def cmd_families(args):
 
 
 def cmd_selftest(args):
+    from . import selftest
+
     results = selftest.run_all(quick=args.quick)
     for r in results:
         print(r.line())
@@ -282,11 +288,21 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the exit code.
+
+    The first call in a process freezes everything allocated so far
+    (`gc.freeze`): the interpreter's, numpy's and this library's
+    import-time objects.  Neither a collection during the command nor the
+    full one at interpreter exit traverses that heap again; in a fresh
+    analyze process the time from the first tower to exit fell from about
+    37 to 10 ms.  Objects the command creates stay collectable.  What a
+    caller allocated before its first call is frozen with the rest; a later
+    call in the same process freezes nothing more.
+    """
+    if not gc.get_freeze_count():
+        gc.freeze()
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "command", None) == "families" and args.field is None:
-        if args.n is None:
-            args.n = 2 * args.t if args.t else 6
     try:
         return args.fn(args)
     except ScatteredLabError as exc:

@@ -12,7 +12,6 @@ scatteredness check instead and marked ComputationOnly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BadParams, InternalError, UnsupportedParams
 from .field_tower import FieldTower
@@ -24,7 +23,6 @@ CHECKED = "Checked"
 COMPUTATION_ONLY = "ComputationOnly"
 
 
-@dataclass
 class FamilyInstance:
     """A family member with its predicted stabilizer: W G_f W^-1 = D(s, t).
 
@@ -32,14 +30,19 @@ class FamilyInstance:
     predicted_conjugator, s is predicted_s and t is predicted_t.
     """
 
-    family_id: int
-    params: dict
-    poly: LinearizedPoly
-    predicted_t: int
-    predicted_s: int
-    predicted_conjugator: Mat2
-    validity: str
-    shape: str
+    __slots__ = ("family_id", "params", "poly", "predicted_t", "predicted_s",
+                 "predicted_conjugator", "validity", "shape")
+
+    def __init__(self, family_id: int, params: dict, poly: LinearizedPoly, predicted_t: int,
+                 predicted_s: int, predicted_conjugator: Mat2, validity: str, shape: str):
+        self.family_id = family_id
+        self.params = params
+        self.poly = poly
+        self.predicted_t = predicted_t
+        self.predicted_s = predicted_s
+        self.predicted_conjugator = predicted_conjugator
+        self.validity = validity
+        self.shape = shape
 
     @property
     def predicted_order(self):

@@ -57,7 +57,6 @@ import itertools
 import math
 import random
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,12 +74,22 @@ DEFAULT_TABLE_BOUND = 1 << 23
 # exp/log tables are int32: codes and logs of a tabled field lie below it
 TABLE_BOUND_LIMIT = 1 << 31
 ENUM_BOUND = 1 << 40
-# entries kept per memo of a tower (census, stabilizer, invert, ...); a sweep
-# round of the benchmark stores at most 23 in one (census)
+# entries kept per memo of a tower (census and stabilizer); a sweep round of
+# the benchmark stores at most 23 in one (census)
 CACHE_SIZE = 128
 
-_SMALL_PRIMES = tuple(m for m in range(2, 1 << 10)
-                      if all(m % d for d in range(2, math.isqrt(m) + 1)))
+
+def _primes_below(bound: int) -> tuple[int, ...]:
+    """The primes below bound, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for m in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[m]:
+            sieve[m * m::m] = bytes(len(range(m * m, bound, m)))
+    return tuple(m for m in range(bound) if sieve[m])
+
+
+_SMALL_PRIMES = _primes_below(1 << 10)
 # The strong probable-prime test to the 13 prime bases 2..41 has no composite
 # below psi_13 passing it (Sorenson-Webster 2017), so it decides primality
 # exactly there; psi_12 = 318665857834031151167461 passes the bases 2..37.
@@ -253,16 +262,33 @@ def first_irreducible(p, degree):
     raise InternalError(f"no irreducible polynomial of degree {degree} over F_{p}")
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """Construction data for a tower; two towers with equal specs are equal."""
+    """Construction data for a tower; two towers with equal specs are equal.
 
-    p: int
-    e: int
-    n: int
-    modulus: tuple[int, ...]
-    generator: int
-    seed: int = 0
+    Specs compare and hash by their six values.
+    """
+
+    __slots__ = ("p", "e", "n", "modulus", "generator", "seed")
+
+    def __init__(self, p: int, e: int, n: int, modulus: tuple[int, ...], generator: int,
+                 seed: int = 0):
+        self.p = p
+        self.e = e
+        self.n = n
+        self.modulus = modulus
+        self.generator = generator
+        self.seed = seed
+
+    def _values(self):
+        return (self.p, self.e, self.n, self.modulus, self.generator, self.seed)
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldSpec):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def to_json(self):
         return {
@@ -612,12 +638,11 @@ class FieldTower:
         return self._tonelli(a)
 
     def _tonelli(self, a):
+        """Tonelli-Shanks for M = q^n - 1 = 2^s Q with Q odd; the tower
+        generator is a non-residue by primitivity.  A non-residue a has
+        a^(M/2) = -1, so t = a^Q has order 2^s and the first pass returns
+        None; for s = 1 a residue has t = 1 and the root a^((M+2)/4)."""
         M = self.mult_order
-        if self.pow_code(a, M // 2) != 1:
-            return None
-        if M % 4 == 2:
-            return self.pow_code(a, (M + 2) // 4)
-        # Tonelli-Shanks; the tower generator is a non-residue by primitivity.
         s, Q = 0, M
         while Q % 2 == 0:
             Q //= 2

@@ -15,8 +15,6 @@ field G_f with zero, so I_R is a field with no check of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import TooLarge
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
@@ -24,12 +22,14 @@ from .scatter import slope_census
 from .stabilizer import compute_stabilizer
 
 
-@dataclass
 class RdCode:
     """C_f = {a x + b f(x)} with implicit codeword access by (a, b)."""
 
-    tower: FieldTower
-    f: LinearizedPoly
+    __slots__ = ("tower", "f")
+
+    def __init__(self, tower: FieldTower, f: LinearizedPoly):
+        self.tower = tower
+        self.f = f
 
     def codeword(self, a, b) -> LinearizedPoly:
         """a x + b f; `LinearizedPoly.scale` refuses a or b outside [0, q^n)."""
@@ -79,12 +79,14 @@ def min_distance_naive(C: RdCode) -> int:
     return best
 
 
-@dataclass(eq=False)
 class Idealizer:
     """An F_p-space of q-polynomials kept as an F_p-basis; order p^len(basis)."""
 
-    tower: FieldTower
-    basis: tuple              # F_p-basis, as LinearizedPoly
+    __slots__ = ("tower", "basis")
+
+    def __init__(self, tower: FieldTower, basis: tuple):
+        self.tower = tower
+        self.basis = basis    # F_p-basis, as LinearizedPoly
 
     @property
     def order(self):

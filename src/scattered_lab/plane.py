@@ -27,8 +27,6 @@ elation, a verified invariant subgroup of order q^t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     HallCase,
     InternalError,
@@ -56,7 +54,6 @@ def _plane_preconditions(f: LinearizedPoly):
         raise NotScattered("plane construction needs a scattered polynomial")
 
 
-@dataclass
 class Spread:
     """B_f = (D minus L_f) union {h U_f}; components carry tagged descriptors.
 
@@ -65,10 +62,14 @@ class Spread:
     j ranging over a transversal of F_{q^n}^* / F_q^*.
     """
 
-    tower: FieldTower
-    f: LinearizedPoly
-    lf_slopes: frozenset          # slope codes on L_f (zero slope included if kernel)
-    h_class_count: int            # (q^n - 1)/(q - 1)
+    __slots__ = ("tower", "f", "lf_slopes", "h_class_count")
+
+    def __init__(self, tower: FieldTower, f: LinearizedPoly, lf_slopes: frozenset,
+                 h_class_count: int):
+        self.tower = tower
+        self.f = f
+        self.lf_slopes = lf_slopes            # slope codes on L_f (zero slope included if kernel)
+        self.h_class_count = h_class_count    # (q^n - 1)/(q - 1)
 
     @property
     def component_count(self):
@@ -139,14 +140,17 @@ def linear_collineations(f: LinearizedPoly) -> dict:
     }
 
 
-@dataclass
 class HomologyReport:
-    case: str                    # "i" or "ii"
-    t: int
-    X: tuple | None
-    Y: tuple | None
-    group_order: int             # order N of each symmetric homology group
-    H_f_order: int
+    __slots__ = ("case", "t", "X", "Y", "group_order", "H_f_order")
+
+    def __init__(self, case: str, t: int, X: tuple | None, Y: tuple | None, group_order: int,
+                 H_f_order: int):
+        self.case = case                  # "i" or "ii"
+        self.t = t
+        self.X = X
+        self.Y = Y
+        self.group_order = group_order    # order N of each symmetric homology group
+        self.H_f_order = H_f_order
 
     def to_json(self, tower):
         def fmt_pt(pt):
@@ -210,17 +214,18 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     return HomologyReport("ii", t, X, Y, (q**t - 1) // (q - 1), hf_order)
 
 
-@dataclass
 class PseudoregulusCase:
     """Marker: the stabilizer has t = n, so the plane is an Andre plane."""
 
-    t: int
+    __slots__ = ("t",)
+
+    def __init__(self, t: int):
+        self.t = t
 
     def to_json(self, tower):
         return "pseudoregulus"
 
 
-@dataclass
 class ReducibilityWitness:
     """Invariant proper subgroup of a conjugated translate component.
 
@@ -230,9 +235,12 @@ class ReducibilityWitness:
     is not a generalized Andre plane.
     """
 
-    h_code: int
-    g: LinearizedPoly
-    t: int
+    __slots__ = ("h_code", "g", "t")
+
+    def __init__(self, h_code: int, g: LinearizedPoly, t: int):
+        self.h_code = h_code
+        self.g = g
+        self.t = t
 
     def to_json(self, tower):
         # the subgroup is F_(q^t), W's stabilizer P G_f P^-1, and a witness is

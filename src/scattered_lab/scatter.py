@@ -22,8 +22,6 @@ it, raises TooLarge before doing any work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import class_values
@@ -38,7 +36,6 @@ PROJECTIVE_PAIR_BOUND = 1 << 20
 PAIR_ARRAY_BOUND = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
 class SlopeCensus:
     """Fiber statistics of x -> f(x)/x over F_{q^n}^*.
 
@@ -52,9 +49,12 @@ class SlopeCensus:
     type; the readers gather, search or reduce the arrays directly.
     """
 
-    slope_logs: np.ndarray
-    counts: np.ndarray
-    kernel_count: int
+    __slots__ = ("slope_logs", "counts", "kernel_count")
+
+    def __init__(self, slope_logs: np.ndarray, counts: np.ndarray, kernel_count: int):
+        self.slope_logs = slope_logs
+        self.counts = counts
+        self.kernel_count = kernel_count
 
     def __eq__(self, other):
         return (isinstance(other, SlopeCensus) and self.kernel_count == other.kernel_count
@@ -145,7 +145,6 @@ def is_scattered_naive(f: LinearizedPoly, mode="projective") -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class LinearSet:
     """The linear set of f on the projective line, as normalized slopes.
 
@@ -155,8 +154,11 @@ class LinearSet:
     A nontrivial kernel shows up as the zero slope, i.e. the point (1, 0).
     """
 
-    slopes: tuple  # element codes, sorted in g^k order (zero last)
-    scattered: bool
+    __slots__ = ("slopes", "scattered")
+
+    def __init__(self, slopes: tuple, scattered: bool):
+        self.slopes = slopes          # element codes, sorted in g^k order (zero last)
+        self.scattered = scattered
 
     @property
     def size(self):

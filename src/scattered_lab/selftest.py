@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from . import families as fam
 from . import mrd, plane
@@ -30,13 +29,15 @@ def tower(p, e, n):
     return _TOWERS[key]
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    elapsed: float
-    details: str = ""
+    __slots__ = ("number", "name", "passed", "elapsed", "details")
+
+    def __init__(self, number: int, name: str, passed: bool, elapsed: float, details: str = ""):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.elapsed = elapsed
+        self.details = details
 
     def line(self):
         mark = "PASS" if self.passed else "FAIL"

@@ -27,9 +27,6 @@ diagonal entries by scalar powers alone, with no matrix product.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import kernel_mod, span_codes
@@ -154,7 +151,6 @@ def normalize_point(tower, point):
     return (0, 1)
 
 
-@dataclass(eq=False)
 class MatrixField:
     """The solution set S(f, g) of a pair system (`_pair_system`), kept as
     (system, coords): S(f, g) = span(coords) = ker(system mod p).
@@ -170,25 +166,33 @@ class MatrixField:
     test oracles do, through `_codes()`.
     """
 
-    tower: FieldTower
-    system: np.ndarray       # F_p-matrix whose kernel is the solution space
-    coords: np.ndarray       # F_p-basis of that kernel, one digit row each
-    t: int | None = None     # order = q^t once verified
-    generator: Mat2 | None = None
-    scattered_input: bool = True
-    _diag: DiagonalizationResult | None = None   # the certificate of verify_field
+    __slots__ = ("tower", "system", "coords", "t", "generator", "scattered_input", "_diag",
+                 "_basis")
+
+    def __init__(self, tower: FieldTower, system: np.ndarray, coords: np.ndarray,
+                 scattered_input: bool = True):
+        self.tower = tower
+        self.system = system         # F_p-matrix whose kernel is the solution space
+        self.coords = coords         # F_p-basis of that kernel, one digit row each
+        self.t = None                # order = q^t once verified
+        self.generator = None        # a Mat2 of order q^t - 1 once verified
+        self.scattered_input = scattered_input
+        self._diag = None            # DiagonalizationResult, the certificate of verify_field
+        self._basis = None
 
     @classmethod
     def from_system(cls, tower, system, **fields):
         """The space ker(system mod p), with the kernel basis of kernel_mod."""
         return cls(tower, system, kernel_mod(system, tower.p), **fields)
 
-    @functools.cached_property
+    @property
     def basis(self):
-        """The rows of coords as Mat2."""
-        T = self.tower
-        codes = self.coords.reshape(-1, 4, T.en) @ T.p ** np.arange(T.en, dtype=np.int64)
-        return tuple(Mat2._of(T, *row) for row in codes.tolist())
+        """The rows of coords as Mat2, read on first use."""
+        if self._basis is None:
+            T = self.tower
+            codes = self.coords.reshape(-1, 4, T.en) @ T.p ** np.arange(T.en, dtype=np.int64)
+            self._basis = tuple(Mat2._of(T, *row) for row in codes.tolist())
+        return self._basis
 
     @property
     def verified(self):
@@ -440,15 +444,18 @@ def conjugates_to_diagonal(Mf: MatrixField, W: Mat2, s: int, t: int) -> bool:
                                      for x, y in pairs)
 
 
-@dataclass
 class DiagonalizationResult:
     """Simultaneous diagonalization P Mf P^-1 = {diag(x, x^(p^j)) : x in F_{q^t}}."""
 
-    P: Mat2
-    t: int
-    p_exponent: int          # j with sigma = p^j on the diagonal
-    eigen_points: tuple      # normalized projective points, rows of P
-    basis_pairs: tuple       # (x, x^sigma) codes of the conjugated basis matrices
+    __slots__ = ("P", "t", "p_exponent", "eigen_points", "basis_pairs")
+
+    def __init__(self, P: Mat2, t: int, p_exponent: int, eigen_points: tuple,
+                 basis_pairs: tuple):
+        self.P = P
+        self.t = t
+        self.p_exponent = p_exponent      # j with sigma = p^j on the diagonal
+        self.eigen_points = eigen_points  # normalized projective points, rows of P
+        self.basis_pairs = basis_pairs    # (x, x^sigma) codes of the conjugated basis matrices
 
     @property
     def s(self):

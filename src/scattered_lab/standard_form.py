@@ -23,7 +23,6 @@ so g's census runs only on the paths that answer "not equivalent" or raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InternalError, NotBijective, NotInS, NotScattered, NotStandard
 from .field_tower import FieldTower
@@ -32,15 +31,28 @@ from .scatter import is_scattered
 from .stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
 
 
-@dataclass
 class StandardFormResult:
-    """Standard form h with witness P such that U_f P^{-1} = U_h."""
+    """Standard form h with witness P such that U_f P^{-1} = U_h.
 
-    h: LinearizedPoly
-    P: Mat2
-    s: int
-    t: int
-    canonical: bool = True
+    Two results are equal when all five values are.
+    """
+
+    __slots__ = ("h", "P", "s", "t", "canonical")
+
+    def __init__(self, h: LinearizedPoly, P: Mat2, s: int, t: int, canonical: bool = True):
+        self.h = h
+        self.P = P
+        self.s = s
+        self.t = t
+        self.canonical = canonical
+
+    def _values(self):
+        return (self.h, self.P, self.s, self.t, self.canonical)
+
+    def __eq__(self, other):
+        if not isinstance(other, StandardFormResult):
+            return NotImplemented
+        return self._values() == other._values()
 
     def to_json(self):
         return {
@@ -232,13 +244,16 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     return StandardFormResult(h_c, Pc, s, form.t, canonical=True)
 
 
-@dataclass
 class EquivalenceResult:
-    equivalent: bool
-    mode: str                    # "GL" or "GammaL"
-    witness: Mat2 | None = None
-    sigma_p_exponent: int | None = None
-    reason: str = ""
+    __slots__ = ("equivalent", "mode", "witness", "sigma_p_exponent", "reason")
+
+    def __init__(self, equivalent: bool, mode: str, witness: Mat2 | None = None,
+                 sigma_p_exponent: int | None = None, reason: str = ""):
+        self.equivalent = equivalent
+        self.mode = mode                  # "GL" or "GammaL"
+        self.witness = witness
+        self.sigma_p_exponent = sigma_p_exponent
+        self.reason = reason
 
     def to_json(self):
         doc = {"equivalent": self.equivalent, "mode": self.mode, "reason": self.reason}

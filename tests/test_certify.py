@@ -1,8 +1,6 @@
 """The diagonal-form field certificate and the idealizer isomorphism against
 the element walks they replaced."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -91,8 +89,8 @@ def test_diagonalization_is_cached_without_pairs(tower):
     T = tower(5, 1, 4)
     Mf = compute_stabilizer(make_lp(T, 1, find_lp_delta(T)).poly)
     assert diagonalize(Mf) is diagonalize(Mf)
-    stored = {fld.name for fld in dataclasses.fields(DiagonalizationResult)}
-    assert "diag_pairs" not in stored and len(diagonalize(Mf).basis_pairs) == T.e * Mf.t
+    assert "diag_pairs" not in DiagonalizationResult.__slots__
+    assert len(diagonalize(Mf).basis_pairs) == T.e * Mf.t
 
 
 def _digit_rows(maps):

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -435,6 +436,13 @@ def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
         assert len(calls) == builds, tasks
 
 
+def _src_env():
+    """The environment of a fresh process that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_analyze(field, poly, forbidden):
     """Run a five-task analyze in a fresh process that fails if it imported
     the module `forbidden`; the parsed report."""
@@ -444,10 +452,8 @@ def _fresh_analyze(field, poly, forbidden):
               "             '--tasks', 'scatter,stabilizer,standard-form,mrd,plane'])\n"
               f"assert {forbidden!r} not in sys.modules, {forbidden!r} + ' was imported'\n"
               "sys.exit(code)\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
+                          env=_src_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert set(doc["tasks"]) == {"scatter", "stabilizer", "standard-form", "mrd", "plane"}
@@ -481,3 +487,70 @@ def test_analyze_process_never_imports_hashlib(tmp_path):
     poly.write_text(json.dumps({"coeffs": coeffs}))
     doc = _fresh_analyze(field, poly, "hashlib")
     assert doc == json.loads((GOLDEN / "analyze_psi_5_6.json").read_text())
+
+
+def test_analyze_process_imports_no_families_selftest_or_dataclasses(tmp_path):
+    # a five-task analyze builds no family and runs no criterion, and the
+    # library's records are plain classes: -X importtime lists what was loaded
+    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"coeffs": coeffs}))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "scattered_lab.cli", "analyze",
+         "--field", str(field), "--poly", str(poly),
+         "--tasks", "scatter,stabilizer,standard-form,mrd,plane"],
+        capture_output=True, text=True, env=_src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "scattered_lab.plane" in imported
+    assert not imported & {"scattered_lab.families", "scattered_lab.selftest", "dataclasses"}
+    assert proc.stdout == (GOLDEN / "analyze_psi_5_6.json").read_text()
+
+
+# the package's public names before the families names were loaded on use
+PACKAGE_ALL = [
+    "DiagonalizationResult", "EquivalenceResult", "FamilyInstance", "FieldSpec", "FieldTower",
+    "HomologyReport", "Idealizer", "LinearSet", "LinearizedPoly", "Mat2", "MatrixField",
+    "PseudoregulusCase", "RdCode", "ReducibilityWitness", "ScatteredLabError", "Spread",
+    "StandardFormResult", "build_spread", "canonicalize", "catalog",
+    "classify_central_collineations", "code_of", "compute_stabilizer", "diagonalize", "errors",
+    "families", "field_from_json", "field_tower", "find_family3_delta", "find_family4_delta",
+    "find_lp_delta", "find_psi_h", "gammal_equivalent", "gl_equivalent", "is_scattered",
+    "is_scattered_naive", "kernel_scalar_audit", "linear_collineations", "linear_set",
+    "linearized", "make_family3", "make_family4", "make_field", "make_lp", "make_pseudoregulus",
+    "make_psi", "min_distance", "min_distance_naive", "mrd", "plane", "psi_standard_form_closed",
+    "psi_theta", "reducibility_witness", "right_idealizer", "scatter", "semilinear_part_audit",
+    "slope_census", "stabilizer", "standard_form", "to_standard_form", "verify_field",
+    "verify_spread_axioms",
+]
+
+
+def test_package_loads_families_on_first_use():
+    script = ("import sys\n"
+              "import scattered_lab\n"
+              "assert 'scattered_lab.families' not in sys.modules\n"
+              "print(scattered_lab.__all__)\n"
+              "from scattered_lab import catalog\n"
+              "from scattered_lab.families import catalog as defined, make_psi\n"
+              "assert catalog is defined and scattered_lab.make_psi is make_psi\n"
+              "assert scattered_lab.families is sys.modules['scattered_lab.families']\n"
+              "assert not hasattr(scattered_lab, 'make_nothing')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{PACKAGE_ALL}\n"
+
+
+def test_main_freezes_the_import_heap_once(specs):
+    field, poly, _ = specs
+    args = ["analyze", "--field", str(field), "--poly", str(poly),
+            "--tasks", "scatter,stabilizer,standard-form,mrd,plane"]
+    _, first, _ = run_cli(args)
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    _, second, _ = run_cli(args)
+    assert gc.get_freeze_count() == frozen
+    assert second == first

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -7,6 +6,7 @@ from scattered_lab.errors import BadParams, UnsupportedParams
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
+    FamilyInstance,
     catalog,
     find_family3_delta,
     find_family4_delta,
@@ -136,6 +136,12 @@ def test_psi_stabilizer_even_t():
     assert Mf.t == 2 and Mf.group_order == 8
 
 
+def _mispredicted(inst, **changed):
+    """inst with the given fields changed."""
+    values = {name: getattr(inst, name) for name in FamilyInstance.__slots__}
+    return FamilyInstance(**{**values, **changed})
+
+
 def test_prediction_certificate_rejects_wrong_triples(tower):
     # each mutated (W, s, t) describes another F_p-space of matrices
     T = tower(5, 1, 6)
@@ -144,18 +150,18 @@ def test_prediction_certificate_rejects_wrong_triples(tower):
     assert psi.matches(Mf)
     two_theta = T.add_code(psi_theta(T, psi.params["h"], 3, 1),
                            psi_theta(T, psi.params["h"], 3, 1))
-    assert not replace(psi, predicted_conjugator=Mat2(
+    assert not _mispredicted(psi, predicted_conjugator=Mat2(
         T, 1, two_theta, 1, T.neg_code(two_theta))).matches(Mf)
-    assert not replace(psi, predicted_conjugator=Mat2.identity(T)).matches(Mf)
+    assert not _mispredicted(psi, predicted_conjugator=Mat2.identity(T)).matches(Mf)
     frob = make_pseudoregulus(T, 1)
     assert frob.matches(compute_stabilizer(frob.poly))
-    assert not replace(frob, predicted_s=5).matches(compute_stabilizer(frob.poly))
+    assert not _mispredicted(frob, predicted_s=5).matches(compute_stabilizer(frob.poly))
     T4 = tower(5, 1, 4)
     lp = make_lp(T4, 1, find_lp_delta(T4))
     assert lp.matches(compute_stabilizer(lp.poly))
-    assert not replace(lp, predicted_t=1).matches(compute_stabilizer(lp.poly))
+    assert not _mispredicted(lp, predicted_t=1).matches(compute_stabilizer(lp.poly))
     # F_25 lies in D(1, 4), so only the order |G_f| = 25 rejects t = 4
-    assert not replace(lp, predicted_t=4).matches(compute_stabilizer(lp.poly))
+    assert not _mispredicted(lp, predicted_t=4).matches(compute_stabilizer(lp.poly))
 
 
 def test_eigen_sign_identity(tower):

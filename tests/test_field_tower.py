@@ -278,6 +278,22 @@ def test_no_table_fallback_agrees(tower):
     assert Tn.sqrt_code(T.mul_code(17, 17)) in (17, Tn.neg_code(17))
 
 
+@pytest.mark.parametrize("key", [(3, 1, 3), (3, 1, 5), (5, 1, 3), (7, 1, 3), (3, 2, 3),
+                                 (5, 1, 4), (11, 1, 2), (13, 1, 3)], ids=field_id)
+def test_table_less_square_roots_match_brute_force(key):
+    # Tonelli-Shanks on every element, against the set of squares; q^n - 1 is
+    # 2 mod 4 at (3,1,3), (3,1,5) and (7,1,3), where it makes one pass
+    U = make_field(*key, table_bound=0)
+    assert not U.has_tables
+    squares = {U.mul_code(x, x) for x in range(U.size)}
+    for a in range(U.size):
+        r = U.sqrt_code(a)
+        if a in squares:
+            assert r is not None and U.mul_code(r, r) == a, (key, a)
+        else:
+            assert r is None, (key, a)
+
+
 def test_quadratic_solver_odd_and_even_char(tower):
     T = tower(5, 1, 4)
     rng = T.rng("quad")

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -23,6 +22,7 @@ from scattered_lab.families import (
 from scattered_lab.plane import (
     PseudoregulusCase,
     ReducibilityWitness,
+    Spread,
     build_spread,
     classify_central_collineations,
     kernel_scalar_audit,
@@ -35,8 +35,8 @@ from scattered_lab.plane import (
     _component_basis,
 )
 from scattered_lab.scatter import is_scattered, linear_set
-from scattered_lab.stabilizer import (Mat2, MatrixField, compute_stabilizer, conjugates_to_diagonal,
-                                      diagonalize)
+from scattered_lab.stabilizer import (DiagonalizationResult, Mat2, MatrixField, compute_stabilizer,
+                                      conjugates_to_diagonal, diagonalize)
 from scattered_lab.standard_form import image_polynomial, maps_onto, to_standard_form
 from scattered_lab._linalg import solve_mod
 
@@ -392,7 +392,7 @@ def test_spread_audits_reject_a_dropped_slope(tower):
     T = tower(5, 1, 4)
     spread = build_spread(make_lp(T, 1, find_lp_delta(T)).poly)
     dropped = min(spread.lf_slopes)
-    broken = dataclasses.replace(spread, lf_slopes=spread.lf_slopes - {dropped})
+    broken = Spread(spread.tower, spread.f, spread.lf_slopes - {dropped}, spread.h_class_count)
     assert not verify_spread_axioms(broken)["ok"]
     assert not spread_cover_by_walk(broken)["ok"]
     # a point of the dropped slope's fiber lies on its line and on U_f at once
@@ -471,8 +471,8 @@ def test_homology_checks_reject_broken_groups(tower):
     # a trivial twist s = 0 gives kappa_0 = 1, so the factorization is not unique
     assert _homology_factor_order(T, diag.s, hr.t) == N
     assert _homology_factor_order(T, 0, hr.t) == 1
-    assert not decomposition_by_sampling(T, Mf, dataclasses.replace(diag, p_exponent=0),
-                                         hr.t)
+    untwisted = DiagonalizationResult(diag.P, diag.t, 0, diag.eigen_points, diag.basis_pairs)
+    assert not decomposition_by_sampling(T, Mf, untwisted, hr.t)
 
 
 def test_classification_reads_no_element_list(tower, monkeypatch, capsys):
