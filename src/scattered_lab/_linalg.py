@@ -3,87 +3,126 @@
 Matrices are numpy int64 arrays reduced mod p.  They carry the stabilizer
 solution system, the Frobenius and multiplication matrices, and the
 F_p-matrix of a q-polynomial, from which its rank is read.  The
-eliminations are Gauss-Jordan elimination with one
-broadcast update of every row per pivot, which at these sizes costs less
-than selecting the rows to update, reduced mod p lazily (see `rref_mod`);
-the systems never exceed a few hundred rows at desk scale, and the reduced
-row echelon form is unique, so neither the pivot rule nor the reduction
-schedule changes a result.  `linear_values` tabulates an F_p-linear map on
-every code of F_p^en by p-adic doubling: it is the bulk evaluation behind
-the exp-table build.  `class_values` evaluates a linear map on one code per
-F_p^*-class only, which is all the slope census reads.
+eliminations are Gauss-Jordan elimination on packed rows: each row is one
+Python int with a fixed-width slot per column, so clearing a column off a
+row is one integer multiply-add, and the slots are wide enough that no
+entry overflows into the next (see `_packed_rref`).  At the sizes the
+library eliminates, a few dozen rows and columns, that costs less than the
+numpy call overhead of a broadcast update per pivot; on tall or large-p
+systems it costs more, and the library builds none.  The reduced row echelon
+form is unique, so neither the pivot rule nor the reduction schedule
+changes a result, and `kernel_mod`, `rank_mod` and `solve_mod` read only
+the pivots and the slots they need.  `linear_values` tabulates an
+F_p-linear map on every code of F_p^en by p-adic doubling: it is the bulk
+evaluation behind the exp-table build.  `class_values` evaluates a linear
+map on one code per F_p^*-class only, which is all the slope census reads.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 # class representatives of the low levels that `class_values` reads off one
 # product with a digit block; the levels above are doubled
 CLASS_BLOCK_BOUND = 1 << 10
-# `rref_mod` reduces in full before an entry could reach this; int64 holds 2^63
-LAZY_BOUND = 1 << 62
 
 
-def _inv_mod(a, p):
-    return pow(int(a), p - 2, p)
+def _packed_rref(A, p):
+    """Gauss-Jordan elimination of A mod p on packed rows.
+
+    Returns (rows, pivots, width): row i of the RREF is the Python int
+    rows[i], whose entry in column c is slot c, the bits
+    [c width, (c + 1) width), read mod p (`_slot`).  Entries are reduced
+    lazily.  Each pivot row is reduced and scaled in full, with the slots
+    left of its pivot cleared, since they are 0 mod p; every other row with
+    entry f != 0 mod p in the pivot column gets (p - f) times it added,
+    which makes that entry p and adds at most (p - 1)^2 to each slot.  So
+    after k pivots every slot is below p + k (p - 1)^2, and the width, 1, 2,
+    4 or 8 bytes or a multiple of 8, holds that bound at k = min(rows, cols):
+    no slot overflows into the next, and no full reduction is needed.  A
+    column is read only on rows at or below the current one until it has a
+    pivot.
+    """
+    A = np.asarray(A, dtype=np.int64) % p
+    nrows, ncols = A.shape
+    bound = p - 1 + min(nrows, ncols) * (p - 1) ** 2
+    nbytes = -(-bound.bit_length() // 8)
+    if nbytes <= 8:
+        nbytes = 1 << (nbytes - 1).bit_length()
+        data = A.astype(f"<u{nbytes}").tobytes()
+    else:
+        # each entry in the low 8 bytes of its slot
+        nbytes = -(-nbytes // 8) * 8
+        slots = np.zeros((nrows, ncols, nbytes // 8), dtype="<u8")
+        slots[:, :, 0] = A
+        data = slots.tobytes()
+    width, size = 8 * nbytes, ncols * nbytes
+    rows = [int.from_bytes(data[i * size:(i + 1) * size], "little") for i in range(nrows)]
+    mask = (1 << width) - 1
+    shifts = range(0, ncols * width, width)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        shift = shifts[c]
+        for i in range(r, nrows):
+            f = (rows[i] >> shift & mask) % p
+            if f:
+                break
+        else:
+            continue
+        row, rows[i] = rows[i], rows[r]
+        inv = pow(f, -1, p)
+        pivot_row = 0
+        for s in shifts[c:]:
+            pivot_row |= (row >> s & mask) * inv % p << s
+        rows[r] = pivot_row
+        for j, row in enumerate(rows):
+            f = (row >> shift & mask) % p
+            if f and j != r:
+                rows[j] = row + (p - f) * pivot_row
+        pivots.append(c)
+        r += 1
+    return rows, pivots, width
+
+
+def _slot(row, c, width, p):
+    """Entry c of a packed row of `_packed_rref`, reduced mod p."""
+    return (row >> c * width & (1 << width) - 1) % p
 
 
 def rref_mod(A, p):
     """Reduced row echelon form of an integer matrix mod p.
 
     Returns (R, pivots) where R is a new int64 array and pivots the list of
-    pivot column indices.  Entries are reduced lazily: per pivot only the
-    pivot column and the pivot row are reduced, and the whole matrix once at
-    the end.  Each update adds less than p^2 in absolute value, so after k
-    pivots every |entry| < p + k p^2; the matrix is reduced in full before a
-    pivot could take an entry past LAZY_BOUND.  Every pivot choice reads
-    reduced values, and the RREF is unique, so R and the pivots are those of
-    an elimination reduced after every step.
+    pivot column indices; the elimination runs on packed rows
+    (`_packed_rref`), which are unpacked here in full.
     """
-    R = np.array(A, dtype=np.int64) % p
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    step = p * p
-    bound = p   # every |entry| of R lies below it
-    for c in range(cols):
-        if r == rows:
-            break
-        factors = R[:, c] % p
-        i = int(factors[r:].argmax()) + r   # the max of [0, p) values is nonzero if any is
-        pivot = int(factors[i])
-        if pivot == 0:
-            continue
-        if bound + step > LAZY_BOUND:
-            R %= p
-            bound = p
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-            factors[i] = factors[r]
-        factors[r] = 0
-        # the columns left of c are zero mod p in row r, so only c onwards
-        # changes; one broadcast update then clears column c off the pivot row
-        row = R[r, c:]
-        row %= p
-        row *= _inv_mod(pivot, p)
-        row %= p
-        R[:, c:] -= factors[:, None] * row
-        bound += step
-        pivots.append(c)
-        r += 1
-    R %= p
-    return R, pivots
+    rows, pivots, width = _packed_rref(A, p)
+    cols = np.shape(A)[1]
+    R = np.array([[_slot(row, c, width, p) for c in range(cols)] for row in rows],
+                 dtype=np.int64)
+    return R.reshape(len(rows), cols), pivots
 
 
 def kernel_mod(A, p):
-    """Basis of the right kernel {v : Av = 0 mod p} as rows of an array."""
-    R, pivots = rref_mod(np.atleast_2d(A), p)
-    cols = R.shape[1]
+    """Basis of the right kernel {v : Av = 0 mod p} as rows of an array.
+
+    The basis vector of a free column c has a 1 there, a 0 at every other
+    free column, and minus entry c of pivot row r at the pivot of row r.
+    """
+    A = np.atleast_2d(A)
+    rows, pivots, width = _packed_rref(A, p)
+    cols = A.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -R[:len(pivots), free].T % p
+    if pivots and free:
+        basis[:, pivots] = [[-_slot(row, c, width, p) % p for row in rows[:len(pivots)]]
+                            for c in free]
     return basis
 
 
@@ -91,20 +130,18 @@ def solve_mod(A, b, p):
     """One solution of Ax = b mod p, or None if inconsistent."""
     A = np.atleast_2d(np.array(A, dtype=np.int64)) % p
     b = np.array(b, dtype=np.int64) % p
-    aug = np.hstack([A, b.reshape(-1, 1)])
-    R, pivots = rref_mod(aug, p)
+    rows, pivots, width = _packed_rref(np.hstack([A, b.reshape(-1, 1)]), p)
     cols = A.shape[1]
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, cols]
+    for row, c in zip(rows, pivots):
+        x[c] = _slot(row, cols, width, p)
     return x
 
 
 def rank_mod(A, p):
-    _, pivots = rref_mod(A, p)
-    return len(pivots)
+    return len(_packed_rref(A, p)[1])
 
 
 def linear_values(p, A):
@@ -149,6 +186,14 @@ def linear_values(p, A):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _weights(p, k):
+    """The read-only int64 array of p^i for i < k, which packs k digits into a code."""
+    weights = p ** np.arange(k, dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
 def class_codes(p, levels):
     """The codes of F_p^levels whose top nonzero digit is 1, ascending.
 
@@ -171,25 +216,26 @@ def class_values(p, A, block):
     result is the packed code of A digits(c_k).  For p = 2 they are the
     nonzero codes, so this is the `linear_values` table without its entry
     at 0.  Otherwise the representatives of the first L = len(block) levels
-    are one product with the digit block `class_block(p, L)`, packed by a
-    second product; both are bounded by the block.  Each level j >= L is p
-    shifted copies of level j - 1: p^j + d p^(j-1) + y is p^(j-1) + y
-    shifted by A(p^j) + (d - 1) A(p^(j-1)).  Those levels are doubled in one
-    rows x N array of the narrowest unsigned dtype that holds 2p and packed
-    one digit at a time, as in `linear_values`, so no N x rows int64
-    temporary is formed.
+    are one product with the digit block `class_block(p, L)`, packed by the
+    p-power weights; when the block covers all en levels that is the whole
+    result.  Each level j >= L is p shifted copies of level j - 1:
+    p^j + d p^(j-1) + y is p^(j-1) + y shifted by A(p^j) + (d - 1) A(p^(j-1)).
+    Those levels are doubled in one rows x N array of the narrowest unsigned
+    dtype that holds 2p and packed one digit at a time, as in
+    `linear_values`, so no N x rows int64 temporary is formed.
     """
-    A = np.asarray(A, dtype=np.int64) % p
-    rows, en = A.shape
     if p == 2:
         return linear_values(2, A)[1:]
+    rows, en = A.shape
     levels = len(block)
+    weights = _weights(p, rows)
+    if levels == en:
+        return weights @ (A @ block % p)
+    A = np.asarray(A, dtype=np.int64) % p
     low = A[:, :levels] @ block % p
     n_low = low.shape[1]
     out = np.empty((p**en - 1) // (p - 1), dtype=np.int64)
-    out[:n_low] = p ** np.arange(rows, dtype=np.int64) @ low
-    if levels == en:
-        return out
+    out[:n_low] = weights @ low
     h = p ** (levels - 1)
     # columns [0, h) hold level levels - 1, the last of the block
     D = np.empty((rows, out.size - n_low + h), dtype=np.min_scalar_type(2 * p))

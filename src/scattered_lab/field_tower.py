@@ -44,10 +44,11 @@ holds the digits of X^(p i) = (C^p)^i 1.  Phi + I is the char-2
 Artin-Schreier system, and Berlekamp's rank test on Phi certifies the
 modulus (`is_irreducible`).  The F_p-matrices of any stack of products or
 q-polynomials are matrix products with the cached ones (`mul_matrices`,
-`qpoly_matrices`), with no field arithmetic.  The slope census reads
-one code per F_p^*-class, the codes whose top nonzero digit is 1; the
-tower caches their logs (`class_logs`) and the digit block that evaluates
-their low levels in one product (`class_block`).
+and `qpoly_matrices` with the flattened stack of y -> X^k y^(q^i)), with
+no field arithmetic.  The slope census reads one code per F_p^*-class,
+the codes whose top nonzero digit is 1; the tower caches their logs
+(`class_logs`) and the digit block that evaluates their low levels in one
+product (`class_block`).
 """
 
 from __future__ import annotations
@@ -366,13 +367,14 @@ class FieldTower:
         powers = _powers_of_one(_companion(self.modulus, self.p), 2 * self.en - 1, self.p)
         self._x_powers = np.stack([powers[k:k + self.en].T for k in range(self.en)])
         self._red_rows = powers[self.en:].tolist()
+        self.digit_weights = [self.p**k for k in range(self.en)]
         self.exp_table = self.log_table = None
         self.exp_view = self.log_view = None
         self.gen_code = spec.generator
         if self.size <= table_bound:
             self._build_tables()
         self._frob_mat = None
-        self._frob_stack = None
+        self._frob_stack = self._qpoly_stack = None
         self._class_block = self._class_logs = None
         self._bsgs_baby: dict[int, int] = {}
         self._caches: dict[str, _LRU] = {}
@@ -726,6 +728,11 @@ class FieldTower:
                 self._class_logs.flags.writeable = False
         return self._class_logs
 
+    def digit_rows(self, codes):
+        """The en little-endian base-p digits of every code, in one flat list."""
+        p = self.p
+        return [c // w % p for c in codes for w in self.digit_weights]
+
     def mul_matrix(self, code):
         """F_p-matrix of y -> code * y in the power basis (see mul_matrices)."""
         return self.mul_matrices([code])[0]
@@ -734,26 +741,37 @@ class FieldTower:
         """The F_p-matrices of y -> c * y for every code c, stacked.
 
         Multiplication by c = sum_k c_k X^k is sum_k c_k (y -> X^k y), so
-        the stack is the digit rows of the codes times the en cached
-        matrices of X^k: one matrix product, with no field arithmetic and no
-        exp/log table.  Returns an int64 array of shape (len(codes), en, en).
+        the stack is the digit rows of the codes, built in Python, times the
+        en cached matrices of X^k: one matrix product, with no field
+        arithmetic and no exp/log table.  Returns an int64 array of shape
+        (len(codes), en, en).
         """
         en, p = self.en, self.p
-        digits = np.asarray(codes, dtype=np.int64).reshape(-1, 1) // p ** np.arange(en) % p
+        digits = np.array(self.digit_rows(codes), dtype=np.int64).reshape(-1, en)
         return (digits @ self._x_powers.reshape(en, en * en)).reshape(-1, en, en) % p
+
+    @property
+    def qpoly_stack(self):
+        """The en^2-entry rows of the F_p-matrices of y -> X^k y^(q^i), at row
+        i en + k for i < n and k < en, as one (n en) x en^2 array; built once."""
+        if self._qpoly_stack is None:
+            n, en = self.n, self.en
+            mats = self._x_powers[None] @ self.frob_stack[:, None] % self.p   # [i, k]
+            self._qpoly_stack = mats.reshape(n * en, en * en)
+        return self._qpoly_stack
 
     def qpoly_matrices(self, coeff_rows):
         """The F_p-matrices of the q-polynomials sum_i a_i x^(q^i), stacked.
 
         Each row of coeff_rows holds the n coefficient codes of one
-        polynomial; its matrix is sum_i (y -> a_i y)(x -> x^(q^i)), the
-        multiplication stack times the cached Frobenius stack, summed over
-        i.  Returns an int64 array of shape (len(coeff_rows), en, en).
+        polynomial.  With a_i = sum_k a_ik X^k its matrix is
+        sum_(i, k) a_ik (y -> X^k y^(q^i)), so the stack is the digit rows
+        (a_ik), built in Python, times `qpoly_stack`: one matrix product.
+        Returns an int64 array of shape (len(coeff_rows), en, en).
         """
-        n, en = self.n, self.en
-        rows = np.asarray(coeff_rows, dtype=np.int64).reshape(-1, n)
-        mats = self.mul_matrices(rows.ravel()).reshape(-1, n, en, en)
-        return (mats @ self.frob_stack).sum(axis=1) % self.p
+        en = self.en
+        digits = np.array([self.digit_rows(row) for row in coeff_rows], dtype=np.int64)
+        return (digits.reshape(-1, self.n * en) @ self.qpoly_stack % self.p).reshape(-1, en, en)
 
     # -- enumeration and sampling --------------------------------------------
     def subfield_elements(self, t):

@@ -75,14 +75,14 @@ def slope_census(f: LinearizedPoly) -> SlopeCensus:
     # f(c x)/(c x) = f(x)/x for c in F_p^*: one code per class, counts * (p - 1)
     vals = class_values(T.p, f.fp_matrix(), T.class_block)
     logs = T.class_logs
-    nz = np.flatnonzero(vals)
-    kernel_classes = vals.size - nz.size
+    kernel_classes = vals.size - np.count_nonzero(vals)
     if kernel_classes:
+        nz = vals != 0
         vals, logs = vals[nz], logs[nz]
     slogs = T.log_table[vals] - logs
     slogs %= T.mult_order
     counts = np.bincount(slogs, minlength=T.mult_order)
-    attained = np.flatnonzero(counts)
+    attained = np.flatnonzero(counts != 0)
     fibers = counts[attained] * (T.p - 1)
     attained.flags.writeable = fibers.flags.writeable = False
     census = SlopeCensus(attained, fibers, kernel_classes * (T.p - 1))

@@ -27,6 +27,8 @@ diagonal entries by scalar powers alone, with no matrix product.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ._linalg import kernel_mod, span_codes
@@ -190,7 +192,7 @@ class MatrixField:
         """The rows of coords as Mat2, read on first use."""
         if self._basis is None:
             T = self.tower
-            codes = self.coords.reshape(-1, 4, T.en) @ T.p ** np.arange(T.en, dtype=np.int64)
+            codes = self.coords.reshape(-1, 4, T.en) @ T.digit_weights
             self._basis = tuple(Mat2._of(T, *row) for row in codes.tolist())
         return self._basis
 
@@ -207,6 +209,11 @@ class MatrixField:
     @property
     def group_order(self):
         return self.order - 1
+
+    def outside(self, rows):
+        """For each digit row, does it lie outside ker(system mod p)?  One
+        product with the system, as a boolean array."""
+        return (self.system @ np.asarray(rows).T % self.tower.p).any(axis=0)
 
     def _codes(self, rows=None):
         T = self.tower
@@ -250,14 +257,18 @@ class MatrixField:
         blocks = system.reshape(n, en, 4, en)
         a_blocks = blocks[:, :, 0]
         cd = blocks[:, :, 2:].reshape(n, en, 2 * en)
-        lift = T.mul_matrix(T.inv_code(g.coeffs[k1])) @ cd[k1] % p
-        lift = T.frob_power_matrix(n - k1) @ lift % p
+        inverse = [0] * n      # -A_k1^-1 as a q-polynomial
+        inverse[n - k1] = T.frob_code(T.inv_code(g.coeffs[k1]), n - k1)
+        lift = T.qpoly_matrices([inverse])[0] @ cd[k1] % p
         rest = [k for k in range(1, n) if k != k1]
         schur = (cd[rest] + a_blocks[rest] @ lift) % p
         cd_kernel = kernel_mod(schur.reshape(-1, 2 * en), p)
-        a = cd_kernel @ lift.T % p
-        b = -(a @ a_blocks[0].T + cd_kernel @ cd[0].T) % p
-        return cls(T, system, np.hstack([a, b, cd_kernel]), **fields)
+        coords = np.zeros((len(cd_kernel), 4 * en), dtype=np.int64)
+        coords[:, :en] = cd_kernel @ lift.T % p
+        coords[:, 2 * en:] = cd_kernel
+        # b = -(A_0 a + C_0 c + D_0 d), row block 0 read with b = 0
+        coords[:, en:2 * en] = -(coords @ system[:en].T) % p
+        return cls(T, system, coords, **fields)
 
 
 def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
@@ -270,21 +281,40 @@ def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
     the F_p-matrices of the q-polynomials -g_k x^(q^k) (a), [k = 0] x (b),
     -sum_i g_i (f_(k-i) x)^(q^i) (c) and f_k x (d).  The a- and d-blocks
     are stacked products of the tower's multiplication and Frobenius
-    matrices, and the c-block of row block k is sum_i A_i D_(k-i), the
-    a-block i after the d-block k - i: one batched product, with no field
-    arithmetic and no exp/log table.
+    matrices, from one multiplication stack of f's and g's coefficients
+    (f's alone when g = f), and the c-block of row block k is
+    sum_i A_i D_(k-i), the a-block i after the d-block k - i: one batched
+    product, with no field arithmetic and no exp/log table.
     """
     T = f.tower
     n, en, p = T.n, T.en, T.p
-    a_blocks = -(T.mul_matrices(g.coeffs) @ T.frob_stack % p)
-    d_blocks = T.mul_matrices(f.coeffs)
-    shift = (np.arange(n)[:, None] - np.arange(n)) % n   # shift[k, i] = k - i
+    # one multiplication stack: f's coefficients, then g's unless g has them
+    mats = T.mul_matrices(f.coeffs if g.coeffs == f.coeffs else f.coeffs + g.coeffs)
+    d_blocks = mats[:n]
+    a_blocks = -(mats[-n:] @ T.frob_stack % p)
     A = np.zeros((n, en, 4, en), dtype=np.int64)
     A[:, :, 0] = a_blocks
-    A[0, :, 1] = np.eye(en, dtype=np.int64)
-    A[:, :, 2] = (a_blocks @ d_blocks[shift]).sum(axis=1)
+    A[0, :, 1] = _identity(en)
+    A[:, :, 2] = (a_blocks @ d_blocks[_shift_index(n)]).sum(axis=1)
     A[:, :, 3] = d_blocks
     return A.reshape(n * en, 4 * en) % p
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_index(n):
+    """shift[k, i] = (k - i) mod n, the d-block that row block k pairs with
+    a-block i in `_pair_system`; read-only, built once per n."""
+    shift = (np.arange(n)[:, None] - np.arange(n)) % n
+    shift.flags.writeable = False
+    return shift
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(en):
+    """The read-only en x en identity over F_p, built once per en."""
+    eye = np.eye(en, dtype=np.int64)
+    eye.flags.writeable = False
+    return eye
 
 
 def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
@@ -344,7 +374,7 @@ def verify_field(Mf: MatrixField):
         raise NotAField(f"t={t} does not divide n={T.n}")
     identity = np.zeros(4 * T.en, dtype=np.int64)
     identity[[0, 3 * T.en]] = 1            # the digit row of I = (1 0; 0 1)
-    outside = (Mf.system @ np.vstack([Mf.coords, identity]).T % T.p).any(axis=0)
+    outside = Mf.outside(np.vstack([Mf.coords, identity]))
     if outside[:-1].any():
         raise NotAField("a basis element lies outside the kernel of the system")
     if outside[-1]:
@@ -374,7 +404,9 @@ def verify_field(Mf: MatrixField):
             break
     else:
         raise NotAField("no element of full multiplicative order")
-    Mf.t, Mf.generator = t, Mat2._of(T, *Mf._codes([r])[0])
+    # element r of the span: the digits of r, most significant first, weight the basis rows
+    row = T.digit_rows([r])[:dim][::-1] @ Mf.coords % T.p
+    Mf.t, Mf.generator = t, Mat2._of(T, *(row.reshape(4, T.en) @ T.digit_weights).tolist())
     eigen_points = (normalize_point(T, (P.a, P.b)), normalize_point(T, (P.c, P.d)))
     Mf._diag = DiagonalizationResult(P, t, p_exp, eigen_points, pairs)
     return t, Mf.generator

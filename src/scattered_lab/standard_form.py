@@ -32,22 +32,21 @@ from .stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
 
 
 class StandardFormResult:
-    """Standard form h with witness P such that U_f P^{-1} = U_h.
+    """Canonical standard form h with witness P such that U_f P^{-1} = U_h.
 
-    Two results are equal when all five values are.
+    Two results are equal when all four values are.
     """
 
-    __slots__ = ("h", "P", "s", "t", "canonical")
+    __slots__ = ("h", "P", "s", "t")
 
-    def __init__(self, h: LinearizedPoly, P: Mat2, s: int, t: int, canonical: bool = True):
+    def __init__(self, h: LinearizedPoly, P: Mat2, s: int, t: int):
         self.h = h
         self.P = P
         self.s = s
         self.t = t
-        self.canonical = canonical
 
     def _values(self):
-        return (self.h, self.P, self.s, self.t, self.canonical)
+        return (self.h, self.P, self.s, self.t)
 
     def __eq__(self, other):
         if not isinstance(other, StandardFormResult):
@@ -60,7 +59,7 @@ class StandardFormResult:
             "P": self.P.to_json(),
             "s": self.s,
             "t": self.t,
-            "canonical": self.canonical,
+            "canonical": True,
         }
 
 
@@ -167,26 +166,6 @@ def image_polynomial(f: LinearizedPoly, W: Mat2) -> LinearizedPoly:
     return g
 
 
-def maps_onto(f: LinearizedPoly, W: Mat2, g: LinearizedPoly) -> bool:
-    """Exact check that U_f W = U_g, with (x, f(x)) W = (u(x), v(x)).
-
-    U_f W = U_g exactly when v = g o u and u is bijective.  For det W != 0
-    the identity alone proves it: u(x) = 0 gives v(x) = g(0) = 0, so
-    (x, f(x)) W = 0 and x = 0; u is injective, hence bijective.  Only a
-    singular W pays for inverting u.
-    """
-    u, v = _uv_from(f, W)
-    if v != g.compose(u):
-        return False
-    if W.det() != 0:
-        return True
-    try:
-        u.invert()
-    except NotBijective:
-        return False
-    return True
-
-
 def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     """Standard form of f with the conjugating witness, canonicalized.
 
@@ -241,7 +220,7 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     Pc = Mat2._of(T, *(T.mul_code(b, x) for x in rows[:2]),
                   *(T.mul_code(ainv, x) for x in rows[2:]))
     s = form.s if branch == "direct" else form.t - form.s
-    return StandardFormResult(h_c, Pc, s, form.t, canonical=True)
+    return StandardFormResult(h_c, Pc, s, form.t)
 
 
 class EquivalenceResult:
@@ -267,15 +246,18 @@ class EquivalenceResult:
 def _pair_kernel(f: LinearizedPoly, g: LinearizedPoly):
     """S(f, g), and whether its first basis matrix W proves U_f W = U_g.
 
-    W proves it when det W != 0 and `maps_onto` holds.  Such a W maps each
+    W proves it when det W != 0 and one product with the pair system puts
+    W's digit row in its kernel (`MatrixField.outside`, the check that
+    `verify_field` runs on G_f).  W in the kernel gives g(u(x)) = v(x) for
+    (x, f(x)) W = (u(x), v(x)), so U_f W lies in U_g; an invertible W makes
+    |U_f W| = q^n = |U_g|, so the two are equal.  Such a W maps each
     F_(q^n)-line onto one, so U_g = U_f W is scattered with U_f, and g needs
     no census.
     """
     S = MatrixField.of_pair(f, g)
     if not S.basis:
         return S, False
-    W = S.basis[0]
-    return S, W.det() != 0 and maps_onto(f, W, g)
+    return S, S.basis[0].det() != 0 and not S.outside(S.coords[:1]).any()
 
 
 def _witness(f: LinearizedPoly, S: MatrixField, proven: bool) -> Mat2:

@@ -37,12 +37,14 @@ and an image U_f W = U_g by that inverse (image_by_fp_matrix).  The other is
 the matrix over F_q, inverted and read back through a Moore system by
 elimination on element codes (invert_by_fq_matrix).  U_f W = U_g is decided
 with u always inverted over F_p (maps_onto_by_inversion), where the library
-skips the inversion for invertible W.  The diagonal pairs of every element of a
-diagonalized G_f are rebuilt from the conjugated basis (diag_pairs), and
-the pairs of the basis itself by W b W^-1 with two matrix products each,
-where the library reads them off the rows of W (conjugated_pairs_by_inverse).  The
-family predictions that the conjugator certificate decides are listed
-element by element (predicted_set_by_listing), and the linear set is built
+proves it for the first basis matrix W of S(f, g) by det W != 0 and W in
+the kernel of the pair system, with no composition (`_pair_kernel`).  The
+diagonal pairs of every element of a diagonalized G_f are rebuilt from the
+conjugated basis (diag_pairs), and the pairs of the basis itself by
+W b W^-1 with two matrix products each, where the library reads them off
+the rows of W (conjugated_pairs_by_inverse).  The family predictions that
+the conjugator certificate decides are listed element by element
+(predicted_set_by_listing), and the linear set is built
 by one power and a sort per slope (linear_set_by_sort).  Two checks that the
 certified diagonal form proves, so that the library no longer runs them,
 stay here for the differential test: the dimension of U_f on an
@@ -66,11 +68,11 @@ right-composition operator block by block (pair_system_by_blocks,
 right_compose_operator_by_blocks), the right idealizer as the kernel of its
 own system, a code annihilator and that operator, where the library reads
 it off the kernel of the pair system (right_idealizer_by_annihilator),
-with the comparison of two spans by their RREFs (same_span), the
-elimination with an outer-product
-update of the nonzero rows (rref_by_outer, kernel_by_outer), the
-elimination that reduces the whole matrix after every pivot, where the
-library reduces lazily (rref_eager), and the test
+with the comparison of two spans by their RREFs (same_span), the numpy
+eliminations that the packed rows of `_linalg` replaced: an outer-product
+update of the nonzero rows (rref_by_outer, kernel_by_outer) and a
+broadcast update that reduces the whole matrix after every pivot
+(rref_eager), and the test
 M^k = I by a chain of products (mat_power, power_is_one_by_chain), where
 the library takes scalar powers of one diagonal entry.  The slope census
 reads one code per F_p^*-class; the census over every code, gathered from
@@ -104,8 +106,7 @@ from scattered_lab.mrd import code_of, right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.scatter import SlopeCensus, slope_census
 from scattered_lab.stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
-from scattered_lab.standard_form import (StandardFormResult, _ab_min, _uv_from, maps_onto,
-                                         to_standard_form)
+from scattered_lab.standard_form import StandardFormResult, _ab_min, _uv_from, to_standard_form
 
 
 def _keys(V):
@@ -293,8 +294,11 @@ def right_idealizer_by_annihilator(f):
 
 def rref_by_outer(A, p):
     """Reduced row echelon form mod p: first nonzero pivot, then an outer
-    product update of the rows that are nonzero in the pivot column."""
-    R = np.array(A, dtype=np.int64) % p
+    product update of the rows that are nonzero in the pivot column.  At
+    p > 2^31 the products pass int64, and the update runs on Python ints
+    (an object array); R is int64 either way."""
+    wide = p > 1 << 31
+    R = np.array(A, dtype=object if wide else np.int64) % p
     rows, cols = R.shape
     pivots = []
     r = 0
@@ -313,7 +317,7 @@ def rref_by_outer(A, p):
         R[rows_c] = (R[rows_c] - np.outer(R[rows_c, c], R[r])) % p
         pivots.append(c)
         r += 1
-    return R, pivots
+    return R.astype(np.int64), pivots
 
 
 def same_span(A, B, p):
@@ -352,6 +356,19 @@ def rref_eager(A, p):
         pivots.append(c)
         r += 1
     return R, pivots
+
+
+def solve_by_outer(A, b, p):
+    """One solution of Ax = b mod p from rref_by_outer of (A | b), or None
+    when b's column holds a pivot."""
+    A = np.atleast_2d(np.array(A, dtype=np.int64)) % p
+    cols = A.shape[1]
+    R, pivots = rref_by_outer(np.hstack([A, np.array(b, dtype=np.int64).reshape(-1, 1) % p]), p)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    x[pivots] = R[:len(pivots), cols]
+    return x
 
 
 def kernel_by_outer(A, p):
@@ -1503,7 +1520,7 @@ def non_s_scan(f, g):
             Df = Mat2.diag(T, T.inv_code(bf), af)
             Dg = Mat2.diag(T, T.inv_code(bg), ag)
             W = (J * Df if inv_f else Df) * (J * Dg if inv_g else Dg).inverse()
-            if maps_onto(f, W, g):
+            if maps_onto_by_inversion(f, W, g):
                 return W
     return None
 

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from scattered_lab import _linalg, cli, mrd, plane, scatter, standard_form
+from scattered_lab import _linalg, cli, mrd, plane, scatter
 from scattered_lab.cli import main
 from scattered_lab.families import find_lp_delta, find_psi_h, make_lp, make_pseudoregulus, make_psi
+from scattered_lab.linearized import LinearizedPoly
 
 
 def run_cli(argv, tmp_path=None):
@@ -274,9 +275,10 @@ def test_mrd_task_solves_no_second_system(tower, tmp_path, monkeypatch):
 
 def test_plane_and_standard_form_tasks_recheck_nothing(tower, tmp_path, monkeypatch):
     # once the stabilizer task has certified G_f, the standard-form and plane
-    # tasks read their facts off the diagonal form: no U_f W = U_g check follows
+    # tasks read their facts off the diagonal form: no q-polynomial
+    # composition, and with it no U_f W = U_g check, follows
     _reports_after_stabilizer(tower, tmp_path, monkeypatch, "standard-form,plane",
-                              [(standard_form, "maps_onto")])
+                              [(LinearizedPoly, "compose")])
 
 
 def test_families_generate_verb():

@@ -37,7 +37,7 @@ from scattered_lab.plane import (
 from scattered_lab.scatter import is_scattered, linear_set
 from scattered_lab.stabilizer import (DiagonalizationResult, Mat2, MatrixField, compute_stabilizer,
                                       conjugates_to_diagonal, diagonalize)
-from scattered_lab.standard_form import image_polynomial, maps_onto, to_standard_form
+from scattered_lab.standard_form import image_polynomial, to_standard_form
 from scattered_lab._linalg import solve_mod
 
 from oracles import (
@@ -52,6 +52,7 @@ from oracles import (
     is_homology_group,
     kernel_scalar_by_walk,
     line_intersection_dim,
+    maps_onto_by_inversion,
     membership,
     nonzero_of,
     spread_components,
@@ -367,7 +368,7 @@ def test_collineation_checks_match_spread_walk(tower):
         for M in in_H + outside:
             lines_ok, translates_ok = spread_walk(f, M)
             assert (lines_ok and translates_ok) == (M in in_H)
-            if maps_onto(f, M, f):
+            if maps_onto_by_inversion(f, M, f):
                 assert translates_ok
 
 
@@ -590,7 +591,7 @@ def test_certificate_proves_the_deleted_checks(tower):
         assert image_polynomial(f, diag.P.inverse()).standard_form_params()[1] == t
         sf = to_standard_form(f)
         assert sf.t == t and math.gcd(sf.s, t) == 1
-        assert maps_onto(f, sf.P.inverse(), sf.h)
+        assert maps_onto_by_inversion(f, sf.P.inverse(), sf.h)
         assert conjugates_to_diagonal(Mf, sf.P, sf.s, sf.t)
         seen.add((T.p, T.e, T.n, t))
     assert {(3, 1, 4, 2), (5, 1, 6, 3), (7, 1, 6, 6), (2, 2, 4, 2), (3, 2, 3, 3),

@@ -126,6 +126,35 @@ def test_census_matches_full_table_oracle(tower, key):
         assert slope_census(f) == slope_census_by_full_table(f), f.coeffs
 
 
+@pytest.mark.parametrize("key, whole_block", [((3, 1, 4), True), ((7, 1, 4), True),
+                                               ((5, 1, 6), False)],
+                         ids=["3_1_4", "7_1_4", "5_1_6"])
+def test_census_with_kernels_matches_full_table_oracle(tower, key, whole_block):
+    # class values read off one block product (3,4), (7,4), and with the top
+    # levels doubled (5,6), for maps whose kernels are F_q, a F_q and F_(q^2)
+    # moved by random maps on both sides
+    T = tower(*key)
+    assert (len(T.class_block) == T.en) is whole_block
+    rng = T.rng("kernel-census")
+
+    def rand():
+        return LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])
+
+    a = rng.randrange(1, T.size)
+    cores = [LinearizedPoly(T, [T.neg_code(1), 1] + [0] * (T.n - 2)),
+             LinearizedPoly(T, [T.neg_code(T.pow_code(a, T.q - 1)), 1] + [0] * (T.n - 2)),
+             LinearizedPoly(T, [T.neg_code(1), 0, 1] + [0] * (T.n - 3))]
+    kernels = []
+    for core in cores:
+        for _ in range(3):
+            f = rand().compose(core).compose(rand())
+            census = slope_census(f)
+            assert census == slope_census_by_full_table(f), f.coeffs
+            kernels.append(census.kernel_count + 1)
+    # every core has a kernel, and a random map on either side only enlarges it
+    assert min(kernels) >= T.q and max(kernels) >= T.q**2
+
+
 @pytest.mark.parametrize("p, rows, en", [(2, 3, 5), (3, 4, 4), (5, 2, 3), (7, 3, 2), (3, 5, 6),
                                          (257, 1, 2)])
 def test_class_values_of_any_linear_map(p, rows, en):
