@@ -133,7 +133,6 @@ def cmd_analyze(args):
     report = {
         "schema_version": SCHEMA_VERSION,
         "field": T.spec().to_json(),
-        "poly": f.to_json()["coeffs"],
         "tasks": {},
     }
     for t in tasks:
@@ -152,6 +151,9 @@ def cmd_analyze(args):
             report["tasks"]["mrd"] = _task_mrd(T, f, args)
         elif t == "plane":
             report["tasks"]["plane"] = _task_plane(T, f, args)
+    # echoed after the tasks: on a field without tables the echo takes a
+    # discrete log per coefficient, and the tasks refuse such a field first
+    report["poly"] = f.to_json()["coeffs"]
     _emit(report)
     return 0
 

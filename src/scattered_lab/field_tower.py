@@ -18,30 +18,26 @@ Python ints, so multiplication, negation (-1 = g^((q^n - 1)/2) for odd
 p), inversion, powering, Frobenius, square roots and discrete logs are a
 few integer reads each.  Addition is digitwise (XOR for p = 2) on every
 field: a Zech-logarithm table for odd p measured no gain on the sweep
-benchmark.  Larger fields fall back to generic polynomial arithmetic and
-square-and-multiply exponentiation, which keeps constructions,
-composition, ranks and inversion exact; every analysis that enumerates
-F_{q^n}^* refuses them up front through `FieldTower.require_tables`, which
-raises TooLarge (CLI exit 2).
+benchmark.  Larger fields multiply through the companion matrix below: a
+product is the F_p-matrix of multiplication by a applied to the digits of
+b, and a power a^k is column 0 of that matrix's k-th power, which keeps
+constructions, composition, ranks and inversion exact; every analysis that
+enumerates F_{q^n}^* refuses them up front through
+`FieldTower.require_tables`, which raises TooLarge (CLI exit 2).
 
-The primes dividing p^(en) - 1 (primitivity, element orders, the field
-certificate) come from `_prime_divisors`: trial division by the primes
-below 2^10, then Brent's variant of Pollard rho with a fixed start and a
-fixed sequence of constants.  Primality is trial division, then strong
-probable-prime tests to the 13 prime bases 2..41, which no composite
-below psi_13 = 3317044064679887385961981 passes
-(Sorenson and Webster, Math. Comp. 2017).  Both are exact; at or above
-psi_13 the prime test raises TooLarge instead of guessing, which the
-default enumeration bound 2^40 keeps far away.
+`make_field` accepts only q^n <= ENUM_BOUND = 2^40, so every number the
+library factors (primitivity, element orders, the field certificate) is a
+group order q^t - 1 <= 2^40, and `_prime_divisors` factors it by plain
+trial division; `_is_prime` asks whether m is its own only prime divisor.
+Both refuse a number above 2^40 with TooLarge rather than run on.
 
 Linear algebra over the tower is F_p-linear algebra in the power basis,
 and its one polynomial primitive is the companion matrix C of the
 modulus, the F_p-matrix of y -> X y.  Each tower caches the en matrices
-C^k of multiplication by X^k (C^k 1 holds the digits of X^k, among them
-the rows that reduce table-less products) and the n matrices of
-x -> x^(q^k), the powers of Phi^e for the p-Frobenius Phi, whose column i
-holds the digits of X^(p i) = (C^p)^i 1.  Phi + I is the char-2
-Artin-Schreier system, and Berlekamp's rank test on Phi certifies the
+C^k of multiplication by X^k (C^k 1 holds the digits of X^k) and the n
+matrices of x -> x^(q^k), the powers of Phi^e for the p-Frobenius Phi,
+whose column i holds the digits of X^(p i) = (C^p)^i 1.  Phi + I is the
+char-2 Artin-Schreier system, and Berlekamp's rank test on Phi certifies the
 modulus (`is_irreducible`).  The F_p-matrices of any stack of products or
 q-polynomials are matrix products with the cached ones (`mul_matrices`,
 and `qpoly_matrices` with the flattened stack of y -> X^k y^(q^i)), with
@@ -80,118 +76,35 @@ ENUM_BOUND = 1 << 40
 CACHE_SIZE = 128
 
 
-def _primes_below(bound: int) -> tuple[int, ...]:
-    """The primes below bound, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * bound
-    sieve[:2] = b"\0\0"
-    for m in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[m]:
-            sieve[m * m::m] = bytes(len(range(m * m, bound, m)))
-    return tuple(m for m in range(bound) if sieve[m])
-
-
-_SMALL_PRIMES = _primes_below(1 << 10)
-# The strong probable-prime test to the 13 prime bases 2..41 has no composite
-# below psi_13 passing it (Sorenson-Webster 2017), so it decides primality
-# exactly there; psi_12 = 318665857834031151167461 passes the bases 2..37.
-_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_SPRP_EXACT_BELOW = 3317044064679887385961981   # psi_13
-_RHO_BATCH = 128
-
-
-def _is_prime(m: int) -> bool:
-    """Is m prime?  Exact; raises TooLarge for m >= psi_13 rather than guess.
-
-    Trial division by the primes below 2^10 settles every m with such a
-    factor and every m < 1021^2; any other m is prime iff it is a strong
-    probable prime to every base of _SPRP_BASES.
-    """
-    if m >= _SPRP_EXACT_BELOW:
-        raise TooLarge(f"primality of {m} is decided exactly only below {_SPRP_EXACT_BELOW}")
-    for ell in _SMALL_PRIMES:
-        if ell * ell > m:
-            return m > 1
-        if m % ell == 0:
-            return m == ell
-    d = m - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _SPRP_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(m: int) -> int:
-    """A proper divisor of the odd composite m, which is not a perfect square.
-
-    Brent's variant of Pollard rho on x -> x^2 + c from x = 2, with the gcd
-    taken once per batch of _RHO_BATCH steps; c runs through 1, 2, ... until
-    the gcd is proper, so every call on the same m does the same work.
-    """
-    for c in itertools.count(1):
-        y, r, acc, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % m
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % m
-                    acc = acc * abs(x - y) % m
-                g = math.gcd(acc, m)
-                k += _RHO_BATCH
-            r *= 2
-        if g == m:
-            # the batch overshot: redo it one gcd at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % m
-                g = math.gcd(abs(x - ys), m)
-        if g != m:
-            return g
-
-
 @functools.lru_cache(maxsize=1024)
 def _prime_divisors(m: int) -> tuple[int, ...]:
-    """The distinct primes dividing m >= 1, ascending.
+    """The distinct primes dividing m, ascending, for 1 <= m <= ENUM_BOUND.
 
-    Trial division by the primes below 2^10, then Brent's rho on what is
-    left, split until every part passes `_is_prime`; raises TooLarge when a
-    part at or above psi_13 is left.
+    Trial division by 2, then by the odd d with d^2 <= m, each prime
+    divided out as it is found.  Every number the library factors is a
+    group order q^t - 1 <= ENUM_BOUND; the costliest, 2^38 - 1, takes
+    87 382 steps.  A larger m is refused with TooLarge before any division.
     """
     if m < 1:
         raise ValueError(f"prime divisors of {m}")
+    if m > ENUM_BOUND:
+        raise TooLarge(f"{m} is above {ENUM_BOUND}, the largest number the library factors")
     found = []
-    for ell in _SMALL_PRIMES:
-        if ell * ell > m:
+    for d in itertools.chain((2,), itertools.count(3, 2)):
+        if d * d > m:
             break
-        if m % ell == 0:
-            found.append(ell)
-            while m % ell == 0:
-                m //= ell
-    large, parts = set(), [m] if m > 1 else []
-    while parts:
-        k = parts.pop()
-        if _is_prime(k):
-            large.add(k)
-            continue
-        root = math.isqrt(k)
-        if root * root == k:
-            parts.append(root)
-        else:
-            d = _rho_factor(k)
-            parts += [d, k // d]
-    return tuple(found) + tuple(sorted(large))
+        if m % d == 0:
+            found.append(d)
+            while m % d == 0:
+                m //= d
+    if m > 1:
+        found.append(m)
+    return tuple(found)
+
+
+def _is_prime(m: int) -> bool:
+    """Is m prime?  Exact for m <= ENUM_BOUND; a larger m raises TooLarge."""
+    return m > 1 and _prime_divisors(m) == (m,)
 
 
 def _mat_pow_mod(A, k, p):
@@ -363,10 +276,9 @@ class FieldTower:
         self.seed = spec.seed
         self.key = (spec.p, spec.e, spec.n, spec.modulus)
         # x_powers[k] = C^k, the F_p-matrix of y -> X^k y: column i holds the
-        # digits of X^(k+i); those of X^(en+j) reduce the table-less products
+        # digits of X^(k+i)
         powers = _powers_of_one(_companion(self.modulus, self.p), 2 * self.en - 1, self.p)
         self._x_powers = np.stack([powers[k:k + self.en].T for k in range(self.en)])
-        self._red_rows = powers[self.en:].tolist()
         self.digit_weights = [self.p**k for k in range(self.en)]
         self.exp_table = self.log_table = None
         self.exp_view = self.log_view = None
@@ -383,9 +295,9 @@ class FieldTower:
     def _build_tables(self):
         """exp[k] = g^k by B = isqrt(M) baby steps, then whole blocks.
 
-        The baby steps are digit vectors stepped by the F_p-matrix of
-        multiplication by g and packed into codes with one matrix product.
-        Multiplication by g^B is F_p-linear too, so its value table over
+        The baby steps are the digit vectors `_powers_of_one` steps by the
+        F_p-matrix of multiplication by g, packed into codes with one matrix
+        product.  Multiplication by g^B is F_p-linear too, so its value table over
         every code is one `linear_values` pass, and block j + 1 of the exp
         table is that table gathered at block j.  The tables are read-only
         int32 arrays, and the scalar methods read memoryviews of them.
@@ -393,12 +305,8 @@ class FieldTower:
         p, M = self.p, self.mult_order
         B = math.isqrt(M)
         times_g = self.mul_matrix(self.gen_code)
-        steps = np.empty((B, self.en), dtype=np.int64)
-        v = np.zeros(self.en, dtype=np.int64)
-        v[0] = 1
-        for j in range(B):
-            steps[j] = v
-            v = times_g @ v % p
+        steps = _powers_of_one(times_g, B, p)
+        v = times_g @ steps[-1] % p
         exp = np.empty(M, dtype=np.int32)
         exp[:B] = steps @ p ** np.arange(self.en, dtype=np.int64)
         times_gB = linear_values(p, self.mul_matrix(_pack(v, p)))   # v = g^B
@@ -460,35 +368,10 @@ class FieldTower:
             # -1 = g^(M/2) for odd p
             M = self.mult_order
             return self.exp_view[(self.log_view[a] + M // 2) % M]
-        out = 0
-        mult = 1
-        while a:
-            d = a % p
-            if d:
-                out += (p - d) * mult
-            a //= p
-            mult *= p
-        return out
+        return _pack([-d for d in _digits(a, p, self.en)], p)
 
     def sub_code(self, a, b):
         return self.add_code(a, self.neg_code(b))
-
-    def _poly_mul_codes(self, a, b):
-        p, en = self.p, self.en
-        da = _digits(a, p, en)
-        db = _digits(b, p, en)
-        prod = [0] * (2 * en - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod[:en]
-        for j, row in enumerate(self._red_rows):
-            c = prod[en + j]
-            if c:
-                for i in range(en):
-                    out[i] = (out[i] + c * row[i]) % p
-        return _pack(out, p)
 
     def mul_code(self, a, b):
         if a == 0 or b == 0:
@@ -496,7 +379,7 @@ class FieldTower:
         if self.log_view is not None:
             log = self.log_view
             return self.exp_view[(log[a] + log[b]) % self.mult_order]
-        return self._poly_mul_codes(a, b)
+        return _pack(self.mul_matrix(a) @ self.digit_rows([b]) % self.p, self.p)
 
     def pow_code(self, a, k):
         M = self.mult_order
@@ -509,14 +392,8 @@ class FieldTower:
         k %= M
         if self.log_view is not None:
             return self.exp_view[self.log_view[a] * k % M]
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self._poly_mul_codes(result, base)
-            base = self._poly_mul_codes(base, base)
-            k >>= 1
-        return result
+        # column 0 of the matrix of y -> a^k y holds the digits of a^k
+        return _pack(_mat_pow_mod(self.mul_matrix(a), k, self.p)[:, 0], self.p)
 
     def inv_code(self, a):
         if a == 0:
@@ -544,13 +421,13 @@ class FieldTower:
             c = 1
             for j in range(m):
                 baby.setdefault(c, j)
-                c = self._poly_mul_codes(c, self.gen_code)
+                c = self.mul_code(c, self.gen_code)
         step = self.inv_code(self.pow_code(self.gen_code, m))
         cur = a
         for i in range(m + 1):
             if cur in baby:
                 return (i * m + baby[cur]) % M
-            cur = self._poly_mul_codes(cur, step)
+            cur = self.mul_code(cur, step)
         raise InternalError("BSGS failed; generator is not primitive?")
 
     def element_key(self, code):
@@ -883,6 +760,9 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
         generator = next(c for c in range(p, probe.size) if is_primitive(c))
     else:
         generator = int(generator)
+        # 0 would pass the test below, since no power of 0 is 1
+        if not 0 < generator < probe.size:
+            raise BadElement(f"supplied generator {generator} is outside [1, {probe.size})")
         if not is_primitive(generator):
             raise BadElement("supplied generator is not primitive")
     return FieldTower(FieldSpec(p, e, n, modulus, generator, seed), table_bound=table_bound)

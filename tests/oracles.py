@@ -55,10 +55,14 @@ live here too (elements_of, element_set_of, nonzero_of).  So do the bulk
 passes that p-adic doubling (`_linalg.linear_values`) replaced: the
 term-by-term evaluation with a digitwise addition of code arrays
 (eval_all_logs_by_terms, add_code_arrays), the giant-step matmul build of
-the exp table (exp_table_by_giant_steps) and the per-code products of an
-affine table a + m c (affine_values_by_terms).  The spread is
-a slope set in the library; locating a point on a component happens only
-here (component_of, membership), with fiber representatives from a scalar
+the exp table (exp_table_by_giant_steps, its steps by the digit-loop
+product) and the per-code products of an affine table a + m c
+(affine_values_by_terms).  The table-less product that the companion
+matrix replaced is here too: the schoolbook product of two digit vectors,
+reduced by long division by the modulus (mul_by_digit_loop), and square
+and multiply with it (pow_by_digit_loop).  The spread is a slope set in
+the library; locating a point on a component happens only here
+(component_of, membership), with fiber representatives from a scalar
 walk of F_{q^n}^* (fiber_representatives), so the spread oracles share no
 lookup with the library.  The stabilizer chain has the per-element
 routes that stacked matrix products replaced: the multiplication matrix
@@ -213,12 +217,39 @@ def order_by_walk(T, code):
     return k
 
 
+def mul_by_digit_loop(T, a, b):
+    """a * b in F_p[X]/(m): the schoolbook product of the digit vectors,
+    reduced by long division by the monic modulus m."""
+    p, en, m = T.p, T.en, T.modulus
+    prod = [0] * (2 * en - 1)
+    for i, x in enumerate(_digits(a, p, en)):
+        for j, y in enumerate(_digits(b, p, en)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * en - 2, en - 1, -1):
+        c = prod[top]
+        for i in range(en + 1):
+            prod[top - en + i] = (prod[top - en + i] - c * m[i]) % p
+    return _pack(prod[:en], p)
+
+
+def pow_by_digit_loop(T, a, k):
+    """a^k for k >= 0 by square and multiply with mul_by_digit_loop."""
+    result = 1
+    while k:
+        if k & 1:
+            result = mul_by_digit_loop(T, result, a)
+        a = mul_by_digit_loop(T, a, a)
+        k >>= 1
+    return result
+
+
 def mul_matrix_by_codes(T, code):
-    """F_p-matrix of y -> code * y, one column per basis product code * X^i."""
+    """F_p-matrix of y -> code * y, one column per basis product code * X^i,
+    each by the digit-loop product."""
     en = T.en
     Mm = np.zeros((en, en), dtype=np.int64)
     for i in range(en):
-        Mm[:, i] = _digits(T.mul_code(code, int(T.p**i)), T.p, en)
+        Mm[:, i] = _digits(mul_by_digit_loop(T, code, int(T.p**i)), T.p, en)
     return Mm
 
 
@@ -523,10 +554,10 @@ def exp_table_by_giant_steps(T):
     c = 1
     for j in range(B):
         baby[:, j] = _digits(c, p, en)
-        c = T._poly_mul_codes(c, T.gen_code)
+        c = mul_by_digit_loop(T, c, T.gen_code)
     giant = np.zeros((en, en), dtype=np.int64)
     for i in range(en):
-        giant[:, i] = _digits(T._poly_mul_codes(c, p**i), p, en)
+        giant[:, i] = _digits(mul_by_digit_loop(T, c, p**i), p, en)
     pvec = np.array([p**i for i in range(en)], dtype=np.int64)
     exp = np.empty(((M // B + 2) * B,), dtype=np.int64)
     cur, pos = baby, 0

@@ -197,12 +197,21 @@ POLY_OK = {"coeffs": ["0", "1", "0", "0"]}
     ({**FIELD_OK, "n": "4"}, POLY_OK, "BadElement"),
     # an int coefficient outside [0, p) was reduced mod p
     ({**FIELD_OK, "n": 5}, {"coeffs": [0, 437, 0, -3, 0]}, "BadElement"),
+    # a generator outside [1, 5^4): 0 passed the primitivity test and made x^q
+    # read as not scattered; 625 and 631 = g + 625 ran past the tables
+    ({**FIELD_OK, "generator": 0}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "generator": [0, 0, 0, 0]}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "generator": 625}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "generator": 631}, POLY_OK, "BadElement"),
+    ({**FIELD_OK, "generator": -1}, POLY_OK, "BadElement"),
 ], ids=["seed", "modulus-digit", "modulus-int", "generator", "coeffs-int",
         "coeff-digit-array", "coeffs-string", "modulus-string", "modulus-float",
         "modulus-out-of-range", "generator-out-of-range", "coeff-digit-out-of-range",
         "coeff-digit-float", "coeff-digit-negative", "coeff-digit-bool",
         "float-p-n-generator", "string-p-n-float-seed", "bool-e", "string-seed",
-        "float-p", "string-n", "coeff-int-out-of-range"])
+        "float-p", "string-n", "coeff-int-out-of-range", "generator-zero",
+        "generator-zero-digits", "generator-field-size", "generator-wrapped",
+        "generator-negative"])
 def test_malformed_spec_is_a_json_error(tmp_path, field, poly, error):
     field_path, poly_path = tmp_path / "field.json", tmp_path / "poly.json"
     field_path.write_text(json.dumps(field))
@@ -361,6 +370,21 @@ def test_analyze_refuses_table_less_field(tmp_path, monkeypatch):
         assert time.perf_counter() - start < 10
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == "TooLarge"
+
+
+def test_analyze_refuses_the_largest_field_before_echoing_the_poly(tmp_path):
+    # the report echoes the coefficients as g^k, a discrete log each, which
+    # on F_(2^40) took longer than the refusal; the tasks now run first
+    field = tmp_path / "f2n40.json"
+    field.write_text(json.dumps({"p": 2, "e": 1, "n": 40, "seed": 0}))
+    poly = tmp_path / "frobenius.json"
+    poly.write_text(json.dumps({"coeffs": ["0", "1"] + ["0"] * 38}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                              "--tasks", "scatter,stabilizer,standard-form,mrd,plane"])
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "TooLarge"
 
 
 def test_scatter_oracle(specs):

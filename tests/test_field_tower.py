@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from scattered_lab.errors import (
 )
 from scattered_lab.field_tower import (
     CACHE_SIZE,
+    ENUM_BOUND,
     FieldSpec,
     FieldTower,
     _digits,
     _is_prime,
+    _prime_divisors,
     field_from_json,
     first_irreducible,
     is_irreducible,
@@ -34,8 +37,10 @@ from oracles import (
     exp_table_by_giant_steps,
     field_id,
     irreducible_by_trial_division,
+    mul_by_digit_loop,
     mul_matrix_by_codes,
     order_by_walk,
+    pow_by_digit_loop,
     repeated_power,
     repeated_q_power,
 )
@@ -112,8 +117,8 @@ def test_construction_errors():
         make_field(2, 1, 50)
     with pytest.raises(DegreeTooLarge):
         make_field(5, 1, 1)
-    # the size is refused before p is tested, so a p past the exact range of
-    # the prime test never reaches it
+    # the size is refused before p is tested, so a p above 2^40, past the
+    # range of the prime test, never reaches it
     with pytest.raises(DegreeTooLarge):
         make_field(3317044064679887385961981 + 2, 1, 2)
     # and a huge degree is refused without forming (or printing) p^(e*n)
@@ -125,12 +130,32 @@ def test_construction_errors():
 
 
 def test_prime_test_refuses_past_its_exact_range():
-    # the bases 2..41 are proven only below psi_13; psi_12 passes 2..37 but not 41
+    # trial division runs up to ENUM_BOUND = 2^40, the largest group order a
+    # tower meets; past it both functions refuse before dividing once
+    assert _prime_divisors(ENUM_BOUND) == (2,) and not _is_prime(ENUM_BOUND)
     psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
-    assert not _is_prime(psi_12) and _is_prime(2**61 - 1)
-    for m in (psi_13, psi_13 + 2, 2**89 - 1):
-        with pytest.raises(TooLarge):
-            _is_prime(m)
+    start = time.perf_counter()
+    for m in (ENUM_BOUND + 1, psi_12, 2**61 - 1, psi_13, psi_13 + 2, 2**89 - 1):
+        for fn in (_is_prime, _prime_divisors):
+            with pytest.raises(TooLarge):
+                fn(m)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("outside", ["zero", "zero-digits", "field-size", "wrapped", "negative"])
+def test_generator_outside_the_field_refused(outside):
+    # 0 passed the primitivity test (no power of 0 is 1), and a code out of
+    # range ran past the exp/log tables; each is refused before that test
+    T = make_field(5, 1, 4)
+    g = T.gen_code
+    gen = {"zero": 0, "zero-digits": [0] * T.en, "field-size": T.size,
+           "wrapped": g + T.size, "negative": -1}[outside]
+    doc = {**T.spec().to_json(), "generator": gen}
+    with pytest.raises(BadElement, match="outside"):
+        field_from_json(doc)
+    if not isinstance(gen, list):
+        with pytest.raises(BadElement, match="outside"):
+            make_field(5, 1, 4, generator=gen)
 
 
 def test_frobenius_examples(tower):
@@ -344,7 +369,8 @@ def _same_root(T, got, want):
 @pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
 def test_scalar_tables_match_table_less_tower(tower, key):
     # every scalar operation on the int32 exp/log tables against the digit
-    # loops, polynomial products and BSGS of the table-less tower
+    # loops, companion-matrix products and powers and BSGS of the table-less
+    # tower
     T, U = tower(*key), make_field(*key, table_bound=0)
     assert T.has_tables and not U.has_tables
     p, M = T.p, T.mult_order
@@ -418,3 +444,27 @@ def test_mul_matrices_match_per_code_oracle(tower, case):
     for c, got in zip(codes, stack):
         want = mul_matrix_by_codes(T, c)
         assert np.array_equal(got, want) and np.array_equal(T.mul_matrix(c), want)
+
+
+@pytest.mark.parametrize("key", TABLE_FIELDS + [(7, 1, 10), (3, 1, 20), (2, 1, 31)],
+                         ids=field_id)
+def test_table_less_arithmetic_matches_digit_loop_oracle(key):
+    # the companion-matrix product, power, inverse and negation of a tower
+    # without tables against the schoolbook product reduced by long division;
+    # TABLE_FIELDS are the keys of BUILDER_FIELDS
+    U = make_field(*key, table_bound=0)
+    assert not U.has_tables
+    p, M = U.p, U.mult_order
+    rng = U.rng("digit-loop")
+    codes = [1, p - 1, U.gen_code, U.size - 1] + [rng.randrange(1, U.size) for _ in range(8)]
+    pairs = [(a, b) for a in [0] + codes[:4] for b in [0] + codes[:4]]
+    pairs += [(rng.randrange(U.size), rng.randrange(U.size)) for _ in range(30)]
+    for a, b in pairs:
+        assert U.mul_code(a, b) == mul_by_digit_loop(U, a, b), (a, b)
+    for a in codes:
+        for k in (0, 1, -1, M - 1, M + 3, rng.randrange(M)):
+            assert U.pow_code(a, k) == pow_by_digit_loop(U, a, k % M), (a, k)
+        assert mul_by_digit_loop(U, a, U.inv_code(a)) == 1, a
+        # -a is the F_p scalar p - 1 times a
+        assert U.neg_code(a) == mul_by_digit_loop(U, p - 1, a), a
+    assert U.neg_code(0) == 0
