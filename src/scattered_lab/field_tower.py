@@ -168,9 +168,13 @@ def first_irreducible(p, degree):
 
     Candidates are X^degree + c_{d-1} X^{d-1} + ... + c_0, ordered by the
     integer sum(c_i * p^i); the choice is what makes towers reproducible.
+    Above degree 1 a root 0 (c_0 = 0) or 1 (coefficient sum 0 mod p) makes a
+    candidate reducible, so it is skipped before Berlekamp's test.
     """
     for v in range(p**degree):
         coeffs = _digits(v, p, degree) + [1]
+        if degree > 1 and (coeffs[0] == 0 or sum(coeffs) % p == 0):
+            continue
         if is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise InternalError(f"no irreducible polynomial of degree {degree} over F_{p}")
@@ -770,8 +774,8 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
 
 def field_from_json(doc, table_bound=DEFAULT_TABLE_BOUND) -> FieldTower:
     """The tower of a JSON field spec.  p, e, n, seed and a generator that is
-    no digit array must be integers: a float, string or boolean is refused
-    with BadElement, not truncated or parsed."""
+    no digit array must be integers, and a digit array needs exactly e n
+    digits: anything else is refused with BadElement, not truncated or parsed."""
     try:
         p, e, n, seed = doc["p"], doc.get("e", 1), doc["n"], doc.get("seed", 0)
         modulus, gen = doc.get("modulus"), doc.get("generator")
@@ -786,6 +790,8 @@ def field_from_json(doc, table_bound=DEFAULT_TABLE_BOUND) -> FieldTower:
     if modulus is not None:
         modulus = _outside_digits(modulus, p, "modulus")
     if isinstance(gen, (list, tuple)):
+        if len(gen) != e * n:
+            raise BadElement(f"generator digit array must have length {e * n}")
         gen = _pack(_outside_digits(gen, p, "generator"), p)
     return make_field(p, e, n, seed=seed, modulus=modulus, generator=gen,
                       table_bound=table_bound)

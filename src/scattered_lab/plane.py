@@ -18,9 +18,10 @@ that form with gcd(s, t) = 1 (`DiagonalizationResult.s`), so neither is
 checked.  That the generators of H_f permute the spread is no check but a
 consequence of verify_field: the generator of G_f lies in the kernel of the
 stabilizer system and is a nonzero element of a matrix field, hence
-invertible, so it fixes U_f.  The invariant subgroup of the Andre witness is
-checked on an F_p-basis of F_{q^t}.  What the form proves is held in no
-field: HomologyReport and ReducibilityWitness write it into their JSON as
+invertible, so it fixes U_f.  The invariant subgroup of the Andre witness
+follows from the support of the standard form's class solve, which writes
+no coefficient off s mod t.  What the form proves is held in no field:
+HomologyReport and ReducibilityWitness write it into their JSON as
 constants (cyclic groups, axes and coaxes exchanged, H_f decomposed, no
 elation, a verified invariant subgroup of order q^t).
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 from .errors import (
     HallCase,
     InternalError,
-    NotInS,
+    NotBijective,
     NotScattered,
     SmallQ,
 )
@@ -38,8 +39,8 @@ from ._linalg import solve_mod
 from .field_tower import FieldTower, _digits
 from .linearized import LinearizedPoly
 from .scatter import is_scattered, linear_set
-from .stabilizer import Mat2, compute_stabilizer, diagonalize
-from .standard_form import image_polynomial
+from .stabilizer import compute_stabilizer, diagonalize
+from .standard_form import _standard_pair
 
 import numpy as np
 
@@ -232,7 +233,8 @@ class ReducibilityWitness:
     The component W = (h U_f)^phi with phi: X -> X P^{-1} is a graph
     {(y, g(y))}; the subgroup {(y, g(y)) : y in F_{q^t}} is invariant under
     the stabilizer of W inside P H_f P^{-1}, which certifies that the plane
-    is not a generalized Andre plane.
+    is not a generalized Andre plane: the support of g proves it
+    (`reducibility_witness`), and the tests re-check it by a walk.
     """
 
     __slots__ = ("h_code", "g", "t")
@@ -243,8 +245,8 @@ class ReducibilityWitness:
         self.t = t
 
     def to_json(self, tower):
-        # the subgroup is F_(q^t), W's stabilizer P G_f P^-1, and a witness is
-        # returned only once _andre_subgroup_invariant has checked it
+        # the subgroup is F_(q^t), W's stabilizer P G_f P^-1; "verified" rests
+        # on the support of the class solve that built g
         return {
             "h": tower.format_code(self.h_code),
             "g": self.g.to_json()["coeffs"],
@@ -258,46 +260,26 @@ class ReducibilityWitness:
 def reducibility_witness(f: LinearizedPoly, h=1):
     """Executable certificate that the plane is not a generalized Andre plane.
 
-    The component W = (h U_f) P^-1 is the graph of g = image_polynomial(f,
-    h P^-1) and is fixed by P G_f P^-1 = {diag(alpha, alpha^(q^s))}.  The
-    witness is that this group also fixes the proper subgroup
-    {(y, g(y)) : y in F_{q^t}}, checked on an F_p-basis by
-    _andre_subgroup_invariant.  Returns a PseudoregulusCase marker when
-    t = n (the plane is then an Andre plane and no witness exists); raises
-    NotInS when the stabilizer is trivial.
+    The class solve (`_standard_pair`) gives h0 with U_f P^-1 = U_h0 and no
+    coefficient off s mod t.  W = (h U_f) P^-1 is the graph of
+    g(y) = h h0(y/h) = h0.transform(h, h^-1), with the support of h0, so
+    g(alpha y) = alpha^(q^s) g(y) for alpha in F_(q^t), as t divides n:
+    P G_f P^-1 = {diag(alpha, alpha^(q^s))} fixes W and its proper subgroup
+    {(y, g(y)) : y in F_(q^t)}, with nothing to check.  Returns a
+    PseudoregulusCase marker when t = n (an Andre plane, no witness); raises
+    NotInS when the stabilizer is trivial, then BadElement for h outside
+    [0, q^n) and NotBijective for h = 0.
     """
     _plane_preconditions(f)
     T = f.tower
-    Mf = compute_stabilizer(f)
-    if Mf.t == 1:
-        raise NotInS("no standard-form machinery applies; stabilizer is scalar")
-    if Mf.t == T.n:
-        return PseudoregulusCase(Mf.t)
-    diag = diagonalize(Mf)
-    t = Mf.t
-    Pinv = diag.P.inverse()
-    hU = Mat2.scalar(T, h) * Pinv      # X -> X (h I) P^{-1} carries U_f onto W
-    g = image_polynomial(f, hU)
-    if not _andre_subgroup_invariant(g, diag.s, t):
-        raise InternalError("invariant-subgroup check failed")
-    return ReducibilityWitness(h, g, t)
-
-
-def _andre_subgroup_invariant(g: LinearizedPoly, s, t) -> bool:
-    """Does every diag(alpha, alpha^(q^s)), alpha in F_{q^t}, map the subgroup
-    {(y, g(y)) : y in F_{q^t}} into itself, i.e. g(alpha y) = alpha^(q^s) g(y)?
-
-    Both sides are F_p-bilinear in (alpha, y), so the identity holds on all
-    of F_{q^t} x F_{q^t} once it holds for alpha and y in the F_p-basis
-    omega^i (i < e t) of F_{q^t}, omega primitive: (e t)^2 checks instead
-    of (q^t - 1) q^t.
-    """
-    T = g.tower
-    omega = T.subfield_primitive_code(t)
-    basis = [T.pow_code(omega, i) for i in range(T.e * t)]
-    return all(g.evaluate_code(T.mul_code(al, y))
-               == T.mul_code(T.frob_code(al, s), g.evaluate_code(y))
-               for al in basis for y in basis)
+    t = compute_stabilizer(f).t
+    if t == T.n:
+        return PseudoregulusCase(t)
+    _, h0 = _standard_pair(f)
+    T.check_codes(h)
+    if h == 0:
+        raise NotBijective("h = 0 maps U_f onto the zero space")
+    return ReducibilityWitness(h, h0.transform(h, T.inv_code(h)), t)
 
 
 def semilinear_part_audit(f: LinearizedPoly, seed=0) -> dict:

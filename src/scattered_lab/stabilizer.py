@@ -407,8 +407,7 @@ def verify_field(Mf: MatrixField):
     # element r of the span: the digits of r, most significant first, weight the basis rows
     row = T.digit_rows([r])[:dim][::-1] @ Mf.coords % T.p
     Mf.t, Mf.generator = t, Mat2._of(T, *(row.reshape(4, T.en) @ T.digit_weights).tolist())
-    eigen_points = (normalize_point(T, (P.a, P.b)), normalize_point(T, (P.c, P.d)))
-    Mf._diag = DiagonalizationResult(P, t, p_exp, eigen_points, pairs)
+    Mf._diag = DiagonalizationResult(P, t, p_exp, pairs)
     return t, Mf.generator
 
 
@@ -479,15 +478,19 @@ def conjugates_to_diagonal(Mf: MatrixField, W: Mat2, s: int, t: int) -> bool:
 class DiagonalizationResult:
     """Simultaneous diagonalization P Mf P^-1 = {diag(x, x^(p^j)) : x in F_{q^t}}."""
 
-    __slots__ = ("P", "t", "p_exponent", "eigen_points", "basis_pairs")
+    __slots__ = ("P", "t", "p_exponent", "basis_pairs")
 
-    def __init__(self, P: Mat2, t: int, p_exponent: int, eigen_points: tuple,
-                 basis_pairs: tuple):
+    def __init__(self, P: Mat2, t: int, p_exponent: int, basis_pairs: tuple):
         self.P = P
         self.t = t
         self.p_exponent = p_exponent      # j with sigma = p^j on the diagonal
-        self.eigen_points = eigen_points  # normalized projective points, rows of P
         self.basis_pairs = basis_pairs    # (x, x^sigma) codes of the conjugated basis matrices
+
+    @property
+    def eigen_points(self):
+        """The rows of P, already normalized points: `_eigenbasis` normalizes
+        its rows, and the identity's are (1, 0) and (0, 1)."""
+        return ((self.P.a, self.P.b), (self.P.c, self.P.d))
 
     @property
     def s(self):

@@ -166,12 +166,27 @@ def image_polynomial(f: LinearizedPoly, W: Mat2) -> LinearizedPoly:
     return g
 
 
+def _standard_pair(f: LinearizedPoly):
+    """(form, h0): the diagonal form of G_f and h0 with U_f P^-1 = U_h0, solved
+    for on its class s mod t (proof in `to_standard_form`); NotInS for t = 1."""
+    Mf = compute_stabilizer(f)
+    if Mf.t == 1:
+        raise NotInS("stabilizer is the scalar group; no standard form exists")
+    form = diagonalize(Mf)
+    u, v = _uv_from(f, form.P.inverse())
+    h0 = u.solve_on_class(v, form.s, form.t)
+    if h0 is None:
+        raise InternalError("no standard form on the certified class, contradicting "
+                            "scatteredness")
+    return form, h0
+
+
 def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
     """Standard form of f with the conjugating witness, canonicalized.
 
     Pipeline: diagonalize the stabilizer field by P, push U_f through
     X -> X P^{-1} to {(u(x), v(x))}, solve for h0 = v o u^-1 on its
-    residue class (`solve_on_class`), then canonicalize to h_c = a h0(b x)
+    residue class (`_standard_pair`), then canonicalize to h_c = a h0(b x)
     or a h0^-1(b x), with h0^-1 solved for on its class too.  What the result
     promises follows from the certified diagonal form
     P G_f P^-1 = D(s0, t) = {diag(alpha, alpha^(q^s0))} and is not checked
@@ -203,16 +218,8 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
       when t > 1, and t - s0 lies in [1, t) as s does.
     """
     T = f.tower
-    Mf = compute_stabilizer(f)
-    if Mf.t == 1:
-        raise NotInS("stabilizer is the scalar group; no standard form exists")
-    form = diagonalize(Mf)
+    form, h0 = _standard_pair(f)
     P = form.P
-    u, v = _uv_from(f, P.inverse())
-    h0 = u.solve_on_class(v, form.s, form.t)
-    if h0 is None:
-        raise InternalError("no standard form on the certified class, contradicting "
-                            "scatteredness")
     h_c, branch, a, b = _canonicalize_witness(h0, form.s, form.t)
     # Pc = diag(b, a^-1) P, with the rows of P swapped first in the inverse branch
     rows = (P.a, P.b, P.c, P.d) if branch == "direct" else (P.c, P.d, P.a, P.b)

@@ -22,10 +22,12 @@ group (cyclic_by_walk), the list check of each homology group
 with N distinct kappa, all in mu_N), the sampled
 conjugations of the decomposition audit (decomposition_by_sampling) and the
 walk of every pair (alpha, y) for the invariant subgroup of the Andre
-witness (andre_subgroup_by_walk).  Equivalence has two: the routes that
-the kernel S(f, g) replaced, canonical standard forms inside the class
-(gl_by_standard_forms) and the diagonal/antidiagonal witness search outside
-it (non_s_scan), and a brute-force search of all of GL(2, q^n) on small
+witness (andre_subgroup_by_walk), with the witness polynomial itself solved
+for on all n exponents as the image of U_f under h P^-1, where the library
+rescales the standard form's class solve (andre_witness_by_image).
+Equivalence has two: the routes that the kernel S(f, g) replaced, canonical
+standard forms inside the class (gl_by_standard_forms) and the
+diagonal/antidiagonal witness search outside it (non_s_scan), and a brute-force search of all of GL(2, q^n) on small
 fields (gl_solutions_by_brute_force).  Compositional inversion, which the
 library solves on the class 0 mod 1 (`LinearizedPoly.solve_on_class`), has
 two earlier routes.  One is the en x en F_p-matrix, inverted mod p
@@ -110,7 +112,8 @@ from scattered_lab.mrd import code_of, right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.scatter import SlopeCensus, slope_census
 from scattered_lab.stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
-from scattered_lab.standard_form import StandardFormResult, _ab_min, _uv_from, to_standard_form
+from scattered_lab.standard_form import (StandardFormResult, _ab_min, _uv_from, image_polynomial,
+                                         to_standard_form)
 
 
 def _keys(V):
@@ -1247,17 +1250,25 @@ def _homology_factor_order(T, s, t):
     return order_by_walk(T, T.div_code(T.frob_code(omega, s), omega))
 
 
+def andre_witness_by_image(f, h):
+    """g with (h U_f) P^-1 = U_g, P the diagonalizer of G_f, solved on all
+    n exponents by image_polynomial: the route the plane layer replaced."""
+    P = diagonalize(compute_stabilizer(f)).P
+    return image_polynomial(f, Mat2.scalar(f.tower, h) * P.inverse())
+
+
 def andre_subgroup_by_walk(g, s, t):
     """Does diag(alpha, alpha^(q^s)) map {(y, g(y)) : y in F_{q^t}} into
-    itself for every alpha in F_{q^t}^*?  Walks all (q^t - 1) q^t pairs."""
+    itself for every alpha in F_{q^t}^*?  Walks all (q^t - 1) q^t pairs,
+    with g evaluated once on F_{q^t}."""
     T = g.tower
     subfield = T.subfield_elements(t)
-    sub_set = set(subfield)
+    values = {y: g.evaluate_code(y) for y in subfield}
     for al in subfield[:-1]:
-        D = Mat2.diag(T, al, T.frob_code(al, s))
+        al_s = T.frob_code(al, s)
         for y in subfield:
-            yy, gy = D.apply((y, g.evaluate_code(y)))
-            if yy not in sub_set or g.evaluate_code(yy) != gy:
+            # (y, g(y)) diag(alpha, alpha^(q^s)); None: alpha y lies outside F_{q^t}
+            if values.get(T.mul_code(al, y)) != T.mul_code(al_s, values[y]):
                 return False
     return True
 

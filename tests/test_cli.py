@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scattered_lab import _linalg, cli, mrd, plane, scatter
+from scattered_lab import _linalg, cli, mrd, scatter
 from scattered_lab.cli import main
 from scattered_lab.families import find_lp_delta, find_psi_h, make_lp, make_pseudoregulus, make_psi
 from scattered_lab.linearized import LinearizedPoly
@@ -114,18 +114,6 @@ def test_plane_report(specs):
     assert doc["homology_group_order"] == 156
     assert doc["elations"] == 0
     assert doc["andre_witness"] == "pseudoregulus"
-
-
-def test_plane_task_reports_a_failed_witness_check(specs, monkeypatch):
-    # the plane task answers only NotInS in andre_witness; a failed
-    # invariant-subgroup check on LP over F_(5^4) is an error of the run
-    field, _, tmp = specs
-    poly = tmp / "lp.json"
-    poly.write_text(json.dumps({"coeffs": ["0", "g^0", "0", "g^1"]}))
-    monkeypatch.setattr(plane, "_andre_subgroup_invariant", lambda g, s, t: False)
-    code, out, err = run_cli(["plane", "--field", str(field), "--poly", str(poly)])
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"]["code"] == "InternalError"
 
 
 def test_equiv_cli(specs, tmp_path):

@@ -102,6 +102,17 @@ def test_is_irreducible_matches_trial_division(p, top):
         assert [1, 0, 1, 0, 1] in seen and not is_irreducible([1, 0, 1, 0, 1], 2)
 
 
+def test_first_irreducible_matches_unfiltered_search():
+    # skipping candidates with the root 0 or 1 keeps every pick: each (p, d)
+    # with p^d <= 2^16, against Berlekamp's test on every candidate in order
+    for p in filter(_is_prime, range(2, 2**16 + 1)):
+        d = 1
+        while p**d <= 2**16:
+            first = next(v for v in range(p**d) if is_irreducible(_digits(v, p, d) + [1], p))
+            assert first_irreducible(p, d) == tuple(_digits(first, p, d)) + (1,), (p, d)
+            d += 1
+
+
 def test_determinism_and_json_roundtrip(tower):
     T = tower(5, 1, 4)
     T2 = make_field(5, 1, 4)
@@ -156,6 +167,17 @@ def test_generator_outside_the_field_refused(outside):
     if not isinstance(gen, list):
         with pytest.raises(BadElement, match="outside"):
             make_field(5, 1, 4, generator=gen)
+
+
+@pytest.mark.parametrize("digits", [[1, 1], [1, 1, 0, 0, 0, 0], []])
+def test_generator_digit_array_needs_en_digits(digits):
+    # a short or long array was packed as it came: [1, 1] and [1, 1, 0, 0, 0, 0]
+    # both built generator 6 and echoed [1, 1, 0, 0]
+    doc = {"p": 5, "n": 4, "generator": digits}
+    with pytest.raises(BadElement, match="length 4"):
+        field_from_json(doc)
+    assert field_from_json({**doc, "generator": [1, 1, 0, 0]}).spec().to_json()["generator"] \
+        == [1, 1, 0, 0]
 
 
 def test_frobenius_examples(tower):

@@ -6,7 +6,8 @@ import pytest
 
 import scattered_lab.plane as plane
 from scattered_lab import cli, selftest
-from scattered_lab.errors import HallCase, InternalError, NotInS, NotScattered, SmallQ, TooLarge
+from scattered_lab.errors import (BadElement, HallCase, InternalError, NotBijective, NotInS,
+                                  NotScattered, SmallQ, TooLarge)
 from scattered_lab.field_tower import FieldTower, make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
@@ -30,7 +31,6 @@ from scattered_lab.plane import (
     reducibility_witness,
     semilinear_part_audit,
     verify_spread_axioms,
-    _andre_subgroup_invariant,
     _pointwise_fix_system,
     _component_basis,
 )
@@ -42,6 +42,7 @@ from scattered_lab._linalg import solve_mod
 
 from oracles import (
     andre_subgroup_by_walk,
+    andre_witness_by_image,
     central_classes_by_scan,
     cyclic_by_walk,
     component_of,
@@ -472,7 +473,7 @@ def test_homology_checks_reject_broken_groups(tower):
     # a trivial twist s = 0 gives kappa_0 = 1, so the factorization is not unique
     assert _homology_factor_order(T, diag.s, hr.t) == N
     assert _homology_factor_order(T, 0, hr.t) == 1
-    untwisted = DiagonalizationResult(diag.P, diag.t, 0, diag.eigen_points, diag.basis_pairs)
+    untwisted = DiagonalizationResult(diag.P, diag.t, 0, diag.basis_pairs)
     assert not decomposition_by_sampling(T, Mf, untwisted, hr.t)
 
 
@@ -525,26 +526,53 @@ def test_reducibility_witness_walks_no_subfield(tower, monkeypatch):
 
 
 def test_andre_check_matches_walk(tower):
-    T6 = tower(5, 1, 6)
+    # the witness rescales the standard form's class solve; the oracle solves
+    # for the image of U_f under h P^-1 on all n exponents, and the walk
+    # checks the invariant subgroup on every pair (alpha, y)
     ts = set()
-    for f in _differential_instances(tower) + [inst.poly for inst in catalog(T6)]:
-        T = f.tower
-        Mf = compute_stabilizer(f)
-        if not 1 < Mf.t < T.n:
-            continue
-        diag = diagonalize(Mf)
-        s, t = diag.s, Mf.t
-        for h in (1, T.gen_code):
-            g = image_polynomial(f, Mat2.scalar(T, h) * diag.P.inverse())
-            assert reducibility_witness(f, h).g == g
-            assert _andre_subgroup_invariant(g, s, t) is andre_subgroup_by_walk(g, s, t) is True
-            # a wrong twist, and g + g_0 x with g_0 the generator of F_(q^n)^*
-            perturbed = g + LinearizedPoly.identity(T).scale(T.gen_code)
-            for gg, ss in ((g, s + 1), (perturbed, s)):
-                assert _andre_subgroup_invariant(gg, ss, t) is False
-                assert andre_subgroup_by_walk(gg, ss, t) is False
-        ts.add((T.n, t))
-    assert {(4, 2), (6, 2), (6, 3)} <= ts
+    for key in ((5, 1, 4), (7, 1, 4), (5, 1, 6), (7, 1, 6), (2, 2, 4)):
+        T = tower(*key)
+        rng = T.rng("andre-witness")
+        polys = []
+        for inst in catalog(T):
+            if not 1 < compute_stabilizer(inst.poly).t < T.n:
+                continue
+            polys.append(inst.poly)
+            images = 0
+            while images < 2:
+                W = Mat2(T, *(rng.randrange(T.size) for _ in range(4)))
+                if W.det() == 0:
+                    continue
+                try:
+                    polys.append(image_polynomial(inst.poly, W))
+                except NotBijective:
+                    continue
+                images += 1
+        for f in polys:
+            Mf = compute_stabilizer(f)
+            s, t = diagonalize(Mf).s, Mf.t
+            for h in (1, T.gen_code, rng.randrange(2, T.size)):
+                g = reducibility_witness(f, h).g
+                assert g == andre_witness_by_image(f, h)
+                assert andre_subgroup_by_walk(g, s, t) is True
+                # a wrong twist, and g + g_0 x with g_0 the generator of F_(q^n)^*
+                perturbed = g + LinearizedPoly.identity(T).scale(T.gen_code)
+                assert andre_subgroup_by_walk(g, s + 1, t) is False
+                assert andre_subgroup_by_walk(perturbed, s, t) is False
+            ts.add((T.e, T.n, t))
+    assert {(1, 4, 2), (1, 6, 2), (1, 6, 3), (2, 4, 2)} <= ts
+
+
+def test_andre_witness_refuses_bad_h(tower):
+    # h is checked before any arithmetic: out of range, then zero
+    T = tower(5, 1, 4)
+    lp = make_lp(T, 1, find_lp_delta(T)).poly
+    with pytest.raises(BadElement):
+        reducibility_witness(lp, T.size)
+    with pytest.raises(BadElement):
+        reducibility_witness(lp, -1)
+    with pytest.raises(NotBijective):
+        reducibility_witness(lp, 0)
 
 
 def test_homology_generator_negatives(tower):
