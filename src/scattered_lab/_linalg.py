@@ -24,6 +24,8 @@ import functools
 
 import numpy as np
 
+from .errors import TooLarge
+
 # class representatives of the low levels that `class_values` reads off one
 # product with a digit block; the levels above are doubled
 CLASS_BLOCK_BOUND = 1 << 10
@@ -40,24 +42,20 @@ def _packed_rref(A, p):
     entry f != 0 mod p in the pivot column gets (p - f) times it added,
     which makes that entry p and adds at most (p - 1)^2 to each slot.  So
     after k pivots every slot is below p + k (p - 1)^2, and the width, 1, 2,
-    4 or 8 bytes or a multiple of 8, holds that bound at k = min(rows, cols):
-    no slot overflows into the next, and no full reduction is needed.  A
-    column is read only on rows at or below the current one until it has a
-    pivot.
+    4 or 8 bytes, holds that bound at k = min(rows, cols): no slot overflows
+    into the next, and no full reduction is needed.  A bound of 2^64 or more
+    is refused with TooLarge; with p <= 2^20, all `make_field` accepts, the
+    bound is below 2^64 for k < 2^24.  A column is read only on rows at or
+    below the current one until it has a pivot.
     """
     A = np.asarray(A, dtype=np.int64) % p
     nrows, ncols = A.shape
     bound = p - 1 + min(nrows, ncols) * (p - 1) ** 2
-    nbytes = -(-bound.bit_length() // 8)
-    if nbytes <= 8:
-        nbytes = 1 << (nbytes - 1).bit_length()
-        data = A.astype(f"<u{nbytes}").tobytes()
-    else:
-        # each entry in the low 8 bytes of its slot
-        nbytes = -(-nbytes // 8) * 8
-        slots = np.zeros((nrows, ncols, nbytes // 8), dtype="<u8")
-        slots[:, :, 0] = A
-        data = slots.tobytes()
+    if bound.bit_length() > 64:
+        raise TooLarge(f"an elimination mod {p} on {nrows} x {ncols} needs slots "
+                       f"wider than 64 bits")
+    nbytes = 1 << (-(-bound.bit_length() // 8) - 1).bit_length()
+    data = A.astype(f"<u{nbytes}").tobytes()
     width, size = 8 * nbytes, ncols * nbytes
     rows = [int.from_bytes(data[i * size:(i + 1) * size], "little") for i in range(nrows)]
     mask = (1 << width) - 1

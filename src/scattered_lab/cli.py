@@ -1,11 +1,11 @@
 """Command-line front end: deterministic JSON reports over field/poly specs.
 
-Subcommands: analyze, stabilizer, standard-form, equiv, mrd, plane,
-families, selftest.  All reports carry schema_version 3, echo the field
-spec, and emit field elements as "g^k" strings ordered canonically, so
-identical inputs (and seed) produce byte-identical output.  Exit codes:
-0 success, 2 refused precondition (SmallQ, HallCase, TooLarge, ...),
-1 any other error.
+Subcommands: analyze, its one-task shortcuts (scatter, stabilizer,
+standard-form, mrd, plane), equiv, families, selftest.  All reports carry
+schema_version 3, echo the field spec, and emit field elements as "g^k"
+strings ordered canonically, so identical inputs (and seed) produce
+byte-identical output.  Exit codes: 0 success, 2 refused precondition
+(SmallQ, HallCase, TooLarge, ...), 1 any other error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .stabilizer import compute_stabilizer, diagonalize
 from .standard_form import gammal_equivalent, gl_equivalent, to_standard_form
 
 SCHEMA_VERSION = 3
-KNOWN_TASKS = ("scatter", "stabilizer", "standard-form", "mrd", "plane")
 
 
 def _load_json(path):
@@ -62,10 +61,10 @@ def _task_scatter(T, f, args):
         except RefusedPrecondition:
             doc["oracle_agrees"] = None
             doc["oracle_note"] = "too many projective class pairs for the pairwise scan"
-    return doc
+    return {"scattered": ls.scattered, "linear_set": doc}
 
 
-def _stabilizer_doc(T, f):
+def _task_stabilizer(T, f, args):
     Mf = compute_stabilizer(f, check_scattered=False)
     doc = {
         "order": Mf.group_order,
@@ -83,6 +82,14 @@ def _stabilizer_doc(T, f):
     else:
         doc["unverified"] = True
     return doc
+
+
+def _task_standard_form(T, f, args):
+    try:
+        return to_standard_form(f).to_json()
+    except NotInS as exc:
+        # |G_f| = q - 1: no standard form exists, which is an answer
+        return {"error": exc.code}
 
 
 def _task_mrd(T, f, args):
@@ -121,6 +128,16 @@ def _task_plane(T, f, args):
     return doc
 
 
+# each task maps (T, f, args) to its JSON report
+TASKS = {
+    "scatter": _task_scatter,
+    "stabilizer": _task_stabilizer,
+    "standard-form": _task_standard_form,
+    "mrd": _task_mrd,
+    "plane": _task_plane,
+}
+
+
 def cmd_analyze(args):
     T = _load_field(args.field)
     f = _load_poly(T, args.poly)
@@ -128,42 +145,17 @@ def cmd_analyze(args):
     if not tasks:
         raise ParseError("empty task list")
     for t in tasks:
-        if t not in KNOWN_TASKS:
-            raise ParseError(f"unknown task {t!r}; choose from {', '.join(KNOWN_TASKS)}")
-    report = {
+        if t not in TASKS:
+            raise ParseError(f"unknown task {t!r}; choose from {', '.join(TASKS)}")
+    _emit({
         "schema_version": SCHEMA_VERSION,
         "field": T.spec().to_json(),
-        "tasks": {},
-    }
-    for t in tasks:
-        if t == "scatter":
-            report["tasks"]["scatter"] = {"scattered": is_scattered(f),
-                                          "linear_set": _task_scatter(T, f, args)}
-        elif t == "stabilizer":
-            report["tasks"]["stabilizer"] = _stabilizer_doc(T, f)
-        elif t == "standard-form":
-            try:
-                report["tasks"]["standard-form"] = to_standard_form(f).to_json()
-            except NotInS as exc:
-                # |G_f| = q - 1: no standard form exists, which is an answer
-                report["tasks"]["standard-form"] = {"error": exc.code}
-        elif t == "mrd":
-            report["tasks"]["mrd"] = _task_mrd(T, f, args)
-        elif t == "plane":
-            report["tasks"]["plane"] = _task_plane(T, f, args)
-    # echoed after the tasks: on a field without tables the echo takes a
-    # discrete log per coefficient, and the tasks refuse such a field first
-    report["poly"] = f.to_json()["coeffs"]
-    _emit(report)
+        "tasks": {t: TASKS[t](T, f, args) for t in tasks},
+        # echoed after the tasks: on a field without tables the echo takes a
+        # discrete log per coefficient, and the tasks refuse such a field first
+        "poly": f.to_json()["coeffs"],
+    })
     return 0
-
-
-def cmd_single_task(task):
-    def run(args):
-        args.tasks = task
-        return cmd_analyze(args)
-
-    return run
 
 
 def cmd_equiv(args):
@@ -240,10 +232,9 @@ def build_parser():
                     "MRD codes and translation-plane structure.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, poly=True):
-        p.add_argument("--field", required=poly, help="field spec JSON file")
-        if poly:
-            p.add_argument("--poly", required=True, help="polynomial JSON file")
+    def add_common(p):
+        p.add_argument("--field", required=True, help="field spec JSON file")
+        p.add_argument("--poly", required=True, help="polynomial JSON file")
         p.add_argument("--emit-points", action="store_true")
         p.add_argument("--oracle", action="store_true",
                        help="cross-check with the naive quadratic algorithms")
@@ -251,14 +242,14 @@ def build_parser():
     p = sub.add_parser("analyze", help="run a comma-separated list of tasks")
     add_common(p)
     p.add_argument("--tasks", required=True,
-                   help=f"subset of: {','.join(KNOWN_TASKS)}")
+                   help=f"subset of: {','.join(TASKS)}")
     p.set_defaults(fn=cmd_analyze)
 
-    for name, task in (("stabilizer", "stabilizer"), ("standard-form", "standard-form"),
-                       ("mrd", "mrd"), ("plane", "plane"), ("scatter", "scatter")):
-        p = sub.add_parser(name, help=f"shortcut for analyze --tasks {task}")
+    # the scatter shortcut is listed last in --help
+    for task in sorted(TASKS, key="scatter".__eq__):
+        p = sub.add_parser(task, help=f"shortcut for analyze --tasks {task}")
         add_common(p)
-        p.set_defaults(fn=cmd_single_task(task))
+        p.set_defaults(fn=cmd_analyze, tasks=task)
 
     p = sub.add_parser("equiv", help="GL or GammaL equivalence of two polynomials")
     p.add_argument("--field", required=True)

@@ -34,11 +34,12 @@ Both refuse a number above 2^40 with TooLarge rather than run on.
 Linear algebra over the tower is F_p-linear algebra in the power basis,
 and its one polynomial primitive is the companion matrix C of the
 modulus, the F_p-matrix of y -> X y.  Each tower caches the en matrices
-C^k of multiplication by X^k (C^k 1 holds the digits of X^k) and the n
-matrices of x -> x^(q^k), the powers of Phi^e for the p-Frobenius Phi,
-whose column i holds the digits of X^(p i) = (C^p)^i 1.  Phi + I is the
-char-2 Artin-Schreier system, and Berlekamp's rank test on Phi certifies the
-modulus (`is_irreducible`).  The F_p-matrices of any stack of products or
+C^k of multiplication by X^k (C^k 1 holds the digits of X^k) and derives
+once, when first read, the p-Frobenius Phi, whose column i holds the
+digits of X^(p i) = (C^p)^i 1, and the n matrices of x -> x^(q^k), the
+powers of Phi^e (`frob_stack`).  Phi + I is the char-2 Artin-Schreier
+system, and Berlekamp's rank test on Phi certifies a modulus
+(`is_irreducible`).  The F_p-matrices of any stack of products or
 q-polynomials are matrix products with the cached ones (`mul_matrices`,
 and `qpoly_matrices` with the flattened stack of y -> X^k y^(q^i)), with
 no field arithmetic.  The slope census reads one code per F_p^*-class,
@@ -289,10 +290,6 @@ class FieldTower:
         self.gen_code = spec.generator
         if self.size <= table_bound:
             self._build_tables()
-        self._frob_mat = None
-        self._frob_stack = self._qpoly_stack = None
-        self._class_block = self._class_logs = None
-        self._bsgs_baby: dict[int, int] = {}
         self._caches: dict[str, _LRU] = {}
 
     # -- table construction ---------------------------------------------
@@ -417,15 +414,19 @@ class FieldTower:
             return self.log_view[a]
         return self._bsgs(a)
 
+    @functools.cached_property
+    def _bsgs_baby(self):
+        """g^j -> j for j <= isqrt(M), the baby steps of `_bsgs`."""
+        baby, c = {}, 1
+        for j in range(math.isqrt(self.mult_order) + 1):
+            baby.setdefault(c, j)
+            c = self.mul_code(c, self.gen_code)
+        return baby
+
     def _bsgs(self, a):
         M = self.mult_order
         m = math.isqrt(M) + 1
         baby = self._bsgs_baby
-        if not baby:
-            c = 1
-            for j in range(m):
-                baby.setdefault(c, j)
-                c = self.mul_code(c, self.gen_code)
         step = self.inv_code(self.pow_code(self.gen_code, m))
         cur = a
         for i in range(m + 1):
@@ -441,27 +442,20 @@ class FieldTower:
         return self.dlog(code)
 
     # -- Frobenius -------------------------------------------------------
-    @property
-    def frobenius_matrix(self):
-        """F_p-matrix of x -> x^q in the power basis: Phi^e, Phi the p-Frobenius."""
-        if self._frob_mat is None:
-            Phi = _p_frobenius(self._x_powers[1], self.p)
-            self._frob_mat = _mat_pow_mod(Phi, self.e, self.p)
-        return self._frob_mat
+    @functools.cached_property
+    def _phi(self):
+        """The F_p-matrix Phi of the p-Frobenius y -> y^p in the power basis."""
+        return _p_frobenius(self._x_powers[1], self.p)
 
-    @property
+    @functools.cached_property
     def frob_stack(self):
-        """The n F_p-matrices of x -> x^(q^k), k = 0..n-1, stacked; built once."""
-        if self._frob_stack is None:
-            F = np.empty((self.n, self.en, self.en), dtype=np.int64)
-            F[0] = np.eye(self.en, dtype=np.int64)
-            for k in range(1, self.n):
-                F[k] = (self.frobenius_matrix @ F[k - 1]) % self.p
-            self._frob_stack = F
-        return self._frob_stack
-
-    def frob_power_matrix(self, k):
-        return self.frob_stack[k % self.n]
+        """The n F_p-matrices of x -> x^(q^k) = (Phi^e)^k, k = 0..n-1, stacked."""
+        F = np.empty((self.n, self.en, self.en), dtype=np.int64)
+        F[0] = np.eye(self.en, dtype=np.int64)
+        frob_q = _mat_pow_mod(self._phi, self.e, self.p)
+        for k in range(1, self.n):
+            F[k] = frob_q @ F[k - 1] % self.p
+        return F
 
     def frob_code(self, a, k=1):
         k %= self.n
@@ -469,8 +463,7 @@ class FieldTower:
             return a
         if self.log_view is not None:
             return self.exp_view[self.log_view[a] * self.frob_exps[k] % self.mult_order]
-        v = (self.frob_power_matrix(k) @ np.array(_digits(a, self.p, self.en), dtype=np.int64)) % self.p
-        return _pack(list(v), self.p)
+        return _pack(self.frob_stack[k] @ self.digit_rows([a]) % self.p, self.p)
 
     # -- subfield structure -----------------------------------------------
     def _check_divisor(self, t):
@@ -552,7 +545,7 @@ class FieldTower:
         """Solve z^2 + z = u in characteristic 2, or None: the F_2-system Phi + I."""
         if self.p != 2:
             raise InternalError("Artin-Schreier solving is a char-2 tool")
-        A = (_p_frobenius(self._x_powers[1], 2) + np.eye(self.en, dtype=np.int64)) % 2
+        A = (self._phi + np.eye(self.en, dtype=np.int64)) % 2
         sol = solve_mod(A, _digits(u, 2, self.en), 2)
         if sol is None:
             return None
@@ -579,35 +572,31 @@ class FieldTower:
         r2 = self.mul_code(self.sub_code(0, self.add_code(b, s)), inv2)
         return sorted({r1, r2})
 
-    @property
+    @functools.cached_property
     def class_block(self):
-        """The digit block of `_linalg.class_values` on this tower, built once.
+        """The digit block of `_linalg.class_values` on this tower.
 
         It covers the most levels L <= en whose (p^L - 1)/(p - 1) class
         representatives fit in CLASS_BLOCK_BOUND.
         """
-        if self._class_block is None:
-            p, levels = self.p, 1
-            while levels < self.en and (p ** (levels + 1) - 1) // (p - 1) <= CLASS_BLOCK_BOUND:
-                levels += 1
-            self._class_block = class_block(p, levels)
-        return self._class_block
+        p, levels = self.p, 1
+        while levels < self.en and (p ** (levels + 1) - 1) // (p - 1) <= CLASS_BLOCK_BOUND:
+            levels += 1
+        return class_block(p, levels)
 
-    @property
+    @functools.cached_property
     def class_logs(self):
         """Discrete logs of the class representatives `_linalg.class_codes(p, en)`,
-        one code per F_p^*-class, as a read-only int32 array; built once.
+        one code per F_p^*-class, as a read-only int32 array.
 
         For p = 2 they are the nonzero codes, and this is a view of the log table.
         """
         self.require_tables("the class representatives' logs")
-        if self._class_logs is None:
-            if self.p == 2:
-                self._class_logs = self.log_table[1:]
-            else:
-                self._class_logs = self.log_table[class_codes(self.p, self.en)]
-                self._class_logs.flags.writeable = False
-        return self._class_logs
+        if self.p == 2:
+            return self.log_table[1:]
+        logs = self.log_table[class_codes(self.p, self.en)]
+        logs.flags.writeable = False
+        return logs
 
     def digit_rows(self, codes):
         """The en little-endian base-p digits of every code, in one flat list."""
@@ -631,15 +620,12 @@ class FieldTower:
         digits = np.array(self.digit_rows(codes), dtype=np.int64).reshape(-1, en)
         return (digits @ self._x_powers.reshape(en, en * en)).reshape(-1, en, en) % p
 
-    @property
+    @functools.cached_property
     def qpoly_stack(self):
         """The en^2-entry rows of the F_p-matrices of y -> X^k y^(q^i), at row
-        i en + k for i < n and k < en, as one (n en) x en^2 array; built once."""
-        if self._qpoly_stack is None:
-            n, en = self.n, self.en
-            mats = self._x_powers[None] @ self.frob_stack[:, None] % self.p   # [i, k]
-            self._qpoly_stack = mats.reshape(n * en, en * en)
-        return self._qpoly_stack
+        i en + k for i < n and k < en, as one (n en) x en^2 array."""
+        mats = self._x_powers[None] @ self.frob_stack[:, None] % self.p   # [i, k]
+        return mats.reshape(self.n * self.en, self.en * self.en)
 
     def qpoly_matrices(self, coeff_rows):
         """The F_p-matrices of the q-polynomials sum_i a_i x^(q^i), stacked.

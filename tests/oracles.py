@@ -1513,7 +1513,7 @@ def standard_shape_by_walk(T, eset, s, t):
 
 def twisted_eigenspace(T, s, sign):
     """All codes with x^{q^s} = sign * x (sign is +1 or -1), via an F_p-kernel."""
-    mat = (T.frob_power_matrix(s) - sign * np.eye(T.en, dtype=np.int64)) % T.p
+    mat = (T.frob_stack[s % T.n] - sign * np.eye(T.en, dtype=np.int64)) % T.p
     return span_codes(kernel_mod(mat, T.p), T.p, T.en, 1)[:, 0].tolist()
 
 

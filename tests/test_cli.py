@@ -236,14 +236,15 @@ def _reports_after_stabilizer(tower, tmp_path, monkeypatch, tasks, guarded):
 
     for owner, name in guarded:
         monkeypatch.setattr(owner, name, guard(name, getattr(owner, name)))
-    stabilizer_doc = cli._stabilizer_doc
+    stabilizer_task = cli.TASKS["stabilizer"]
 
-    def then_arm(T, f):
-        doc = stabilizer_doc(T, f)
+    def then_arm(T, f, args):
+        doc = stabilizer_task(T, f, args)
         armed.append(True)
         return doc
 
-    monkeypatch.setattr(cli, "_stabilizer_doc", then_arm)
+    # analyze dispatches through the table, not the module attribute
+    monkeypatch.setitem(cli.TASKS, "stabilizer", then_arm)
     reports = []
     for inst in _report_instances(tower):
         armed.clear()
@@ -300,6 +301,25 @@ def test_non_scattered_stabilizer_report(specs):
     assert doc["field_order"] == 5**12 and doc["order"] == 5**12 - 1
     assert doc["verified_field"] is False and doc["unverified"] is True
     assert "note" not in doc and "solution_space_dim_over_Fp" not in doc
+
+
+def test_shortcuts_print_what_analyze_prints(tmp_path):
+    # each one-task subcommand is `analyze --tasks <task>`: the same stdout,
+    # stderr and exit code on a scattered f, the zero polynomial, and inputs
+    # that the tasks refuse, at n = 2 and on F_(2^40), a field without tables
+    cases = [((5, 4), ["0", "1", "0", "0"]), ((5, 4), ["0"] * 4), ((5, 2), ["0", "1"]),
+             ((2, 40), ["0", "g^0"] + ["0"] * 38)]
+    codes = set()
+    for i, ((p, n), coeffs) in enumerate(cases):
+        field, poly = tmp_path / f"field{i}.json", tmp_path / f"poly{i}.json"
+        field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
+        poly.write_text(json.dumps({"coeffs": coeffs}))
+        common = ["--field", str(field), "--poly", str(poly)]
+        for task in cli.TASKS:
+            shortcut = run_cli([task, *common])
+            assert shortcut == run_cli(["analyze", *common, "--tasks", task]), (p, n, task)
+            codes.add(shortcut[0])
+    assert codes == {0, 1, 2}
 
 
 def test_n2_scattered_input_refused_as_hall_case(tmp_path):

@@ -195,11 +195,15 @@ def test_frobenius_examples(tower):
 
 @pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)
 def test_frobenius_matrix_matches_repeated_q_power(tower, case):
-    # column i is (X^i)^q, each q-th power by repeated multiplication
+    # column i of frob_stack[k] is (X^i)^(q^k), each q-th power by repeated
+    # multiplication
     T = builder_tower(tower, case)
+    assert np.array_equal(T.frob_stack[0], np.eye(T.en))
     for i in range(T.en):
-        want = _digits(repeated_q_power(T, T.p**i, 1), T.p, T.en)
-        assert T.frobenius_matrix[:, i].tolist() == want, i
+        x = T.p**i
+        for k in range(1, T.n):
+            x = repeated_q_power(T, x, 1)
+            assert T.frob_stack[k][:, i].tolist() == _digits(x, T.p, T.en), (i, k)
 
 
 def test_frobenius_order_and_additivity(tower):
@@ -349,15 +353,17 @@ def test_quadratic_solver_odd_and_even_char(tower):
         b = T.neg_code(T.add_code(r1, r2))
         c = T.mul_code(r1, r2)
         assert set(T.solve_quadratic(b, c)) == {r1, r2}
-    # char 2: the returned set is every root, found by trying all elements
+    # char 2: the returned set is every root, found by trying all elements,
+    # with tables and without them (the same spec, so the same codes)
     for key in ((2, 1, 5), (2, 2, 4)):
-        T2 = tower(*key)
+        T2, U = tower(*key), make_field(*key, table_bound=0)
+        assert not U.has_tables and U.spec() == T2.spec()
         rng = T2.rng("quad2")
         for _ in range(40):
             b, c = rng.randrange(T2.size), rng.randrange(T2.size)
             roots = [r for r in range(T2.size) if T2.add_code(
                 T2.add_code(T2.mul_code(r, r), T2.mul_code(b, r)), c) == 0]
-            assert T2.solve_quadratic(b, c) == roots, (key, b, c)
+            assert T2.solve_quadratic(b, c) == U.solve_quadratic(b, c) == roots, (key, b, c)
 
 
 def test_spec_dataclass_roundtrip():

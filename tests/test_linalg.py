@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scattered_lab._linalg import _packed_rref, kernel_mod, rank_mod, rref_mod, solve_mod
+from scattered_lab.errors import TooLarge
 from scattered_lab.families import catalog
 from scattered_lab.stabilizer import _pair_system
 
@@ -25,16 +26,15 @@ def _matrices(p, seed):
     return out
 
 
-def _check_against_oracles(A, p, eager=True):
+def _check_against_oracles(A, p):
     """rref_mod, kernel_mod, rank_mod and solve_mod on A against the oracles,
     with right-hand sides that are consistent (A times a vector) and, when
     A has rank below its row count, ones that may not be."""
     R, pivots = rref_mod(A, p)
     R0, pivots0 = rref_by_outer(A, p)
     assert pivots == pivots0 and np.array_equal(R, R0)
-    if eager:
-        R1, pivots1 = rref_eager(A, p)
-        assert pivots == pivots1 and np.array_equal(R, R1)
+    R1, pivots1 = rref_eager(A, p)
+    assert pivots == pivots1 and np.array_equal(R, R1)
     K = kernel_mod(A, p)
     assert np.array_equal(K, kernel_by_outer(A, p))
     exact = np.asarray(A, dtype=np.int64).astype(object) % p
@@ -42,8 +42,8 @@ def _check_against_oracles(A, p, eager=True):
     assert rank_mod(A, p) == len(pivots) and len(pivots) + len(K) == np.shape(A)[1]
     rng = np.random.default_rng(len(pivots))
     rows, cols = np.shape(A)
-    consistent = exact.dot(rng.integers(0, min(p, 1 << 62), size=cols).astype(object)) % p
-    for b in (consistent, rng.integers(0, min(p, 1 << 62), size=rows)):
+    consistent = exact.dot(rng.integers(0, p, size=cols).astype(object)) % p
+    for b in (consistent, rng.integers(0, p, size=rows)):
         x, x0 = solve_mod(A, b, p), solve_by_outer(A, b, p)
         assert (x is None) == (x0 is None) and (x is None or np.array_equal(x, x0))
     assert solve_mod(A, consistent, p) is not None
@@ -57,8 +57,8 @@ def test_rref_and_kernel_match_outer_product_oracle(p):
 
 def test_packed_rows_on_edge_shapes():
     # zero rows or zero columns; the Schur shape at n = 23 and p = 2, tall
-    # and of rank below its column count; and p = 2^61 - 1, whose slots are
-    # wider than 64 bits
+    # and of rank below its column count; and p = 2^61 - 1, whose slots would
+    # be wider than 64 bits, which every elimination refuses before packing
     for p in (2, 7):
         for shape in ((0, 5), (4, 0), (0, 0), (1, 1)):
             _check_against_oracles(np.zeros(shape, dtype=np.int64), p)
@@ -67,12 +67,16 @@ def test_packed_rows_on_edge_shapes():
     _check_against_oracles(tall, 2)
     assert len(kernel_mod(tall, 2)) >= 6
     p = (1 << 61) - 1
-    assert _packed_rref(np.ones((2, 2), dtype=np.int64), p)[2] > 64
     full = rng.integers(0, p, size=(9, 12))
-    base = rng.integers(0, p, size=(5, 12)).astype(object)
-    low = (rng.integers(0, p, size=(8, 5)).astype(object).dot(base) % p).astype(np.int64)
-    for A in (full, low, full.T):
-        _check_against_oracles(A, p, eager=False)
+    for A in (full, full.T, np.ones((1, 1), dtype=np.int64)):
+        for solve in (rref_mod, kernel_mod, rank_mod, lambda A, p: solve_mod(A, A[:, 0], p)):
+            with pytest.raises(TooLarge):
+                solve(A, p)
+    # one pivot adds below p (p - 1): below 2^64 for the largest prime under
+    # 2^32, whose slots are 8 bytes, and above it for the smallest over 2^32
+    assert _packed_rref(np.ones((1, 1), dtype=np.int64), 4294967291)[2] == 64
+    with pytest.raises(TooLarge):
+        _packed_rref(np.ones((1, 1), dtype=np.int64), 4294967311)
 
 
 def test_pair_systems_and_inverses_match_oracle(tower):
@@ -103,8 +107,16 @@ def _large_p_matrices(p, seed):
 
 @pytest.mark.parametrize("p", [1048573, 1073741827])
 def test_lazy_reduction_matches_eager_elimination(p):
-    # above 2^30 a pivot adds up to p^2 > 2^60 to a slot, so the slots are
-    # wider than 64 bits; at 2^20 they are 48 bits
+    # near 2^20, the largest p of make_field, a pivot adds below 2^40 to a
+    # slot and 8-byte slots hold every entry; above 2^30 it adds up to
+    # p^2 > 2^60, the slots would be wider than 64 bits, and the elimination
+    # is refused before packing
+    if p > 1 << 30:
+        for A in _large_p_matrices(p, p % 1000):
+            with pytest.raises(TooLarge):
+                rref_mod(A, p)
+        return
+    assert _packed_rref(np.ones((48, 60), dtype=np.int64), p)[2] == 64
     pivot_counts = []
     for A in _large_p_matrices(p, p % 1000):
         R, pivots = rref_mod(A, p)

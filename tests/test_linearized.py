@@ -97,7 +97,7 @@ def test_fp_matrix_examples(tower):
     assert (LinearizedPoly.identity(T).fp_matrix() == np.eye(4, dtype=np.int64)).all()
     assert not LinearizedPoly.zero(T).fp_matrix().any()
     # the matrix of x^5 is the tower Frobenius matrix
-    assert (LinearizedPoly.monomial(T, 1).fp_matrix() == T.frobenius_matrix).all()
+    assert (LinearizedPoly.monomial(T, 1).fp_matrix() == T.frob_stack[1]).all()
 
 
 def test_from_fp_matrix_roundtrip(tower):

@@ -141,7 +141,8 @@ def test_idealizer_matches_stabilizer_families(tower):
         T = tower(*key)
         for inst in catalog(T):
             doc = cli._task_mrd(T, inst.poly, args)
-            assert doc["right_idealizer_order"] == cli._stabilizer_doc(T, inst.poly)["field_order"]
+            stabilizer = cli._task_stabilizer(T, inst.poly, args)
+            assert doc["right_idealizer_order"] == stabilizer["field_order"]
             assert doc["matches_stabilizer"] is True
 
 
