@@ -13,9 +13,11 @@ systems it costs more, and the library builds none.  The reduced row echelon
 form is unique, so neither the pivot rule nor the reduction schedule
 changes a result, and `kernel_mod`, `rank_mod` and `solve_mod` read only
 the pivots and the slots they need.  `linear_values` tabulates an
-F_p-linear map on every code of F_p^en by p-adic doubling: it is the bulk
+F_p-affine map on every code of F_p^en by p-adic doubling: it is the bulk
 evaluation behind the exp-table build.  `class_values` evaluates a linear
-map on one code per F_p^*-class only, which is all the slope census reads.
+map on one code per F_p^*-class only, which is all the slope census reads;
+its levels past one block product are `linear_values` tables offset by the
+level's leading column.
 """
 
 from __future__ import annotations
@@ -142,33 +144,35 @@ def rank_mod(A, p):
     return len(_packed_rref(A, p)[1])
 
 
-def linear_values(p, A):
-    """Value of the F_p-linear map c -> A c at every code c < p^en.
+def linear_values(p, A, offset=0):
+    """Value of the F_p-affine map c -> offset + A c at every code c < p^en.
 
     A is a matrix over F_p with en columns acting on little-endian digit
-    vectors.  Entry c of the int64 result is the packed code of
-    A digits(c), so the table is in code order.  It is built by p-adic
-    doubling: the codes with top digit d at level j are the codes below
-    p^j, shifted by d A(p^j).  For p = 2 each level is one XOR of packed
-    codes.  Otherwise all output digits are doubled together in one
-    rows x N array of the narrowest unsigned dtype that holds 2p, and packed
-    into the result one digit at a time, so no N x en int64 temporary is
-    formed.
+    vectors, and offset a digit vector (or 0).  Entry c of the int64 result
+    is the packed code of offset + A digits(c), so the table is in code
+    order.  It is built by p-adic doubling from the offset at code 0: the
+    codes with top digit d at level j are the codes below p^j, shifted by
+    d A(p^j).  For p = 2 each level is one XOR of packed codes.  Otherwise
+    all output digits are doubled together in one rows x N array of the
+    narrowest unsigned dtype that holds 2p, and packed into the result one
+    digit at a time, so no N x en int64 temporary is formed.
     """
     A = np.asarray(A, dtype=np.int64) % p
+    offset = np.asarray(offset, dtype=np.int64) % p
     rows, en = A.shape
     size = p**en
     if p == 2:
         bits = 1 << np.arange(rows, dtype=np.int64)
         images = bits @ A
-        out = np.zeros(size, dtype=np.int64)
+        out = np.empty(size, dtype=np.int64)
+        out[0] = (bits * offset).sum()
         h = 1
         for j in range(en):
             np.bitwise_xor(out[:h], images[j], out=out[h:2 * h])
             h *= 2
         return out
     D = np.empty((rows, size), dtype=np.min_scalar_type(2 * p))
-    D[:, 0] = 0
+    D[:, 0] = offset
     # shifts[i, d - 1, j] = digit i of d A(p^j)
     shifts = (A[:, None, :] * np.arange(1, p)[None, :, None] % p).astype(D.dtype)
     h = 1
@@ -216,44 +220,15 @@ def class_values(p, A, block):
     at 0.  Otherwise the representatives of the first L = len(block) levels
     are one product with the digit block `class_block(p, L)`, packed by the
     p-power weights; when the block covers all en levels that is the whole
-    result.  Each level j >= L is p shifted copies of level j - 1:
-    p^j + d p^(j-1) + y is p^(j-1) + y shifted by A(p^j) + (d - 1) A(p^(j-1)).
-    Those levels are doubled in one rows x N array of the narrowest unsigned
-    dtype that holds 2p and packed one digit at a time, as in
-    `linear_values`, so no N x rows int64 temporary is formed.
+    result.  Level j >= L holds p^j + y for y < p^j, whose values are the
+    `linear_values` table of A's first j columns offset by A(p^j).
     """
     if p == 2:
         return linear_values(2, A)[1:]
-    rows, en = A.shape
     levels = len(block)
-    weights = _weights(p, rows)
-    if levels == en:
-        return weights @ (A @ block % p)
-    A = np.asarray(A, dtype=np.int64) % p
-    low = A[:, :levels] @ block % p
-    n_low = low.shape[1]
-    out = np.empty((p**en - 1) // (p - 1), dtype=np.int64)
-    out[:n_low] = weights @ low
-    h = p ** (levels - 1)
-    # columns [0, h) hold level levels - 1, the last of the block
-    D = np.empty((rows, out.size - n_low + h), dtype=np.min_scalar_type(2 * p))
-    D[:, :h] = low[:, -h:]
-    # shifts[i, d, j] = digit i of A(p^(j+1)) + (d - 1) A(p^j)
-    d = np.arange(p)[None, :, None]
-    shifts = ((A[:, None, 1:] + (d - 1) * A[:, None, :-1]) % p).astype(D.dtype)
-    start = 0
-    for j in range(levels, en):
-        level = D[:, start + h:start + (p + 1) * h].reshape(rows, p, h)
-        np.add(D[:, None, start:start + h], shifts[:, :, j - 1, None], out=level)
-        np.remainder(level, p, out=level)
-        start += h
-        h *= p
-    high = out[n_low:]
-    high[:] = 0
-    for digit in D[::-1, p ** (levels - 1):]:
-        high *= p
-        high += digit
-    return out
+    low = _weights(p, A.shape[0]) @ (A[:, :levels] @ block % p)
+    return np.concatenate([low] + [linear_values(p, A[:, :j], A[:, j])
+                                   for j in range(levels, A.shape[1])])
 
 
 def span_codes(basis_vecs, p, width, blocks, rows=None):

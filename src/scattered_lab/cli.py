@@ -173,6 +173,23 @@ def cmd_equiv(args):
     return 0
 
 
+def _element_or(T, text, find, *params):
+    """The element `text` of the command line, or find(T, *params) when none is given."""
+    return T.parse_element(text) if text else find(T, *params)
+
+
+# each family number maps (the families module, T, args) to its instance;
+# the module is imported only by the families command
+FAMILIES = {
+    1: lambda fam, T, a: fam.make_pseudoregulus(T, a.s),
+    2: lambda fam, T, a: fam.make_lp(T, a.s, _element_or(T, a.delta, fam.find_lp_delta)),
+    3: lambda fam, T, a: fam.make_family3(
+        T, a.s, _element_or(T, a.delta, fam.find_family3_delta, a.s)),
+    4: lambda fam, T, a: fam.make_family4(T, _element_or(T, a.delta, fam.find_family4_delta)),
+    5: lambda fam, T, a: fam.make_psi(T, _element_or(T, a.h, fam.find_psi_h, a.t), a.t, a.s),
+}
+
+
 def cmd_families(args):
     from . import families as fam
 
@@ -180,24 +197,8 @@ def cmd_families(args):
         args.n = 2 * args.t if args.t else 6
     T = field_from_json({"p": args.q_prime, "e": args.e, "n": args.n, "seed": args.seed}) \
         if args.field is None else _load_field(args.field)
-    fid = args.family
-    if fid == 1:
-        inst = fam.make_pseudoregulus(T, args.s)
-    elif fid == 2:
-        delta = T.parse_element(args.delta) if args.delta else fam.find_lp_delta(T)
-        inst = fam.make_lp(T, args.s, delta)
-    elif fid == 3:
-        delta = T.parse_element(args.delta) if args.delta else fam.find_family3_delta(T, args.s)
-        inst = fam.make_family3(T, args.s, delta)
-    elif fid == 4:
-        delta = T.parse_element(args.delta) if args.delta else fam.find_family4_delta(T)
-        inst = fam.make_family4(T, delta)
-    elif fid == 5:
-        t = args.t or T.n // 2
-        h = T.parse_element(args.h) if args.h else fam.find_psi_h(T, t)
-        inst = fam.make_psi(T, h, t, args.s)
-    else:
-        raise ParseError(f"unknown family {fid}")
+    args.t = args.t or T.n // 2      # family 5's subfield degree
+    inst = FAMILIES[args.family](fam, T, args)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "field": T.spec().to_json(),
@@ -260,7 +261,7 @@ def build_parser():
 
     p = sub.add_parser("families", help="generate a catalog instance")
     p.add_argument("action", nargs="?", default="generate", choices=["generate"])
-    p.add_argument("--family", type=int, required=True, choices=[1, 2, 3, 4, 5])
+    p.add_argument("--family", type=int, required=True, choices=list(FAMILIES))
     p.add_argument("--field", default=None)
     p.add_argument("--q", dest="q_prime", type=int, default=5,
                    help="prime p when no field file is given")

@@ -7,9 +7,8 @@ class ScatteredLabError(Exception):
     code = "Error"
     exit_code = 1
 
-    def __init__(self, message="", **details):
+    def __init__(self, message=""):
         super().__init__(message or self.code)
-        self.details = details
 
 
 class RefusedPrecondition(ScatteredLabError):

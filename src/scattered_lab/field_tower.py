@@ -26,9 +26,10 @@ enumerates F_{q^n}^* refuses them up front through
 `FieldTower.require_tables`, which raises TooLarge (CLI exit 2).
 
 `make_field` accepts only q^n <= ENUM_BOUND = 2^40, so every number the
-library factors (primitivity, element orders, the field certificate) is a
-group order q^t - 1 <= 2^40, and `_prime_divisors` factors it by plain
-trial division; `_is_prime` asks whether m is its own only prime divisor.
+library factors is a group order q^t - 1 <= 2^40: the one order test
+`FieldTower.has_order` serves the generator of `make_field` and that of
+the field certificate.  `_prime_divisors` factors it by plain trial
+division; `_is_prime` asks whether m is its own only prime divisor.
 Both refuse a number above 2^40 with TooLarge rather than run on.
 
 Linear algebra over the tower is F_p-linear algebra in the power basis,
@@ -396,6 +397,11 @@ class FieldTower:
         # column 0 of the matrix of y -> a^k y holds the digits of a^k
         return _pack(_mat_pow_mod(self.mul_matrix(a), k, self.p)[:, 0], self.p)
 
+    def has_order(self, a, N):
+        """Does a, given a^N = 1, have order exactly N?  That is, a^(N/ell) != 1
+        for every prime ell dividing N."""
+        return all(self.pow_code(a, N // ell) != 1 for ell in _prime_divisors(N))
+
     def inv_code(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -741,19 +747,14 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
 
     probe = FieldTower(FieldSpec(p, e, n, modulus, p, seed), table_bound=0)
     M = probe.mult_order
-    factors = _prime_divisors(M)
-
-    def is_primitive(code):
-        return all(probe.pow_code(code, M // ell) != 1 for ell in factors)
-
     if generator is None:
-        generator = next(c for c in range(p, probe.size) if is_primitive(c))
+        generator = next(c for c in range(p, probe.size) if probe.has_order(c, M))
     else:
         generator = int(generator)
         # 0 would pass the test below, since no power of 0 is 1
         if not 0 < generator < probe.size:
             raise BadElement(f"supplied generator {generator} is outside [1, {probe.size})")
-        if not is_primitive(generator):
+        if not probe.has_order(generator, M):
             raise BadElement("supplied generator is not primitive")
     return FieldTower(FieldSpec(p, e, n, modulus, generator, seed), table_bound=table_bound)
 

@@ -14,7 +14,7 @@ slope census) and G_f = P^-1 {diag(alpha, alpha^(q^s))} P (diagonalize).
 The homology groups are the cyclic groups generated by P^-1 diag(1, kappa_0)
 P and P^-1 diag(kappa_0, 1) P with kappa_0 = omega^(q^s)/omega.  Their
 order (q^t - 1)/(q - 1), and that their generators lie in H_f, follow from
-that form with gcd(s, t) = 1 (`DiagonalizationResult.s`), so neither is
+that form with gcd(s, t) = 1 (`DiagonalizationResult`), so neither is
 checked.  That the generators of H_f permute the spread is no check but a
 consequence of verify_field: the generator of G_f lies in the kernel of the
 stabilizer system and is a nonzero element of a matrix field, hence
@@ -116,7 +116,7 @@ def linear_collineations(f: LinearizedPoly) -> dict:
     coordinates, giving order (q^n - 1)(q^t - 1)/(q - 1).  The factors
     alpha^(q^s - 1) form the cyclic group generated by kappa_0 =
     omega^(q^s - 1), of order (q^t - 1)/(q^gcd(s, t) - 1) = (q^t - 1)/(q - 1)
-    since gcd(s, t) = 1 (`DiagonalizationResult.s`); for t = 1 it is 1.
+    since gcd(s, t) = 1 (`DiagonalizationResult`); for t = 1 it is 1.
     Both generators permute the spread by facts already certified, so
     nothing is walked or checked here.  The scalar generator g I fixes every
     F_{q^n}-line and sends g^j U_f to g^(j+1) U_f, a permutation of the
@@ -193,7 +193,7 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     have order N = (q^t - 1)/(q - 1), with nothing to check:
     kappa_0 = omega^(q^s - 1) has order (q^t - 1)/gcd(q^s - 1, q^t - 1)
     = (q^t - 1)/(q^gcd(s, t) - 1), and gcd(s, t) = 1 for scattered f
-    (`DiagonalizationResult.s`).  The same order makes the factorization
+    (`DiagonalizationResult`).  The same order makes the factorization
     of H_f into a kernel homology times diag(1, kappa) unique: H_f
     decomposes.  Both generators are scalar
     multiples of A = P^-1 diag(omega, omega^(q^s)) P or of its inverse

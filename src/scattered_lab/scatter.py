@@ -12,10 +12,12 @@ f(c x)/(c x) = f(x)/x for every c in F_p^*: each fiber is a union of
 F_p^*-classes, and the pass visits one code per class, those whose top
 nonzero digit is 1, and multiplies its counts by p - 1.  Their values come
 from the F_p-matrix of f (`_linalg.class_values`: one product with the
-tower's digit block for the low levels, p-adic doubling above), their logs
-from a per-tower cache (`FieldTower.class_logs`), and the fibers from one
-bincount (a sort would be faster on big fields, but its first call in a
-process costs about 0.5 MB of peak memory).  On fields without tables
+tower's digit block for the low levels, and above them the p-adic doubling
+of `_linalg.linear_values`, offset by each level's leading column), their
+logs from a per-tower cache (`FieldTower.class_logs`), and the fibers from
+one bincount (a sort would be faster on big fields, but its first call in
+a process costs about 0.5 MB of peak memory).  The memo is also the record
+of scatteredness that `compute_stabilizer` reads.  On fields without tables
 (more than 2^23 elements) the census, and with it every analysis built on
 it, raises TooLarge before doing any work.
 """
@@ -149,8 +151,8 @@ class LinearSet:
     """The linear set of f on the projective line, as normalized slopes.
 
     Points are (1, m) for each attained slope m of f(x)/x; the point (0, 1)
-    never arises from a subspace of shape {(x, f(x))}, so has_infinity is
-    False for every polynomial input and is kept only for the wire format.
+    never arises from a subspace of shape {(x, f(x))}, so the wire format's
+    "has_infinity" is the constant false.
     A nontrivial kernel shows up as the zero slope, i.e. the point (1, 0).
     """
 
@@ -164,15 +166,11 @@ class LinearSet:
     def size(self):
         return len(self.slopes)
 
-    @property
-    def has_infinity(self):
-        return False
-
     def to_json(self, tower, emit_points=False):
         doc = {
             "size": self.size,
             "scattered": self.scattered,
-            "has_infinity": self.has_infinity,
+            "has_infinity": False,
         }
         if emit_points:
             doc["slopes"] = [tower.format_code(m) for m in self.slopes]

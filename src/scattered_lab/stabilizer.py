@@ -18,11 +18,12 @@ The solution set is kept as that system and its kernel basis, as the digit
 rows the elimination gives (`MatrixField`): its order is p^dim, and no
 element is listed unless a caller asks for the list.  For scattered f the
 nonzero solutions form a matrix field of order q^t with t | n,
-simultaneously diagonalizable: P G_f P^-1 = {diag(x, x^(p^j)) : x in
-F_(q^t)}.  That diagonal form is the certificate (`verify_field`): P is
-read from the eigen-rows of one basis matrix, and since conjugation by P
-is F_p-linear, only the basis matrices are conjugated.  The generator is found from the
-diagonal entries by scalar powers alone, with no matrix product.
+simultaneously diagonalizable: P G_f P^-1 = D(s, t) = {diag(x, x^(q^s)) :
+x in F_(q^t)}.  That diagonal form is the certificate (`verify_field`): P
+is read from the eigen-rows of one basis matrix, and since conjugation by
+P is F_p-linear, only the basis matrices are conjugated.  The generator
+is found from the diagonal entries by scalar powers alone, with no matrix
+product.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import functools
 import numpy as np
 
 from ._linalg import kernel_mod, span_codes
-from .errors import AllScalar, HallCase, InternalError, NotAField, NotScattered
-from .field_tower import FieldTower, _prime_divisors
+from .errors import AllScalar, HallCase, NotAField, NotScattered
+from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
 
@@ -142,17 +143,6 @@ class Mat2:
         return [[fmt(self.a), fmt(self.b)], [fmt(self.c), fmt(self.d)]]
 
 
-def normalize_point(tower, point):
-    """Projective normalization to (1, m) or (0, 1)."""
-    tower.check_codes(*point)
-    x, y = point
-    if x != 0:
-        return (1, tower.div_code(y, x))
-    if y == 0:
-        raise InternalError("the zero vector spans no point")
-    return (0, 1)
-
-
 class MatrixField:
     """The solution set S(f, g) of a pair system (`_pair_system`), kept as
     (system, coords): S(f, g) = span(coords) = ker(system mod p).
@@ -168,24 +158,21 @@ class MatrixField:
     test oracles do, through `_codes()`.
     """
 
-    __slots__ = ("tower", "system", "coords", "t", "generator", "scattered_input", "_diag",
-                 "_basis")
+    __slots__ = ("tower", "system", "coords", "t", "generator", "_diag", "_basis")
 
-    def __init__(self, tower: FieldTower, system: np.ndarray, coords: np.ndarray,
-                 scattered_input: bool = True):
+    def __init__(self, tower: FieldTower, system: np.ndarray, coords: np.ndarray):
         self.tower = tower
         self.system = system         # F_p-matrix whose kernel is the solution space
         self.coords = coords         # F_p-basis of that kernel, one digit row each
         self.t = None                # order = q^t once verified
         self.generator = None        # a Mat2 of order q^t - 1 once verified
-        self.scattered_input = scattered_input
         self._diag = None            # DiagonalizationResult, the certificate of verify_field
         self._basis = None
 
     @classmethod
-    def from_system(cls, tower, system, **fields):
+    def from_system(cls, tower, system):
         """The space ker(system mod p), with the kernel basis of kernel_mod."""
-        return cls(tower, system, kernel_mod(system, tower.p), **fields)
+        return cls(tower, system, kernel_mod(system, tower.p))
 
     @property
     def basis(self):
@@ -220,7 +207,7 @@ class MatrixField:
         return span_codes(self.coords, T.p, T.en, 4, rows).tolist()
 
     @classmethod
-    def of_pair(cls, f: LinearizedPoly, g: LinearizedPoly, **fields):
+    def of_pair(cls, f: LinearizedPoly, g: LinearizedPoly):
         """S(f, g) on the pair system `_pair_system(f, g)`, with the kernel basis
         that kernel_mod gives on it, found through its (c, d) Schur complement.
 
@@ -253,7 +240,7 @@ class MatrixField:
         system = _pair_system(f, g)
         k1 = next((k for k in range(1, n) if g.coeffs[k]), None)
         if k1 is None:
-            return cls.from_system(T, system, **fields)
+            return cls.from_system(T, system)
         blocks = system.reshape(n, en, 4, en)
         a_blocks = blocks[:, :, 0]
         cd = blocks[:, :, 2:].reshape(n, en, 2 * en)
@@ -268,7 +255,7 @@ class MatrixField:
         coords[:, 2 * en:] = cd_kernel
         # b = -(A_0 a + C_0 c + D_0 d), row block 0 read with b = 0
         coords[:, en:2 * en] = -(coords @ system[:en].T) % p
-        return cls(T, system, coords, **fields)
+        return cls(T, system, coords)
 
 
 def _pair_system(f: LinearizedPoly, g: LinearizedPoly):
@@ -326,22 +313,21 @@ def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
     solution set is returned with verified=False (the field structure is not
     guaranteed then); with check_scattered=True such input raises
     NotScattered instead.  Scattered input with n = 2 raises HallCase before
-    the system is built: the field structure needs n >= 3.
+    the system is built: the field structure needs n >= 3.  Scatteredness
+    is read off the census memo (`is_scattered`), not off the cached
+    result: `diagonalize` may verify the kernel of a non-scattered f later.
     """
     T = f.tower
-    cache = T.cache("stabilizer")
-    if f.coeffs in cache:
-        got = cache[f.coeffs]
-        if check_scattered and not got.scattered_input:
-            raise NotScattered("polynomial is not scattered")
-        return got
     scattered = is_scattered(f)
     if check_scattered and not scattered:
         raise NotScattered("polynomial is not scattered")
+    cache = T.cache("stabilizer")
+    if f.coeffs in cache:
+        return cache[f.coeffs]
     if scattered and T.n == 2:
         # at n = 2 rank-1 solutions exist and the solution set is no field
         raise HallCase("the stabilizer of a scattered polynomial needs n >= 3")
-    field = MatrixField.of_pair(f, f, scattered_input=scattered)
+    field = MatrixField.of_pair(f, f)
     if scattered:
         verify_field(field)
     cache[f.coeffs] = field
@@ -357,12 +343,15 @@ def verify_field(Mf: MatrixField):
     its Schur complement.  P is made of the sorted, normalized
     eigen-rows of the first non-scalar basis matrix (P = I when every basis
     matrix is scalar).  Every basis matrix conjugated by P must be
-    diag(x, y) with x in F_(q^t), and y = x^(p^j) for one least j < e t on
-    the whole basis.  Conjugation by P and x -> (x, x^(p^j)) are F_p-linear,
-    so P Mf P^-1 lies in D_j = {diag(x, x^(p^j)) : x in F_(q^t)}, a field
-    of order q^t; Mf has that order, so P Mf P^-1 = D_j and Mf is a field.
-    The generator is the first element in span order whose entry x has
-    order q^t - 1, tested by scalar powers of x; the diagonal form is cached
+    diag(x, y) with x in F_(q^t), and y = x^(q^s) for one least s < t on
+    the whole basis (`_twisted`).  Conjugation by P and x -> (x, x^(q^s))
+    are F_p-linear, so P Mf P^-1 lies in D(s, t) = {diag(x, x^(q^s)) : x in
+    F_(q^t)}, a field of order q^t; Mf has that order, so P Mf P^-1 =
+    D(s, t) and Mf is a field.  Only q-powers are searched: for
+    Mf = S(f, f), every a I with a in F_q lies in Mf, so a twist
+    y = x^(p^j) that held on Mf would give a^(p^j) = a on F_q, that is,
+    e | j.  The generator is the first element in span order whose entry x
+    has order q^t - 1 (`FieldTower.has_order`); the diagonal form is cached
     for `diagonalize`.  Raises NotAField naming the failing condition.
     """
     T = Mf.tower
@@ -386,12 +375,10 @@ def verify_field(Mf: MatrixField):
         raise NotAField("the basis matrices have no common eigenbasis")
     if any(T.frob_code(x, t) != x for x, _ in pairs):
         raise NotAField(f"a diagonal entry lies outside F_(q^{t})")
-    p_exp = next((j for j in range(T.e * t)
-                  if all(T.pow_code(x, T.p**j) == y for x, y in pairs)), None)
-    if p_exp is None:
+    s = next((s for s in range(t) if _twisted(T, pairs, s)), None)
+    if s is None:
         raise NotAField("the diagonal entries are not linked by one Frobenius twist")
     N = T.q**t - 1
-    factors = _prime_divisors(N)
     # span order gives the last basis element the lowest base-p digit
     xs = [x for x, _ in reversed(pairs)]
     for r in range(1, Mf.order):
@@ -400,14 +387,14 @@ def verify_field(Mf: MatrixField):
             rest, d = divmod(rest, T.p)
             if d:
                 x = T.add_code(x, T.mul_code(d, xi))
-        if x and all(T.pow_code(x, N // ell) != 1 for ell in factors):
+        if x and T.has_order(x, N):
             break
     else:
         raise NotAField("no element of full multiplicative order")
     # element r of the span: the digits of r, most significant first, weight the basis rows
     row = T.digit_rows([r])[:dim][::-1] @ Mf.coords % T.p
     Mf.t, Mf.generator = t, Mat2._of(T, *(row.reshape(4, T.en) @ T.digit_weights).tolist())
-    Mf._diag = DiagonalizationResult(P, t, p_exp, pairs)
+    Mf._diag = DiagonalizationResult(P, t, s)
     return t, Mf.generator
 
 
@@ -424,10 +411,10 @@ def _eigenbasis(A: Mat2) -> Mat2:
         raise NotAField("a basis matrix has no two distinct eigenvalues in F_(q^n)")
     rows = []
     for mu in roots:
-        if A.c != 0 or mu != A.a:
-            rows.append(normalize_point(T, (A.c, T.sub_code(mu, A.a))))
-        else:
-            rows.append(normalize_point(T, (T.sub_code(mu, A.d), A.b)))
+        # the row (c, mu - a) is zero only when c = 0 and mu = a; the row
+        # (mu - d, b) is then nonzero, since A is not scalar
+        x, y = (A.c, T.sub_code(mu, A.a)) if A.c or mu != A.a else (T.sub_code(mu, A.d), A.b)
+        rows.append((1, T.div_code(y, x)) if x else (0, 1))
     rows.sort(key=lambda r: (r[0] == 0, T.element_key(r[0]), T.element_key(r[1])))
     return Mat2(T, *rows[0], *rows[1])
 
@@ -458,53 +445,51 @@ def _conjugated_pairs(basis, W: Mat2):
     return tuple(pairs)
 
 
+def _twisted(T, pairs, s):
+    """Is y = x^(q^s) on every pair (x, y)?"""
+    return all(T.frob_code(x, s) == y for x, y in pairs)
+
+
 def conjugates_to_diagonal(Mf: MatrixField, W: Mat2, s: int, t: int) -> bool:
     """Is W Mf W^-1 = D(s, t) = {diag(alpha, alpha^(q^s)) : alpha in F_(q^t)}?
 
     Conjugation by W is F_p-linear and D(s, t) is an F_p-space of order q^t,
     so a conjugated basis inside D(s, t) puts W Mf W^-1 inside it, and equal
     orders |Mf| = q^t make the two equal.  Each basis matrix is tested
-    against the rows of W (`_conjugated_pairs`), and a singular W raises
-    ZeroDivisionError.
+    against the rows of W (`_conjugated_pairs`), with the twist test of
+    `verify_field` (`_twisted`), and a singular W raises ZeroDivisionError.
     """
     T = Mf.tower
     if Mf.order != T.q**t:
         return False
     pairs = _conjugated_pairs(Mf.basis, W)
-    return pairs is not None and all(T.frob_code(x, t) == x and T.frob_code(x, s) == y
-                                     for x, y in pairs)
+    return (pairs is not None and all(T.frob_code(x, t) == x for x, _ in pairs)
+            and _twisted(T, pairs, s))
 
 
 class DiagonalizationResult:
-    """Simultaneous diagonalization P Mf P^-1 = {diag(x, x^(p^j)) : x in F_{q^t}}."""
+    """Simultaneous diagonalization P Mf P^-1 = D(s, t) = {diag(x, x^(q^s)) :
+    x in F_(q^t)}, with 0 <= s < t, the certificate of `verify_field`.
 
-    __slots__ = ("P", "t", "p_exponent", "basis_pairs")
+    gcd(s, t) = 1 for scattered f: with d = gcd(s, t), every beta in
+    F_(q^d) lies in F_(q^t) and has beta^(q^s) = beta, so diag(beta, beta)
+    lies in D(s, t) and beta I in Mf.  Then U_f is F_(q^d)-linear, and the
+    fiber of f(x)/x at any x != 0 holds the q^d - 1 elements beta x, so
+    d = 1 by scatteredness.
+    """
 
-    def __init__(self, P: Mat2, t: int, p_exponent: int, basis_pairs: tuple):
+    __slots__ = ("P", "t", "s")
+
+    def __init__(self, P: Mat2, t: int, s: int):
         self.P = P
         self.t = t
-        self.p_exponent = p_exponent      # j with sigma = p^j on the diagonal
-        self.basis_pairs = basis_pairs    # (x, x^sigma) codes of the conjugated basis matrices
+        self.s = s
 
     @property
     def eigen_points(self):
         """The rows of P, already normalized points: `_eigenbasis` normalizes
         its rows, and the identity's are (1, 0) and (0, 1)."""
         return ((self.P.a, self.P.b), (self.P.c, self.P.d))
-
-    @property
-    def s(self):
-        """sigma = q^s as a q-power: s = j / e, with 0 <= s < t and gcd(s, t) = 1.
-
-        e divides j: every a I with a in F_q stabilizes U_f, so diag(a, a)
-        lies in P Mf P^-1 = D_j and a^(p^j) = a for every a in F_q.
-        gcd(s, t) = 1 for scattered f: with d = gcd(s, t), every beta in
-        F_(q^d) lies in F_(q^t) and has beta^(q^s) = beta, so
-        diag(beta, beta) lies in D_j and beta I in Mf.  Then U_f is
-        F_(q^d)-linear, and the fiber of f(x)/x at any x != 0 holds the
-        q^d - 1 elements beta x, so d = 1 by scatteredness.
-        """
-        return self.p_exponent // self.P.tower.e
 
 
 def diagonalize(Mf: MatrixField) -> DiagonalizationResult:

@@ -214,7 +214,7 @@ def to_standard_form(f: LinearizedPoly) -> StandardFormResult:
       t_h would put D(s', t_h), of order q^(t_h), into G_h with zero, of
       order q^t.  So h_c has (s, t) = (s0, t) in the direct branch and
       (t - s0, t) in the inverse one, and both are taken from the form.
-    - gcd(s, t) = 1 for scattered f (`DiagonalizationResult.s`), so s0 >= 1
+    - gcd(s, t) = 1 for scattered f (`DiagonalizationResult`), so s0 >= 1
       when t > 1, and t - s0 lies in [1, t) as s does.
     """
     T = f.tower

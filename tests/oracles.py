@@ -950,8 +950,7 @@ def central_classes_by_scan(f):
             if not lam.is_identity() and _fixed_vector(T, lam) is not None:
                 raise AssertionError("a scalar class fixes a direction pointwise")
         return [], [], 0
-    diag = diagonalize(Mf)
-    pair_of = {m.entries(): pr for m, pr in zip(elements_of(Mf), diag_pairs(diag))}
+    pair_of = {m.entries(): pr for m, pr in zip(elements_of(Mf), diag_pairs(Mf))}
     classes = {}
     for m in nonzero_of(Mf):
         classes.setdefault(T.dlog(pair_of[m.entries()][0]) % step, m)
@@ -1374,12 +1373,14 @@ def conjugated_pairs_by_inverse(basis, W):
     return tuple(pairs)
 
 
-def diag_pairs(diag):
-    """(x, x^sigma) codes of every element of the diagonalized field, in the
-    order of elements_of(Mf): the F_p-combinations of diag.basis_pairs in span
-    order."""
-    T = diag.P.tower
-    vecs = [_digits(x, T.p, T.en) + _digits(y, T.p, T.en) for x, y in diag.basis_pairs]
+def diag_pairs(Mf):
+    """(x, x^sigma) codes of every element of the diagonalized field Mf, in the
+    order of elements_of(Mf): the F_p-combinations, in span order, of the
+    basis pairs P b P^-1 = diag(x, y) (conjugated_pairs_by_inverse), P the
+    diagonalizer."""
+    T = Mf.tower
+    basis_pairs = conjugated_pairs_by_inverse(Mf.basis, diagonalize(Mf).P)
+    vecs = [_digits(x, T.p, T.en) + _digits(y, T.p, T.en) for x, y in basis_pairs]
     return tuple(map(tuple, span_codes(vecs, T.p, T.en, 2).tolist()))
 
 

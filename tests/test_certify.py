@@ -45,11 +45,11 @@ def _random_scattered(T, count, salt):
 
 
 def _instances(tower):
-    """Every catalog instance at (3,4), (5,4), (7,4), (5,5), (5,6) and over
-    F_4 at n = 4, plus seeded random scattered polynomials at (3,4), (5,4)
-    and (7,4)."""
+    """Every catalog instance at (3,4), (5,4), (7,4), (5,5), (5,6), over F_4
+    at n = 3 and 4 and over F_9 at n = 3, plus seeded random scattered
+    polynomials at (3,4), (5,4) and (7,4)."""
     polys = [inst.poly for key in ((3, 1, 4), (5, 1, 4), (7, 1, 4), (5, 1, 5),
-                                   (5, 1, 6), (2, 2, 4))
+                                   (5, 1, 6), (2, 2, 4), (2, 2, 3), (3, 2, 3))
              for inst in catalog(tower(*key))]
     for key in ((3, 1, 4), (5, 1, 4), (7, 1, 4)):
         polys += _random_scattered(tower(*key), 3, "certify-differential")
@@ -68,8 +68,9 @@ def test_certificate_matches_walk_oracles(tower):
         diag = diagonalize(Mf)
         P, p_exp, eigen_points, pairs = diagonalize_by_conjugation(Mf)
         assert diag.P == P and diag.t == t
-        assert diag.p_exponent == p_exp and diag.eigen_points == eigen_points
-        assert diag_pairs(diag) == pairs
+        # the oracle searches x^(p^j), j < e t, the certificate x^(q^s), s < t
+        assert diag.s * f.tower.e == p_exp and diag.eigen_points == eigen_points
+        assert diag_pairs(Mf) == pairs
     assert {1, 2, 3, 4, 5, 6} <= ts
 
 
@@ -89,8 +90,7 @@ def test_diagonalization_is_cached_without_pairs(tower):
     T = tower(5, 1, 4)
     Mf = compute_stabilizer(make_lp(T, 1, find_lp_delta(T)).poly)
     assert diagonalize(Mf) is diagonalize(Mf)
-    assert "diag_pairs" not in DiagonalizationResult.__slots__
-    assert len(diagonalize(Mf).basis_pairs) == T.e * Mf.t
+    assert DiagonalizationResult.__slots__ == ("P", "t", "s")
 
 
 def _digit_rows(maps):

@@ -141,6 +141,10 @@ def test_families_cli():
                             "--delta", "1"])
     assert code == 1
     assert json.loads(err)["error"]["code"] == "BadParams"
+    # the parser's choices are the keys of the family table: exit 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["families", "--family", "6"])
+    assert exc.value.code == 2 and sorted(cli.FAMILIES) == [1, 2, 3, 4, 5]
 
 
 def test_corrupted_modulus_surfaces(tmp_path):
@@ -277,6 +281,27 @@ def test_plane_and_standard_form_tasks_recheck_nothing(tower, tmp_path, monkeypa
     # composition, and with it no U_f W = U_g check, follows
     _reports_after_stabilizer(tower, tmp_path, monkeypatch, "standard-form,plane",
                               [(LinearizedPoly, "compose")])
+
+
+@pytest.mark.parametrize("family", [1, 2, 3, 4, 5])
+def test_families_table_runs_each_maker(tower, family):
+    # the defaults (--q 5, n = 6, s = 1) with each family's parameter search,
+    # printed as the maker's instance
+    from scattered_lab import families as fam
+
+    T = tower(5, 1, 6)
+    makers = {
+        1: lambda: fam.make_pseudoregulus(T, 1),
+        2: lambda: fam.make_lp(T, 1, fam.find_lp_delta(T)),
+        3: lambda: fam.make_family3(T, 1, fam.find_family3_delta(T, 1)),
+        4: lambda: fam.make_family4(T, fam.find_family4_delta(T)),
+        5: lambda: fam.make_psi(T, fam.find_psi_h(T, 3), 3, 1),
+    }
+    code, out, _ = run_cli(["families", "--family", str(family)])
+    assert code == 0
+    want = {"schema_version": cli.SCHEMA_VERSION, "field": T.spec().to_json(),
+            "instance": makers[family]().to_json()}
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_families_generate_verb():

@@ -280,6 +280,22 @@ def test_generator_is_primitive(tower):
     assert order_by_walk(T9, T9.gen_code) == 728
 
 
+@pytest.mark.parametrize("key", [(5, 1, 4), (3, 2, 3), (2, 1, 6), (13, 1, 2)], ids=field_id)
+@pytest.mark.parametrize("tables", [True, False], ids=["tables", "tableless"])
+def test_order_test_matches_walk_oracle(tower, key, tables):
+    # has_order(a, N), given a^N = 1, at every divisor N of q^n - 1 that
+    # a's order divides
+    T = tower(*key) if tables else make_field(*key, table_bound=0)
+    M = T.mult_order
+    divisors = [N for N in range(1, M + 1) if M % N == 0]
+    rng = T.rng("order-test")
+    for a in [1, T.gen_code, T.neg_code(1)] + [rng.randrange(1, T.size) for _ in range(12)]:
+        order = order_by_walk(T, a)
+        for N in divisors:
+            if N % order == 0:
+                assert T.has_order(a, N) is (N == order), (a, N)
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=st.integers(0, 624), b=st.integers(0, 624), c=st.integers(0, 624))
 def test_field_axioms(a, b, c):

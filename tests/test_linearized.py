@@ -340,12 +340,16 @@ def test_bulk_evaluation_matches_term_by_term_oracle(tower, key):
 
 @pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
 def test_affine_values_with_offset_match_digitwise_oracle(tower, key):
-    # m c for every code m: the affine table a + m c at a = 0
+    # a + m c for every code m: the table of multiplication by c started at
+    # the digits of a, at a = 0 (no offset) and at two a != 0
     T = tower(*key)
     rng = T.rng("affine-values")
     for c in (1, rng.randrange(1, T.size)):
         got = linear_values(T.p, T.mul_matrix(c))
         assert np.array_equal(got, affine_values_by_terms(T, 0, c))
+        for a in (1, rng.randrange(1, T.size)):
+            got = linear_values(T.p, T.mul_matrix(c), T.digit_rows([a]))
+            assert np.array_equal(got, affine_values_by_terms(T, a, c)), a
 
 
 @pytest.mark.parametrize("p, rows, en", [(2, 3, 5), (3, 4, 4), (5, 2, 3), (7, 3, 2), (257, 1, 2)])
@@ -353,8 +357,11 @@ def test_linear_values_of_any_affine_map(p, rows, en):
     # not the matrix of a field map: rectangular, arbitrary entries
     rng = np.random.default_rng(p)
     A = rng.integers(0, p, size=(rows, en))
+    offset = rng.integers(1, p, size=rows)
     assert linear_values(p, A).tolist() == [_pack(A @ np.array(_digits(c, p, en)) % p, p)
                                             for c in range(p**en)]
+    assert linear_values(p, A, offset).tolist() == [
+        _pack((offset + A @ np.array(_digits(c, p, en))) % p, p) for c in range(p**en)]
 
 
 @pytest.mark.parametrize("case", BUILDER_FIELDS, ids=builder_id)

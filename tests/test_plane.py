@@ -44,6 +44,7 @@ from oracles import (
     andre_subgroup_by_walk,
     andre_witness_by_image,
     central_classes_by_scan,
+    conjugated_pairs_by_inverse,
     cyclic_by_walk,
     component_of,
     decomposition_by_sampling,
@@ -473,7 +474,7 @@ def test_homology_checks_reject_broken_groups(tower):
     # a trivial twist s = 0 gives kappa_0 = 1, so the factorization is not unique
     assert _homology_factor_order(T, diag.s, hr.t) == N
     assert _homology_factor_order(T, 0, hr.t) == 1
-    untwisted = DiagonalizationResult(diag.P, diag.t, 0, diag.basis_pairs)
+    untwisted = DiagonalizationResult(diag.P, diag.t, 0)
     assert not decomposition_by_sampling(T, Mf, untwisted, hr.t)
 
 
@@ -596,7 +597,9 @@ def test_certificate_proves_the_deleted_checks(tower):
     # the checks that the certified form P G_f P^-1 = D(s, t) proves, which
     # the library no longer runs: the transversal points lie off L_f,
     # A = P^-1 diag(omega, omega^(q^s)) P lies in G_f, ord(kappa_0) = N,
-    # e divides the p-exponent, and the standard form has t_h0 = t,
+    # P b P^-1 = diag(x, x^(p^(e s))) for every basis matrix b, read by
+    # inverting P where the twist search reads q-powers of the rows of P,
+    # and the standard form has t_h0 = t,
     # U_f P^-1 = U_h, gcd(s, t) = 1 and P G_f P^-1 = D(s, t)
     polys = _differential_instances(tower)
     for key in ((3, 1, 4), (5, 1, 6), (7, 1, 6), (2, 2, 4), (3, 2, 3)):
@@ -609,7 +612,8 @@ def test_certificate_proves_the_deleted_checks(tower):
         if t == 1:
             continue
         diag = diagonalize(Mf)
-        assert diag.p_exponent % T.e == 0
+        assert all(T.pow_code(x, T.p ** (T.e * diag.s)) == y
+                   for x, y in conjugated_pairs_by_inverse(Mf.basis, diag.P))
         X, Y = diag.eigen_points
         assert line_intersection_dim(f, X) == line_intersection_dim(f, Y) == 0
         omega = T.subfield_primitive_code(t)

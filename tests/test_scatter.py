@@ -59,7 +59,7 @@ def test_census_matches_dict_oracle(tower):
 def test_linear_set_sizes(tower):
     T = tower(5, 1, 4)
     ls = linear_set(LinearizedPoly.monomial(T, 1))
-    assert ls.size == 156 and ls.scattered and not ls.has_infinity
+    assert ls.size == 156 and ls.scattered and ls.to_json(T)["has_infinity"] is False
     # four-term family at (5,6) spans 3906 = (5^6 - 1)/4 points
     T6 = tower(5, 1, 6)
     from scattered_lab.families import find_psi_h, make_psi
@@ -127,12 +127,14 @@ def test_census_matches_full_table_oracle(tower, key):
 
 
 @pytest.mark.parametrize("key, whole_block", [((3, 1, 4), True), ((7, 1, 4), True),
-                                               ((5, 1, 6), False)],
-                         ids=["3_1_4", "7_1_4", "5_1_6"])
+                                               ((5, 1, 6), False), ((3, 1, 8), False),
+                                               ((13, 1, 4), False)],
+                         ids=["3_1_4", "7_1_4", "5_1_6", "3_1_8", "13_1_4"])
 def test_census_with_kernels_matches_full_table_oracle(tower, key, whole_block):
     # class values read off one block product (3,4), (7,4), and with the top
-    # levels doubled (5,6), for maps whose kernels are F_q, a F_q and F_(q^2)
-    # moved by random maps on both sides
+    # levels doubled by offset `linear_values` tables, one level at (5,6) and
+    # (13,4) and two at (3,8), for maps whose kernels are F_q, a F_q and
+    # F_(q^2) moved by random maps on both sides
     T = tower(*key)
     assert (len(T.class_block) == T.en) is whole_block
     rng = T.rng("kernel-census")
