@@ -32,14 +32,7 @@ from .standard_form import (
     gl_equivalent,
     to_standard_form,
 )
-from .mrd import (
-    Idealizer,
-    RdCode,
-    code_of,
-    min_distance,
-    min_distance_naive,
-    right_idealizer,
-)
+from .mrd import min_distance, min_distance_naive, right_idealizer
 from .plane import (
     HomologyReport,
     PseudoregulusCase,

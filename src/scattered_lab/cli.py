@@ -65,14 +65,14 @@ def _task_scatter(T, f, args):
 
 
 def _task_stabilizer(T, f, args):
-    Mf = compute_stabilizer(f, check_scattered=False)
+    Mf = compute_stabilizer(f)
     doc = {
         "order": Mf.group_order,
         "field_order": Mf.order,
         "verified_field": Mf.verified,
     }
     if Mf.verified:
-        # verify_field certified G_f by its diagonal form
+        # f is scattered: verify_field certified G_f by its diagonal form
         doc.update(t=Mf.t, generator=Mf.generator.to_json(), diagonalized=True,
                    s=0, transversals=None)
         if Mf.t > 1:
@@ -96,20 +96,20 @@ def _task_mrd(T, f, args):
     """Minimum distance and right idealizer of C_f.  For scattered f,
     matches_stabilizer is True with nothing to compare: I_R is the one-to-one
     image of G_f with zero (`mrd.verify_idealizer_field`); otherwise None."""
-    C = mrd.code_of(f)
     # the census in min_distance needs tables: refuse up front, naming the task
     T.require_tables("the mrd task")
-    d = mrd.min_distance(C)
+    d = mrd.min_distance(f)
     doc = {
         "min_distance": d,
-        "is_mrd": bool(d == T.n - 1 and not C.degenerate),
+        # a degenerate f = c x spans a code of dimension 1
+        "is_mrd": bool(d == T.n - 1 and any(f.coeffs[1:])),
         "mode": "exact",
-        "right_idealizer_order": mrd.right_idealizer(C).order,
+        "right_idealizer_order": T.p ** len(mrd.right_idealizer(f)),
         "matches_stabilizer": True if is_scattered(f) else None,
     }
     if args.oracle:
         try:
-            doc["oracle_min_distance"] = mrd.min_distance_naive(C)
+            doc["oracle_min_distance"] = mrd.min_distance_naive(f)
         except RefusedPrecondition:
             doc["oracle_min_distance"] = None
             doc["oracle_note"] = "field too large for full q^(2n) enumeration"
@@ -207,7 +207,7 @@ def cmd_families(args):
     if args.verify:
         Mf = compute_stabilizer(inst.poly)
         doc["verified"] = {
-            "scattered": True,
+            "scattered": Mf.verified,
             "stabilizer_order": Mf.group_order,
             "matches_prediction": inst.matches(Mf),
         }

@@ -106,14 +106,26 @@ def make_lp(T: FieldTower, s: int, delta) -> FamilyInstance:
                           "diag(alpha, alpha), alpha in F_q*")
 
 
-def make_family3(T: FieldTower, s: int, delta) -> FamilyInstance:
-    """f(x) = delta x^{q^s} + x^{q^{s + n/2}}, n in {6, 8}; scatteredness re-checked."""
-    d = int(delta)
+def _family3_half(T: FieldTower, s: int) -> int:
+    """n/2, after the conditions of family 3 that do not depend on delta."""
     if T.n not in (6, 8):
         raise BadParams("this family is defined for n in {6, 8}")
     half = T.n // 2
     if math.gcd(s, half) != 1:
         raise BadParams(f"need gcd(s, n/2) = 1, got s={s}")
+    return half
+
+
+def _check_family4_field(T: FieldTower):
+    """The condition of family 4 that does not depend on delta."""
+    if T.n != 6:
+        raise BadParams("this family lives in F_(q^6)[x]")
+
+
+def make_family3(T: FieldTower, s: int, delta) -> FamilyInstance:
+    """f(x) = delta x^{q^s} + x^{q^{s + n/2}}, n in {6, 8}; scatteredness re-checked."""
+    d = int(delta)
+    half = _family3_half(T, s)
     if T.rel_norm_code(d, half) in (0, 1):
         raise BadParams("norm of delta over F_(q^(n/2)) must avoid 0 and 1")
     coeffs = [0] * T.n
@@ -130,8 +142,7 @@ def make_family3(T: FieldTower, s: int, delta) -> FamilyInstance:
 def make_family4(T: FieldTower, delta) -> FamilyInstance:
     """f(x) = x^q + x^{q^3} + delta x^{q^5} over F_{q^6}."""
     d = int(delta)
-    if T.n != 6:
-        raise BadParams("this family lives in F_(q^6)[x]")
+    _check_family4_field(T)
     validity = CHECKED
     if T.p != 2:
         lhs = T.add_code(T.mul_code(d, d), d)
@@ -242,25 +253,25 @@ def psi_standard_form_closed(T: FieldTower, h, t: int, s: int,
 
 
 def find_lp_delta(T: FieldTower, index=0):
-    """index-th delta (in g^k order) with N_{q^n/q}(delta) not in {0, 1}."""
-    seen = 0
-    for k in range(T.mult_order):
-        d = T.pow_code(T.gen_code, k)
-        if T.rel_norm_code(d, 1) not in (0, 1):
-            if seen == index:
-                return d
-            seen += 1
-    raise BadParams("no valid delta exists")
+    """index-th delta (in g^k order) with N_{q^n/q}(delta) not in {0, 1}:
+    N(g^k) = g^(k (q^n - 1)/(q - 1)) is 1 exactly when (q - 1) | k, so the
+    index-th k off the multiples of q - 1 is read off; q = 2 has none."""
+    if T.q == 2:
+        raise BadParams("no valid delta exists")
+    block, r = divmod(index, T.q - 2)
+    k = block * (T.q - 1) + r + 1
+    if not 0 <= k < T.mult_order:
+        raise BadParams("no valid delta exists")
+    return T.pow_code(T.gen_code, k)
 
 
 def find_family3_delta(T: FieldTower, s=1):
-    """First delta among g^k, k < 2000, passing the norm condition and the
-    scatteredness gate."""
-    half = T.n // 2
+    """First delta among g^k, k < 2000, that make_family3 accepts: its
+    norm condition and scatteredness gate.  The conditions that do not
+    depend on delta are refused first."""
+    _family3_half(T, s)
     for k in range(min(T.mult_order, 2000)):
         d = T.pow_code(T.gen_code, k)
-        if T.rel_norm_code(d, half) in (0, 1):
-            continue
         try:
             make_family3(T, s, d)
             return d
@@ -270,7 +281,9 @@ def find_family3_delta(T: FieldTower, s=1):
 
 
 def find_family4_delta(T: FieldTower):
-    """Roots of delta^2 + delta - 1 for odd q; gated scan for q even."""
+    """Roots of delta^2 + delta - 1 for odd q; gated scan for q even.  n != 6
+    is refused first."""
+    _check_family4_field(T)
     if T.p != 2:
         roots = T.solve_quadratic(1, T.neg_code(1))
         if not roots:

@@ -413,33 +413,54 @@ class FieldTower:
         return self.mul_code(a, self.inv_code(b))
 
     def dlog(self, a):
-        """Discrete log base g; -1 convention is never used (0 raises)."""
+        """Discrete log base g; -1 convention is never used (0 raises).
+
+        A tabled field reads its log table; any other runs Pohlig-Hellman,
+        with no table kept.  For each l^k exactly dividing M = q^n - 1,
+        g1 = g^(M/l^k) has order l^k and a1 = a^(M/l^k) = g1^r with
+        r = log(a) mod l^k.  Given the digits of r below i, the rest r_i,
+        (a1 g1^-r_i)^(l^(k-1-i)) = gamma^(digit i) for gamma = g1^(l^(k-1))
+        of order l: a baby-step giant-step solve, with the m = isqrt(l) + 1
+        baby steps gamma^j one walk by the F_p-matrix of y -> gamma y,
+        shared by the k digits, and giant steps by gamma^-m.  The CRT joins
+        the residues.  So the largest prime factors of M set the cost: 276
+        baby steps in all at (2,40), 52 at (3,20) and 746 at (1048573,2);
+        the most of any field make_field accepts is 127 080, at (7,13), and
+        (2,31), where M is prime, takes 46 341.
+        """
         if a == 0:
             raise ZeroDivisionError("log of zero")
         if self.log_view is not None:
             return self.log_view[a]
-        return self._bsgs(a)
-
-    @functools.cached_property
-    def _bsgs_baby(self):
-        """g^j -> j for j <= isqrt(M), the baby steps of `_bsgs`."""
-        baby, c = {}, 1
-        for j in range(math.isqrt(self.mult_order) + 1):
-            baby.setdefault(c, j)
-            c = self.mul_code(c, self.gen_code)
-        return baby
-
-    def _bsgs(self, a):
-        M = self.mult_order
-        m = math.isqrt(M) + 1
-        baby = self._bsgs_baby
-        step = self.inv_code(self.pow_code(self.gen_code, m))
-        cur = a
-        for i in range(m + 1):
-            if cur in baby:
-                return (i * m + baby[cur]) % M
-            cur = self.mul_code(cur, step)
-        raise InternalError("BSGS failed; generator is not primitive?")
+        M, p = self.mult_order, self.p
+        weights = np.array(self.digit_weights, dtype=np.int64)
+        x, modulus = 0, 1
+        for ell in _prime_divisors(M):
+            k = 1
+            while M % ell ** (k + 1) == 0:
+                k += 1
+            g1, a1 = (self.pow_code(c, M // ell**k) for c in (self.gen_code, a))
+            gamma, m = self.pow_code(g1, ell ** (k - 1)), math.isqrt(ell) + 1
+            baby, r = None, 0
+            for i in range(k):
+                h = self.pow_code(self.mul_code(a1, self.pow_code(g1, -r)), ell ** (k - 1 - i))
+                if h == 1:
+                    continue
+                if baby is None:
+                    steps = _powers_of_one(self.mul_matrix(gamma), m, p) @ weights
+                    baby = dict(zip(steps.tolist(), range(m)))
+                    giant = self.mul_matrix(self.pow_code(gamma, -m))
+                v = np.array(self.digit_rows([h]), dtype=np.int64)
+                for j in range(m):
+                    if (c := int(v @ weights)) in baby:
+                        break
+                    v = giant @ v % p
+                else:
+                    raise InternalError("baby-step giant-step failed; generator is not primitive?")
+                r += (j * m + baby[c]) % ell * ell**i
+            x += modulus * ((r - x) * pow(modulus, -1, ell**k) % ell**k)
+            modulus *= ell**k
+        return x
 
     def element_key(self, code):
         """Total order key: g^0 < g^1 < ... < g^(M-1) < 0."""

@@ -33,7 +33,7 @@ import functools
 import numpy as np
 
 from ._linalg import kernel_mod, span_codes
-from .errors import AllScalar, HallCase, NotAField, NotScattered
+from .errors import AllScalar, HallCase, NotAField
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
 from .scatter import is_scattered
@@ -304,26 +304,25 @@ def _identity(en):
     return eye
 
 
-def compute_stabilizer(f: LinearizedPoly, check_scattered=True) -> MatrixField:
-    """All M in F_{q^n}^{2x2} with U_f M contained in U_f, as a MatrixField.
+def compute_stabilizer(f: LinearizedPoly) -> MatrixField:
+    """S(f, f), all M in F_{q^n}^{2x2} with U_f M contained in U_f, as a
+    MatrixField certified exactly when f is scattered.
 
     The result holds the stabilizer system and its kernel basis; no element
     is listed.  For scattered f it is the stabilizer field G_f with the zero
-    matrix adjoined, certified by verify_field.  For non-scattered f the raw
-    solution set is returned with verified=False (the field structure is not
-    guaranteed then); with check_scattered=True such input raises
-    NotScattered instead.  Scattered input with n = 2 raises HallCase before
-    the system is built: the field structure needs n >= 3.  Scatteredness
-    is read off the census memo (`is_scattered`), not off the cached
-    result: `diagonalize` may verify the kernel of a non-scattered f later.
+    matrix adjoined, certified by verify_field, so `verified` reads whether
+    f is scattered.  For non-scattered f the raw solution set is returned
+    uncertified (the field structure is not guaranteed then); the callers
+    that need a scattered f raise NotScattered on it.  The memo is read
+    first, and scatteredness (`is_scattered`) only on a miss.  Scattered
+    input with n = 2 raises HallCase before the system is built: the field
+    structure needs n >= 3.
     """
     T = f.tower
-    scattered = is_scattered(f)
-    if check_scattered and not scattered:
-        raise NotScattered("polynomial is not scattered")
     cache = T.cache("stabilizer")
     if f.coeffs in cache:
         return cache[f.coeffs]
+    scattered = is_scattered(f)
     if scattered and T.n == 2:
         # at n = 2 rank-1 solutions exist and the solution set is no field
         raise HallCase("the stabilizer of a scattered polynomial needs n >= 3")
@@ -496,10 +495,11 @@ def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
     """The diagonal form P Mf P^-1 that certified Mf, cached by verify_field.
 
     The rows of P are common eigenvectors of every element of Mf.  A field
-    of scalars (t = 1) raises AllScalar.
+    of scalars (t = 1) raises AllScalar, and a space that verify_field has
+    not certified raises NotAField.
     """
     if not Mf.verified:
-        verify_field(Mf)
+        raise NotAField("the space has no certificate of verify_field")
     if Mf.t == 1:
         raise AllScalar("only scalar multiples of the identity; nothing to diagonalize")
     return Mf._diag

@@ -168,8 +168,11 @@ def image_polynomial(f: LinearizedPoly, W: Mat2) -> LinearizedPoly:
 
 def _standard_pair(f: LinearizedPoly):
     """(form, h0): the diagonal form of G_f and h0 with U_f P^-1 = U_h0, solved
-    for on its class s mod t (proof in `to_standard_form`); NotInS for t = 1."""
+    for on its class s mod t (proof in `to_standard_form`); NotScattered for
+    an f whose stabilizer kernel is uncertified, NotInS for t = 1."""
     Mf = compute_stabilizer(f)
+    if not Mf.verified:
+        raise NotScattered("polynomial is not scattered")
     if Mf.t == 1:
         raise NotInS("stabilizer is the scalar group; no standard form exists")
     form = diagonalize(Mf)
@@ -281,7 +284,7 @@ def _witness(f: LinearizedPoly, S: MatrixField, proven: bool) -> Mat2:
     return S.basis[0]
 
 
-def _check_scattered(*polys: LinearizedPoly):
+def _require_scattered(*polys: LinearizedPoly):
     if not all(is_scattered(f) for f in polys):
         raise NotScattered("equivalence testing is defined for scattered inputs")
 
@@ -302,10 +305,10 @@ def gl_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult:
     (the order is a GL-invariant).  n = 2 is refused with HallCase by
     compute_stabilizer.
     """
-    _check_scattered(f)
+    _require_scattered(f)
     S, proven = _pair_kernel(f, g)
     if not proven:
-        _check_scattered(g)
+        _require_scattered(g)
     if S.basis:
         return EquivalenceResult(True, "GL", witness=_witness(f, S, proven))
     if not _orders_agree(f, g):
@@ -323,7 +326,7 @@ def gammal_equivalent(f: LinearizedPoly, g: LinearizedPoly) -> EquivalenceResult
     G_(g^sigma) = (G_g)^sigma.  Unlike gl_equivalent, the order check comes
     first: it costs two stabilizers, and saves up to en kernels.
     """
-    _check_scattered(f, g)
+    _require_scattered(f, g)
     if not _orders_agree(f, g):
         return EquivalenceResult(False, "GammaL", reason="stabilizer orders differ")
     for k in range(f.tower.en):

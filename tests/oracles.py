@@ -46,7 +46,8 @@ conjugated basis (diag_pairs), and the pairs of the basis itself by
 W b W^-1 with two matrix products each, where the library reads them off
 the rows of W (conjugated_pairs_by_inverse).  The family predictions that
 the conjugator certificate decides are listed element by element
-(predicted_set_by_listing), and the linear set is built
+(predicted_set_by_listing), the Lunardon-Polverino parameter is found by a
+walk of the powers of g (find_lp_delta_by_walk), and the linear set is built
 by one power and a sort per slope (linear_set_by_sort).  Two checks that the
 certified diagonal form proves, so that the library no longer runs them,
 stay here for the differential test: the dimension of U_f on an
@@ -104,11 +105,11 @@ import weakref
 import numpy as np
 
 from scattered_lab._linalg import kernel_mod, rank_mod, rref_mod, span_codes
-from scattered_lab.errors import NotAField, NotBijective
+from scattered_lab.errors import BadParams, NotAField, NotBijective
 from scattered_lab.families import psi_theta
 from scattered_lab.field_tower import _digits, _pack, _prime_divisors, make_field
 from scattered_lab.linearized import LinearizedPoly
-from scattered_lab.mrd import code_of, right_idealizer
+from scattered_lab.mrd import right_idealizer
 from scattered_lab.plane import _plane_preconditions, build_spread
 from scattered_lab.scatter import SlopeCensus, slope_census
 from scattered_lab.stabilizer import Mat2, MatrixField, compute_stabilizer, diagonalize
@@ -119,20 +120,23 @@ from scattered_lab.standard_form import (StandardFormResult, _ab_min, _uv_from, 
 def _keys(V):
     """The key of every element of V in span order: the entries of each
     matrix of a `stabilizer.MatrixField`, the coefficients of each
-    q-polynomial of an `mrd.Idealizer`."""
+    q-polynomial spanned by a nonempty F_p-basis of q-polynomials (the
+    right idealizer of `mrd.right_idealizer`)."""
     if isinstance(V, MatrixField):
         return V._codes()
-    T = V.tower
-    return span_codes([poly_vec(w) for w in V.basis], T.p, T.en, T.n).tolist()
+    T = V[0].tower
+    return span_codes([poly_vec(w) for w in V], T.p, T.en, T.n).tolist()
 
 
 def _of_key(V, row):
-    return Mat2._of(V.tower, *row) if isinstance(V, MatrixField) else LinearizedPoly(V.tower, row)
+    if isinstance(V, MatrixField):
+        return Mat2._of(V.tower, *row)
+    return LinearizedPoly(V[0].tower, row)
 
 
 def elements_of(V):
-    """Every element of the F_p-space V (a `stabilizer.MatrixField` or an
-    `mrd.Idealizer`), zero first, in span order."""
+    """Every element of the F_p-space V (a `stabilizer.MatrixField` or a
+    basis of q-polynomials), zero first, in span order."""
     return tuple(_of_key(V, row) for row in _keys(V))
 
 
@@ -143,6 +147,11 @@ def element_set_of(V):
 
 def nonzero_of(V):
     return [_of_key(V, row) for row in _keys(V) if any(row)]
+
+
+def codeword(f, a, b):
+    """The word a x + b f of C_f."""
+    return LinearizedPoly.identity(f.tower).scale(a) + f.scale(b)
 
 
 def poly_vec(f):
@@ -316,11 +325,10 @@ def right_idealizer_by_annihilator(f):
     N phi = 0 and N (f o phi) = 0.  Both eliminations are kernel_by_outer.
     """
     T = f.tower
-    C = code_of(f)
     rows = []
     for m in range(T.en):
-        beta = int(T.p**m)
-        rows += [poly_vec(C.codeword(beta, 0)), poly_vec(C.codeword(0, beta))]
+        beta = T.p**m
+        rows += [poly_vec(codeword(f, beta, 0)), poly_vec(codeword(f, 0, beta))]
     N = kernel_by_outer(rows, T.p)
     Tf = right_compose_operator_by_blocks(T, f)
     return kernel_by_outer(np.vstack([N, N @ Tf % T.p]), T.p)
@@ -884,31 +892,31 @@ def maps_onto_by_inversion(f, W, g):
     return v == g.compose(u)
 
 
-def min_distance_by_ranks(C):
+def min_distance_by_ranks(f):
     """Minimum distance of C_f from one rank computation per projective class.
 
     The classes are (1, b) for every b and (0, 1); rank-0 classes are the
     zero word (f = c x or f = 0) and are skipped.
     """
-    T = C.tower
+    T = f.tower
     p, e = T.p, T.e
-    Mf = C.f.fp_matrix()
+    Mf = f.fp_matrix()
     eye = np.eye(T.en, dtype=np.int64)
     ranks = [rank_mod((eye + T.mul_matrix(b) @ Mf) % p, p) // e for b in range(T.size)]
     ranks.append(rank_mod(Mf, p) // e)
     return min((r for r in ranks if r > 0), default=T.n + 1)
 
 
-def min_distance_by_sampling(C, sample_size=2000, seed=0):
+def min_distance_by_sampling(f, sample_size=2000, seed=0):
     """Upper bound on the minimum distance of C_f from the ranks of seeded
     random classes (1, b) and of the class (0, 1).
 
     Runs in generic arithmetic, so it also answers on table-less towers,
     where the census (and with it the library's exact distance) refuses.
     """
-    T = C.tower
+    T = f.tower
     p, e = T.p, T.e
-    Mf = C.f.fp_matrix()
+    Mf = f.fp_matrix()
     eye = np.eye(T.en, dtype=np.int64)
     rng = T.rng(("min_distance", seed))
     ranks = [rank_mod((eye + T.mul_matrix(rng.randrange(T.size)) @ Mf) % p, p) // e
@@ -1422,7 +1430,8 @@ def diagonalize_by_conjugation(Mf):
 
 
 def idealizer_field_by_walk(I, tower, exhaustive_bound=200):
-    """(t, generator) of an idealizer: one rank per element, then a power walk.
+    """(t, generator) of an idealizer given by its basis: one rank per
+    element, then a power walk.
 
     Raises NotAField.
     """
@@ -1492,9 +1501,8 @@ def stabilizer_images_by_walk(f):
     """True when M -> a x + c f maps every element of G_f into the right
     idealizer of C_f, injectively and onto."""
     Mf = compute_stabilizer(f)
-    C = code_of(f)
-    iset = element_set_of(right_idealizer(C))
-    images = {C.codeword(M.a, M.c).coeffs for M in elements_of(Mf)}
+    iset = element_set_of(right_idealizer(f))
+    images = {codeword(f, M.a, M.c).coeffs for M in elements_of(Mf)}
     return len(images) == Mf.order and images == iset
 
 
@@ -1532,6 +1540,20 @@ def predicted_set_by_listing(inst):
                          for xi in twisted_eigenspace(T, prm["s"], -1))
     s, t = inst.predicted_s, inst.predicted_t
     return frozenset((al, 0, 0, T.frob_code(al, s)) for al in T.subfield_elements(t))
+
+
+def find_lp_delta_by_walk(T, index=0):
+    """families.find_lp_delta by a walk of the powers g^k, one norm each: the
+    index-th delta with N_{q^n/q}(delta) not in {0, 1}, where the library
+    reads k off the condition (q - 1) not dividing k."""
+    seen = 0
+    for k in range(T.mult_order):
+        d = T.pow_code(T.gen_code, k)
+        if T.rel_norm_code(d, 1) not in (0, 1):
+            if seen == index:
+                return d
+            seen += 1
+    raise BadParams("no valid delta exists")
 
 
 def branches(r):

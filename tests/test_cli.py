@@ -572,10 +572,10 @@ def test_analyze_process_imports_no_families_selftest_or_dataclasses(tmp_path):
 # the package's public names before the families names were loaded on use
 PACKAGE_ALL = [
     "DiagonalizationResult", "EquivalenceResult", "FamilyInstance", "FieldSpec", "FieldTower",
-    "HomologyReport", "Idealizer", "LinearSet", "LinearizedPoly", "Mat2", "MatrixField",
-    "PseudoregulusCase", "RdCode", "ReducibilityWitness", "ScatteredLabError", "Spread",
+    "HomologyReport", "LinearSet", "LinearizedPoly", "Mat2", "MatrixField",
+    "PseudoregulusCase", "ReducibilityWitness", "ScatteredLabError", "Spread",
     "StandardFormResult", "build_spread", "canonicalize", "catalog",
-    "classify_central_collineations", "code_of", "compute_stabilizer", "diagonalize", "errors",
+    "classify_central_collineations", "compute_stabilizer", "diagonalize", "errors",
     "families", "field_from_json", "field_tower", "find_family3_delta", "find_family4_delta",
     "find_lp_delta", "find_psi_h", "gammal_equivalent", "gl_equivalent", "is_scattered",
     "is_scattered_naive", "kernel_scalar_audit", "linear_collineations", "linear_set",

@@ -2,7 +2,6 @@
 
 from scattered_lab import (
     LinearizedPoly,
-    code_of,
     compute_stabilizer,
     diagonalize,
     is_scattered,
@@ -26,8 +25,8 @@ def test_q9_pseudoregulus_full_chain(tower):
     assert element_set_of(Mf) == frozenset(predicted)
     d = diagonalize(Mf)
     assert d.P.is_identity() and d.s == 1
-    assert min_distance(code_of(f)) == T.n - 1
-    assert right_idealizer(code_of(f)).order == 729
+    assert min_distance(f) == T.n - 1
+    assert T.p ** len(right_idealizer(f)) == 729
     assert verify_idealizer_field(f)[0] == 3
 
 
@@ -37,6 +36,6 @@ def test_q4_lp_standard_form_char2(tower):
     assert is_scattered(lp)
     sf = to_standard_form(lp)
     assert sf.t == 2 and sf.h.standard_form_params()[1] == 2
-    assert min_distance(code_of(lp)) == 3
-    assert right_idealizer(code_of(lp)).order == 16
+    assert min_distance(lp) == 3
+    assert T.p ** len(right_idealizer(lp)) == 16
     assert verify_idealizer_field(lp)[0] == 2

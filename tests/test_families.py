@@ -24,7 +24,15 @@ from scattered_lab.scatter import is_scattered
 from scattered_lab.stabilizer import Mat2, compute_stabilizer
 from scattered_lab.standard_form import canonicalize, to_standard_form
 
-from oracles import element_set_of, predicted_set_by_listing, twisted_eigenspace
+from scattered_lab import families
+
+from oracles import (
+    element_set_of,
+    field_id,
+    find_lp_delta_by_walk,
+    predicted_set_by_listing,
+    twisted_eigenspace,
+)
 
 
 def test_pseudoregulus_params(tower):
@@ -54,6 +62,44 @@ def test_lp_params(tower):
     T3 = tower(5, 1, 2)
     with pytest.raises(BadParams):
         make_lp(T3, 1, T3.gen_code)  # n > 3 required
+
+
+@pytest.mark.parametrize("key", [(2, 1, 4), (2, 1, 6), (2, 2, 4), (3, 1, 2), (3, 1, 4),
+                                 (3, 2, 3), (5, 1, 4), (7, 1, 4)], ids=field_id)
+def test_lp_delta_closed_form_matches_walk(tower, key):
+    # the index-th k with (q - 1) not dividing k against the walk of every
+    # power of g; q = 2 has no such k, and both refuse every index there
+    T = tower(*key)
+    count = T.mult_order // (T.q - 1) * (T.q - 2)
+    for index in sorted({0, 1, 2, T.q - 2, T.q - 1, 2 * T.q, count - 1, count, count + 5}):
+        try:
+            want = find_lp_delta_by_walk(T, index)
+        except BadParams:
+            with pytest.raises(BadParams, match="no valid delta exists"):
+                find_lp_delta(T, index)
+        else:
+            assert find_lp_delta(T, index) == want, index
+
+
+@pytest.mark.parametrize("search, key, args, message", [
+    # NotADivisor from a norm over F_(q^(n/2)) before
+    (find_family3_delta, (5, 1, 5), (), r"n in \{6, 8\}"),
+    # 2000 constructions, then "no valid delta found within the search limit"
+    (find_family3_delta, (5, 1, 4), (), r"n in \{6, 8\}"),
+    (find_family3_delta, (5, 1, 6), (3,), r"gcd\(s, n/2\) = 1, got s=3"),
+    # a construction per power of g, then "no valid delta found"
+    (find_family4_delta, (2, 1, 4), (), r"F_\(q\^6\)"),
+    (find_family4_delta, (3, 1, 4), (), r"F_\(q\^6\)"),
+])
+def test_searches_refuse_delta_free_conditions_first(tower, monkeypatch, search, key, args,
+                                                     message):
+    def not_reached(*_):
+        raise AssertionError("a candidate delta was built")
+
+    monkeypatch.setattr(families, "make_family3", not_reached)
+    monkeypatch.setattr(families, "make_family4", not_reached)
+    with pytest.raises(BadParams, match=message):
+        search(tower(*key), *args)
 
 
 def test_family3_params(tower):

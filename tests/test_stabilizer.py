@@ -10,7 +10,7 @@ from scattered_lab.errors import (
     NotScattered,
 )
 from scattered_lab.linearized import LinearizedPoly
-from scattered_lab.mrd import code_of
+from scattered_lab.mrd import verify_idealizer_field
 from scattered_lab.scatter import linear_set
 from scattered_lab.stabilizer import (
     Mat2,
@@ -22,6 +22,7 @@ from scattered_lab.stabilizer import (
     diagonalize,
     verify_field,
 )
+from scattered_lab.standard_form import to_standard_form
 
 from oracles import (
     BUILDER_FIELDS,
@@ -93,20 +94,25 @@ def test_completeness_random_audit(tower):
 def test_not_scattered_raises_and_unverified_path(tower):
     T = tower(5, 1, 4)
     f = LinearizedPoly.identity(T)
-    with pytest.raises(NotScattered):
-        compute_stabilizer(f)
     # the solution space of f = x is huge (3 en-dimensional); it comes back
-    # as its kernel basis, with nothing listed
-    raw = compute_stabilizer(f, check_scattered=False)
+    # uncertified, as its kernel basis, with nothing listed
+    raw = compute_stabilizer(f)
     assert not raw.verified and not scatter.is_scattered(f)
-    # the memo now holds f's solution space; the census still refuses it
-    with pytest.raises(NotScattered):
-        compute_stabilizer(f)
     assert raw.order == T.p ** (3 * T.en)
+    # the memo hands back the same space; the callers that need a scattered
+    # f refuse it, and diagonalize certifies nothing on the side
+    assert compute_stabilizer(f) is raw
+    with pytest.raises(NotScattered, match="polynomial is not scattered"):
+        to_standard_form(f)
+    with pytest.raises(NotScattered, match="polynomial is not scattered"):
+        verify_idealizer_field(f)
+    with pytest.raises(NotAField):
+        diagonalize(raw)
+    assert not raw.verified
     # a small non-scattered example contains singular nonzero solutions, so
     # it cannot be a field
     T3 = tower(3, 1, 3)
-    raw3 = compute_stabilizer(LinearizedPoly.identity(T3), check_scattered=False)
+    raw3 = compute_stabilizer(LinearizedPoly.identity(T3))
     assert not raw3.verified
     assert any(not m.is_zero() and m.det() == 0 for m in elements_of(raw3))
 
@@ -345,8 +351,7 @@ def test_codes_out_of_range_are_refused_at_every_entry(tower):
             lambda: f.scale(bad),
             lambda: f.transform(bad, 1),
             lambda: f.transform(1, bad),
-            lambda: code_of(f).codeword(bad, 0),
-            lambda: code_of(f).codeword(0, bad),
+            lambda: LinearizedPoly.identity(T).scale(bad),
         ]
         for entry in entries:
             with pytest.raises(BadElement, match="outside"):
@@ -355,7 +360,7 @@ def test_codes_out_of_range_are_refused_at_every_entry(tower):
     top = T.size - 1
     assert Mat2.scalar(T, top).det() == T.mul_code(top, top)
     assert f.evaluate_code(top) == T.frob_code(top, 1)
-    assert code_of(f).codeword(top, 0).coeffs == (top, 0, 0, 0)
+    assert LinearizedPoly.identity(T).scale(top).coeffs == (top, 0, 0, 0)
 
 
 def _pair_kernel_matches(f, g):
