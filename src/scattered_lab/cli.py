@@ -53,7 +53,7 @@ def _emit(doc, stream=None):
 
 def _task_scatter(T, f, args):
     ls = linear_set(f)
-    doc = ls.to_json(T, emit_points=args.emit_points)
+    doc = ls.to_json(emit_points=args.emit_points)
     if args.oracle:
         try:
             doc["oracle_agrees"] = bool(
@@ -163,12 +163,15 @@ def cmd_equiv(args):
     f = _load_poly(T, args.f)
     g = _load_poly(T, args.g)
     res = gammal_equivalent(f, g) if args.mode == "gammal" else gl_equivalent(f, g)
+    # both inputs are scattered: the tests refused any other.  An equivalence
+    # conjugates G_g onto G_f, so only a "not equivalent" answer reads G_g
+    t_f = compute_stabilizer(f).t
+    t_g = t_f if res.equivalent else compute_stabilizer(g).t
     _emit({
         "schema_version": SCHEMA_VERSION,
         "field": T.spec().to_json(),
         "equiv": res.to_json(),
-        # both inputs are scattered: the equivalence tests refused any other
-        "in_class_S": [compute_stabilizer(f).t > 1, compute_stabilizer(g).t > 1],
+        "in_class_S": [t_f > 1, t_g > 1],
     })
     return 0
 

@@ -122,6 +122,12 @@ def _check_family4_field(T: FieldTower):
         raise BadParams("this family lives in F_(q^6)[x]")
 
 
+def _check_psi_shape(T: FieldTower, t: int):
+    """The condition of family 5 that depends on neither h nor s."""
+    if T.n != 2 * t or t < 3:
+        raise BadParams(f"need n = 2t with t >= 3, got n={T.n}, t={t}")
+
+
 def make_family3(T: FieldTower, s: int, delta) -> FamilyInstance:
     """f(x) = delta x^{q^s} + x^{q^{s + n/2}}, n in {6, 8}; scatteredness re-checked."""
     d = int(delta)
@@ -175,8 +181,7 @@ def make_psi(T: FieldTower, h, t: int, s: int) -> FamilyInstance:
     """
     hc = int(h)
     n, q, M = T.n, T.q, T.mult_order
-    if n != 2 * t or t < 3:
-        raise BadParams(f"need n = 2t with t >= 3, got n={n}, t={t}")
+    _check_psi_shape(T, t)
     if math.gcd(s, n) != 1:
         raise BadParams(f"need gcd(s, n) = 1, got s={s}")
     if T.p == 2:
@@ -300,15 +305,13 @@ def find_family4_delta(T: FieldTower):
 
 
 def find_psi_h(T: FieldTower, t: int, index=0):
-    """index-th h (in g^k order) with N_{q^n/q^t}(h) = -1, by solving the log congruence."""
-    M = T.mult_order
-    e_norm = (T.q**T.n - 1) // (T.q**t - 1)
+    """index-th h (in g^k order) with N_{q^n/q^t}(h) = -1: for n = 2t and odd q,
+    N(g^j) = g^(j (q^t + 1)) is -1 = g^(M/2) exactly when j = (q^t - 1)/2 mod q^t - 1."""
+    _check_psi_shape(T, t)
     if T.p == 2:
         raise BadParams("q must be odd")
-    if (M // 2) % e_norm:
-        raise BadParams("-1 is not a norm in this configuration")
-    j0 = (M // 2) // e_norm
-    return T.pow_code(T.gen_code, j0 + index * (T.q**t - 1))
+    order = T.q**t - 1
+    return T.pow_code(T.gen_code, order // 2 + index * order)
 
 
 def catalog(T: FieldTower) -> list[FamilyInstance]:

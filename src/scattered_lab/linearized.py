@@ -13,8 +13,8 @@ tower's cached multiplication and Frobenius matrices without evaluating
 f.  The same matrix gives the bulk evaluation at every element:
 `_linalg.linear_values` tabulates it in code order by p-adic doubling, one
 digit level at a time, so its cost does not grow with the number of terms.
-A single value, `evaluate_code`, reads the tower's exp/log memoryviews, one
-log per term, on a field with tables.  The way back to a q-polynomial is
+A single value, `evaluate_code`, is field arithmetic on every field: one
+Frobenius and one product per term.  The way back to a q-polynomial is
 one routine, `solve_on_class`: the r with r o u = v whose exponents all lie
 in one residue class s mod t, n/t unknowns over F_{q^n}.  The standard form
 and its inverse are solved on the class that the G_f certificate names; a
@@ -144,16 +144,7 @@ class LinearizedPoly:
     def evaluate_code(self, x):
         T = self.tower
         T.check_codes(x)
-        if x == 0:
-            return 0
         acc = 0
-        if T.has_tables:
-            # the term a_i x^(q^i) is g^(log a_i + q^i log x)
-            exp, log, M = T.exp_view, T.log_view, T.mult_order
-            lx = log[x]
-            for i in self.support:
-                acc = T.add_code(acc, exp[(log[self.coeffs[i]] + lx * T.frob_exps[i]) % M])
-            return acc
         for i in self.support:
             acc = T.add_code(acc, T.mul_code(self.coeffs[i], T.frob_code(x, i)))
         return acc

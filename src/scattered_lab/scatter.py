@@ -7,7 +7,8 @@ slopes is (q^n - 1)/(q - 1).  The census keeps the attained slopes, their
 fiber sizes and the kernel size, and nothing pointwise: the linear set, the
 minimum distance and the plane's spread are all read from the slopes and
 counts.  Censuses are memoized per tower, in an LRU memo of
-`field_tower.CACHE_SIZE` entries.  f is F_q-linear, so
+`field_tower.CACHE_SIZE` entries.  The linear set is a view of its census,
+gathering the slope codes only when they are read.  f is F_q-linear, so
 f(c x)/(c x) = f(x)/x for every c in F_p^*: each fiber is a union of
 F_p^*-classes, and the pass visits one code per class, those whose top
 nonzero digit is 1, and multiplies its counts by p - 1.  Their values come
@@ -132,23 +133,19 @@ def is_scattered_naive(f: LinearizedPoly, mode="projective") -> bool:
     if step * (step - 1) // 2 > PROJECTIVE_PAIR_BOUND:
         raise TooLarge(f"{step * (step - 1) // 2} pairs of projective classes exceed "
                        f"the naive scan's bound of {PROJECTIVE_PAIR_BOUND}")
-    # one representative g^a per projective class: a in [0, M/(q-1))
-    reps = range(step)
-    for ia, a in enumerate(reps):
-        ya = T.pow_code(T.gen_code, a)
-        fa = f.evaluate_code(ya)
-        for b in list(reps)[ia + 1:]:
-            zb = T.pow_code(T.gen_code, b)
-            fb = f.evaluate_code(zb)
-            lhs = T.mul_code(zb, fa)
-            rhs = T.mul_code(ya, fb)
-            if lhs == rhs:
+    # one representative y = g^a per projective class, a in [0, M/(q-1)),
+    # with f(y) evaluated once
+    reps = [T.pow_code(T.gen_code, a) for a in range(step)]
+    points = [(y, f.evaluate_code(y)) for y in reps]
+    for ia, (ya, fa) in enumerate(points):
+        for zb, fb in points[ia + 1:]:
+            if T.mul_code(zb, fa) == T.mul_code(ya, fb):
                 return False
     return True
 
 
 class LinearSet:
-    """The linear set of f on the projective line, as normalized slopes.
+    """The linear set of f on the projective line, as a view of its census.
 
     Points are (1, m) for each attained slope m of f(x)/x; the point (0, 1)
     never arises from a subspace of shape {(x, f(x))}, so the wire format's
@@ -156,34 +153,37 @@ class LinearSet:
     A nontrivial kernel shows up as the zero slope, i.e. the point (1, 0).
     """
 
-    __slots__ = ("slopes", "scattered")
+    __slots__ = ("tower", "census", "scattered")
 
-    def __init__(self, slopes: tuple, scattered: bool):
-        self.slopes = slopes          # element codes, sorted in g^k order (zero last)
+    def __init__(self, tower, census: SlopeCensus, scattered: bool):
+        self.tower = tower
+        self.census = census
         self.scattered = scattered
 
     @property
     def size(self):
-        return len(self.slopes)
+        return self.census.n_slopes
 
-    def to_json(self, tower, emit_points=False):
+    @property
+    def slopes(self):
+        """Element codes in g^k order (slope_logs is sorted), zero last."""
+        slopes = self.tower.exp_table[self.census.slope_logs].tolist()
+        if self.census.kernel_count:
+            slopes.append(0)
+        return tuple(slopes)
+
+    def to_json(self, emit_points=False):
         doc = {
             "size": self.size,
             "scattered": self.scattered,
             "has_infinity": False,
         }
         if emit_points:
-            doc["slopes"] = [tower.format_code(m) for m in self.slopes]
+            doc["slopes"] = [self.tower.format_code(m) for m in self.slopes]
         return doc
 
 
 def linear_set(f: LinearizedPoly) -> LinearSet:
-    T = f.tower
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial spans no linear set")
-    census = slope_census(f)
-    # slope_logs is sorted, so the gather is already in g^k order
-    slopes = T.exp_table[census.slope_logs].tolist()
-    if census.kernel_count:
-        slopes.append(0)
-    return LinearSet(tuple(slopes), is_scattered(f))
+    return LinearSet(f.tower, slope_census(f), is_scattered(f))

@@ -10,7 +10,8 @@ inversion) freedom is resolved with the lowest coefficient normalized to 1,
 taking the lexicographically smallest coefficient vector in the g^k element
 order (zero sorts last).  With b = g^lam each coefficient's log is linear in
 lam mod q^n - 1, so the least b is found term by term, one linear
-congruence each, with no scan over F_{q^n}^*.
+congruence each, with no scan over F_{q^n}^*: `canonicalize` answers on
+every field, while `to_standard_form` needs G_f and so the census.
 
 Equivalence is one F_p-kernel, S(f, g) = {M : U_f M in U_g}.  For scattered
 f, g with n >= 3 a rank-1 M would put n - 1 >= 2 F_q-dimensions of U_g on
@@ -96,17 +97,17 @@ def _ab_min(r: LinearizedPoly):
     pins a.  With b = g^lam the other coefficients have logs
     (rho_i + lam e_i) mod M, rho_i = log r_i - log r_i0 and
     e_i = q^i - q^i0, so the least b (in the g^k order) is `_min_exponent`
-    in closed form, with no scan.  Returns (poly, a_code, b_code).
+    in closed form, with no scan and no table (`FieldTower.dlog` runs
+    Pohlig-Hellman without one).  Returns (poly, a_code, b_code).
     """
     T = r.tower
-    T.require_tables("the scan over b")
     M = T.mult_order
     supp = r.support
     if not supp:
         raise NotStandard("zero polynomial")
     i0 = supp[0]
-    l0, q0 = T.dlog(r.coeffs[i0]), T.frob_exps[i0]
-    lam = _min_exponent(M, [((T.dlog(r.coeffs[i]) - l0) % M, (T.frob_exps[i] - q0) % M)
+    l0, q0 = T.dlog(r.coeffs[i0]), pow(T.q, i0, M)
+    lam = _min_exponent(M, [((T.dlog(r.coeffs[i]) - l0) % M, (pow(T.q, i, M) - q0) % M)
                             for i in supp[1:]])
     b = T.pow_code(T.gen_code, lam)
     scaled = r.transform(1, b)

@@ -12,7 +12,10 @@ import pytest
 from scattered_lab import _linalg, cli, mrd, scatter
 from scattered_lab.cli import main
 from scattered_lab.families import find_lp_delta, find_psi_h, make_lp, make_pseudoregulus, make_psi
+from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
+from scattered_lab.stabilizer import Mat2
+from scattered_lab.standard_form import image_polynomial
 
 
 def run_cli(argv, tmp_path=None):
@@ -493,6 +496,55 @@ def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
         assert code == 0
         assert json.loads(out)["tasks"] == {t: golden["tasks"][t] for t in tasks.split(",")}
         assert len(calls) == builds, tasks
+
+
+def test_scatter_task_reads_no_slope_codes(tmp_path, monkeypatch):
+    # without --emit-points the report reads the census's slope count only:
+    # the slope codes are never gathered
+    def refuse(self):
+        raise AssertionError("the slope codes were gathered")
+
+    monkeypatch.setattr(scatter.LinearSet, "slopes", property(refuse))
+    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"coeffs": coeffs}))
+    golden = json.loads((GOLDEN / "analyze_psi_5_6.json").read_text())
+    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                            "--tasks", "scatter"])
+    assert code == 0
+    assert json.loads(out)["tasks"] == {"scatter": golden["tasks"]["scatter"]}
+
+
+def test_equivalent_pair_runs_no_census_on_g(tmp_path, monkeypatch):
+    # a GL witness conjugates G_g onto G_f: g's class-S flag is f's, and
+    # neither the equivalence test nor the report takes g's census; a pair
+    # that is not equivalent reports g's own flag
+    censused = []
+    census = scatter.slope_census
+
+    def recorded(h):
+        censused.append(h.coeffs)
+        return census(h)
+
+    monkeypatch.setattr(scatter, "slope_census", recorded)
+    T4, T5 = make_field(5, 1, 4), make_field(5, 1, 5)
+    lp4, lp5 = (make_lp(T, 1, find_lp_delta(T)).poly for T in (T4, T5))
+    cases = [(lp4, image_polynomial(lp4, Mat2(T4, 3, 5, 8, 13)), True, [True, True]),
+             (lp5, LinearizedPoly.monomial(T5, 1), False, [False, True])]
+    for f, g, equivalent, in_class_S in cases:
+        censused.clear()
+        paths = []
+        for name, doc in (("field", f.tower.spec().to_json()), ("f", f.to_json()),
+                          ("g", g.to_json())):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        code, out, _ = run_cli(["equiv", "--field", *map(str, paths)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["equiv"]["equivalent"] is equivalent and doc["in_class_S"] == in_class_S
+        assert f.coeffs in censused and (g.coeffs in censused) is not equivalent
 
 
 def _src_env():

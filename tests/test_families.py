@@ -90,6 +90,10 @@ def test_lp_delta_closed_form_matches_walk(tower, key):
     # a construction per power of g, then "no valid delta found"
     (find_family4_delta, (2, 1, 4), (), r"F_\(q\^6\)"),
     (find_family4_delta, (3, 1, 4), (), r"F_\(q\^6\)"),
+    # "-1 is not a norm in this configuration" before, from a floor division
+    (find_psi_h, (5, 1, 5), (2,), r"need n = 2t with t >= 3, got n=5, t=2"),
+    # "q must be odd" before
+    (find_psi_h, (2, 1, 4), (2,), r"need n = 2t with t >= 3, got n=4, t=2"),
 ])
 def test_searches_refuse_delta_free_conditions_first(tower, monkeypatch, search, key, args,
                                                      message):

@@ -14,7 +14,7 @@ from scattered_lab.scatter import (
     linear_set,
     slope_census,
 )
-from scattered_lab.standard_form import canonicalize, image_polynomial
+from scattered_lab.standard_form import image_polynomial
 from scattered_lab.stabilizer import Mat2, compute_stabilizer
 
 from oracles import (
@@ -59,7 +59,7 @@ def test_census_matches_dict_oracle(tower):
 def test_linear_set_sizes(tower):
     T = tower(5, 1, 4)
     ls = linear_set(LinearizedPoly.monomial(T, 1))
-    assert ls.size == 156 and ls.scattered and ls.to_json(T)["has_infinity"] is False
+    assert ls.size == 156 and ls.scattered and ls.to_json()["has_infinity"] is False
     # four-term family at (5,6) spans 3906 = (5^6 - 1)/4 points
     T6 = tower(5, 1, 6)
     from scattered_lab.families import find_psi_h, make_psi
@@ -103,6 +103,31 @@ def test_naive_oracle_agreement(tower):
         r = is_scattered(f)
         assert r == is_scattered_naive(f, "pairs")
         assert r == is_scattered_naive(f, "projective")
+
+
+def test_projective_scan_evaluates_each_class_once(tower, monkeypatch):
+    # f(y) once per class representative, (q^n - 1)/(q - 1) calls in all,
+    # whatever the answer; the scan still agrees with the pairs mode and the
+    # census on catalog instances and seeded f
+    calls = []
+    evaluate = LinearizedPoly.evaluate_code
+
+    def counted(f, x):
+        calls.append(x)
+        return evaluate(f, x)
+
+    monkeypatch.setattr(LinearizedPoly, "evaluate_code", counted)
+    for key in ((3, 1, 3), (2, 2, 3), (5, 1, 4), (3, 2, 3)):
+        T = tower(*key)
+        rng = T.rng("projective-scan")
+        polys = [inst.poly for inst in catalog(T)]
+        polys += [LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])
+                  for _ in range(4)]
+        for f in polys:
+            calls.clear()
+            answer = is_scattered_naive(f, "projective")
+            assert len(calls) == T.mult_order // (T.q - 1), (key, f.coeffs)
+            assert answer == is_scattered_naive(f, "pairs") == is_scattered(f), f.coeffs
 
 
 def test_pairs_scan_refused_past_its_bound(tower):
@@ -233,9 +258,8 @@ def test_line_intersection_direct_enumeration(tower):
 def test_enumerations_refuse_table_less_tower():
     T = make_field(5, 1, 4, table_bound=0)
     f = LinearizedPoly.monomial(T, 1)
-    h = LinearizedPoly(T, [0, 1, 0, T.gen_code])
     for call in (lambda: is_scattered(f), lambda: compute_stabilizer(f),
-                 lambda: canonicalize(h), f.eval_all_logs, lambda: is_scattered_naive(f, "pairs")):
+                 f.eval_all_logs, lambda: is_scattered_naive(f, "pairs")):
         with pytest.raises(TooLarge):
             call()
 
@@ -243,7 +267,7 @@ def test_enumerations_refuse_table_less_tower():
 def test_linear_set_json(tower):
     T = tower(5, 1, 4)
     ls = linear_set(LinearizedPoly.monomial(T, 1))
-    doc = ls.to_json(T, emit_points=True)
+    doc = ls.to_json(emit_points=True)
     assert doc["size"] == 156 and doc["scattered"] and not doc["has_infinity"]
     assert len(doc["slopes"]) == 156
     assert all(isinstance(s, str) for s in doc["slopes"])

@@ -36,6 +36,7 @@ from scattered_lab.standard_form import (
 )
 
 from oracles import (
+    TABLE_FIELDS,
     ab_min_by_array_scan,
     ab_min_by_scan,
     branches,
@@ -43,6 +44,7 @@ from oracles import (
     canonical_by_scan,
     element_set_of,
     elements_of,
+    field_id,
     gl_by_standard_forms,
     gl_solutions_by_brute_force,
     image_by_fp_matrix,
@@ -404,6 +406,24 @@ def test_no_table_canonicalize_agrees():
         p1, a1, b1 = _ab_min(r1)
         p0, a0, b0 = ab_min_by_scan(r0)
         assert (p1.coeffs, a1, b1) == (p0.coeffs, a0, b0)
+
+
+@pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
+def test_table_less_canonicalize_matches_tables(tower, key):
+    # the closed-form _ab_min on a tower without tables (logs by
+    # Pohlig-Hellman) against the tabled tower: the standard forms of the
+    # catalog, and seeded class-S polynomials, two on each class s mod t
+    T, U = tower(*key), make_field(*key, table_bound=0)
+    polys = [to_standard_form(inst.poly).h for inst in catalog(T)
+             if T.n > 2 and compute_stabilizer(inst.poly).t > 1]
+    rng = T.rng("table-less canonicalize")
+    for t in range(2, T.n + 1):
+        if T.n % t == 0:
+            for s in rng.sample(range(t), min(t, 2)):
+                polys.append(LinearizedPoly(
+                    T, [rng.randrange(1, T.size) if k % t == s else 0 for k in range(T.n)]))
+    for h in polys:
+        assert canonicalize(LinearizedPoly(U, h.coeffs)).coeffs == canonicalize(h).coeffs, h
 
 
 def test_min_exponent_matches_array_scan():
