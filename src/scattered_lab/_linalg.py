@@ -94,20 +94,6 @@ def _slot(row, c, width, p):
     return (row >> c * width & (1 << width) - 1) % p
 
 
-def rref_mod(A, p):
-    """Reduced row echelon form of an integer matrix mod p.
-
-    Returns (R, pivots) where R is a new int64 array and pivots the list of
-    pivot column indices; the elimination runs on packed rows
-    (`_packed_rref`), which are unpacked here in full.
-    """
-    rows, pivots, width = _packed_rref(A, p)
-    cols = np.shape(A)[1]
-    R = np.array([[_slot(row, c, width, p) for c in range(cols)] for row in rows],
-                 dtype=np.int64)
-    return R.reshape(len(rows), cols), pivots
-
-
 def kernel_mod(A, p):
     """Basis of the right kernel {v : Av = 0 mod p} as rows of an array.
 
@@ -229,26 +215,3 @@ def class_values(p, A, block):
     low = _weights(p, A.shape[0]) @ (A[:, :levels] @ block % p)
     return np.concatenate([low] + [linear_values(p, A[:, :j], A[:, j])
                                    for j in range(levels, A.shape[1])])
-
-
-def span_codes(basis_vecs, p, width, blocks, rows=None):
-    """F_p-combinations of the digit vectors basis_vecs, packed into codes.
-
-    Row r is the combination whose coefficients are the base-p digits of r,
-    most significant first, i.e. the order of
-    itertools.product(range(p), repeat=len(basis_vecs)); with no vectors the
-    only row is zero.  Each combination is cut into `blocks` runs of `width`
-    little-endian digits and each run is packed into one code, so the result
-    is an int64 array of shape (len(rows), blocks); rows defaults to every
-    r < p**len(basis_vecs).
-    """
-    dim = len(basis_vecs)
-    r = np.arange(p**dim, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
-    if dim == 0:
-        return np.zeros((len(r), blocks), dtype=np.int64)
-    B = np.array(basis_vecs, dtype=np.int64).reshape(dim, blocks * width)
-    combos = (r[:, None] // p ** np.arange(dim - 1, -1, -1, dtype=np.int64)) % p
-    digits = (combos @ B) % p
-    pvec = p ** np.arange(width, dtype=np.int64)
-    return digits.reshape(-1, blocks, width) @ pvec
-

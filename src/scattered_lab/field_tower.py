@@ -780,7 +780,7 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
     return FieldTower(FieldSpec(p, e, n, modulus, generator, seed), table_bound=table_bound)
 
 
-def field_from_json(doc, table_bound=DEFAULT_TABLE_BOUND) -> FieldTower:
+def field_from_json(doc) -> FieldTower:
     """The tower of a JSON field spec.  p, e, n, seed and a generator that is
     no digit array must be integers, and a digit array needs exactly e n
     digits: anything else is refused with BadElement, not truncated or parsed."""
@@ -801,5 +801,4 @@ def field_from_json(doc, table_bound=DEFAULT_TABLE_BOUND) -> FieldTower:
         if len(gen) != e * n:
             raise BadElement(f"generator digit array must have length {e * n}")
         gen = _pack(_outside_digits(gen, p, "generator"), p)
-    return make_field(p, e, n, seed=seed, modulus=modulus, generator=gen,
-                      table_bound=table_bound)
+    return make_field(p, e, n, seed=seed, modulus=modulus, generator=gen)

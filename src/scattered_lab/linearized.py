@@ -111,14 +111,6 @@ class LinearizedPoly:
         T = self.tower
         return LinearizedPoly._of(T, [T.add_code(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other):
-        T = self.tower
-        return LinearizedPoly._of(T, [T.sub_code(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        T = self.tower
-        return LinearizedPoly._of(T, [T.neg_code(a) for a in self.coeffs])
-
     def scale(self, a):
         """a * f, coefficientwise."""
         T = self.tower
@@ -173,9 +165,6 @@ class LinearizedPoly:
                 out[k] = T.add_code(out[k], T.mul_code(fi, T.frob_code(other.coeffs[j], i)))
         return LinearizedPoly._of(T, out)
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     # -- F_p-matrices ---------------------------------------------------------
     def fp_matrix(self):
         """en x en matrix over F_p of the action on power-basis coordinates."""
@@ -187,9 +176,6 @@ class LinearizedPoly:
         if r % self.tower.e:
             raise ZeroPolynomial("F_p-rank not divisible by e; map is not F_q-linear")
         return r // self.tower.e
-
-    def kernel_dim(self):
-        return self.tower.n - self.rank()
 
     def invert(self) -> "LinearizedPoly":
         """Compositional inverse; raises NotBijective if the kernel is nontrivial.

@@ -15,15 +15,14 @@ S(f, g) = {M : U_f M in U_g}, which decides equivalence
 (n-2)*en x 2*en Schur complement on (c, d) is eliminated.
 
 The solution set is kept as that system and its kernel basis, as the digit
-rows the elimination gives (`MatrixField`): its order is p^dim, and no
-element is listed unless a caller asks for the list.  For scattered f the
-nonzero solutions form a matrix field of order q^t with t | n,
-simultaneously diagonalizable: P G_f P^-1 = D(s, t) = {diag(x, x^(q^s)) :
-x in F_(q^t)}.  That diagonal form is the certificate (`verify_field`): P
-is read from the eigen-rows of one basis matrix, and since conjugation by
-P is F_p-linear, only the basis matrices are conjugated.  The generator
-is found from the diagonal entries by scalar powers alone, with no matrix
-product.
+rows the elimination gives (`MatrixField`): its order is p^dim, and the
+library lists no element.  For scattered f the nonzero solutions form a
+matrix field of order q^t with t | n, simultaneously diagonalizable:
+P G_f P^-1 = D(s, t) = {diag(x, x^(q^s)) : x in F_(q^t)}.  That diagonal
+form is the certificate (`verify_field`): P is read from the eigen-rows of
+one basis matrix, and since conjugation by P is F_p-linear, only the basis
+matrices are conjugated.  The generator is found from the diagonal entries
+by scalar powers alone, with no matrix product.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import functools
 
 import numpy as np
 
-from ._linalg import kernel_mod, span_codes
+from ._linalg import kernel_mod
 from .errors import AllScalar, HallCase, NotAField
 from .field_tower import FieldTower
 from .linearized import LinearizedPoly
@@ -83,29 +82,9 @@ class Mat2:
             T.add_code(T.mul_code(self.c, other.b), T.mul_code(self.d, other.d)),
         )
 
-    def __add__(self, other):
-        T = self.tower
-        return Mat2._of(T, T.add_code(self.a, other.a), T.add_code(self.b, other.b),
-                        T.add_code(self.c, other.c), T.add_code(self.d, other.d))
-
-    def __sub__(self, other):
-        T = self.tower
-        return Mat2._of(T, T.sub_code(self.a, other.a), T.sub_code(self.b, other.b),
-                        T.sub_code(self.c, other.c), T.sub_code(self.d, other.d))
-
-    def scale(self, x):
-        T = self.tower
-        return Mat2._of(T, *(T.mul_code(x, v) for v in self.entries()))
-
     def det(self):
         T = self.tower
         return T.sub_code(T.mul_code(self.a, self.d), T.mul_code(self.b, self.c))
-
-    def is_zero(self):
-        return self.entries() == (0, 0, 0, 0)
-
-    def is_identity(self):
-        return self.entries() == (1, 0, 0, 1)
 
     def is_scalar(self):
         return self.b == 0 and self.c == 0 and self.a == self.d
@@ -118,13 +97,6 @@ class Mat2:
         di = T.inv_code(dt)
         return Mat2._of(T, T.mul_code(di, self.d), T.mul_code(di, T.neg_code(self.b)),
                         T.mul_code(di, T.neg_code(self.c)), T.mul_code(di, self.a))
-
-    def apply(self, point):
-        """Row-vector action: (x, y) -> (x a + y c, x b + y d)."""
-        T = self.tower
-        x, y = point
-        return (T.add_code(T.mul_code(x, self.a), T.mul_code(y, self.c)),
-                T.add_code(T.mul_code(x, self.b), T.mul_code(y, self.d)))
 
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.tower.key == other.tower.key
@@ -152,10 +124,11 @@ class MatrixField:
     times any one of its nonzero elements.  The F_p-coordinates of a matrix
     are the little-endian base-p digits of its entries (a, b, c, d); coords
     holds the kernel basis as those digit rows, and `basis` reads them as
-    Mat2.  Elements are numbered as in `_linalg.span_codes`: element r is the
-    combination of the basis whose coefficients are the base-p digits of r,
-    so element 0 is zero.  The library never lists the elements; only the
-    test oracles do, through `_codes()`.
+    Mat2.  Elements are numbered in span order: element r is the combination
+    of the basis rows whose coefficients are the base-p digits of r, most
+    significant first, so element 0 is zero and the last basis row carries
+    the lowest digit.  The library never lists the elements; only the test
+    oracles do.
     """
 
     __slots__ = ("tower", "system", "coords", "t", "generator", "_diag", "_basis")
@@ -201,10 +174,6 @@ class MatrixField:
         """For each digit row, does it lie outside ker(system mod p)?  One
         product with the system, as a boolean array."""
         return (self.system @ np.asarray(rows).T % self.tower.p).any(axis=0)
-
-    def _codes(self, rows=None):
-        T = self.tower
-        return span_codes(self.coords, T.p, T.en, 4, rows).tolist()
 
     @classmethod
     def of_pair(cls, f: LinearizedPoly, g: LinearizedPoly):

@@ -54,7 +54,10 @@ stay here for the differential test: the dimension of U_f on an
 F_(q^n)-line, read off the census (line_intersection_dim), and the order of
 kappa_0 by a walk of its powers (_homology_factor_order).
 The element lists of a kernel-basis space, which the library never builds,
-live here too (elements_of, element_set_of, nonzero_of).  So do the bulk
+live here too (elements_of, element_set_of, nonzero_of, through span_codes),
+with the full RREF that unpacks every slot of `_linalg._packed_rref`
+(rref_mod) and the matrix arithmetic that only tests use
+(mat_add, mat_scale, mat_apply).  So do the bulk
 passes that p-adic doubling (`_linalg.linear_values`) replaced: the
 term-by-term evaluation with a digitwise addition of code arrays
 (eval_all_logs_by_terms, add_code_arrays), the giant-step matmul build of
@@ -104,7 +107,7 @@ import weakref
 
 import numpy as np
 
-from scattered_lab._linalg import kernel_mod, rank_mod, rref_mod, span_codes
+from scattered_lab._linalg import _packed_rref, _slot, kernel_mod, rank_mod
 from scattered_lab.errors import BadParams, NotAField, NotBijective
 from scattered_lab.families import psi_theta
 from scattered_lab.field_tower import _digits, _pack, _prime_divisors, make_field
@@ -117,13 +120,47 @@ from scattered_lab.standard_form import (StandardFormResult, _ab_min, _uv_from, 
                                          to_standard_form)
 
 
+def rref_mod(A, p):
+    """Reduced row echelon form of an integer matrix mod p, as (R, pivots):
+    R a new int64 array and pivots the list of pivot column indices.  The
+    packed rows of `_linalg._packed_rref` are unpacked here in full; the
+    library reads only the pivots and the slots it needs."""
+    rows, pivots, width = _packed_rref(A, p)
+    cols = np.shape(A)[1]
+    R = np.array([[_slot(row, c, width, p) for c in range(cols)] for row in rows],
+                 dtype=np.int64)
+    return R.reshape(len(rows), cols), pivots
+
+
+def span_codes(basis_vecs, p, width, blocks):
+    """Every F_p-combination of the digit vectors basis_vecs, packed into codes.
+
+    Row r is the combination whose coefficients are the base-p digits of r,
+    most significant first, i.e. the order of
+    itertools.product(range(p), repeat=len(basis_vecs)); with no vectors the
+    only row is zero.  Each combination is cut into `blocks` runs of `width`
+    little-endian digits and each run is packed into one code, so the result
+    is an int64 array of shape (p**len(basis_vecs), blocks).
+    """
+    dim = len(basis_vecs)
+    r = np.arange(p**dim, dtype=np.int64)
+    if dim == 0:
+        return np.zeros((1, blocks), dtype=np.int64)
+    B = np.array(basis_vecs, dtype=np.int64).reshape(dim, blocks * width)
+    combos = (r[:, None] // p ** np.arange(dim - 1, -1, -1, dtype=np.int64)) % p
+    digits = (combos @ B) % p
+    pvec = p ** np.arange(width, dtype=np.int64)
+    return digits.reshape(-1, blocks, width) @ pvec
+
+
 def _keys(V):
     """The key of every element of V in span order: the entries of each
     matrix of a `stabilizer.MatrixField`, the coefficients of each
     q-polynomial spanned by a nonempty F_p-basis of q-polynomials (the
     right idealizer of `mrd.right_idealizer`)."""
     if isinstance(V, MatrixField):
-        return V._codes()
+        T = V.tower
+        return span_codes(V.coords, T.p, T.en, 4).tolist()
     T = V[0].tower
     return span_codes([poly_vec(w) for w in V], T.p, T.en, T.n).tolist()
 
@@ -164,6 +201,26 @@ def mat_vec(M):
     """The F_p-coordinates of a Mat2: the digits of each entry (a, b, c, d)."""
     T = M.tower
     return [d for c in M.entries() for d in _digits(c, T.p, T.en)]
+
+
+def mat_add(M, N):
+    """M + N, entrywise."""
+    T = M.tower
+    return Mat2._of(T, *(T.add_code(x, y) for x, y in zip(M.entries(), N.entries())))
+
+
+def mat_scale(M, x):
+    """x M, entrywise."""
+    T = M.tower
+    return Mat2._of(T, *(T.mul_code(x, v) for v in M.entries()))
+
+
+def mat_apply(M, point):
+    """The row-vector action of M: (x, y) -> (x a + y c, x b + y d)."""
+    T = M.tower
+    x, y = point
+    return (T.add_code(T.mul_code(x, M.a), T.mul_code(y, M.c)),
+            T.add_code(T.mul_code(x, M.b), T.mul_code(y, M.d)))
 
 
 def in_kernel(V, M):
@@ -927,8 +984,8 @@ def min_distance_by_sampling(f, sample_size=2000, seed=0):
 
 def _fixed_vector(T, lam):
     """A nonzero row vector v with v lam = v, or None."""
-    delta = lam - Mat2.identity(T)
-    if delta.is_zero():
+    delta = Mat2._of(T, T.sub_code(lam.a, 1), lam.b, lam.c, T.sub_code(lam.d, 1))   # lam - I
+    if not any(delta.entries()):
         return (1, 0)
     if delta.a != 0 or delta.c != 0:
         v = (delta.c, T.neg_code(delta.a))
@@ -955,7 +1012,7 @@ def central_classes_by_scan(f):
     if Mf.t == 1:
         for dd in range(step):
             lam = Mat2.scalar(T, T.pow_code(T.gen_code, dd))
-            if not lam.is_identity() and _fixed_vector(T, lam) is not None:
+            if lam != Mat2.identity(T) and _fixed_vector(T, lam) is not None:
                 raise AssertionError("a scalar class fixes a direction pointwise")
         return [], [], 0
     pair_of = {m.entries(): pr for m, pr in zip(elements_of(Mf), diag_pairs(Mf))}
@@ -975,17 +1032,18 @@ def central_classes_by_scan(f):
             if not (ex or ey) or (ex and ey and (lx - ly) % T.mult_order == 0):
                 continue
             d = T.pow_code(T.gen_code, dd)
-            lam = m.scale(d)
+            lam = mat_scale(m, d)
             if ex:
-                group_X.append(lam.scale(T.inv_code(T.mul_code(d, x))))
+                group_X.append(mat_scale(lam, T.inv_code(T.mul_code(d, x))))
             if ey:
-                group_Y.append(lam.scale(T.inv_code(T.mul_code(d, y))))
+                group_Y.append(mat_scale(lam, T.inv_code(T.mul_code(d, y))))
 
     def kappa_order(mu):
         return T.element_key(T.sub_code(T.add_code(mu.a, mu.d), 1))
 
-    group_X = sorted((m for m in group_X if not m.is_identity()), key=kappa_order)
-    group_Y = sorted((m for m in group_Y if not m.is_identity()), key=kappa_order)
+    identity = Mat2.identity(T)
+    group_X = sorted((m for m in group_X if m != identity), key=kappa_order)
+    group_Y = sorted((m for m in group_Y if m != identity), key=kappa_order)
     return group_X, group_Y, elations
 
 
@@ -1058,7 +1116,7 @@ def _component_image(spread, comp, M):
         pts = [(T.mul_code(h, int(T.p**i)),
                 T.mul_code(h, spread.f.evaluate_code(int(T.p**i))))
                for i in range(T.en)]
-    images = [M.apply(pt) for pt in pts]
+    images = [mat_apply(M, pt) for pt in pts]
     target = component_of(spread, images[0])
     # lines map to lines and translates to translates; a type switch would
     # mean an F_{q^n}-line coincides with some h U_f, impossible for
@@ -1120,8 +1178,8 @@ def spread_cover_by_walk(spread, point_bound=1 << 20):
     # translate/translate meets, one kernel per coset class c not in F_q^*
     for j in range(1, spread.h_class_count):
         c = T.pow_code(T.gen_code, j)
-        twisted = f.transform(1, c) - f.scale(c)   # f(c x) - c f(x)
-        if twisted.kernel_dim() != 0:
+        twisted = f.transform(1, c) + f.scale(T.neg_code(c))   # f(c x) - c f(x)
+        if T.n - twisted.rank() != 0:
             return {"ok": False,
                     "reason": f"translates meet nontrivially at coset g^{j}"}
     pointwise = False
@@ -1183,15 +1241,16 @@ def cyclic_by_walk(T, elements):
     order = len(elements)
     eset = {m.entries() for m in elements}
     factors = _prime_divisors(order) if order > 1 else ()
+    identity = Mat2.identity(T)
     for m in elements:
-        if m.is_identity() and order > 1:
+        if m == identity and order > 1:
             continue
         if not any(power_is_one_by_chain(m, order // ell) for ell in factors):
-            walk, cur = set(), Mat2.identity(T)
+            walk, cur = set(), identity
             for _ in range(order):
                 cur = cur * m
                 walk.add(cur.entries())
-            return cur.is_identity() and walk == eset
+            return cur == identity and walk == eset
     return order == 1
 
 
@@ -1207,7 +1266,7 @@ def homology_groups(P, N):
         # P^-1 diag(1, kappa) P = P^-1 diag(1, 0) P + kappa P^-1 diag(0, 1) P
         fixed = Pinv * Mat2.diag(T, slot, 1 - slot) * P
         moved = Pinv * Mat2.diag(T, 1 - slot, slot) * P
-        groups.append([fixed + moved.scale(k) for k in kappas] + [Mat2.identity(T)])
+        groups.append([mat_add(fixed, mat_scale(moved, k)) for k in kappas] + [Mat2.identity(T)])
     return tuple(groups)
 
 
@@ -1222,9 +1281,9 @@ def _homology_kappas(P, group, slot):
     i = 0 if moved[0] else 1
     kappas = []
     for mu in group:
-        image = mu.apply(moved)
+        image = mat_apply(mu, moved)
         kappa = T.div_code(image[i], moved[i])
-        if kappa == 0 or mu.apply(fixed) != fixed or image != (
+        if kappa == 0 or mat_apply(mu, fixed) != fixed or image != (
                 T.mul_code(kappa, moved[0]), T.mul_code(kappa, moved[1])):
             return None
         kappas.append(kappa)
@@ -1300,7 +1359,7 @@ def decomposition_by_sampling(T, Mf, diag, t, samples=64):
     for _ in range(samples):
         m = elems[rng.randrange(len(elems))]
         d = T.pow_code(T.gen_code, rng.randrange(T.mult_order))
-        c = diag.P * m.scale(d) * diag.P.inverse()
+        c = diag.P * mat_scale(m, d) * diag.P.inverse()
         if c.b != 0 or c.c != 0:
             return False
         kappa = T.div_code(c.d, c.a)
@@ -1330,14 +1389,15 @@ def field_by_walk(Mf, exhaustive_bound=200):
     eset = frozenset(m.entries() for m in elements)
     if (0, 0, 0, 0) not in eset or (1, 0, 0, 1) not in eset:
         raise NotAField("zero or identity missing")
+    identity = Mat2.identity(T)
     for m in elements:
-        if not m.is_zero() and m.det() == 0:
+        if any(m.entries()) and m.det() == 0:
             raise NotAField("singular nonzero element")
     group_order = order - 1
     factors = _prime_divisors(group_order) if group_order > 1 else ()
     generator = None
     for m in elements:
-        if m.is_zero() or (m.is_identity() and group_order > 1):
+        if not any(m.entries()) or (m == identity and group_order > 1):
             continue
         if not any(power_is_one_by_chain(m, group_order // ell) for ell in factors):
             generator = m
@@ -1345,11 +1405,11 @@ def field_by_walk(Mf, exhaustive_bound=200):
     if generator is None:
         raise NotAField("no element of full multiplicative order")
     walk = set()
-    cur = Mat2.identity(T)
+    cur = identity
     for _ in range(group_order):
         cur = cur * generator
         walk.add(cur.entries())
-    if not cur.is_identity() or len(walk) != group_order or not walk <= eset:
+    if cur != identity or len(walk) != group_order or not walk <= eset:
         raise NotAField("powers of the generator do not enumerate the nonzero part")
     basis = list(Mf.basis) if Mf.basis else [generator]
     rng = T.rng("verify_field")
@@ -1359,7 +1419,7 @@ def field_by_walk(Mf, exhaustive_bound=200):
     if order <= exhaustive_bound:
         pairs = [(x, y) for i, x in enumerate(elements) for y in elements[i:]]
     for x, y in pairs:
-        if (x + y).entries() not in eset:
+        if mat_add(x, y).entries() not in eset:
             raise NotAField("sum escapes the set")
         if order <= exhaustive_bound:
             if (x * y).entries() not in eset or x * y != y * x:

@@ -2,6 +2,7 @@
 
 from scattered_lab import (
     LinearizedPoly,
+    Mat2,
     compute_stabilizer,
     diagonalize,
     is_scattered,
@@ -24,7 +25,7 @@ def test_q9_pseudoregulus_full_chain(tower):
     predicted.add((0, 0, 0, 0))
     assert element_set_of(Mf) == frozenset(predicted)
     d = diagonalize(Mf)
-    assert d.P.is_identity() and d.s == 1
+    assert d.P == Mat2.identity(T) and d.s == 1
     assert min_distance(f) == T.n - 1
     assert T.p ** len(right_idealizer(f)) == 729
     assert verify_idealizer_field(f)[0] == 3

@@ -4,12 +4,13 @@ replaced: the outer-product update and the eagerly reduced broadcast update."""
 import numpy as np
 import pytest
 
-from scattered_lab._linalg import _packed_rref, kernel_mod, rank_mod, rref_mod, solve_mod
+from scattered_lab._linalg import _packed_rref, kernel_mod, rank_mod, solve_mod
 from scattered_lab.errors import TooLarge
 from scattered_lab.families import catalog
 from scattered_lab.stabilizer import _pair_system
 
-from oracles import inv_mod_matrix, kernel_by_outer, rref_by_outer, rref_eager, solve_by_outer
+from oracles import (inv_mod_matrix, kernel_by_outer, rref_by_outer, rref_eager, rref_mod,
+                     solve_by_outer)
 
 
 def _matrices(p, seed):

@@ -176,7 +176,6 @@ def test_rank_oracle_agreement(tower):
         for _ in range(12):
             f = rand_poly(T, rng)
             assert f.rank() == rank_by_row_reduction(T, f)
-            assert f.rank() + f.kernel_dim() == T.n
 
 
 def test_invert_examples(tower):
@@ -264,7 +263,7 @@ def test_internal_results_skip_the_range_check(monkeypatch):
     u = LinearizedPoly.monomial(T, 1, a)
 
     def results():
-        return [f + g, f - g, -f, f.scale(a), f.transform(a, b), f.compose(g),
+        return [f + g, f.scale(a), f.transform(a, b), f.compose(g),
                 f.twist(1), u.solve_on_class(g, 0, 1)]
 
     want = [r.coeffs for r in results()]

@@ -130,6 +130,31 @@ def test_projective_scan_evaluates_each_class_once(tower, monkeypatch):
             assert answer == is_scattered_naive(f, "pairs") == is_scattered(f), f.coeffs
 
 
+def test_census_fibers_are_punctured_fq_spaces(tower):
+    # the fiber of f(x)/x at m is ker(f - m x) minus 0, an F_q-space, so every
+    # fiber size, and a nonzero kernel count, is q^k - 1 with
+    # k = n - rank(f - m x).  A fiber of more than q - 1 elements therefore
+    # holds at least q + 1 projective classes, and a non-scattered f has a
+    # colliding pair of classes that avoids any one given class
+    for key in ((3, 1, 4), (5, 1, 3), (2, 2, 3), (2, 1, 5)):
+        T = tower(*key)
+        rng = T.rng("fiber-spaces")
+        polys = [LinearizedPoly(T, [T.neg_code(1), 1] + [0] * (T.n - 2))]   # ker = F_q
+        polys += [LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)])
+                  for _ in range(8)]
+        large = kernels = 0
+        for f in polys:
+            census = slope_census(f)
+            for s, count in zip(census.slope_logs.tolist(), census.counts.tolist()):
+                minus_m = LinearizedPoly.monomial(T, 0, T.neg_code(T.pow_code(T.gen_code, s)))
+                k = T.n - (f + minus_m).rank()
+                assert k >= 1 and count == T.q**k - 1, (key, f.coeffs, s)
+                large += count > T.q - 1
+            assert census.kernel_count == T.q ** (T.n - f.rank()) - 1, (key, f.coeffs)
+            kernels += census.kernel_count > 0
+        assert large and kernels, key
+
+
 def test_pairs_scan_refused_past_its_bound(tower):
     # at (5,6) the M x M index array alone would take about 2 GB
     f = LinearizedPoly.monomial(tower(5, 1, 6), 1)

@@ -33,6 +33,7 @@ from oracles import (
     element_set_of,
     elements_of,
     in_kernel,
+    mat_apply,
     mat_power,
     mat_vec,
     pair_system_by_blocks,
@@ -56,7 +57,7 @@ def test_lp_dichotomy(tower):
     Mf = compute_stabilizer(make_lp(T4, 1, find_lp_delta(T4)).poly)
     assert Mf.t == 2 and Mf.group_order == 24
     diag = diagonalize(Mf)
-    assert diag.P.is_identity() and diag.s == 1
+    assert diag.P == Mat2.identity(T4) and diag.s == 1
     T5 = tower(5, 1, 5)
     Mf5 = compute_stabilizer(make_lp(T5, 1, find_lp_delta(T5)).poly)
     assert Mf5.t == 1 and Mf5.group_order == 4
@@ -69,7 +70,7 @@ def test_soundness_exhaustive(tower):
     Mf = compute_stabilizer(f)
     for m in elements_of(Mf):
         for xc in range(27):
-            x, y = m.apply((xc, f.evaluate_code(xc)))
+            x, y = mat_apply(m, (xc, f.evaluate_code(xc)))
             assert f.evaluate_code(x) == y
 
 
@@ -85,7 +86,7 @@ def test_completeness_random_audit(tower):
                  rng.randrange(625), rng.randrange(625))
         if m.det() == 0 or m.entries() in eset:
             continue
-        images = (m.apply((xc, f.evaluate_code(xc))) for xc in range(1, 625))
+        images = (mat_apply(m, (xc, f.evaluate_code(xc))) for xc in range(1, 625))
         violated = any(f.evaluate_code(x) != y for x, y in images)
         assert violated
         audited += 1
@@ -114,7 +115,7 @@ def test_not_scattered_raises_and_unverified_path(tower):
     T3 = tower(3, 1, 3)
     raw3 = compute_stabilizer(LinearizedPoly.identity(T3))
     assert not raw3.verified
-    assert any(not m.is_zero() and m.det() == 0 for m in elements_of(raw3))
+    assert any(any(m.entries()) and m.det() == 0 for m in elements_of(raw3))
 
 
 def test_large_stabilizer_without_element_list(tower):
@@ -165,7 +166,7 @@ def test_verify_field_on_manual_sets(tower):
     Mf = _span_field(T, [Mat2.identity(T)])
     assert element_set_of(Mf) == {Mat2.scalar(T, c).entries() for c in range(5)}
     t, gen = verify_field(Mf)
-    assert t == 1 and mat_power(gen, 4).is_identity()
+    assert t == 1 and mat_power(gen, 4) == Mat2.identity(T)
     # a basis matrix outside the kernel of the system
     with pytest.raises(NotAField, match="outside the kernel"):
         verify_field(_span_field(T, [Mat2.identity(T), Mat2(T, 0, 1, 0, 0)],
@@ -179,7 +180,7 @@ def test_diagonalize_pseudoregulus_is_identity(tower):
     T = tower(5, 1, 4)
     Mf = compute_stabilizer(LinearizedPoly.monomial(T, 1))
     diag = diagonalize(Mf)
-    assert diag.P.is_identity()
+    assert diag.P == Mat2.identity(T)
     assert diag.s == 1 and diag.t == 4
     assert diag.eigen_points == ((1, 0), (0, 1))
 
@@ -312,11 +313,11 @@ def test_mat2_algebra(tower):
         m = Mat2(T, *(rng.randrange(625) for _ in range(4)))
         if m.det() == 0:
             continue
-        assert (m * m.inverse()).is_identity()
+        assert m * m.inverse() == Mat2.identity(T)
         assert mat_power(m, 3) == m * m * m
         pt = (rng.randrange(625), rng.randrange(625))
-        via = m.apply(pt)
-        back = m.inverse().apply(via)
+        via = mat_apply(m, pt)
+        back = mat_apply(m.inverse(), via)
         assert back == pt
 
 
