@@ -7,7 +7,7 @@ planes, at desk scale.
 """
 
 from .errors import ScatteredLabError
-from .field_tower import FieldSpec, FieldTower, field_from_json, make_field
+from .field_tower import FieldTower, field_from_json, make_field
 from .linearized import LinearizedPoly
 from .scatter import (
     LinearSet,
@@ -17,7 +17,6 @@ from .scatter import (
     slope_census,
 )
 from .stabilizer import (
-    DiagonalizationResult,
     Mat2,
     MatrixField,
     compute_stabilizer,

@@ -149,7 +149,7 @@ def cmd_analyze(args):
             raise ParseError(f"unknown task {t!r}; choose from {', '.join(TASKS)}")
     _emit({
         "schema_version": SCHEMA_VERSION,
-        "field": T.spec().to_json(),
+        "field": T.spec(),
         "tasks": {t: TASKS[t](T, f, args) for t in tasks},
         # echoed after the tasks: on a field without tables the echo takes a
         # discrete log per coefficient, and the tasks refuse such a field first
@@ -169,7 +169,7 @@ def cmd_equiv(args):
     t_g = t_f if res.equivalent else compute_stabilizer(g).t
     _emit({
         "schema_version": SCHEMA_VERSION,
-        "field": T.spec().to_json(),
+        "field": T.spec(),
         "equiv": res.to_json(),
         "in_class_S": [t_f > 1, t_g > 1],
     })
@@ -197,14 +197,15 @@ def cmd_families(args):
     from . import families as fam
 
     if args.field is None and args.n is None:
-        args.n = 2 * args.t if args.t else 6
+        args.n = 6 if args.t is None else 2 * args.t
     T = field_from_json({"p": args.q_prime, "e": args.e, "n": args.n, "seed": args.seed}) \
         if args.field is None else _load_field(args.field)
-    args.t = args.t or T.n // 2      # family 5's subfield degree
+    if args.t is None:
+        args.t = T.n // 2      # family 5's subfield degree
     inst = FAMILIES[args.family](fam, T, args)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "field": T.spec().to_json(),
+        "field": T.spec(),
         "instance": inst.to_json(),
     }
     if args.verify:

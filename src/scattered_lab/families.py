@@ -113,6 +113,8 @@ def _family3_half(T: FieldTower, s: int) -> int:
     half = T.n // 2
     if math.gcd(s, half) != 1:
         raise BadParams(f"need gcd(s, n/2) = 1, got s={s}")
+    if not 1 <= s < T.n:
+        raise BadParams(f"need 1 <= s < n, got s={s}")
     return half
 
 
@@ -184,6 +186,8 @@ def make_psi(T: FieldTower, h, t: int, s: int) -> FamilyInstance:
     _check_psi_shape(T, t)
     if math.gcd(s, n) != 1:
         raise BadParams(f"need gcd(s, n) = 1, got s={s}")
+    if not 1 <= s < T.n:
+        raise BadParams(f"need 1 <= s < n, got s={s}")
     if T.p == 2:
         raise BadParams("q must be odd for this family")
     if T.rel_norm_code(hc, t) != T.neg_code(1):
@@ -209,22 +213,22 @@ def make_psi(T: FieldTower, h, t: int, s: int) -> FamilyInstance:
                           "(alpha, xi*theta; xi/theta, alpha), alpha in F_q, xi^(q^s) = -xi")
 
 
-def psi_standard_form_closed(T: FieldTower, h, t: int, s: int,
-                             formula="auto") -> LinearizedPoly:
+def psi_standard_form_closed(T: FieldTower, h, t: int, s: int, formula) -> LinearizedPoly:
     """Closed standard forms of the four-term family where one is known.
 
-    t = 3 (any valid h): the trinomial
+    formula="trinomial", t = 3 (any valid h):
         (1 - h^(1+q^(2s))) x^(q^s) + (h + h^2) x^(q^(3s)) + h^(1+q^(2s)) (h + h^(q^s)) x^(q^(5s)).
-    t odd with h in F_q (so h^2 = -1, q = 1 mod 4): the alternating series
+    formula="series", t odd with h in F_q (so h^2 = -1, q = 1 mod 4): the
+    alternating series
         h * sum_i (-1)^i x^(u^(2i-1)) + sum_i (-1)^(i+1) x^(u^(t+2i)), u = q^s.
     """
     hc = int(h)
     n, q, M = T.n, T.q, T.mult_order
     if n != 2 * t:
         raise BadParams(f"need n = 2t, got n={n}, t={t}")
+    if not 1 <= s < T.n:
+        raise BadParams(f"need 1 <= s < n, got s={s}")
     in_fq = T.subfield_member_code(hc, 1)
-    if formula == "auto":
-        formula = "trinomial" if t == 3 else "series"
     if formula == "trinomial":
         if t != 3:
             raise UnsupportedParams("the trinomial form is displayed only for t = 3")
@@ -257,17 +261,13 @@ def psi_standard_form_closed(T: FieldTower, h, t: int, s: int,
 # -- deterministic parameter searches ----------------------------------------
 
 
-def find_lp_delta(T: FieldTower, index=0):
-    """index-th delta (in g^k order) with N_{q^n/q}(delta) not in {0, 1}:
-    N(g^k) = g^(k (q^n - 1)/(q - 1)) is 1 exactly when (q - 1) | k, so the
-    index-th k off the multiples of q - 1 is read off; q = 2 has none."""
+def find_lp_delta(T: FieldTower):
+    """The first delta (in g^k order) with N_{q^n/q}(delta) not in {0, 1}:
+    N(g^k) = g^(k (q^n - 1)/(q - 1)) is 1 exactly when (q - 1) | k, so it is
+    g itself for q > 2; q = 2 has none."""
     if T.q == 2:
         raise BadParams("no valid delta exists")
-    block, r = divmod(index, T.q - 2)
-    k = block * (T.q - 1) + r + 1
-    if not 0 <= k < T.mult_order:
-        raise BadParams("no valid delta exists")
-    return T.pow_code(T.gen_code, k)
+    return T.gen_code
 
 
 def find_family3_delta(T: FieldTower, s=1):

@@ -182,45 +182,6 @@ def first_irreducible(p, degree):
     raise InternalError(f"no irreducible polynomial of degree {degree} over F_{p}")
 
 
-class FieldSpec:
-    """Construction data for a tower; two towers with equal specs are equal.
-
-    Specs compare and hash by their six values.
-    """
-
-    __slots__ = ("p", "e", "n", "modulus", "generator", "seed")
-
-    def __init__(self, p: int, e: int, n: int, modulus: tuple[int, ...], generator: int,
-                 seed: int = 0):
-        self.p = p
-        self.e = e
-        self.n = n
-        self.modulus = modulus
-        self.generator = generator
-        self.seed = seed
-
-    def _values(self):
-        return (self.p, self.e, self.n, self.modulus, self.generator, self.seed)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "e": self.e,
-            "n": self.n,
-            "modulus": list(self.modulus),
-            "generator": _digits(self.generator, self.p, self.e * self.n),
-            "seed": self.seed,
-        }
-
-
 def _digits(code, p, width):
     out = []
     for _ in range(width):
@@ -264,23 +225,24 @@ class _LRU(OrderedDict):
 
 
 class FieldTower:
-    """The chain F_p < F_q < F_{q^n} with all precomputed machinery."""
+    """The chain F_p < F_q < F_{q^n} with all precomputed machinery; `spec`
+    writes its construction values, and towers with equal specs are equal."""
 
-    def __init__(self, spec: FieldSpec, table_bound=DEFAULT_TABLE_BOUND):
+    def __init__(self, p: int, e: int, n: int, modulus: tuple[int, ...], generator: int,
+                 seed: int = 0, table_bound=DEFAULT_TABLE_BOUND):
         if table_bound >= TABLE_BOUND_LIMIT:
             raise TooLarge(f"table_bound {table_bound} is not below {TABLE_BOUND_LIMIT}, "
                            f"the limit of int32 tables")
-        self.spec_data = spec
-        self.p = spec.p
-        self.e = spec.e
-        self.n = spec.n
-        self.q = spec.p**spec.e
-        self.en = spec.e * spec.n
-        self.size = spec.p**self.en
+        self.p = p
+        self.e = e
+        self.n = n
+        self.q = p**e
+        self.en = e * n
+        self.size = p**self.en
         self.mult_order = self.size - 1
-        self.modulus = spec.modulus
-        self.seed = spec.seed
-        self.key = (spec.p, spec.e, spec.n, spec.modulus)
+        self.modulus = modulus
+        self.seed = seed
+        self.key = (p, e, n, modulus)
         # x_powers[k] = C^k, the F_p-matrix of y -> X^k y: column i holds the
         # digits of X^(k+i)
         powers = _powers_of_one(_companion(self.modulus, self.p), 2 * self.en - 1, self.p)
@@ -288,7 +250,7 @@ class FieldTower:
         self.digit_weights = [self.p**k for k in range(self.en)]
         self.exp_table = self.log_table = None
         self.exp_view = self.log_view = None
-        self.gen_code = spec.generator
+        self.gen_code = generator
         if self.size <= table_bound:
             self._build_tables()
         self._caches: dict[str, _LRU] = {}
@@ -684,8 +646,10 @@ class FieldTower:
         return random.Random(int.from_bytes(hashlib.sha256(material).digest()[:8], "big"))
 
     # -- serialization -------------------------------------------------------
-    def spec(self) -> FieldSpec:
-        return self.spec_data
+    def spec(self) -> dict:
+        """The JSON field spec of this tower: field_from_json builds it again."""
+        return {"p": self.p, "e": self.e, "n": self.n, "modulus": list(self.modulus),
+                "generator": _digits(self.gen_code, self.p, self.en), "seed": self.seed}
 
     def format_code(self, code):
         if code == 0:
@@ -766,7 +730,7 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
         if not is_irreducible(modulus, p):
             raise BadElement("supplied modulus is reducible")
 
-    probe = FieldTower(FieldSpec(p, e, n, modulus, p, seed), table_bound=0)
+    probe = FieldTower(p, e, n, modulus, p, seed, table_bound=0)
     M = probe.mult_order
     if generator is None:
         generator = next(c for c in range(p, probe.size) if probe.has_order(c, M))
@@ -777,7 +741,7 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
             raise BadElement(f"supplied generator {generator} is outside [1, {probe.size})")
         if not probe.has_order(generator, M):
             raise BadElement("supplied generator is not primitive")
-    return FieldTower(FieldSpec(p, e, n, modulus, generator, seed), table_bound=table_bound)
+    return FieldTower(p, e, n, modulus, generator, seed, table_bound=table_bound)
 
 
 def field_from_json(doc) -> FieldTower:

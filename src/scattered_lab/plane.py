@@ -14,7 +14,7 @@ slope census) and G_f = P^-1 {diag(alpha, alpha^(q^s))} P (diagonalize).
 The homology groups are the cyclic groups generated by P^-1 diag(1, kappa_0)
 P and P^-1 diag(kappa_0, 1) P with kappa_0 = omega^(q^s)/omega.  Their
 order (q^t - 1)/(q - 1), and that their generators lie in H_f, follow from
-that form with gcd(s, t) = 1 (`DiagonalizationResult`), so neither is
+that form with gcd(s, t) = 1 (`MatrixField`), so neither is
 checked.  That the generators of H_f permute the spread is no check but a
 consequence of verify_field: the generator of G_f lies in the kernel of the
 stabilizer system and is a nonzero element of a matrix field, hence
@@ -31,7 +31,6 @@ from __future__ import annotations
 from .errors import (
     HallCase,
     InternalError,
-    NotBijective,
     NotScattered,
     SmallQ,
 )
@@ -116,7 +115,7 @@ def linear_collineations(f: LinearizedPoly) -> dict:
     coordinates, giving order (q^n - 1)(q^t - 1)/(q - 1).  The factors
     alpha^(q^s - 1) form the cyclic group generated by kappa_0 =
     omega^(q^s - 1), of order (q^t - 1)/(q^gcd(s, t) - 1) = (q^t - 1)/(q - 1)
-    since gcd(s, t) = 1 (`DiagonalizationResult`); for t = 1 it is 1.
+    since gcd(s, t) = 1 (`MatrixField`); for t = 1 it is 1.
     Both generators permute the spread by facts already certified, so
     nothing is walked or checked here.  The scalar generator g I fixes every
     F_{q^n}-line and sends g^j U_f to g^(j+1) U_f, a permutation of the
@@ -193,7 +192,7 @@ def classify_central_collineations(f: LinearizedPoly) -> HomologyReport:
     have order N = (q^t - 1)/(q - 1), with nothing to check:
     kappa_0 = omega^(q^s - 1) has order (q^t - 1)/gcd(q^s - 1, q^t - 1)
     = (q^t - 1)/(q^gcd(s, t) - 1), and gcd(s, t) = 1 for scattered f
-    (`DiagonalizationResult`).  The same order makes the factorization
+    (`MatrixField`).  The same order makes the factorization
     of H_f into a kernel homology times diag(1, kappa) unique: H_f
     decomposes.  Both generators are scalar
     multiples of A = P^-1 diag(omega, omega^(q^s)) P or of its inverse
@@ -228,27 +227,27 @@ class PseudoregulusCase:
 
 
 class ReducibilityWitness:
-    """Invariant proper subgroup of a conjugated translate component.
+    """Invariant proper subgroup of a conjugated component.
 
-    The component W = (h U_f)^phi with phi: X -> X P^{-1} is a graph
-    {(y, g(y))}; the subgroup {(y, g(y)) : y in F_{q^t}} is invariant under
-    the stabilizer of W inside P H_f P^{-1}, which certifies that the plane
-    is not a generalized Andre plane: the support of g proves it
-    (`reducibility_witness`), and the tests re-check it by a walk.
+    The component W = U_f P^{-1} is the graph {(y, g(y))}; the subgroup
+    {(y, g(y)) : y in F_{q^t}} is invariant under the stabilizer of W inside
+    P H_f P^{-1}, which certifies that the plane is not a generalized Andre
+    plane: the support of g proves it (`reducibility_witness`), and the
+    tests re-check it by a walk.
     """
 
-    __slots__ = ("h_code", "g", "t")
+    __slots__ = ("g", "t")
 
-    def __init__(self, h_code: int, g: LinearizedPoly, t: int):
-        self.h_code = h_code
+    def __init__(self, g: LinearizedPoly, t: int):
         self.g = g
         self.t = t
 
     def to_json(self, tower):
         # the subgroup is F_(q^t), W's stabilizer P G_f P^-1; "verified" rests
-        # on the support of the class solve that built g
+        # on the support of the class solve that built g.  W is the translate
+        # h U_f with h = 1 = g^0, conjugated by P.
         return {
-            "h": tower.format_code(self.h_code),
+            "h": "g^0",
             "g": self.g.to_json()["coeffs"],
             "t": self.t,
             "invariant_subgroup_size": tower.q**self.t,
@@ -257,18 +256,16 @@ class ReducibilityWitness:
         }
 
 
-def reducibility_witness(f: LinearizedPoly, h=1):
+def reducibility_witness(f: LinearizedPoly):
     """Executable certificate that the plane is not a generalized Andre plane.
 
-    The class solve (`_standard_pair`) gives h0 with U_f P^-1 = U_h0 and no
-    coefficient off s mod t.  W = (h U_f) P^-1 is the graph of
-    g(y) = h h0(y/h) = h0.transform(h, h^-1), with the support of h0, so
-    g(alpha y) = alpha^(q^s) g(y) for alpha in F_(q^t), as t divides n:
-    P G_f P^-1 = {diag(alpha, alpha^(q^s))} fixes W and its proper subgroup
+    The class solve (`_standard_pair`) gives g = h0 with U_f P^-1 = U_h0 and
+    no coefficient off s mod t, so g(alpha y) = alpha^(q^s) g(y) for alpha
+    in F_(q^t), as t divides n: P G_f P^-1 = {diag(alpha, alpha^(q^s))}
+    fixes W = U_f P^-1 = U_g and its proper subgroup
     {(y, g(y)) : y in F_(q^t)}, with nothing to check.  Returns a
     PseudoregulusCase marker when t = n (an Andre plane, no witness); raises
-    NotInS when the stabilizer is trivial, then BadElement for h outside
-    [0, q^n) and NotBijective for h = 0.
+    NotInS when the stabilizer is trivial.
     """
     _plane_preconditions(f)
     T = f.tower
@@ -276,10 +273,7 @@ def reducibility_witness(f: LinearizedPoly, h=1):
     if t == T.n:
         return PseudoregulusCase(t)
     _, h0 = _standard_pair(f)
-    T.check_codes(h)
-    if h == 0:
-        raise NotBijective("h = 0 maps U_f onto the zero space")
-    return ReducibilityWitness(h, h0.transform(h, T.inv_code(h)), t)
+    return ReducibilityWitness(h0, t)
 
 
 def semilinear_part_audit(f: LinearizedPoly, seed=0) -> dict:

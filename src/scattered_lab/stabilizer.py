@@ -129,17 +129,24 @@ class MatrixField:
     significant first, so element 0 is zero and the last basis row carries
     the lowest digit.  The library never lists the elements; only the test
     oracles do.
+
+    verify_field certifies the space by its diagonal form and keeps it here:
+    P Mf P^-1 = D(s, t) = {diag(x, x^(q^s)) : x in F_(q^t)}, 0 <= s < t.
+    gcd(s, t) = 1 for scattered f: with d = gcd(s, t), every beta in
+    F_(q^d) lies in F_(q^t) and has beta^(q^s) = beta, so diag(beta, beta)
+    lies in D(s, t) and beta I in Mf.  Then U_f is F_(q^d)-linear, and the
+    fiber of f(x)/x at any x != 0 holds the q^d - 1 elements beta x, so
+    d = 1 by scatteredness.
     """
 
-    __slots__ = ("tower", "system", "coords", "t", "generator", "_diag", "_basis")
+    __slots__ = ("tower", "system", "coords", "t", "s", "P", "generator", "_basis")
 
     def __init__(self, tower: FieldTower, system: np.ndarray, coords: np.ndarray):
         self.tower = tower
         self.system = system         # F_p-matrix whose kernel is the solution space
         self.coords = coords         # F_p-basis of that kernel, one digit row each
-        self.t = None                # order = q^t once verified
+        self.t = self.s = self.P = None   # P Mf P^-1 = D(s, t), |Mf| = q^t, once verified
         self.generator = None        # a Mat2 of order q^t - 1 once verified
-        self._diag = None            # DiagonalizationResult, the certificate of verify_field
         self._basis = None
 
     @classmethod
@@ -160,7 +167,13 @@ class MatrixField:
     def verified(self):
         """Has verify_field certified this space as a field?  Its diagonal
         form is the certificate."""
-        return self._diag is not None
+        return self.P is not None
+
+    @property
+    def eigen_points(self):
+        """The rows of P, already normalized points: `_eigenbasis` normalizes
+        its rows, and the identity's are (1, 0) and (0, 1)."""
+        return ((self.P.a, self.P.b), (self.P.c, self.P.d))
 
     @property
     def order(self):
@@ -312,15 +325,15 @@ def verify_field(Mf: MatrixField):
     eigen-rows of the first non-scalar basis matrix (P = I when every basis
     matrix is scalar).  Every basis matrix conjugated by P must be
     diag(x, y) with x in F_(q^t), and y = x^(q^s) for one least s < t on
-    the whole basis (`_twisted`).  Conjugation by P and x -> (x, x^(q^s))
+    the whole basis (`_diagonal_twist`).  Conjugation by P and x -> (x, x^(q^s))
     are F_p-linear, so P Mf P^-1 lies in D(s, t) = {diag(x, x^(q^s)) : x in
     F_(q^t)}, a field of order q^t; Mf has that order, so P Mf P^-1 =
     D(s, t) and Mf is a field.  Only q-powers are searched: for
     Mf = S(f, f), every a I with a in F_q lies in Mf, so a twist
     y = x^(p^j) that held on Mf would give a^(p^j) = a on F_q, that is,
     e | j.  The generator is the first element in span order whose entry x
-    has order q^t - 1 (`FieldTower.has_order`); the diagonal form is cached
-    for `diagonalize`.  Raises NotAField naming the failing condition.
+    has order q^t - 1 (`FieldTower.has_order`); Mf keeps P, s, t and the
+    generator.  Raises NotAField naming the failing condition.
     """
     T = Mf.tower
     dim = len(Mf.coords)
@@ -338,14 +351,9 @@ def verify_field(Mf: MatrixField):
         raise NotAField("identity missing")
     A = next((b for b in Mf.basis if not b.is_scalar()), None)
     P = Mat2.identity(T) if A is None else _eigenbasis(A)
-    pairs = _conjugated_pairs(Mf.basis, P)
+    s, pairs = _diagonal_twist(Mf.basis, P, t)
     if pairs is None:
-        raise NotAField("the basis matrices have no common eigenbasis")
-    if any(T.frob_code(x, t) != x for x, _ in pairs):
-        raise NotAField(f"a diagonal entry lies outside F_(q^{t})")
-    s = next((s for s in range(t) if _twisted(T, pairs, s)), None)
-    if s is None:
-        raise NotAField("the diagonal entries are not linked by one Frobenius twist")
+        raise NotAField(s)      # s names the failing condition
     N = T.q**t - 1
     # span order gives the last basis element the lowest base-p digit
     xs = [x for x, _ in reversed(pairs)]
@@ -361,8 +369,8 @@ def verify_field(Mf: MatrixField):
         raise NotAField("no element of full multiplicative order")
     # element r of the span: the digits of r, most significant first, weight the basis rows
     row = T.digit_rows([r])[:dim][::-1] @ Mf.coords % T.p
-    Mf.t, Mf.generator = t, Mat2._of(T, *(row.reshape(4, T.en) @ T.digit_weights).tolist())
-    Mf._diag = DiagonalizationResult(P, t, s)
+    Mf.t, Mf.s, Mf.P = t, s, P
+    Mf.generator = Mat2._of(T, *(row.reshape(4, T.en) @ T.digit_weights).tolist())
     return t, Mf.generator
 
 
@@ -413,9 +421,26 @@ def _conjugated_pairs(basis, W: Mat2):
     return tuple(pairs)
 
 
-def _twisted(T, pairs, s):
-    """Is y = x^(q^s) on every pair (x, y)?"""
-    return all(T.frob_code(x, s) == y for x, y in pairs)
+def _diagonal_twist(basis, W: Mat2, t: int):
+    """(s, pairs): the least s < t with W b W^-1 = diag(x, x^(q^s)) and x in
+    F_(q^t) for every b in basis, and the pairs (x, y) of `_conjugated_pairs`;
+    (reason, None) when there is none, the reason naming the failing condition.
+
+    Over a space of order q^t the twist is unique mod t: once one holds,
+    b -> x is one-to-one (x = 0 forces y = 0 and W b W^-1 = 0), so the
+    x-entries span F_(q^t), and two twists that agree on all of F_(q^t) are
+    equal mod t.
+    """
+    T = W.tower
+    pairs = _conjugated_pairs(basis, W)
+    if pairs is None:
+        return "the basis matrices have no common eigenbasis", None
+    if any(T.frob_code(x, t) != x for x, _ in pairs):
+        return f"a diagonal entry lies outside F_(q^{t})", None
+    for s in range(t):
+        if all(T.frob_code(x, s) == y for x, y in pairs):
+            return s, pairs
+    return "the diagonal entries are not linked by one Frobenius twist", None
 
 
 def conjugates_to_diagonal(Mf: MatrixField, W: Mat2, s: int, t: int) -> bool:
@@ -423,52 +448,24 @@ def conjugates_to_diagonal(Mf: MatrixField, W: Mat2, s: int, t: int) -> bool:
 
     Conjugation by W is F_p-linear and D(s, t) is an F_p-space of order q^t,
     so a conjugated basis inside D(s, t) puts W Mf W^-1 inside it, and equal
-    orders |Mf| = q^t make the two equal.  Each basis matrix is tested
-    against the rows of W (`_conjugated_pairs`), with the twist test of
-    `verify_field` (`_twisted`), and a singular W raises ZeroDivisionError.
+    orders |Mf| = q^t make the two equal.  The basis is tested by the
+    diagonal test of `verify_field` (`_diagonal_twist`), whose twist is
+    unique mod t, and a singular W raises ZeroDivisionError.
     """
-    T = Mf.tower
-    if Mf.order != T.q**t:
+    if Mf.order != Mf.tower.q**t:
         return False
-    pairs = _conjugated_pairs(Mf.basis, W)
-    return (pairs is not None and all(T.frob_code(x, t) == x for x, _ in pairs)
-            and _twisted(T, pairs, s))
+    return _diagonal_twist(Mf.basis, W, t)[0] == s % t
 
 
-class DiagonalizationResult:
-    """Simultaneous diagonalization P Mf P^-1 = D(s, t) = {diag(x, x^(q^s)) :
-    x in F_(q^t)}, with 0 <= s < t, the certificate of `verify_field`.
+def diagonalize(Mf: MatrixField) -> MatrixField:
+    """Mf, which verify_field certified with its diagonal form P Mf P^-1 = D(s, t).
 
-    gcd(s, t) = 1 for scattered f: with d = gcd(s, t), every beta in
-    F_(q^d) lies in F_(q^t) and has beta^(q^s) = beta, so diag(beta, beta)
-    lies in D(s, t) and beta I in Mf.  Then U_f is F_(q^d)-linear, and the
-    fiber of f(x)/x at any x != 0 holds the q^d - 1 elements beta x, so
-    d = 1 by scatteredness.
-    """
-
-    __slots__ = ("P", "t", "s")
-
-    def __init__(self, P: Mat2, t: int, s: int):
-        self.P = P
-        self.t = t
-        self.s = s
-
-    @property
-    def eigen_points(self):
-        """The rows of P, already normalized points: `_eigenbasis` normalizes
-        its rows, and the identity's are (1, 0) and (0, 1)."""
-        return ((self.P.a, self.P.b), (self.P.c, self.P.d))
-
-
-def diagonalize(Mf: MatrixField) -> DiagonalizationResult:
-    """The diagonal form P Mf P^-1 that certified Mf, cached by verify_field.
-
-    The rows of P are common eigenvectors of every element of Mf.  A field
-    of scalars (t = 1) raises AllScalar, and a space that verify_field has
-    not certified raises NotAField.
+    The rows of P (`MatrixField.eigen_points`) are common eigenvectors of
+    every element of Mf.  A field of scalars (t = 1) raises AllScalar, and a
+    space that verify_field has not certified raises NotAField.
     """
     if not Mf.verified:
         raise NotAField("the space has no certificate of verify_field")
     if Mf.t == 1:
         raise AllScalar("only scalar multiples of the identity; nothing to diagonalize")
-    return Mf._diag
+    return Mf

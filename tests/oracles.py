@@ -1316,11 +1316,11 @@ def _homology_factor_order(T, s, t):
     return order_by_walk(T, T.div_code(T.frob_code(omega, s), omega))
 
 
-def andre_witness_by_image(f, h):
-    """g with (h U_f) P^-1 = U_g, P the diagonalizer of G_f, solved on all
-    n exponents by image_polynomial: the route the plane layer replaced."""
+def andre_witness_by_image(f):
+    """g with U_f P^-1 = U_g, P the diagonalizer of G_f, solved on all n
+    exponents by image_polynomial: the route the plane layer replaced."""
     P = diagonalize(compute_stabilizer(f)).P
-    return image_polynomial(f, Mat2.scalar(f.tower, h) * P.inverse())
+    return image_polynomial(f, P.inverse())
 
 
 def andre_subgroup_by_walk(g, s, t):
@@ -1339,12 +1339,12 @@ def andre_subgroup_by_walk(g, s, t):
     return True
 
 
-def decomposition_by_sampling(T, Mf, diag, t, samples=64):
-    """Unique factorization d I * diag(1, kappa) of conjugated group elements:
-    the N powers of kappa_0 are distinct, and 64 seeded d m conjugate to a
-    diagonal matrix whose ratio kappa is one of them."""
+def decomposition_by_sampling(T, Mf, P, s, t, samples=64):
+    """Unique factorization d I * diag(1, kappa) of group elements conjugated
+    by P, with kappa_0 = omega^(q^s)/omega: the N powers of kappa_0 are
+    distinct, and 64 seeded d m conjugate to a diagonal matrix whose ratio
+    kappa is one of them."""
     q = T.q
-    s = diag.s
     omega = T.subfield_primitive_code(t)
     kappa_gen = T.div_code(T.frob_code(omega, s), omega)
     kappa_set = set()
@@ -1359,7 +1359,7 @@ def decomposition_by_sampling(T, Mf, diag, t, samples=64):
     for _ in range(samples):
         m = elems[rng.randrange(len(elems))]
         d = T.pow_code(T.gen_code, rng.randrange(T.mult_order))
-        c = diag.P * mat_scale(m, d) * diag.P.inverse()
+        c = P * mat_scale(m, d) * P.inverse()
         if c.b != 0 or c.c != 0:
             return False
         kappa = T.div_code(c.d, c.a)
@@ -1439,6 +1439,18 @@ def conjugated_pairs_by_inverse(basis, W):
             return None
         pairs.append((c.a, c.d))
     return tuple(pairs)
+
+
+def conjugates_to_diagonal_by_inverse(Mf, W, s, t):
+    """stabilizer.conjugates_to_diagonal by conjugated_pairs_by_inverse and
+    the twist s itself: |Mf| = q^t and every W b W^-1 = diag(x, x^(q^s))
+    with x in F_(q^t), each q-power taken as a power of x."""
+    T = Mf.tower
+    if Mf.order != T.q**t:
+        return False
+    pairs = conjugated_pairs_by_inverse(Mf.basis, W)
+    return pairs is not None and all(
+        T.pow_code(x, T.q**t) == x and T.pow_code(x, T.q**s) == y for x, y in pairs)
 
 
 def diag_pairs(Mf):
@@ -1603,9 +1615,9 @@ def predicted_set_by_listing(inst):
 
 
 def find_lp_delta_by_walk(T, index=0):
-    """families.find_lp_delta by a walk of the powers g^k, one norm each: the
-    index-th delta with N_{q^n/q}(delta) not in {0, 1}, where the library
-    reads k off the condition (q - 1) not dividing k."""
+    """The index-th delta with N_{q^n/q}(delta) not in {0, 1}, by a walk of
+    the powers g^k, one norm each; index 0 is families.find_lp_delta, which
+    reads k = 1 off the condition (q - 1) not dividing k."""
     seen = 0
     for k in range(T.mult_order):
         d = T.pow_code(T.gen_code, k)

@@ -14,7 +14,6 @@ from scattered_lab.mrd import (
 )
 from scattered_lab.scatter import is_scattered
 from scattered_lab.stabilizer import (
-    DiagonalizationResult,
     Mat2,
     MatrixField,
     compute_stabilizer,
@@ -88,8 +87,10 @@ def test_idealizer_certificate_matches_walk_oracle(tower):
 def test_diagonalization_is_cached_without_pairs(tower):
     T = tower(5, 1, 4)
     Mf = compute_stabilizer(make_lp(T, 1, find_lp_delta(T)).poly)
-    assert diagonalize(Mf) is diagonalize(Mf)
-    assert DiagonalizationResult.__slots__ == ("P", "t", "s")
+    assert diagonalize(Mf) is Mf
+    # the certificate is (P, s, t) and the generator, kept on the field itself
+    assert MatrixField.__slots__ == ("tower", "system", "coords", "t", "s", "P", "generator",
+                                     "_basis")
 
 
 def _digit_rows(maps):

@@ -257,7 +257,7 @@ def _reports_after_stabilizer(tower, tmp_path, monkeypatch, tasks, guarded):
         armed.clear()
         T = inst.poly.tower
         field, poly = tmp_path / "field.json", tmp_path / "poly.json"
-        field.write_text(json.dumps(T.spec().to_json()))
+        field.write_text(json.dumps(T.spec()))
         poly.write_text(json.dumps(inst.poly.to_json()))
         code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
                                   "--tasks", "stabilizer," + tasks])
@@ -302,9 +302,32 @@ def test_families_table_runs_each_maker(tower, family):
     }
     code, out, _ = run_cli(["families", "--family", str(family)])
     assert code == 0
-    want = {"schema_version": cli.SCHEMA_VERSION, "field": T.spec().to_json(),
+    want = {"schema_version": cli.SCHEMA_VERSION, "field": T.spec(),
             "instance": makers[family]().to_json()}
     assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("family", [1, 2, 3, 5])
+def test_families_refuse_s_outside_1_to_n(family):
+    # s = -1 made q**s a float in make_psi (a raw TypeError), and families 3
+    # and 5 echoed s = -1 or s = n + 1 as a valid instance
+    n = 6
+    for s in (-1, 0, n, n + 1):
+        code, out, err = run_cli(["families", "--family", str(family), "--q", "5",
+                                  "--n", str(n), "--s", str(s)])
+        assert (code, out) == (1, ""), (family, s)
+        assert json.loads(err)["error"]["code"] == "BadParams", (family, s, err)
+
+
+def test_families_reads_an_explicit_t_0():
+    # --t 0 read as "not given" printed the t = 3 instance of family 5
+    code, out, err = run_cli(["families", "--family", "5", "--q", "5", "--n", "6", "--t", "0"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["code"] == "BadParams"
+    # without --n, the field degree 2t = 0 is refused
+    code, out, err = run_cli(["families", "--family", "5", "--q", "5", "--t", "0"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "DegreeTooLarge"
 
 
 def test_families_generate_verb():
@@ -536,7 +559,7 @@ def test_equivalent_pair_runs_no_census_on_g(tmp_path, monkeypatch):
     for f, g, equivalent, in_class_S in cases:
         censused.clear()
         paths = []
-        for name, doc in (("field", f.tower.spec().to_json()), ("f", f.to_json()),
+        for name, doc in (("field", f.tower.spec()), ("f", f.to_json()),
                           ("g", g.to_json())):
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(json.dumps(doc))
@@ -623,9 +646,9 @@ def test_analyze_process_imports_no_families_selftest_or_dataclasses(tmp_path):
 
 # the package's public names before the families names were loaded on use
 PACKAGE_ALL = [
-    "DiagonalizationResult", "EquivalenceResult", "FamilyInstance", "FieldSpec", "FieldTower",
-    "HomologyReport", "LinearSet", "LinearizedPoly", "Mat2", "MatrixField",
-    "PseudoregulusCase", "ReducibilityWitness", "ScatteredLabError", "Spread",
+    "EquivalenceResult", "FamilyInstance", "FieldTower", "HomologyReport", "LinearSet",
+    "LinearizedPoly", "Mat2", "MatrixField", "PseudoregulusCase", "ReducibilityWitness",
+    "ScatteredLabError", "Spread",
     "StandardFormResult", "build_spread", "canonicalize", "catalog",
     "classify_central_collineations", "compute_stabilizer", "diagonalize", "errors",
     "families", "field_from_json", "field_tower", "find_family3_delta", "find_family4_delta",

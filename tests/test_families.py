@@ -67,18 +67,16 @@ def test_lp_params(tower):
 @pytest.mark.parametrize("key", [(2, 1, 4), (2, 1, 6), (2, 2, 4), (3, 1, 2), (3, 1, 4),
                                  (3, 2, 3), (5, 1, 4), (7, 1, 4)], ids=field_id)
 def test_lp_delta_closed_form_matches_walk(tower, key):
-    # the index-th k with (q - 1) not dividing k against the walk of every
-    # power of g; q = 2 has no such k, and both refuse every index there
+    # g itself against the first power of g in the walk whose norm avoids
+    # {0, 1}; q = 2 has none, and both refuse there
     T = tower(*key)
-    count = T.mult_order // (T.q - 1) * (T.q - 2)
-    for index in sorted({0, 1, 2, T.q - 2, T.q - 1, 2 * T.q, count - 1, count, count + 5}):
-        try:
-            want = find_lp_delta_by_walk(T, index)
-        except BadParams:
-            with pytest.raises(BadParams, match="no valid delta exists"):
-                find_lp_delta(T, index)
-        else:
-            assert find_lp_delta(T, index) == want, index
+    try:
+        want = find_lp_delta_by_walk(T)
+    except BadParams:
+        with pytest.raises(BadParams, match="no valid delta exists"):
+            find_lp_delta(T)
+    else:
+        assert find_lp_delta(T) == want
 
 
 @pytest.mark.parametrize("search, key, args, message", [
@@ -237,7 +235,23 @@ def test_closed_form_unsupported(tower):
         psi_standard_form_closed(T, find_psi_h(T, 3), 3, 1, formula="series")
     T8 = make_field(3, 1, 8)
     with pytest.raises(UnsupportedParams):
-        psi_standard_form_closed(T8, find_psi_h(T8, 4), 4, 1)
+        psi_standard_form_closed(T8, find_psi_h(T8, 4), 4, 1, formula="series")
+
+
+def test_psi_refuses_s_outside_1_to_n(tower):
+    # gcd(s, n) = 1 let s = -1 and s = n + 1 through; q**s was a float for s < 0
+    T = tower(5, 1, 6)
+    h = find_psi_h(T, 3)
+    for s in (-1, 7, -5, 13):
+        with pytest.raises(BadParams, match="1 <= s < n"):
+            make_psi(T, h, 3, s)
+        for formula in ("trinomial", "series"):
+            with pytest.raises(BadParams, match="1 <= s < n"):
+                psi_standard_form_closed(T, h, 3, s, formula=formula)
+        with pytest.raises(BadParams, match="1 <= s < n"):
+            find_family3_delta(T, s)
+    for s in (1, 5):
+        assert make_psi(T, h, 3, s).params["s"] == s
 
 
 def test_series_form_tests_membership_in_F_q_by_frobenius(tower):

@@ -16,7 +16,6 @@ from scattered_lab.errors import (
 from scattered_lab.field_tower import (
     CACHE_SIZE,
     ENUM_BOUND,
-    FieldSpec,
     FieldTower,
     _digits,
     _is_prime,
@@ -117,7 +116,7 @@ def test_determinism_and_json_roundtrip(tower):
     T = tower(5, 1, 4)
     T2 = make_field(5, 1, 4)
     assert T.spec() == T2.spec()
-    T3 = field_from_json(T.spec().to_json())
+    T3 = field_from_json(T.spec())
     assert T3.spec() == T.spec()
 
 
@@ -161,7 +160,7 @@ def test_generator_outside_the_field_refused(outside):
     g = T.gen_code
     gen = {"zero": 0, "zero-digits": [0] * T.en, "field-size": T.size,
            "wrapped": g + T.size, "negative": -1}[outside]
-    doc = {**T.spec().to_json(), "generator": gen}
+    doc = {**T.spec(), "generator": gen}
     with pytest.raises(BadElement, match="outside"):
         field_from_json(doc)
     if not isinstance(gen, list):
@@ -176,7 +175,7 @@ def test_generator_digit_array_needs_en_digits(digits):
     doc = {"p": 5, "n": 4, "generator": digits}
     with pytest.raises(BadElement, match="length 4"):
         field_from_json(doc)
-    assert field_from_json({**doc, "generator": [1, 1, 0, 0]}).spec().to_json()["generator"] \
+    assert field_from_json({**doc, "generator": [1, 1, 0, 0]}).spec()["generator"] \
         == [1, 1, 0, 0]
 
 
@@ -382,10 +381,10 @@ def test_quadratic_solver_odd_and_even_char(tower):
             assert T2.solve_quadratic(b, c) == U.solve_quadratic(b, c) == roots, (key, b, c)
 
 
-def test_spec_dataclass_roundtrip():
-    spec = FieldSpec(5, 1, 4, (2, 0, 0, 0, 1), 6, 0)
-    doc = spec.to_json()
-    assert doc["p"] == 5 and doc["modulus"] == [2, 0, 0, 0, 1]
+def test_spec_writes_the_construction_values():
+    T = FieldTower(5, 1, 4, (2, 0, 0, 0, 1), 6, 0, table_bound=0)
+    assert T.spec() == {"p": 5, "e": 1, "n": 4, "modulus": [2, 0, 0, 0, 1],
+                        "generator": [1, 1, 0, 0], "seed": 0}
 
 
 def test_log_q_exact(tower):
@@ -451,12 +450,13 @@ def test_tables_are_read_only_int32(tower, key):
 
 
 def test_table_bound_past_int32_refused():
-    spec = make_field(3, 1, 4, table_bound=0).spec()
+    T = make_field(3, 1, 4, table_bound=0)
+    values = (T.p, T.e, T.n, T.modulus, T.gen_code, T.seed)
     with pytest.raises(TooLarge, match="int32"):
-        FieldTower(spec, table_bound=1 << 31)
+        FieldTower(*values, table_bound=1 << 31)
     with pytest.raises(TooLarge):
         make_field(3, 1, 4, table_bound=1 << 40)
-    assert FieldTower(spec, table_bound=(1 << 31) - 1).has_tables
+    assert FieldTower(*values, table_bound=(1 << 31) - 1).has_tables
 
 
 def test_memo_caches_are_bounded_lru():

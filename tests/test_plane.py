@@ -6,8 +6,8 @@ import pytest
 
 import scattered_lab.plane as plane
 from scattered_lab import cli, selftest
-from scattered_lab.errors import (BadElement, HallCase, InternalError, NotBijective, NotInS,
-                                  NotScattered, SmallQ, TooLarge)
+from scattered_lab.errors import (HallCase, InternalError, NotBijective, NotInS, NotScattered,
+                                  SmallQ, TooLarge)
 from scattered_lab.field_tower import FieldTower, make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.families import (
@@ -35,8 +35,8 @@ from scattered_lab.plane import (
     _component_basis,
 )
 from scattered_lab.scatter import is_scattered, linear_set
-from scattered_lab.stabilizer import (DiagonalizationResult, Mat2, compute_stabilizer,
-                                      conjugates_to_diagonal, diagonalize)
+from scattered_lab.stabilizer import (Mat2, compute_stabilizer, conjugates_to_diagonal,
+                                      diagonalize)
 from scattered_lab.standard_form import image_polynomial, to_standard_form
 from scattered_lab._linalg import solve_mod
 
@@ -449,7 +449,7 @@ def test_homology_closed_forms_match_walks(tower):
         assert doc["cyclic"] is True
         assert all(cyclic_by_walk(T, group) for group in _groups(f, hr))
         assert doc["decomposition_ok"] is True
-        assert decomposition_by_sampling(T, Mf, diagonalize(Mf), hr.t)
+        assert decomposition_by_sampling(T, Mf, diagonalize(Mf).P, Mf.s, hr.t)
         ts.add(hr.t)
     assert {2, 4, 5} <= ts
 
@@ -476,8 +476,7 @@ def test_homology_checks_reject_broken_groups(tower):
     # a trivial twist s = 0 gives kappa_0 = 1, so the factorization is not unique
     assert _homology_factor_order(T, diag.s, hr.t) == N
     assert _homology_factor_order(T, 0, hr.t) == 1
-    untwisted = DiagonalizationResult(diag.P, diag.t, 0)
-    assert not decomposition_by_sampling(T, Mf, untwisted, hr.t)
+    assert not decomposition_by_sampling(T, Mf, diag.P, 0, hr.t)
 
 
 def test_classification_reads_no_element_list(tower, monkeypatch, capsys):
@@ -522,9 +521,9 @@ def test_reducibility_witness_walks_no_subfield(tower, monkeypatch):
 
 
 def test_andre_check_matches_walk(tower):
-    # the witness rescales the standard form's class solve; the oracle solves
-    # for the image of U_f under h P^-1 on all n exponents, and the walk
-    # checks the invariant subgroup on every pair (alpha, y)
+    # the witness is the standard form's class solve; the oracle solves for
+    # the image of U_f under P^-1 on all n exponents, and the walk checks the
+    # invariant subgroup on every pair (alpha, y)
     ts = set()
     for key in ((5, 1, 4), (7, 1, 4), (5, 1, 6), (7, 1, 6), (2, 2, 4)):
         T = tower(*key)
@@ -547,28 +546,15 @@ def test_andre_check_matches_walk(tower):
         for f in polys:
             Mf = compute_stabilizer(f)
             s, t = diagonalize(Mf).s, Mf.t
-            for h in (1, T.gen_code, rng.randrange(2, T.size)):
-                g = reducibility_witness(f, h).g
-                assert g == andre_witness_by_image(f, h)
-                assert andre_subgroup_by_walk(g, s, t) is True
-                # a wrong twist, and g + g_0 x with g_0 the generator of F_(q^n)^*
-                perturbed = g + LinearizedPoly.identity(T).scale(T.gen_code)
-                assert andre_subgroup_by_walk(g, s + 1, t) is False
-                assert andre_subgroup_by_walk(perturbed, s, t) is False
+            g = reducibility_witness(f).g
+            assert g == andre_witness_by_image(f)
+            assert andre_subgroup_by_walk(g, s, t) is True
+            # a wrong twist, and g + g_0 x with g_0 the generator of F_(q^n)^*
+            perturbed = g + LinearizedPoly.identity(T).scale(T.gen_code)
+            assert andre_subgroup_by_walk(g, s + 1, t) is False
+            assert andre_subgroup_by_walk(perturbed, s, t) is False
             ts.add((T.e, T.n, t))
     assert {(1, 4, 2), (1, 6, 2), (1, 6, 3), (2, 4, 2)} <= ts
-
-
-def test_andre_witness_refuses_bad_h(tower):
-    # h is checked before any arithmetic: out of range, then zero
-    T = tower(5, 1, 4)
-    lp = make_lp(T, 1, find_lp_delta(T)).poly
-    with pytest.raises(BadElement):
-        reducibility_witness(lp, T.size)
-    with pytest.raises(BadElement):
-        reducibility_witness(lp, -1)
-    with pytest.raises(NotBijective):
-        reducibility_witness(lp, 0)
 
 
 def test_homology_generator_negatives(tower):

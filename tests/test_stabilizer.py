@@ -9,6 +9,7 @@ from scattered_lab.errors import (
     NotAField,
     NotScattered,
 )
+from scattered_lab.families import catalog
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import verify_idealizer_field
 from scattered_lab.scatter import linear_set
@@ -29,6 +30,7 @@ from oracles import (
     builder_id,
     builder_tower,
     conjugated_pairs_by_inverse,
+    conjugates_to_diagonal_by_inverse,
     diag_pairs,
     element_set_of,
     elements_of,
@@ -207,8 +209,6 @@ def test_conjugated_pairs_match_inverse_oracle(tower):
     # the pairs read off the rows of W against W b W^-1: the certificate's P,
     # P with its rows swapped or scaled, the identity and random W, on the
     # stabilizers of every catalog instance; a singular W is refused
-    from scattered_lab.families import catalog
-
     outcomes = set()
     for key in ((5, 1, 4), (3, 1, 4), (5, 1, 6), (2, 2, 4), (3, 2, 3)):
         T = tower(*key)
@@ -232,6 +232,36 @@ def test_conjugated_pairs_match_inverse_oracle(tower):
                 with pytest.raises(ZeroDivisionError):
                     conjugates_to_diagonal(Mf, singular, diagonalize(Mf).s, Mf.t)
     assert outcomes == {True, False}
+
+
+def test_conjugates_to_diagonal_matches_twist_oracle(tower):
+    # the shared diagonal test against W b W^-1 and the twist s itself, for
+    # every t' | n and s < 2 t', on the certificate's P, P with its rows
+    # swapped, the identity and three seeded invertible W; the least twist
+    # it compares is unique mod t', so s and s + t' agree
+    seen = set()
+    for key in ((5, 1, 4), (5, 1, 6), (2, 2, 4), (3, 2, 3)):
+        T = tower(*key)
+        rng = T.rng("conjugates-to-diagonal")
+        for inst in catalog(T):
+            Mf = compute_stabilizer(inst.poly)
+            Ws = [Mf.P, Mat2(T, 0, 1, 1, 0) * Mf.P, Mat2.identity(T)]
+            while len(Ws) < 6:
+                W = Mat2(T, *(rng.randrange(T.size) for _ in range(4)))
+                if W.det():
+                    Ws.append(W)
+            for t in (d for d in range(1, T.n + 1) if T.n % d == 0):
+                for s in range(2 * t):
+                    for i, W in enumerate(Ws):
+                        got = conjugates_to_diagonal(Mf, W, s, t)
+                        assert got is conjugates_to_diagonal_by_inverse(Mf, W, s, t), \
+                            (key, inst.family_id, t, s, i)
+                        seen.add((got, i, s >= t))
+            with pytest.raises(ZeroDivisionError):
+                conjugates_to_diagonal(Mf, Mat2(T, 1, T.gen_code, 0, 0), Mf.s, Mf.t)
+    # True on P and on swapped P with s >= t' too, and False on each W
+    assert {(True, 0, False), (True, 0, True), (True, 1, False), (True, 1, True)} <= seen
+    assert all((False, i, False) in seen for i in range(6))
 
 
 def test_diagonalize_char2(tower):

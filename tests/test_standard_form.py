@@ -45,6 +45,7 @@ from oracles import (
     element_set_of,
     elements_of,
     field_id,
+    find_lp_delta_by_walk,
     gl_by_standard_forms,
     gl_solutions_by_brute_force,
     image_by_fp_matrix,
@@ -212,7 +213,7 @@ def test_gl_equivalent_psi_trinomial(tower):
     T = tower(5, 1, 6)
     h = find_psi_h(T, 3)
     psi = make_psi(T, h, 3, 1).poly
-    tri = psi_standard_form_closed(T, h, 3, 1)
+    tri = psi_standard_form_closed(T, h, 3, 1, formula="trinomial")
     res = gl_equivalent(psi, tri)
     assert res.equivalent is True
     assert maps_onto_by_inversion(psi, res.witness, tri)
@@ -284,7 +285,7 @@ def test_kernel_agrees_with_standard_forms_and_structural_scan(tower):
     for key in ((5, 1, 4), (7, 1, 4), (5, 1, 5), (5, 1, 6)):
         T = tower(*key)
         sources = [inst.poly for inst in catalog(T)]
-        sources += [make_lp(T, 1, find_lp_delta(T, index=i)).poly for i in (1, 2)]
+        sources += [make_lp(T, 1, find_lp_delta_by_walk(T, i)).poly for i in (1, 2)]
         polys = _with_images(T, sources, T.rng("kernel-diff"), 1)
         for f in polys:
             Gf = compute_stabilizer(f)
@@ -312,7 +313,7 @@ def test_kernel_agrees_with_brute_force_over_gl_2_81(tower):
     T = tower(3, 1, 4)
     polys = {inst.poly.coeffs: inst.poly for inst in catalog(T)}
     for i in range(1, 8):
-        lp = make_lp(T, 1, find_lp_delta(T, index=i)).poly
+        lp = make_lp(T, 1, find_lp_delta_by_walk(T, i)).poly
         polys.setdefault(lp.coeffs, lp)
     pairs = negatives = 0
     for f in polys.values():
@@ -389,7 +390,7 @@ def test_invariants_under_witness(tower):
     T = tower(5, 1, 6)
     h = find_psi_h(T, 3)
     psi = make_psi(T, h, 3, 1).poly
-    tri = psi_standard_form_closed(T, h, 3, 1)
+    tri = psi_standard_form_closed(T, h, 3, 1, formula="trinomial")
     assert is_scattered(psi) and is_scattered(tri)
     assert compute_stabilizer(psi).order == compute_stabilizer(tri).order
     assert linear_set(psi).size == linear_set(tri).size
