@@ -56,8 +56,7 @@ def _task_scatter(T, f, args):
     doc = ls.to_json(emit_points=args.emit_points)
     if args.oracle:
         try:
-            doc["oracle_agrees"] = bool(
-                is_scattered_naive(f, "projective") == ls.scattered)
+            doc["oracle_agrees"] = bool(is_scattered_naive(f) == ls.scattered)
         except RefusedPrecondition:
             doc["oracle_agrees"] = None
             doc["oracle_note"] = "too many projective class pairs for the pairwise scan"

@@ -270,38 +270,38 @@ def find_lp_delta(T: FieldTower):
     return T.gen_code
 
 
+def _first_delta(T: FieldTower, make, bound, refusal):
+    """The first g^k, k < bound, that make(g^k) accepts without BadParams;
+    BadParams(refusal) when there is none."""
+    for k in range(bound):
+        d = T.pow_code(T.gen_code, k)
+        try:
+            make(d)
+            return d
+        except BadParams:
+            continue
+    raise BadParams(refusal)
+
+
 def find_family3_delta(T: FieldTower, s=1):
     """First delta among g^k, k < 2000, that make_family3 accepts: its
     norm condition and scatteredness gate.  The conditions that do not
     depend on delta are refused first."""
     _family3_half(T, s)
-    for k in range(min(T.mult_order, 2000)):
-        d = T.pow_code(T.gen_code, k)
-        try:
-            make_family3(T, s, d)
-            return d
-        except BadParams:
-            continue
-    raise BadParams("no valid delta found within the search limit")
+    return _first_delta(T, lambda d: make_family3(T, s, d), min(T.mult_order, 2000),
+                        "no valid delta found within the search limit")
 
 
 def find_family4_delta(T: FieldTower):
     """Roots of delta^2 + delta - 1 for odd q; gated scan for q even.  n != 6
     is refused first."""
     _check_family4_field(T)
-    if T.p != 2:
-        roots = T.solve_quadratic(1, T.neg_code(1))
-        if not roots:
-            raise BadParams("delta^2 + delta = 1 has no root in this field")
-        return min(roots, key=T.element_key)
-    for k in range(T.mult_order):
-        d = T.pow_code(T.gen_code, k)
-        try:
-            make_family4(T, d)
-            return d
-        except BadParams:
-            continue
-    raise BadParams("no valid delta found")
+    if T.p == 2:
+        return _first_delta(T, lambda d: make_family4(T, d), T.mult_order, "no valid delta found")
+    roots = T.solve_quadratic(1, T.neg_code(1))
+    if not roots:
+        raise BadParams("delta^2 + delta = 1 has no root in this field")
+    return min(roots, key=T.element_key)
 
 
 def find_psi_h(T: FieldTower, t: int, index=0):
@@ -315,31 +315,22 @@ def find_psi_h(T: FieldTower, t: int, index=0):
 
 
 def catalog(T: FieldTower) -> list[FamilyInstance]:
-    """Every family instance constructible on this tower with default searches."""
-    out = []
-    for s in range(1, T.n):
-        if math.gcd(s, T.n) == 1:
-            out.append(make_pseudoregulus(T, s))
-    if T.n > 3:
+    """Every family instance constructible on this tower with default searches.
+
+    A tower that a family does not live on is refused with BadParams by its
+    search or constructor before any candidate is built, and skipped here.
+    """
+    out = [make_pseudoregulus(T, s) for s in range(1, T.n) if math.gcd(s, T.n) == 1]
+    t = T.n // 2
+    builders = (
+        lambda: make_lp(T, 1, find_lp_delta(T)),
+        lambda: make_family3(T, 1, find_family3_delta(T)),
+        lambda: make_family4(T, find_family4_delta(T)),
+        lambda: make_psi(T, find_psi_h(T, t), t, 1),
+    )
+    for build in builders:
         try:
-            out.append(make_lp(T, 1, find_lp_delta(T)))
-        except BadParams:
-            pass
-    if T.n in (6, 8):
-        try:
-            out.append(make_family3(T, 1, find_family3_delta(T)))
-        except BadParams:
-            pass
-    if T.n == 6:
-        try:
-            out.append(make_family4(T, find_family4_delta(T)))
-        except BadParams:
-            pass
-    if T.n % 2 == 0 and T.n >= 6 and T.p != 2:
-        t = T.n // 2
-        try:
-            out.append(make_psi(T, find_psi_h(T, t), t, 1))
+            out.append(build())
         except BadParams:
             pass
     return out
-

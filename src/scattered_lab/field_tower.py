@@ -15,8 +15,8 @@ every entry fits) full exp/log tables are precomputed as numpy int32
 arrays.  The bulk scans elsewhere gather from the arrays; the scalar
 `*_code` methods read zero-copy memoryviews of them, which return plain
 Python ints, so multiplication, negation (-1 = g^((q^n - 1)/2) for odd
-p), inversion, powering, Frobenius, square roots and discrete logs are a
-few integer reads each.  Addition is digitwise (XOR for p = 2) on every
+p), inversion, powering, Frobenius and discrete logs are a few integer
+reads each.  Addition is digitwise (XOR for p = 2) on every
 field: a Zech-logarithm table for odd p measured no gain on the sweep
 benchmark.  Larger fields multiply through the companion matrix below: a
 product is the F_p-matrix of multiplication by a applied to the digits of
@@ -490,30 +490,24 @@ class FieldTower:
 
     # -- square roots and quadratics ---------------------------------------
     def sqrt_code(self, a):
-        """A square root of a, or None if a is not a square (odd p)."""
+        """A square root of a, or None if a is not a square (odd p).
+
+        For p = 2 the root is a^(q^n / 2).  For odd p, Tonelli-Shanks for
+        M = q^n - 1 = 2^s Q with Q odd; the tower generator is a non-residue
+        by primitivity.  A non-residue a has a^(M/2) = -1, so t = a^Q has
+        order 2^s and the first pass returns None; for s = 1 a residue has
+        t = 1 and the root a^((M+2)/4).
+        """
         if a == 0:
             return 0
         if self.p == 2:
             return self.pow_code(a, self.size // 2)
-        if self.log_view is not None:
-            la = self.log_view[a]
-            if la % 2:
-                return None
-            return self.exp_view[la // 2]
-        return self._tonelli(a)
-
-    def _tonelli(self, a):
-        """Tonelli-Shanks for M = q^n - 1 = 2^s Q with Q odd; the tower
-        generator is a non-residue by primitivity.  A non-residue a has
-        a^(M/2) = -1, so t = a^Q has order 2^s and the first pass returns
-        None; for s = 1 a residue has t = 1 and the root a^((M+2)/4)."""
         M = self.mult_order
         s, Q = 0, M
         while Q % 2 == 0:
             Q //= 2
             s += 1
-        z = self.pow_code(self.gen_code, Q)
-        m, c, t = s, z, self.pow_code(a, Q)
+        m, c, t = s, self.pow_code(self.gen_code, Q), self.pow_code(a, Q)
         r = self.pow_code(a, (Q + 1) // 2)
         while t != 1:
             i, t2 = 0, t

@@ -171,11 +171,13 @@ class LinearizedPoly:
         return self.tower.qpoly_matrices([self.coeffs])[0]
 
     def rank(self):
-        """Rank as an F_q-endomorphism (the F_p rank is e times larger)."""
-        r = rank_mod(self.fp_matrix(), self.tower.p)
-        if r % self.tower.e:
-            raise ZeroPolynomial("F_p-rank not divisible by e; map is not F_q-linear")
-        return r // self.tower.e
+        """Rank as an F_q-endomorphism: the F_p-rank divided by e.
+
+        The division is exact.  f is F_q-linear, so its F_p-matrix commutes
+        with multiplication by every c in F_q: its kernel is an F_q-space,
+        whose F_p-dimension is divisible by e, and so is the rank en - dim ker.
+        """
+        return rank_mod(self.fp_matrix(), self.tower.p) // self.tower.e
 
     def invert(self) -> "LinearizedPoly":
         """Compositional inverse; raises NotBijective if the kernel is nontrivial.

@@ -34,9 +34,6 @@ from .linearized import LinearizedPoly
 # pairs of F_q-projective classes the naive projective scan may visit: about
 # 80 000 at (7,4) take 0.3 s, so the bound allows a few seconds of work
 PROJECTIVE_PAIR_BOUND = 1 << 20
-# ordered pairs of nonzero elements the pairs scan holds in its M x M
-# arrays: at the bound each int64 array takes 8 MB
-PAIR_ARRAY_BOUND = 1 << 20
 
 
 class SlopeCensus:
@@ -101,35 +98,17 @@ def is_scattered(f: LinearizedPoly) -> bool:
     return slope_census(f).n_slopes * (T.q - 1) == T.mult_order
 
 
-def is_scattered_naive(f: LinearizedPoly, mode="projective") -> bool:
+def is_scattered_naive(f: LinearizedPoly) -> bool:
     """Direct pairwise test: z f(y) = y f(z) forces y, z to be F_q-dependent.
 
-    mode "pairs" scans every ordered pair of nonzero field elements in
-    M x M arrays, and raises TooLarge up front when M^2 exceeds
-    PAIR_ARRAY_BOUND; mode "projective" scans one representative per
-    F_q-projective class, which is equivalent because the vanishing
-    condition is homogeneous in both arguments.  The projective scan is a
-    Python loop over unordered pairs of classes and raises TooLarge up front
-    when there are more than PROJECTIVE_PAIR_BOUND.
+    The scan visits one representative per F_q-projective class, which is
+    equivalent to scanning every pair of nonzero elements because the
+    vanishing condition is homogeneous in both arguments.  It is a Python
+    loop over unordered pairs of classes and raises TooLarge up front when
+    there are more than PROJECTIVE_PAIR_BOUND.
     """
     T = f.tower
-    M = T.mult_order
-    step = M // (T.q - 1)
-    if mode == "pairs":
-        T.require_tables("pairs mode")
-        if M * M > PAIR_ARRAY_BOUND:
-            raise TooLarge(f"{M * M} ordered pairs exceed the pairs scan's bound "
-                           f"of {PAIR_ARRAY_BOUND}")
-        vals = f.eval_all_logs()
-        karr = np.arange(M, dtype=np.int64)
-        # code of z * f(y) at position (log y, log z)
-        fl = np.where(vals > 0, T.log_table[np.maximum(vals, 1)], 0)
-        zero = vals == 0
-        prod = T.exp_table[(fl[:, None] + karr[None, :]) % M]
-        prod = np.where(zero[:, None], 0, prod)
-        eq = prod == prod.T
-        dep = ((karr[:, None] - karr[None, :]) % M % step) == 0
-        return bool(np.all(~eq | dep))
+    step = T.mult_order // (T.q - 1)
     if step * (step - 1) // 2 > PROJECTIVE_PAIR_BOUND:
         raise TooLarge(f"{step * (step - 1) // 2} pairs of projective classes exceed "
                        f"the naive scan's bound of {PROJECTIVE_PAIR_BOUND}")

@@ -399,21 +399,19 @@ def _conjugated_pairs(basis, W: Mat2):
     """(x, y) with W b W^-1 = diag(x, y) for each b in basis; None if one is not diagonal.
 
     W b W^-1 = diag(x, y) exactly when W b = diag(x, y) W, that is, when
-    row i of W times b is lambda_i times that row, with (x, y) = (lambda_0,
-    lambda_1): no W^-1 and no matrix product.  A singular W raises
+    row i of W b is lambda_i times row i of W, with (x, y) = (lambda_0,
+    lambda_1): one product and no W^-1.  A singular W raises
     ZeroDivisionError, as W.inverse() does.
     """
     T = W.tower
     if W.det() == 0:
         raise ZeroDivisionError("singular matrix")
-    rows = ((W.a, W.b), (W.c, W.d))
     pairs = []
     for b in basis:
+        Wb = W * b
         lams = []
-        for w0, w1 in rows:
-            # (u0, u1) = (w0, w1) b is a multiple of (w0, w1) iff u0 w1 = u1 w0
-            u0 = T.add_code(T.mul_code(w0, b.a), T.mul_code(w1, b.c))
-            u1 = T.add_code(T.mul_code(w0, b.b), T.mul_code(w1, b.d))
+        for w0, w1, u0, u1 in ((W.a, W.b, Wb.a, Wb.b), (W.c, W.d, Wb.c, Wb.d)):
+            # (u0, u1) is a multiple of (w0, w1) iff u0 w1 = u1 w0
             if T.mul_code(u0, w1) != T.mul_code(u1, w0):
                 return None
             lams.append(T.div_code(u0, w0) if w0 else T.div_code(u1, w1))

@@ -86,7 +86,11 @@ broadcast update that reduces the whole matrix after every pivot
 M^k = I by a chain of products (mat_power, power_is_one_by_chain), where
 the library takes scalar powers of one diagonal entry.  The slope census
 reads one code per F_p^*-class; the census over every code, gathered from
-the full value table (slope_census_by_full_table), stays here, as does the
+the full value table (slope_census_by_full_table), stays here, with the
+naive scan over every ordered pair of elements (scattered_by_pairs), where
+the library's scan takes one element per projective class, and the square
+root by halving a table log (sqrt_by_log_table), where the library runs
+Tonelli-Shanks on every field, as does the
 scan over b that filtered all M exponents with one array per term
 (ab_min_by_array_scan, lambda_by_array_scan), where the library solves a
 linear congruence per term.  The oracles reuse the library's stabilizer,
@@ -519,6 +523,33 @@ def scattered_by_fibers(T, f):
     sizes = list(fibers.values()) + ([kernel] if kernel else [])
     return bool(sizes) and all(s == T.q - 1 for s in sizes)
 
+
+def scattered_by_pairs(f):
+    """The pairwise test z f(y) = y f(z) => y, z F_q-dependent on every
+    ordered pair of nonzero elements, in M x M arrays (table fields only):
+    the second mode of the library's naive scan, which scans one
+    representative per projective class."""
+    T = f.tower
+    M = T.mult_order
+    step = M // (T.q - 1)
+    vals = f.eval_all_logs()
+    karr = np.arange(M, dtype=np.int64)
+    # code of z * f(y) at position (log y, log z)
+    fl = np.where(vals > 0, T.log_table[np.maximum(vals, 1)], 0)
+    prod = T.exp_table[(fl[:, None] + karr[None, :]) % M]
+    prod = np.where((vals == 0)[:, None], 0, prod)
+    eq = prod == prod.T
+    dep = ((karr[:, None] - karr[None, :]) % M % step) == 0
+    return bool(np.all(~eq | dep))
+
+
+def sqrt_by_log_table(T, a):
+    """A square root of a by halving its log (odd p, table fields only), or
+    None: the table read that Tonelli-Shanks replaced in `sqrt_code`."""
+    if a == 0:
+        return 0
+    la = int(T.log_table[a])
+    return None if la % 2 else int(T.exp_table[la // 2])
 
 
 def slope_census_by_full_table(f):

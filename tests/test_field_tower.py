@@ -42,6 +42,7 @@ from oracles import (
     pow_by_digit_loop,
     repeated_power,
     repeated_q_power,
+    sqrt_by_log_table,
 )
 
 
@@ -358,6 +359,30 @@ def test_table_less_square_roots_match_brute_force(key):
             assert r is not None and U.mul_code(r, r) == a, (key, a)
         else:
             assert r is None, (key, a)
+
+
+SQRT_CASES = [(key, False) for key in TABLE_FIELDS if key[0] % 2] + [
+    ((5, 1, 4), True), ((3, 2, 3), True), ((13, 1, 6), True)]
+
+
+@pytest.mark.parametrize("key, table_less", SQRT_CASES,
+                         ids=[field_id(key) + ("_tableless" if bare else "")
+                              for key, bare in SQRT_CASES])
+def test_square_roots_match_log_table_oracle(tower, key, table_less):
+    # Tonelli-Shanks on seeded elements and squares against the halved log
+    # of the tabled tower (the same spec, so the same codes): None exactly
+    # for a non-square, and otherwise a root equal to the oracle's up to sign
+    T = tower(*key)
+    U = make_field(*key, table_bound=0) if table_less else T
+    assert U.has_tables is not table_less
+    rng = T.rng("sqrt-oracle")
+    codes = [0, 1, T.neg_code(1), T.gen_code] + [rng.randrange(T.size) for _ in range(40)]
+    for a in codes + [T.mul_code(c, c) for c in codes[:20]]:
+        want, got = sqrt_by_log_table(T, a), U.sqrt_code(a)
+        if want is None:
+            assert got is None, (key, a)
+        else:
+            assert U.mul_code(got, got) == a and got in (want, T.neg_code(want)), (key, a)
 
 
 def test_quadratic_solver_odd_and_even_char(tower):

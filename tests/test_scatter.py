@@ -23,6 +23,7 @@ from oracles import (
     line_intersection_dim,
     linear_set_by_sort,
     scattered_by_fibers,
+    scattered_by_pairs,
     slope_census_by_full_table,
     slope_fibers,
 )
@@ -101,14 +102,14 @@ def test_naive_oracle_agreement(tower):
     for _ in range(40):
         f = LinearizedPoly(T3, [rng.randrange(27) for _ in range(3)])
         r = is_scattered(f)
-        assert r == is_scattered_naive(f, "pairs")
-        assert r == is_scattered_naive(f, "projective")
+        assert r == scattered_by_pairs(f)
+        assert r == is_scattered_naive(f)
 
 
 def test_projective_scan_evaluates_each_class_once(tower, monkeypatch):
     # f(y) once per class representative, (q^n - 1)/(q - 1) calls in all,
-    # whatever the answer; the scan still agrees with the pairs mode and the
-    # census on catalog instances and seeded f
+    # whatever the answer; the scan still agrees with the scan over every
+    # ordered pair and the census on catalog instances and seeded f
     calls = []
     evaluate = LinearizedPoly.evaluate_code
 
@@ -125,9 +126,9 @@ def test_projective_scan_evaluates_each_class_once(tower, monkeypatch):
                   for _ in range(4)]
         for f in polys:
             calls.clear()
-            answer = is_scattered_naive(f, "projective")
+            answer = is_scattered_naive(f)
             assert len(calls) == T.mult_order // (T.q - 1), (key, f.coeffs)
-            assert answer == is_scattered_naive(f, "pairs") == is_scattered(f), f.coeffs
+            assert answer == scattered_by_pairs(f) == is_scattered(f), f.coeffs
 
 
 def test_census_fibers_are_punctured_fq_spaces(tower):
@@ -153,13 +154,6 @@ def test_census_fibers_are_punctured_fq_spaces(tower):
             assert census.kernel_count == T.q ** (T.n - f.rank()) - 1, (key, f.coeffs)
             kernels += census.kernel_count > 0
         assert large and kernels, key
-
-
-def test_pairs_scan_refused_past_its_bound(tower):
-    # at (5,6) the M x M index array alone would take about 2 GB
-    f = LinearizedPoly.monomial(tower(5, 1, 6), 1)
-    with pytest.raises(TooLarge, match="pairs scan"):
-        is_scattered_naive(f, "pairs")
 
 
 @pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
@@ -283,8 +277,7 @@ def test_line_intersection_direct_enumeration(tower):
 def test_enumerations_refuse_table_less_tower():
     T = make_field(5, 1, 4, table_bound=0)
     f = LinearizedPoly.monomial(T, 1)
-    for call in (lambda: is_scattered(f), lambda: compute_stabilizer(f),
-                 f.eval_all_logs, lambda: is_scattered_naive(f, "pairs")):
+    for call in (lambda: is_scattered(f), lambda: compute_stabilizer(f), f.eval_all_logs):
         with pytest.raises(TooLarge):
             call()
 
