@@ -27,10 +27,14 @@ SCHEMA_VERSION = 3
 
 
 def _load_json(path):
+    """The JSON document in the UTF-8 file at path.  A file that cannot be
+    opened or decoded, or that nests past the parser's recursion limit, is
+    a ParseError (ValueError covers both UnicodeDecodeError and
+    JSONDecodeError)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

@@ -77,6 +77,7 @@ CI_SCATTER = [
     ("badseed", "xq2"), ("strmodulus", "xq2"), ("f5n4digits", "bigdigit"), ("floatp", "xq2"),
     ("stringn", "xq2"), ("f5n5ints", "bigint"), ("shortgen", "xq2"), ("longgen", "xq2"),
     ("squaremodulus", "xq4"), ("irreduciblemodulus", "xq4"),
+    ("notutf8", "xq2"), ("f3n4", "notutf8poly"), ("f3n4", "deep"),
 ]
 CI_EQUIV = [("lp", "image"), ("lp", "lp2"), ("lp", "xq"), ("lp", "zero5")]
 CI_LINES = [
@@ -85,6 +86,9 @@ CI_LINES = [
     "families --family 5 --q 5 --t 3 --s -1",
     "families --family 2 --q 7 --n 10",
     "families --family 1 --field fields/5_1_4.json",
+    "families --family 1 --field ci/notutf8.json",
+    "families --family 1 --field ci/deep.json",
+    "equiv --field ci/f5n5.json ci/lp.json ci/deep.json",
 ] + [f"{task} --field ci/f7n6.json --poly ci/frobenius.json" for task in TASKS]
 
 

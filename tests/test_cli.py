@@ -216,6 +216,26 @@ def test_malformed_spec_is_a_json_error(tmp_path, field, poly, error):
     assert json.loads(err)["error"]["code"] == error
 
 
+@pytest.mark.parametrize("content", [b'\xff\xfe{"p": 5}', b"[" * 100_000],
+                         ids=["not-utf8", "nested-past-the-recursion-limit"])
+@pytest.mark.parametrize("reader", ["field", "poly", "equiv", "families"])
+def test_unreadable_json_is_a_parse_error(specs, content, reader):
+    # a decode error or a RecursionError of the JSON reader is a ParseError
+    # JSON error, whichever command reads the file
+    field, poly, tmp_path = specs
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "field": ["scatter", "--field", str(bad), "--poly", str(poly)],
+        "poly": ["scatter", "--field", str(field), "--poly", str(bad)],
+        "equiv": ["equiv", "--field", str(field), str(poly), str(bad)],
+        "families": ["families", "--family", "1", "--field", str(bad)],
+    }[reader]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["code"] == "ParseError"
+
+
 def _report_instances(tower):
     """The seven instance kinds of the benchmark's report workload: psi at
     (5,6), the pseudoregulus at (5,5), (5,4) and (7,4), and LP at (5,4),
