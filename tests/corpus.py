@@ -45,6 +45,8 @@ import re
 import sys
 from pathlib import Path
 
+from scattered_lab.cli import main
+
 CORPUS = Path(__file__).resolve().parent / "corpus"
 EXPECTED = CORPUS / "expected.json"
 INLINE_LIMIT = 1024
@@ -166,15 +168,11 @@ def _mask_timings(text):
 
 def run(line):
     """The record of one command line, run in-process with captured streams."""
-    from scattered_lab.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     old = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
     try:
         code = main(line.split())
-    except SystemExit as exc:       # argparse refusals
-        code = exc.code
     finally:
         sys.stdout, sys.stderr = old
     stdout, stderr = out.getvalue(), err.getvalue()

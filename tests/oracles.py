@@ -526,9 +526,8 @@ def scattered_by_fibers(T, f):
 
 def scattered_by_pairs(f):
     """The pairwise test z f(y) = y f(z) => y, z F_q-dependent on every
-    ordered pair of nonzero elements, in M x M arrays (table fields only):
-    the second mode of the library's naive scan, which scans one
-    representative per projective class."""
+    ordered pair of nonzero elements, in M x M arrays (table fields only),
+    where `is_scattered_naive` takes one element per projective class."""
     T = f.tower
     M = T.mult_order
     step = M // (T.q - 1)
