@@ -27,10 +27,8 @@ SCHEMA_VERSION = 3
 
 
 def _load_json(path):
-    """The JSON document in the UTF-8 file at path.  A file that cannot be
-    opened or decoded, or that nests past the parser's recursion limit, is
-    a ParseError (ValueError covers both UnicodeDecodeError and
-    JSONDecodeError)."""
+    # ValueError covers UnicodeDecodeError and JSONDecodeError; RecursionError
+    # is a document nested past the parser's recursion limit
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
