@@ -73,8 +73,8 @@ DEFAULT_TABLE_BOUND = 1 << 23
 # exp/log tables are int32: codes and logs of a tabled field lie below it
 TABLE_BOUND_LIMIT = 1 << 31
 ENUM_BOUND = 1 << 40
-# entries kept per memo of a tower (census and stabilizer); a sweep round of
-# the benchmark stores at most 23 in one (census)
+# entries kept per memo of a tower (census, stabilizer and standard pair); a
+# sweep round of the benchmark stores at most 23 in one (census)
 CACHE_SIZE = 128
 
 

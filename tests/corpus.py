@@ -14,17 +14,23 @@ a check.  `command_lines()` is the table:
   pseudoregulus and every other scattered polynomial there, and of the
   first pseudoregulus with a non-scattered f (a NotScattered refusal);
 * `families` 1-5, with and without `--verify`, on FAMILY_FIELDS;
-* the console-script checks of the CI workflow, every refusal among them,
-  on the files under `corpus/ci/`;
+* the console-script checks, every refusal among them, on the files
+  under `corpus/ci/` (the `ci` stratum);
 * `selftest` and `selftest --quick`, with their timings masked.
 
 Every input is a committed file, passed as a path relative to `corpus/`,
-because some refusal messages echo the path.  Each entry runs in-process
-through `cli.main` with captured streams, in a seeded shuffled order, so a
-memo that leaks state from one command into another's report shows as a
-difference.  `corpus/expected.json` maps each command line to its exit code
-and its stdout and stderr: in full up to INLINE_LIMIT characters, as
-SHA-256 and byte count above it (`--emit-points` at (13,1,6) prints 9 MB).
+because some refusal messages echo the path.  The entries run in a seeded
+shuffled order with `corpus/` as the working directory.  Each entry of the
+`ci` stratum runs in a fresh `python -m scattered_lab.cli` process, so
+output at import or at interpreter exit, and the exit status the process
+itself returns, are part of its record; PYTHONPATH is the `src` of the
+imported package, PYTHONHASHSEED is unset and each process has
+FRESH_TIMEOUT seconds.  Every other entry runs in-process through
+`cli.main` with captured streams, so a memo that leaks state from one
+command into another's report shows as a difference.
+`corpus/expected.json` maps each command line to its exit code and its
+stdout and stderr: in full up to INLINE_LIMIT characters, as SHA-256 and
+byte count above it (`--emit-points` at (13,1,6) prints 9 MB).
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -42,15 +48,20 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
+import scattered_lab
 from scattered_lab.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
 EXPECTED = CORPUS / "expected.json"
 INLINE_LIMIT = 1024
 SHUFFLE_SEED = 41
+# the directory a fresh process imports scattered_lab from
+SRC = Path(scattered_lab.__file__).resolve().parent.parent
+FRESH_TIMEOUT = 60
 
 FIELDS = ["5_1_4", "7_1_4", "5_1_6", "3_1_4", "2_2_4", "3_2_3", "13_1_6", "2_1_5", "3_1_5",
           "5_1_5", "2_1_6", "3_1_6"]
@@ -59,9 +70,9 @@ FAMILY_FIELDS = [(5, 1, 6), (3, 1, 8), (2, 1, 6), (7, 1, 4), (7, 1, 10), (5, 1, 
 TASKS = ("scatter", "stabilizer", "standard-form", "mrd", "plane")
 ALL_TASKS = ",".join(TASKS)
 
-# the console-script checks of the CI workflow, as (field, poly, tasks) of
-# analyze, (field, poly) of the scatter shortcut, (f, g) of equiv over
-# F_(5^5), or whole command lines; every file is under corpus/ci/ (the
+# the console-script checks, each run in a fresh process, as (field, poly,
+# tasks) of analyze, (field, poly) of the scatter shortcut, (f, g) of equiv
+# over F_(5^5), or whole command lines; every file is under corpus/ci/ (the
 # family 2 instance over F_(4^4) is in the families table)
 CI_ANALYZE = [
     ("f5n6", "pseudoregulus", ALL_TASKS),
@@ -166,6 +177,12 @@ def _mask_timings(text):
     return re.sub(r"\(\s*\d+\.\d+s\)", "(t)", text)
 
 
+def _record(line, code, stdout, stderr):
+    if line.startswith("selftest"):
+        stdout = _mask_timings(stdout)
+    return {"exit": code, "stdout": _stream(stdout), "stderr": _stream(stderr)}
+
+
 def run(line):
     """The record of one command line, run in-process with captured streams."""
     out, err = io.StringIO(), io.StringIO()
@@ -175,21 +192,29 @@ def run(line):
         code = main(line.split())
     finally:
         sys.stdout, sys.stderr = old
-    stdout, stderr = out.getvalue(), err.getvalue()
-    if line.startswith("selftest"):
-        stdout = _mask_timings(stdout)
-    return {"exit": code, "stdout": _stream(stdout), "stderr": _stream(stderr)}
+    return _record(line, code, out.getvalue(), err.getvalue())
+
+
+def run_fresh(line):
+    """The record of one command line, run in a fresh process in corpus/."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-m", "scattered_lab.cli", *line.split()],
+                          cwd=CORPUS, env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, timeout=FRESH_TIMEOUT)
+    return _record(line, proc.returncode, proc.stdout.decode(), proc.stderr.decode())
 
 
 def document(entries):
     """{command line: record} of the entries, run in a seeded shuffled
-    order with corpus/ as the working directory."""
-    lines = [line for _, line in entries]
-    random.Random(SHUFFLE_SEED).shuffle(lines)
+    order with corpus/ as the working directory: the `ci` stratum in fresh
+    processes, the others in-process."""
+    entries = list(entries)
+    random.Random(SHUFFLE_SEED).shuffle(entries)
     cwd = os.getcwd()
     os.chdir(CORPUS)
     try:
-        return {line: run(line) for line in lines}
+        return {line: (run_fresh if stratum == "ci" else run)(line) for stratum, line in entries}
     finally:
         os.chdir(cwd)
 

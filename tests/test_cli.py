@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scattered_lab import _linalg, cli, mrd, scatter
+from scattered_lab import _linalg, cli, mrd, scatter, stabilizer
 from scattered_lab.cli import main
 from scattered_lab.families import find_lp_delta, find_psi_h, make_lp, make_pseudoregulus, make_psi
 from scattered_lab.field_tower import make_field
@@ -539,6 +539,40 @@ def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
         assert code == 0
         assert json.loads(out)["tasks"] == {t: golden["tasks"][t] for t in tasks.split(",")}
         assert len(calls) == builds, tasks
+
+
+def test_five_task_analyze_computes_each_fact_once(tmp_path, monkeypatch):
+    # psi over F_(5^6) has 1 < t < n: the standard-form and plane tasks both
+    # read the class solve h0, which runs once, and canonicalize adds the
+    # inverse branch; the census and G_f are computed once for all five tasks
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(scatter, "class_values", counted("census", scatter.class_values))
+    monkeypatch.setattr(stabilizer, "verify_field",
+                        counted("verify_field", stabilizer.verify_field))
+    of_pair = counted("pair kernel", stabilizer.MatrixField.of_pair)
+    monkeypatch.setattr(stabilizer.MatrixField, "of_pair",
+                        classmethod(lambda cls, f, g: of_pair(f, g)))
+    monkeypatch.setattr(LinearizedPoly, "solve_on_class",
+                        counted("class solve", LinearizedPoly.solve_on_class))
+    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"coeffs": coeffs}))
+    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+                            "--tasks", "scatter,stabilizer,standard-form,mrd,plane"])
+    assert code == 0
+    assert out == (GOLDEN / "analyze_psi_5_6.json").read_text()
+    assert 1 < json.loads(out)["tasks"]["stabilizer"]["t"] < n
+    assert calls == {"census": 1, "pair kernel": 1, "verify_field": 1, "class solve": 2}
 
 
 def test_scatter_task_reads_no_slope_codes(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from corpus import EXPECTED, command_lines, document, subset
+from corpus import EXPECTED, TASKS, command_lines, document, subset
 
 
 @pytest.fixture(scope="module")
@@ -24,3 +24,10 @@ def test_every_entry_has_an_expected_record(expected):
 def test_subset_reports_are_byte_identical(expected):
     for line, record in document(subset(command_lines())).items():
         assert record == expected[line], line
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_shortcut_records_equal_one_task_analyze(expected, task):
+    # a regenerated expected file keeps each shortcut equal to its analyze
+    files = "--field ci/f7n6.json --poly ci/frobenius.json"
+    assert expected[f"{task} {files}"] == expected[f"analyze {files} --tasks {task}"]

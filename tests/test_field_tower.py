@@ -330,6 +330,13 @@ def test_element_parsing_and_formatting(tower):
             T.parse_element(outside)
 
 
+def test_towers_with_the_costliest_group_orders():
+    # 2^38 - 1 and 1047197^2 - 1 take the most trial-division steps of the
+    # domain (`test_arith` checks their factorizations); the towers build
+    assert make_field(2, 1, 38).mult_order == 2**38 - 1
+    assert make_field(1047197, 1, 2).mult_order == 1047197**2 - 1
+
+
 def test_no_table_fallback_agrees(tower):
     T = tower(5, 1, 4)
     Tn = make_field(5, 1, 4, table_bound=0)

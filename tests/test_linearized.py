@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from scattered_lab._linalg import linear_values
 from scattered_lab.errors import BadElement, NotBijective, NotStandard, ZeroPolynomial
+from scattered_lab.families import find_lp_delta, make_lp
 from scattered_lab.field_tower import _digits, _pack, make_field
 from scattered_lab.linearized import LinearizedPoly
 
@@ -196,6 +197,17 @@ def test_invert_examples(tower):
         fi = f.invert()
         assert f.compose(fi) == x and fi.compose(f) == x
         done += 1
+
+
+def test_invert_lp_without_tables():
+    # the class solve on F_(7^10), where every product is a companion-matrix
+    # product: the Lunardon-Polverino member of `families --family 2 --q 7 --n 10`
+    T = make_field(7, 1, 10)
+    assert not T.has_tables
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    g = f.invert()
+    x = LinearizedPoly.identity(T)
+    assert f.compose(g) == x and g.compose(f) == x
 
 
 def test_invert_psi_closed_form(tower):

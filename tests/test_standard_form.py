@@ -410,6 +410,19 @@ def test_no_table_canonicalize_agrees():
         assert (p1.coeffs, a1, b1) == (p0.coeffs, a0, b0)
 
 
+def test_canonicalize_lp_without_tables():
+    # result (ii) on F_(7^10), the Lunardon-Polverino member of
+    # `families --family 2 --q 7 --n 10` (t = 2): its canonical form has odd
+    # exponents only, is fixed, and is shared by the inverse and a transform
+    T = make_field(7, 1, 10)
+    assert not T.has_tables
+    f = make_lp(T, 1, find_lp_delta(T)).poly
+    h = canonicalize(f)
+    assert all(i % 2 for i in h.support), h
+    assert canonicalize(h) == h
+    assert canonicalize(f.invert()) == h == canonicalize(f.transform(T.gen_code, 3))
+
+
 @pytest.mark.parametrize("key", TABLE_FIELDS, ids=field_id)
 def test_table_less_canonicalize_matches_tables(tower, key):
     # the closed-form _ab_min on a tower without tables (logs by
