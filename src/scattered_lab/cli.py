@@ -231,8 +231,15 @@ def cmd_selftest(args):
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ParseError, reported like every other error."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="scattered-lab",
         description="Scattered linearized polynomials: stabilizers, standard forms, "
                     "MRD codes and translation-plane structure.")
@@ -300,9 +307,8 @@ def main(argv=None):
     """
     if not gc.get_freeze_count():
         gc.freeze()
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ScatteredLabError as exc:
         _emit({"schema_version": SCHEMA_VERSION,

@@ -14,18 +14,25 @@ a check.  `command_lines()` is the table:
   pseudoregulus and every other scattered polynomial there, and of the
   first pseudoregulus with a non-scattered f (a NotScattered refusal);
 * `families` 1-5, with and without `--verify`, on FAMILY_FIELDS;
-* the console-script checks, every refusal among them, on the files
-  under `corpus/ci/` (the `ci` stratum);
+* the deadline matrix (the `deadline` stratum): on each field of
+  DEADLINE_FIELDS, the five-task `analyze` and its shortcuts on x^q
+  (`corpus/deadline/`), `equiv` of x^q with itself in both modes and
+  `families` 1-5 with and without `--verify`;
+* the console-script checks, every refusal and usage error among them, on
+  the files under `corpus/ci/`, and the DEADLINE_CI lines of the matrix
+  (the `ci` stratum);
 * `selftest` and `selftest --quick`, with their timings masked.
 
 Every input is a committed file, passed as a path relative to `corpus/`,
 because some refusal messages echo the path.  The entries run in a seeded
 shuffled order with `corpus/` as the working directory.  Each entry of the
-`ci` stratum runs in a fresh `python -m scattered_lab.cli` process, so
-output at import or at interpreter exit, and the exit status the process
-itself returns, are part of its record; PYTHONPATH is the `src` of the
-imported package, PYTHONHASHSEED is unset and each process has
-FRESH_TIMEOUT seconds.  Every other entry runs in-process through
+FRESH_STRATA, `ci` and `deadline`, runs in a fresh
+`python -m scattered_lab.cli` process, so output at import or at
+interpreter exit, and the exit status the process itself returns, are
+part of its record; PYTHONPATH is the `src` of the imported package,
+PYTHONHASHSEED is unset, and a process that has not ended after
+FRESH_TIMEOUT (20) seconds fails the run: every command ends or refuses
+within seconds.  Every other entry runs in-process through
 `cli.main` with captured streams, so a memo that leaks state from one
 command into another's report shows as a difference.
 `corpus/expected.json` maps each command line to its exit code and its
@@ -34,7 +41,7 @@ byte count above it (`--emit-points` at (13,1,6) prints 9 MB).
 
     PYTHONPATH=src python tests/corpus.py
 
-prints the document of the whole table (about two minutes on two cores); it must equal
+prints the document of the whole table (about three minutes on two cores); it must equal
 `tests/corpus/expected.json` byte for byte, and redirecting it into that
 file rewrites the expected reports.  `test_corpus.py` runs a fixed
 stratified subset in tier-1.
@@ -61,12 +68,18 @@ INLINE_LIMIT = 1024
 SHUFFLE_SEED = 41
 # the directory a fresh process imports scattered_lab from
 SRC = Path(scattered_lab.__file__).resolve().parent.parent
-FRESH_TIMEOUT = 60
+FRESH_TIMEOUT = 20
+FRESH_STRATA = ("ci", "deadline")
 
 FIELDS = ["5_1_4", "7_1_4", "5_1_6", "3_1_4", "2_2_4", "3_2_3", "13_1_6", "2_1_5", "3_1_5",
           "5_1_5", "2_1_6", "3_1_6"]
-FAMILY_FIELDS = [(5, 1, 6), (3, 1, 8), (2, 1, 6), (7, 1, 4), (7, 1, 10), (5, 1, 4), (5, 1, 5),
-                 (3, 1, 6), (13, 1, 6), (2, 2, 4), (3, 2, 3)]
+FAMILY_FIELDS = [(5, 1, 6), (3, 1, 8), (2, 1, 6), (7, 1, 4), (5, 1, 4), (5, 1, 5), (3, 1, 6),
+                 (13, 1, 6), (2, 2, 4), (3, 2, 3)]
+# the deadline matrix: the table-less extremes, where a walk over F_(q^n)^*
+# never ends, and (2,3,6), the largest table field of the matrix, where
+# family 4 runs one census per candidate delta
+DEADLINE_FIELDS = [(2, 1, 31), (2, 1, 40), (3, 1, 20), (7, 1, 10), (1048573, 1, 2), (2, 4, 10),
+                   (2, 3, 6)]
 TASKS = ("scatter", "stabilizer", "standard-form", "mrd", "plane")
 ALL_TASKS = ",".join(TASKS)
 
@@ -83,7 +96,6 @@ CI_ANALYZE = [
     ("f3n8", "xq8", "scatter,mrd"),
     ("f3n8", "xqq8", "scatter,mrd"),
     ("f4n4", "lp44poly", ALL_TASKS),
-    ("f2n40", "xq40", ALL_TASKS),
     ("f7n6", "family3image", "stabilizer,plane"),
 ] + [("f7n6", "frobenius", task) for task in TASKS]
 CI_SCATTER = [
@@ -102,7 +114,21 @@ CI_LINES = [
     "families --family 1 --field ci/notutf8.json",
     "families --family 1 --field ci/deep.json",
     "equiv --field ci/f5n5.json ci/lp.json ci/deep.json",
+    "families --family 6",
+    "analyze --field ci/f5n4.json",
 ] + [f"{task} --field ci/f7n6.json --poly ci/frobenius.json" for task in TASKS]
+# the lines of the deadline matrix that tier-1 runs, so in the ci stratum:
+# refusals before any walk (no Lunardon-Polverino parameter at q = 2, family
+# 4 outside n = 6, a field above the table bound) and reports without tables
+DEADLINE_CI = {
+    "families --family 2 --q 2 --e 1 --n 31",
+    "families --family 1 --q 2 --e 1 --n 40",
+    "families --family 4 --q 2 --e 1 --n 40",
+    "families --family 2 --q 2 --e 4 --n 10",
+    f"analyze --field deadline/f1048573_1_2.json --poly deadline/xq1048573_1_2.json "
+    f"--tasks {ALL_TASKS}",
+    f"analyze --field ci/f2n40.json --poly ci/xq40.json --tasks {ALL_TASKS}",
+}
 
 
 def _polys(field):
@@ -113,6 +139,27 @@ def _scattered_names(field):
     """The polynomials of `field` that the table compares by equiv: the
     catalog and the image, all scattered; the first pseudoregulus leads."""
     return [name for name in _polys(field) if name.startswith("family") or name == "image"]
+
+
+def _family_lines(p, e, n):
+    out = []
+    for family in range(1, 6):
+        line = f"families --family {family} --q {p} --e {e} --n {n}"
+        out += [line, line + " --verify"]
+    return out
+
+
+def _deadline_lines(p, e, n):
+    """The matrix on one field: the five-task analyze and its shortcuts on
+    x^q, equiv of x^q with itself in both modes, and families 1-5."""
+    if (p, e, n) == (2, 1, 40):
+        spec, poly = "ci/f2n40.json", "ci/xq40.json"
+    else:
+        spec, poly = f"deadline/f{p}_{e}_{n}.json", f"deadline/xq{p}_{e}_{n}.json"
+    files = f"--field {spec} --poly {poly}"
+    return ([f"analyze {files} --tasks {ALL_TASKS}"] + [f"{task} {files}" for task in TASKS]
+            + [f"equiv --mode {mode} --field {spec} {poly} {poly}" for mode in ("gl", "gammal")]
+            + _family_lines(p, e, n))
 
 
 def command_lines():
@@ -136,10 +183,11 @@ def command_lines():
         for name in _polys(field):
             out.append(("bench", f"analyze --field fields/{field}.json "
                                  f"--poly polys/{field}/{name}.json --tasks {ALL_TASKS}"))
-    for p, e, n in FAMILY_FIELDS:
-        for family in range(1, 6):
-            line = f"families --family {family} --q {p} --e {e} --n {n}"
-            out += [("families", line), ("families", line + " --verify")]
+    for field in FAMILY_FIELDS:
+        out += [("families", line) for line in _family_lines(*field)]
+    for field in DEADLINE_FIELDS:
+        out += [("ci" if line in DEADLINE_CI else "deadline", line)
+                for line in _deadline_lines(*field)]
     for field, poly, tasks in CI_ANALYZE:
         out.append(("ci", f"analyze --field ci/{field}.json --poly ci/{poly}.json --tasks {tasks}"))
     for field, poly in CI_SCATTER:
@@ -195,26 +243,33 @@ def run(line):
     return _record(line, code, out.getvalue(), err.getvalue())
 
 
-def run_fresh(line):
-    """The record of one command line, run in a fresh process in corpus/."""
+def fresh(line, *options):
+    """The finished `python *options -m scattered_lab.cli` process of one
+    command line in corpus/, its streams as bytes."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
     env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run([sys.executable, "-m", "scattered_lab.cli", *line.split()],
+    return subprocess.run([sys.executable, *options, "-m", "scattered_lab.cli", *line.split()],
                           cwd=CORPUS, env=env, stdin=subprocess.DEVNULL,
                           capture_output=True, timeout=FRESH_TIMEOUT)
+
+
+def run_fresh(line):
+    """The record of one command line, run in a fresh process in corpus/."""
+    proc = fresh(line)
     return _record(line, proc.returncode, proc.stdout.decode(), proc.stderr.decode())
 
 
 def document(entries):
     """{command line: record} of the entries, run in a seeded shuffled
-    order with corpus/ as the working directory: the `ci` stratum in fresh
+    order with corpus/ as the working directory: the FRESH_STRATA in fresh
     processes, the others in-process."""
     entries = list(entries)
     random.Random(SHUFFLE_SEED).shuffle(entries)
     cwd = os.getcwd()
     os.chdir(CORPUS)
     try:
-        return {line: (run_fresh if stratum == "ci" else run)(line) for stratum, line in entries}
+        return {line: (run_fresh if stratum in FRESH_STRATA else run)(line)
+                for stratum, line in entries}
     finally:
         os.chdir(cwd)
 

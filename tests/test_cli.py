@@ -17,6 +17,8 @@ from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.stabilizer import Mat2
 from scattered_lab.standard_form import image_polynomial
 
+import corpus
+
 
 def run_cli(argv, tmp_path=None):
     out, err = io.StringIO(), io.StringIO()
@@ -144,10 +146,11 @@ def test_families_cli():
                             "--delta", "1"])
     assert code == 1
     assert json.loads(err)["error"]["code"] == "BadParams"
-    # the parser's choices are the keys of the family table: exit 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["families", "--family", "6"])
-    assert exc.value.code == 2 and sorted(cli.FAMILIES) == [1, 2, 3, 4, 5]
+    # the parser's choices are the keys of the family table; a usage error
+    # is a ParseError
+    code, _, err = run_cli(["families", "--family", "6"])
+    assert code == 1 and sorted(cli.FAMILIES) == [1, 2, 3, 4, 5]
+    assert json.loads(err)["error"]["code"] == "ParseError"
 
 
 def test_corrupted_modulus_surfaces(tmp_path):
@@ -470,16 +473,14 @@ def test_scatter_oracle(specs):
     # (5,4) has 156 projective classes: the naive scan runs and agrees.  psi at
     # (5,6) has 3906, about 7.6 M pairs: the report says null at once
     # instead of looping for minutes
-    field, poly, tmp = specs
+    field, poly, _ = specs
     code, out, _ = run_cli(["scatter", "--field", str(field), "--poly", str(poly),
                             "--oracle"])
     assert code == 0
     doc = json.loads(out)["tasks"]["scatter"]["linear_set"]
     assert doc["oracle_agrees"] is True and "oracle_note" not in doc
-    field = tmp / "f5n6.json"
-    field.write_text(json.dumps({"p": 5, "e": 1, "n": 6, "seed": 0}))
-    poly = tmp / "psi.json"
-    poly.write_text(json.dumps({"coeffs": GOLDEN_CASES["psi_5_6"][1]}))
+    field = corpus.CORPUS / "fields/5_1_6.json"
+    poly = corpus.CORPUS / f"{GOLDEN['psi_5_6']}.json"
     start = time.perf_counter()
     code, out, _ = run_cli(["scatter", "--field", str(field), "--poly", str(poly),
                             "--oracle"])
@@ -491,31 +492,35 @@ def test_scatter_oracle(specs):
     assert tasks["linear_set"]["oracle_note"]
 
 
-GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_CASES = {
-    "pseudoregulus_5_4": ((5, 4), ["0", "1", "0", "0"]),
-    "lp_5_4": ((5, 4), ["0", "g^0", "0", "g^1"]),
-    "lp_7_4": ((7, 4), ["0", "g^0", "0", "g^1"]),
-    "psi_5_6": ((5, 6), ["0", "g^0", "g^0", "0", "g^372", "g^9424"]),
+# the five-task reports of an earlier, enumerative implementation of the mrd
+# and plane tasks, now corpus records; the output must not move
+GOLDEN = {
+    "pseudoregulus_5_4": "polys/5_1_4/family1_s1",
+    "lp_5_4": "polys/5_1_4/family2",
+    "lp_7_4": "polys/7_1_4/family2",
+    "psi_5_6": "polys/5_1_6/family5",
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_analyze_matches_golden_report(name, tmp_path):
-    # golden files hold the five-task report of an earlier, enumerative
-    # implementation of the mrd and plane tasks; the output must not move
-    (p, n), coeffs = GOLDEN_CASES[name]
-    field = tmp_path / "field.json"
-    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
-    poly = tmp_path / "poly.json"
-    poly.write_text(json.dumps({"coeffs": coeffs}))
-    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                            "--tasks", "scatter,stabilizer,standard-form,mrd,plane"])
+def _golden_run(name, task, monkeypatch):
+    """The command line of one task, or of the five (task None), on a golden
+    polynomial, and (exit code, stdout) of it run in corpus/."""
+    poly = GOLDEN[name]
+    files = f"--field fields/{poly.split('/')[1]}.json --poly {poly}.json"
+    line = f"analyze {files} --tasks {corpus.ALL_TASKS}" if task is None else f"{task} {files}"
+    monkeypatch.chdir(corpus.CORPUS)
+    code, out, _ = run_cli(line.split())
+    return line, code, out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_analyze_matches_golden_report(name, expected, monkeypatch):
+    line, code, out = _golden_run(name, None, monkeypatch)
     assert code == 0
-    assert out == (GOLDEN / f"analyze_{name}.json").read_text()
+    assert corpus._stream(out) == expected[line]["stdout"]
 
 
-def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
+def test_analyze_builds_the_linear_set_once(expected, monkeypatch):
     # the scatter task builds the linear set once; the stabilizer task reads none
     calls = []
     build = scatter.linear_set
@@ -526,22 +531,15 @@ def test_analyze_builds_the_linear_set_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "linear_set", counted)
     monkeypatch.setattr(scatter, "linear_set", counted)
-    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
-    field = tmp_path / "field.json"
-    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
-    poly = tmp_path / "poly.json"
-    poly.write_text(json.dumps({"coeffs": coeffs}))
-    golden = json.loads((GOLDEN / "analyze_psi_5_6.json").read_text())
-    for tasks, builds in (("scatter,stabilizer,standard-form,mrd,plane", 1), ("stabilizer", 0)):
+    for task, builds in ((None, 1), ("stabilizer", 0)):
         calls.clear()
-        code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                                "--tasks", tasks])
+        line, code, out = _golden_run("psi_5_6", task, monkeypatch)
         assert code == 0
-        assert json.loads(out)["tasks"] == {t: golden["tasks"][t] for t in tasks.split(",")}
-        assert len(calls) == builds, tasks
+        assert corpus._stream(out) == expected[line]["stdout"]
+        assert len(calls) == builds, line
 
 
-def test_five_task_analyze_computes_each_fact_once(tmp_path, monkeypatch):
+def test_five_task_analyze_computes_each_fact_once(expected, monkeypatch):
     # psi over F_(5^6) has 1 < t < n: the standard-form and plane tasks both
     # read the class solve h0, which runs once, and canonicalize adds the
     # inverse branch; the census and G_f are computed once for all five tasks
@@ -562,36 +560,23 @@ def test_five_task_analyze_computes_each_fact_once(tmp_path, monkeypatch):
                         classmethod(lambda cls, f, g: of_pair(f, g)))
     monkeypatch.setattr(LinearizedPoly, "solve_on_class",
                         counted("class solve", LinearizedPoly.solve_on_class))
-    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
-    field = tmp_path / "field.json"
-    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
-    poly = tmp_path / "poly.json"
-    poly.write_text(json.dumps({"coeffs": coeffs}))
-    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                            "--tasks", "scatter,stabilizer,standard-form,mrd,plane"])
+    line, code, out = _golden_run("psi_5_6", None, monkeypatch)
     assert code == 0
-    assert out == (GOLDEN / "analyze_psi_5_6.json").read_text()
-    assert 1 < json.loads(out)["tasks"]["stabilizer"]["t"] < n
+    assert corpus._stream(out) == expected[line]["stdout"]
+    assert 1 < json.loads(out)["tasks"]["stabilizer"]["t"] < 6
     assert calls == {"census": 1, "pair kernel": 1, "verify_field": 1, "class solve": 2}
 
 
-def test_scatter_task_reads_no_slope_codes(tmp_path, monkeypatch):
+def test_scatter_task_reads_no_slope_codes(expected, monkeypatch):
     # without --emit-points the report reads the census's slope count only:
     # the slope codes are never gathered
     def refuse(self):
         raise AssertionError("the slope codes were gathered")
 
     monkeypatch.setattr(scatter.LinearSet, "slopes", property(refuse))
-    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
-    field = tmp_path / "field.json"
-    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
-    poly = tmp_path / "poly.json"
-    poly.write_text(json.dumps({"coeffs": coeffs}))
-    golden = json.loads((GOLDEN / "analyze_psi_5_6.json").read_text())
-    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                            "--tasks", "scatter"])
+    line, code, out = _golden_run("psi_5_6", "scatter", monkeypatch)
     assert code == 0
-    assert json.loads(out)["tasks"] == {"scatter": golden["tasks"]["scatter"]}
+    assert corpus._stream(out) == expected[line]["stdout"]
 
 
 def test_equivalent_pair_runs_no_census_on_g(tmp_path, monkeypatch):
@@ -631,71 +616,38 @@ def _src_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def _fresh_analyze(field, poly, forbidden):
-    """Run a five-task analyze in a fresh process that fails if it imported
-    the module `forbidden`; the parsed report."""
-    script = ("import sys\n"
-              "from scattered_lab.cli import main\n"
-              f"code = main(['analyze', '--field', {str(field)!r}, '--poly', {str(poly)!r},\n"
-              "             '--tasks', 'scatter,stabilizer,standard-form,mrd,plane'])\n"
-              f"assert {forbidden!r} not in sys.modules, {forbidden!r} + ' was imported'\n"
-              "sys.exit(code)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=_src_env(), timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert set(doc["tasks"]) == {"scatter", "stabilizer", "standard-form", "mrd", "plane"}
-    return doc
+# fresh processes and the modules each must not import: sympy (primality is
+# stdlib code), numpy.ma (loaded by the first np.unique), hashlib (loads
+# OpenSSL; a report carries no hash), the families and selftest modules (an
+# analyze builds no family and runs no criterion) and dataclasses (the
+# library's records are plain classes)
+REPORT_UNNEEDED = {"sympy", "numpy.ma", "hashlib", "scattered_lab.families",
+                   "scattered_lab.selftest", "dataclasses"}
+FRESH_IMPORTS = [
+    # 1 < t < n
+    (f"analyze --field fields/5_1_6.json --poly polys/5_1_6/family5.json "
+     f"--tasks {corpus.ALL_TASKS}", "scattered_lab.plane", REPORT_UNNEEDED),
+    # t = n
+    (f"analyze --field ci/f5n6.json --poly ci/pseudoregulus.json --tasks {corpus.ALL_TASKS}",
+     "scattered_lab.plane", REPORT_UNNEEDED),
+    ("selftest --quick", "scattered_lab.selftest", {"sympy"}),
+]
 
 
-def test_analyze_process_never_imports_sympy(specs):
-    # primality and prime divisors are stdlib code, so a fresh five-task
-    # analyze process does not load sympy
-    field, poly, _ = specs
-    _fresh_analyze(field, poly, "sympy")
-
-
-def test_analyze_process_never_imports_numpy_ma(tmp_path):
-    # numpy.ma is imported by the first np.unique call, a cost every fresh
-    # report process would pay; the five tasks use no np.unique
-    field = tmp_path / "f5n6.json"
-    field.write_text(json.dumps({"p": 5, "e": 1, "n": 6, "seed": 0}))
-    poly = tmp_path / "pseudoregulus.json"
-    poly.write_text(json.dumps({"coeffs": ["0", "1", "0", "0", "0", "0"]}))
-    doc = _fresh_analyze(field, poly, "numpy.ma")
-    assert doc["tasks"]["plane"]["axes_coaxes_exchanged"] is True
-
-
-def test_analyze_process_never_imports_hashlib(tmp_path):
-    # hashlib loads OpenSSL; the report carries no hash, so no task needs it
-    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
-    field = tmp_path / "field.json"
-    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
-    poly = tmp_path / "poly.json"
-    poly.write_text(json.dumps({"coeffs": coeffs}))
-    doc = _fresh_analyze(field, poly, "hashlib")
-    assert doc == json.loads((GOLDEN / "analyze_psi_5_6.json").read_text())
-
-
-def test_analyze_process_imports_no_families_selftest_or_dataclasses(tmp_path):
-    # a five-task analyze builds no family and runs no criterion, and the
-    # library's records are plain classes: -X importtime lists what was loaded
-    (p, n), coeffs = GOLDEN_CASES["psi_5_6"]
-    field = tmp_path / "field.json"
-    field.write_text(json.dumps({"p": p, "e": 1, "n": n, "seed": 0}))
-    poly = tmp_path / "poly.json"
-    poly.write_text(json.dumps({"coeffs": coeffs}))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "scattered_lab.cli", "analyze",
-         "--field", str(field), "--poly", str(poly),
-         "--tasks", "scatter,stabilizer,standard-form,mrd,plane"],
-        capture_output=True, text=True, env=_src_env(), timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "scattered_lab.plane" in imported
-    assert not imported & {"scattered_lab.families", "scattered_lab.selftest", "dataclasses"}
-    assert proc.stdout == (GOLDEN / "analyze_psi_5_6.json").read_text()
+@pytest.mark.parametrize("line, needed, unneeded", FRESH_IMPORTS,
+                         ids=["analyze-psi-5-6", "analyze-pseudoregulus-5-6", "selftest-quick"])
+def test_fresh_process_imports(expected, line, needed, unneeded):
+    # -X importtime lists on stderr every module the process loaded; the
+    # rest of the record is the command's corpus record
+    proc = corpus.fresh(line, "-X", "importtime")
+    stderr = proc.stderr.decode().splitlines(keepends=True)
+    imported = {row.rsplit("|", 1)[1].strip() for row in stderr
+                if row.startswith("import time:")}
+    assert needed in imported
+    assert not {name for name in imported
+                if any(name == m or name.startswith(m + ".") for m in unneeded)}
+    errors = "".join(row for row in stderr if not row.startswith("import time:"))
+    assert corpus._record(line, proc.returncode, proc.stdout.decode(), errors) == expected[line]
 
 
 # the package's public names before the families names were loaded on use

@@ -3,16 +3,9 @@
 `python tests/corpus.py` runs every entry; see corpus.py.
 """
 
-import json
-
 import pytest
 
-from corpus import EXPECTED, TASKS, command_lines, document, subset
-
-
-@pytest.fixture(scope="module")
-def expected():
-    return json.loads(EXPECTED.read_text())
+from corpus import TASKS, command_lines, document, subset
 
 
 def test_every_entry_has_an_expected_record(expected):
