@@ -616,29 +616,20 @@ def _src_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-# fresh processes and the modules each must not import: sympy (primality is
+# the modules a fresh report process must not import: sympy (primality is
 # stdlib code), numpy.ma (loaded by the first np.unique), hashlib (loads
 # OpenSSL; a report carries no hash), the families and selftest modules (an
 # analyze builds no family and runs no criterion) and dataclasses (the
 # library's records are plain classes)
 REPORT_UNNEEDED = {"sympy", "numpy.ma", "hashlib", "scattered_lab.families",
                    "scattered_lab.selftest", "dataclasses"}
-FRESH_IMPORTS = [
-    # 1 < t < n
-    (f"analyze --field fields/5_1_6.json --poly polys/5_1_6/family5.json "
-     f"--tasks {corpus.ALL_TASKS}", "scattered_lab.plane", REPORT_UNNEEDED),
-    # t = n
-    (f"analyze --field ci/f5n6.json --poly ci/pseudoregulus.json --tasks {corpus.ALL_TASKS}",
-     "scattered_lab.plane", REPORT_UNNEEDED),
-    ("selftest --quick", "scattered_lab.selftest", {"sympy"}),
-]
 
 
-@pytest.mark.parametrize("line, needed, unneeded", FRESH_IMPORTS,
-                         ids=["analyze-psi-5-6", "analyze-pseudoregulus-5-6", "selftest-quick"])
-def test_fresh_process_imports(expected, line, needed, unneeded):
-    # -X importtime lists on stderr every module the process loaded; the
-    # rest of the record is the command's corpus record
+def _fresh_imports(expected, line, needed, unneeded=REPORT_UNNEEDED):
+    """Run one corpus command line in a fresh process under -X importtime,
+    which lists on stderr every module the process loaded; check that it
+    loaded `needed` and nothing of `unneeded`, and that the rest of its
+    record is the command's corpus record.  Its stdout."""
     proc = corpus.fresh(line, "-X", "importtime")
     stderr = proc.stderr.decode().splitlines(keepends=True)
     imported = {row.rsplit("|", 1)[1].strip() for row in stderr
@@ -648,6 +639,44 @@ def test_fresh_process_imports(expected, line, needed, unneeded):
                 if any(name == m or name.startswith(m + ".") for m in unneeded)}
     errors = "".join(row for row in stderr if not row.startswith("import time:"))
     assert corpus._record(line, proc.returncode, proc.stdout.decode(), errors) == expected[line]
+    return proc.stdout.decode()
+
+
+def _analyze_line(poly):
+    """The five-task analyze command line of a golden polynomial."""
+    return (f"analyze --field fields/{poly.split('/')[1]}.json --poly {poly}.json "
+            f"--tasks {corpus.ALL_TASKS}")
+
+
+# each report process below is checked against all of REPORT_UNNEEDED; the
+# test's name says which module its case was first written for
+
+
+def test_analyze_process_never_imports_sympy(expected):
+    _fresh_imports(expected, _analyze_line(GOLDEN["pseudoregulus_5_4"]), "scattered_lab.plane")
+
+
+def test_analyze_process_never_imports_numpy_ma(expected):
+    # t = n
+    line = (f"analyze --field ci/f5n6.json --poly ci/pseudoregulus.json "
+            f"--tasks {corpus.ALL_TASKS}")
+    doc = json.loads(_fresh_imports(expected, line, "scattered_lab.plane"))
+    assert doc["tasks"]["plane"]["axes_coaxes_exchanged"] is True
+
+
+def test_analyze_process_never_imports_hashlib(expected):
+    _fresh_imports(expected, _analyze_line(GOLDEN["lp_5_4"]), "scattered_lab.plane")
+
+
+def test_analyze_process_imports_no_families_selftest_or_dataclasses(expected):
+    # 1 < t < n
+    out = _fresh_imports(expected, _analyze_line(GOLDEN["psi_5_6"]), "scattered_lab.plane")
+    doc = json.loads(out)
+    assert 1 < doc["tasks"]["stabilizer"]["t"] < 6
+
+
+def test_selftest_process_never_imports_sympy(expected):
+    _fresh_imports(expected, "selftest --quick", "scattered_lab.selftest", {"sympy"})
 
 
 # the package's public names before the families names were loaded on use
