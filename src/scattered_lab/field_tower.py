@@ -674,11 +674,12 @@ class FieldTower:
             if s == "g":
                 return self.gen_code
             if s.startswith("g^"):
-                try:
-                    k = int(s[2:])
-                except ValueError as exc:
-                    raise BadElement(f"bad exponent in {obj!r}") from exc
-                return self.pow_code(self.gen_code, k)
+                # an optional minus and ASCII digits: int() also reads "+7",
+                # " 7", "1_0" and non-ASCII digits
+                digits = s[3:] if s[2:3] == "-" else s[2:]
+                if not (digits.isascii() and digits.isdigit()):
+                    raise BadElement(f"bad exponent in {obj!r}")
+                return self.pow_code(self.gen_code, int(s[2:]))
             raise BadElement(f"cannot parse element {obj!r}")
         raise BadElement(f"cannot parse element {obj!r}")
 
@@ -717,8 +718,6 @@ def make_field(p, e, n, seed=0, modulus=None, generator=None,
         modulus = first_irreducible(p, en)
     else:
         modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) == en:
-            modulus = modulus + (1,)
         if len(modulus) != en + 1 or modulus[-1] != 1:
             raise BadElement(f"modulus must be monic of degree {en}")
         if not is_irreducible(modulus, p):

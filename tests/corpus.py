@@ -97,12 +97,16 @@ CI_ANALYZE = [
     ("f3n8", "xqq8", "scatter,mrd"),
     ("f4n4", "lp44poly", ALL_TASKS),
     ("f7n6", "family3image", "stabilizer,plane"),
+    ("f5n5", "lp", "scatter,stabilizer,standard-form"),
+    ("f5n4", "xq4", ","),
+    ("f5n4", "xq4", "scatter,frobnicate"),
 ] + [("f7n6", "frobenius", task) for task in TASKS]
 CI_SCATTER = [
     ("badseed", "xq2"), ("strmodulus", "xq2"), ("f5n4digits", "bigdigit"), ("floatp", "xq2"),
     ("stringn", "xq2"), ("f5n5ints", "bigint"), ("shortgen", "xq2"), ("longgen", "xq2"),
     ("squaremodulus", "xq4"), ("irreduciblemodulus", "xq4"),
-    ("notutf8", "xq2"), ("f3n4", "notutf8poly"), ("f3n4", "deep"),
+    ("notutf8", "xq2"), ("f3n4", "notutf8poly"), ("deep", "xq2"), ("f3n4", "deep"),
+    ("f5n4", "xq"),
 ]
 CI_EQUIV = [("lp", "image"), ("lp", "lp2"), ("lp", "xq"), ("lp", "zero5")]
 CI_LINES = [
@@ -113,7 +117,18 @@ CI_LINES = [
     "families --family 1 --field fields/5_1_4.json",
     "families --family 1 --field ci/notutf8.json",
     "families --family 1 --field ci/deep.json",
+    "equiv --field ci/f5n5.json ci/lp.json ci/notutf8poly.json",
     "equiv --field ci/f5n5.json ci/lp.json ci/deep.json",
+    "families --family 2 --q 5 --n 4 --delta 1",
+    "families --family 5 --q 5 --n 6 --t 0",
+    "families --family 5 --q 5 --t 0",
+    "families generate --family 1 --q 5 --n 4 --s 3",
+    # x^q over F_(5^2) is scattered, but its solution set is no field at n = 2;
+    # x keeps its unverified report
+    "stabilizer --field ci/f5n2.json --poly ci/xqn2.json",
+    "standard-form --field ci/f5n2.json --poly ci/xqn2.json",
+    "equiv --field ci/f5n2.json ci/xqn2.json ci/xqn2.json",
+    "stabilizer --field ci/f5n2.json --poly ci/xn2.json",
     "families --family 6",
     "analyze --field ci/f5n4.json",
 ] + [f"{task} --field ci/f7n6.json --poly ci/frobenius.json" for task in TASKS]

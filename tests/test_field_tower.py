@@ -316,6 +316,9 @@ def test_element_parsing_and_formatting(tower):
     assert T.parse_element("1") == 1
     assert T.parse_element("g") == T.gen_code
     assert T.parse_element("g^10") == T.pow_code(T.gen_code, 10)
+    assert T.parse_element("g^-1") == T.inv_code(T.gen_code)
+    assert T.parse_element("g^007") == T.pow_code(T.gen_code, 7)
+    assert T.parse_element(" g^3 ") == T.pow_code(T.gen_code, 3)
     assert T.parse_element(2) == 2
     assert T.parse_element([1, 2, 0, 3]) == 1 + 2 * 5 + 3 * 125
     assert T.format_code(0) == "0"
