@@ -246,25 +246,37 @@ def _record(line, code, stdout, stderr):
     return {"exit": code, "stdout": _stream(stdout), "stderr": _stream(stderr)}
 
 
-def run(line):
-    """The record of one command line, run in-process with captured streams."""
+def capture(argv):
+    """(exit code, stdout, stderr) of `cli.main(argv)`, run in-process with
+    captured streams."""
     out, err = io.StringIO(), io.StringIO()
     old = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
     try:
-        code = main(line.split())
+        code = main(argv)
     finally:
         sys.stdout, sys.stderr = old
-    return _record(line, code, out.getvalue(), err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(line):
+    """The record of one command line, run in-process with captured streams."""
+    return _record(line, *capture(line.split()))
+
+
+def src_env():
+    """The environment of a fresh process that imports this checkout:
+    PYTHONPATH is SRC and PYTHONHASHSEED is unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    env["PYTHONPATH"] = str(SRC)
+    return env
 
 
 def fresh(line, *options):
     """The finished `python *options -m scattered_lab.cli` process of one
     command line in corpus/, its streams as bytes."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
-    env["PYTHONPATH"] = str(SRC)
     return subprocess.run([sys.executable, *options, "-m", "scattered_lab.cli", *line.split()],
-                          cwd=CORPUS, env=env, stdin=subprocess.DEVNULL,
+                          cwd=CORPUS, env=src_env(), stdin=subprocess.DEVNULL,
                           capture_output=True, timeout=FRESH_TIMEOUT)
 
 

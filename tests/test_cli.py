@@ -1,16 +1,12 @@
 import gc
-import io
 import json
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from scattered_lab import _linalg, cli, mrd, scatter, stabilizer
-from scattered_lab.cli import main
 from scattered_lab.families import find_lp_delta, find_psi_h, make_lp, make_pseudoregulus, make_psi
 from scattered_lab.field_tower import make_field
 from scattered_lab.linearized import LinearizedPoly
@@ -18,132 +14,33 @@ from scattered_lab.stabilizer import Mat2
 from scattered_lab.standard_form import image_polynomial
 
 import corpus
+from corpus import capture
 
 
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    old_out, old_err = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = out, err
-    try:
-        code = main(argv)
-    finally:
-        sys.stdout, sys.stderr = old_out, old_err
-    return code, out.getvalue(), err.getvalue()
+# x^q over F_(5^4), as committed in the corpus
+FIELD = corpus.CORPUS / "fields/5_1_4.json"
+XQ = corpus.CORPUS / "polys/5_1_4/family1_s1.json"
 
 
-@pytest.fixture()
-def specs(tmp_path):
-    field = tmp_path / "f5n4.json"
-    field.write_text(json.dumps({"p": 5, "e": 1, "n": 4, "seed": 0}))
-    poly = tmp_path / "pr.json"
-    poly.write_text(json.dumps({"coeffs": ["0", "1", "0", "0"]}))
-    return field, poly, tmp_path
-
-
-def test_analyze_scatter_stabilizer(specs):
-    field, poly, _ = specs
-    code, out, _ = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                            "--tasks", "scatter,stabilizer"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["schema_version"] == 3
-    assert doc["tasks"]["scatter"]["scattered"] is True
-    assert doc["tasks"]["stabilizer"]["order"] == 624
-    assert doc["tasks"]["stabilizer"]["t"] == 4
-
-
-def test_byte_identical_reports(specs):
-    field, poly, _ = specs
-    args = ["analyze", "--field", str(field), "--poly", str(poly),
-            "--tasks", "scatter,stabilizer,mrd", "--emit-points"]
-    _, out1, _ = run_cli(args)
-    _, out2, _ = run_cli(args)
-    assert out1 == out2
-
-
-def test_emitted_poly_reparses(specs):
-    field, poly, tmp = specs
-    code, out, _ = run_cli(["standard-form", "--field", str(field), "--poly", str(poly)])
+def test_emitted_poly_reparses(tmp_path):
+    code, out, _ = capture(["standard-form", "--field", str(FIELD), "--poly", str(XQ)])
     assert code == 0
     doc = json.loads(out)
     h = doc["tasks"]["standard-form"]["h"]
-    poly2 = tmp / "h.json"
+    poly2 = tmp_path / "h.json"
     poly2.write_text(json.dumps({"coeffs": h}))
-    code2, out2, _ = run_cli(["scatter", "--field", str(field), "--poly", str(poly2)])
+    code2, out2, _ = capture(["scatter", "--field", str(FIELD), "--poly", str(poly2)])
     assert code2 == 0
     assert json.loads(out2)["tasks"]["scatter"]["scattered"] is True
 
 
-def test_empty_tasks_parse_error(specs):
-    field, poly, _ = specs
-    code, _, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                            "--tasks", ""])
-    assert code == 1
-    assert json.loads(err)["error"]["code"] == "ParseError"
-
-
-def test_unknown_task(specs):
-    field, poly, _ = specs
-    code, _, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
-                            "--tasks", "scatter,frobnicate"])
-    assert code == 1
-    assert json.loads(err)["error"]["code"] == "ParseError"
-
-
-def test_small_q_refusal(tmp_path):
-    field = tmp_path / "f3.json"
-    field.write_text(json.dumps({"p": 3, "e": 1, "n": 4}))
-    poly = tmp_path / "p.json"
-    poly.write_text(json.dumps({"coeffs": ["0", "1", "0", "0"]}))
-    code, _, err = run_cli(["plane", "--field", str(field), "--poly", str(poly)])
-    assert code == 2
-    assert json.loads(err)["error"]["code"] == "SmallQ"
-
-
-def test_mrd_and_oracle(specs):
-    field, poly, _ = specs
-    code, out, _ = run_cli(["mrd", "--field", str(field), "--poly", str(poly),
-                            "--oracle"])
-    assert code == 0
-    doc = json.loads(out)["tasks"]["mrd"]
-    assert doc["min_distance"] == 3 and doc["is_mrd"] is True
-    assert doc["matches_stabilizer"] is True
-
-
-def test_plane_report(specs):
-    field, poly, _ = specs
-    code, out, _ = run_cli(["plane", "--field", str(field), "--poly", str(poly)])
-    assert code == 0
-    doc = json.loads(out)["tasks"]["plane"]
-    assert doc["case"] == "ii"
-    assert doc["homology_group_order"] == 156
-    assert doc["elations"] == 0
-    assert doc["andre_witness"] == "pseudoregulus"
-
-
-def test_equiv_cli(specs, tmp_path):
-    field, poly, _ = specs
-    g = tmp_path / "g.json"
+def test_equiv_cli():
     # x^{q^3} is the inverse-branch partner of x^q: GL-equivalent
-    g.write_text(json.dumps({"coeffs": ["0", "0", "0", "1"]}))
-    code, out, _ = run_cli(["equiv", "--field", str(field), str(poly), str(g)])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["equiv"]["equivalent"] is True
-    code, out, _ = run_cli(["equiv", "--field", str(field), str(poly), str(g),
-                            "--mode", "gammal"])
-    assert json.loads(out)["equiv"]["equivalent"] is True
-
-
-def test_corrupted_modulus_surfaces(tmp_path):
-    field = tmp_path / "bad.json"
-    # x^4 + 1 is reducible over F_5
-    field.write_text(json.dumps({"p": 5, "e": 1, "n": 4, "modulus": [1, 0, 0, 0, 1]}))
-    poly = tmp_path / "p.json"
-    poly.write_text(json.dumps({"coeffs": ["0", "1", "0", "0"]}))
-    code, _, err = run_cli(["scatter", "--field", str(field), "--poly", str(poly)])
-    assert code == 1
-    assert json.loads(err)["error"]["code"] == "BadElement"
+    g = corpus.CORPUS / "polys/5_1_4/family1_s3.json"
+    for mode in ([], ["--mode", "gammal"]):
+        code, out, _ = capture(["equiv", "--field", str(FIELD), str(XQ), str(g), *mode])
+        assert code == 0
+        assert json.loads(out)["equiv"]["equivalent"] is True
 
 
 FIELD_OK = {"p": 5, "e": 1, "n": 4, "seed": 0}
@@ -204,29 +101,9 @@ def test_malformed_spec_is_a_json_error(tmp_path, field, poly, error):
     field_path, poly_path = tmp_path / "field.json", tmp_path / "poly.json"
     field_path.write_text(json.dumps(field))
     poly_path.write_text(json.dumps(poly))
-    code, out, err = run_cli(["scatter", "--field", str(field_path), "--poly", str(poly_path)])
+    code, out, err = capture(["scatter", "--field", str(field_path), "--poly", str(poly_path)])
     assert (code, out) == (1, "")
     assert json.loads(err)["error"]["code"] == error
-
-
-@pytest.mark.parametrize("content", [b'\xff\xfe{"p": 5}', b"[" * 100_000],
-                         ids=["not-utf8", "nested-past-the-recursion-limit"])
-@pytest.mark.parametrize("reader", ["field", "poly", "equiv", "families"])
-def test_unreadable_json_is_a_parse_error(specs, content, reader):
-    # a decode error or a RecursionError of the JSON reader is a ParseError
-    # JSON error, whichever command reads the file
-    field, poly, tmp_path = specs
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
-    argv = {
-        "field": ["scatter", "--field", str(bad), "--poly", str(poly)],
-        "poly": ["scatter", "--field", str(field), "--poly", str(bad)],
-        "equiv": ["equiv", "--field", str(field), str(poly), str(bad)],
-        "families": ["families", "--family", "1", "--field", str(bad)],
-    }[reader]
-    code, out, err = run_cli(argv)
-    assert (code, out) == (1, "")
-    assert json.loads(err)["error"]["code"] == "ParseError"
 
 
 def _report_instances(tower):
@@ -272,7 +149,7 @@ def _reports_after_stabilizer(tower, tmp_path, monkeypatch, tasks, guarded):
         field, poly = tmp_path / "field.json", tmp_path / "poly.json"
         field.write_text(json.dumps(T.spec()))
         poly.write_text(json.dumps(inst.poly.to_json()))
-        code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+        code, out, err = capture(["analyze", "--field", str(field), "--poly", str(poly),
                                   "--tasks", "stabilizer," + tasks])
         assert code == 0, err
         assert armed
@@ -313,7 +190,7 @@ def test_families_table_runs_each_maker(tower, family):
         4: lambda: fam.make_family4(T, fam.find_family4_delta(T)),
         5: lambda: fam.make_psi(T, fam.find_psi_h(T, 3), 3, 1),
     }
-    code, out, _ = run_cli(["families", "--family", str(family)])
+    code, out, _ = capture(["families", "--family", str(family)])
     assert code == 0
     want = {"schema_version": cli.SCHEMA_VERSION, "field": T.spec(),
             "instance": makers[family]().to_json()}
@@ -326,19 +203,10 @@ def test_families_refuse_s_outside_1_to_n(family):
     # and 5 echoed s = -1 or s = n + 1 as a valid instance
     n = 6
     for s in (-1, 0, n, n + 1):
-        code, out, err = run_cli(["families", "--family", str(family), "--q", "5",
+        code, out, err = capture(["families", "--family", str(family), "--q", "5",
                                   "--n", str(n), "--s", str(s)])
         assert (code, out) == (1, ""), (family, s)
         assert json.loads(err)["error"]["code"] == "BadParams", (family, s, err)
-
-
-def test_families_generate_verb():
-    code, out, _ = run_cli(["families", "generate", "--family", "1",
-                            "--q", "5", "--n", "4", "--s", "3"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["instance"]["family"] == 1
-    assert doc["instance"]["predicted_stabilizer"]["order"] == 624
 
 
 def test_shortcuts_print_what_analyze_prints(tmp_path):
@@ -354,8 +222,8 @@ def test_shortcuts_print_what_analyze_prints(tmp_path):
         poly.write_text(json.dumps({"coeffs": coeffs}))
         common = ["--field", str(field), "--poly", str(poly)]
         for task in cli.TASKS:
-            shortcut = run_cli([task, *common])
-            assert shortcut == run_cli(["analyze", *common, "--tasks", task]), (p, n, task)
+            shortcut = capture([task, *common])
+            assert shortcut == capture(["analyze", *common, "--tasks", task]), (p, n, task)
             codes.add(shortcut[0])
     assert codes == {0, 1, 2}
 
@@ -375,7 +243,7 @@ def test_analyze_refuses_table_less_field(tmp_path, monkeypatch):
     monkeypatch.setattr(mrd, "min_distance", not_reached)
     for tasks in (["--tasks", "scatter"], ["--tasks", "mrd"]):
         start = time.perf_counter()
-        code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly)]
+        code, out, err = capture(["analyze", "--field", str(field), "--poly", str(poly)]
                                  + tasks)
         assert time.perf_counter() - start < 10
         assert code == 2 and out == ""
@@ -390,27 +258,25 @@ def test_analyze_refuses_the_largest_field_before_echoing_the_poly(tmp_path):
     poly = tmp_path / "frobenius.json"
     poly.write_text(json.dumps({"coeffs": ["0", "1"] + ["0"] * 38}))
     start = time.perf_counter()
-    code, out, err = run_cli(["analyze", "--field", str(field), "--poly", str(poly),
+    code, out, err = capture(["analyze", "--field", str(field), "--poly", str(poly),
                               "--tasks", "scatter,stabilizer,standard-form,mrd,plane"])
     assert time.perf_counter() - start < 10
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "TooLarge"
 
 
-def test_scatter_oracle(specs):
+def test_scatter_oracle():
     # (5,4) has 156 projective classes: the naive scan runs and agrees.  psi at
     # (5,6) has 3906, about 7.6 M pairs: the report says null at once
     # instead of looping for minutes
-    field, poly, _ = specs
-    code, out, _ = run_cli(["scatter", "--field", str(field), "--poly", str(poly),
-                            "--oracle"])
+    code, out, _ = capture(["scatter", "--field", str(FIELD), "--poly", str(XQ), "--oracle"])
     assert code == 0
     doc = json.loads(out)["tasks"]["scatter"]["linear_set"]
     assert doc["oracle_agrees"] is True and "oracle_note" not in doc
     field = corpus.CORPUS / "fields/5_1_6.json"
     poly = corpus.CORPUS / f"{GOLDEN['psi_5_6']}.json"
     start = time.perf_counter()
-    code, out, _ = run_cli(["scatter", "--field", str(field), "--poly", str(poly),
+    code, out, _ = capture(["scatter", "--field", str(field), "--poly", str(poly),
                             "--oracle"])
     assert time.perf_counter() - start < 10
     assert code == 0
@@ -437,7 +303,7 @@ def _golden_run(name, task, monkeypatch):
     files = f"--field fields/{poly.split('/')[1]}.json --poly {poly}.json"
     line = f"analyze {files} --tasks {corpus.ALL_TASKS}" if task is None else f"{task} {files}"
     monkeypatch.chdir(corpus.CORPUS)
-    code, out, _ = run_cli(line.split())
+    code, out, _ = capture(line.split())
     return line, code, out
 
 
@@ -530,18 +396,11 @@ def test_equivalent_pair_runs_no_census_on_g(tmp_path, monkeypatch):
                           ("g", g.to_json())):
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(json.dumps(doc))
-        code, out, _ = run_cli(["equiv", "--field", *map(str, paths)])
+        code, out, _ = capture(["equiv", "--field", *map(str, paths)])
         assert code == 0
         doc = json.loads(out)
         assert doc["equiv"]["equivalent"] is equivalent and doc["in_class_S"] == in_class_S
         assert f.coeffs in censused and (g.coeffs in censused) is not equivalent
-
-
-def _src_env():
-    """The environment of a fresh process that imports this checkout."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 # the modules a fresh report process must not import: sympy (primality is
@@ -636,18 +495,16 @@ def test_package_loads_families_on_first_use():
               "assert scattered_lab.families is sys.modules['scattered_lab.families']\n"
               "assert not hasattr(scattered_lab, 'make_nothing')\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=_src_env(), timeout=300)
+                          env=corpus.src_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{PACKAGE_ALL}\n"
 
 
-def test_main_freezes_the_import_heap_once(specs):
-    field, poly, _ = specs
-    args = ["analyze", "--field", str(field), "--poly", str(poly),
-            "--tasks", "scatter,stabilizer,standard-form,mrd,plane"]
-    _, first, _ = run_cli(args)
+def test_main_freezes_the_import_heap_once():
+    args = ["analyze", "--field", str(FIELD), "--poly", str(XQ), "--tasks", corpus.ALL_TASKS]
+    _, first, _ = capture(args)
     frozen = gc.get_freeze_count()
     assert frozen > 0
-    _, second, _ = run_cli(args)
+    _, second, _ = capture(args)
     assert gc.get_freeze_count() == frozen
     assert second == first
