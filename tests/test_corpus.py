@@ -43,6 +43,8 @@ def test_exit_codes_follow_the_error_contract(expected):
     # README: exit 0 is success, 2 a refused precondition, 1 any other
     # error; an error is a JSON document on stderr with nothing on stdout.
     # Every record is checked, in the subset or not
+    # only the classes that set their own code: RefusedPrecondition inherits
+    # the base's "Error" with another exit code
     exit_codes = {cls.code: cls.exit_code for cls in vars(errors).values()
                   if isinstance(cls, type) and issubclass(cls, errors.ScatteredLabError)
                   and "code" in vars(cls)}
