@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import NotScattered, TooLarge
 from .linearized import LinearizedPoly
-from .scatter import slope_census
+from .scatter import is_scattered, slope_census
 from .stabilizer import compute_stabilizer
 
 
@@ -94,11 +94,11 @@ def verify_idealizer_field(f: LinearizedPoly):
                     = phi(M N).
     G_f with zero is a field, so M N = N M and phi is a ring isomorphism
     onto I: I is a field, and its nonzero part is the cyclic group of
-    order q^t - 1 generated by phi(alpha).  A non-scattered f, whose
-    stabilizer kernel is not certified, raises NotScattered.
+    order q^t - 1 generated by phi(alpha).  A non-scattered f raises
+    NotScattered from the census, before the stabilizer is built.
     """
-    Mf = compute_stabilizer(f)
-    if not Mf.verified:
+    if not is_scattered(f):
         raise NotScattered("polynomial is not scattered")
+    Mf = compute_stabilizer(f)
     alpha = Mf.generator
     return Mf.t, LinearizedPoly.identity(f.tower).scale(alpha.a) + f.scale(alpha.c)

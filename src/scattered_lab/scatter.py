@@ -17,10 +17,11 @@ tower's digit block for the low levels, and above them the p-adic doubling
 of `_linalg.linear_values`, offset by each level's leading column), their
 logs from a per-tower cache (`FieldTower.class_logs`), and the fibers from
 one bincount (a sort would be faster on big fields, but its first call in
-a process costs about 0.5 MB of peak memory).  The memo is also the record
-of scatteredness that `compute_stabilizer` reads.  On fields without tables
-(more than 2^23 elements) the census, and with it every analysis built on
-it, raises TooLarge before doing any work.
+a process costs about 0.5 MB of peak memory).  The memo is the one record
+of scatteredness: every caller that needs a scattered f reads it before the
+stabilizer is built.  On fields without tables (more than 2^23 elements)
+the census, and with it every analysis built on it, raises TooLarge before
+doing any work; `compute_stabilizer` reads it only when its certificate fails.
 """
 
 from __future__ import annotations

@@ -119,9 +119,9 @@ class MatrixField:
     """The solution set S(f, g) of a pair system (`_pair_system`), kept as
     (system, coords): S(f, g) = span(coords) = ker(system mod p).
 
-    For g = f it is G_f with zero adjoined, certified as a field by
-    verify_field; for other scattered g (n >= 3) it is {0} or (G_f with zero)
-    times any one of its nonzero elements.  The F_p-coordinates of a matrix
+    For scattered f = g (n >= 3) it is G_f with zero adjoined, certified as
+    a field by verify_field; for other scattered g it is {0} or (G_f with
+    zero) times any one of its nonzero elements.  The F_p-coordinates of a matrix
     are the little-endian base-p digits of its entries (a, b, c, d); coords
     holds the kernel basis as those digit rows, and `basis` reads them as
     Mat2.  Elements are numbered in span order: element r is the combination
@@ -166,7 +166,7 @@ class MatrixField:
     @property
     def verified(self):
         """Has verify_field certified this space as a field?  Its diagonal
-        form is the certificate."""
+        form is the certificate; it says nothing of whether f is scattered."""
         return self.P is not None
 
     @property
@@ -288,29 +288,32 @@ def _identity(en):
 
 def compute_stabilizer(f: LinearizedPoly) -> MatrixField:
     """S(f, f), all M in F_{q^n}^{2x2} with U_f M contained in U_f, as a
-    MatrixField certified exactly when f is scattered.
+    MatrixField, certified whenever verify_field holds on it.
 
     The result holds the stabilizer system and its kernel basis; no element
-    is listed.  For scattered f it is the stabilizer field G_f with the zero
-    matrix adjoined, certified by verify_field, so `verified` reads whether
-    f is scattered.  For non-scattered f the raw solution set is returned
-    uncertified (the field structure is not guaranteed then); the callers
-    that need a scattered f raise NotScattered on it.  The memo is read
-    first, and scatteredness (`is_scattered`) only on a miss.  Scattered
-    input with n = 2 raises HallCase before the system is built: the field
-    structure needs n >= 3.
+    is listed.  verify_field runs on every space, without the census: for
+    scattered f (n >= 3) the space is G_f with the zero matrix adjoined and
+    the certificate holds; a non-scattered f keeps it whenever its space is
+    a field too, as every f whose only solutions are the scalars of F_q is.
+    So `verified` reads "is a field", not "is scattered": a caller that
+    needs a scattered f asks `is_scattered` itself.  Only when the
+    certificate fails is scatteredness read: a scattered f then re-raises
+    NotAField, or raises HallCase at n = 2, where S(f, f) = End(U_f) has
+    order q^4 and is no field; a non-scattered f comes back uncertified.
+    The memo is read first.
     """
     T = f.tower
     cache = T.cache("stabilizer")
     if f.coeffs in cache:
         return cache[f.coeffs]
-    scattered = is_scattered(f)
-    if scattered and T.n == 2:
-        # at n = 2 rank-1 solutions exist and the solution set is no field
-        raise HallCase("the stabilizer of a scattered polynomial needs n >= 3")
     field = MatrixField.of_pair(f, f)
-    if scattered:
+    try:
         verify_field(field)
+    except NotAField:
+        if is_scattered(f):
+            if T.n == 2:
+                raise HallCase("the stabilizer of a scattered polynomial needs n >= 3") from None
+            raise
     cache[f.coeffs] = field
     return field
 

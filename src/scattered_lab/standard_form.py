@@ -169,16 +169,16 @@ def image_polynomial(f: LinearizedPoly, W: Mat2) -> LinearizedPoly:
 
 def _standard_pair(f: LinearizedPoly):
     """(form, h0): the diagonal form of G_f and h0 with U_f P^-1 = U_h0, solved
-    for on its class s mod t (proof in `to_standard_form`); NotScattered for
-    an f whose stabilizer kernel is uncertified, NotInS for t = 1.  The
+    for on its class s mod t (proof in `to_standard_form`); NotScattered from
+    the census before the stabilizer is built, NotInS for t = 1.  The
     standard-form and plane tasks both read it, so it is memoized per tower
     like the census and the stabilizer."""
     cache = f.tower.cache("standard_pair")
     if f.coeffs in cache:
         return cache[f.coeffs]
-    Mf = compute_stabilizer(f)
-    if not Mf.verified:
+    if not is_scattered(f):
         raise NotScattered("polynomial is not scattered")
+    Mf = compute_stabilizer(f)
     if Mf.t == 1:
         raise NotInS("stabilizer is the scalar group; no standard form exists")
     form = diagonalize(Mf)

@@ -227,6 +227,14 @@ def mat_apply(M, point):
             T.add_code(T.mul_code(x, M.b), T.mul_code(y, M.d)))
 
 
+def certificate_of(V):
+    """What verify_field keeps on the `stabilizer.MatrixField` V, as plain
+    values that compare across towers: verified, t, s, the entries of P and
+    of the generator, and the kernel basis coords."""
+    P, generator = (None if M is None else M.entries() for M in (V.P, V.generator))
+    return (V.verified, V.t, V.s, P, generator, V.coords.tolist())
+
+
 def in_kernel(V, M):
     """Does the matrix M lie in the `stabilizer.MatrixField` V, i.e. is its
     digit row in the kernel of V.system?"""

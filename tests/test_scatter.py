@@ -19,6 +19,7 @@ from scattered_lab.stabilizer import Mat2, compute_stabilizer
 
 from oracles import (
     TABLE_FIELDS,
+    certificate_of,
     field_id,
     line_intersection_dim,
     linear_set_by_sort,
@@ -274,12 +275,16 @@ def test_line_intersection_direct_enumeration(tower):
         assert 3**dim - 1 == on_line
 
 
-def test_enumerations_refuse_table_less_tower():
+def test_enumerations_refuse_table_less_tower(tower):
     T = make_field(5, 1, 4, table_bound=0)
     f = LinearizedPoly.monomial(T, 1)
-    for call in (lambda: is_scattered(f), lambda: compute_stabilizer(f), f.eval_all_logs):
+    for call in (lambda: is_scattered(f), f.eval_all_logs):
         with pytest.raises(TooLarge):
             call()
+    # the stabilizer reads no census: it gives the tabled tower's certificate
+    Mf = compute_stabilizer(f)
+    tabled = compute_stabilizer(LinearizedPoly.monomial(tower(5, 1, 4), 1))
+    assert Mf.verified and certificate_of(Mf) == certificate_of(tabled)
 
 
 def test_linear_set_json(tower):

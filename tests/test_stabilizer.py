@@ -1,3 +1,6 @@
+import collections
+import json
+
 import numpy as np
 import pytest
 
@@ -6,10 +9,13 @@ from scattered_lab._linalg import kernel_mod
 from scattered_lab.errors import (
     AllScalar,
     BadElement,
+    HallCase,
     NotAField,
     NotScattered,
+    TooLarge,
 )
 from scattered_lab.families import catalog
+from scattered_lab.field_tower import field_from_json, make_field
 from scattered_lab.linearized import LinearizedPoly
 from scattered_lab.mrd import verify_idealizer_field
 from scattered_lab.scatter import linear_set
@@ -25,15 +31,19 @@ from scattered_lab.stabilizer import (
 )
 from scattered_lab.standard_form import to_standard_form
 
+from corpus import CORPUS
 from oracles import (
     BUILDER_FIELDS,
+    TABLE_FIELDS,
     builder_id,
     builder_tower,
+    certificate_of,
     conjugated_pairs_by_inverse,
     conjugates_to_diagonal_by_inverse,
     diag_pairs,
     element_set_of,
     elements_of,
+    field_id,
     in_kernel,
     mat_apply,
     mat_power,
@@ -427,3 +437,92 @@ def test_pair_kernel_is_the_full_elimination(tower):
                 assert _pair_kernel_matches(f, h), (key, f.coeffs, h.coeffs)
             kinds.add(scatter.is_scattered(f))
     assert kinds == {False, True}
+
+
+@pytest.mark.parametrize("key", [key for key in TABLE_FIELDS if key[2] > 2], ids=field_id)
+def test_table_less_stabilizer_matches_tabled(tower, key):
+    # compute_stabilizer reads no census while its certificate holds: on the
+    # tower rebuilt without tables it gives the same space and certificate,
+    # for every catalog instance and four seeded random f (most of them not
+    # scattered).  A space that fails the certificate needs the census to
+    # tell a scattered f, which re-raises, from one that is not, so there the
+    # table-less tower refuses with TooLarge
+    T, U = tower(*key), make_field(*key, table_bound=0)
+    rng = T.rng("table-less stabilizer")
+    polys = [inst.poly for inst in catalog(T)]
+    polys += [LinearizedPoly(T, [rng.randrange(T.size) for _ in range(T.n)]) for _ in range(4)]
+    for f in polys:
+        tabled = compute_stabilizer(f)
+        if tabled.verified:
+            assert certificate_of(compute_stabilizer(LinearizedPoly(U, f.coeffs))) \
+                == certificate_of(tabled), f.coeffs
+        else:
+            with pytest.raises(TooLarge):
+                compute_stabilizer(LinearizedPoly(U, f.coeffs))
+
+
+@pytest.mark.parametrize("key", [(7, 1, 10), (3, 1, 20)], ids=field_id)
+def test_stabilizer_above_the_table_bound(key):
+    # x^q over a field the census refuses: G_f = D(1, n), with no TooLarge
+    U = make_field(*key, table_bound=0)
+    Mf = compute_stabilizer(LinearizedPoly.monomial(U, 1))
+    assert Mf.verified and (Mf.t, Mf.s) == (U.n, 1)
+    assert in_kernel(Mf, Mf.generator)
+
+
+def _corpus_field(name):
+    return field_from_json(json.loads((CORPUS / "fields" / f"{name}.json").read_text()))
+
+
+def _corpus_poly(T, path):
+    return LinearizedPoly.from_json(T, json.loads(path.read_text()))
+
+
+def test_certificate_reads_no_census(monkeypatch):
+    # a cold tower, so that no stabilizer memo answers; the catalog searches
+    # run their censuses before the census is replaced
+    T = _corpus_field("5_1_5")
+    scattered = [inst.poly for inst in catalog(T)]
+    random0 = _corpus_poly(T, CORPUS / "polys" / "5_1_5" / "random0.json")
+
+    def refuse(_f):
+        raise AssertionError("the slope census ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(scatter, "slope_census", refuse)
+        assert all(compute_stabilizer(f).verified for f in scattered)
+        Mf = compute_stabilizer(random0)
+        assert Mf.verified and Mf.t == 1
+    assert not scatter.is_scattered(random0)
+    # a failing certificate of a scattered f is raised, never swallowed
+    U, U2 = make_field(5, 1, 4), make_field(5, 1, 2)
+
+    def fail(_Mf):
+        raise NotAField("certificate refused")
+
+    monkeypatch.setattr(stabilizer, "verify_field", fail)
+    with pytest.raises(NotAField, match="certificate refused"):
+        compute_stabilizer(LinearizedPoly.monomial(U, 1))
+    with pytest.raises(HallCase, match="needs n >= 3"):
+        compute_stabilizer(LinearizedPoly.monomial(U2, 1))
+    assert not compute_stabilizer(LinearizedPoly(U, [U.gen_code, 0, 0, 0])).verified
+
+
+def test_certificate_is_a_fact_of_its_own():
+    # every corpus polynomial: a scattered f is always certified, and every
+    # certified space, non-scattered ones included, has as many units as
+    # nonzero elements, counted by listing it where |S| <= 2^18
+    towers = {}
+    kinds = collections.Counter()
+    for path in sorted((CORPUS / "polys").glob("*/*.json")):
+        name = path.parent.name
+        if name not in towers:
+            towers[name] = _corpus_field(name)
+        f = _corpus_poly(towers[name], path)
+        Mf, scattered = compute_stabilizer(f), scatter.is_scattered(f)
+        assert Mf.verified or not scattered, path
+        if Mf.verified and Mf.order <= 1 << 18:
+            units = sum(1 for M in elements_of(Mf) if M.det())
+            assert Mf.group_order == units, path
+        kinds[scattered, Mf.verified] += 1
+    assert kinds == {(True, True): 102, (False, True): 19, (False, False): 22}
